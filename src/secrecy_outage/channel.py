@@ -20,17 +20,20 @@ import numpy as np
 from .numerics import regularized_lower_gamma
 
 __all__ = [
-    "ChannelSample",
     "GammaSnr",
     "SystemConfig",
     "make_rng",
     "mixture_cdf",
-    "sample_channel",
     "sample_channel_block",
     "snr_cdf",
     "snr_cdf_finite_sum",
     "snr_pdf",
 ]
+
+
+def _is_count(value) -> bool:
+    """A positive Python int; ``bool`` is an int subclass but never a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass(frozen=True)
@@ -53,20 +56,22 @@ class SystemConfig:
     b: float
 
     def __post_init__(self):
-        if not isinstance(self.K, int) or self.K < 1:
+        if not _is_count(self.K):
             raise ValueError(f"K must be a positive integer, got {self.K!r}")
         if not 0.0 <= self.zeta <= 1.0:
             raise ValueError(f"zeta must lie in [0, 1], got {self.zeta!r}")
-        if self.r_th < 0.0:
-            raise ValueError(f"r_th must be >= 0, got {self.r_th!r}")
-        if not self.snr > 0.0:
-            raise ValueError(f"snr must be > 0 on the linear scale, got {self.snr!r}")
-        if not isinstance(self.M, int) or self.M < 1:
+        if not (math.isfinite(self.r_th) and self.r_th >= 0.0):
+            raise ValueError(f"r_th must be finite and >= 0, got {self.r_th!r}")
+        if not (math.isfinite(self.snr) and self.snr > 0.0):
+            raise ValueError(f"snr must be finite and > 0 on the linear scale, got {self.snr!r}")
+        if not _is_count(self.M):
             raise ValueError(f"M must be a positive integer, got {self.M!r}")
-        if not isinstance(self.N, int) or self.N < 1:
+        if not _is_count(self.N):
             raise ValueError(f"N must be a positive integer, got {self.N!r}")
-        if not self.a > 0.0 or not self.b > 0.0:
-            raise ValueError(f"path gain factors a, b must be > 0, got a={self.a!r} b={self.b!r}")
+        if not all(math.isfinite(g) and g > 0.0 for g in (self.a, self.b)):
+            raise ValueError(
+                f"path gain factors a, b must be finite and > 0, got a={self.a!r} b={self.b!r}"
+            )
 
     @property
     def rho(self) -> float:
@@ -92,7 +97,7 @@ class GammaSnr:
     scale: float
 
     def __post_init__(self):
-        if not isinstance(self.shape, int) or self.shape < 1:
+        if not _is_count(self.shape):
             raise ValueError(f"shape must be a positive integer, got {self.shape!r}")
         if not self.scale > 0.0:
             raise ValueError(f"scale must be > 0, got {self.scale!r}")
@@ -155,19 +160,6 @@ def mixture_cdf(dist: GammaSnr, zeta: float, x):
     return (1.0 - zeta) + zeta * snr_cdf(dist, x)
 
 
-@dataclass(frozen=True)
-class ChannelSample:
-    """One joint draw: per-transmitter SNRs and backhaul activity flags."""
-
-    gamma_d: np.ndarray
-    gamma_e: np.ndarray
-    backhaul: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.gamma_d) == len(self.gamma_e) == len(self.backhaul)):
-            raise ValueError("gamma_d, gamma_e and backhaul must have one entry per transmitter")
-
-
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Reproducible substream generator: (seed, stream) fully determines output."""
     return np.random.default_rng([int(seed), int(stream)])
@@ -176,18 +168,15 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 def sample_channel_block(cfg: SystemConfig, rng: np.random.Generator, n: int):
     """Draw ``n`` independent channel states as (gamma_d, gamma_e, backhaul) arrays.
 
-    The draw order is a contract (destination path energies, then
-    eavesdropper path energies, then backhaul uniforms) so that a stream
-    position identifies a sample.  Path energy sums of unit exponentials
-    give the exact Gamma law for integer shapes.
+    The draw order is a contract (destination Gamma(M) SNRs, then
+    eavesdropper Gamma(N) SNRs, then backhaul uniforms, each of shape
+    (n, K)) so that a stream position identifies a sample.  A Gamma draw
+    with integer shape has exactly the law of that many summed unit
+    exponential path energies, so no per-path array is materialised.
     """
-    gamma_d = cfg.a_d * rng.standard_exponential((n, cfg.K, cfg.M)).sum(axis=2)
-    gamma_e = cfg.a_e * rng.standard_exponential((n, cfg.K, cfg.N)).sum(axis=2)
+    gamma_d = rng.standard_gamma(cfg.M, (n, cfg.K))
+    gamma_d *= cfg.a_d
+    gamma_e = rng.standard_gamma(cfg.N, (n, cfg.K))
+    gamma_e *= cfg.a_e
     backhaul = rng.random((n, cfg.K)) < cfg.zeta
     return gamma_d, gamma_e, backhaul
-
-
-def sample_channel(cfg: SystemConfig, rng: np.random.Generator) -> ChannelSample:
-    """Draw a single joint channel state."""
-    gamma_d, gamma_e, backhaul = sample_channel_block(cfg, rng, 1)
-    return ChannelSample(gamma_d=gamma_d[0], gamma_e=gamma_e[0], backhaul=backhaul[0])

@@ -84,32 +84,28 @@ def secrecy_outage_indicator(gamma_d, gamma_e, rho):
 def _chunk_counts(query: SopQuery, seed: int, chunk_index: int, n: int) -> tuple[int, int]:
     """Outage and empty-active-set counts for one substream chunk."""
     cfg = query.cfg
-    scheme, scenario = Scheme(query.scheme), Scenario(query.scenario)
-    rng = make_rng(seed, chunk_index)
-    gamma_d, gamma_e, active = sample_channel_block(cfg, rng, n)
-    rows = np.arange(n)
-    if scheme is Scheme.SS:
+    scenario = Scenario(query.scenario)
+    gamma_d, gamma_e, active = sample_channel_block(cfg, make_rng(seed, chunk_index), n)
+    if Scheme(query.scheme) is Scheme.SS:
         merit = gamma_d
     else:
-        merit = (1.0 + gamma_d) / (1.0 + gamma_e)
-
-    if scenario is Scenario.KU:
-        # blind pick over all K; ties resolve to the lowest index via argmax
-        selected = merit.argmax(axis=1)
-        silenced = ~active[rows, selected]
-        outage = silenced | secrecy_outage_indicator(
-            gamma_d[rows, selected], gamma_e[rows, selected], cfg.rho
-        )
-        return int(outage.sum()), 0
-
-    # active-set pick; a fully silenced draw is an outage by itself
-    masked = np.where(active, merit, -np.inf)
-    empty = ~active.any(axis=1)
-    selected = masked.argmax(axis=1)
-    outage = empty | secrecy_outage_indicator(
-        gamma_d[rows, selected], gamma_e[rows, selected], cfg.rho
+        merit = 1.0 + gamma_d
+        merit /= 1.0 + gamma_e
+    if scenario is Scenario.KA:
+        # active-set pick: a silenced transmitter can only win when all are
+        merit = np.where(active, merit, -np.inf)
+    # ties resolve to the lowest index via argmax
+    pick = merit.argmax(axis=1)[:, None]
+    # a silenced pick is an outage by itself; under KA it means the active
+    # set was empty
+    silenced = ~np.take_along_axis(active, pick, axis=1)[:, 0]
+    outage = silenced | secrecy_outage_indicator(
+        np.take_along_axis(gamma_d, pick, axis=1)[:, 0],
+        np.take_along_axis(gamma_e, pick, axis=1)[:, 0],
+        cfg.rho,
     )
-    return int(outage.sum()), int(empty.sum())
+    empty = int(silenced.sum()) if scenario is Scenario.KA else 0
+    return int(outage.sum()), empty
 
 
 def simulate_sop(query: SopQuery, mc: McSettings = McSettings(), workers: int = 1) -> SopEstimate:

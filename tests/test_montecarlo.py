@@ -14,7 +14,8 @@ from secrecy_outage import (
     analytic_sop,
     simulate_sop,
 )
-from secrecy_outage.montecarlo import CHUNK_SIZE, secrecy_outage_indicator
+from secrecy_outage.channel import make_rng, sample_channel_block
+from secrecy_outage.montecarlo import CHUNK_SIZE, _chunk_counts, secrecy_outage_indicator
 
 CASES = [(s, c) for s in (Scheme.SS, Scheme.OS) for c in (Scenario.KU, Scenario.KA)]
 
@@ -163,3 +164,40 @@ def test_selection_prefers_merit():
     ss = simulate_sop(SopQuery(cfg=cfg, scheme=Scheme.SS, scenario=Scenario.KU), mc)
     os_ = simulate_sop(SopQuery(cfg=cfg, scheme=Scheme.OS, scenario=Scenario.KU), mc)
     assert os_.p_hat < ss.p_hat
+
+
+def _loop_counts(query, seed, chunk_index, n):
+    """Per-sample reference for _chunk_counts over the same channel block."""
+    cfg = query.cfg
+    gamma_d, gamma_e, active = sample_channel_block(cfg, make_rng(seed, chunk_index), n)
+    outages = empties = 0
+    for d, e, on in zip(gamma_d.tolist(), gamma_e.tolist(), active.tolist()):
+        if query.scenario is Scenario.KU:
+            candidates = range(cfg.K)
+        else:
+            candidates = [k for k in range(cfg.K) if on[k]]
+            if not candidates:
+                empties += 1
+                outages += 1
+                continue
+        if query.scheme is Scheme.SS:
+            best = max(candidates, key=lambda k: d[k])
+        else:
+            best = max(candidates, key=lambda k: (1.0 + d[k]) / (1.0 + e[k]))
+        if not on[best] or 1.0 + d[best] < cfg.rho * (1.0 + e[best]):
+            outages += 1
+    return outages, empties
+
+
+@pytest.mark.parametrize("scheme,scenario", CASES)
+def test_chunk_counts_match_per_sample_loop(scheme, scenario):
+    # zeta = 0.6 with K = 3 leaves the active set empty in ~6% of draws, so
+    # the mask, the pick and the silenced-pick rule are all exercised
+    query = SopQuery(cfg=_cfg(K=3, zeta=0.6), scheme=scheme, scenario=scenario)
+    seed, chunk_index, n = 12, 3, 4000
+    expected = _loop_counts(query, seed, chunk_index, n)
+    assert _chunk_counts(query, seed, chunk_index, n) == expected
+    if scenario is Scenario.KA:
+        assert expected[1] > 100
+    else:
+        assert expected[1] == 0
