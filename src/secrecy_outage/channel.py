@@ -62,6 +62,10 @@ class SystemConfig:
             raise ValueError(f"zeta must lie in [0, 1], got {self.zeta!r}")
         if not (math.isfinite(self.r_th) and self.r_th >= 0.0):
             raise ValueError(f"r_th must be finite and >= 0, got {self.r_th!r}")
+        try:
+            2.0 ** self.r_th
+        except OverflowError:
+            raise ValueError(f"r_th too large: 2**r_th overflows, got {self.r_th!r}") from None
         if not (math.isfinite(self.snr) and self.snr > 0.0):
             raise ValueError(f"snr must be finite and > 0 on the linear scale, got {self.snr!r}")
         if not _is_count(self.M):
@@ -99,8 +103,8 @@ class GammaSnr:
     def __post_init__(self):
         if not _is_count(self.shape):
             raise ValueError(f"shape must be a positive integer, got {self.shape!r}")
-        if not self.scale > 0.0:
-            raise ValueError(f"scale must be > 0, got {self.scale!r}")
+        if not (math.isfinite(self.scale) and self.scale > 0.0):
+            raise ValueError(f"scale must be finite and > 0, got {self.scale!r}")
 
     @property
     def mean(self) -> float:
@@ -165,18 +169,34 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(stream)])
 
 
-def sample_channel_block(cfg: SystemConfig, rng: np.random.Generator, n: int):
+def sample_channel_block(
+    cfg: SystemConfig,
+    rng: np.random.Generator,
+    n: int,
+    *,
+    eve_per_link: bool = True,
+    backhaul_per_link: bool = True,
+):
     """Draw ``n`` independent channel states as (gamma_d, gamma_e, backhaul) arrays.
 
+    Arrays are laid out (rows, n) so that a reduction over transmitters runs
+    over contiguous rows.  ``gamma_d`` always has K rows, one per link.
+    ``gamma_e`` has K per-link rows, or with ``eve_per_link=False`` a single
+    row that stands for the selected link's eavesdropper SNR; likewise
+    ``backhaul`` with ``backhaul_per_link``.  One row has the same law as the
+    selected link's entry whenever the selection rule never reads that
+    quantity: the selected link's value is then independent of the pick and
+    distributed like any one link's.
+
     The draw order is a contract (destination Gamma(M) SNRs, then
-    eavesdropper Gamma(N) SNRs, then backhaul uniforms, each of shape
-    (n, K)) so that a stream position identifies a sample.  A Gamma draw
-    with integer shape has exactly the law of that many summed unit
-    exponential path energies, so no per-path array is materialised.
+    eavesdropper Gamma(N) SNRs, then backhaul uniforms) so that a stream
+    position identifies a sample.  A Gamma draw with integer shape has
+    exactly the law of that many summed unit exponential path energies, so
+    no per-path array is materialised.
     """
-    gamma_d = rng.standard_gamma(cfg.M, (n, cfg.K))
+    gamma_d = rng.standard_gamma(cfg.M, (cfg.K, n))
     gamma_d *= cfg.a_d
-    gamma_e = rng.standard_gamma(cfg.N, (n, cfg.K))
+    gamma_e = rng.standard_gamma(cfg.N, (cfg.K if eve_per_link else 1, n))
     gamma_e *= cfg.a_e
-    backhaul = rng.random((n, cfg.K)) < cfg.zeta
+    backhaul = rng.random((cfg.K if backhaul_per_link else 1, n)) < cfg.zeta
     return gamma_d, gamma_e, backhaul

@@ -5,6 +5,10 @@ from its own substream keyed by (seed, chunk index), and the reduction is
 plain integer counting.  Results are therefore bit-reproducible for a given
 (seed, n_samples) no matter how many workers execute the chunks, and chunk
 results can be computed in any order.
+
+A chunk draws only the quantities its case reads (see ``_chunk_counts``),
+so the per-seed estimate depends on the case's draw shapes; changing those
+shapes changes per-seed estimates but not their distribution.
 """
 
 from __future__ import annotations
@@ -82,30 +86,38 @@ def secrecy_outage_indicator(gamma_d, gamma_e, rho):
 
 
 def _chunk_counts(query: SopQuery, seed: int, chunk_index: int, n: int) -> tuple[int, int]:
-    """Outage and empty-active-set counts for one substream chunk."""
+    """Outage and empty-active-set counts for one substream chunk.
+
+    Only the draws the case reads are made: strongest-destination selection
+    never looks at eavesdropper SNRs and blind selection never looks at
+    backhaul states, so each gets one row standing for the selected link.
+    Best-ratio selection needs no pick at all: the best secrecy ratio is in
+    outage exactly when every candidate link is.
+    """
     cfg = query.cfg
-    scenario = Scenario(query.scenario)
-    gamma_d, gamma_e, active = sample_channel_block(cfg, make_rng(seed, chunk_index), n)
-    if Scheme(query.scheme) is Scheme.SS:
-        merit = gamma_d
-    else:
-        merit = 1.0 + gamma_d
-        merit /= 1.0 + gamma_e
-    if scenario is Scenario.KA:
-        # active-set pick: a silenced transmitter can only win when all are
-        merit = np.where(active, merit, -np.inf)
-    # ties resolve to the lowest index via argmax
-    pick = merit.argmax(axis=1)[:, None]
-    # a silenced pick is an outage by itself; under KA it means the active
-    # set was empty
-    silenced = ~np.take_along_axis(active, pick, axis=1)[:, 0]
-    outage = silenced | secrecy_outage_indicator(
-        np.take_along_axis(gamma_d, pick, axis=1)[:, 0],
-        np.take_along_axis(gamma_e, pick, axis=1)[:, 0],
-        cfg.rho,
+    ss = Scheme(query.scheme) is Scheme.SS
+    ka = Scenario(query.scenario) is Scenario.KA
+    gamma_d, gamma_e, active = sample_channel_block(
+        cfg, make_rng(seed, chunk_index), n, eve_per_link=not ss, backhaul_per_link=ka
     )
-    empty = int(silenced.sum()) if scenario is Scenario.KA else 0
-    return int(outage.sum()), empty
+    if ss:
+        if ka:
+            # a silenced transmitter is never picked; an empty active set
+            # leaves -inf, which the indicator counts as an outage
+            np.copyto(gamma_d, -np.inf, where=~active)
+        outage = secrecy_outage_indicator(gamma_d.max(axis=0), gamma_e[0], cfg.rho)
+    else:
+        link_out = secrecy_outage_indicator(gamma_d, gamma_e, cfg.rho)
+        if ka:
+            link_out |= ~active
+        outage = link_out.all(axis=0)
+    if ka:
+        empty = int(n - np.count_nonzero(active.any(axis=0)))
+    else:
+        # a silenced pick is an outage by itself
+        outage |= ~active[0]
+        empty = 0
+    return int(np.count_nonzero(outage)), empty
 
 
 def simulate_sop(query: SopQuery, mc: McSettings = McSettings(), workers: int = 1) -> SopEstimate:

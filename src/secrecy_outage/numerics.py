@@ -27,7 +27,6 @@ __all__ = [
     "WeakComposition",
     "compensated_sum",
     "enumerate_weak_compositions",
-    "log_gamma",
     "regularized_lower_gamma",
     "significance_lost",
 ]
@@ -51,13 +50,6 @@ class CompositionCapError(ValueError):
             f"enumerating weak compositions of k={k} into num_parts={num_parts} "
             f"parts would yield {count} terms, above the cap of {cap}"
         )
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function, x > 0 only."""
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def regularized_lower_gamma(s, x):

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import Scenario, Scheme, SopQuery
+from .analytic import Scenario, Scheme, SopQuery, _finalize
 from .channel import GammaSnr, mixture_cdf, snr_cdf, snr_pdf
 
 __all__ = [
@@ -197,7 +197,12 @@ def _boundary_expectation(integrand: Integrand, scale_e: float, **quad_kwargs) -
 
 
 def quadrature_sop(query: SopQuery, **quad_kwargs) -> float:
-    """Outage probability by direct quadrature of the defining integral."""
+    """Outage probability by direct quadrature of the defining integral.
+
+    The value passes the closed forms' integrity check: NaN, or a value
+    outside [0, 1] by more than ``INTEGRITY_BAND``, raises
+    ``NumericalIntegrityError``; otherwise it is clamped to [0, 1].
+    """
     cfg = query.cfg
     scheme, scenario = Scheme(query.scheme), Scenario(query.scenario)
     if scenario is Scenario.KU and cfg.zeta == 0.0:
@@ -210,4 +215,4 @@ def quadrature_sop(query: SopQuery, **quad_kwargs) -> float:
             value = (1.0 - cfg.zeta) + cfg.zeta * integral ** cfg.K
         else:
             value = integral ** cfg.K
-    return min(max(value, 0.0), 1.0)
+    return _finalize(value, False, "quadrature").value

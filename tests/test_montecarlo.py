@@ -158,7 +158,7 @@ def test_small_sample_warning(base_cfg):
 
 def test_selection_prefers_merit():
     # with a huge reliability gap between transmitters the best-ratio rule
-    # must beat the strongest-destination rule; checks the argmax axis wiring
+    # must beat the strongest-destination rule; checks the reduction axis wiring
     cfg = _cfg(K=4, zeta=1.0, snr=10.0, N=4)
     mc = McSettings(n_samples=200_000, seed=8)
     ss = simulate_sop(SopQuery(cfg=cfg, scheme=Scheme.SS, scenario=Scenario.KU), mc)
@@ -167,24 +167,35 @@ def test_selection_prefers_merit():
 
 
 def _loop_counts(query, seed, chunk_index, n):
-    """Per-sample reference for _chunk_counts over the same channel block."""
+    """Per-sample reference for _chunk_counts over the same channel block.
+
+    It picks a transmitter explicitly and tests only the pick, so it checks
+    the best-ratio "every candidate in outage" shortcut independently.  A
+    single eavesdropper (ss) or backhaul (ku) row stands for the picked
+    link's value.
+    """
     cfg = query.cfg
-    gamma_d, gamma_e, active = sample_channel_block(cfg, make_rng(seed, chunk_index), n)
+    ss, ka = query.scheme is Scheme.SS, query.scenario is Scenario.KA
+    gamma_d, gamma_e, active = sample_channel_block(
+        cfg, make_rng(seed, chunk_index), n, eve_per_link=not ss, backhaul_per_link=ka
+    )
     outages = empties = 0
-    for d, e, on in zip(gamma_d.tolist(), gamma_e.tolist(), active.tolist()):
-        if query.scenario is Scenario.KU:
-            candidates = range(cfg.K)
-        else:
+    for d, e, on in zip(gamma_d.T.tolist(), gamma_e.T.tolist(), active.T.tolist()):
+        if ka:
             candidates = [k for k in range(cfg.K) if on[k]]
             if not candidates:
                 empties += 1
                 outages += 1
                 continue
-        if query.scheme is Scheme.SS:
+        else:
+            candidates = range(cfg.K)
+        if ss:
             best = max(candidates, key=lambda k: d[k])
         else:
             best = max(candidates, key=lambda k: (1.0 + d[k]) / (1.0 + e[k]))
-        if not on[best] or 1.0 + d[best] < cfg.rho * (1.0 + e[best]):
+        e_best = e[0] if ss else e[best]
+        on_best = on[best] if ka else on[0]
+        if not on_best or 1.0 + d[best] < cfg.rho * (1.0 + e_best):
             outages += 1
     return outages, empties
 

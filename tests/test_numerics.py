@@ -8,22 +8,9 @@ from secrecy_outage.numerics import (
     CompositionCapError,
     compensated_sum,
     enumerate_weak_compositions,
-    log_gamma,
     regularized_lower_gamma,
     significance_lost,
 )
-
-
-def test_log_gamma_integer_point():
-    # Gamma(5) = 24
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), abs=1e-15)
-
-
-def test_log_gamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-    with pytest.raises(ValueError):
-        log_gamma(-2.5)
 
 
 def test_regularized_lower_gamma_integer_shape_series():

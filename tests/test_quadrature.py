@@ -5,6 +5,7 @@ import pytest
 
 from oracles import sop_quadpack
 from secrecy_outage import (
+    NumericalIntegrityError,
     QuadratureConvergenceError,
     Scenario,
     Scheme,
@@ -15,6 +16,7 @@ from secrecy_outage import (
     asymptotic_sop,
     quadrature_sop,
 )
+from secrecy_outage import quadrature
 from secrecy_outage.quadrature import _NODES, _WEIGHTS_G, _WEIGHTS_K
 
 CASES = [(s, c) for s in (Scheme.SS, Scheme.OS) for c in (Scenario.KU, Scenario.KA)]
@@ -99,6 +101,17 @@ def test_dead_backhaul_shortcuts():
     cfg = SystemConfig(K=2, zeta=0.0, r_th=1.0, snr=10.0, M=2, N=2, a=0.5, b=0.5)
     for scheme, scenario in CASES:
         assert quadrature_sop(SopQuery(cfg=cfg, scheme=scheme, scenario=scenario)) == 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.5])
+def test_integrity_check_rejects_bad_integral(monkeypatch, bad):
+    # every case assembles its value from the boundary expectation, so a NaN
+    # or a value far outside [0, 1] must raise instead of being clamped
+    monkeypatch.setattr(quadrature, "_boundary_expectation", lambda *args, **kwargs: bad)
+    cfg = SystemConfig(K=2, zeta=1.0, r_th=1.0, snr=10.0, M=2, N=2, a=0.5, b=0.5)
+    for scheme, scenario in CASES:
+        with pytest.raises(NumericalIntegrityError):
+            quadrature_sop(SopQuery(cfg=cfg, scheme=scheme, scenario=scenario))
 
 
 @pytest.mark.parametrize("scheme,scenario", CASES)
