@@ -7,12 +7,16 @@ from the two selection rules (``ss`` picks the strongest destination SNR,
 knowledge scenarios (``ku`` selects blindly across all K transmitters,
 ``ka`` selects only within the active set).
 
-The expressions expand a K-fold CDF product binomially, turn each CDF power
-into a multinomial sum over weak compositions, and integrate term by term
-against the eavesdropper density.  Every per-term product is assembled in
-log space and exponentiated once; only the top-level alternating sum over
-the binomial index runs in linear space, with Neumaier compensation and a
-loss-of-significance guard.  Results outside [0, 1] by more than a 1e-9
+The expressions expand a K-fold CDF product binomially, read each CDF power
+k off the cached coefficient table of (sum_{m<M} x^m / m!)^k
+(``numerics.log_power_coefficients``), and integrate term by term against
+the eavesdropper density.  One kernel per route serves every case: the
+exact series and its high-SNR floor, with the single-transmitter forms as
+their K = 1 instance, and one case assembly (``_assemble``) composes the
+four (scheme, scenario) cases from either.  Every per-term product is
+assembled in log space and exponentiated once; only the top-level
+alternating sum over the binomial index runs in linear space, with Neumaier
+compensation and a loss-of-significance guard.  Results outside [0, 1] by more than a 1e-9
 round-off band raise ``NumericalIntegrityError`` rather than being clamped,
 so formula bugs cannot hide behind clamping.
 """
@@ -22,14 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from itertools import chain
+from functools import partial
 
 import numpy as np
 from scipy.special import gammaln
 
 from .channel import SystemConfig
-from .numerics import compensated_sum, enumerate_weak_compositions, significance_lost
+from .numerics import compensated_sum, log_power_coefficients, significance_lost
 
 __all__ = [
     "NumericalIntegrityError",
@@ -38,7 +41,6 @@ __all__ = [
     "SopQuery",
     "SopValue",
     "analytic_sop",
-    "asymptotic_os_expanded",
     "asymptotic_single",
     "asymptotic_sop",
     "sop_os_ka",
@@ -114,172 +116,133 @@ def _finalize(raw: float, flag: bool, method: str) -> SopValue:
     )
 
 
-@lru_cache(maxsize=None)
-def _composition_arrays(k: int, num_parts: int):
-    """Cached per-(k, M) composition data as flat arrays.
-
-    Returns (log multinomial coefficients, log of prod (1/m!)^{parts_m},
-    beta1 powers, parts matrix).
-    """
-    log_fact = [math.lgamma(m + 1) for m in range(num_parts)]
-    log_coeff = []
-    log_inv_fact = []
-    beta1 = []
-    parts_rows = []
-    for comp in enumerate_weak_compositions(k, num_parts):
-        log_coeff.append(math.log(comp.multinomial_coeff))
-        log_inv_fact.append(-sum(p * log_fact[m] for m, p in enumerate(comp.parts) if p))
-        beta1.append(comp.beta1)
-        parts_rows.append(comp.parts)
-    return (
-        np.array(log_coeff),
-        np.array(log_inv_fact),
-        np.array(beta1, dtype=np.intp),
-        np.array(parts_rows, dtype=np.intp),
-    )
-
-
-@lru_cache(maxsize=None)
-def _log_binomial_table(n: int) -> np.ndarray:
-    """ln C(B, q) for 0 <= B, q <= n; -inf where q > B.  Exact integer binomials."""
-    table = np.full((n + 1, n + 1), -np.inf)
-    for b_val in range(n + 1):
-        for q in range(b_val + 1):
-            table[b_val, q] = math.log(math.comb(b_val, q))
-    return table
-
-
-def _composition_q_sum(k, M, N, a_d, a_e, rho, log_pref):
-    """Positive magnitude of one alternating term of the selection series.
-
-    Sums, over the weak compositions of k into M parts and the inner
-    boundary-expansion index q, the exponentials of fully assembled
-    log-space terms.
-    """
-    log_coeff, log_inv_fact, beta1, _ = _composition_arrays(k, M)
-    b_max = int(beta1.max())
-    log_denom = math.log(k * rho / a_d + 1.0 / a_e)
-    q = np.arange(b_max + 1)
-    log_gamma_nq = gammaln(N + q)
-    log_binom = _log_binomial_table(b_max)[beta1]
-    base = (log_pref + log_coeff + log_inv_fact - beta1 * math.log(a_d))[:, None]
-    if rho > 1.0:
-        log_rm1 = math.log(rho - 1.0)
-        log_terms = (
-            base
-            + log_binom
-            + (beta1[:, None] - q[None, :]) * log_rm1
-            + q * math.log(rho)
-            + log_gamma_nq
-            - (N + q) * log_denom
-        )
-    else:
-        # rho == 1: the outage boundary is lambda = y, so only the q == beta1
-        # power survives (0**0 = 1 convention at r_th = 0).
-        diag = base + log_binom + q * math.log(rho) + log_gamma_nq - (N + q) * log_denom
-        log_terms = np.where(q[None, :] == beta1[:, None], diag, -np.inf)
-    return float(np.exp(log_terms).sum())
-
-
-def _selection_series(K, M, N, a_d, a_e, rho, weight):
-    """1 + sum_{k=1..K} C(K,k) (-weight)^k E[...]: the K-fold product expansion.
+def _alternating_series(K, weight, magnitude):
+    """1 + sum_{k=1..K} (-1)^k magnitude(k, ln(C(K,k) weight^k)): the K-fold product.
 
     ``weight`` is 1 for the blind-selection series and zeta when the
-    backhaul mixture sits inside each factor.  Returns (raw, flag).
+    backhaul mixture sits inside each factor.  ``magnitude`` returns the
+    positive size of term k with the given log prefactor folded in before
+    exponentiation.  Returns (raw, flag).
     """
     if weight == 0.0:
         return 1.0, False
     log_weight = math.log(weight)
     terms = [1.0]
     for k in range(1, K + 1):
-        log_pref = (
-            math.log(math.comb(K, k))
-            + k * log_weight
-            - k * (rho - 1.0) / a_d
-            - math.lgamma(N)
-            - N * math.log(a_e)
-        )
-        magnitude = _composition_q_sum(k, M, N, a_d, a_e, rho, log_pref)
-        terms.append(-magnitude if k % 2 else magnitude)
+        term = magnitude(k, math.log(math.comb(K, k)) + k * log_weight)
+        terms.append(-term if k % 2 else term)
     total, largest = compensated_sum(terms)
     return total, significance_lost(total, largest)
 
 
-def _single_outage(M, N, a_d, a_e, rho):
-    """Outage probability of one transmitter with active backhaul.
+def _log_boundary_kernel(size: int, rho: float) -> np.ndarray:
+    """ln[C(j, q) (rho - 1)^(j - q)] for 0 <= j, q < size; -inf where q > j."""
+    j = np.arange(size)
+    gap = j[:, None] - j[None, :]
+    if rho == 1.0:
+        # the outage boundary is lambda = y, so only the q == j power
+        # survives (0**0 = 1 convention at r_th = 0)
+        return np.where(gap == 0, 0.0, -np.inf)
+    log_fact = gammaln(j + 1)
+    kept = np.maximum(gap, 0)
+    log_terms = (
+        log_fact[:, None] - log_fact[None, :] - log_fact[kept] + kept * math.log(rho - 1.0)
+    )
+    return np.where(gap >= 0, log_terms, -np.inf)
 
-    Expectation of the destination CDF at the outage boundary, reduced to a
-    double finite sum; returns (raw, flag).
+
+def _selection_series(cfg: SystemConfig, K: int, weight: float):
+    """Exact CDF-product series of the strongest of K links at the outage boundary.
+
+    Term k expands the k-th CDF power through ``log_power_coefficients``
+    (power j of the destination SNR) and the boundary power through the
+    inner index q <= j, then integrates against the eavesdropper density.
+    With K = 1 and weight 1 it is the single-transmitter outage.
     """
-    log_denom = math.log(rho / a_d + 1.0 / a_e)
-    log_pref = -(rho - 1.0) / a_d - math.lgamma(N) - N * math.log(a_e)
-    neg_terms = []
-    for m in range(M):
-        base = log_pref - math.lgamma(m + 1) - m * math.log(a_d)
-        for q in range(m + 1):
-            if rho == 1.0 and q != m:
-                continue  # boundary power (rho-1)^(m-q) vanishes
-            log_term = base + math.log(math.comb(m, q))
-            if q < m:
-                log_term += (m - q) * math.log(rho - 1.0)
-            log_term += q * math.log(rho) + math.lgamma(N + q) - (N + q) * log_denom
-            neg_terms.append(-math.exp(log_term))
-    total, largest = compensated_sum(chain([1.0], neg_terms))
-    return total, significance_lost(total, largest)
+    M, N, a_d, rho = cfg.M, cfg.N, cfg.a_d, cfg.rho
+    j = np.arange(K * (M - 1) + 1)
+    boundary = _log_boundary_kernel(j.size, rho)
+    log_eve = j * math.log(rho) + gammaln(N + j) - math.lgamma(N) - N * math.log(cfg.a_e)
+
+    def magnitude(k, log_pref):
+        n = k * (M - 1) + 1
+        log_denom = math.log(k * rho / a_d + 1.0 / cfg.a_e)
+        rows = log_pref - k * (rho - 1.0) / a_d + log_power_coefficients(k, M) - j[:n] * math.log(a_d)
+        cols = log_eve[:n] - (N + j[:n]) * log_denom
+        return float(np.exp(rows[:, None] + boundary[:n, :n] + cols).sum())
+
+    return _alternating_series(K, weight, magnitude)
 
 
-def _single_floor(M, N, a, b, rho):
-    """High-SNR limit of ``_single_outage``; depends only on a, b, rho, M, N."""
-    log_rba = math.log(rho * b + a)
-    log_pref = N * math.log(a) - math.lgamma(N)
-    neg_terms = []
-    for m in range(M):
-        log_term = (
-            log_pref
-            - math.lgamma(m + 1)
-            + m * math.log(rho * b)
-            + math.lgamma(N + m)
-            - (N + m) * log_rba
-        )
-        neg_terms.append(-math.exp(log_term))
-    total, largest = compensated_sum(chain([1.0], neg_terms))
-    return total, significance_lost(total, largest)
+def _selection_floor_series(cfg: SystemConfig, K: int, weight: float):
+    """High-SNR limit of ``_selection_series``; depends only on a, b, rho, M, N."""
+    M, N, a, rho_b = cfg.M, cfg.N, cfg.a, cfg.rho * cfg.b
+    j = np.arange(K * (M - 1) + 1)
+    log_j = j * math.log(rho_b) + gammaln(N + j) + N * math.log(a) - math.lgamma(N)
 
-
-def _selection_floor_series(K, M, N, a, b, rho, weight):
-    """High-SNR limit of ``_selection_series``; returns (raw, flag)."""
-    if weight == 0.0:
-        return 1.0, False
-    log_weight = math.log(weight)
-    log_rb = math.log(rho * b)
-    terms = [1.0]
-    for k in range(1, K + 1):
-        log_coeff, log_inv_fact, beta1, _ = _composition_arrays(k, M)
+    def magnitude(k, log_pref):
+        n = k * (M - 1) + 1
         log_terms = (
-            math.log(math.comb(K, k))
-            + k * log_weight
-            + N * math.log(a)
-            - math.lgamma(N)
-            + log_coeff
-            + log_inv_fact
-            + beta1 * log_rb
-            + gammaln(N + beta1)
-            - (N + beta1) * math.log(k * rho * b + a)
+            log_pref
+            + log_power_coefficients(k, M)
+            + log_j[:n]
+            - (N + j[:n]) * math.log(k * rho_b + a)
         )
-        magnitude = float(np.exp(log_terms).sum())
-        terms.append(-magnitude if k % 2 else magnitude)
-    total, largest = compensated_sum(terms)
-    return total, significance_lost(total, largest)
+        return float(np.exp(log_terms).sum())
+
+    return _alternating_series(K, weight, magnitude)
+
+
+def _assemble(query: SopQuery, series, method: str) -> SopValue:
+    """Compose one (scheme, scenario) case from ``series(K, weight) -> (raw, flag)``.
+
+    Blind selection (``ku``) mixes the outer (1 - zeta) silenced pick with
+    the active-link outage; active-set selection (``ka``) puts zeta inside
+    each factor.  Strongest-destination selection powers the CDF inside the
+    series, best-ratio selection powers the independent single-link outage.
+    """
+    cfg = query.cfg
+    zeta, K = cfg.zeta, cfg.K
+    blind = Scenario(query.scenario) is Scenario.KU
+    if blind and zeta == 0.0:
+        return _finalize(1.0, False, method)
+    if Scheme(query.scheme) is Scheme.SS:
+        raw, flag = series(K, 1.0 if blind else zeta)
+        if blind:
+            raw = (1.0 - zeta) + zeta * raw
+    else:
+        raw_single, flag = series(1, 1.0)
+        single = _finalize(raw_single, flag, method).value
+        raw = (1.0 - zeta) + zeta * single ** K if blind else (1.0 - zeta * (1.0 - single)) ** K
+    return _finalize(raw, flag, method)
 
 
 # ---------------------------------------------------------------------------
-# public closed forms
+# public closed forms and high-SNR floors
 # ---------------------------------------------------------------------------
+
+def analytic_sop(query: SopQuery) -> SopValue:
+    """Exact outage probability of any of the four cases."""
+    return _assemble(query, partial(_selection_series, query.cfg), METHOD_ANALYTIC)
+
+
+def asymptotic_sop(query: SopQuery) -> SopValue:
+    """High-SNR outage floor of any of the four cases."""
+    return _assemble(query, partial(_selection_floor_series, query.cfg), METHOD_ASYMPTOTIC)
+
 
 def sop_single(cfg: SystemConfig) -> float:
     """Exact outage probability of a single backhaul-active transmitter."""
-    raw, flag = _single_outage(cfg.M, cfg.N, cfg.a_d, cfg.a_e, cfg.rho)
-    return _finalize(raw, flag, METHOD_ANALYTIC).value
+    return _finalize(*_selection_series(cfg, 1, 1.0), METHOD_ANALYTIC).value
+
+
+def asymptotic_single(cfg: SystemConfig) -> float:
+    """High-SNR outage floor of a single backhaul-active transmitter.
+
+    Independent of snr: both link scales grow together, leaving the ratio
+    law a/b and the threshold rho in control.
+    """
+    return _finalize(*_selection_floor_series(cfg, 1, 1.0), METHOD_ASYMPTOTIC).value
 
 
 def sop_ss_ku(cfg: SystemConfig) -> SopValue:
@@ -288,13 +251,7 @@ def sop_ss_ku(cfg: SystemConfig) -> SopValue:
     The selected transmitter may turn out silenced, so the result is the
     mixture (1 - zeta) + zeta * (outage of the max-SNR link).
     """
-    if cfg.zeta == 0.0:
-        return _finalize(1.0, False, METHOD_ANALYTIC)
-    raw_series, flag = _selection_series(
-        cfg.K, cfg.M, cfg.N, cfg.a_d, cfg.a_e, cfg.rho, weight=1.0
-    )
-    raw = (1.0 - cfg.zeta) + cfg.zeta * raw_series
-    return _finalize(raw, flag, METHOD_ANALYTIC)
+    return analytic_sop(SopQuery(cfg, Scheme.SS, Scenario.KU))
 
 
 def sop_ss_ka(cfg: SystemConfig) -> SopValue:
@@ -304,10 +261,7 @@ def sop_ss_ka(cfg: SystemConfig) -> SopValue:
     so the series carries weight zeta per factor and no outer floor term;
     an empty active set is covered by the point mass at zero.
     """
-    raw, flag = _selection_series(
-        cfg.K, cfg.M, cfg.N, cfg.a_d, cfg.a_e, cfg.rho, weight=cfg.zeta
-    )
-    return _finalize(raw, flag, METHOD_ANALYTIC)
+    return analytic_sop(SopQuery(cfg, Scheme.SS, Scenario.KA))
 
 
 def sop_os_ku(cfg: SystemConfig) -> SopValue:
@@ -316,12 +270,7 @@ def sop_os_ku(cfg: SystemConfig) -> SopValue:
     The per-transmitter secrecy outcomes are independent, so the blind pick
     fails only when all K fail: (1 - zeta) + zeta * sop_single**K.
     """
-    if cfg.zeta == 0.0:
-        return _finalize(1.0, False, METHOD_ANALYTIC)
-    raw_single, flag = _single_outage(cfg.M, cfg.N, cfg.a_d, cfg.a_e, cfg.rho)
-    single = _finalize(raw_single, flag, METHOD_ANALYTIC).value
-    raw = (1.0 - cfg.zeta) + cfg.zeta * single ** cfg.K
-    return _finalize(raw, flag, METHOD_ANALYTIC)
+    return analytic_sop(SopQuery(cfg, Scheme.OS, Scenario.KU))
 
 
 def sop_os_ka(cfg: SystemConfig) -> SopValue:
@@ -331,102 +280,4 @@ def sop_os_ka(cfg: SystemConfig) -> SopValue:
     probability sop_single, giving (1 - zeta * (1 - sop_single))**K; the
     all-silenced corner contributes the (1 - zeta)**K floor.
     """
-    raw_single, flag = _single_outage(cfg.M, cfg.N, cfg.a_d, cfg.a_e, cfg.rho)
-    single = _finalize(raw_single, flag, METHOD_ANALYTIC).value
-    raw = (1.0 - cfg.zeta * (1.0 - single)) ** cfg.K
-    return _finalize(raw, flag, METHOD_ANALYTIC)
-
-
-_CASE_TABLE = {
-    (Scheme.SS, Scenario.KU): sop_ss_ku,
-    (Scheme.SS, Scenario.KA): sop_ss_ka,
-    (Scheme.OS, Scenario.KU): sop_os_ku,
-    (Scheme.OS, Scenario.KA): sop_os_ka,
-}
-
-
-def analytic_sop(query: SopQuery) -> SopValue:
-    """Dispatch a query to the matching closed form."""
-    return _CASE_TABLE[(Scheme(query.scheme), Scenario(query.scenario))](query.cfg)
-
-
-# ---------------------------------------------------------------------------
-# high-SNR floors
-# ---------------------------------------------------------------------------
-
-def asymptotic_single(cfg: SystemConfig) -> float:
-    """High-SNR outage floor of a single backhaul-active transmitter.
-
-    Independent of snr: both link scales grow together, leaving the ratio
-    law a/b and the threshold rho in control.
-    """
-    raw, flag = _single_floor(cfg.M, cfg.N, cfg.a, cfg.b, cfg.rho)
-    return _finalize(raw, flag, METHOD_ASYMPTOTIC).value
-
-
-def asymptotic_sop(query: SopQuery) -> SopValue:
-    """High-SNR outage floor for any of the four cases."""
-    cfg = query.cfg
-    scheme, scenario = Scheme(query.scheme), Scenario(query.scenario)
-    if scheme is Scheme.SS:
-        if scenario is Scenario.KU:
-            if cfg.zeta == 0.0:
-                return _finalize(1.0, False, METHOD_ASYMPTOTIC)
-            raw_series, flag = _selection_floor_series(
-                cfg.K, cfg.M, cfg.N, cfg.a, cfg.b, cfg.rho, weight=1.0
-            )
-            raw = (1.0 - cfg.zeta) + cfg.zeta * raw_series
-        else:
-            raw, flag = _selection_floor_series(
-                cfg.K, cfg.M, cfg.N, cfg.a, cfg.b, cfg.rho, weight=cfg.zeta
-            )
-    else:
-        raw_single, flag = _single_floor(cfg.M, cfg.N, cfg.a, cfg.b, cfg.rho)
-        single = _finalize(raw_single, flag, METHOD_ASYMPTOTIC).value
-        if scenario is Scenario.KU:
-            raw = (1.0 - cfg.zeta) + cfg.zeta * single ** cfg.K
-        else:
-            raw = (1.0 - cfg.zeta * (1.0 - single)) ** cfg.K
-    return _finalize(raw, flag, METHOD_ASYMPTOTIC)
-
-
-def asymptotic_os_expanded(
-    cfg: SystemConfig, scenario: Scenario, include_zero_term: bool = False
-) -> float:
-    """Multinomial-expansion route to the best-ratio selection floors.
-
-    Cross-check only: expands (single-transmitter floor)**K through weak
-    compositions instead of powering ``asymptotic_single``; the two must
-    agree to round-off.  ``include_zero_term`` additionally counts the k = 0
-    expansion term inside the correction sum even though the leading offset
-    already accounts for it; the regression tests pin down that this double
-    count shifts the result by exactly the mixture weight and is therefore
-    not a valid reading of the expansion.
-    """
-    scenario = Scenario(scenario)
-    rho, a, b, M, N, K = cfg.rho, cfg.a, cfg.b, cfg.M, cfg.N, cfg.K
-    weight = 1.0 if scenario is Scenario.KU else cfg.zeta
-    per_path = np.array(
-        [gammaln(N + m) - (N + m) * math.log(rho * b + a) for m in range(M)]
-    )
-    log_single_pref = N * math.log(a) - math.lgamma(N)
-
-    def expansion_term(k: int) -> float:
-        log_coeff, log_inv_fact, beta1, parts = _composition_arrays(k, M)
-        log_terms = (
-            k * log_single_pref
-            + log_coeff
-            + log_inv_fact
-            + beta1 * math.log(rho * b)
-            + parts @ per_path
-        )
-        return float(np.exp(log_terms).sum())
-
-    # full binomial sum, k = 0 term included: this IS the powered single floor
-    power_sum = sum(
-        math.comb(K, k) * (-weight) ** k * expansion_term(k) for k in range(K + 1)
-    )
-    if scenario is Scenario.KU:
-        mixed = cfg.zeta * power_sum
-        return 1.0 + mixed if include_zero_term else (1.0 - cfg.zeta) + mixed
-    return 1.0 + power_sum if include_zero_term else power_sum
+    return analytic_sop(SopQuery(cfg, Scheme.OS, Scenario.KA))

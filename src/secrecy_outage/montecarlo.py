@@ -40,6 +40,11 @@ CHUNK_SIZE = 1 << 16
 _MIN_EVENTS = 10
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer; ``bool`` is an int subclass but never a count or seed."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class McSettings:
     """Sampling budget and randomness for one estimate."""
@@ -49,9 +54,9 @@ class McSettings:
     confidence: float = 0.99
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples!r}")
-        if not 0 <= int(self.seed) < 2 ** 64:
+        if not _is_int(self.n_samples) or self.n_samples < 1:
+            raise ValueError(f"n_samples must be an integer >= 1, got {self.n_samples!r}")
+        if not _is_int(self.seed) or not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must lie in (0, 1), got {self.confidence!r}")

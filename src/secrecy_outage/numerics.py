@@ -2,19 +2,26 @@
 
 Three ingredients recur in every formula of this package: the regularized
 lower incomplete gamma function (the CDF of an integer-shape Gamma law),
-weak integer compositions with their multinomial weights (the expansion of
-a K-fold CDF product), and alternating sums whose terms span many orders of
-magnitude.  The convention throughout the package is that per-term products
-are assembled in log space and exponentiated once per term, while top-level
-alternating sums run in linear space through ``compensated_sum``, which
-reports enough information for callers to detect a loss of significance
-instead of returning quiet noise.
+the coefficients of the truncated-exponential power
+(sum_{m<M} x^m / m!)^k (the expansion of a K-fold CDF product), and
+alternating sums whose terms span many orders of magnitude.  The convention
+throughout the package is that per-term products are assembled in log space
+and exponentiated once per term, while top-level alternating sums run in
+linear space through ``compensated_sum``, which reports enough information
+for callers to detect a loss of significance instead of returning quiet
+noise.
+
+``log_power_coefficients`` builds the power coefficients one log-space
+convolution per power.  ``enumerate_weak_compositions`` lists the same
+expansion term by term; no closed form calls it, it is the independent
+reference that the identity checks compare the coefficient table against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -27,6 +34,7 @@ __all__ = [
     "WeakComposition",
     "compensated_sum",
     "enumerate_weak_compositions",
+    "log_power_coefficients",
     "regularized_lower_gamma",
     "significance_lost",
 ]
@@ -67,6 +75,31 @@ def regularized_lower_gamma(s, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
+@lru_cache(maxsize=None)
+def log_power_coefficients(k: int, num_terms: int) -> np.ndarray:
+    """ln [x^j] (sum_{m<num_terms} x^m / m!)^k for j = 0 .. k (num_terms - 1).
+
+    Row k is row k - 1 convolved with the 1/m! weights, in log space through
+    ``np.logaddexp`` over the ``num_terms`` shifts.  Every coefficient is
+    positive, so nothing cancels.  Rows are cached and read-only; building
+    k in increasing order keeps the recursion one level deep.
+    """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if num_terms < 1:
+        raise ValueError(f"num_terms must be >= 1, got {num_terms}")
+    if k == 0:
+        out = np.zeros(1)
+    else:
+        prev = log_power_coefficients(k - 1, num_terms)
+        out = np.full(prev.size + num_terms - 1, -np.inf)
+        for m in range(num_terms):
+            window = out[m : m + prev.size]
+            np.logaddexp(window, prev - math.lgamma(m + 1), out=window)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class WeakComposition:
     """One term of the multinomial expansion of (sum_{m<M} x^m / m!)^k.
@@ -87,6 +120,9 @@ def enumerate_weak_compositions(
     k: int, num_parts: int, cap: int = DEFAULT_COMPOSITION_CAP
 ) -> Iterator[WeakComposition]:
     """Yield all weak compositions of ``k`` into ``num_parts`` ordered parts.
+
+    Reference enumeration for the identity checks; the closed forms read
+    the aggregated ``log_power_coefficients`` instead.
 
     The order is deterministic: lexicographically decreasing, starting at
     (k, 0, ..., 0) and ending at (0, ..., 0, k).  The expected number of

@@ -18,6 +18,8 @@ import math
 import time
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .analytic import (
     Scenario,
     Scheme,
@@ -27,7 +29,7 @@ from .analytic import (
 )
 from .channel import GammaSnr, SystemConfig, snr_cdf, snr_cdf_finite_sum
 from .montecarlo import McSettings, simulate_sop
-from .numerics import enumerate_weak_compositions
+from .numerics import enumerate_weak_compositions, log_power_coefficients
 from .quadrature import quadrature_sop
 from .sweep import db_to_linear
 
@@ -330,13 +332,23 @@ def check_gain_ratio_effect(settings: ValidationSettings) -> CheckResult:
     return CheckResult("gain_ratio_effect", not failures, detail)
 
 
-def _multinomial_identity_gap(k: int, num_parts: int, x: float) -> float:
-    """Relative gap between the composition sum and its closed power form."""
-    total = 0.0
+def _power_table_gaps(k: int, num_parts: int, xs) -> tuple[float, float]:
+    """Relative gaps of the power-series coefficient table.
+
+    First against the direct power (sum_{m<M} x^m / m!)^k at each x, then
+    coefficient by coefficient against the weak-composition expansion
+    grouped by its power beta1.
+    """
+    coeffs = np.exp(log_power_coefficients(k, num_parts))
+    worst_power = 0.0
+    for x in xs:
+        total = sum(c * x**j for j, c in enumerate(coeffs))
+        direct = sum(x**m / math.factorial(m) for m in range(num_parts)) ** k
+        worst_power = max(worst_power, abs(total - direct) / max(abs(direct), 1.0))
+    grouped = np.zeros_like(coeffs)
     for comp in enumerate_weak_compositions(k, num_parts):
-        total += comp.multinomial_coeff * comp.inv_factorial_product * x**comp.beta1
-    direct = sum(x**m / math.factorial(m) for m in range(num_parts)) ** k
-    return abs(total - direct) / max(abs(direct), 1.0)
+        grouped[comp.beta1] += comp.multinomial_coeff * comp.inv_factorial_product
+    return worst_power, float(np.max(np.abs(coeffs - grouped) / grouped))
 
 
 def check_identities(settings: ValidationSettings) -> CheckResult:
@@ -356,14 +368,16 @@ def check_identities(settings: ValidationSettings) -> CheckResult:
     if worst_cdf > tol:
         failures.append(f"cdf forms disagree by {worst_cdf:.3e}")
 
-    worst_multinomial = 0.0
+    worst_power = worst_grouped = 0.0
     for k in range(6):
         for num_parts in (1, 2, 3, 6):
-            for x in (0.3, 1.0, 2.7):
-                gap = _multinomial_identity_gap(k, num_parts, x)
-                worst_multinomial = max(worst_multinomial, gap)
-    if worst_multinomial > settings.multinomial_rel_tol:
-        failures.append(f"multinomial identity off by {worst_multinomial:.3e}")
+            power, grouped = _power_table_gaps(k, num_parts, (0.3, 1.0, 2.7))
+            worst_power = max(worst_power, power)
+            worst_grouped = max(worst_grouped, grouped)
+    if worst_power > settings.multinomial_rel_tol:
+        failures.append(f"power-series table off the direct power by {worst_power:.3e}")
+    if worst_grouped > settings.multinomial_rel_tol:
+        failures.append(f"power-series table off the composition sums by {worst_grouped:.3e}")
 
     worst_known = 0.0
     for K in settings.ks:
@@ -390,7 +404,7 @@ def check_identities(settings: ValidationSettings) -> CheckResult:
         failures.append(f"single-transmitter cases spread by {worst_single:.3e}")
 
     detail = (
-        f"cdf gap {worst_cdf:.1e}; multinomial gap {worst_multinomial:.1e}; "
+        f"cdf gap {worst_cdf:.1e}; power-table gaps {worst_power:.1e}/{worst_grouped:.1e}; "
         f"always-active gap {worst_known:.1e}; single-transmitter spread {worst_single:.1e}"
     )
     if failures:

@@ -41,6 +41,12 @@ def test_settings_validation():
         McSettings(n_samples=0)
     with pytest.raises(ValueError):
         McSettings(seed=-1)
+    for bad in (1500.5, True, "1000"):
+        with pytest.raises(ValueError):
+            McSettings(n_samples=bad)
+    for bad in (1.7, False, "3"):
+        with pytest.raises(ValueError):
+            McSettings(seed=bad)
     with pytest.raises(ValueError):
         McSettings(confidence=1.0)
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from secrecy_outage.numerics import (
     CompositionCapError,
     compensated_sum,
     enumerate_weak_compositions,
+    log_power_coefficients,
     regularized_lower_gamma,
     significance_lost,
 )
@@ -91,6 +92,10 @@ def test_composition_invalid_arguments():
         enumerate_weak_compositions(-1, 3)
     with pytest.raises(ValueError):
         enumerate_weak_compositions(2, 0)
+    with pytest.raises(ValueError):
+        log_power_coefficients(-1, 3)
+    with pytest.raises(ValueError):
+        log_power_coefficients(2, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,13 +106,18 @@ def test_composition_invalid_arguments():
 )
 def test_composition_expansion_identity(k, num_parts, x):
     # the whole point of the enumeration: it expands a truncated-exponential
-    # power term by term
-    total = sum(
-        c.multinomial_coeff * c.inv_factorial_product * x**c.beta1
-        for c in enumerate_weak_compositions(k, num_parts)
-    )
+    # power term by term, and the coefficient table is that expansion
+    # grouped by the power beta1
+    comps = list(enumerate_weak_compositions(k, num_parts))
+    total = sum(c.multinomial_coeff * c.inv_factorial_product * x**c.beta1 for c in comps)
     direct = sum(x**m / math.factorial(m) for m in range(num_parts)) ** k
     assert total == pytest.approx(direct, rel=1e-10)
+    coeffs = [math.exp(c) for c in log_power_coefficients(k, num_parts)]
+    assert sum(c * x**j for j, c in enumerate(coeffs)) == pytest.approx(direct, rel=1e-10)
+    grouped = [0.0] * len(coeffs)
+    for c in comps:
+        grouped[c.beta1] += c.multinomial_coeff * c.inv_factorial_product
+    assert coeffs == pytest.approx(grouped, rel=1e-10)
 
 
 def test_compensated_sum_beats_naive():
