@@ -12,9 +12,9 @@ k off the cached coefficient table of (sum_{m<M} x^m / m!)^k
 (``numerics.log_power_coefficients``), and integrate term by term against
 the eavesdropper density.  One kernel per route serves every case: the
 exact series and its high-SNR floor, with the single-transmitter forms as
-their K = 1 instance, and one case assembly (``_assemble``) composes the
-four (scheme, scenario) cases from either.  Every per-term product is
-assembled in log space and exponentiated once; only the top-level
+their K = 1 instance.  One case rule (``case_sop``) composes the four
+(scheme, scenario) cases from either kernel, or from quadrature's integral.
+Every per-term product is assembled in log space and exponentiated once; only the top-level
 alternating sum over the binomial index runs in linear space, with Neumaier
 compensation and a loss-of-significance guard.  Results outside [0, 1] by more than a 1e-9
 round-off band raise ``NumericalIntegrityError`` rather than being clamped,
@@ -35,6 +35,7 @@ from .channel import SystemConfig
 from .numerics import compensated_sum, log_power_coefficients, significance_lost
 
 __all__ = [
+    "CASES",
     "NumericalIntegrityError",
     "Scenario",
     "Scheme",
@@ -43,6 +44,8 @@ __all__ = [
     "analytic_sop",
     "asymptotic_single",
     "asymptotic_sop",
+    "case_sop",
+    "inner_args",
     "sop_os_ka",
     "sop_os_ku",
     "sop_single",
@@ -76,13 +79,24 @@ class NumericalIntegrityError(ArithmeticError):
     """A probability came out of assembly too far outside [0, 1]."""
 
 
+# The four (scheme, scenario) cases, in the order reports list them.
+CASES = tuple((scheme, scenario) for scheme in Scheme for scenario in Scenario)
+
+
 @dataclass(frozen=True)
 class SopQuery:
-    """One outage-probability question: operating point plus case selection."""
+    """One outage-probability question: operating point plus case selection.
+
+    Scheme and scenario strings become the enums; unknown ones raise ``ValueError``.
+    """
 
     cfg: SystemConfig
     scheme: Scheme
     scenario: Scenario
+
+    def __post_init__(self):
+        object.__setattr__(self, "scheme", Scheme(self.scheme))
+        object.__setattr__(self, "scenario", Scenario(self.scenario))
 
 
 @dataclass(frozen=True)
@@ -114,6 +128,43 @@ def _finalize(raw: float, flag: bool, method: str) -> SopValue:
         significance_flag=flag,
         raw_value=raw,
     )
+
+
+def inner_args(query: SopQuery) -> tuple[int, float]:
+    """(L, w) of the inner quantity ``case_sop`` asks for."""
+    cfg = query.cfg
+    return (
+        cfg.K if query.scheme is Scheme.SS else 1,
+        cfg.zeta if query.scenario is Scenario.KA else 1.0,
+    )
+
+
+def case_sop(query: SopQuery, inner, method: str) -> SopValue:
+    """The case rule: one (scheme, scenario) outage from its inner quantity.
+
+    ``inner(L, w) -> (raw, flag)`` evaluates x = E_y[((1 - w) + w F_d(lambda(y)))^L]
+    with lambda(y) = (1 + y) rho - 1.  Per case, (L, w) -> outage is
+
+        ss/ku: (K, 1) -> (1 - zeta) + zeta x      os/ku: (1, 1) -> (1 - zeta) + zeta x^K
+        ss/ka: (K, zeta) -> x                     os/ka: (1, zeta) -> x^K
+
+    Strongest-destination selection powers the CDF inside the eavesdropper
+    integral; best-ratio selection powers the single-link value outside it,
+    after its integrity check, since the K links fail independently.  Blind
+    selection (``ku``) mixes in the silenced pick outside; active-set
+    selection (``ka``) puts zeta inside each factor.  A blind pick over dead
+    backhaul is an outage without evaluating anything.
+    """
+    cfg = query.cfg
+    blind = query.scenario is Scenario.KU
+    if blind and cfg.zeta == 0.0:
+        return _finalize(1.0, False, method)
+    raw, flag = inner(*inner_args(query))
+    if query.scheme is Scheme.OS:
+        raw = _finalize(raw, flag, method).value ** cfg.K
+    if blind:
+        raw = (1.0 - cfg.zeta) + cfg.zeta * raw
+    return _finalize(raw, flag, method)
 
 
 def _alternating_series(K, weight, magnitude):
@@ -157,7 +208,8 @@ def _selection_series(cfg: SystemConfig, K: int, weight: float):
     Term k expands the k-th CDF power through ``log_power_coefficients``
     (power j of the destination SNR) and the boundary power through the
     inner index q <= j, then integrates against the eavesdropper density.
-    With K = 1 and weight 1 it is the single-transmitter outage.
+    It is the inner quantity of ``case_sop`` at (L, w) = (K, weight); with
+    K = 1 and weight 1 it is the single-transmitter outage.
     """
     M, N, a_d, rho = cfg.M, cfg.N, cfg.a_d, cfg.rho
     j = np.arange(K * (M - 1) + 1)
@@ -193,42 +245,18 @@ def _selection_floor_series(cfg: SystemConfig, K: int, weight: float):
     return _alternating_series(K, weight, magnitude)
 
 
-def _assemble(query: SopQuery, series, method: str) -> SopValue:
-    """Compose one (scheme, scenario) case from ``series(K, weight) -> (raw, flag)``.
-
-    Blind selection (``ku``) mixes the outer (1 - zeta) silenced pick with
-    the active-link outage; active-set selection (``ka``) puts zeta inside
-    each factor.  Strongest-destination selection powers the CDF inside the
-    series, best-ratio selection powers the independent single-link outage.
-    """
-    cfg = query.cfg
-    zeta, K = cfg.zeta, cfg.K
-    blind = Scenario(query.scenario) is Scenario.KU
-    if blind and zeta == 0.0:
-        return _finalize(1.0, False, method)
-    if Scheme(query.scheme) is Scheme.SS:
-        raw, flag = series(K, 1.0 if blind else zeta)
-        if blind:
-            raw = (1.0 - zeta) + zeta * raw
-    else:
-        raw_single, flag = series(1, 1.0)
-        single = _finalize(raw_single, flag, method).value
-        raw = (1.0 - zeta) + zeta * single ** K if blind else (1.0 - zeta * (1.0 - single)) ** K
-    return _finalize(raw, flag, method)
-
-
 # ---------------------------------------------------------------------------
 # public closed forms and high-SNR floors
 # ---------------------------------------------------------------------------
 
 def analytic_sop(query: SopQuery) -> SopValue:
     """Exact outage probability of any of the four cases."""
-    return _assemble(query, partial(_selection_series, query.cfg), METHOD_ANALYTIC)
+    return case_sop(query, partial(_selection_series, query.cfg), METHOD_ANALYTIC)
 
 
 def asymptotic_sop(query: SopQuery) -> SopValue:
     """High-SNR outage floor of any of the four cases."""
-    return _assemble(query, partial(_selection_floor_series, query.cfg), METHOD_ASYMPTOTIC)
+    return case_sop(query, partial(_selection_floor_series, query.cfg), METHOD_ASYMPTOTIC)
 
 
 def sop_single(cfg: SystemConfig) -> float:

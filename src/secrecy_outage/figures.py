@@ -17,11 +17,13 @@ from .analytic import Scenario, Scheme
 from .channel import SystemConfig
 from .montecarlo import McSettings
 from .sweep import (
+    CSV_HEADER,
     EvalMethod,
     SweepResult,
     SweepRow,
     SweepSpec,
     _format_float,
+    _write_csv,
     run_sweep,
 )
 
@@ -37,10 +39,7 @@ __all__ = [
     "write_plot_description",
 ]
 
-FIGURE_CSV_HEADER = (
-    "snr_db", "scheme", "scenario", "method", "sop", "ci_half_width", "flags",
-    "K", "zeta", "rth", "M", "N", "a", "b",
-)
+FIGURE_CSV_HEADER = CSV_HEADER + ("K", "zeta", "rth", "M", "N", "a", "b")
 
 _BASE = SystemConfig(K=2, zeta=0.99, r_th=1.0, snr=1.0, M=6, N=4, a=0.5, b=0.2)
 
@@ -169,35 +168,13 @@ def _config_columns(cfg: SystemConfig) -> list[str]:
 
 def write_figure_csv(result: FigureResult, target) -> None:
     """Extended sweep CSV with the per-variant configuration columns."""
-    import csv
-
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            write_figure_csv(result, handle)
-        return
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(FIGURE_CSV_HEADER)
-    used_mc = False
-    for cfg, sweep_result in result.per_variant:
-        for row in sweep_result.rows:
-            used_mc = used_mc or row.method is EvalMethod.MC
-            writer.writerow(
-                [
-                    _format_float(row.snr_db),
-                    row.scheme.value,
-                    row.scenario.value,
-                    row.method.value,
-                    _format_float(row.sop),
-                    "" if row.ci_half_width is None else _format_float(row.ci_half_width),
-                    row.flags,
-                ]
-                + _config_columns(cfg)
-            )
-    if used_mc:
-        target.write(
-            f"# mc seed={result.mc.seed} samples={result.mc.n_samples} "
-            f"confidence={_format_float(result.mc.confidence)}\n"
-        )
+    used_mc = any(sweep_result.mc is not None for _, sweep_result in result.per_variant)
+    records = (
+        (row, _config_columns(cfg))
+        for cfg, sweep_result in result.per_variant
+        for row in sweep_result.rows
+    )
+    _write_csv(target, FIGURE_CSV_HEADER, records, result.mc if used_mc else None)
 
 
 def _variant_label(cfg: SystemConfig, varied: tuple[str, ...]) -> str:

@@ -96,26 +96,22 @@ def _chunk_counts(query: SopQuery, seed: int, chunk_index: int, n: int) -> tuple
     Only the draws the case reads are made: strongest-destination selection
     never looks at eavesdropper SNRs and blind selection never looks at
     backhaul states, so each gets one row standing for the selected link.
-    Best-ratio selection needs no pick at all: the best secrecy ratio is in
-    outage exactly when every candidate link is.
+    No pick is made either.  The outage test is monotone in the destination
+    SNR, so the strongest link fails against the one shared eavesdropper row
+    exactly when every link does, and the best secrecy ratio is in outage
+    exactly when every candidate link is.
     """
     cfg = query.cfg
-    ss = Scheme(query.scheme) is Scheme.SS
-    ka = Scenario(query.scenario) is Scenario.KA
+    ka = query.scenario is Scenario.KA
     gamma_d, gamma_e, active = sample_channel_block(
-        cfg, make_rng(seed, chunk_index), n, eve_per_link=not ss, backhaul_per_link=ka
+        cfg, make_rng(seed, chunk_index), n,
+        eve_per_link=query.scheme is Scheme.OS, backhaul_per_link=ka,
     )
-    if ss:
-        if ka:
-            # a silenced transmitter is never picked; an empty active set
-            # leaves -inf, which the indicator counts as an outage
-            np.copyto(gamma_d, -np.inf, where=~active)
-        outage = secrecy_outage_indicator(gamma_d.max(axis=0), gamma_e[0], cfg.rho)
-    else:
-        link_out = secrecy_outage_indicator(gamma_d, gamma_e, cfg.rho)
-        if ka:
-            link_out |= ~active
-        outage = link_out.all(axis=0)
+    link_out = secrecy_outage_indicator(gamma_d, gamma_e, cfg.rho)
+    if ka:
+        # a silenced transmitter is never picked; an empty active set is an outage
+        link_out |= ~active
+    outage = link_out.all(axis=0)
     if ka:
         empty = int(n - np.count_nonzero(active.any(axis=0)))
     else:
@@ -165,5 +161,5 @@ def simulate_sop(query: SopQuery, mc: McSettings = McSettings(), workers: int = 
         n_samples=n,
         seed=mc.seed,
         low_confidence=low_confidence,
-        empty_active_set_rate=(empty_count / n) if Scenario(query.scenario) is Scenario.KA else None,
+        empty_active_set_rate=(empty_count / n) if query.scenario is Scenario.KA else None,
     )

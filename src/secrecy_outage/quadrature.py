@@ -5,6 +5,10 @@ a destination CDF evaluated at the outage boundary lambda(y) = (1 + y) * rho
 - 1 over the eavesdropper SNR density.  This module computes that integral
 from the distribution functions themselves, with none of the series algebra
 used by the closed forms, so the two routes can cross-validate each other.
+It does share the closed forms' case rule (``analytic.case_sop``): quadrature
+supplies only the inner quantity E_y[((1 - w) + w F_d(lambda(y)))^L], so the
+Monte Carlo route and the test oracles are the independent checks of how the
+four (scheme, scenario) cases are composed.
 
 The half line is mapped to (0, 1) through y = scale_e * t / (1 - t), which
 puts the bulk of the eavesdropper mass at moderate t for any SNR.  The
@@ -22,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import Scenario, Scheme, SopQuery, _finalize
+from .analytic import SopQuery, case_sop, inner_args
 from .channel import GammaSnr, mixture_cdf, snr_cdf, snr_pdf
 
 __all__ = [
@@ -155,25 +159,25 @@ class Integrand:
 
 
 def build_integrand(query: SopQuery) -> Integrand:
-    """Assemble the integrand for one case from raw distribution functions.
+    """Assemble the integrand of one case's inner quantity from raw distribution functions.
 
-    Selection schemes differ only in where the K-fold power sits: the
-    strongest-destination rule raises the destination CDF to K inside the
-    integral, the best-ratio rule powers the whole integral afterwards.
+    The destination CDF is the backhaul mixture at weight w raised to the L,
+    with (L, w) from ``inner_args``; w = 1 is the bare Gamma CDF and L = 1
+    needs no power.
     """
     cfg = query.cfg
     dest = GammaSnr(cfg.M, cfg.a_d)
     eave = GammaSnr(cfg.N, cfg.a_e)
-    scheme, scenario = Scheme(query.scheme), Scenario(query.scenario)
+    power, weight = inner_args(query)
 
-    if scenario is Scenario.KU:
+    if weight == 1.0:
         single_cdf = lambda x: snr_cdf(dest, x)
     else:
-        single_cdf = lambda x: mixture_cdf(dest, cfg.zeta, x)
-    if scheme is Scheme.SS:
-        destination_cdf = lambda x: single_cdf(x) ** cfg.K
-    else:
+        single_cdf = lambda x: mixture_cdf(dest, weight, x)
+    if power == 1:
         destination_cdf = single_cdf
+    else:
+        destination_cdf = lambda x: single_cdf(x) ** power
 
     return Integrand(
         destination_cdf=destination_cdf,
@@ -203,16 +207,9 @@ def quadrature_sop(query: SopQuery, **quad_kwargs) -> float:
     outside [0, 1] by more than ``INTEGRITY_BAND``, raises
     ``NumericalIntegrityError``; otherwise it is clamped to [0, 1].
     """
-    cfg = query.cfg
-    scheme, scenario = Scheme(query.scheme), Scenario(query.scenario)
-    if scenario is Scenario.KU and cfg.zeta == 0.0:
-        return 1.0
-    integral = _boundary_expectation(build_integrand(query), cfg.a_e, **quad_kwargs)
-    if scheme is Scheme.SS:
-        value = (1.0 - cfg.zeta) + cfg.zeta * integral if scenario is Scenario.KU else integral
-    else:
-        if scenario is Scenario.KU:
-            value = (1.0 - cfg.zeta) + cfg.zeta * integral ** cfg.K
-        else:
-            value = integral ** cfg.K
-    return _finalize(value, False, "quadrature").value
+
+    def inner(power, weight):
+        # build_integrand reads the same (L, w) off the query
+        return _boundary_expectation(build_integrand(query), query.cfg.a_e, **quad_kwargs), False
+
+    return case_sop(query, inner, "quadrature").value

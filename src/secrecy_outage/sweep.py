@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -55,8 +56,6 @@ def db_to_linear(snr_db: float) -> float:
 
 
 def linear_to_db(snr: float) -> float:
-    import math
-
     return 10.0 * math.log10(snr)
 
 
@@ -113,11 +112,9 @@ def evaluate_cell(
     """Evaluate one (config, case, method) cell; returns (sop, ci, flags)."""
     query = SopQuery(cfg=cfg, scheme=scheme, scenario=scenario)
     method = EvalMethod(method)
-    if method is EvalMethod.ANALYTIC:
-        value = analytic_sop(query)
-        return value.value, None, FLAG_SIGNIFICANCE if value.significance_flag else ""
-    if method is EvalMethod.ASYMPTOTIC:
-        value = asymptotic_sop(query)
+    if method in (EvalMethod.ANALYTIC, EvalMethod.ASYMPTOTIC):
+        closed_form = analytic_sop if method is EvalMethod.ANALYTIC else asymptotic_sop
+        value = closed_form(query)
         return value.value, None, FLAG_SIGNIFICANCE if value.significance_flag else ""
     if method is EvalMethod.QUADRATURE:
         return quadrature_sop(query), None, ""
@@ -156,15 +153,18 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def write_sweep_csv(result: SweepResult, target) -> None:
-    """Write the sweep CSV contract to a path or text file object."""
+def _write_csv(target, header, records, mc: McSettings | None) -> None:
+    """Write (SweepRow, extra cells) records under ``header`` to a path or text file.
+
+    The extra cells follow the seven sweep columns; ``mc`` goes in the trailing comment.
+    """
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8", newline="") as handle:
-            write_sweep_csv(result, handle)
+            _write_csv(handle, header, records, mc)
         return
     writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in result.rows:
+    writer.writerow(header)
+    for row, extra in records:
         writer.writerow(
             [
                 _format_float(row.snr_db),
@@ -174,13 +174,19 @@ def write_sweep_csv(result: SweepResult, target) -> None:
                 _format_float(row.sop),
                 "" if row.ci_half_width is None else _format_float(row.ci_half_width),
                 row.flags,
+                *extra,
             ]
         )
-    if result.mc is not None:
+    if mc is not None:
         target.write(
-            f"# mc seed={result.mc.seed} samples={result.mc.n_samples} "
-            f"confidence={_format_float(result.mc.confidence)}\n"
+            f"# mc seed={mc.seed} samples={mc.n_samples} "
+            f"confidence={_format_float(mc.confidence)}\n"
         )
+
+
+def write_sweep_csv(result: SweepResult, target) -> None:
+    """Write the sweep CSV contract to a path or text file object."""
+    _write_csv(target, CSV_HEADER, ((row, ()) for row in result.rows), result.mc)
 
 
 def read_sweep_csv(source) -> list[dict]:

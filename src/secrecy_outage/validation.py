@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import (
+    CASES,
     Scenario,
     Scheme,
     SopQuery,
@@ -39,14 +40,6 @@ __all__ = [
     "ValidationSettings",
     "run_validation",
 ]
-
-_CASES = (
-    (Scheme.SS, Scenario.KU),
-    (Scheme.SS, Scenario.KA),
-    (Scheme.OS, Scenario.KU),
-    (Scheme.OS, Scenario.KA),
-)
-
 
 @dataclass(frozen=True)
 class ValidationSettings:
@@ -131,7 +124,7 @@ def _analytic_grid(settings: ValidationSettings) -> dict[tuple, float]:
     """Closed-form values for every (config, scheme, scenario) grid cell."""
     values = {}
     for cfg in settings.grid_configs():
-        for scheme, scenario in _CASES:
+        for scheme, scenario in CASES:
             query = SopQuery(cfg=cfg, scheme=scheme, scenario=scenario)
             values[(cfg, scheme, scenario)] = analytic_sop(query).value
     return values
@@ -145,7 +138,7 @@ def check_triple_agreement(settings: ValidationSettings) -> CheckResult:
     failures = []
     cells = 0
     for cfg in settings.grid_configs():
-        for scheme, scenario in _CASES:
+        for scheme, scenario in CASES:
             cells += 1
             query = SopQuery(cfg=cfg, scheme=scheme, scenario=scenario)
             closed = analytic_sop(query).value
@@ -191,7 +184,7 @@ def check_asymptotic_floors(settings: ValidationSettings) -> CheckResult:
             a=settings.gain_d,
             b=settings.gain_e,
         )
-        for scheme, scenario in _CASES:
+        for scheme, scenario in CASES:
             query = SopQuery(cfg=cfg, scheme=scheme, scenario=scenario)
             floor = asymptotic_sop(query).value
             closed = analytic_sop(query).value
@@ -292,7 +285,7 @@ def check_multipath_effect(settings: ValidationSettings) -> CheckResult:
         M=4, N=4, a=settings.gain_d, b=settings.gain_e,
     )
     failures = []
-    for scheme, scenario in _CASES:
+    for scheme, scenario in CASES:
         dest = [
             analytic_sop(SopQuery(cfg=replace(base, M=m), scheme=scheme, scenario=scenario)).value
             for m in (2, 4, 6)
@@ -319,7 +312,7 @@ def check_gain_ratio_effect(settings: ValidationSettings) -> CheckResult:
         M=6, N=4, a=0.2, b=0.2,
     )
     failures = []
-    for scheme, scenario in _CASES:
+    for scheme, scenario in CASES:
         series = [
             analytic_sop(SopQuery(cfg=replace(base, a=a), scheme=scheme, scenario=scenario)).value
             for a in (0.2, 0.5, 1.0)
@@ -396,7 +389,7 @@ def check_identities(settings: ValidationSettings) -> CheckResult:
             cfg = settings.config(1, zeta, snr_db)
             cases = [
                 analytic_sop(SopQuery(cfg=cfg, scheme=scheme, scenario=scenario)).value
-                for scheme, scenario in _CASES
+                for scheme, scenario in CASES
             ]
             spread = max(cases) - min(cases)
             worst_single = max(worst_single, spread)

@@ -26,6 +26,7 @@ from secrecy_outage.analytic import (
     METHOD_ANALYTIC,
     _finalize,
     asymptotic_single,
+    case_sop,
 )
 
 CASES = [(s, c) for s in (Scheme.SS, Scheme.OS) for c in (Scenario.KU, Scenario.KA)]
@@ -243,3 +244,55 @@ def test_integrity_guard_units():
     assert flagged.value == 1.0
     assert flagged.raw_value == 1.5
     assert flagged.significance_flag
+
+
+def test_query_normalises_case_names():
+    query = SopQuery(_cfg(), "os", "ka")
+    assert query.scheme is Scheme.OS
+    assert query.scenario is Scenario.KA
+    with pytest.raises(ValueError):
+        SopQuery(_cfg(), "xx", "ku")
+    with pytest.raises(ValueError):
+        SopQuery(_cfg(), "ss", "xx")
+
+
+def _rule_with_fake_inner(cfg, scheme, scenario, x, flag=False):
+    """case_sop with an inner quantity that records its (L, w) and returns x."""
+    calls = []
+
+    def inner(L, w):
+        calls.append((L, w))
+        return x, flag
+
+    return case_sop(SopQuery(cfg, scheme, scenario), inner, METHOD_ANALYTIC), calls
+
+
+def test_case_rule_table():
+    K, zeta, x = 3, 0.6, 0.2
+    cfg = _cfg(K=K, zeta=zeta)
+    table = {
+        (Scheme.SS, Scenario.KU): ((K, 1.0), (1.0 - zeta) + zeta * x),
+        (Scheme.SS, Scenario.KA): ((K, zeta), x),
+        (Scheme.OS, Scenario.KU): ((1, 1.0), (1.0 - zeta) + zeta * x ** K),
+        (Scheme.OS, Scenario.KA): ((1, zeta), x ** K),
+    }
+    for (scheme, scenario), (args, outage) in table.items():
+        result, calls = _rule_with_fake_inner(cfg, scheme, scenario, x)
+        assert calls == [args]
+        assert result.value == outage
+        assert not result.significance_flag
+
+
+def test_case_rule_edges():
+    # a blind pick over dead backhaul never evaluates the inner quantity
+    for scheme in (Scheme.SS, Scheme.OS):
+        result, calls = _rule_with_fake_inner(_cfg(zeta=0.0), scheme, Scenario.KU, 0.2)
+        assert calls == [] and result.value == 1.0
+    # the best-ratio single-link value is checked before it is raised to the K
+    for scenario in (Scenario.KU, Scenario.KA):
+        for bad in (math.nan, -0.5):
+            with pytest.raises(NumericalIntegrityError):
+                _rule_with_fake_inner(_cfg(K=2, zeta=1.0), Scheme.OS, scenario, bad)
+    # a flagged single-link value is clamped first and keeps its flag
+    result, _ = _rule_with_fake_inner(_cfg(K=2), Scheme.OS, Scenario.KA, 1.2, flag=True)
+    assert result.value == 1.0 and result.significance_flag

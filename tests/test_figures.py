@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -13,7 +14,7 @@ from secrecy_outage.figures import (
     write_figure_csv,
     write_plot_description,
 )
-from secrecy_outage.sweep import EvalMethod
+from secrecy_outage.sweep import EvalMethod, write_sweep_csv
 
 
 def test_preset_catalog():
@@ -82,6 +83,13 @@ def test_figure_csv_header_and_config_columns(fig5_analytic, tmp_path):
     gains = {line.split(",")[12] for line in lines[1:] if line and not line.startswith("#")}
     assert gains == {"0.2", "0.5", "1.0"}
     assert "#" not in lines[-1]  # analytic only: no simulation comment
+    # the first seven columns are each variant's own sweep CSV, row for row
+    sweep_lines = []
+    for _, sweep_result in fig5_analytic.per_variant:
+        buffer = io.StringIO()
+        write_sweep_csv(sweep_result, buffer)
+        sweep_lines.extend(buffer.getvalue().splitlines()[1:])
+    assert [",".join(line.split(",")[:7]) for line in lines[1:]] == sweep_lines
 
 
 def test_figure_csv_mc_comment(tmp_path):
