@@ -52,7 +52,10 @@ class EvalMethod(str, Enum):
 
 def db_to_linear(snr_db: float) -> float:
     """Decibel to linear power ratio; the only place dB enters the library."""
-    return 10.0 ** (snr_db / 10.0)
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{snr_db} dB is too large for a linear power ratio") from None
 
 
 def linear_to_db(snr: float) -> float:

@@ -41,6 +41,12 @@ def test_sop_analytic_point(capsys):
     assert "ci_half_width" not in pairs
 
 
+def test_sop_huge_snr_db_is_usage_error(capsys):
+    assert main(["sop", *BASE_ARGS, "--snr-db", "4000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "4000" in err
+
+
 def test_sop_mc_point_reports_interval(capsys):
     rc = main(["sop", *BASE_ARGS, "--snr-db", "10", "--method", "mc",
                "--samples", "5000", "--seed", "42"])

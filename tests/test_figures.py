@@ -17,6 +17,23 @@ from secrecy_outage.figures import (
 from secrecy_outage.sweep import EvalMethod, write_sweep_csv
 
 
+def test_closed_form_matches_quadrature_on_every_preset():
+    # every analytic row of every preset, in both scenarios, within 1e-8 of
+    # the quadrature row at the same variant, SNR and case
+    methods = (EvalMethod.ANALYTIC, EvalMethod.QUADRATURE)
+    for name in available_presets():
+        for scenario in (Scenario.KU, Scenario.KA):
+            result = run_figure(name, scenario=scenario, methods=methods)
+            for cfg, sweep in result.per_variant:
+                by_method = {method: {} for method in methods}
+                for row in sweep.rows:
+                    by_method[row.method][(row.snr_db, row.scheme, row.scenario)] = row.sop
+                quad = by_method[EvalMethod.QUADRATURE]
+                assert by_method[EvalMethod.ANALYTIC].keys() == quad.keys()
+                for key, value in by_method[EvalMethod.ANALYTIC].items():
+                    assert value == pytest.approx(quad[key], abs=1e-8), (name, cfg, key)
+
+
 def test_preset_catalog():
     assert available_presets() == ["fig2", "fig3", "fig4", "fig5"]
 

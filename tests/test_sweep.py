@@ -45,6 +45,12 @@ def test_db_conversion_round_trip():
     assert linear_to_db(db_to_linear(7.3)) == pytest.approx(7.3, abs=1e-12)
 
 
+def test_db_conversion_rejects_overflow():
+    assert db_to_linear(3000.0) == pytest.approx(1e300)
+    with pytest.raises(ValueError, match="4000"):
+        db_to_linear(4000.0)
+
+
 def test_snr_grid_inclusive_endpoints():
     assert snr_grid(_spec()) == [0.0, 5.0, 10.0]
     assert snr_grid(_spec(snr_db_start=-10.0, snr_db_stop=40.0, snr_db_step=2.0))[::13] == [-10.0, 16.0]
