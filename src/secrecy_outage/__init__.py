@@ -19,11 +19,6 @@ from .analytic import (
     SopValue,
     analytic_sop,
     asymptotic_sop,
-    sop_os_ka,
-    sop_os_ku,
-    sop_single,
-    sop_ss_ka,
-    sop_ss_ku,
 )
 from .channel import GammaSnr, SystemConfig, mixture_cdf, snr_cdf, snr_pdf
 from .montecarlo import McSettings, SopEstimate, simulate_sop
@@ -75,11 +70,6 @@ __all__ = [
     "simulate_sop",
     "snr_cdf",
     "snr_pdf",
-    "sop_os_ka",
-    "sop_os_ku",
-    "sop_single",
-    "sop_ss_ka",
-    "sop_ss_ku",
     "write_sweep_csv",
     "__version__",
 ]

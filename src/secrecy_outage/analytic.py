@@ -11,9 +11,10 @@ The expressions expand a K-fold CDF product binomially, read each CDF power
 k off the cached coefficient table of (sum_{m<M} x^m / m!)^k
 (``numerics.log_power_coefficients``), and integrate term by term against
 the eavesdropper density.  One kernel per route serves every case: the
-exact series and its high-SNR floor, with the single-transmitter forms as
-their K = 1 instance.  One case rule (``case_sop``) composes the four
-(scheme, scenario) cases from either kernel, or from quadrature's integral.
+exact series and its high-SNR floor, each behind one public entry
+(``analytic_sop``, ``asymptotic_sop``).  One case rule (``case_sop``)
+composes the four (scheme, scenario) cases from either kernel, or from
+quadrature's integral.
 Every per-term product is assembled in log space and exponentiated once; only the top-level
 alternating sum over the binomial index runs in linear space, with Neumaier
 compensation and a loss-of-significance guard.  Results outside [0, 1] by more than a 1e-9
@@ -42,15 +43,9 @@ __all__ = [
     "SopQuery",
     "SopValue",
     "analytic_sop",
-    "asymptotic_single",
     "asymptotic_sop",
     "case_sop",
     "inner_args",
-    "sop_os_ka",
-    "sop_os_ku",
-    "sop_single",
-    "sop_ss_ka",
-    "sop_ss_ku",
 ]
 
 # Round-off tolerance band for the integrity check; values further outside
@@ -143,17 +138,23 @@ def case_sop(query: SopQuery, inner, method: str) -> SopValue:
     """The case rule: one (scheme, scenario) outage from its inner quantity.
 
     ``inner(L, w) -> (raw, flag)`` evaluates x = E_y[((1 - w) + w F_d(lambda(y)))^L]
-    with lambda(y) = (1 + y) rho - 1.  Per case, (L, w) -> outage is
+    with lambda(y) = (1 + y) rho - 1.  Per case:
 
-        ss/ku: (K, 1) -> (1 - zeta) + zeta x      os/ku: (1, 1) -> (1 - zeta) + zeta x^K
-        ss/ka: (K, zeta) -> x                     os/ka: (1, zeta) -> x^K
+        case   (L, w)     outage                 because
+        ss/ku  (K, 1)     (1 - zeta) + zeta x    the strongest link may turn out silenced
+        ss/ka  (K, zeta)  x                      zeta weights each factor of the K-fold CDF
+                                                 product; an empty active set is the point
+                                                 mass at zero, so no outer floor term
+        os/ku  (1, 1)     (1 - zeta) + zeta x^K  the K secrecy outcomes are independent, so
+                                                 a live pick fails only when all K fail
+        os/ka  (1, zeta)  x^K                    each link is silenced or fails secrecy on
+                                                 its own; all-silenced gives (1 - zeta)^K
 
     Strongest-destination selection powers the CDF inside the eavesdropper
     integral; best-ratio selection powers the single-link value outside it,
-    after its integrity check, since the K links fail independently.  Blind
-    selection (``ku``) mixes in the silenced pick outside; active-set
-    selection (``ka``) puts zeta inside each factor.  A blind pick over dead
-    backhaul is an outage without evaluating anything.
+    after its integrity check.  A blind pick over dead backhaul is an outage
+    without evaluating anything.  At K = 1 and zeta = 1 every case returns
+    the single-transmitter outage x itself.
     """
     cfg = query.cfg
     blind = query.scenario is Scenario.KU
@@ -255,57 +256,9 @@ def analytic_sop(query: SopQuery) -> SopValue:
 
 
 def asymptotic_sop(query: SopQuery) -> SopValue:
-    """High-SNR outage floor of any of the four cases."""
-    return case_sop(query, partial(_selection_floor_series, query.cfg), METHOD_ASYMPTOTIC)
-
-
-def sop_single(cfg: SystemConfig) -> float:
-    """Exact outage probability of a single backhaul-active transmitter."""
-    return _finalize(*_selection_series(cfg, 1, 1.0), METHOD_ANALYTIC).value
-
-
-def asymptotic_single(cfg: SystemConfig) -> float:
-    """High-SNR outage floor of a single backhaul-active transmitter.
+    """High-SNR outage floor of any of the four cases.
 
     Independent of snr: both link scales grow together, leaving the ratio
     law a/b and the threshold rho in control.
     """
-    return _finalize(*_selection_floor_series(cfg, 1, 1.0), METHOD_ASYMPTOTIC).value
-
-
-def sop_ss_ku(cfg: SystemConfig) -> SopValue:
-    """Strongest-destination selection, backhaul states unknown.
-
-    The selected transmitter may turn out silenced, so the result is the
-    mixture (1 - zeta) + zeta * (outage of the max-SNR link).
-    """
-    return analytic_sop(SopQuery(cfg, Scheme.SS, Scenario.KU))
-
-
-def sop_ss_ka(cfg: SystemConfig) -> SopValue:
-    """Strongest-destination selection within the active set.
-
-    The backhaul mixture sits inside each factor of the K-fold CDF product,
-    so the series carries weight zeta per factor and no outer floor term;
-    an empty active set is covered by the point mass at zero.
-    """
-    return analytic_sop(SopQuery(cfg, Scheme.SS, Scenario.KA))
-
-
-def sop_os_ku(cfg: SystemConfig) -> SopValue:
-    """Best-secrecy-ratio selection, backhaul states unknown.
-
-    The per-transmitter secrecy outcomes are independent, so the blind pick
-    fails only when all K fail: (1 - zeta) + zeta * sop_single**K.
-    """
-    return analytic_sop(SopQuery(cfg, Scheme.OS, Scenario.KU))
-
-
-def sop_os_ka(cfg: SystemConfig) -> SopValue:
-    """Best-secrecy-ratio selection within the active set.
-
-    Each transmitter independently either is silenced or fails secrecy with
-    probability sop_single, giving (1 - zeta * (1 - sop_single))**K; the
-    all-silenced corner contributes the (1 - zeta)**K floor.
-    """
-    return analytic_sop(SopQuery(cfg, Scheme.OS, Scenario.KA))
+    return case_sop(query, partial(_selection_floor_series, query.cfg), METHOD_ASYMPTOTIC)

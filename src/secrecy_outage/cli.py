@@ -105,10 +105,9 @@ def _mc_settings(args: argparse.Namespace) -> McSettings:
 
 
 def _as_tuple(value, enum_cls, default):
+    """Repeated ``append`` flag values as enums; ``default`` alone when none was given."""
     if value is None:
         return (default,)
-    if isinstance(value, str):
-        return (enum_cls(value),)
     return tuple(enum_cls(v) for v in value)
 
 
@@ -145,10 +144,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         mc=_mc_settings(args),
     )
     result = run_sweep(spec)
-    if args.out:
-        write_sweep_csv(result, args.out)
-    else:
-        write_sweep_csv(result, sys.stdout)
+    write_sweep_csv(result, args.out or sys.stdout)
     if args.plot:
         write_plot_description(sweep_plot_description(base, result), args.plot)
     return 0
@@ -162,19 +158,10 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if args.preset is None:
         print("error: a preset name (or --list) is required", file=sys.stderr)
         return 2
-    methods = (
-        None if args.method is None
-        else tuple(EvalMethod(m) for m in args.method)
-    )
+    override = {"methods": tuple(EvalMethod(m) for m in args.method)} if args.method else {}
     scenario = Scenario(args.scenario) if args.scenario else None
-    kwargs = {"mc": _mc_settings(args), "scenario": scenario}
-    if methods is not None:
-        kwargs["methods"] = methods
-    result = run_figure(args.preset, **kwargs)
-    if args.out:
-        write_figure_csv(result, args.out)
-    else:
-        write_figure_csv(result, sys.stdout)
+    result = run_figure(args.preset, mc=_mc_settings(args), scenario=scenario, **override)
+    write_figure_csv(result, args.out or sys.stdout)
     if args.plot:
         write_plot_description(plot_description(result), args.plot)
     return 0
@@ -261,10 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

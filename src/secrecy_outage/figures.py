@@ -47,17 +47,17 @@ _SNR_START, _SNR_STOP, _SNR_STEP = -10.0, 40.0, 2.0
 
 _METHODS = (EvalMethod.ANALYTIC, EvalMethod.ASYMPTOTIC, EvalMethod.MC)
 
+# Every preset compares both schemes, under blind selection unless overridden.
+_SCHEMES, _SCENARIOS = (Scheme.SS, Scheme.OS), (Scenario.KU,)
+
 
 @dataclass(frozen=True)
 class FigurePreset:
     """One study: a list of config variants swept over the common SNR grid."""
 
-    name: str
     description: str
     variants: tuple[SystemConfig, ...]
     varied: tuple[str, ...]
-    schemes: tuple[Scheme, ...] = (Scheme.SS, Scheme.OS)
-    scenarios: tuple[Scenario, ...] = (Scenario.KU,)
 
 
 def _fig2_variants() -> tuple[SystemConfig, ...]:
@@ -83,28 +83,24 @@ def _fig5_variants() -> tuple[SystemConfig, ...]:
 
 FIGURE_PRESETS: dict[str, FigurePreset] = {
     "fig2": FigurePreset(
-        name="fig2",
         description="Outage vs SNR for transmitter counts 2 and 5 at backhaul "
                     "reliability 0.99 and 0.9, both selection schemes",
         variants=_fig2_variants(),
         varied=("K", "zeta"),
     ),
     "fig3": FigurePreset(
-        name="fig3",
         description="Outage vs SNR as the destination path count grows "
                     "(2, 4, 6) with 4 eavesdropper paths",
         variants=_fig3_variants(),
         varied=("M",),
     ),
     "fig4": FigurePreset(
-        name="fig4",
         description="Outage vs SNR as the eavesdropper path count grows "
                     "(2, 4, 6) with 4 destination paths",
         variants=_fig4_variants(),
         varied=("N",),
     ),
     "fig5": FigurePreset(
-        name="fig5",
         description="Outage vs SNR for destination gain coefficients 0.2, "
                     "0.5, 1.0 against a 0.2 eavesdropper coefficient",
         variants=_fig5_variants(),
@@ -137,7 +133,7 @@ def run_figure(
             f"unknown preset {name!r}; available: {', '.join(available_presets())}"
         ) from None
     mc = mc if mc is not None else McSettings()
-    scenarios = preset.scenarios if scenario is None else (scenario,)
+    scenarios = _SCENARIOS if scenario is None else (scenario,)
     per_variant = []
     for cfg in preset.variants:
         spec = SweepSpec(
@@ -145,7 +141,7 @@ def run_figure(
             snr_db_start=_SNR_START,
             snr_db_stop=_SNR_STOP,
             snr_db_step=_SNR_STEP,
-            schemes=preset.schemes,
+            schemes=_SCHEMES,
             scenarios=scenarios,
             methods=methods,
             mc=mc,

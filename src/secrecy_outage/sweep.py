@@ -91,6 +91,9 @@ class SweepSpec:
     mc: McSettings = field(default_factory=McSettings)
 
     def __post_init__(self):
+        grid = (self.snr_db_start, self.snr_db_stop, self.snr_db_step)
+        if not all(map(math.isfinite, grid)):
+            raise ValueError(f"SNR start, stop and step must be finite, got {grid!r}")
         if self.snr_db_step <= 0.0:
             raise ValueError(f"snr_db_step must be > 0, got {self.snr_db_step!r}")
         if self.snr_db_stop < self.snr_db_start:

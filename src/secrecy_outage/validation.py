@@ -120,14 +120,24 @@ class CheckResult:
         return f"{status} {self.name}: {self.detail} ({self.duration_s:.1f}s)"
 
 
-def _analytic_grid(settings: ValidationSettings) -> dict[tuple, float]:
-    """Closed-form values for every (config, scheme, scenario) grid cell."""
-    values = {}
-    for cfg in settings.grid_configs():
-        for scheme, scenario in CASES:
-            query = SopQuery(cfg=cfg, scheme=scheme, scenario=scenario)
-            values[(cfg, scheme, scenario)] = analytic_sop(query).value
-    return values
+def _report(name: str, summary: str, failures: list[str]) -> CheckResult:
+    """The one reporting rule: what the check measured, then its first four failures."""
+    return CheckResult(name, not failures, "; ".join([summary, *failures[:4]]))
+
+
+def _analytic_grid(configs) -> dict[SystemConfig, dict[tuple, float]]:
+    """Closed-form values of the four (scheme, scenario) cases, per config."""
+    return {
+        cfg: {
+            (scheme, scenario): analytic_sop(SopQuery(cfg, scheme, scenario)).value
+            for scheme, scenario in CASES
+        }
+        for cfg in configs
+    }
+
+
+def _where(cfg: SystemConfig) -> str:
+    return f"K={cfg.K} zeta={cfg.zeta} snr={cfg.snr:.4g}"
 
 
 def check_triple_agreement(settings: ValidationSettings) -> CheckResult:
@@ -137,131 +147,92 @@ def check_triple_agreement(settings: ValidationSettings) -> CheckResult:
     worst_mc = 0.0
     failures = []
     cells = 0
-    for cfg in settings.grid_configs():
-        for scheme, scenario in CASES:
+    for cfg, row in _analytic_grid(settings.grid_configs()).items():
+        for (scheme, scenario), closed in row.items():
             cells += 1
+            case = f"{_where(cfg)} {scheme.value}/{scenario.value}"
             query = SopQuery(cfg=cfg, scheme=scheme, scenario=scenario)
-            closed = analytic_sop(query).value
-            quad = quadrature_sop(query)
-            quad_err = abs(closed - quad)
+            quad_err = abs(closed - quadrature_sop(query))
             worst_quad = max(worst_quad, quad_err)
             if quad_err > settings.analytic_quadrature_tol:
-                failures.append(
-                    f"quad gap {quad_err:.3e} at K={cfg.K} zeta={cfg.zeta} "
-                    f"snr={cfg.snr:.4g} {scheme.value}/{scenario.value}"
-                )
+                failures.append(f"quad gap {quad_err:.3e} at {case}")
             estimate = simulate_sop(query, mc)
             allowed = max(3.0 * estimate.ci_half_width, settings.mc_tolerance_floor)
             mc_err = abs(closed - estimate.p_hat)
             worst_mc = max(worst_mc, mc_err / allowed)
             if mc_err > allowed:
-                failures.append(
-                    f"mc gap {mc_err:.3e} (allowed {allowed:.3e}) at K={cfg.K} "
-                    f"zeta={cfg.zeta} snr={cfg.snr:.4g} {scheme.value}/{scenario.value}"
-                )
-    detail = (
+                failures.append(f"mc gap {mc_err:.3e} (allowed {allowed:.3e}) at {case}")
+    summary = (
         f"{cells} cells; max |closed-quad| {worst_quad:.2e}; "
         f"worst mc gap {worst_mc:.2f}x allowance"
     )
-    if failures:
-        detail += "; " + "; ".join(failures[:4])
-    return CheckResult("triple_agreement", not failures, detail)
+    return _report("triple_agreement", summary, failures)
 
 
 def check_asymptotic_floors(settings: ValidationSettings) -> CheckResult:
     """High-SNR closed form must land on the saturation floor."""
-    snr = db_to_linear(settings.asymptotic_snr_db)
+    configs = [
+        settings.config(K, zeta, settings.asymptotic_snr_db)
+        for K, zeta in itertools.product(settings.asymptotic_ks, settings.asymptotic_zetas)
+    ]
     worst = 0.0
     failures = []
-    for K, zeta in itertools.product(settings.asymptotic_ks, settings.asymptotic_zetas):
-        cfg = SystemConfig(
-            K=K,
-            zeta=zeta,
-            r_th=settings.rate_threshold,
-            snr=snr,
-            M=settings.m_paths,
-            N=settings.n_paths,
-            a=settings.gain_d,
-            b=settings.gain_e,
-        )
-        for scheme, scenario in CASES:
-            query = SopQuery(cfg=cfg, scheme=scheme, scenario=scenario)
-            floor = asymptotic_sop(query).value
-            closed = analytic_sop(query).value
+    for cfg, row in _analytic_grid(configs).items():
+        for (scheme, scenario), closed in row.items():
+            floor = asymptotic_sop(SopQuery(cfg, scheme, scenario)).value
             rel = abs(closed - floor) / floor
             worst = max(worst, rel)
             if rel > settings.asymptotic_rel_tol:
-                failures.append(
-                    f"rel gap {rel:.3e} at K={K} zeta={zeta} "
-                    f"{scheme.value}/{scenario.value}"
-                )
-    detail = f"worst relative gap {worst:.2e} at {settings.asymptotic_snr_db:.0f} dB"
-    if failures:
-        detail += "; " + "; ".join(failures[:4])
-    return CheckResult("asymptotic_floors", not failures, detail)
+                failures.append(f"rel gap {rel:.3e} at {_where(cfg)} {scheme.value}/{scenario.value}")
+    summary = f"worst relative gap {worst:.2e} at {settings.asymptotic_snr_db:.0f} dB"
+    return _report("asymptotic_floors", summary, failures)
 
 
 def check_orderings(settings: ValidationSettings) -> CheckResult:
     """Optimal <= sub-optimal and knowledge-available <= unavailable."""
-    values = _analytic_grid(settings)
     slack = settings.ordering_slack
     margin = settings.strict_margin
     failures = []
-    min_scheme_gap = math.inf
-    min_scenario_gap = math.inf
-    for cfg in settings.grid_configs():
+    min_gaps = {"scheme": math.inf, "scenario": math.inf}
+    for cfg, row in _analytic_grid(settings.grid_configs()).items():
         interior = cfg.zeta < 1.0 and cfg.K >= 2
-        for scenario in (Scenario.KU, Scenario.KA):
-            gap = values[(cfg, Scheme.SS, scenario)] - values[(cfg, Scheme.OS, scenario)]
+        gaps = [
+            ("scheme", scenario.value, row[(Scheme.SS, scenario)] - row[(Scheme.OS, scenario)])
+            for scenario in Scenario
+        ] + [
+            ("scenario", scheme.value, row[(scheme, Scenario.KU)] - row[(scheme, Scenario.KA)])
+            for scheme in Scheme
+        ]
+        for kind, held, gap in gaps:
             if interior:
-                min_scheme_gap = min(min_scheme_gap, gap)
+                min_gaps[kind] = min(min_gaps[kind], gap)
             if gap < -slack or (interior and gap < margin):
-                failures.append(
-                    f"scheme gap {gap:.3e} at K={cfg.K} zeta={cfg.zeta} "
-                    f"snr={cfg.snr:.4g} {scenario.value}"
-                )
-        for scheme in (Scheme.SS, Scheme.OS):
-            gap = values[(cfg, scheme, Scenario.KU)] - values[(cfg, scheme, Scenario.KA)]
-            if interior:
-                min_scenario_gap = min(min_scenario_gap, gap)
-            if gap < -slack or (interior and gap < margin):
-                failures.append(
-                    f"scenario gap {gap:.3e} at K={cfg.K} zeta={cfg.zeta} "
-                    f"snr={cfg.snr:.4g} {scheme.value}"
-                )
-    detail = (
-        f"min interior scheme gap {min_scheme_gap:.2e}; "
-        f"min interior scenario gap {min_scenario_gap:.2e}"
+                failures.append(f"{kind} gap {gap:.3e} at {_where(cfg)} {held}")
+    summary = (
+        f"min interior scheme gap {min_gaps['scheme']:.2e}; "
+        f"min interior scenario gap {min_gaps['scenario']:.2e}"
     )
-    if failures:
-        detail += "; " + "; ".join(failures[:4])
-    return CheckResult("orderings", not failures, detail)
+    return _report("orderings", summary, failures)
 
 
 def check_floors(settings: ValidationSettings) -> CheckResult:
     """Backhaul-imposed lower bounds, plus the simulated inactive-set rate."""
-    slack = settings.floor_slack
     failures = []
-    for cfg in settings.grid_configs():
-        for scheme in (Scheme.SS, Scheme.OS):
-            ku = analytic_sop(SopQuery(cfg=cfg, scheme=scheme, scenario=Scenario.KU)).value
-            if ku < (1.0 - cfg.zeta) - slack:
+    min_margin = math.inf
+    for cfg, row in _analytic_grid(settings.grid_configs()).items():
+        for scheme, scenario in CASES:
+            bound = 1.0 - cfg.zeta if scenario is Scenario.KU else (1.0 - cfg.zeta) ** cfg.K
+            margin = row[(scheme, scenario)] - bound
+            min_margin = min(min_margin, margin)
+            if margin < -settings.floor_slack:
                 failures.append(
-                    f"ku floor breach at K={cfg.K} zeta={cfg.zeta} "
-                    f"snr={cfg.snr:.4g} {scheme.value}"
-                )
-            ka = analytic_sop(SopQuery(cfg=cfg, scheme=scheme, scenario=Scenario.KA)).value
-            if ka < (1.0 - cfg.zeta) ** cfg.K - slack:
-                failures.append(
-                    f"ka floor breach at K={cfg.K} zeta={cfg.zeta} "
-                    f"snr={cfg.snr:.4g} {scheme.value}"
+                    f"{scenario.value} floor breach at {_where(cfg)} {scheme.value}"
                 )
     mc = settings.mc_settings()
     worst_sigma = 0.0
     for K, zeta in ((2, 0.9), (5, 0.9)):
         cfg = settings.config(K, zeta, 10.0)
-        query = SopQuery(cfg=cfg, scheme=Scheme.SS, scenario=Scenario.KA)
-        estimate = simulate_sop(query, mc)
+        estimate = simulate_sop(SopQuery(cfg, Scheme.SS, Scenario.KA), mc)
         expected = (1.0 - zeta) ** K
         sigma = math.sqrt(expected * (1.0 - expected) / mc.n_samples)
         gap_sigmas = abs(estimate.empty_active_set_rate - expected) / sigma
@@ -271,58 +242,54 @@ def check_floors(settings: ValidationSettings) -> CheckResult:
                 f"inactive-set rate {estimate.empty_active_set_rate:.3e} vs "
                 f"{expected:.3e} ({gap_sigmas:.1f} sigma) at K={K} zeta={zeta}"
             )
-    detail = f"floors hold; inactive-set rate worst gap {worst_sigma:.2f} sigma"
-    if failures:
-        detail = "; ".join(failures[:4])
-    return CheckResult("floors", not failures, detail)
+    summary = (
+        f"min margin above the backhaul floors {min_margin:.2e}; "
+        f"inactive-set rate worst gap {worst_sigma:.2f} sigma"
+    )
+    return _report("floors", summary, failures)
+
+
+def _strictly_monotone(base: SystemConfig, field: str, values, rising: bool):
+    """Smallest closed-form outage step as ``field`` walks ``values``, in all four cases.
+
+    Steps are signed so that a positive one goes the expected way (up when
+    ``rising``); returns (smallest step, failures).
+    """
+    smallest = math.inf
+    failures = []
+    for scheme, scenario in CASES:
+        series = [
+            analytic_sop(SopQuery(replace(base, **{field: v}), scheme, scenario)).value
+            for v in values
+        ]
+        step = min(b - a if rising else a - b for a, b in zip(series, series[1:]))
+        smallest = min(smallest, step)
+        if not step > 0.0:
+            failures.append(
+                f"outage not strictly {'rising' if rising else 'falling'} in {field} "
+                f"for {scheme.value}/{scenario.value}: {series}"
+            )
+    return smallest, failures
 
 
 def check_multipath_effect(settings: ValidationSettings) -> CheckResult:
     """More destination paths help; more eavesdropper paths hurt."""
-    snr = db_to_linear(settings.effect_snr_db)
-    base = SystemConfig(
-        K=5, zeta=0.9, r_th=settings.rate_threshold, snr=snr,
-        M=4, N=4, a=settings.gain_d, b=settings.gain_e,
+    base = replace(settings.config(5, 0.9, settings.effect_snr_db), M=4)
+    fall, dest_failures = _strictly_monotone(base, "M", (2, 4, 6), rising=False)
+    rise, eave_failures = _strictly_monotone(base, "N", (2, 4, 6), rising=True)
+    summary = (
+        f"smallest outage drop over M (2,4,6) {fall:.2e}, smallest rise over "
+        f"N (2,4,6) {rise:.2e}, in all four cases"
     )
-    failures = []
-    for scheme, scenario in CASES:
-        dest = [
-            analytic_sop(SopQuery(cfg=replace(base, M=m), scheme=scheme, scenario=scenario)).value
-            for m in (2, 4, 6)
-        ]
-        if not (dest[0] > dest[1] > dest[2]):
-            failures.append(f"destination-path order broken for {scheme.value}/{scenario.value}: {dest}")
-        eave = [
-            analytic_sop(SopQuery(cfg=replace(base, N=n), scheme=scheme, scenario=scenario)).value
-            for n in (2, 4, 6)
-        ]
-        if not (eave[0] < eave[1] < eave[2]):
-            failures.append(f"eavesdropper-path order broken for {scheme.value}/{scenario.value}: {eave}")
-    detail = "outage falls with M (2,4,6) and rises with N (2,4,6) in all four cases"
-    if failures:
-        detail = "; ".join(failures[:4])
-    return CheckResult("multipath_effect", not failures, detail)
+    return _report("multipath_effect", summary, dest_failures + eave_failures)
 
 
 def check_gain_ratio_effect(settings: ValidationSettings) -> CheckResult:
     """Raising the destination/eavesdropper gain ratio lowers outage."""
-    snr = db_to_linear(settings.effect_snr_db)
-    base = SystemConfig(
-        K=5, zeta=0.9, r_th=settings.rate_threshold, snr=snr,
-        M=6, N=4, a=0.2, b=0.2,
-    )
-    failures = []
-    for scheme, scenario in CASES:
-        series = [
-            analytic_sop(SopQuery(cfg=replace(base, a=a), scheme=scheme, scenario=scenario)).value
-            for a in (0.2, 0.5, 1.0)
-        ]
-        if not (series[0] > series[1] > series[2]):
-            failures.append(f"gain-ratio order broken for {scheme.value}/{scenario.value}: {series}")
-    detail = "outage strictly falls as a/b goes 1, 2.5, 5"
-    if failures:
-        detail = "; ".join(failures[:4])
-    return CheckResult("gain_ratio_effect", not failures, detail)
+    base = settings.config(5, 0.9, settings.effect_snr_db)
+    fall, failures = _strictly_monotone(base, "a", (0.2, 0.5, 1.0), rising=False)
+    summary = f"smallest outage drop as a/b goes 1, 2.5, 5: {fall:.2e}, in all four cases"
+    return _report("gain_ratio_effect", summary, failures)
 
 
 def _power_table_gaps(k: int, num_parts: int, xs) -> tuple[float, float]:
@@ -372,63 +339,55 @@ def check_identities(settings: ValidationSettings) -> CheckResult:
     if worst_grouped > settings.multinomial_rel_tol:
         failures.append(f"power-series table off the composition sums by {worst_grouped:.3e}")
 
-    worst_known = 0.0
-    for K in settings.ks:
-        for snr_db in settings.snr_dbs:
-            cfg = settings.config(K, 1.0, snr_db)
-            for scheme in (Scheme.SS, Scheme.OS):
-                ku = analytic_sop(SopQuery(cfg=cfg, scheme=scheme, scenario=Scenario.KU)).value
-                ka = analytic_sop(SopQuery(cfg=cfg, scheme=scheme, scenario=Scenario.KA)).value
-                worst_known = max(worst_known, abs(ku - ka))
+    always_active = _analytic_grid(
+        settings.config(K, 1.0, snr_db) for K in settings.ks for snr_db in settings.snr_dbs
+    )
+    worst_known = max(
+        (abs(row[(s, Scenario.KU)] - row[(s, Scenario.KA)])
+         for row in always_active.values() for s in Scheme),
+        default=0.0,
+    )
     if worst_known > tol:
         failures.append(f"always-active scenarios disagree by {worst_known:.3e}")
 
-    worst_single = 0.0
-    for zeta in settings.zetas:
-        for snr_db in settings.snr_dbs:
-            cfg = settings.config(1, zeta, snr_db)
-            cases = [
-                analytic_sop(SopQuery(cfg=cfg, scheme=scheme, scenario=scenario)).value
-                for scheme, scenario in CASES
-            ]
-            spread = max(cases) - min(cases)
-            worst_single = max(worst_single, spread)
+    single = _analytic_grid(
+        settings.config(1, zeta, snr_db) for zeta in settings.zetas for snr_db in settings.snr_dbs
+    )
+    worst_single = max(
+        (max(row.values()) - min(row.values()) for row in single.values()), default=0.0
+    )
     if worst_single > tol:
         failures.append(f"single-transmitter cases spread by {worst_single:.3e}")
 
-    detail = (
+    summary = (
         f"cdf gap {worst_cdf:.1e}; power-table gaps {worst_power:.1e}/{worst_grouped:.1e}; "
         f"always-active gap {worst_known:.1e}; single-transmitter spread {worst_single:.1e}"
     )
-    if failures:
-        detail = "; ".join(failures[:4])
-    return CheckResult("identities", not failures, detail)
+    return _report("identities", summary, failures)
 
 
 def check_determinism(settings: ValidationSettings) -> CheckResult:
     """Identical seed and sample count must be bit-stable across workers."""
-    mc = McSettings(
-        n_samples=settings.determinism_samples,
-        seed=settings.seed,
-        confidence=settings.confidence,
-    )
+    mc = replace(settings.mc_settings(), n_samples=settings.determinism_samples)
+    cfg = settings.config(3, 0.95, 15.0)
     failures = []
+    distinct = []
     for scheme, scenario in ((Scheme.SS, Scenario.KU), (Scheme.OS, Scenario.KA)):
-        cfg = settings.config(3, 0.95, 15.0)
-        query = SopQuery(cfg=cfg, scheme=scheme, scenario=scenario)
-        estimates = [
-            simulate_sop(query, mc, workers=w) for w in settings.determinism_workers
-        ]
-        reprs = {repr(e.p_hat) for e in estimates}
-        reprs |= {repr(simulate_sop(query, mc, workers=1).p_hat)}
+        query = SopQuery(cfg, scheme, scenario)
+        reprs = {
+            repr(simulate_sop(query, mc, workers=w).p_hat)
+            for w in (*settings.determinism_workers, 1)
+        }
+        distinct.append(f"{len(reprs)} for {scheme.value}/{scenario.value}")
         if len(reprs) != 1:
             failures.append(
                 f"worker counts disagree for {scheme.value}/{scenario.value}: {sorted(reprs)}"
             )
-    detail = f"estimates identical across workers {settings.determinism_workers}"
-    if failures:
-        detail = "; ".join(failures[:4])
-    return CheckResult("determinism", not failures, detail)
+    summary = (
+        f"distinct estimates across workers {settings.determinism_workers} "
+        f"and a rerun: {', '.join(distinct)}"
+    )
+    return _report("determinism", summary, failures)
 
 
 CHECKS = {

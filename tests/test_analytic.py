@@ -16,18 +16,8 @@ from secrecy_outage import (
     analytic_sop,
     asymptotic_sop,
     simulate_sop,
-    sop_os_ka,
-    sop_os_ku,
-    sop_single,
-    sop_ss_ka,
-    sop_ss_ku,
 )
-from secrecy_outage.analytic import (
-    METHOD_ANALYTIC,
-    _finalize,
-    asymptotic_single,
-    case_sop,
-)
+from secrecy_outage.analytic import METHOD_ANALYTIC, _finalize, case_sop
 
 CASES = [(s, c) for s in (Scheme.SS, Scheme.OS) for c in (Scenario.KU, Scenario.KA)]
 
@@ -51,22 +41,27 @@ def _value(cfg, scheme, scenario):
     return analytic_sop(SopQuery(cfg=cfg, scheme=scheme, scenario=scenario)).value
 
 
+def _single(cfg):
+    """The ss/ku query at K=1, zeta=1: (1 - 1) + 1 x is the single-link outage x."""
+    return SopQuery(replace(cfg, K=1, zeta=1.0), Scheme.SS, Scenario.KU)
+
+
 def test_single_outage_frozen_oracle():
-    assert sop_single(_cfg(K=1)) == pytest.approx(SINGLE_AT_10DB, abs=2e-14)
+    assert analytic_sop(_single(_cfg())).value == pytest.approx(SINGLE_AT_10DB, abs=2e-14)
 
 
 def test_ss_ku_frozen_oracle():
-    value = sop_ss_ku(_cfg(zeta=0.99))
+    value = analytic_sop(SopQuery(_cfg(zeta=0.99), Scheme.SS, Scenario.KU))
     assert value.value == pytest.approx(SS_KU_K2_Z99, abs=2e-14)
     assert not value.significance_flag
 
 
 def test_ss_ka_frozen_oracle():
-    assert sop_ss_ka(_cfg()).value == pytest.approx(SS_KA_K2_Z90, abs=2e-14)
+    assert _value(_cfg(), Scheme.SS, Scenario.KA) == pytest.approx(SS_KA_K2_Z90, abs=2e-14)
 
 
 def test_asymptotic_single_frozen_oracle():
-    assert asymptotic_single(_cfg(K=1)) == pytest.approx(ASYM_SINGLE, abs=2e-14)
+    assert asymptotic_sop(_single(_cfg())).value == pytest.approx(ASYM_SINGLE, abs=2e-14)
 
 
 @pytest.mark.parametrize("scheme,scenario", CASES)
@@ -160,7 +155,7 @@ def test_single_transmitter_collapses_cases(cfg):
     values = [_value(cfg, s, c) for s, c in CASES]
     spread = max(values) - min(values)
     assert spread <= 1e-12
-    expected = (1.0 - cfg.zeta) + cfg.zeta * sop_single(cfg)
+    expected = (1.0 - cfg.zeta) + cfg.zeta * analytic_sop(_single(cfg)).value
     assert values[0] == pytest.approx(expected, abs=1e-12)
 
 
@@ -217,17 +212,6 @@ def test_asymptote_is_snr_free():
         lo = asymptotic_sop(SopQuery(cfg=_cfg(snr=1.0), scheme=scheme, scenario=scenario)).value
         hi = asymptotic_sop(SopQuery(cfg=_cfg(snr=1e6), scheme=scheme, scenario=scenario)).value
         assert lo == hi
-
-
-def test_dispatch_table_routes_to_named_forms(base_cfg):
-    pairs = [
-        (Scheme.SS, Scenario.KU, sop_ss_ku),
-        (Scheme.SS, Scenario.KA, sop_ss_ka),
-        (Scheme.OS, Scenario.KU, sop_os_ku),
-        (Scheme.OS, Scenario.KA, sop_os_ka),
-    ]
-    for scheme, scenario, func in pairs:
-        assert _value(base_cfg, scheme, scenario) == func(base_cfg).value
 
 
 def test_integrity_guard_units():

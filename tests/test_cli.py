@@ -81,6 +81,14 @@ def test_sweep_requires_range(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("stop,step", [("inf", "5"), ("10", "nan")])
+def test_sweep_non_finite_grid_is_usage_error(stop, step, capsys):
+    assert main(["sweep", *BASE_ARGS, "--snr-start", "0",
+                 "--snr-stop", stop, "--snr-step", step]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+
+
 def test_sweep_writes_contract_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = main([
@@ -175,6 +183,20 @@ def test_validate_detects_a_corrupted_formula(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL orderings" in out
+
+
+@pytest.mark.parametrize("check", [
+    "triple_agreement", "asymptotic_floors", "orderings",
+    "floors", "multipath_effect", "gain_ratio_effect",
+])
+def test_validate_fails_when_the_closed_form_reads_zero(check, monkeypatch, capsys):
+    # every check that reads the closed form must notice when it is zeroed
+    real = validation.analytic_sop
+    monkeypatch.setattr(validation, "analytic_sop", lambda query: replace(real(query), value=0.0))
+    rc = main(["validate", "--smoke", "--check", check])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert f"FAIL {check}" in out
 
 
 def test_module_entrypoint_runs():

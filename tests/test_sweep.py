@@ -72,6 +72,10 @@ def test_spec_validation():
         _spec(snr_db_stop=-1.0)
     with pytest.raises(ValueError):
         _spec(methods=())
+    for bound in ("snr_db_start", "snr_db_stop", "snr_db_step"):
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                _spec(**{bound: bad})
 
 
 def test_rows_are_lexicographically_sorted():
