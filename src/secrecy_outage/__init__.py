@@ -23,7 +23,7 @@ from .analytic import (
 from .channel import GammaSnr, SystemConfig, mixture_cdf, snr_cdf, snr_pdf
 from .montecarlo import McSettings, SopEstimate, simulate_sop
 from .numerics import CompositionCapError, enumerate_weak_compositions
-from .quadrature import QuadratureConvergenceError, adaptive_integral, quadrature_sop
+from .quadrature import QuadratureConvergenceError, adaptive_integral, quadrature_sop, quadrature_sops
 from .sweep import (
     EvalMethod,
     SweepResult,
@@ -64,6 +64,7 @@ __all__ = [
     "enumerate_weak_compositions",
     "mixture_cdf",
     "quadrature_sop",
+    "quadrature_sops",
     "run_figure",
     "run_sweep",
     "run_validation",

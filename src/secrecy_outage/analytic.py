@@ -46,6 +46,7 @@ __all__ = [
     "asymptotic_sop",
     "case_sop",
     "inner_args",
+    "reads_inner",
 ]
 
 # Round-off tolerance band for the integrity check; values further outside
@@ -134,6 +135,11 @@ def inner_args(query: SopQuery) -> tuple[int, float]:
     )
 
 
+def reads_inner(query: SopQuery) -> bool:
+    """False over dead backhaul, an outage that ``case_sop`` evaluates nothing for."""
+    return query.cfg.zeta > 0.0
+
+
 def case_sop(query: SopQuery, inner, method: str) -> SopValue:
     """The case rule: one (scheme, scenario) outage from its inner quantity.
 
@@ -152,14 +158,14 @@ def case_sop(query: SopQuery, inner, method: str) -> SopValue:
 
     Strongest-destination selection powers the CDF inside the eavesdropper
     integral; best-ratio selection powers the single-link value outside it,
-    after its integrity check.  A blind pick over dead backhaul is an outage
-    without evaluating anything.  At K = 1 and zeta = 1 every case returns
-    the single-transmitter outage x itself.
+    after its integrity check.  Dead backhaul (zeta = 0) silences every
+    link: an outage in every case, without evaluating anything.  At K = 1
+    and zeta = 1 every case returns the single-transmitter outage x itself.
     """
     cfg = query.cfg
-    blind = query.scenario is Scenario.KU
-    if blind and cfg.zeta == 0.0:
+    if not reads_inner(query):
         return _finalize(1.0, False, method)
+    blind = query.scenario is Scenario.KU
     raw, flag = inner(*inner_args(query))
     if query.scheme is Scheme.OS:
         raw = _finalize(raw, flag, method).value ** cfg.K
@@ -171,13 +177,11 @@ def case_sop(query: SopQuery, inner, method: str) -> SopValue:
 def _alternating_series(K, weight, magnitude):
     """1 + sum_{k=1..K} (-1)^k magnitude(k, ln(C(K,k) weight^k)): the K-fold product.
 
-    ``weight`` is 1 for the blind-selection series and zeta when the
+    ``weight`` is 1 for the blind-selection series and zeta > 0 when the
     backhaul mixture sits inside each factor.  ``magnitude`` returns the
     positive size of term k with the given log prefactor folded in before
     exponentiation.  Returns (raw, flag).
     """
-    if weight == 0.0:
-        return 1.0, False
     log_weight = math.log(weight)
     terms = [1.0]
     for k in range(1, K + 1):

@@ -15,18 +15,21 @@ puts the bulk of the eavesdropper mass at moderate t for any SNR.  The
 integrator is adaptive interval halving with an embedded higher-order rule
 (15-point Kronrod extension of 7-point Gauss), refined a level at a time:
 every panel above its share of the tolerance is halved, all in one
-vectorised call, until the global estimate meets tolerance.
+vectorised call, until the global estimate meets tolerance.  Many integrals
+refine as rows of one stack: each row keeps its own tolerance, budget and
+panels, leaves when it converges, and every level evaluates the panels of
+all remaining rows together, one call per group of rows sharing their
+unit-scale laws (``quadrature_sops``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .analytic import SopQuery, case_sop, inner_args
+from .analytic import SopQuery, case_sop, inner_args, reads_inner
 from .channel import GammaSnr, mixture_cdf, snr_cdf, snr_pdf
 
 __all__ = [
@@ -35,6 +38,7 @@ __all__ = [
     "adaptive_integral",
     "build_integrand",
     "quadrature_sop",
+    "quadrature_sops",
 ]
 
 # 15-point Kronrod nodes on [-1, 1] with Kronrod weights and the embedded
@@ -88,14 +92,91 @@ class QuadratureConvergenceError(RuntimeError):
         )
 
 
-def _panels(f: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod values and error estimates (200 |K - G|)^1.5 of panels [lo_i, hi_i], one f call."""
+def _panels(evaluate: Callable, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Kronrod values and error estimates (200 |K - G|)^1.5 of panels [lo_i, hi_i], one call.
+
+    ``einsum`` sums each panel's 15 products on their own, so a panel's
+    numbers do not depend on which other panels share the call (a BLAS
+    product's can, by an ulp).
+    """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    fx = f(mid[:, None] + half[:, None] * _NODES)
-    value_k = half * (fx @ _WEIGHTS_K)
-    diff = np.abs(value_k - half * (fx @ _WEIGHTS_G))
+    fx = evaluate(rows, mid[:, None] + half[:, None] * _NODES)
+    value_k = half * np.einsum("ij,j->i", fx, _WEIGHTS_K)
+    diff = np.abs(value_k - half * np.einsum("ij,j->i", fx, _WEIGHTS_G))
     return value_k, np.where(diff > 0.0, (200.0 * diff) ** 1.5, 0.0)
+
+
+def _stacked_integrals(
+    evaluate: Callable,
+    n_rows: int,
+    lo: float,
+    hi: float,
+    abs_tol: float = 1e-10,
+    rel_tol: float = 1e-10,
+    initial_subdivisions: int = 8,
+    max_panels: int = 4096,
+) -> list:
+    """Adaptive integrals of ``n_rows`` integrands over [lo, hi], refined level by level together.
+
+    ``evaluate(rows, x)`` returns the integrand values at the (P, 15) node
+    array ``x``, whose panel i belongs to row ``rows[i]``; it is called once
+    per level for every row still refining.  Each row follows
+    ``adaptive_integral``'s rule with its own tolerance and budget, keeps its
+    panels in the same order, and leaves when it converges or runs out of
+    budget, so its value and panel count are those of its one-row call.
+    Returns one float or one ``QuadratureConvergenceError`` per row.
+    """
+    if initial_subdivisions < 1:
+        raise ValueError("initial_subdivisions must be >= 1")
+    edges = np.linspace(lo, hi, initial_subdivisions + 1)
+    # the rows still refining, ascending; each row's panels are contiguous
+    ids = np.arange(n_rows)
+    sizes = np.full(n_rows, initial_subdivisions)
+    evaluated = sizes.copy()
+    p_lo, p_hi = np.tile(edges[:-1], n_rows), np.tile(edges[1:], n_rows)
+    values, errs = _panels(evaluate, np.repeat(ids, sizes), p_lo, p_hi)
+    results: list = [None] * n_rows
+    while True:
+        starts = np.cumsum(sizes) - sizes
+        totals = np.add.reduceat(values, starts)
+        total_errs = np.add.reduceat(errs, starts)
+        tols = np.fmax(abs_tol, rel_tol * np.abs(totals))
+        rooms = (max_panels - evaluated) // 2
+        done = total_errs <= tols
+        for i in np.flatnonzero(done | (rooms < 1)):
+            total = float(totals[i])
+            results[ids[i]] = total if done[i] else QuadratureConvergenceError(
+                total, float(total_errs[i]), float(tols[i])
+            )
+        refine = ~done & (rooms >= 1)
+        if not refine.any():
+            return results
+        seg = np.repeat(np.arange(ids.size), sizes)
+        split = refine[seg] & (errs > tols[seg] * (p_hi - p_lo) / (hi - lo))
+        counts = np.bincount(seg[split], minlength=ids.size)
+        for i in np.flatnonzero(refine & ((counts > rooms) | (counts == 0))):
+            own = slice(starts[i], starts[i] + sizes[i])
+            own_split, own_errs = split[own], errs[own]
+            if counts[i]:  # the budget fits the `room` worst of them
+                own_split[np.argsort(np.where(own_split, own_errs, -1.0))[: -rooms[i]]] = False
+            else:
+                own_split[np.argmax(own_errs)] = True
+        counts = np.bincount(seg[split], minlength=ids.size)
+        keep = refine[seg] & ~split
+        mid = 0.5 * (p_lo[split] + p_hi[split])
+        c_seg = np.concatenate((seg[split], seg[split]))
+        c_lo, c_hi = np.concatenate((p_lo[split], mid)), np.concatenate((mid, p_hi[split]))
+        c_val, c_err = _panels(evaluate, ids[c_seg], c_lo, c_hi)
+        # each row's kept panels, then its left halves, then its right halves
+        order = np.argsort(
+            np.concatenate((3 * seg[keep], 3 * seg[split] + 1, 3 * seg[split] + 2)), kind="stable"
+        )
+        p_lo, p_hi, values, errs = (
+            np.concatenate((old[keep], new))[order]
+            for old, new in ((p_lo, c_lo), (p_hi, c_hi), (values, c_val), (errs, c_err))
+        )
+        ids, sizes, evaluated = ids[refine], (sizes + counts)[refine], (evaluated + 2 * counts)[refine]
 
 
 def adaptive_integral(
@@ -116,84 +197,106 @@ def adaptive_integral(
     ``rel_tol * |integral|``.  Refinement never takes the evaluated panels,
     the first level's included, past ``max_panels``; if that budget is spent
     first, ``QuadratureConvergenceError`` carries the achieved estimate.
+    This is the one-row case of the row-stacked integrator.
     """
-    if initial_subdivisions < 1:
-        raise ValueError("initial_subdivisions must be >= 1")
-    edges = np.linspace(lo, hi, initial_subdivisions + 1)
-    p_lo, p_hi = edges[:-1], edges[1:]
-    values, errs = _panels(f, p_lo, p_hi)
-    evaluated = initial_subdivisions
-    while True:
-        total = float(values.sum())
-        total_err = float(errs.sum())
-        tol = max(abs_tol, rel_tol * abs(total))
-        if total_err <= tol:
-            return total
-        room = (max_panels - evaluated) // 2
-        if room < 1:
-            raise QuadratureConvergenceError(total, total_err, tol)
-        split = errs > tol * (p_hi - p_lo) / (hi - lo)
-        if np.count_nonzero(split) > room:  # the budget fits the `room` worst of them
-            split[np.argsort(np.where(split, errs, -1.0))[:-room]] = False
-        elif not split.any():
-            split[np.argmax(errs)] = True
-        mid = 0.5 * (p_lo[split] + p_hi[split])
-        c_lo, c_hi = np.concatenate((p_lo[split], mid)), np.concatenate((mid, p_hi[split]))
-        c_val, c_err = _panels(f, c_lo, c_hi)
-        keep = ~split
-        p_lo, p_hi = np.concatenate((p_lo[keep], c_lo)), np.concatenate((p_hi[keep], c_hi))
-        values, errs = np.concatenate((values[keep], c_val)), np.concatenate((errs[keep], c_err))
-        evaluated += c_lo.size
+    (result,) = _stacked_integrals(
+        lambda rows, x: f(x), 1, lo, hi, abs_tol, rel_tol, initial_subdivisions, max_panels
+    )
+    if isinstance(result, QuadratureConvergenceError):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)
 class Integrand:
-    """The two distribution callables and threshold defining one outage integral."""
+    """The unit-scale laws of one (M, N, L, w) group of outage integrals.
+
+    ``destination_cdf(u) = ((1 - w) + w P(M, u))^L`` at destination SNR
+    u * a_d, and ``eavesdropper_pdf`` is the Gamma(N) density at scale 1.
+    """
 
     destination_cdf: Callable
     eavesdropper_pdf: Callable
-    rho: float
 
 
 def build_integrand(query: SopQuery) -> Integrand:
-    """Assemble the integrand of one case's inner quantity from raw distribution functions.
+    """Assemble the unit-scale laws of one case's inner quantity from raw distribution functions.
 
     The destination CDF is the backhaul mixture at weight w raised to the L,
     with (L, w) from ``inner_args``; w = 1 is the bare Gamma CDF and L = 1
-    needs no power.
+    needs no power.  Every query with the same (M, N, L, w) gets the same laws.
     """
     cfg = query.cfg
-    dest = GammaSnr(cfg.M, cfg.a_d)
-    eave = GammaSnr(cfg.N, cfg.a_e)
+    dest = GammaSnr(cfg.M, 1.0)
+    eave = GammaSnr(cfg.N, 1.0)
     power, weight = inner_args(query)
 
     if weight == 1.0:
-        single_cdf = lambda x: snr_cdf(dest, x)
+        single_cdf = lambda u: snr_cdf(dest, u)
     else:
-        single_cdf = lambda x: mixture_cdf(dest, weight, x)
+        single_cdf = lambda u: mixture_cdf(dest, weight, u)
     if power == 1:
         destination_cdf = single_cdf
     else:
-        destination_cdf = lambda x: single_cdf(x) ** power
+        destination_cdf = lambda u: single_cdf(u) ** power
 
-    return Integrand(
-        destination_cdf=destination_cdf,
-        eavesdropper_pdf=lambda y: snr_pdf(eave, y),
-        rho=cfg.rho,
+    return Integrand(destination_cdf=destination_cdf, eavesdropper_pdf=lambda v: snr_pdf(eave, v))
+
+
+def _boundary_expectations(keys: list, **quad_kwargs) -> list[float]:
+    """E_y[destination_cdf(lambda(y) / a_d)] of every (query, L, w) key, as one row-stacked integral.
+
+    Row r substitutes y = a_e t / (1 - t) with its own a_e, and reads the
+    boundary lambda(y) = (1 + y) rho - 1 with its own rho and a_d.  The rows
+    of an (M, N, L, w) group share one ``build_integrand``, looked up at call
+    time, and each level calls each group's laws once on all of its panels.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for r, (query, power, weight) in enumerate(keys):
+        groups.setdefault((query.cfg.M, query.cfg.N, power, weight), []).append(r)
+    integrands = [build_integrand(keys[members[0]][0]) for members in groups.values()]
+    group_of = np.empty(len(keys), dtype=np.intp)
+    for g, members in enumerate(groups.values()):
+        group_of[members] = g
+    rho, a_d, a_e = (
+        np.array([getattr(query.cfg, name) for query, _, _ in keys]) for name in ("rho", "a_d", "a_e")
     )
 
+    def evaluate(rows, t):
+        fx = np.empty_like(t)
+        panel_group = group_of[rows]
+        for g, integrand in enumerate(integrands):
+            at = np.flatnonzero(panel_group == g)
+            if at.size:
+                r, t_g = rows[at, None], t[at]
+                odds = t_g / (1.0 - t_g)  # y / a_e
+                u = ((1.0 + a_e[r] * odds) * rho[r] - 1.0) / a_d[r]
+                density = integrand.eavesdropper_pdf(odds) / (1.0 - t_g) ** 2
+                fx[at] = integrand.destination_cdf(u) * density
+        return fx
 
-def _boundary_expectation(integrand: Integrand, scale_e: float, **quad_kwargs) -> float:
-    """Integral of destination_cdf(lambda(y)) * eavesdropper_pdf(y) over y >= 0."""
-    rho = integrand.rho
+    results = _stacked_integrals(evaluate, len(keys), 0.0, 1.0, **quad_kwargs)
+    for result in results:
+        if isinstance(result, QuadratureConvergenceError):
+            raise result
+    return results
 
-    def transformed(t):
-        y = scale_e * t / (1.0 - t)
-        boundary = (1.0 + y) * rho - 1.0
-        jacobian = scale_e / (1.0 - t) ** 2
-        return integrand.destination_cdf(boundary) * integrand.eavesdropper_pdf(y) * jacobian
 
-    return adaptive_integral(transformed, 0.0, 1.0, **quad_kwargs)
+def quadrature_sops(queries, **quad_kwargs) -> list[float]:
+    """Outage probabilities of many queries by one row-stacked quadrature.
+
+    Each inner quantity a query's case reads is one row, keyed by
+    (query, L, w); a query over dead backhaul reads none.  All rows
+    refine together, and every value equals that query's ``quadrature_sop``.
+    """
+    queries = list(queries)
+    keys = list(dict.fromkeys((query, *inner_args(query)) for query in queries if reads_inner(query)))
+    inner = dict(zip(keys, _boundary_expectations(keys, **quad_kwargs)))
+    return [
+        case_sop(query, lambda power, weight, query=query: (inner[query, power, weight], False),
+                 "quadrature").value
+        for query in queries
+    ]
 
 
 def quadrature_sop(query: SopQuery, **quad_kwargs) -> float:
@@ -203,9 +306,4 @@ def quadrature_sop(query: SopQuery, **quad_kwargs) -> float:
     outside [0, 1] by more than ``INTEGRITY_BAND``, raises
     ``NumericalIntegrityError``; otherwise it is clamped to [0, 1].
     """
-
-    def inner(power, weight):
-        # build_integrand reads the same (L, w) off the query
-        return _boundary_expectation(build_integrand(query), query.cfg.a_e, **quad_kwargs), False
-
-    return case_sop(query, inner, "quadrature").value
+    return quadrature_sops([query], **quad_kwargs)[0]

@@ -20,7 +20,7 @@ from pathlib import Path
 from .analytic import SopQuery, Scenario, Scheme, analytic_sop, asymptotic_sop
 from .channel import SystemConfig
 from .montecarlo import McSettings, simulate_sop
-from .quadrature import quadrature_sop
+from .quadrature import quadrature_sop, quadrature_sops
 
 __all__ = [
     "CSV_HEADER",
@@ -98,6 +98,9 @@ class SweepSpec:
             raise ValueError(f"snr_db_step must be > 0, got {self.snr_db_step!r}")
         if self.snr_db_stop < self.snr_db_start:
             raise ValueError("snr_db_stop must be >= snr_db_start")
+        db_to_linear(self.snr_db_stop)  # raises ValueError past the largest linear ratio
+        if db_to_linear(self.snr_db_start) == 0.0:
+            raise ValueError(f"snr_db_start {self.snr_db_start!r} dB is 0 on the linear scale")
         if not self.schemes or not self.scenarios or not self.methods:
             raise ValueError("schemes, scenarios and methods must each be non-empty")
 
@@ -139,17 +142,24 @@ class SweepResult:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    rows = []
+    """Evaluate every grid cell; all quadrature cells share one row-stacked integral."""
+    cells = []
     for snr_db in snr_grid(spec):
         cfg = replace(spec.base, snr=db_to_linear(snr_db))
-        for scheme in spec.schemes:
-            for scenario in spec.scenarios:
-                for method in spec.methods:
-                    sop, ci, flags = evaluate_cell(cfg, scheme, scenario, method, spec.mc)
-                    rows.append(
-                        SweepRow(snr_db, Scheme(scheme), Scenario(scenario),
-                                 EvalMethod(method), sop, ci, flags)
-                    )
+        cells += [
+            (snr_db, SopQuery(cfg, scheme, scenario), EvalMethod(method))
+            for scheme in spec.schemes
+            for scenario in spec.scenarios
+            for method in spec.methods
+        ]
+    quad_values = iter(quadrature_sops(q for _, q, m in cells if m is EvalMethod.QUADRATURE))
+    rows = []
+    for snr_db, query, method in cells:
+        if method is EvalMethod.QUADRATURE:
+            sop, ci, flags = next(quad_values), None, ""
+        else:
+            sop, ci, flags = evaluate_cell(query.cfg, query.scheme, query.scenario, method, spec.mc)
+        rows.append(SweepRow(snr_db, query.scheme, query.scenario, method, sop, ci, flags))
     rows.sort(key=lambda r: (r.snr_db, r.scheme.value, r.scenario.value, r.method.value))
     used_mc = any(r.method is EvalMethod.MC for r in rows)
     return SweepResult(rows=rows, mc=spec.mc if used_mc else None)

@@ -1,4 +1,4 @@
-"""Reference values computed through an independent route.
+"""Reference values computed through an independent route, and the one-integral loop.
 
 The helper here evaluates the defining outage integral with scipy's QUADPACK
 integrator and scipy.stats distribution objects.  It shares no code with the
@@ -6,10 +6,13 @@ library's series expansion or its hand-rolled Gauss-Kronrod rule, so
 agreement between the two is evidence, not tautology.  The frozen constants
 sprinkled through the test modules were produced by this helper and
 spot-checked at 50-digit precision with mpmath before being committed.
+``adaptive_integral_loop`` is the plain one-integral refinement loop that the
+row-stacked integrator generalises; tests compare the two call by call.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from scipy import integrate, stats
 
 from secrecy_outage import Scenario, Scheme, SystemConfig
@@ -57,3 +60,48 @@ def sop_quadpack(cfg: SystemConfig, scheme: Scheme, scenario: Scenario) -> float
     if scenario is Scenario.KU:
         return (1.0 - zeta) + zeta * value**cfg.K
     return value**cfg.K
+
+
+def adaptive_integral_loop(f, lo, hi, abs_tol=1e-10, rel_tol=1e-10, initial_subdivisions=8, max_panels=4096):
+    """One integral refined level by level: the rule each row of the stacked integrator follows.
+
+    Every panel whose error estimate exceeds its width's share of the
+    tolerance is halved, or the worst panel if none does; a level that would
+    take the evaluated panels past ``max_panels`` halves only the worst that
+    fit, and an exhausted budget raises ``QuadratureConvergenceError``.
+    """
+    from secrecy_outage.quadrature import (
+        _NODES, _WEIGHTS_G, _WEIGHTS_K, QuadratureConvergenceError,
+    )
+
+    def panels(p_lo, p_hi):
+        mid, half = 0.5 * (p_lo + p_hi), 0.5 * (p_hi - p_lo)
+        fx = f(mid[:, None] + half[:, None] * _NODES)
+        value_k = half * (fx @ _WEIGHTS_K)
+        diff = np.abs(value_k - half * (fx @ _WEIGHTS_G))
+        return value_k, np.where(diff > 0.0, (200.0 * diff) ** 1.5, 0.0)
+
+    edges = np.linspace(lo, hi, initial_subdivisions + 1)
+    p_lo, p_hi = edges[:-1], edges[1:]
+    values, errs = panels(p_lo, p_hi)
+    evaluated = initial_subdivisions
+    while True:
+        total, total_err = float(values.sum()), float(errs.sum())
+        tol = max(abs_tol, rel_tol * abs(total))
+        if total_err <= tol:
+            return total
+        room = (max_panels - evaluated) // 2
+        if room < 1:
+            raise QuadratureConvergenceError(total, total_err, tol)
+        split = errs > tol * (p_hi - p_lo) / (hi - lo)
+        if np.count_nonzero(split) > room:
+            split[np.argsort(np.where(split, errs, -1.0))[:-room]] = False
+        elif not split.any():
+            split[np.argmax(errs)] = True
+        mid = 0.5 * (p_lo[split] + p_hi[split])
+        c_lo, c_hi = np.concatenate((p_lo[split], mid)), np.concatenate((mid, p_hi[split]))
+        c_val, c_err = panels(c_lo, c_hi)
+        keep = ~split
+        p_lo, p_hi = np.concatenate((p_lo[keep], c_lo)), np.concatenate((p_hi[keep], c_hi))
+        values, errs = np.concatenate((values[keep], c_val)), np.concatenate((errs[keep], c_err))
+        evaluated += c_lo.size

@@ -89,6 +89,14 @@ def test_sweep_non_finite_grid_is_usage_error(stop, step, capsys):
     assert err.startswith("error:") and "finite" in err
 
 
+def test_sweep_huge_grid_is_usage_error(capsys):
+    # the stop has no linear ratio, so the spec fails before building 1e10 points
+    assert main(["sweep", *BASE_ARGS, "--snr-start", "0", "--snr-stop", "1e10",
+                 "--snr-step", "1", "--method", "asymptotic"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "too large" in err
+
+
 def test_sweep_writes_contract_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = main([

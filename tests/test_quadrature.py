@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from oracles import sop_quadpack
+from oracles import adaptive_integral_loop, sop_quadpack
 from secrecy_outage import (
     NumericalIntegrityError,
     QuadratureConvergenceError,
@@ -19,7 +19,9 @@ from secrecy_outage import (
     quadrature_sop,
 )
 from secrecy_outage import quadrature
-from secrecy_outage.quadrature import _NODES, _WEIGHTS_G, _WEIGHTS_K
+from secrecy_outage.analytic import inner_args
+from secrecy_outage.quadrature import _NODES, _WEIGHTS_G, _WEIGHTS_K, quadrature_sops
+from secrecy_outage.sweep import EvalMethod, SweepSpec, db_to_linear, run_sweep, snr_grid
 
 CASES = [(s, c) for s in (Scheme.SS, Scheme.OS) for c in (Scenario.KU, Scenario.KA)]
 
@@ -109,6 +111,32 @@ def test_adaptive_integral_matches_quadpack(f, points, kwargs, tol):
     assert adaptive_integral(f, 0.0, 1.0, **kwargs) == pytest.approx(reference, **tol)
 
 
+@pytest.mark.parametrize(
+    "f,kwargs",
+    [
+        (np.sin, {}),
+        (np.sqrt, {}),
+        (lambda x: np.abs(x - 0.3), {}),
+        (_spike, dict(abs_tol=1e-14, rel_tol=1e-12)),
+        (_needle, dict(abs_tol=1e-300, rel_tol=1e-15, max_panels=100)),
+    ],
+    ids=["sin", "sqrt", "kink", "spike", "needle-budget"],
+)
+def test_stacked_rule_matches_the_one_integral_loop(f, kwargs):
+    # the same node arrays, call by call, and the same value up to summation order
+    results = []
+    for integrate_ in (adaptive_integral_loop, adaptive_integral):
+        counting = CountingIntegrand(f)
+        try:
+            value, raised = integrate_(counting, 0.0, 1.0, **kwargs), False
+        except QuadratureConvergenceError as exc:
+            value, raised = exc.value, True
+        results.append((counting.shapes, raised, value))
+    (loop_shapes, loop_raised, loop_value), (shapes, raised, value) = results
+    assert (shapes, raised) == (loop_shapes, loop_raised)
+    assert value == pytest.approx(loop_value, rel=64 * np.finfo(float).eps)
+
+
 def test_adaptive_integral_zero_width():
     assert adaptive_integral(lambda x: np.ones_like(x), 0.5, 0.5) == 0.0
 
@@ -173,32 +201,142 @@ def test_dead_backhaul_shortcuts():
         assert quadrature_sop(SopQuery(cfg=cfg, scheme=scheme, scenario=scenario)) == 1.0
 
 
-def test_quadrature_reads_build_integrand_at_call_time(monkeypatch, base_cfg):
-    # a replacement installed on the module after import must be the one used
-    query = SopQuery(cfg=base_cfg, scheme=Scheme.SS, scenario=Scenario.KA)
-    expected = quadrature_sop(query)
+def _counting_build_integrand(monkeypatch) -> dict:
+    """Install a build_integrand whose destination CDF counts its calls.
+
+    Returns the map from each built (M, N, L, w) group to one ``CountingIntegrand``
+    that counts every call of that group's law, however many times it is built.
+    """
     build = quadrature.build_integrand
-    calls = []
+    counters = {}
 
     def counting_build_integrand(q):
         integrand = build(q)
-
-        def destination_cdf(x):
-            calls.append(x.shape)
-            return integrand.destination_cdf(x)
-
-        return replace(integrand, destination_cdf=destination_cdf)
+        group = (q.cfg.M, q.cfg.N, *inner_args(q))
+        counter = counters.setdefault(group, CountingIntegrand(integrand.destination_cdf))
+        return replace(integrand, destination_cdf=counter)
 
     monkeypatch.setattr(quadrature, "build_integrand", counting_build_integrand)
+    return counters
+
+
+def _figure_like_spec(**overrides) -> SweepSpec:
+    kwargs = dict(
+        base=SystemConfig(K=5, zeta=0.9, r_th=1.0, snr=1.0, M=6, N=4, a=0.5, b=0.2),
+        snr_db_start=-10.0,
+        snr_db_stop=40.0,
+        snr_db_step=2.0,
+        schemes=(Scheme.SS, Scheme.OS),
+        scenarios=(Scenario.KU, Scenario.KA),
+        methods=(EvalMethod.QUADRATURE,),
+    )
+    return SweepSpec(**(kwargs | overrides))
+
+
+def test_quadrature_reads_build_integrand_at_call_time(monkeypatch, base_cfg):
+    # a replacement installed on the module after import must be the one used,
+    # by a single query and by a sweep's row-stacked quadrature
+    query = SopQuery(cfg=base_cfg, scheme=Scheme.SS, scenario=Scenario.KA)
+    expected = quadrature_sop(query)
+    spec = _figure_like_spec(snr_db_stop=10.0)
+    expected_rows = run_sweep(spec).rows
+    counters = _counting_build_integrand(monkeypatch)
     assert quadrature_sop(query) == expected
-    assert len(calls) > 0
+    assert len(counters) == 1 and next(iter(counters.values())).shapes
+    counters.clear()
+    assert run_sweep(spec).rows == expected_rows
+    assert len(counters) == 4 and all(counter.shapes for counter in counters.values())
+
+
+def _mixed_queries() -> list[SopQuery]:
+    # no two configurations share an (M, N, L, w) group except the last two,
+    # which share theirs at different SNR and threshold
+    configs = [
+        SystemConfig(K=1, zeta=1.0, r_th=0.0, snr=0.1, M=1, N=1, a=0.5, b=0.2),
+        SystemConfig(K=2, zeta=0.9, r_th=1.0, snr=10.0, M=6, N=4, a=0.5, b=0.2),
+        SystemConfig(K=5, zeta=0.99, r_th=2.0, snr=1e3, M=3, N=6, a=1.0, b=0.2),
+        SystemConfig(K=3, zeta=0.5, r_th=0.5, snr=1e20, M=4, N=2, a=0.2, b=0.5),
+        SystemConfig(K=4, zeta=0.7, r_th=1.0, snr=1e20, M=2, N=3, a=0.5, b=0.2),
+        SystemConfig(K=4, zeta=0.7, r_th=3.0, snr=1.0, M=2, N=3, a=0.5, b=0.2),
+    ]
+    return [SopQuery(cfg, scheme, scenario) for cfg in configs for scheme, scenario in CASES]
+
+
+def test_batch_matches_each_query_and_its_panels(monkeypatch):
+    queries = _mixed_queries()
+    counters = _counting_build_integrand(monkeypatch)
+    expected, panels = [], {}
+    for query in queries:
+        counters.clear()
+        expected.append(quadrature_sop(query))
+        ((group, counter),) = counters.items()
+        panels[group] = panels.get(group, 0) + counter.panels
+    counters.clear()
+    values = quadrature_sops(queries)
+    assert values == pytest.approx(expected, abs=1e-14, rel=0.0)
+    assert all(type(value) is float for value in values)
+    # a group's calls carry exactly the panels of its rows' one-row calls
+    assert {group: counter.panels for group, counter in counters.items()} == panels
+
+
+def test_needle_row_fails_alone():
+    # the needle exhausts its budget; the other rows keep their one-row panels and values
+    fs = [_spike, _needle, np.sin, lambda x: x**2]
+    kwargs = dict(abs_tol=1e-14, rel_tol=1e-12, max_panels=64)
+    alone = []
+    for f in fs:
+        counting = CountingIntegrand(f)
+        try:
+            value = adaptive_integral(counting, 0.0, 1.0, **kwargs)
+        except QuadratureConvergenceError as exc:
+            value = exc
+        alone.append((value, counting.panels))
+    assert isinstance(alone[1][0], QuadratureConvergenceError)
+    stacked = [CountingIntegrand(f) for f in fs]
+
+    def evaluate(rows, x):
+        out = np.empty_like(x)
+        for r, f in enumerate(stacked):
+            if np.any(rows == r):
+                out[rows == r] = f(x[rows == r])
+        return out
+
+    results = quadrature._stacked_integrals(evaluate, len(fs), 0.0, 1.0, **kwargs)
+    assert isinstance(results[1], QuadratureConvergenceError)
+    assert results[1].value == alone[1][0].value
+    for r in (0, 2, 3):
+        assert results[r] == alone[r][0]
+    assert [f.panels for f in stacked] == [panels for _, panels in alone]
+    # a batch with a row that cannot converge raises
+    with pytest.raises(QuadratureConvergenceError):
+        quadrature_sops(_mixed_queries()[:4], max_panels=8)
+
+
+def test_sweep_calls_each_group_once_per_level(monkeypatch):
+    spec = _figure_like_spec()
+    counters = _counting_build_integrand(monkeypatch)
+    levels = {}  # per group, the levels of each query's one-row call
+    for snr_db in snr_grid(spec):
+        cfg = replace(spec.base, snr=db_to_linear(snr_db))
+        for scheme, scenario in CASES:
+            counters.clear()
+            quadrature_sop(SopQuery(cfg, scheme, scenario))
+            ((group, counter),) = counters.items()
+            levels.setdefault(group, []).append(len(counter.shapes))
+    counters.clear()
+    run_sweep(spec)
+    calls = {group: len(counter.shapes) for group, counter in counters.items()}
+    assert calls == {group: max(counts) for group, counts in levels.items()}
+    assert 10 * sum(calls.values()) < sum(map(sum, levels.values()))
 
 
 @pytest.mark.parametrize("bad", [math.nan, 1.5])
 def test_integrity_check_rejects_bad_integral(monkeypatch, bad):
     # every case assembles its value from the boundary expectation, so a NaN
     # or a value far outside [0, 1] must raise instead of being clamped
-    monkeypatch.setattr(quadrature, "_boundary_expectation", lambda *args, **kwargs: bad)
+    monkeypatch.setattr(
+        quadrature, "_boundary_expectations", lambda keys, **kwargs: [bad] * len(keys)
+    )
     cfg = SystemConfig(K=2, zeta=1.0, r_th=1.0, snr=10.0, M=2, N=2, a=0.5, b=0.5)
     for scheme, scenario in CASES:
         with pytest.raises(NumericalIntegrityError):

@@ -76,6 +76,12 @@ def test_spec_validation():
         for bad in (float("inf"), float("-inf"), float("nan")):
             with pytest.raises(ValueError, match="finite"):
                 _spec(**{bound: bad})
+    # a stop past the largest linear ratio, and a start that is 0 on the
+    # linear scale, are rejected before any grid is built
+    with pytest.raises(ValueError, match="too large"):
+        _spec(snr_db_stop=1e10, snr_db_step=1.0)
+    with pytest.raises(ValueError, match="linear scale"):
+        _spec(snr_db_start=-4000.0)
 
 
 def test_rows_are_lexicographically_sorted():
