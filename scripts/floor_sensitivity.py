@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from secrecy_outage import Scenario, Scheme, SopQuery, SystemConfig, asymptotic_sop
+from secrecy_outage import REFERENCE_CONFIG, Scenario, Scheme, SopQuery, SystemConfig, asymptotic_sop
 
 
 def main() -> int:
@@ -26,11 +26,12 @@ def main() -> int:
                         help="transmitter counts; repeatable (default 1 2 3 5)")
     parser.add_argument("--zeta", type=float, action="append",
                         help="reliabilities; repeatable (default 0.9 0.99)")
-    parser.add_argument("--rth", type=float, default=1.0)
-    parser.add_argument("--M", type=int, default=6)
-    parser.add_argument("--N", type=int, default=4)
-    parser.add_argument("--a", type=float, default=0.5)
-    parser.add_argument("--b", type=float, default=0.2)
+    ref = REFERENCE_CONFIG
+    parser.add_argument("--rth", type=float, default=ref.r_th)
+    parser.add_argument("--M", type=int, default=ref.M)
+    parser.add_argument("--N", type=int, default=ref.N)
+    parser.add_argument("--a", type=float, default=ref.a)
+    parser.add_argument("--b", type=float, default=ref.b)
     args = parser.parse_args()
 
     ks = args.K or [1, 2, 3, 5]

@@ -20,7 +20,7 @@ from .analytic import (
     analytic_sop,
     asymptotic_sop,
 )
-from .channel import GammaSnr, SystemConfig, mixture_cdf, snr_cdf, snr_pdf
+from .channel import REFERENCE_CONFIG, GammaSnr, SystemConfig, mixture_cdf, snr_cdf, snr_pdf
 from .montecarlo import McSettings, SopEstimate, simulate_sop
 from .numerics import CompositionCapError, enumerate_weak_compositions
 from .quadrature import QuadratureConvergenceError, adaptive_integral, quadrature_sop, quadrature_sops
@@ -47,6 +47,7 @@ __all__ = [
     "McSettings",
     "NumericalIntegrityError",
     "QuadratureConvergenceError",
+    "REFERENCE_CONFIG",
     "Scenario",
     "Scheme",
     "SopEstimate",

@@ -16,8 +16,8 @@ exact series and its high-SNR floor, each behind one public entry
 composes the four (scheme, scenario) cases from either kernel, or from
 quadrature's integral.
 Every per-term product is assembled in log space and exponentiated once; only the top-level
-alternating sum over the binomial index runs in linear space, with Neumaier
-compensation and a loss-of-significance guard.  Results outside [0, 1] by more than a 1e-9
+alternating sum over the binomial index runs in linear space, exactly rounded
+(``math.fsum``) and behind a loss-of-significance guard.  Results outside [0, 1] by more than a 1e-9
 round-off band raise ``NumericalIntegrityError`` rather than being clamped,
 so formula bugs cannot hide behind clamping.
 """
@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .channel import SystemConfig
-from .numerics import compensated_sum, log_power_coefficients, significance_lost
+from .numerics import log_power_coefficients, significance_lost
 
 __all__ = [
     "CASES",
@@ -187,8 +187,8 @@ def _alternating_series(K, weight, magnitude):
     for k in range(1, K + 1):
         term = magnitude(k, math.log(math.comb(K, k)) + k * log_weight)
         terms.append(-term if k % 2 else term)
-    total, largest = compensated_sum(terms)
-    return total, significance_lost(total, largest)
+    total = math.fsum(terms)
+    return total, significance_lost(total, max(abs(t) for t in terms))
 
 
 def _log_boundary_kernel(size: int, rho: float) -> np.ndarray:

@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .numerics import regularized_lower_gamma
+from scipy import special as _special
 
 __all__ = [
     "GammaSnr",
+    "REFERENCE_CONFIG",
     "SystemConfig",
     "make_rng",
     "mixture_cdf",
@@ -31,9 +31,9 @@ __all__ = [
 ]
 
 
-def _is_count(value) -> bool:
-    """A positive Python int; ``bool`` is an int subclass but never a count."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def _is_int(value) -> bool:
+    """A Python or numpy integer; ``bool`` is an int subclass but never a count or seed."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,8 @@ class SystemConfig:
     ``snr`` is the linear transmit-power to noise-power ratio; decibel
     conversion belongs to front ends.  The secrecy threshold ``r_th`` is in
     bits per channel use.  ``rho``, ``a_d`` and ``a_e`` are recomputed on
-    access so they can never go stale.
+    access so they can never go stale.  The counts K, M and N may be Python
+    or numpy integers; they are stored as ``int``.
     """
 
     K: int
@@ -56,8 +57,11 @@ class SystemConfig:
     b: float
 
     def __post_init__(self):
-        if not _is_count(self.K):
-            raise ValueError(f"K must be a positive integer, got {self.K!r}")
+        for name in ("K", "M", "N"):
+            count = getattr(self, name)
+            if not (_is_int(count) and count >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {count!r}")
+            object.__setattr__(self, name, int(count))
         if not 0.0 <= self.zeta <= 1.0:
             raise ValueError(f"zeta must lie in [0, 1], got {self.zeta!r}")
         if not (math.isfinite(self.r_th) and self.r_th >= 0.0):
@@ -68,10 +72,6 @@ class SystemConfig:
             raise ValueError(f"r_th too large: 2**r_th overflows, got {self.r_th!r}") from None
         if not (math.isfinite(self.snr) and self.snr > 0.0):
             raise ValueError(f"snr must be finite and > 0 on the linear scale, got {self.snr!r}")
-        if not _is_count(self.M):
-            raise ValueError(f"M must be a positive integer, got {self.M!r}")
-        if not _is_count(self.N):
-            raise ValueError(f"N must be a positive integer, got {self.N!r}")
         if not all(math.isfinite(g) and g > 0.0 for g in (self.a, self.b)):
             raise ValueError(
                 f"path gain factors a, b must be finite and > 0, got a={self.a!r} b={self.b!r}"
@@ -93,6 +93,11 @@ class SystemConfig:
         return self.b * self.snr
 
 
+# The reference operating point of the figure presets, the CLI defaults and
+# the validation grid; each of them sets its own snr (and K, zeta where varied).
+REFERENCE_CONFIG = SystemConfig(K=2, zeta=0.99, r_th=1.0, snr=1.0, M=6, N=4, a=0.5, b=0.2)
+
+
 @dataclass(frozen=True)
 class GammaSnr:
     """Received-SNR law: Gamma with integer shape (path count) and linear scale."""
@@ -101,14 +106,11 @@ class GammaSnr:
     scale: float
 
     def __post_init__(self):
-        if not _is_count(self.shape):
+        if not (_is_int(self.shape) and self.shape >= 1):
             raise ValueError(f"shape must be a positive integer, got {self.shape!r}")
+        object.__setattr__(self, "shape", int(self.shape))
         if not (math.isfinite(self.scale) and self.scale > 0.0):
             raise ValueError(f"scale must be finite and > 0, got {self.scale!r}")
-
-    @property
-    def mean(self) -> float:
-        return self.shape * self.scale
 
 
 def snr_pdf(dist: GammaSnr, x):
@@ -126,11 +128,11 @@ def snr_pdf(dist: GammaSnr, x):
 
 
 def snr_cdf(dist: GammaSnr, x):
-    """CDF of the Gamma SNR law via the regularized lower incomplete gamma."""
+    """CDF of the Gamma SNR law: the regularized lower incomplete gamma P(shape, x / scale)."""
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0):
         raise ValueError("snr_cdf requires x >= 0")
-    out = regularized_lower_gamma(dist.shape, x_arr / dist.scale)
+    out = _special.gammainc(dist.shape, x_arr / dist.scale)
     return float(out) if np.ndim(x) == 0 else out
 
 

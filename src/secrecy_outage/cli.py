@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 
 from .analytic import Scenario, Scheme
-from .channel import SystemConfig
+from .channel import REFERENCE_CONFIG, SystemConfig
 from .figures import (
     FIGURE_PRESETS,
     available_presets,
@@ -48,19 +48,20 @@ _METHODS = tuple(m.value for m in EvalMethod)
 
 
 def _add_system_flags(parser: argparse.ArgumentParser) -> None:
+    ref = REFERENCE_CONFIG
     group = parser.add_argument_group("system")
-    group.add_argument("--K", type=int, default=2, help="number of transmitters")
-    group.add_argument("--zeta", type=float, default=0.99,
+    group.add_argument("--K", type=int, default=ref.K, help="number of transmitters")
+    group.add_argument("--zeta", type=float, default=ref.zeta,
                        help="per-link backhaul reliability in [0, 1]")
-    group.add_argument("--rth", type=float, default=1.0,
+    group.add_argument("--rth", type=float, default=ref.r_th,
                        help="secrecy rate threshold in bits/s/Hz")
-    group.add_argument("--M", type=int, default=6,
+    group.add_argument("--M", type=int, default=ref.M,
                        help="destination channel path count")
-    group.add_argument("--N", type=int, default=4,
+    group.add_argument("--N", type=int, default=ref.N,
                        help="eavesdropper channel path count")
-    group.add_argument("--a", type=float, default=0.5,
+    group.add_argument("--a", type=float, default=ref.a,
                        help="destination power gain coefficient")
-    group.add_argument("--b", type=float, default=0.2,
+    group.add_argument("--b", type=float, default=ref.b,
                        help="eavesdropper power gain coefficient")
 
 

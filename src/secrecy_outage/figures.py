@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .analytic import Scenario, Scheme
-from .channel import SystemConfig
+from .channel import REFERENCE_CONFIG, SystemConfig
 from .montecarlo import McSettings
 from .sweep import (
     CSV_HEADER,
@@ -41,8 +41,6 @@ __all__ = [
 
 FIGURE_CSV_HEADER = CSV_HEADER + ("K", "zeta", "rth", "M", "N", "a", "b")
 
-_BASE = SystemConfig(K=2, zeta=0.99, r_th=1.0, snr=1.0, M=6, N=4, a=0.5, b=0.2)
-
 _SNR_START, _SNR_STOP, _SNR_STEP = -10.0, 40.0, 2.0
 
 _METHODS = (EvalMethod.ANALYTIC, EvalMethod.ASYMPTOTIC, EvalMethod.MC)
@@ -62,22 +60,22 @@ class FigurePreset:
 
 def _fig2_variants() -> tuple[SystemConfig, ...]:
     return tuple(
-        replace(_BASE, K=k, zeta=z) for k in (2, 5) for z in (0.99, 0.9)
+        replace(REFERENCE_CONFIG, K=k, zeta=z) for k in (2, 5) for z in (0.99, 0.9)
     )
 
 
 def _fig3_variants() -> tuple[SystemConfig, ...]:
-    base = replace(_BASE, K=5, zeta=0.9)
+    base = replace(REFERENCE_CONFIG, K=5, zeta=0.9)
     return tuple(replace(base, M=m) for m in (2, 4, 6))
 
 
 def _fig4_variants() -> tuple[SystemConfig, ...]:
-    base = replace(_BASE, K=5, zeta=0.9, M=4)
+    base = replace(REFERENCE_CONFIG, K=5, zeta=0.9, M=4)
     return tuple(replace(base, N=n) for n in (2, 4, 6))
 
 
 def _fig5_variants() -> tuple[SystemConfig, ...]:
-    base = replace(_BASE, K=5, zeta=0.9)
+    base = replace(REFERENCE_CONFIG, K=5, zeta=0.9)
     return tuple(replace(base, a=a) for a in (0.2, 0.5, 1.0))
 
 
@@ -235,10 +233,9 @@ def plot_description(result: FigureResult) -> dict:
     return _plot_skeleton(result.preset.description, series)
 
 
-def sweep_plot_description(base: SystemConfig, result: SweepResult,
-                           title: str = "outage vs SNR") -> dict:
+def sweep_plot_description(base: SystemConfig, result: SweepResult) -> dict:
     """Plot description for a single-configuration sweep."""
-    return _plot_skeleton(title, _grouped_series(base, result.rows, ""))
+    return _plot_skeleton("outage vs SNR", _grouped_series(base, result.rows, ""))
 
 
 def write_plot_description(description: dict, target) -> None:

@@ -22,7 +22,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .analytic import Scenario, Scheme, SopQuery
-from .channel import make_rng, sample_channel_block
+from .channel import _is_int, make_rng, sample_channel_block
 
 __all__ = [
     "CHUNK_SIZE",
@@ -38,11 +38,6 @@ CHUNK_SIZE = 1 << 16
 
 # Normal-approximation CIs need both outcome counts at least this large.
 _MIN_EVENTS = 10
-
-
-def _is_int(value) -> bool:
-    """A Python or numpy integer; ``bool`` is an int subclass but never a count or seed."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,13 @@
-"""Special-function and combinatorial kernels for the outage closed forms.
+"""Combinatorial kernels for the outage closed forms.
 
-Three ingredients recur in every formula of this package: the regularized
-lower incomplete gamma function (the CDF of an integer-shape Gamma law),
-the coefficients of the truncated-exponential power
-(sum_{m<M} x^m / m!)^k (the expansion of a K-fold CDF product), and
-alternating sums whose terms span many orders of magnitude.  The convention
-throughout the package is that per-term products are assembled in log space
-and exponentiated once per term, while top-level alternating sums run in
-linear space through ``compensated_sum``, which reports enough information
-for callers to detect a loss of significance instead of returning quiet
+Two ingredients recur in every closed form of this package: the
+coefficients of the truncated-exponential power (sum_{m<M} x^m / m!)^k (the
+expansion of a K-fold CDF product), and alternating sums whose terms span
+many orders of magnitude.  The convention throughout the package is that
+per-term products are assembled in log space and exponentiated once per
+term, while top-level alternating sums run in linear space through
+``math.fsum``; ``significance_lost`` compares the sum with its largest term
+so that callers detect a loss of significance instead of returning quiet
 noise.
 
 ``log_power_coefficients`` builds the power coefficients one log-space
@@ -22,20 +21,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
-from scipy import special as _special
 
 __all__ = [
     "DEFAULT_COMPOSITION_CAP",
     "SIGNIFICANCE_LOSS_RATIO",
     "CompositionCapError",
     "WeakComposition",
-    "compensated_sum",
     "enumerate_weak_compositions",
     "log_power_coefficients",
-    "regularized_lower_gamma",
     "significance_lost",
 ]
 
@@ -58,21 +54,6 @@ class CompositionCapError(ValueError):
             f"enumerating weak compositions of k={k} into num_parts={num_parts} "
             f"parts would yield {count} terms, above the cap of {cap}"
         )
-
-
-def regularized_lower_gamma(s, x):
-    """Regularized lower incomplete gamma P(s, x) = gamma(s, x) / Gamma(s).
-
-    ``s`` must be positive; ``x`` may be a scalar or an array of
-    non-negative values.  Scalar input returns a plain float.
-    """
-    if np.any(np.asarray(s) <= 0.0):
-        raise ValueError(f"regularized_lower_gamma requires s > 0, got {s}")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0):
-        raise ValueError("regularized_lower_gamma requires x >= 0")
-    out = _special.gammainc(s, x_arr)
-    return float(out) if np.ndim(x) == 0 else out
 
 
 @lru_cache(maxsize=None)
@@ -170,31 +151,6 @@ def _generate_compositions(k: int, num_parts: int) -> Iterator[WeakComposition]:
         parts[-1] = 0
         parts[j] -= 1
         parts[j + 1] = tail + 1
-
-
-def compensated_sum(terms: Iterable[float]) -> tuple[float, float]:
-    """Neumaier-compensated sum of a stream of floats.
-
-    Returns ``(total, largest)`` where ``largest`` is the largest magnitude
-    seen among the individual terms.  Callers combine the two through
-    ``significance_lost`` to detect catastrophic cancellation.  NaN inputs
-    propagate to the total.
-    """
-    total = 0.0
-    comp = 0.0
-    largest = 0.0
-    for t in terms:
-        t = float(t)
-        mag = abs(t)
-        if mag > largest:
-            largest = mag
-        s = total + t
-        if abs(total) >= mag:
-            comp += (total - s) + t
-        else:
-            comp += (t - s) + total
-        total = s
-    return total + comp, largest
 
 
 def significance_lost(total: float, largest: float) -> bool:

@@ -25,12 +25,12 @@ from .quadrature import quadrature_sop, quadrature_sops
 __all__ = [
     "CSV_HEADER",
     "EvalMethod",
+    "MAX_SNR_POINTS",
     "SweepRow",
     "SweepResult",
     "SweepSpec",
     "db_to_linear",
     "evaluate_cell",
-    "linear_to_db",
     "read_sweep_csv",
     "run_sweep",
     "snr_grid",
@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 CSV_HEADER = ("snr_db", "scheme", "scenario", "method", "sop", "ci_half_width", "flags")
+
+# A sweep longer than this is a mistyped step, not a study; it is refused
+# before any grid list is built.
+MAX_SNR_POINTS = 100_000
 
 FLAG_SIGNIFICANCE = "significance_loss"
 FLAG_LOW_CONFIDENCE = "low_confidence"
@@ -56,10 +60,6 @@ def db_to_linear(snr_db: float) -> float:
         return 10.0 ** (snr_db / 10.0)
     except OverflowError:
         raise ValueError(f"{snr_db} dB is too large for a linear power ratio") from None
-
-
-def linear_to_db(snr: float) -> float:
-    return 10.0 * math.log10(snr)
 
 
 @dataclass(frozen=True)
@@ -101,13 +101,20 @@ class SweepSpec:
         db_to_linear(self.snr_db_stop)  # raises ValueError past the largest linear ratio
         if db_to_linear(self.snr_db_start) == 0.0:
             raise ValueError(f"snr_db_start {self.snr_db_start!r} dB is 0 on the linear scale")
+        if _steps(self) >= MAX_SNR_POINTS:  # a float, so a huge or infinite count compares too
+            raise ValueError(f"SNR start, stop and step {grid!r} give more than {MAX_SNR_POINTS} points")
         if not self.schemes or not self.scenarios or not self.methods:
             raise ValueError("schemes, scenarios and methods must each be non-empty")
 
 
+def _steps(spec: SweepSpec) -> float:
+    """Whole steps from start to stop, before flooring; a small slack absorbs binary step representation."""
+    return (spec.snr_db_stop - spec.snr_db_start) / spec.snr_db_step + 1e-9
+
+
 def snr_grid(spec: SweepSpec) -> list[float]:
-    """Inclusive dB grid; a small slack absorbs binary step representation."""
-    count = int((spec.snr_db_stop - spec.snr_db_start) / spec.snr_db_step + 1e-9) + 1
+    """Inclusive dB grid of ``int(_steps(spec)) + 1`` points."""
+    count = int(_steps(spec)) + 1
     return [spec.snr_db_start + i * spec.snr_db_step for i in range(count)]
 
 

@@ -6,6 +6,14 @@ model must satisfy: scheme and scenario orderings, outage floors, multipath
 and gain monotonicity, algebraic identities, and bit-level simulation
 determinism.  The CLI ``validate`` subcommand runs all of them.
 
+``ValidationSettings`` holds only what callers vary or read: the grid, the
+simulation budgets, seed and worker counts, and the triple-agreement
+tolerances.  Every other acceptance tolerance and operating point is a
+literal in the one check that uses it; the round-off allowance and the
+strict ordering margin, which several checks share, are module constants.  Every configuration is the
+reference operating point ``channel.REFERENCE_CONFIG`` with K, zeta and the
+SNR (and, in the effect checks, one more parameter) set per check.
+
 Checks resolve the evaluation functions through this module's globals, so a
 test can swap one out (to confirm the harness actually detects a corrupted
 formula) without touching the underlying modules.
@@ -28,7 +36,7 @@ from .analytic import (
     analytic_sop,
     asymptotic_sop,
 )
-from .channel import GammaSnr, SystemConfig, snr_cdf, snr_cdf_finite_sum
+from .channel import REFERENCE_CONFIG, GammaSnr, SystemConfig, snr_cdf, snr_cdf_finite_sum
 from .montecarlo import McSettings, simulate_sop
 from .numerics import enumerate_weak_compositions, log_power_coefficients
 from .quadrature import quadrature_sops
@@ -41,18 +49,29 @@ __all__ = [
     "run_validation",
 ]
 
+# Round-off allowance of every comparison that holds exactly in exact
+# arithmetic, and the least separation the orderings must show at interior
+# points (zeta < 1, K >= 2).
+ROUNDOFF_SLACK = 1e-12
+STRICT_MARGIN = 1e-12
+
+
+def _config(K: int, zeta: float, snr_db: float) -> SystemConfig:
+    """The reference operating point at K transmitters, reliability zeta and snr_db."""
+    return replace(REFERENCE_CONFIG, K=K, zeta=zeta, snr=db_to_linear(snr_db))
+
+
+# Base point of the multipath and gain-ratio effect checks.
+_EFFECT_BASE = _config(5, 0.9, 20.0)
+
+
 @dataclass(frozen=True)
 class ValidationSettings:
-    """Grid and tolerances for the validation checks."""
+    """Grid, simulation budgets and worker counts, and the triple-agreement tolerances."""
 
     ks: tuple[int, ...] = (1, 2, 5)
     zetas: tuple[float, ...] = (0.9, 0.99, 1.0)
     snr_dbs: tuple[float, ...] = (0.0, 10.0, 20.0, 30.0)
-    m_paths: int = 6
-    n_paths: int = 4
-    gain_d: float = 0.5
-    gain_e: float = 0.2
-    rate_threshold: float = 1.0
 
     mc_samples: int = 1_000_000
     seed: int = 0
@@ -60,16 +79,6 @@ class ValidationSettings:
 
     analytic_quadrature_tol: float = 1e-8
     mc_tolerance_floor: float = 1e-3
-    ordering_slack: float = 1e-12
-    strict_margin: float = 1e-12
-    floor_slack: float = 1e-12
-    asymptotic_rel_tol: float = 1e-4
-    asymptotic_snr_db: float = 200.0
-    asymptotic_ks: tuple[int, ...] = (1, 2, 3, 5)
-    asymptotic_zetas: tuple[float, ...] = (0.9, 0.99)
-    identity_tol: float = 1e-12
-    multinomial_rel_tol: float = 1e-10
-    effect_snr_db: float = 20.0
     determinism_samples: int = 200_001
     determinism_workers: tuple[int, ...] = (1, 2, 4)
 
@@ -84,21 +93,9 @@ class ValidationSettings:
             determinism_samples=70_000,
         )
 
-    def config(self, K: int, zeta: float, snr_db: float) -> SystemConfig:
-        return SystemConfig(
-            K=K,
-            zeta=zeta,
-            r_th=self.rate_threshold,
-            snr=db_to_linear(snr_db),
-            M=self.m_paths,
-            N=self.n_paths,
-            a=self.gain_d,
-            b=self.gain_e,
-        )
-
     def grid_configs(self) -> list[SystemConfig]:
         return [
-            self.config(K, zeta, snr_db)
+            _config(K, zeta, snr_db)
             for K, zeta, snr_db in itertools.product(self.ks, self.zetas, self.snr_dbs)
         ]
 
@@ -173,10 +170,8 @@ def check_triple_agreement(settings: ValidationSettings) -> CheckResult:
 
 def check_asymptotic_floors(settings: ValidationSettings) -> CheckResult:
     """High-SNR closed form must land on the saturation floor."""
-    configs = [
-        settings.config(K, zeta, settings.asymptotic_snr_db)
-        for K, zeta in itertools.product(settings.asymptotic_ks, settings.asymptotic_zetas)
-    ]
+    snr_db, rel_tol = 200.0, 1e-4
+    configs = [_config(K, zeta, snr_db) for K, zeta in itertools.product((1, 2, 3, 5), (0.9, 0.99))]
     worst = 0.0
     failures = []
     for cfg, row in _analytic_grid(configs).items():
@@ -184,16 +179,14 @@ def check_asymptotic_floors(settings: ValidationSettings) -> CheckResult:
             floor = asymptotic_sop(SopQuery(cfg, scheme, scenario)).value
             rel = abs(closed - floor) / floor
             worst = max(worst, rel)
-            if rel > settings.asymptotic_rel_tol:
+            if rel > rel_tol:
                 failures.append(f"rel gap {rel:.3e} at {_where(cfg)} {scheme.value}/{scenario.value}")
-    summary = f"worst relative gap {worst:.2e} at {settings.asymptotic_snr_db:.0f} dB"
+    summary = f"worst relative gap {worst:.2e} at {snr_db:.0f} dB"
     return _report("asymptotic_floors", summary, failures)
 
 
 def check_orderings(settings: ValidationSettings) -> CheckResult:
     """Optimal <= sub-optimal and knowledge-available <= unavailable."""
-    slack = settings.ordering_slack
-    margin = settings.strict_margin
     failures = []
     min_gaps = {"scheme": math.inf, "scenario": math.inf}
     for cfg, row in _analytic_grid(settings.grid_configs()).items():
@@ -208,7 +201,7 @@ def check_orderings(settings: ValidationSettings) -> CheckResult:
         for kind, held, gap in gaps:
             if interior:
                 min_gaps[kind] = min(min_gaps[kind], gap)
-            if gap < -slack or (interior and gap < margin):
+            if gap < -ROUNDOFF_SLACK or (interior and gap < STRICT_MARGIN):
                 failures.append(f"{kind} gap {gap:.3e} at {_where(cfg)} {held}")
     summary = (
         f"min interior scheme gap {min_gaps['scheme']:.2e}; "
@@ -226,14 +219,14 @@ def check_floors(settings: ValidationSettings) -> CheckResult:
             bound = 1.0 - cfg.zeta if scenario is Scenario.KU else (1.0 - cfg.zeta) ** cfg.K
             margin = row[(scheme, scenario)] - bound
             min_margin = min(min_margin, margin)
-            if margin < -settings.floor_slack:
+            if margin < -ROUNDOFF_SLACK:
                 failures.append(
                     f"{scenario.value} floor breach at {_where(cfg)} {scheme.value}"
                 )
     mc = settings.mc_settings()
     worst_sigma = 0.0
     for K, zeta in ((2, 0.9), (5, 0.9)):
-        cfg = settings.config(K, zeta, 10.0)
+        cfg = _config(K, zeta, 10.0)
         estimate = simulate_sop(SopQuery(cfg, Scheme.SS, Scenario.KA), mc)
         expected = (1.0 - zeta) ** K
         sigma = math.sqrt(expected * (1.0 - expected) / mc.n_samples)
@@ -276,7 +269,7 @@ def _strictly_monotone(base: SystemConfig, field: str, values, rising: bool):
 
 def check_multipath_effect(settings: ValidationSettings) -> CheckResult:
     """More destination paths help; more eavesdropper paths hurt."""
-    base = replace(settings.config(5, 0.9, settings.effect_snr_db), M=4)
+    base = replace(_EFFECT_BASE, M=4)
     fall, dest_failures = _strictly_monotone(base, "M", (2, 4, 6), rising=False)
     rise, eave_failures = _strictly_monotone(base, "N", (2, 4, 6), rising=True)
     summary = (
@@ -288,8 +281,7 @@ def check_multipath_effect(settings: ValidationSettings) -> CheckResult:
 
 def check_gain_ratio_effect(settings: ValidationSettings) -> CheckResult:
     """Raising the destination/eavesdropper gain ratio lowers outage."""
-    base = settings.config(5, 0.9, settings.effect_snr_db)
-    fall, failures = _strictly_monotone(base, "a", (0.2, 0.5, 1.0), rising=False)
+    fall, failures = _strictly_monotone(_EFFECT_BASE, "a", (0.2, 0.5, 1.0), rising=False)
     summary = f"smallest outage drop as a/b goes 1, 2.5, 5: {fall:.2e}, in all four cases"
     return _report("gain_ratio_effect", summary, failures)
 
@@ -315,11 +307,10 @@ def _power_table_gaps(k: int, num_parts: int, xs) -> tuple[float, float]:
 
 def check_identities(settings: ValidationSettings) -> CheckResult:
     """Algebraic self-consistency of the building blocks."""
-    tol = settings.identity_tol
     failures = []
 
     worst_cdf = 0.0
-    scales = [settings.gain_d * db_to_linear(db) for db in settings.snr_dbs]
+    scales = [REFERENCE_CONFIG.a * db_to_linear(db) for db in settings.snr_dbs]
     xs = [0.0, 0.05, 0.5, 1.0, 5.0, 25.0, 200.0]
     for shape in (1, 2, 3, 4, 6, 8):
         for scale in scales:
@@ -327,7 +318,7 @@ def check_identities(settings: ValidationSettings) -> CheckResult:
             for x in xs:
                 gap = abs(snr_cdf_finite_sum(dist, x) - snr_cdf(dist, x))
                 worst_cdf = max(worst_cdf, gap)
-    if worst_cdf > tol:
+    if worst_cdf > ROUNDOFF_SLACK:
         failures.append(f"cdf forms disagree by {worst_cdf:.3e}")
 
     worst_power = worst_grouped = 0.0
@@ -336,29 +327,30 @@ def check_identities(settings: ValidationSettings) -> CheckResult:
             power, grouped = _power_table_gaps(k, num_parts, (0.3, 1.0, 2.7))
             worst_power = max(worst_power, power)
             worst_grouped = max(worst_grouped, grouped)
-    if worst_power > settings.multinomial_rel_tol:
+    table_tol = 1e-10
+    if worst_power > table_tol:
         failures.append(f"power-series table off the direct power by {worst_power:.3e}")
-    if worst_grouped > settings.multinomial_rel_tol:
+    if worst_grouped > table_tol:
         failures.append(f"power-series table off the composition sums by {worst_grouped:.3e}")
 
     always_active = _analytic_grid(
-        settings.config(K, 1.0, snr_db) for K in settings.ks for snr_db in settings.snr_dbs
+        _config(K, 1.0, snr_db) for K in settings.ks for snr_db in settings.snr_dbs
     )
     worst_known = max(
         (abs(row[(s, Scenario.KU)] - row[(s, Scenario.KA)])
          for row in always_active.values() for s in Scheme),
         default=0.0,
     )
-    if worst_known > tol:
+    if worst_known > ROUNDOFF_SLACK:
         failures.append(f"always-active scenarios disagree by {worst_known:.3e}")
 
     single = _analytic_grid(
-        settings.config(1, zeta, snr_db) for zeta in settings.zetas for snr_db in settings.snr_dbs
+        _config(1, zeta, snr_db) for zeta in settings.zetas for snr_db in settings.snr_dbs
     )
     worst_single = max(
         (max(row.values()) - min(row.values()) for row in single.values()), default=0.0
     )
-    if worst_single > tol:
+    if worst_single > ROUNDOFF_SLACK:
         failures.append(f"single-transmitter cases spread by {worst_single:.3e}")
 
     summary = (
@@ -371,7 +363,7 @@ def check_identities(settings: ValidationSettings) -> CheckResult:
 def check_determinism(settings: ValidationSettings) -> CheckResult:
     """Identical seed and sample count must be bit-stable across workers."""
     mc = replace(settings.mc_settings(), n_samples=settings.determinism_samples)
-    cfg = settings.config(3, 0.95, 15.0)
+    cfg = _config(3, 0.95, 15.0)
     failures = []
     distinct = []
     for scheme, scenario in ((Scheme.SS, Scenario.KU), (Scheme.OS, Scenario.KA)):

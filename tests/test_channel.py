@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from secrecy_outage import McSettings, SopQuery, analytic_sop, asymptotic_sop, quadrature_sop, simulate_sop
+from secrecy_outage.analytic import CASES
 from secrecy_outage.channel import (
     GammaSnr,
     SystemConfig,
@@ -31,6 +34,7 @@ def test_config_derived_quantities(base_cfg):
         ("K", 0),
         ("K", 1.5),
         ("K", True),
+        ("K", np.True_),
         ("zeta", -0.1),
         ("zeta", 1.1),
         ("r_th", -1.0),
@@ -62,6 +66,21 @@ def test_config_rejects_bad_values(field, value):
         SystemConfig(**kwargs)
 
 
+def test_numpy_integer_counts_match_python_ints(base_cfg):
+    # numpy integers are counts like Python ints and are stored as int, so
+    # every route returns exactly the value the Python ints give
+    numpy_cfg = replace(base_cfg, K=np.int64(base_cfg.K), M=np.int32(base_cfg.M), N=np.int64(base_cfg.N))
+    assert [type(getattr(numpy_cfg, name)) for name in "KMN"] == [int, int, int]
+    assert numpy_cfg == base_cfg
+    mc = McSettings(n_samples=np.int64(20_000), seed=np.int64(3))
+    for scheme, scenario in CASES:
+        python_query, numpy_query = (SopQuery(cfg, scheme, scenario) for cfg in (base_cfg, numpy_cfg))
+        for route in (analytic_sop, asymptotic_sop, quadrature_sop):
+            assert route(numpy_query) == route(python_query), route.__name__
+        assert simulate_sop(numpy_query, mc).p_hat == simulate_sop(python_query, mc).p_hat
+    assert GammaSnr(shape=np.int64(3), scale=1.0) == GammaSnr(shape=3, scale=1.0)
+
+
 def test_config_allows_zero_rate_threshold():
     cfg = SystemConfig(K=1, zeta=0.9, r_th=0.0, snr=10.0, M=2, N=2, a=0.5, b=0.5)
     assert cfg.rho == 1.0
@@ -83,7 +102,6 @@ def test_gamma_snr_validation():
         GammaSnr(shape=2, scale=math.inf)
     with pytest.raises(ValueError):
         GammaSnr(shape=2, scale=math.nan)
-    assert GammaSnr(shape=3, scale=2.0).mean == pytest.approx(6.0)
 
 
 def test_pdf_normalizes():
@@ -100,6 +118,38 @@ def test_pdf_at_origin():
 def test_pdf_rejects_negative():
     with pytest.raises(ValueError):
         snr_pdf(GammaSnr(shape=2, scale=1.0), -0.5)
+
+
+def test_snr_cdf_integer_shape_series():
+    # for integer shape the regularized lower incomplete gamma has the closed
+    # finite form 1 - exp(-u) * sum_{m<shape} u^m / m!, with u = x / scale
+    for shape in (1, 2, 6):
+        for u in (0.0, 0.5, 6.0, 30.0):
+            expected = 1.0 - math.exp(-u) * sum(u**m / math.factorial(m) for m in range(shape))
+            assert snr_cdf(GammaSnr(shape, 2.0), 2.0 * u) == pytest.approx(expected, abs=1e-12)
+
+
+def test_snr_cdf_frozen_value():
+    # independently computed with mpmath.gammainc(6, 0, 6) / gamma(6)
+    assert snr_cdf(GammaSnr(6, 1.0), 6.0) == pytest.approx(0.5543203586353888, abs=1e-14)
+    assert snr_cdf(GammaSnr(6, 2.0), 12.0) == pytest.approx(0.5543203586353888, abs=1e-14)
+
+
+def test_snr_cdf_domain():
+    dist = GammaSnr(shape=2, scale=1.0)
+    with pytest.raises(ValueError, match="x >= 0"):
+        snr_cdf(dist, -1.0)
+    with pytest.raises(ValueError, match="x >= 0"):
+        snr_cdf(dist, np.array([1.0, -1e-300]))
+
+
+def test_snr_cdf_array_and_scalar_return():
+    dist = GammaSnr(shape=3, scale=1.0)
+    out = snr_cdf(dist, np.array([0.0, 1.0, 10.0]))
+    assert out.shape == (3,)
+    assert out[0] == 0.0
+    assert 0.0 < out[1] < out[2] <= 1.0
+    assert isinstance(snr_cdf(dist, 1.0), float)
 
 
 def test_cdf_endpoints():

@@ -97,6 +97,14 @@ def test_sweep_huge_grid_is_usage_error(capsys):
     assert err.startswith("error:") and "too large" in err
 
 
+def test_sweep_too_many_points_is_usage_error(capsys):
+    # a valid range with a tiny step is refused by its 3e9-point count
+    assert main(["sweep", *BASE_ARGS, "--snr-start", "0", "--snr-stop", "3000",
+                 "--snr-step", "1e-6", "--method", "asymptotic"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "100000 points" in err
+
+
 def test_sweep_writes_contract_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = main([

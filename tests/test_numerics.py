@@ -6,43 +6,10 @@ from hypothesis import strategies as st
 
 from secrecy_outage.numerics import (
     CompositionCapError,
-    compensated_sum,
     enumerate_weak_compositions,
     log_power_coefficients,
-    regularized_lower_gamma,
     significance_lost,
 )
-
-
-def test_regularized_lower_gamma_integer_shape_series():
-    # for integer shape the regularized function has the closed finite form
-    # 1 - exp(-x) * sum_{m<s} x^m / m!
-    for s in (1, 2, 6):
-        for x in (0.0, 0.5, 6.0, 30.0):
-            expected = 1.0 - math.exp(-x) * sum(x**m / math.factorial(m) for m in range(s))
-            assert regularized_lower_gamma(s, x) == pytest.approx(expected, abs=1e-12)
-
-
-def test_regularized_lower_gamma_frozen_value():
-    # independently computed with mpmath.gammainc(6, 0, 6) / gamma(6)
-    assert regularized_lower_gamma(6, 6.0) == pytest.approx(0.5543203586353888, abs=1e-14)
-
-
-def test_regularized_lower_gamma_domain():
-    with pytest.raises(ValueError):
-        regularized_lower_gamma(0.0, 1.0)
-    with pytest.raises(ValueError):
-        regularized_lower_gamma(2.0, -1.0)
-
-
-def test_regularized_lower_gamma_array_roundtrip():
-    import numpy as np
-
-    out = regularized_lower_gamma(3, np.array([0.0, 1.0, 10.0]))
-    assert out.shape == (3,)
-    assert out[0] == 0.0
-    assert 0.0 < out[1] < out[2] <= 1.0
-    assert isinstance(regularized_lower_gamma(3, 1.0), float)
 
 
 def test_composition_enumeration_order_and_count():
@@ -118,32 +85,6 @@ def test_composition_expansion_identity(k, num_parts, x):
     for c in comps:
         grouped[c.beta1] += c.multinomial_coeff * c.inv_factorial_product
     assert coeffs == pytest.approx(grouped, rel=1e-10)
-
-
-def test_compensated_sum_beats_naive():
-    terms = [1e16, 1.0, -1e16]
-    naive = sum(terms)
-    total, largest = compensated_sum(terms)
-    assert naive == 0.0
-    assert total == 1.0
-    assert largest == 1e16
-
-
-def test_compensated_sum_empty():
-    assert compensated_sum([]) == (0.0, 0.0)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.lists(
-        st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
-        max_size=30,
-    )
-)
-def test_compensated_sum_tracks_fsum(terms):
-    total, largest = compensated_sum(terms)
-    assert total == pytest.approx(math.fsum(terms), rel=1e-9, abs=1e-9)
-    assert largest == (max(abs(t) for t in terms) if terms else 0.0)
 
 
 def test_significance_lost_threshold():

@@ -1,5 +1,9 @@
+import inspect
+from dataclasses import fields, replace
+
 import secrecy_outage
-from secrecy_outage import analytic, montecarlo, quadrature, sweep
+from secrecy_outage import SystemConfig, ValidationSettings, analytic, montecarlo, quadrature, sweep
+from secrecy_outage.figures import FigureResult
 
 # The per-case closed-form wrappers folded into analytic_sop / asymptotic_sop.
 REMOVED = ("sop_ss_ku", "sop_ss_ka", "sop_os_ku", "sop_os_ka", "sop_single", "asymptotic_single")
@@ -17,9 +21,17 @@ def test_one_closed_form_entry_per_route():
             assert name not in module.__all__
 
 
+# The ValidationSettings fields that the benchmark (perfbench/child.py) reads.
+BENCHMARK_SETTINGS = (
+    "ks", "mc_samples", "confidence", "analytic_quadrature_tol", "mc_tolerance_floor",
+    "determinism_workers",
+)
+
+
 def test_traced_benchmark_seams_exist():
-    # the traced benchmark (perfbench/child.py) rebinds these module names;
-    # a refactor that drops one must fail here, not silently in --trace 1
+    # the benchmark (perfbench/child.py) rebinds these module names and reads
+    # the names below; a refactor that drops one must fail here, not silently
+    # in a benchmark run
     seams = {
         quadrature: ("build_integrand",),
         sweep: ("evaluate_cell", "analytic_sop", "asymptotic_sop", "quadrature_sop"),
@@ -28,3 +40,11 @@ def test_traced_benchmark_seams_exist():
     for module, names in seams.items():
         for name in names:
             assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    for settings in (ValidationSettings(), ValidationSettings.smoke()):
+        for name in BENCHMARK_SETTINGS:
+            assert hasattr(settings, name), name
+        assert all(isinstance(cfg, SystemConfig) for cfg in settings.grid_configs())
+        assert replace(settings, determinism_workers=(1,)).determinism_workers == (1,)
+    assert callable(secrecy_outage.enumerate_weak_compositions)
+    assert "workers" in inspect.signature(secrecy_outage.simulate_sop).parameters
+    assert "per_variant" in {f.name for f in fields(FigureResult)}

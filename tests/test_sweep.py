@@ -12,10 +12,10 @@ from secrecy_outage import (
 )
 from secrecy_outage.sweep import (
     CSV_HEADER,
+    MAX_SNR_POINTS,
     EvalMethod,
     SweepSpec,
     db_to_linear,
-    linear_to_db,
     read_sweep_csv,
     run_sweep,
     snr_grid,
@@ -42,7 +42,6 @@ def test_db_conversion_round_trip():
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear(10.0) == 10.0
     assert db_to_linear(-10.0) == pytest.approx(0.1)
-    assert linear_to_db(db_to_linear(7.3)) == pytest.approx(7.3, abs=1e-12)
 
 
 def test_db_conversion_rejects_overflow():
@@ -82,6 +81,15 @@ def test_spec_validation():
         _spec(snr_db_stop=1e10, snr_db_step=1.0)
     with pytest.raises(ValueError, match="linear scale"):
         _spec(snr_db_start=-4000.0)
+    # a valid range with a tiny step is refused by its point count, before
+    # the 3e9-point grid list is built; the limit itself is allowed
+    with pytest.raises(ValueError, match="100000 points"):
+        _spec(snr_db_stop=3000.0, snr_db_step=1e-6)
+    with pytest.raises(ValueError, match="100000 points"):
+        _spec(snr_db_stop=3000.0, snr_db_step=5e-324)  # the count overflows to inf
+    assert len(snr_grid(_spec(snr_db_stop=99_999.0 / 1024, snr_db_step=1.0 / 1024))) == MAX_SNR_POINTS
+    with pytest.raises(ValueError, match="100000 points"):
+        _spec(snr_db_stop=100_000.0 / 1024, snr_db_step=1.0 / 1024)
 
 
 def test_rows_are_lexicographically_sorted():
