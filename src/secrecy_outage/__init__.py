@@ -18,7 +18,9 @@ from .analytic import (
     SopQuery,
     SopValue,
     analytic_sop,
+    analytic_sops,
     asymptotic_sop,
+    asymptotic_sops,
 )
 from .channel import REFERENCE_CONFIG, GammaSnr, SystemConfig, mixture_cdf, snr_cdf, snr_pdf
 from .montecarlo import McSettings, SopEstimate, simulate_sop
@@ -60,7 +62,9 @@ __all__ = [
     "ValidationSettings",
     "adaptive_integral",
     "analytic_sop",
+    "analytic_sops",
     "asymptotic_sop",
+    "asymptotic_sops",
     "db_to_linear",
     "enumerate_weak_compositions",
     "mixture_cdf",

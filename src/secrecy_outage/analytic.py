@@ -11,10 +11,13 @@ The expressions expand a K-fold CDF product binomially, read each CDF power
 k off the cached coefficient table of (sum_{m<M} x^m / m!)^k
 (``numerics.log_power_coefficients``), and integrate term by term against
 the eavesdropper density.  One kernel per route serves every case: the
-exact series and its high-SNR floor, each behind one public entry
-(``analytic_sop``, ``asymptotic_sop``).  One case rule (``case_sop``)
-composes the four (scheme, scenario) cases from either kernel, or from
-quadrature's integral.
+exact series and its high-SNR floor, each behind one batch entry
+(``analytic_sops``, ``asymptotic_sops``) whose one-query call is the
+lone entry (``analytic_sop``, ``asymptotic_sop``).  A batch evaluates the
+exact series once per group of queries that differ only in snr, as one
+tensor over the group's SNR points, and the snr-free floor once per group.
+One case rule (``case_sop``) composes the four (scheme, scenario) cases
+from either kernel, or from quadrature's integral.
 Every per-term product is assembled in log space and exponentiated once; only the top-level
 alternating sum over the binomial index runs in linear space, exactly rounded
 (``math.fsum``) and behind a loss-of-significance guard.  Results outside [0, 1] by more than a 1e-9
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -43,7 +46,9 @@ __all__ = [
     "SopQuery",
     "SopValue",
     "analytic_sop",
+    "analytic_sops",
     "asymptotic_sop",
+    "asymptotic_sops",
     "case_sop",
     "inner_args",
     "reads_inner",
@@ -174,70 +179,101 @@ def case_sop(query: SopQuery, inner, method: str) -> SopValue:
     return _finalize(raw, flag, method)
 
 
-def _alternating_series(K, weight, magnitude):
-    """1 + sum_{k=1..K} (-1)^k magnitude(k, ln(C(K,k) weight^k)): the K-fold product.
+def _alternating_series(K, weight, magnitudes):
+    """1 + sum_{k=1..K} (-1)^k magnitude(k, ln(C(K,k) weight^k)): the K-fold product, per point.
 
     ``weight`` is 1 for the blind-selection series and zeta > 0 when the
-    backhaul mixture sits inside each factor.  ``magnitude`` returns the
-    positive size of term k with the given log prefactor folded in before
-    exponentiation.  Returns (raw, flag).
+    backhaul mixture sits inside each factor.  ``magnitudes`` returns the
+    positive size of term k at every point, as a list, with the given log
+    prefactor folded in before exponentiation.  Each point sums on its own,
+    exactly rounded, behind its own guard.  Returns one (raw, flag) per point.
     """
     log_weight = math.log(weight)
-    terms = [1.0]
-    for k in range(1, K + 1):
-        term = magnitude(k, math.log(math.comb(K, k)) + k * log_weight)
-        terms.append(-term if k % 2 else term)
-    total = math.fsum(terms)
-    return total, significance_lost(total, max(abs(t) for t in terms))
+    table = [magnitudes(k, math.log(math.comb(K, k)) + k * log_weight) for k in range(1, K + 1)]
+    out = []
+    for sizes in zip(*table):
+        terms = [1.0, *(-size if k % 2 else size for k, size in enumerate(sizes, 1))]
+        total = math.fsum(terms)
+        out.append((total, significance_lost(total, max(map(abs, terms)))))
+    return out
 
 
+@lru_cache(maxsize=16)
 def _log_boundary_kernel(size: int, rho: float) -> np.ndarray:
-    """ln[C(j, q) (rho - 1)^(j - q)] for 0 <= j, q < size; -inf where q > j."""
+    """ln[C(j, q) (rho - 1)^(j - q)] for 0 <= j, q < size; -inf where q > j.
+
+    Cached (size**2 floats each, at most 16 kept) and read-only, so lone
+    calls at one operating point build it once.
+    """
     j = np.arange(size)
     gap = j[:, None] - j[None, :]
     if rho == 1.0:
         # the outage boundary is lambda = y, so only the q == j power
         # survives (0**0 = 1 convention at r_th = 0)
-        return np.where(gap == 0, 0.0, -np.inf)
-    log_fact = gammaln(j + 1)
-    kept = np.maximum(gap, 0)
-    log_terms = (
-        log_fact[:, None] - log_fact[None, :] - log_fact[kept] + kept * math.log(rho - 1.0)
-    )
-    return np.where(gap >= 0, log_terms, -np.inf)
+        out = np.where(gap == 0, 0.0, -np.inf)
+    else:
+        log_fact = gammaln(j + 1)
+        kept = np.maximum(gap, 0)
+        log_terms = (
+            log_fact[:, None] - log_fact[None, :] - log_fact[kept] + kept * math.log(rho - 1.0)
+        )
+        out = np.where(gap >= 0, log_terms, -np.inf)
+    out.flags.writeable = False
+    return out
 
 
-def _selection_series(cfg: SystemConfig, K: int, weight: float):
-    """Exact CDF-product series of the strongest of K links at the outage boundary.
+# Largest number of floats in one exact-series term tensor; points beyond it
+# go to further slabs.  A figure preset's 26 points fit in one.
+_SLAB_FLOATS = 1 << 20
 
+
+def _selection_series(M: int, N: int, a: float, b: float, rho: float, K: int, weight: float, snrs):
+    """Exact CDF-product series of the strongest of K links at the outage boundary, at every snr.
+
+    Point s has destination and eavesdropper scales a snrs[s] and b snrs[s].
     Term k expands the k-th CDF power through ``log_power_coefficients``
     (power j of the destination SNR) and the boundary power through the
-    inner index q <= j, then integrates against the eavesdropper density.
-    It is the inner quantity of ``case_sop`` at (L, w) = (K, weight); with
-    K = 1 and weight 1 it is the single-transmitter outage.
+    inner index q <= j, then integrates against the eavesdropper density:
+    one (S, n, n) log-space tensor for the S points, on one boundary kernel.
+    The per-point scalars are plain float arithmetic, so every point's
+    numbers are those of its lone call.  It is the inner quantity of
+    ``case_sop`` at (L, w) = (K, weight); with K = 1 and weight 1 it is the
+    single-transmitter outage.  Returns one (raw, flag) per point.
     """
-    M, N, a_d, rho = cfg.M, cfg.N, cfg.a_d, cfg.rho
     j = np.arange(K * (M - 1) + 1)
     boundary = _log_boundary_kernel(j.size, rho)
-    log_eve = j * math.log(rho) + gammaln(N + j) - math.lgamma(N) - N * math.log(cfg.a_e)
+    log_eve_unit = j * math.log(rho) + gammaln(N + j) - math.lgamma(N)
+    step = max(1, _SLAB_FLOATS // j.size**2)
+    out = []
+    for start in range(0, len(snrs), step):
+        slab = snrs[start : start + step]
+        a_d, a_e = [a * snr for snr in slab], [b * snr for snr in slab]
+        log_d = np.array([[math.log(x)] for x in a_d])
+        log_eve = log_eve_unit - np.array([[N * math.log(y)] for y in a_e])
+        # per (k, point): the exponent k (rho - 1) / a_d and ln(k rho / a_d + 1 / a_e)
+        shift = np.array([[[k * (rho - 1.0) / x] for x in a_d] for k in range(1, K + 1)])
+        log_denom = np.array(
+            [[[math.log(k * rho / x + 1.0 / y)] for x, y in zip(a_d, a_e)] for k in range(1, K + 1)]
+        )
 
-    def magnitude(k, log_pref):
-        n = k * (M - 1) + 1
-        log_denom = math.log(k * rho / a_d + 1.0 / cfg.a_e)
-        rows = log_pref - k * (rho - 1.0) / a_d + log_power_coefficients(k, M) - j[:n] * math.log(a_d)
-        cols = log_eve[:n] - (N + j[:n]) * log_denom
-        return float(np.exp(rows[:, None] + boundary[:n, :n] + cols).sum())
+        def magnitudes(k, log_pref):
+            n = k * (M - 1) + 1
+            rows = log_pref - shift[k - 1] + log_power_coefficients(k, M) - j[:n] * log_d
+            cols = log_eve[:, :n] - (N + j[:n]) * log_denom[k - 1]
+            terms = np.exp(rows[:, :, None] + boundary[:n, :n] + cols[:, None, :])
+            return terms.sum(axis=(1, 2)).tolist()
 
-    return _alternating_series(K, weight, magnitude)
+        out += _alternating_series(K, weight, magnitudes)
+    return out
 
 
-def _selection_floor_series(cfg: SystemConfig, K: int, weight: float):
-    """High-SNR limit of ``_selection_series``; depends only on a, b, rho, M, N."""
-    M, N, a, rho_b = cfg.M, cfg.N, cfg.a, cfg.rho * cfg.b
+def _selection_floor_series(M: int, N: int, a: float, b: float, rho: float, K: int, weight: float):
+    """High-SNR limit of ``_selection_series``; depends only on a, b, rho, M, N.  Returns (raw, flag)."""
+    rho_b = rho * b
     j = np.arange(K * (M - 1) + 1)
     log_j = j * math.log(rho_b) + gammaln(N + j) + N * math.log(a) - math.lgamma(N)
 
-    def magnitude(k, log_pref):
+    def magnitudes(k, log_pref):
         n = k * (M - 1) + 1
         log_terms = (
             log_pref
@@ -245,18 +281,64 @@ def _selection_floor_series(cfg: SystemConfig, K: int, weight: float):
             + log_j[:n]
             - (N + j[:n]) * math.log(k * rho_b + a)
         )
-        return float(np.exp(log_terms).sum())
+        return [np.exp(log_terms).sum().item()]
 
-    return _alternating_series(K, weight, magnitude)
+    (result,) = _alternating_series(K, weight, magnitudes)
+    return result
 
 
 # ---------------------------------------------------------------------------
 # public closed forms and high-SNR floors
 # ---------------------------------------------------------------------------
 
+def _group_key(cfg: SystemConfig, power: int, weight: float) -> tuple:
+    """Everything an inner quantity depends on but snr: (M, N, a, b, rho, L, w)."""
+    return cfg.M, cfg.N, cfg.a, cfg.b, cfg.rho, power, weight
+
+
+def _closed_form_sops(queries, group_values, method: str) -> list[SopValue]:
+    """Compose every query from inner values evaluated one group at a time.
+
+    Queries whose inner quantities share everything but snr form a group;
+    ``group_values(key, snrs)`` returns one (raw, flag) per distinct snr of
+    the group.  Dead backhaul evaluates nothing.
+    """
+    queries = list(queries)
+    groups: dict[tuple, dict[float, None]] = {}
+    for query in queries:
+        if reads_inner(query):
+            groups.setdefault(_group_key(query.cfg, *inner_args(query)), {})[query.cfg.snr] = None
+    inner = {
+        (key, snr): value
+        for key, snrs in groups.items()
+        for snr, value in zip(snrs, group_values(key, list(snrs)))
+    }
+    return [
+        case_sop(query, lambda L, w, cfg=query.cfg: inner[_group_key(cfg, L, w), cfg.snr], method)
+        for query in queries
+    ]
+
+
+def analytic_sops(queries) -> list[SopValue]:
+    """Exact outage probabilities of many queries, in input order.
+
+    The queries of one (M, N, a, b, rho, L, w) group share one series
+    evaluation over their SNR points; every value equals that query's
+    ``analytic_sop``.
+    """
+    return _closed_form_sops(queries, lambda key, snrs: _selection_series(*key, snrs), METHOD_ANALYTIC)
+
+
+def asymptotic_sops(queries) -> list[SopValue]:
+    """High-SNR outage floors of many queries, in input order; one floor series per group."""
+    return _closed_form_sops(
+        queries, lambda key, snrs: [_selection_floor_series(*key)] * len(snrs), METHOD_ASYMPTOTIC
+    )
+
+
 def analytic_sop(query: SopQuery) -> SopValue:
     """Exact outage probability of any of the four cases."""
-    return case_sop(query, partial(_selection_series, query.cfg), METHOD_ANALYTIC)
+    return analytic_sops([query])[0]
 
 
 def asymptotic_sop(query: SopQuery) -> SopValue:
@@ -265,4 +347,4 @@ def asymptotic_sop(query: SopQuery) -> SopValue:
     Independent of snr: both link scales grow together, leaving the ratio
     law a/b and the threshold rho in control.
     """
-    return case_sop(query, partial(_selection_floor_series, query.cfg), METHOD_ASYMPTOTIC)
+    return asymptotic_sops([query])[0]

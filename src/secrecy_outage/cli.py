@@ -78,11 +78,12 @@ def _add_case_flags(parser: argparse.ArgumentParser, multi: bool) -> None:
 
 
 def _add_mc_flags(parser: argparse.ArgumentParser) -> None:
+    defaults = McSettings()
     group = parser.add_argument_group("simulation")
-    group.add_argument("--samples", type=int, default=1_000_000,
+    group.add_argument("--samples", type=int, default=defaults.n_samples,
                        help="simulation sample count")
-    group.add_argument("--seed", type=int, default=0, help="simulation seed")
-    group.add_argument("--confidence", type=float, default=0.99,
+    group.add_argument("--seed", type=int, default=defaults.seed, help="simulation seed")
+    group.add_argument("--confidence", type=float, default=defaults.confidence,
                        help="confidence level for the reported interval")
 
 

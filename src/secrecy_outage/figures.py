@@ -164,8 +164,9 @@ def write_figure_csv(result: FigureResult, target) -> None:
     """Extended sweep CSV with the per-variant configuration columns."""
     used_mc = any(sweep_result.mc is not None for _, sweep_result in result.per_variant)
     records = (
-        (row, _config_columns(cfg))
+        (row, columns)
         for cfg, sweep_result in result.per_variant
+        for columns in (_config_columns(cfg),)  # once per variant, shared by its rows
         for row in sweep_result.rows
     )
     _write_csv(target, FIGURE_CSV_HEADER, records, result.mc if used_mc else None)

@@ -17,7 +17,16 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
-from .analytic import SopQuery, Scenario, Scheme, analytic_sop, asymptotic_sop
+from .analytic import (
+    SopQuery,
+    SopValue,
+    Scenario,
+    Scheme,
+    analytic_sop,
+    analytic_sops,
+    asymptotic_sop,
+    asymptotic_sops,
+)
 from .channel import SystemConfig
 from .montecarlo import McSettings, simulate_sop
 from .quadrature import quadrature_sop, quadrature_sops
@@ -118,6 +127,10 @@ def snr_grid(spec: SweepSpec) -> list[float]:
     return [spec.snr_db_start + i * spec.snr_db_step for i in range(count)]
 
 
+def _closed_form_cell(value: SopValue) -> tuple[float, None, str]:
+    return value.value, None, FLAG_SIGNIFICANCE if value.significance_flag else ""
+
+
 def evaluate_cell(
     cfg: SystemConfig,
     scheme: Scheme,
@@ -130,8 +143,7 @@ def evaluate_cell(
     method = EvalMethod(method)
     if method in (EvalMethod.ANALYTIC, EvalMethod.ASYMPTOTIC):
         closed_form = analytic_sop if method is EvalMethod.ANALYTIC else asymptotic_sop
-        value = closed_form(query)
-        return value.value, None, FLAG_SIGNIFICANCE if value.significance_flag else ""
+        return _closed_form_cell(closed_form(query))
     if method is EvalMethod.QUADRATURE:
         return quadrature_sop(query), None, ""
     estimate = simulate_sop(query, mc)
@@ -148,8 +160,20 @@ class SweepResult:
     mc: McSettings | None = None
 
 
+# The batch entry of every route whose cells a sweep evaluates together, as (sop, ci, flags) cells.
+_BATCHES = {
+    EvalMethod.ANALYTIC: lambda queries: map(_closed_form_cell, analytic_sops(queries)),
+    EvalMethod.ASYMPTOTIC: lambda queries: map(_closed_form_cell, asymptotic_sops(queries)),
+    EvalMethod.QUADRATURE: lambda queries: ((sop, None, "") for sop in quadrature_sops(queries)),
+}
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every grid cell; all quadrature cells share one row-stacked integral."""
+    """Evaluate every grid cell.
+
+    The closed-form, floor and quadrature cells of each route go to that
+    route's batch entry in one call; simulation cells run one at a time.
+    """
     cells = []
     for snr_db in snr_grid(spec):
         cfg = replace(spec.base, snr=db_to_linear(snr_db))
@@ -159,11 +183,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             for scenario in spec.scenarios
             for method in spec.methods
         ]
-    quad_values = iter(quadrature_sops(q for _, q, m in cells if m is EvalMethod.QUADRATURE))
+    batched = {
+        method: evaluate([query for _, query, m in cells if m is method])
+        for method, evaluate in _BATCHES.items()
+    }
     rows = []
     for snr_db, query, method in cells:
-        if method is EvalMethod.QUADRATURE:
-            sop, ci, flags = next(quad_values), None, ""
+        if method in batched:
+            sop, ci, flags = next(batched[method])
         else:
             sop, ci, flags = evaluate_cell(query.cfg, query.scheme, query.scenario, method, spec.mc)
         rows.append(SweepRow(snr_db, query.scheme, query.scenario, method, sop, ci, flags))

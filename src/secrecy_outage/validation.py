@@ -64,6 +64,9 @@ def _config(K: int, zeta: float, snr_db: float) -> SystemConfig:
 # Base point of the multipath and gain-ratio effect checks.
 _EFFECT_BASE = _config(5, 0.9, 20.0)
 
+# The library's simulation budget, seed and confidence, which the grid run keeps.
+_MC_DEFAULTS = McSettings()
+
 
 @dataclass(frozen=True)
 class ValidationSettings:
@@ -73,9 +76,9 @@ class ValidationSettings:
     zetas: tuple[float, ...] = (0.9, 0.99, 1.0)
     snr_dbs: tuple[float, ...] = (0.0, 10.0, 20.0, 30.0)
 
-    mc_samples: int = 1_000_000
-    seed: int = 0
-    confidence: float = 0.99
+    mc_samples: int = _MC_DEFAULTS.n_samples
+    seed: int = _MC_DEFAULTS.seed
+    confidence: float = _MC_DEFAULTS.confidence
 
     analytic_quadrature_tol: float = 1e-8
     mc_tolerance_floor: float = 1e-3

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import sop_quadpack
 from secrecy_outage import (
+    FIGURE_PRESETS,
     McSettings,
     NumericalIntegrityError,
     Scenario,
@@ -14,10 +15,14 @@ from secrecy_outage import (
     SopQuery,
     SystemConfig,
     analytic_sop,
+    analytic_sops,
     asymptotic_sop,
+    asymptotic_sops,
     simulate_sop,
 )
+from secrecy_outage import analytic
 from secrecy_outage.analytic import METHOD_ANALYTIC, _finalize, case_sop
+from secrecy_outage.sweep import db_to_linear
 
 CASES = [(s, c) for s in (Scheme.SS, Scheme.OS) for c in (Scenario.KU, Scenario.KA)]
 
@@ -280,3 +285,110 @@ def test_case_rule_edges():
     # a flagged single-link value is clamped first and keeps its flag
     result, _ = _rule_with_fake_inner(_cfg(K=2), Scheme.OS, Scenario.KA, 1.2, flag=True)
     assert result.value == 1.0 and result.significance_flag
+
+
+# ---------------------------------------------------------------------------
+# batch entries: every batch value is its query's one-query call
+# ---------------------------------------------------------------------------
+
+FIGURE_SNRS = [db_to_linear(-10.0 + 2.0 * i) for i in range(26)]
+
+BATCH_ROUTES = [(analytic_sops, analytic_sop), (asymptotic_sops, asymptotic_sop)]
+
+
+def _fields(value):
+    return value.value, value.raw_value, value.significance_flag, value.method
+
+
+def _sweep_queries(cfg, snrs=FIGURE_SNRS):
+    return [
+        SopQuery(replace(cfg, snr=snr), scheme, scenario)
+        for snr in snrs
+        for scheme, scenario in CASES
+    ]
+
+
+@pytest.mark.parametrize("batch,lone", BATCH_ROUTES)
+def test_batch_equals_lone_calls_on_every_figure_point(batch, lone):
+    # every figure-preset variant x 26 SNR points x 4 cases, compared by ==
+    variants = [cfg for preset in FIGURE_PRESETS.values() for cfg in preset.variants]
+    queries = [query for cfg in variants for query in _sweep_queries(cfg)]
+    assert len(queries) == 13 * 26 * 4
+    for query, value in zip(queries, batch(queries), strict=True):
+        assert _fields(value) == _fields(lone(query)), query
+
+
+@pytest.mark.parametrize("batch,lone", BATCH_ROUTES)
+def test_mixed_batch_keeps_input_order(batch, lone):
+    queries = [
+        SopQuery(_cfg(K=3, zeta=0.9, snr=1.0), Scheme.SS, Scenario.KA),
+        SopQuery(_cfg(K=1, M=2, N=6, zeta=0.5, snr=100.0), Scheme.OS, Scenario.KU),
+        SopQuery(_cfg(K=2, zeta=0.0), Scheme.SS, Scenario.KU),  # dead backhaul
+        SopQuery(_cfg(K=3, zeta=0.9, snr=30.0), Scheme.SS, Scenario.KA),
+        SopQuery(_cfg(K=5, M=3, N=2, zeta=1.0), Scheme.OS, Scenario.KA),
+        SopQuery(_cfg(K=3, zeta=0.9, snr=1.0), Scheme.SS, Scenario.KA),  # duplicate
+        SopQuery(_cfg(K=5, M=3, N=2, zeta=1.0), Scheme.SS, Scenario.KU),
+    ]
+    values = batch(queries)
+    assert [_fields(v) for v in values] == [_fields(lone(q)) for q in queries]
+    assert values[2].value == 1.0
+    assert _fields(values[0]) == _fields(values[5])
+    assert len({v.value for v in values}) >= 5  # distinct values, so a reordering would show
+
+
+@pytest.mark.parametrize("batch", [analytic_sops, asymptotic_sops])
+def test_empty_batch(batch):
+    assert batch([]) == []
+    assert batch(iter(())) == []
+
+
+def test_flagged_point_keeps_its_flag_in_a_batch():
+    # ss/ku at K=60 M=12 cancels below the guard (its value is not
+    # trustworthy); batched with unflagged points it stays flagged
+    flagged = SopQuery(_cfg(K=60, M=12, zeta=0.9), Scheme.SS, Scenario.KU)
+    queries = [
+        SopQuery(_cfg(K=60, M=12, zeta=0.9, snr=1.0), Scheme.OS, Scenario.KU),
+        flagged,
+        SopQuery(_cfg(K=2, zeta=0.9), Scheme.SS, Scenario.KU),
+    ]
+    values = analytic_sops(queries)
+    assert values[1].significance_flag
+    assert not values[0].significance_flag and not values[2].significance_flag
+    assert _fields(values[1]) == _fields(analytic_sop(flagged))
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(analytic, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(analytic, name, counted)
+    return calls
+
+
+def test_floor_runs_once_per_group(monkeypatch):
+    # the four cases of a 26-point sweep form four (L, w) groups
+    calls = _counting(monkeypatch, "_selection_floor_series")
+    values = asymptotic_sops(_sweep_queries(_cfg(K=3, zeta=0.9)))
+    assert len(calls) == 4
+    assert len({args[-2:] for args in calls}) == 4
+    assert len({v.value for v in values[0::4]}) == 1  # one ss/ku floor at every SNR
+
+
+def test_series_runs_once_per_group_over_all_snr_points(monkeypatch):
+    calls = _counting(monkeypatch, "_selection_series")
+    analytic_sops(_sweep_queries(_cfg(K=3, zeta=0.9)))
+    assert len(calls) == 4
+    assert all(len(args[-1]) == 26 for args in calls)
+
+
+def test_slabs_split_points_without_changing_values(monkeypatch):
+    # a series tensor over more floats than the cap is evaluated a slab of
+    # SNR points at a time; with a cap below one point every point is its own slab
+    queries = _sweep_queries(_cfg(K=3, zeta=0.9), FIGURE_SNRS[::5])
+    whole = analytic_sops(queries)
+    monkeypatch.setattr(analytic, "_SLAB_FLOATS", 1)
+    assert [_fields(v) for v in analytic_sops(queries)] == [_fields(v) for v in whole]

@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from secrecy_outage import Scenario, Scheme, SopQuery, SystemConfig, analytic_sop
-from secrecy_outage.cli import main
+from secrecy_outage import McSettings, Scenario, Scheme, SopQuery, SystemConfig, ValidationSettings, analytic_sop
+from secrecy_outage.cli import build_parser, main
 from secrecy_outage import validation
 
 BASE_ARGS = [
@@ -224,3 +224,16 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "sop=" in proc.stdout
+
+
+def test_simulation_defaults_are_mc_settings_defaults():
+    # the CLI flags and the validation grid read McSettings' budget, seed
+    # and confidence rather than repeating them
+    defaults = McSettings()
+    parser = build_parser()
+    for argv in (["sop"], ["sweep", "--snr-start", "0", "--snr-stop", "10"], ["figure", "fig2"]):
+        args = parser.parse_args(argv)
+        assert (args.samples, args.seed, args.confidence) == (
+            defaults.n_samples, defaults.seed, defaults.confidence
+        ), argv
+    assert ValidationSettings().mc_settings() == defaults

@@ -16,6 +16,7 @@ from secrecy_outage.sweep import (
     EvalMethod,
     SweepSpec,
     db_to_linear,
+    evaluate_cell,
     read_sweep_csv,
     run_sweep,
     snr_grid,
@@ -174,3 +175,23 @@ def test_asymptotic_rows_are_snr_free():
     spec = _spec(methods=(EvalMethod.ASYMPTOTIC,))
     rows = run_sweep(spec).rows
     assert len({r.sop for r in rows}) == 1
+
+
+def test_batched_sweep_equals_cell_by_cell_evaluation():
+    # run_sweep sends its closed-form, floor and quadrature cells to the batch
+    # entries; every row must be that cell's own evaluate_cell result
+    spec = _spec(
+        base=SystemConfig(K=3, zeta=0.9, r_th=1.0, snr=1.0, M=4, N=3, a=0.5, b=0.2),
+        snr_db_start=-10.0,
+        snr_db_stop=40.0,
+        snr_db_step=10.0,
+        schemes=(Scheme.SS, Scheme.OS),
+        scenarios=(Scenario.KU, Scenario.KA),
+        methods=(EvalMethod.ANALYTIC, EvalMethod.ASYMPTOTIC, EvalMethod.QUADRATURE),
+    )
+    rows = run_sweep(spec).rows
+    assert len(rows) == 6 * 2 * 2 * 3
+    for row in rows:
+        cfg = SystemConfig(K=3, zeta=0.9, r_th=1.0, snr=db_to_linear(row.snr_db), M=4, N=3, a=0.5, b=0.2)
+        cell = evaluate_cell(cfg, row.scheme, row.scenario, row.method, spec.mc)
+        assert (row.sop, row.ci_half_width, row.flags) == cell, row
