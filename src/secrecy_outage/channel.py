@@ -181,6 +181,11 @@ def sample_channel_block(
 ):
     """Draw ``n`` independent channel states as (gamma_d, gamma_e, backhaul) arrays.
 
+    This is the full-block draw: every link for every sample.  The Monte
+    Carlo estimator does not use it (it draws link by link, only for the
+    samples still in outage; see ``montecarlo._chunk_counts``); the tests
+    of the channel laws and the benchmark's channel-draw seam do.
+
     Arrays are laid out (rows, n) so that a reduction over transmitters runs
     over contiguous rows.  ``gamma_d`` always has K rows, one per link.
     ``gamma_e`` has K per-link rows, or with ``eve_per_link=False`` a single

@@ -6,9 +6,9 @@ plain integer counting.  Results are therefore bit-reproducible for a given
 (seed, n_samples) no matter how many workers execute the chunks, and chunk
 results can be computed in any order.
 
-A chunk draws only the quantities its case reads (see ``_chunk_counts``),
-so the per-seed estimate depends on the case's draw shapes; changing those
-shapes changes per-seed estimates but not their distribution.
+A chunk draws link by link and only for the samples still in outage (see
+``_chunk_counts``), so the per-seed estimate depends on that draw order;
+changing the order changes per-seed estimates but not their distribution.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from statistics import NormalDist
 import numpy as np
 
 from .analytic import Scenario, Scheme, SopQuery
-from .channel import _is_int, make_rng, sample_channel_block
+# ``sample_channel_block`` is no longer called here, but the traced benchmark
+# mode rebinds it on this module, so the name stays bound.
+from .channel import _is_int, make_rng, sample_channel_block  # noqa: F401
 
 __all__ = [
     "CHUNK_SIZE",
@@ -88,32 +90,57 @@ def secrecy_outage_indicator(gamma_d, gamma_e, rho):
 def _chunk_counts(query: SopQuery, seed: int, chunk_index: int, n: int) -> tuple[int, int]:
     """Outage and empty-active-set counts for one substream chunk.
 
-    Only the draws the case reads are made: strongest-destination selection
-    never looks at eavesdropper SNRs and blind selection never looks at
-    backhaul states, so each gets one row standing for the selected link.
-    No pick is made either.  The outage test is monotone in the destination
-    SNR, so the strongest link fails against the one shared eavesdropper row
-    exactly when every link does, and the best secrecy ratio is in outage
-    exactly when every candidate link is.
+    Under both rules a sample is in outage exactly when every candidate
+    link fails: the outage test is monotone in the destination SNR, so the
+    strongest link fails against the one eavesdropper SNR exactly when every
+    link does, and the best secrecy ratio fails exactly when every ratio
+    does.  One passing link settles a sample, so the chunk tests link k only
+    on its survivors, the samples every earlier link left in outage.
+
+    Draw order: under ``ku`` first one uniform per sample for the selected
+    link's backhaul (the rule never reads it, so it is independent of the
+    pick); a silenced pick is an outage at once and leaves the survivors.
+    Then, for each link while survivors remain, one value per survivor of:
+    the backhaul uniform (``ka`` only), the Gamma(M) destination SNR and the
+    Gamma(N) eavesdropper SNR.  ``os`` draws eavesdropper SNRs at every link;
+    ``ss`` draws them at the first link only and keeps them as the shared
+    eavesdropper SNR of the later ones.  A survivor stays while its link is
+    silenced (``ka``) or in outage.  Survivors are exchangeable, so no sample
+    index is kept: only their count, their ``ss`` eavesdropper SNRs and
+    their ``ka`` "no active link yet" flags, compressed at every link, so
+    chunk memory is O(n).  With one link both rules read the same stream.
     """
     cfg = query.cfg
     ka = query.scenario is Scenario.KA
-    gamma_d, gamma_e, active = sample_channel_block(
-        cfg, make_rng(seed, chunk_index), n,
-        eve_per_link=query.scheme is Scheme.OS, backhaul_per_link=ka,
-    )
-    link_out = secrecy_outage_indicator(gamma_d, gamma_e, cfg.rho)
-    if ka:
-        # a silenced transmitter is never picked; an empty active set is an outage
-        link_out |= ~active
-    outage = link_out.all(axis=0)
-    if ka:
-        empty = int(n - np.count_nonzero(active.any(axis=0)))
-    else:
-        # a silenced pick is an outage by itself
-        outage |= ~active[0]
-        empty = 0
-    return int(np.count_nonzero(outage)), empty
+    shared_eve = query.scheme is Scheme.SS
+    rng = make_rng(seed, chunk_index)
+    silenced = 0 if ka else int(np.count_nonzero(rng.random(n) >= cfg.zeta))
+    survivors = n - silenced
+    gamma_e = never_active = None
+    for link in range(cfg.K):
+        if survivors == 0:
+            break
+        if ka:
+            off = rng.random(survivors) >= cfg.zeta
+        gamma_d = rng.standard_gamma(cfg.M, survivors)
+        gamma_d *= cfg.a_d
+        if gamma_e is None or not shared_eve:
+            gamma_e = rng.standard_gamma(cfg.N, survivors)
+            gamma_e *= cfg.a_e
+        stay = secrecy_outage_indicator(gamma_d, gamma_e, cfg.rho)
+        if ka:
+            # a silenced transmitter is never picked; an empty active set is an outage
+            stay |= off
+            never_active = off if never_active is None else never_active & off
+        survivors = int(np.count_nonzero(stay))
+        if link + 1 < cfg.K:
+            if shared_eve:
+                gamma_e = gamma_e[stay]
+            if ka:
+                never_active = never_active[stay]
+    # at the last link every never-active survivor is silenced, so it stayed
+    empty = int(np.count_nonzero(never_active)) if ka else 0
+    return silenced + survivors, empty
 
 
 def simulate_sop(query: SopQuery, mc: McSettings = McSettings(), workers: int = 1) -> SopEstimate:

@@ -12,9 +12,10 @@ from secrecy_outage import (
     SopQuery,
     SystemConfig,
     analytic_sop,
+    montecarlo,
     simulate_sop,
 )
-from secrecy_outage.channel import make_rng, sample_channel_block
+from secrecy_outage.channel import make_rng
 from secrecy_outage.montecarlo import CHUNK_SIZE, _chunk_counts, secrecy_outage_indicator
 
 CASES = [(s, c) for s in (Scheme.SS, Scheme.OS) for c in (Scenario.KU, Scenario.KA)]
@@ -65,6 +66,16 @@ def test_dead_backhaul_is_certain_outage():
         query = SopQuery(cfg=cfg, scheme=scheme, scenario=scenario)
         estimate = simulate_sop(query, McSettings(n_samples=4096, seed=5))
         assert estimate.p_hat == 1.0
+        if scenario is Scenario.KA:
+            assert estimate.empty_active_set_rate == 1.0
+
+
+def test_reliable_backhaul_never_empties_the_active_set():
+    cfg = _cfg(zeta=1.0)
+    for scheme in (Scheme.SS, Scheme.OS):
+        query = SopQuery(cfg=cfg, scheme=scheme, scenario=Scenario.KA)
+        estimate = simulate_sop(query, McSettings(n_samples=4096, seed=5))
+        assert estimate.empty_active_set_rate == 0.0
 
 
 def test_single_transmitter_schemes_coincide():
@@ -173,35 +184,59 @@ def test_selection_prefers_merit():
 
 
 def _loop_counts(query, seed, chunk_index, n):
-    """Per-sample reference for _chunk_counts over the same channel block.
+    """Per-sample reference for _chunk_counts on the same substream.
 
-    It picks a transmitter explicitly and tests only the pick, so it checks
-    the best-ratio "every candidate in outage" shortcut independently.  A
-    single eavesdropper (ss) or backhaul (ku) row stands for the picked
-    link's value.
+    It replays the documented draw order (the ku pick's backhaul uniform,
+    then per link one backhaul uniform for ka, one destination and one
+    eavesdropper SNR per sample still in outage, the ss eavesdropper SNR
+    only at the first link), recording every value against its sample.
+    Each sample is then decided on its own: an explicit pick among the
+    links it tested, and an outage test of that pick alone.  A sample that
+    left early did so on a passing link, which the pick among tested links
+    then finds, so this checks the "every candidate in outage" shortcut
+    independently.
     """
     cfg = query.cfg
     ss, ka = query.scheme is Scheme.SS, query.scenario is Scenario.KA
-    gamma_d, gamma_e, active = sample_channel_block(
-        cfg, make_rng(seed, chunk_index), n, eve_per_link=not ss, backhaul_per_link=ka
-    )
+    rng = make_rng(seed, chunk_index)
+    pick_on = [True] * n if ka else (rng.random(n) < cfg.zeta).tolist()
+    d = [[] for _ in range(n)]
+    e = [[] for _ in range(n)]
+    on = [[] for _ in range(n)]
+    alive = [i for i in range(n) if pick_on[i]]
+    for link in range(cfg.K):
+        if not alive:
+            break
+        size = len(alive)
+        on_link = (rng.random(size) < cfg.zeta).tolist() if ka else [True] * size
+        d_link = (rng.standard_gamma(cfg.M, size) * cfg.a_d).tolist()
+        if link == 0 or not ss:
+            e_link = (rng.standard_gamma(cfg.N, size) * cfg.a_e).tolist()
+        else:
+            e_link = [e[i][0] for i in alive]
+        for j, i in enumerate(alive):
+            d[i].append(d_link[j])
+            e[i].append(e_link[j])
+            on[i].append(on_link[j])
+        alive = [
+            i for i in alive
+            if not on[i][link] or 1.0 + d[i][link] < cfg.rho * (1.0 + e[i][link])
+        ]
     outages = empties = 0
-    for d, e, on in zip(gamma_d.T.tolist(), gamma_e.T.tolist(), active.T.tolist()):
-        if ka:
-            candidates = [k for k in range(cfg.K) if on[k]]
-            if not candidates:
-                empties += 1
-                outages += 1
-                continue
-        else:
-            candidates = range(cfg.K)
+    for i in range(n):
+        if not pick_on[i]:
+            outages += 1
+            continue
+        candidates = [k for k in range(len(d[i])) if on[i][k]]
+        if not candidates:
+            empties += 1
+            outages += 1
+            continue
         if ss:
-            best = max(candidates, key=lambda k: d[k])
+            best = max(candidates, key=lambda k: d[i][k])
         else:
-            best = max(candidates, key=lambda k: (1.0 + d[k]) / (1.0 + e[k]))
-        e_best = e[0] if ss else e[best]
-        on_best = on[best] if ka else on[0]
-        if not on_best or 1.0 + d[best] < cfg.rho * (1.0 + e_best):
+            best = max(candidates, key=lambda k: (1.0 + d[i][k]) / (1.0 + e[i][k]))
+        if 1.0 + d[i][best] < cfg.rho * (1.0 + e[i][best]):
             outages += 1
     return outages, empties
 
@@ -218,3 +253,82 @@ def test_chunk_counts_match_per_sample_loop(scheme, scenario):
         assert expected[1] > 100
     else:
         assert expected[1] == 0
+
+
+class _CountingRng:
+    """Generator wrapper that counts the variates drawn, by kind."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.counts = {}
+
+    def _add(self, kind, size):
+        self.counts[kind] = self.counts.get(kind, 0) + int(np.prod(size))
+
+    def random(self, size):
+        self._add("uniform", size)
+        return self.rng.random(size)
+
+    def standard_gamma(self, shape, size):
+        self._add(("gamma", shape), size)
+        return self.rng.standard_gamma(shape, size)
+
+
+def _counted_draws(monkeypatch, query, n):
+    generators = []
+
+    def counting_make_rng(seed, stream=0):
+        generators.append(_CountingRng(make_rng(seed, stream)))
+        return generators[-1]
+
+    monkeypatch.setattr(montecarlo, "make_rng", counting_make_rng)
+    _chunk_counts(query, 5, 0, n)
+    assert len(generators) == 1
+    return generators[0].counts
+
+
+def test_survivor_draws_stop_at_the_first_passing_link(monkeypatch):
+    # at 30 dB nearly every sample passes on its first link, so the
+    # destination draws stay close to n instead of K * n
+    cfg = _cfg(K=5, snr=1000.0)
+    n = 20_000
+    counts = _counted_draws(monkeypatch, SopQuery(cfg=cfg, scheme=Scheme.OS, scenario=Scenario.KU), n)
+    assert counts[("gamma", cfg.M)] < 2 * n
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("scheme,scenario", CASES)
+def test_survivor_draws_never_exceed_the_full_block(monkeypatch, K, scheme, scenario):
+    # the full block: K destination rows, K eavesdropper rows for os and one
+    # for ss, K backhaul rows for ka and one for ku
+    cfg = _cfg(K=K)
+    n = 20_000
+    counts = _counted_draws(monkeypatch, SopQuery(cfg=cfg, scheme=scheme, scenario=scenario), n)
+    full = {
+        ("gamma", cfg.M): K * n,
+        ("gamma", cfg.N): (K if scheme is Scheme.OS else 1) * n,
+        "uniform": (K if scenario is Scenario.KA else 1) * n,
+    }
+    assert set(counts) <= set(full)
+    for kind, drawn in counts.items():
+        assert drawn <= full[kind], kind
+
+
+@pytest.mark.parametrize("scheme,scenario", CASES)
+def test_agreement_with_closed_form_on_unreliable_backhaul(scheme, scenario):
+    # many links and frequent silencing keep the survivor bookkeeping busy
+    cfg = _cfg(K=5, zeta=0.6)
+    query = SopQuery(cfg=cfg, scheme=scheme, scenario=scenario)
+    estimate = simulate_sop(query, McSettings(n_samples=400_000, seed=23))
+    closed = analytic_sop(query).value
+    assert abs(estimate.p_hat - closed) <= 3.0 * estimate.ci_half_width
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SS, Scheme.OS])
+def test_empty_active_set_rate_with_frequent_silencing(scheme):
+    cfg = _cfg(K=3, zeta=0.6)
+    mc = McSettings(n_samples=300_000, seed=24)
+    estimate = simulate_sop(SopQuery(cfg=cfg, scheme=scheme, scenario=Scenario.KA), mc)
+    expected = (1.0 - cfg.zeta) ** cfg.K
+    sigma = math.sqrt(expected * (1.0 - expected) / mc.n_samples)
+    assert abs(estimate.empty_active_set_rate - expected) <= 3.0 * sigma
