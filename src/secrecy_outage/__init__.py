@@ -33,6 +33,7 @@ from .sweep import (
     SweepSpec,
     db_to_linear,
     run_sweep,
+    run_sweeps,
     write_sweep_csv,
 )
 from .figures import FIGURE_PRESETS, run_figure
@@ -72,6 +73,7 @@ __all__ = [
     "quadrature_sops",
     "run_figure",
     "run_sweep",
+    "run_sweeps",
     "run_validation",
     "simulate_sop",
     "snr_cdf",

@@ -51,7 +51,6 @@ __all__ = [
     "asymptotic_sops",
     "case_sop",
     "inner_args",
-    "reads_inner",
 ]
 
 # Round-off tolerance band for the integrity check; values further outside
@@ -116,19 +115,17 @@ class SopValue:
     raw_value: float
 
 
-def _finalize(raw: float, flag: bool, method: str) -> SopValue:
-    if not flag:
-        # NaN fails this check too and is reported rather than clamped.
-        if not (-INTEGRITY_BAND <= raw <= 1.0 + INTEGRITY_BAND):
+def _finalize(raws, flags, method: str) -> list[float]:
+    """Clamp every raw value to [0, 1]; an unflagged one outside it by more than the band raises.
+
+    NaN fails the band check too and is reported rather than clamped.
+    """
+    for raw, flag in zip(raws, flags):
+        if not (flag or -INTEGRITY_BAND <= raw <= 1.0 + INTEGRITY_BAND):
             raise NumericalIntegrityError(
                 f"{method} outage probability {raw!r} leaves [0, 1] by more than {INTEGRITY_BAND}"
             )
-    return SopValue(
-        value=min(max(raw, 0.0), 1.0),
-        method=method,
-        significance_flag=flag,
-        raw_value=raw,
-    )
+    return [min(max(raw, 0.0), 1.0) for raw in raws]
 
 
 def inner_args(query: SopQuery) -> tuple[int, float]:
@@ -140,16 +137,13 @@ def inner_args(query: SopQuery) -> tuple[int, float]:
     )
 
 
-def reads_inner(query: SopQuery) -> bool:
-    """False over dead backhaul, an outage that ``case_sop`` evaluates nothing for."""
-    return query.cfg.zeta > 0.0
+def case_sop(queries, inner, method: str) -> list[SopValue]:
+    """The case rule: every query's (scheme, scenario) outage from its inner quantity, in input order.
 
-
-def case_sop(query: SopQuery, inner, method: str) -> SopValue:
-    """The case rule: one (scheme, scenario) outage from its inner quantity.
-
-    ``inner(L, w) -> (raw, flag)`` evaluates x = E_y[((1 - w) + w F_d(lambda(y)))^L]
-    with lambda(y) = (1 + y) rho - 1.  Per case:
+    ``inner(reading, args) -> (raws, flags)`` evaluates, for each query of
+    ``reading`` and its (L, w) in ``args`` (from ``inner_args``),
+    x = E_y[((1 - w) + w F_d(lambda(y)))^L] with lambda(y) = (1 + y) rho - 1,
+    and whether its series lost significance.  Per case:
 
         case   (L, w)     outage                 because
         ss/ku  (K, 1)     (1 - zeta) + zeta x    the strongest link may turn out silenced
@@ -163,20 +157,36 @@ def case_sop(query: SopQuery, inner, method: str) -> SopValue:
 
     Strongest-destination selection powers the CDF inside the eavesdropper
     integral; best-ratio selection powers the single-link value outside it,
-    after its integrity check.  Dead backhaul (zeta = 0) silences every
-    link: an outage in every case, without evaluating anything.  At K = 1
-    and zeta = 1 every case returns the single-transmitter outage x itself.
+    after its integrity check, with Python's float power (``np.power`` can
+    differ from it by an ulp).  Dead backhaul (zeta = 0) silences every
+    link: an outage in every case; such queries are not in ``reading``, and
+    a batch of them only never calls ``inner``.
+    At K = 1 and zeta = 1 every case returns the single-transmitter outage x
+    itself.  The batch composes element-wise over lists, so a lone query pays
+    no array set-up; an unflagged NaN or out-of-band value anywhere in the
+    batch raises ``NumericalIntegrityError``.
     """
-    cfg = query.cfg
-    if not reads_inner(query):
-        return _finalize(1.0, False, method)
-    blind = query.scenario is Scenario.KU
-    raw, flag = inner(*inner_args(query))
-    if query.scheme is Scheme.OS:
-        raw = _finalize(raw, flag, method).value ** cfg.K
-    if blind:
-        raw = (1.0 - cfg.zeta) + cfg.zeta * raw
-    return _finalize(raw, flag, method)
+    queries = list(queries)
+    reading = [query for query in queries if query.cfg.zeta > 0.0]
+    raws, flags = inner(reading, [inner_args(query) for query in reading]) if reading else ([], [])
+    best_ratio = [query.scheme is Scheme.OS for query in reading]
+    if any(best_ratio):
+        # only the best-ratio single-link values are checked before the power
+        singles = _finalize(raws, [flag or not os for flag, os in zip(flags, best_ratio)], method)
+        raws = [
+            single ** query.cfg.K if os else raw
+            for query, os, single, raw in zip(reading, best_ratio, singles, raws)
+        ]
+    raws = [
+        (1.0 - query.cfg.zeta) + query.cfg.zeta * raw if query.scenario is Scenario.KU else raw
+        for query, raw in zip(reading, raws)
+    ]
+    values = _finalize(raws, flags, method)
+    composed = [SopValue(value, method, flag, raw) for value, flag, raw in zip(values, flags, raws)]
+    if len(composed) == len(queries):
+        return composed
+    live, dead = iter(composed), SopValue(1.0, method, False, 1.0)
+    return [next(live) if query.cfg.zeta > 0.0 else dead for query in queries]
 
 
 def _alternating_series(K, weight, magnitudes):
@@ -291,32 +301,33 @@ def _selection_floor_series(M: int, N: int, a: float, b: float, rho: float, K: i
 # public closed forms and high-SNR floors
 # ---------------------------------------------------------------------------
 
-def _group_key(cfg: SystemConfig, power: int, weight: float) -> tuple:
-    """Everything an inner quantity depends on but snr: (M, N, a, b, rho, L, w)."""
-    return cfg.M, cfg.N, cfg.a, cfg.b, cfg.rho, power, weight
-
-
 def _closed_form_sops(queries, group_values, method: str) -> list[SopValue]:
     """Compose every query from inner values evaluated one group at a time.
 
-    Queries whose inner quantities share everything but snr form a group;
-    ``group_values(key, snrs)`` returns one (raw, flag) per distinct snr of
-    the group.  Dead backhaul evaluates nothing.
+    Queries whose inner quantities share everything but snr, (M, N, a, b,
+    rho, L, w), form a group; ``group_values(M, N, a, b, rho, L, w, snrs)``
+    returns one (raw, flag) per distinct snr of the group.  Dead backhaul
+    evaluates nothing.
     """
-    queries = list(queries)
-    groups: dict[tuple, dict[float, None]] = {}
-    for query in queries:
-        if reads_inner(query):
-            groups.setdefault(_group_key(query.cfg, *inner_args(query)), {})[query.cfg.snr] = None
-    inner = {
-        (key, snr): value
-        for key, snrs in groups.items()
-        for snr, value in zip(snrs, group_values(key, list(snrs)))
-    }
-    return [
-        case_sop(query, lambda L, w, cfg=query.cfg: inner[_group_key(cfg, L, w), cfg.snr], method)
-        for query in queries
-    ]
+
+    def inner(reading, args):
+        groups: dict[tuple, tuple[dict[float, int], list]] = {}
+        slots = []  # per query: its group's values and its snr's position in them
+        for query, (power, weight) in zip(reading, args):
+            cfg = query.cfg
+            snrs, values = groups.setdefault((cfg.M, cfg.N, cfg.a, cfg.b, cfg.rho, power, weight), ({}, []))
+            slots.append((values, snrs.setdefault(cfg.snr, len(snrs))))
+        for key, (snrs, values) in groups.items():
+            values += group_values(*key, list(snrs))
+        raws, flags = zip(*[values[at] for values, at in slots])
+        return raws, flags
+
+    return case_sop(queries, inner, method)
+
+
+def _floor_values(M, N, a, b, rho, K, weight, snrs):
+    """The group's one snr-free floor, at each of its SNR points."""
+    return [_selection_floor_series(M, N, a, b, rho, K, weight)] * len(snrs)
 
 
 def analytic_sops(queries) -> list[SopValue]:
@@ -326,14 +337,12 @@ def analytic_sops(queries) -> list[SopValue]:
     evaluation over their SNR points; every value equals that query's
     ``analytic_sop``.
     """
-    return _closed_form_sops(queries, lambda key, snrs: _selection_series(*key, snrs), METHOD_ANALYTIC)
+    return _closed_form_sops(queries, _selection_series, METHOD_ANALYTIC)
 
 
 def asymptotic_sops(queries) -> list[SopValue]:
     """High-SNR outage floors of many queries, in input order; one floor series per group."""
-    return _closed_form_sops(
-        queries, lambda key, snrs: [_selection_floor_series(*key)] * len(snrs), METHOD_ASYMPTOTIC
-    )
+    return _closed_form_sops(queries, _floor_values, METHOD_ASYMPTOTIC)
 
 
 def analytic_sop(query: SopQuery) -> SopValue:

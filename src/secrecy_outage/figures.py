@@ -24,7 +24,7 @@ from .sweep import (
     SweepSpec,
     _format_float,
     _write_csv,
-    run_sweep,
+    run_sweeps,
 )
 
 __all__ = [
@@ -124,6 +124,7 @@ def run_figure(
     scenario: Scenario | None = None,
     methods: tuple[EvalMethod, ...] = _METHODS,
 ) -> FigureResult:
+    """Run one preset study: the cells of all its variants go to one ``run_sweeps`` call."""
     try:
         preset = FIGURE_PRESETS[name]
     except KeyError:
@@ -132,9 +133,8 @@ def run_figure(
         ) from None
     mc = mc if mc is not None else McSettings()
     scenarios = _SCENARIOS if scenario is None else (scenario,)
-    per_variant = []
-    for cfg in preset.variants:
-        spec = SweepSpec(
+    specs = [
+        SweepSpec(
             base=cfg,
             snr_db_start=_SNR_START,
             snr_db_stop=_SNR_STOP,
@@ -144,7 +144,9 @@ def run_figure(
             methods=methods,
             mc=mc,
         )
-        per_variant.append((cfg, run_sweep(spec)))
+        for cfg in preset.variants
+    ]
+    per_variant = list(zip(preset.variants, run_sweeps(specs)))
     return FigureResult(preset=preset, per_variant=per_variant, mc=mc)
 
 

@@ -25,11 +25,12 @@ unit-scale laws (``quadrature_sops``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .analytic import SopQuery, case_sop, inner_args, reads_inner
+from .analytic import SopQuery, case_sop, inner_args
 from .channel import GammaSnr, mixture_cdf, snr_cdf, snr_pdf
 
 __all__ = [
@@ -77,6 +78,7 @@ _WEIGHTS_G_POS = (
 _NODES = np.array([-x for x in _NODES_POS[:-1]] + list(_NODES_POS[::-1]))
 _WEIGHTS_K = np.array(list(_WEIGHTS_K_POS[:-1]) + list(_WEIGHTS_K_POS[::-1]))
 _WEIGHTS_G = np.array(list(_WEIGHTS_G_POS[:-1]) + list(_WEIGHTS_G_POS[::-1]))
+_WEIGHTS = np.stack((_WEIGHTS_K, _WEIGHTS_G))
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -95,16 +97,24 @@ class QuadratureConvergenceError(RuntimeError):
 def _panels(evaluate: Callable, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Kronrod values and error estimates (200 |K - G|)^1.5 of panels [lo_i, hi_i], one call.
 
-    ``einsum`` sums each panel's 15 products on their own, so a panel's
-    numbers do not depend on which other panels share the call (a BLAS
-    product's can, by an ulp).
+    ``einsum`` sums each panel's 15 products on their own, for both rules
+    in one call, so a panel's numbers do not depend on which other panels
+    share the call (a BLAS product's can, by an ulp).
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     fx = evaluate(rows, mid[:, None] + half[:, None] * _NODES)
-    value_k = half * np.einsum("ij,j->i", fx, _WEIGHTS_K)
-    diff = np.abs(value_k - half * np.einsum("ij,j->i", fx, _WEIGHTS_G))
+    value_k, value_g = half * np.einsum("ij,kj->ki", fx, _WEIGHTS)
+    diff = np.abs(value_k - value_g)
     return value_k, np.where(diff > 0.0, (200.0 * diff) ** 1.5, 0.0)
+
+
+@lru_cache(maxsize=8)
+def _edges(lo: float, hi: float, subdivisions: int) -> np.ndarray:
+    """The first level's panel edges, cached read-only: ``linspace`` costs like a level's bookkeeping."""
+    edges = np.linspace(lo, hi, subdivisions + 1)
+    edges.flags.writeable = False
+    return edges
 
 
 def _stacked_integrals(
@@ -129,54 +139,58 @@ def _stacked_integrals(
     """
     if initial_subdivisions < 1:
         raise ValueError("initial_subdivisions must be >= 1")
-    edges = np.linspace(lo, hi, initial_subdivisions + 1)
-    # the rows still refining, ascending; each row's panels are contiguous
+    edges = _edges(lo, hi, initial_subdivisions)
+    # the rows still refining, ascending, and their panels as the columns
+    # (lo, hi, value, error estimate) of one array; each row's are contiguous.
+    # Array methods stand in for their numpy functions: a lone row's level is
+    # a few dozen calls on tiny arrays, so per-call overhead is its cost.
     ids = np.arange(n_rows)
-    sizes = np.full(n_rows, initial_subdivisions)
-    evaluated = sizes.copy()
-    p_lo, p_hi = np.tile(edges[:-1], n_rows), np.tile(edges[1:], n_rows)
-    values, errs = _panels(evaluate, np.repeat(ids, sizes), p_lo, p_hi)
+    sizes = evaluated = np.full(n_rows, initial_subdivisions)
+    panels = np.empty((4, n_rows, initial_subdivisions))
+    panels[0], panels[1] = edges[:-1], edges[1:]
+    panels = panels.reshape(4, -1)
+    panels[2:] = _panels(evaluate, ids.repeat(sizes), panels[0], panels[1])
     results: list = [None] * n_rows
     while True:
-        starts = np.cumsum(sizes) - sizes
+        p_lo, p_hi, values, errs = panels
+        starts = sizes.cumsum() - sizes
         totals = np.add.reduceat(values, starts)
         total_errs = np.add.reduceat(errs, starts)
-        tols = np.fmax(abs_tol, rel_tol * np.abs(totals))
+        tols = np.fmax(abs_tol, rel_tol * abs(totals))
         rooms = (max_panels - evaluated) // 2
         done = total_errs <= tols
-        for i in np.flatnonzero(done | (rooms < 1)):
+        refine = ~done & (rooms >= 1)
+        for i in (~refine).nonzero()[0]:
             total = float(totals[i])
             results[ids[i]] = total if done[i] else QuadratureConvergenceError(
                 total, float(total_errs[i]), float(tols[i])
             )
-        refine = ~done & (rooms >= 1)
-        if not refine.any():
+        next_ids = ids[refine]
+        if not next_ids.size:
             return results
-        seg = np.repeat(np.arange(ids.size), sizes)
-        split = refine[seg] & (errs > tols[seg] * (p_hi - p_lo) / (hi - lo))
+        seg = np.arange(ids.size).repeat(sizes)
+        live = refine[seg]
+        split = live & (errs > tols[seg] * (p_hi - p_lo) / (hi - lo))
         counts = np.bincount(seg[split], minlength=ids.size)
-        for i in np.flatnonzero(refine & ((counts > rooms) | (counts == 0))):
+        for i in (refine & ((counts > rooms) | (counts == 0))).nonzero()[0]:
             own = slice(starts[i], starts[i] + sizes[i])
             own_split, own_errs = split[own], errs[own]
             if counts[i]:  # the budget fits the `room` worst of them
-                own_split[np.argsort(np.where(own_split, own_errs, -1.0))[: -rooms[i]]] = False
+                own_split[np.where(own_split, own_errs, -1.0).argsort()[: -rooms[i]]] = False
+                counts[i] = rooms[i]
             else:
-                own_split[np.argmax(own_errs)] = True
-        counts = np.bincount(seg[split], minlength=ids.size)
-        keep = refine[seg] & ~split
-        mid = 0.5 * (p_lo[split] + p_hi[split])
-        c_seg = np.concatenate((seg[split], seg[split]))
-        c_lo, c_hi = np.concatenate((p_lo[split], mid)), np.concatenate((mid, p_hi[split]))
+                own_split[own_errs.argmax()] = True
+                counts[i] = 1
+        keep = live & ~split
+        s_seg, s_lo, s_hi = seg[split], p_lo[split], p_hi[split]
+        mid = 0.5 * (s_lo + s_hi)
+        c_seg = np.concatenate((s_seg, s_seg))
+        c_lo, c_hi = np.concatenate((s_lo, mid)), np.concatenate((mid, s_hi))
         c_val, c_err = _panels(evaluate, ids[c_seg], c_lo, c_hi)
-        # each row's kept panels, then its left halves, then its right halves
-        order = np.argsort(
-            np.concatenate((3 * seg[keep], 3 * seg[split] + 1, 3 * seg[split] + 2)), kind="stable"
-        )
-        p_lo, p_hi, values, errs = (
-            np.concatenate((old[keep], new))[order]
-            for old, new in ((p_lo, c_lo), (p_hi, c_hi), (values, c_val), (errs, c_err))
-        )
-        ids, sizes, evaluated = ids[refine], (sizes + counts)[refine], (evaluated + 2 * counts)[refine]
+        # a stable sort by row keeps each row's kept panels, then its left halves, then its right halves
+        order = np.concatenate((seg[keep], c_seg)).argsort(kind="stable")
+        panels = np.concatenate((panels[:, keep], (c_lo, c_hi, c_val, c_err)), axis=1)[:, order]
+        ids, sizes, evaluated = next_ids, (sizes + counts)[refine], (evaluated + 2 * counts)[refine]
 
 
 def adaptive_integral(
@@ -266,7 +280,7 @@ def _boundary_expectations(keys: list, **quad_kwargs) -> list[float]:
         fx = np.empty_like(t)
         panel_group = group_of[rows]
         for g, integrand in enumerate(integrands):
-            at = np.flatnonzero(panel_group == g)
+            at = (panel_group == g).nonzero()[0]
             if at.size:
                 r, t_g = rows[at, None], t[at]
                 odds = t_g / (1.0 - t_g)  # y / a_e
@@ -285,18 +299,16 @@ def _boundary_expectations(keys: list, **quad_kwargs) -> list[float]:
 def quadrature_sops(queries, **quad_kwargs) -> list[float]:
     """Outage probabilities of many queries by one row-stacked quadrature.
 
-    Each inner quantity a query's case reads is one row, keyed by
-    (query, L, w); a query over dead backhaul reads none.  All rows
-    refine together, and every value equals that query's ``quadrature_sop``.
+    Each query's inner quantity is one row, keyed by (query, L, w); a query
+    over dead backhaul reads none.  All rows refine together, and every
+    value equals that query's ``quadrature_sop``.
     """
-    queries = list(queries)
-    keys = list(dict.fromkeys((query, *inner_args(query)) for query in queries if reads_inner(query)))
-    inner = dict(zip(keys, _boundary_expectations(keys, **quad_kwargs)))
-    return [
-        case_sop(query, lambda power, weight, query=query: (inner[query, power, weight], False),
-                 "quadrature").value
-        for query in queries
-    ]
+
+    def inner(reading, args):
+        keys = [(query, power, weight) for query, (power, weight) in zip(reading, args)]
+        return _boundary_expectations(keys, **quad_kwargs), [False] * len(keys)
+
+    return [value.value for value in case_sop(queries, inner, "quadrature")]
 
 
 def quadrature_sop(query: SopQuery, **quad_kwargs) -> float:

@@ -15,6 +15,7 @@ import io
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 
 from .analytic import (
@@ -42,6 +43,7 @@ __all__ = [
     "evaluate_cell",
     "read_sweep_csv",
     "run_sweep",
+    "run_sweeps",
     "snr_grid",
     "write_sweep_csv",
 ]
@@ -160,6 +162,9 @@ class SweepResult:
     mc: McSettings | None = None
 
 
+# Every enum member's string, read by the sort key and the CSV writer instead of ``Enum.value``.
+_NAMES = {member: member.value for enum in (Scheme, Scenario, EvalMethod) for member in enum}
+
 # The batch entry of every route whose cells a sweep evaluates together, as (sop, ci, flags) cells.
 _BATCHES = {
     EvalMethod.ANALYTIC: lambda queries: map(_closed_form_cell, analytic_sops(queries)),
@@ -168,35 +173,56 @@ _BATCHES = {
 }
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every grid cell.
+def run_sweeps(specs) -> list[SweepResult]:
+    """Evaluate every grid cell of every spec; one result per spec, in input order.
 
-    The closed-form, floor and quadrature cells of each route go to that
-    route's batch entry in one call; simulation cells run one at a time.
+    The closed-form, floor and quadrature cells of all the specs go to each
+    route's batch entry in one call, so every quadrature row refines in one
+    stack; simulation cells run one at a time, spec by spec in row order.
+    The queries of one (configuration, scheme, scenario) are one
+    ``SopQuery``, shared by its methods.  Every result equals its spec's own
+    ``run_sweep``.
     """
-    cells = []
-    for snr_db in snr_grid(spec):
-        cfg = replace(spec.base, snr=db_to_linear(snr_db))
-        cells += [
-            (snr_db, SopQuery(cfg, scheme, scenario), EvalMethod(method))
-            for scheme in spec.schemes
-            for scenario in spec.scenarios
-            for method in spec.methods
+    specs = list(specs)
+    # per spec: its cells in row order, as (snr_db, case and method strings,
+    # query, method), and whether any of them simulates
+    tables = []
+    for spec in specs:
+        methods = [EvalMethod(method) for method in spec.methods]
+        cases = [
+            (scheme, scenario, [(m, (_NAMES[scheme], _NAMES[scenario], _NAMES[m])) for m in methods])
+            for scheme in map(Scheme, spec.schemes)
+            for scenario in map(Scenario, spec.scenarios)
         ]
+        cells = []
+        for snr_db in snr_grid(spec):
+            cfg = replace(spec.base, snr=db_to_linear(snr_db))
+            for scheme, scenario, named_methods in cases:
+                query = SopQuery(cfg, scheme, scenario)
+                cells += [(snr_db, names, query, method) for method, names in named_methods]
+        cells.sort(key=itemgetter(0, 1))
+        tables.append((cells, EvalMethod.MC in methods))
     batched = {
-        method: evaluate([query for _, query, m in cells if m is method])
+        method: evaluate([query for cells, _ in tables for _, _, query, m in cells if m is method])
         for method, evaluate in _BATCHES.items()
     }
-    rows = []
-    for snr_db, query, method in cells:
-        if method in batched:
-            sop, ci, flags = next(batched[method])
-        else:
-            sop, ci, flags = evaluate_cell(query.cfg, query.scheme, query.scenario, method, spec.mc)
-        rows.append(SweepRow(snr_db, query.scheme, query.scenario, method, sop, ci, flags))
-    rows.sort(key=lambda r: (r.snr_db, r.scheme.value, r.scenario.value, r.method.value))
-    used_mc = any(r.method is EvalMethod.MC for r in rows)
-    return SweepResult(rows=rows, mc=spec.mc if used_mc else None)
+    results = []
+    for spec, (cells, used_mc) in zip(specs, tables):
+        rows = []
+        for snr_db, _, query, method in cells:
+            batch = batched.get(method)
+            if batch is None:
+                sop, ci, flags = evaluate_cell(query.cfg, query.scheme, query.scenario, method, spec.mc)
+            else:
+                sop, ci, flags = next(batch)
+            rows.append(SweepRow(snr_db, query.scheme, query.scenario, method, sop, ci, flags))
+        results.append(SweepResult(rows=rows, mc=spec.mc if used_mc else None))
+    return results
+
+
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate every grid cell; the one-spec call of ``run_sweeps``."""
+    return run_sweeps([spec])[0]
 
 
 def _format_float(x: float) -> str:
@@ -214,19 +240,19 @@ def _write_csv(target, header, records, mc: McSettings | None) -> None:
         return
     writer = csv.writer(target, lineterminator="\n")
     writer.writerow(header)
-    for row, extra in records:
-        writer.writerow(
-            [
-                _format_float(row.snr_db),
-                row.scheme.value,
-                row.scenario.value,
-                row.method.value,
-                _format_float(row.sop),
-                "" if row.ci_half_width is None else _format_float(row.ci_half_width),
-                row.flags,
-                *extra,
-            ]
+    writer.writerows(
+        (
+            _format_float(row.snr_db),
+            _NAMES[row.scheme],
+            _NAMES[row.scenario],
+            _NAMES[row.method],
+            _format_float(row.sop),
+            "" if row.ci_half_width is None else _format_float(row.ci_half_width),
+            row.flags,
+            *extra,
         )
+        for row, extra in records
+    )
     if mc is not None:
         target.write(
             f"# mc seed={mc.seed} samples={mc.n_samples} "

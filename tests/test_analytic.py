@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,19 +221,18 @@ def test_asymptote_is_snr_free():
 
 
 def test_integrity_guard_units():
-    # inside the tolerance band: clamped quietly
-    assert _finalize(1.0 + 1e-10, False, METHOD_ANALYTIC).value == 1.0
-    assert _finalize(-1e-10, False, METHOD_ANALYTIC).value == 0.0
-    # outside the band without a significance flag: hard error
-    with pytest.raises(NumericalIntegrityError):
-        _finalize(1.0 + 1e-6, False, METHOD_ANALYTIC)
-    with pytest.raises(NumericalIntegrityError):
-        _finalize(float("nan"), False, METHOD_ANALYTIC)
-    # flagged results are clamped instead of raising, and keep the raw value
-    flagged = _finalize(1.5, True, METHOD_ANALYTIC)
-    assert flagged.value == 1.0
-    assert flagged.raw_value == 1.5
-    assert flagged.significance_flag
+    # inside the tolerance band: clamped quietly, every row of a batch
+    assert _finalize([1.0 + 1e-10, -1e-10, 0.25], [False] * 3, METHOD_ANALYTIC) == [1.0, 0.0, 0.25]
+    # outside the band without a significance flag: hard error, wherever the row sits
+    for bad in (1.0 + 1e-6, -1e-6, float("nan")):
+        for at in range(3):
+            raws = [0.5, 0.5, 0.5]
+            raws[at] = bad
+            with pytest.raises(NumericalIntegrityError, match=METHOD_ANALYTIC):
+                _finalize(raws, [False] * 3, METHOD_ANALYTIC)
+    # flagged results are clamped instead of raising
+    assert _finalize([1.5, -0.5], [True, True], METHOD_ANALYTIC) == [1.0, 0.0]
+    assert _finalize([], [], METHOD_ANALYTIC) == []
 
 
 def test_query_normalises_case_names():
@@ -245,15 +245,20 @@ def test_query_normalises_case_names():
         SopQuery(_cfg(), "ss", "xx")
 
 
-def _rule_with_fake_inner(cfg, scheme, scenario, x, flag=False):
-    """case_sop with an inner quantity that records its (L, w) and returns x."""
+def _rule_with_fake_inner(queries, xs, flags=None, method=METHOD_ANALYTIC):
+    """case_sop over ``queries`` with an inner quantity that records its calls.
+
+    The inner quantity returns ``xs`` (and ``flags``, default unflagged),
+    one per query it is asked for; each call is recorded as the queries and
+    the (L, w) it was passed.
+    """
     calls = []
 
-    def inner(L, w):
-        calls.append((L, w))
-        return x, flag
+    def inner(reading, args):
+        calls.append((list(reading), list(args)))
+        return list(xs), list(flags if flags is not None else [False] * len(xs))
 
-    return case_sop(SopQuery(cfg, scheme, scenario), inner, METHOD_ANALYTIC), calls
+    return case_sop(queries, inner, method), calls
 
 
 def test_case_rule_table():
@@ -265,26 +270,114 @@ def test_case_rule_table():
         (Scheme.OS, Scenario.KU): ((1, 1.0), (1.0 - zeta) + zeta * x ** K),
         (Scheme.OS, Scenario.KA): ((1, zeta), x ** K),
     }
+    # each case alone, then all four in one batch
     for (scheme, scenario), (args, outage) in table.items():
-        result, calls = _rule_with_fake_inner(cfg, scheme, scenario, x)
-        assert calls == [args]
-        assert result.value == outage
-        assert not result.significance_flag
+        query = SopQuery(cfg, scheme, scenario)
+        (result,), calls = _rule_with_fake_inner([query], [x])
+        assert calls == [([query], [args])]
+        assert (result.value, result.raw_value) == (outage, outage)
+        assert not result.significance_flag and result.method == METHOD_ANALYTIC
+    queries = [SopQuery(cfg, scheme, scenario) for scheme, scenario in table]
+    results, calls = _rule_with_fake_inner(queries, [x] * 4)
+    assert calls == [(queries, [args for args, _ in table.values()])]
+    assert [r.value for r in results] == [outage for _, outage in table.values()]
+    assert not any(r.significance_flag for r in results)
 
 
 def test_case_rule_edges():
-    # a blind pick over dead backhaul never evaluates the inner quantity
-    for scheme in (Scheme.SS, Scheme.OS):
-        result, calls = _rule_with_fake_inner(_cfg(zeta=0.0), scheme, Scenario.KU, 0.2)
-        assert calls == [] and result.value == 1.0
+    # a pick over dead backhaul never evaluates the inner quantity
+    for scheme, scenario in CASES:
+        (result,), calls = _rule_with_fake_inner([SopQuery(_cfg(zeta=0.0), scheme, scenario)], [])
+        assert calls == [] and result.value == 1.0 and result.raw_value == 1.0
+        assert not result.significance_flag
     # the best-ratio single-link value is checked before it is raised to the K
     for scenario in (Scenario.KU, Scenario.KA):
         for bad in (math.nan, -0.5):
             with pytest.raises(NumericalIntegrityError):
-                _rule_with_fake_inner(_cfg(K=2, zeta=1.0), Scheme.OS, scenario, bad)
+                _rule_with_fake_inner([SopQuery(_cfg(K=2, zeta=1.0), Scheme.OS, scenario)], [bad])
     # a flagged single-link value is clamped first and keeps its flag
-    result, _ = _rule_with_fake_inner(_cfg(K=2), Scheme.OS, Scenario.KA, 1.2, flag=True)
+    (result,), _ = _rule_with_fake_inner(
+        [SopQuery(_cfg(K=2), Scheme.OS, Scenario.KA)], [1.2], flags=[True]
+    )
     assert result.value == 1.0 and result.significance_flag
+    # a flagged out-of-band value keeps its raw number
+    (result,), _ = _rule_with_fake_inner(
+        [SopQuery(_cfg(K=2), Scheme.SS, Scenario.KA)], [1.5], flags=[True]
+    )
+    assert (result.value, result.raw_value, result.significance_flag) == (1.0, 1.5, True)
+
+
+def _live_batch():
+    """Twelve live queries over the four cases, three operating points each."""
+    configs = [_cfg(K=3, zeta=0.6), _cfg(K=2, zeta=1.0), _cfg(K=5, zeta=0.9, M=3)]
+    return [SopQuery(cfg, scheme, scenario) for cfg in configs for scheme, scenario in CASES]
+
+
+@pytest.mark.parametrize("method", ["analytic", "asymptotic", "quadrature"])
+@pytest.mark.parametrize("bad", [math.nan, 1.5, -2.0])
+def test_batch_case_rule_rejects_one_bad_row(method, bad):
+    # one unflagged NaN or out-of-band inner value anywhere in a batch raises,
+    # naming the route; every other row is fine.  (Blind selection checks the
+    # mixed outage, so the bad values stay out of band after mixing.)
+    queries = _live_batch()
+    for at in range(len(queries)):
+        xs = [0.3] * len(queries)
+        xs[at] = bad
+        with pytest.raises(NumericalIntegrityError, match=method):
+            _rule_with_fake_inner(queries, xs, method=method)
+    values, _ = _rule_with_fake_inner(queries, [0.3] * len(queries), method=method)
+    assert all(0.0 <= v.value <= 1.0 and v.method == method for v in values)
+
+
+def test_batch_case_rule_clamps_flagged_rows():
+    queries = _live_batch()
+    xs = [0.3] * len(queries)
+    flags = [False] * len(queries)
+    for at, x in ((1, 1.5), (3, -0.5), (6, 1.0 + 1e-3), (11, -2.0)):
+        xs[at], flags[at] = x, True
+    values, _ = _rule_with_fake_inner(queries, xs, flags)
+    for query, value, x, flag in zip(queries, values, xs, flags):
+        assert value.significance_flag is flag
+        assert 0.0 <= value.value <= 1.0
+        if flag and query.scheme is Scheme.SS and query.scenario is Scenario.KA:
+            assert value.raw_value == x  # nothing composed on top of it
+    # the clamped rows match their lone evaluation
+    for at in (1, 3, 6, 11):
+        (lone,), _ = _rule_with_fake_inner([queries[at]], [xs[at]], [True])
+        assert _fields(lone) == _fields(values[at])
+
+
+def test_batch_case_rule_skips_dead_backhaul():
+    # dead rows are 1.0 and never reach the inner quantity, which sees only
+    # the live rows, in order
+    live = _live_batch()
+    dead = [SopQuery(_cfg(K=k, zeta=0.0), scheme, scenario) for k in (1, 4) for scheme, scenario in CASES]
+    queries = [q for pair in zip(live, dead + dead[:4]) for q in pair]
+    values, calls = _rule_with_fake_inner(queries, [0.3] * len(live))
+    assert len(calls) == 1 and calls[0][0] == live
+    for query, value in zip(queries, values):
+        if query.cfg.zeta == 0.0:
+            assert (value.value, value.raw_value, value.significance_flag) == (1.0, 1.0, False)
+        else:
+            assert value.value != 1.0
+    values, calls = _rule_with_fake_inner(dead, [])
+    assert calls == [] and all(v.value == 1.0 for v in values)
+
+
+def test_best_ratio_power_is_python_float_power():
+    # the best-ratio outage x^K is Python's float power bit for bit; on
+    # machines whose np.power uses a SIMD pow, np.power differs from it by
+    # an ulp on a few percent of these inputs
+    xs = np.random.default_rng(2).random(4000).tolist()
+    for K in (3, 5, 8):
+        queries = [SopQuery(_cfg(K=K, zeta=1.0), Scheme.OS, Scenario.KA)] * len(xs)
+        values, _ = _rule_with_fake_inner(queries, xs)
+        assert [v.value for v in values] == [x ** K for x in xs]
+        assert [v.raw_value for v in values] == [x ** K for x in xs]
+        # blind selection at zeta = 1 adds an exact 0.0 to the same power
+        queries = [SopQuery(_cfg(K=K, zeta=1.0), Scheme.OS, Scenario.KU)] * len(xs)
+        values, _ = _rule_with_fake_inner(queries, xs)
+        assert [v.value for v in values] == [x ** K for x in xs]
 
 
 # ---------------------------------------------------------------------------

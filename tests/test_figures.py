@@ -1,9 +1,11 @@
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
 from secrecy_outage import McSettings, Scenario, Scheme
+from secrecy_outage import sweep as sweep_module
 from secrecy_outage.figures import (
     FIGURE_CSV_HEADER,
     FIGURE_PRESETS,
@@ -14,7 +16,14 @@ from secrecy_outage.figures import (
     write_figure_csv,
     write_plot_description,
 )
-from secrecy_outage.sweep import EvalMethod, write_sweep_csv
+from secrecy_outage.sweep import (
+    EvalMethod,
+    SweepSpec,
+    db_to_linear,
+    evaluate_cell,
+    run_sweep,
+    write_sweep_csv,
+)
 
 
 def test_closed_form_matches_quadrature_on_every_preset():
@@ -160,4 +169,73 @@ def test_sweep_plot_description_labels(fig5_analytic):
     assert [s["label"] for s in description["series"]] == [
         "os/ku [analytic]",
         "ss/ku [analytic]",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# one batch per figure job: the same rows as one sweep per variant
+# ---------------------------------------------------------------------------
+
+DETERMINISTIC = (EvalMethod.ANALYTIC, EvalMethod.ASYMPTOTIC, EvalMethod.QUADRATURE)
+
+
+def _variant_spec(cfg, scenario, methods, mc=None):
+    # the grid, schemes and scenarios run_figure gives each variant
+    return SweepSpec(
+        base=cfg,
+        snr_db_start=-10.0,
+        snr_db_stop=40.0,
+        snr_db_step=2.0,
+        schemes=(Scheme.SS, Scheme.OS),
+        scenarios=(scenario,),
+        methods=methods,
+        mc=mc if mc is not None else McSettings(),
+    )
+
+
+@pytest.mark.parametrize("scenario", [Scenario.KU, Scenario.KA])
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
+def test_figure_job_equals_sweeps_per_variant(name, scenario):
+    # a job evaluates all its variants' cells in one batch per route; its
+    # rows are each variant's own run_sweep rows, bit for bit
+    result = run_figure(name, scenario=scenario, methods=DETERMINISTIC)
+    variants = FIGURE_PRESETS[name].variants
+    assert [cfg for cfg, _ in result.per_variant] == list(variants)
+    for cfg, sweep in result.per_variant:
+        alone = run_sweep(_variant_spec(cfg, scenario, DETERMINISTIC))
+        assert sweep.rows == alone.rows and sweep.mc is None is alone.mc
+        # and a spread of them against the one-cell evaluation
+        for row in sweep.rows[::29]:
+            cell = evaluate_cell(
+                replace(cfg, snr=db_to_linear(row.snr_db)), row.scheme, row.scenario, row.method, McSettings()
+            )
+            assert (row.sop, row.ci_half_width, row.flags) == cell, (name, cfg, row)
+
+
+def test_mc_figure_cells_run_one_by_one_in_row_order(monkeypatch):
+    # simulation cells still go through evaluate_cell, variant by variant in
+    # row order, and reproduce each variant's own sweep at a fixed seed
+    mc = McSettings(n_samples=1024, seed=5)
+    methods = (EvalMethod.ANALYTIC, EvalMethod.MC)
+    expected = [
+        run_sweep(_variant_spec(cfg, Scenario.KU, methods, mc)).rows
+        for cfg in FIGURE_PRESETS["fig2"].variants
+    ]
+    calls = []
+    real = sweep_module.evaluate_cell
+
+    def recording(cfg, scheme, scenario, method, settings):
+        calls.append((cfg, scheme, scenario, method, settings))
+        return real(cfg, scheme, scenario, method, settings)
+
+    monkeypatch.setattr(sweep_module, "evaluate_cell", recording)
+    result = run_figure("fig2", mc=mc, methods=methods)
+    assert [sweep.rows for _, sweep in result.per_variant] == expected
+    assert all(sweep.mc == mc for _, sweep in result.per_variant)
+    mc_rows = [
+        (cfg, row) for cfg, sweep in result.per_variant for row in sweep.rows if row.method is EvalMethod.MC
+    ]
+    assert [(c[0].K, c[0].zeta, c[0].snr, c[1], c[2], c[3], c[4]) for c in calls] == [
+        (cfg.K, cfg.zeta, db_to_linear(row.snr_db), row.scheme, row.scenario, EvalMethod.MC, mc)
+        for cfg, row in mc_rows
     ]

@@ -7,6 +7,7 @@ from scipy import integrate
 
 from oracles import adaptive_integral_loop, sop_quadpack
 from secrecy_outage import (
+    FIGURE_PRESETS,
     NumericalIntegrityError,
     QuadratureConvergenceError,
     Scenario,
@@ -17,6 +18,7 @@ from secrecy_outage import (
     analytic_sop,
     asymptotic_sop,
     quadrature_sop,
+    run_figure,
 )
 from secrecy_outage import quadrature
 from secrecy_outage.analytic import inner_args
@@ -328,6 +330,33 @@ def test_sweep_calls_each_group_once_per_level(monkeypatch):
     calls = {group: len(counter.shapes) for group, counter in counters.items()}
     assert calls == {group: max(counts) for group, counts in levels.items()}
     assert 10 * sum(calls.values()) < sum(map(sum, levels.values()))
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig5"])
+def test_figure_job_calls_each_group_once_per_level(monkeypatch, name):
+    # a figure job stacks the quadrature rows of all its variants: each
+    # (M, N, L, w) group's law is called once per level of its slowest row,
+    # across variants, and fewer times than one sweep per variant would call it
+    variants = FIGURE_PRESETS[name].variants
+    spec = _figure_like_spec(scenarios=(Scenario.KA,))
+    counters = _counting_build_integrand(monkeypatch)
+    levels, per_variant_calls = {}, 0
+    for cfg in variants:
+        for snr_db in snr_grid(spec):
+            point = replace(cfg, snr=db_to_linear(snr_db))
+            for scheme in (Scheme.SS, Scheme.OS):
+                counters.clear()
+                quadrature_sop(SopQuery(point, scheme, Scenario.KA))
+                ((group, counter),) = counters.items()
+                levels.setdefault(group, []).append(len(counter.shapes))
+        counters.clear()
+        run_sweep(replace(spec, base=cfg, schemes=(Scheme.SS, Scheme.OS)))
+        per_variant_calls += sum(len(counter.shapes) for counter in counters.values())
+    counters.clear()
+    run_figure(name, scenario=Scenario.KA, methods=(EvalMethod.QUADRATURE,))
+    calls = {group: len(counter.shapes) for group, counter in counters.items()}
+    assert calls == {group: max(counts) for group, counts in levels.items()}
+    assert sum(calls.values()) < per_variant_calls
 
 
 @pytest.mark.parametrize("bad", [math.nan, 1.5])

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +20,7 @@ from secrecy_outage.sweep import (
     evaluate_cell,
     read_sweep_csv,
     run_sweep,
+    run_sweeps,
     snr_grid,
     write_sweep_csv,
 )
@@ -195,3 +197,50 @@ def test_batched_sweep_equals_cell_by_cell_evaluation():
         cfg = SystemConfig(K=3, zeta=0.9, r_th=1.0, snr=db_to_linear(row.snr_db), M=4, N=3, a=0.5, b=0.2)
         cell = evaluate_cell(cfg, row.scheme, row.scenario, row.method, spec.mc)
         assert (row.sop, row.ci_half_width, row.flags) == cell, row
+
+
+EDGE_BASES = {
+    "dead backhaul": SystemConfig(K=3, zeta=0.0, r_th=1.0, snr=1.0, M=4, N=3, a=0.5, b=0.2),
+    "one live transmitter": SystemConfig(K=1, zeta=1.0, r_th=1.0, snr=1.0, M=6, N=4, a=0.5, b=0.2),
+    "flagged series": SystemConfig(K=20, zeta=0.9, r_th=1.0, snr=1.0, M=10, N=4, a=0.5, b=0.2),
+}
+
+
+def test_edge_sweeps_batched_together_equal_each_alone():
+    # zeta = 0 reads no inner value, K = 1 at zeta = 1 collapses the four
+    # cases, and K = 20 M = 10 raises the significance flag; batched into
+    # one run_sweeps call, each spec keeps its own rows, and each row is its
+    # cell's own evaluation (the simulation cells too, at a fixed seed)
+    specs = [
+        _spec(
+            base=base,
+            snr_db_start=-10.0,
+            snr_db_stop=40.0,
+            snr_db_step=10.0,
+            schemes=(Scheme.SS, Scheme.OS),
+            scenarios=(Scenario.KU, Scenario.KA),
+            methods=tuple(EvalMethod),
+            mc=McSettings(n_samples=1024, seed=3),
+        )
+        for base in EDGE_BASES.values()
+    ]
+    results = run_sweeps(specs)
+    assert [r.rows for r in results] == [run_sweep(spec).rows for spec in specs]
+    for spec, result in zip(specs, results):
+        assert result.mc == spec.mc
+        for row in result.rows:
+            cfg = replace(spec.base, snr=db_to_linear(row.snr_db))
+            cell = evaluate_cell(cfg, row.scheme, row.scenario, row.method, spec.mc)
+            assert (row.sop, row.ci_half_width, row.flags) == cell, row
+    dead, single, flagged = results
+    assert all(row.sop == 1.0 for row in dead.rows if row.method is not EvalMethod.MC)
+    by_point = {}
+    for row in single.rows:
+        if row.method is EvalMethod.ANALYTIC:
+            by_point.setdefault(row.snr_db, set()).add(row.sop)
+    assert all(len(values) == 1 for values in by_point.values())
+    assert any(row.flags == "significance_loss" for row in flagged.rows)
+
+
+def test_run_sweeps_of_nothing():
+    assert run_sweeps([]) == []
