@@ -155,10 +155,12 @@ def case_sop(queries, inner, method: str) -> list[SopValue]:
         os/ka  (1, zeta)  x^K                    each link is silenced or fails secrecy on
                                                  its own; all-silenced gives (1 - zeta)^K
 
-    Strongest-destination selection powers the CDF inside the eavesdropper
-    integral; best-ratio selection powers the single-link value outside it,
-    after its integrity check, with Python's float power (``np.power`` can
-    differ from it by an ulp).  Dead backhaul (zeta = 0) silences every
+    Every unflagged inner value passes the integrity check before it is
+    composed, and the composed outage passes it again.  Strongest-destination
+    selection powers the CDF inside the eavesdropper integral and composes
+    from the unclamped x; best-ratio selection powers the clamped single-link
+    value outside it, with Python's float power (``np.power`` can differ
+    from it by an ulp).  Dead backhaul (zeta = 0) silences every
     link: an outage in every case; such queries are not in ``reading``, and
     a batch of them only never calls ``inner``.
     At K = 1 and zeta = 1 every case returns the single-transmitter outage x
@@ -169,14 +171,13 @@ def case_sop(queries, inner, method: str) -> list[SopValue]:
     queries = list(queries)
     reading = [query for query in queries if query.cfg.zeta > 0.0]
     raws, flags = inner(reading, [inner_args(query) for query in reading]) if reading else ([], [])
-    best_ratio = [query.scheme is Scheme.OS for query in reading]
-    if any(best_ratio):
-        # only the best-ratio single-link values are checked before the power
-        singles = _finalize(raws, [flag or not os for flag, os in zip(flags, best_ratio)], method)
-        raws = [
-            single ** query.cfg.K if os else raw
-            for query, os, single, raw in zip(reading, best_ratio, singles, raws)
-        ]
+    # every unflagged inner value is checked before composing: a blind-selection mix
+    # (1 - zeta) + zeta x can land in band from an x far outside it
+    singles = _finalize(raws, flags, method)
+    raws = [
+        single ** query.cfg.K if query.scheme is Scheme.OS else raw
+        for query, single, raw in zip(reading, singles, raws)
+    ]
     raws = [
         (1.0 - query.cfg.zeta) + query.cfg.zeta * raw if query.scenario is Scenario.KU else raw
         for query, raw in zip(reading, raws)

@@ -242,11 +242,14 @@ def sweep_plot_description(base: SystemConfig, result: SweepResult) -> dict:
 
 
 def write_plot_description(description: dict, target) -> None:
-    """Serialize a plot description (see plot_description) as JSON."""
+    """Serialize a plot description (see plot_description) as one line of compact JSON.
+
+    ``json.dumps`` with default separators runs the C encoder; ``indent``
+    or ``json.dump`` would run the pure-Python one.  ``target`` is a path or
+    a text file, and both get the same text.
+    """
+    text = json.dumps(description) + "\n"
     if isinstance(target, (str, Path)):
-        Path(target).write_text(
-            json.dumps(description, indent=2) + "\n", encoding="utf-8"
-        )
-        return
-    json.dump(description, target, indent=2)
-    target.write("\n")
+        Path(target).write_text(text, encoding="utf-8")
+    else:
+        target.write(text)

@@ -16,10 +16,13 @@ integrator is adaptive interval halving with an embedded higher-order rule
 (15-point Kronrod extension of 7-point Gauss), refined a level at a time:
 every panel above its share of the tolerance is halved, all in one
 vectorised call, until the global estimate meets tolerance.  Many integrals
-refine as rows of one stack: each row keeps its own tolerance, budget and
-panels, leaves when it converges, and every level evaluates the panels of
-all remaining rows together, one call per group of rows sharing their
-unit-scale laws (``quadrature_sops``).
+refine as rows of one stack (``quadrature_sops``): each row keeps its own
+tolerance, budget and panels, leaves when it converges, and every level
+evaluates the panels of all remaining rows together.  A level calls the
+destination CDF once per M, on the distinct (a_d, a_e, rho, node) points of
+its rows, and the eavesdropper density once per N, on its rows' distinct
+panels; rows that differ only in the case rule's (L, w) share those values,
+and each row applies its own law to them.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import SopQuery, case_sop, inner_args
-from .channel import GammaSnr, mixture_cdf, snr_cdf, snr_pdf
+from .analytic import SopQuery, case_sop
+from .channel import GammaSnr, snr_cdf, snr_pdf
 
 __all__ = [
     "Integrand",
@@ -223,10 +226,11 @@ def adaptive_integral(
 
 @dataclass(frozen=True)
 class Integrand:
-    """The unit-scale laws of one (M, N, L, w) group of outage integrals.
+    """The unit-scale laws of a query's outage integral.
 
-    ``destination_cdf(u) = ((1 - w) + w P(M, u))^L`` at destination SNR
-    u * a_d, and ``eavesdropper_pdf`` is the Gamma(N) density at scale 1.
+    ``destination_cdf(u)`` is the single-link Gamma(M) CDF P(M, u) at
+    destination SNR u * a_d, and ``eavesdropper_pdf`` is the Gamma(N)
+    density at scale 1.  Each row applies its own (L, w) law to the CDF.
     """
 
     destination_cdf: Callable
@@ -234,59 +238,96 @@ class Integrand:
 
 
 def build_integrand(query: SopQuery) -> Integrand:
-    """Assemble the unit-scale laws of one case's inner quantity from raw distribution functions.
+    """Assemble the unit-scale laws of a query from raw distribution functions.
 
-    The destination CDF is the backhaul mixture at weight w raised to the L,
-    with (L, w) from ``inner_args``; w = 1 is the bare Gamma CDF and L = 1
-    needs no power.  Every query with the same (M, N, L, w) gets the same laws.
+    The destination CDF depends on M alone and the density on N alone; the
+    backhaul mixture and the power of the case rule's (L, w) are applied per row.
     """
-    cfg = query.cfg
-    dest = GammaSnr(cfg.M, 1.0)
-    eave = GammaSnr(cfg.N, 1.0)
-    power, weight = inner_args(query)
+    dest = GammaSnr(query.cfg.M, 1.0)
+    eave = GammaSnr(query.cfg.N, 1.0)
+    return Integrand(destination_cdf=lambda u: snr_cdf(dest, u), eavesdropper_pdf=lambda v: snr_pdf(eave, v))
 
-    if weight == 1.0:
-        single_cdf = lambda u: snr_cdf(dest, u)
-    else:
-        single_cdf = lambda u: mixture_cdf(dest, weight, u)
-    if power == 1:
-        destination_cdf = single_cdf
-    else:
-        destination_cdf = lambda u: single_cdf(u) ** power
 
-    return Integrand(destination_cdf=destination_cdf, eavesdropper_pdf=lambda v: snr_pdf(eave, v))
+def _distinct(*keys):
+    """The index of one element per distinct key tuple, and each element's position among those.
+
+    Keys are ordered as for ``np.lexsort``: the last one is the primary one.
+    """
+    order = np.lexsort(keys)
+    new = np.empty(order.size, dtype=bool)
+    new[0] = True
+    new[1:] = np.logical_or.reduce([key[order[1:]] != key[order[:-1]] for key in keys])
+    where = np.empty(order.size, dtype=np.intp)
+    where[order] = new.cumsum() - 1
+    return order[new], where
+
+
+def _members(of: np.ndarray, rows: np.ndarray, value: int, count: int):
+    """The panels whose row's entry of ``of`` is ``value``; every panel when ``of`` holds ``count`` = 1 value."""
+    return (of[rows] == value).nonzero()[0] if count > 1 else slice(None)
 
 
 def _boundary_expectations(keys: list, **quad_kwargs) -> list[float]:
-    """E_y[destination_cdf(lambda(y) / a_d)] of every (query, L, w) key, as one row-stacked integral.
+    """E_y[((1 - w) + w P(M, lambda(y) / a_d))^L] of every (query, L, w) key, as one row-stacked integral.
 
     Row r substitutes y = a_e t / (1 - t) with its own a_e, and reads the
     boundary lambda(y) = (1 + y) rho - 1 with its own rho and a_d.  The rows
-    of an (M, N, L, w) group share one ``build_integrand``, looked up at call
-    time, and each level calls each group's laws once on all of its panels.
+    sharing M share one destination CDF and the rows sharing N one
+    eavesdropper density, each from ``build_integrand``, looked up at call
+    time.  Each level calls an M's CDF once, on the distinct
+    (a_d, a_e, rho, panel) nodes of its rows, and an N's density once, on
+    its rows' distinct panels: rows that differ only in (L, w), K or scheme
+    share a panel's law values until their refinements part.  Each row's
+    (L, w) law is applied to its gathered values with the lone call's
+    arithmetic, so every value is that of the row's ``quadrature_sop``.
     """
-    groups: dict[tuple, list[int]] = {}
-    for r, (query, power, weight) in enumerate(keys):
-        groups.setdefault((query.cfg.M, query.cfg.N, power, weight), []).append(r)
-    integrands = [build_integrand(keys[members[0]][0]) for members in groups.values()]
-    group_of = np.empty(len(keys), dtype=np.intp)
-    for g, members in enumerate(groups.values()):
-        group_of[members] = g
-    rho, a_d, a_e = (
-        np.array([getattr(query.cfg, name) for query, _, _ in keys]) for name in ("rho", "a_d", "a_e")
-    )
+    cdfs: dict[int, Callable] = {}  # per M
+    pdfs: dict[int, Callable] = {}  # per N
+    points: dict[tuple, int] = {}  # per law point (a_d, a_e, rho): its index
+    laws: dict[tuple, int] = {}  # per (L, w): its index
+    of = []  # per row: its M, its N, its law point's index and its law's index
+    for query, power, weight in keys:
+        cfg = query.cfg
+        if cfg.M not in cdfs or cfg.N not in pdfs:
+            integrand = build_integrand(query)
+            cdfs.setdefault(cfg.M, integrand.destination_cdf)
+            pdfs.setdefault(cfg.N, integrand.eavesdropper_pdf)
+        point = points.setdefault((cfg.a_d, cfg.a_e, cfg.rho), len(points))
+        of.append((cfg.M, cfg.N, point, laws.setdefault((power, weight), len(laws))))
+    m_of, n_of, point_of, law_of = np.array(of, dtype=np.intp).T
+    a_d, a_e, rho = np.array(list(points)).T.copy()
+    # a lone row's panels are all distinct; in a batch, rows share law points and panels
+    distinct = (lambda *_: (slice(None), slice(None))) if len(keys) == 1 else _distinct
 
     def evaluate(rows, t):
+        # a panel is known by its first and last node, which fix its ends
+        first, last = t[:, 0], t[:, -1]
         fx = np.empty_like(t)
-        panel_group = group_of[rows]
-        for g, integrand in enumerate(integrands):
-            at = (panel_group == g).nonzero()[0]
-            if at.size:
-                r, t_g = rows[at, None], t[at]
-                odds = t_g / (1.0 - t_g)  # y / a_e
-                u = ((1.0 + a_e[r] * odds) * rho[r] - 1.0) / a_d[r]
-                density = integrand.eavesdropper_pdf(odds) / (1.0 - t_g) ** 2
-                fx[at] = integrand.destination_cdf(u) * density
+        for M, cdf in cdfs.items():
+            at = _members(m_of, rows, M, len(cdfs))
+            point = point_of[rows[at]]
+            if point.size:
+                pick, where = distinct(last[at], first[at], point)
+                p, t_p = point[pick, None], t[at][pick]
+                odds = t_p / (1.0 - t_p)  # y / a_e
+                fx[at] = cdf(((1.0 + a_e[p] * odds) * rho[p] - 1.0) / a_d[p])[where]
+        density = np.empty_like(t)
+        for N, pdf in pdfs.items():
+            at = _members(n_of, rows, N, len(pdfs))
+            t_n = t[at]
+            if t_n.size:
+                pick, where = distinct(last[at], first[at])
+                t_p = t_n[pick]
+                density[at] = (pdf(t_p / (1.0 - t_p)) / (1.0 - t_p) ** 2)[where]
+        for l, (power, weight) in enumerate(laws):
+            at = _members(law_of, rows, l, len(laws))
+            single = fx[at]
+            if single.size:
+                if weight != 1.0:
+                    single = (1.0 - weight) + weight * single
+                if power != 1:
+                    single = single**power
+                fx[at] = single * density[at]
         return fx
 
     results = _stacked_integrals(evaluate, len(keys), 0.0, 1.0, **quad_kwargs)

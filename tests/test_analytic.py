@@ -317,8 +317,7 @@ def _live_batch():
 @pytest.mark.parametrize("bad", [math.nan, 1.5, -2.0])
 def test_batch_case_rule_rejects_one_bad_row(method, bad):
     # one unflagged NaN or out-of-band inner value anywhere in a batch raises,
-    # naming the route; every other row is fine.  (Blind selection checks the
-    # mixed outage, so the bad values stay out of band after mixing.)
+    # naming the route; every other row is fine
     queries = _live_batch()
     for at in range(len(queries)):
         xs = [0.3] * len(queries)
@@ -327,6 +326,18 @@ def test_batch_case_rule_rejects_one_bad_row(method, bad):
             _rule_with_fake_inner(queries, xs, method=method)
     values, _ = _rule_with_fake_inner(queries, [0.3] * len(queries), method=method)
     assert all(0.0 <= v.value <= 1.0 and v.method == method for v in values)
+
+
+@pytest.mark.parametrize("method", ["analytic", "asymptotic", "quadrature"])
+@pytest.mark.parametrize("bad", [-0.5, 1.5, math.nan])
+def test_blind_selection_checks_the_inner_value(method, bad):
+    # under ku the mix (1 - zeta) + zeta x can land in band (x = -0.5 at
+    # zeta = 0.6 gives 0.1), so the inner value itself must be checked
+    query = SopQuery(_cfg(K=3, zeta=0.6), Scheme.SS, Scenario.KU)
+    for queries in ([query], _live_batch()[:1] + [query]):
+        xs = [0.3] * (len(queries) - 1) + [bad]
+        with pytest.raises(NumericalIntegrityError, match=method):
+            _rule_with_fake_inner(queries, xs, method=method)
 
 
 def test_batch_case_rule_clamps_flagged_rows():

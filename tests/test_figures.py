@@ -152,6 +152,25 @@ def test_plot_description_structure(fig5_analytic, tmp_path):
     assert json.loads(target.read_text(encoding="utf-8")) == description
 
 
+@pytest.mark.parametrize("scenario", [Scenario.KU, Scenario.KA])
+@pytest.mark.parametrize("name", available_presets())
+def test_plot_json_is_compact_and_the_same_for_both_targets(name, scenario, tmp_path):
+    # a path and a text file get the same one-line text, which parses back
+    # to the description
+    result = run_figure(
+        name, scenario=scenario, mc=McSettings(n_samples=1024, seed=3),
+        methods=(EvalMethod.ANALYTIC, EvalMethod.MC),
+    )
+    description = plot_description(result)
+    path = tmp_path / "plot.json"
+    write_plot_description(description, path)
+    stream = io.StringIO()
+    write_plot_description(description, stream)
+    text = path.read_text(encoding="utf-8")
+    assert text == stream.getvalue() == json.dumps(description) + "\n"
+    assert json.loads(text) == plot_description(result)
+
+
 def test_mc_points_carry_ci():
     result = run_figure("fig2", mc=McSettings(n_samples=2048, seed=5),
                         methods=(EvalMethod.MC,))

@@ -1,8 +1,12 @@
 import inspect
 from dataclasses import fields, replace
 
+import numpy as np
+
 import secrecy_outage
-from secrecy_outage import SystemConfig, ValidationSettings, analytic, montecarlo, quadrature, sweep
+from secrecy_outage import REFERENCE_CONFIG, SopQuery, SystemConfig, ValidationSettings
+from secrecy_outage import analytic, montecarlo, quadrature, sweep
+from secrecy_outage.analytic import CASES
 from secrecy_outage.figures import FigureResult
 
 # The per-case closed-form wrappers folded into analytic_sop / asymptotic_sop.
@@ -28,7 +32,7 @@ BENCHMARK_SETTINGS = (
 )
 
 
-def test_traced_benchmark_seams_exist():
+def test_traced_benchmark_seams_exist(monkeypatch):
     # the benchmark (perfbench/child.py) rebinds these module names and reads
     # the names below; a refactor that drops one must fail here, not silently
     # in a benchmark run
@@ -48,3 +52,19 @@ def test_traced_benchmark_seams_exist():
     assert callable(secrecy_outage.enumerate_weak_compositions)
     assert "workers" in inspect.signature(secrecy_outage.simulate_sop).parameters
     assert "per_variant" in {f.name for f in fields(FigureResult)}
+    # the benchmark counts quadrature work through a build_integrand that
+    # replaces the destination CDF; a batch must still call the replacement
+    build, nodes = quadrature.build_integrand, []
+
+    def counting_build_integrand(query):
+        integrand = build(query)
+
+        def destination_cdf(u):
+            nodes.append(np.size(u))
+            return integrand.destination_cdf(u)
+
+        return replace(integrand, destination_cdf=destination_cdf)
+
+    monkeypatch.setattr(quadrature, "build_integrand", counting_build_integrand)
+    quadrature.quadrature_sops([SopQuery(REFERENCE_CONFIG, scheme, scenario) for scheme, scenario in CASES])
+    assert nodes and all(nodes)

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from secrecy_outage import (
     run_figure,
 )
 from secrecy_outage import quadrature
-from secrecy_outage.analytic import inner_args
 from secrecy_outage.quadrature import _NODES, _WEIGHTS_G, _WEIGHTS_K, quadrature_sops
 from secrecy_outage.sweep import EvalMethod, SweepSpec, db_to_linear, run_sweep, snr_grid
 
@@ -206,7 +206,7 @@ def test_dead_backhaul_shortcuts():
 def _counting_build_integrand(monkeypatch) -> dict:
     """Install a build_integrand whose destination CDF counts its calls.
 
-    Returns the map from each built (M, N, L, w) group to one ``CountingIntegrand``
+    Returns the map from each built (M, N) group to one ``CountingIntegrand``
     that counts every call of that group's law, however many times it is built.
     """
     build = quadrature.build_integrand
@@ -214,7 +214,7 @@ def _counting_build_integrand(monkeypatch) -> dict:
 
     def counting_build_integrand(q):
         integrand = build(q)
-        group = (q.cfg.M, q.cfg.N, *inner_args(q))
+        group = (q.cfg.M, q.cfg.N)
         counter = counters.setdefault(group, CountingIntegrand(integrand.destination_cdf))
         return replace(integrand, destination_cdf=counter)
 
@@ -247,7 +247,8 @@ def test_quadrature_reads_build_integrand_at_call_time(monkeypatch, base_cfg):
     assert len(counters) == 1 and next(iter(counters.values())).shapes
     counters.clear()
     assert run_sweep(spec).rows == expected_rows
-    assert len(counters) == 4 and all(counter.shapes for counter in counters.values())
+    # the four cases of one (M, N) share its laws
+    assert len(counters) == 1 and next(iter(counters.values())).shapes
 
 
 def _mixed_queries() -> list[SopQuery]:
@@ -264,21 +265,138 @@ def _mixed_queries() -> list[SopQuery]:
     return [SopQuery(cfg, scheme, scenario) for cfg in configs for scheme, scenario in CASES]
 
 
+def _record_levels(monkeypatch) -> SimpleNamespace:
+    """Record every level of the row-stacked quadrature and the nodes its laws see.
+
+    ``levels`` holds each ``evaluate(rows, x)`` call of ``_stacked_integrals``;
+    ``cdf`` and ``pdf`` hold (level, (M, N), nodes) for each call of a built
+    destination CDF and eavesdropper density, the level being the index of the
+    ``evaluate`` call it is made from.
+    """
+    record = SimpleNamespace(levels=[], cdf=[], pdf=[])
+    build, stack = quadrature.build_integrand, quadrature._stacked_integrals
+
+    def recording_build_integrand(q):
+        integrand = build(q)
+        group = (q.cfg.M, q.cfg.N)
+
+        def destination_cdf(u):
+            record.cdf.append((len(record.levels) - 1, group, u.copy()))
+            return integrand.destination_cdf(u)
+
+        def eavesdropper_pdf(v):
+            record.pdf.append((len(record.levels) - 1, group, v.copy()))
+            return integrand.eavesdropper_pdf(v)
+
+        return replace(integrand, destination_cdf=destination_cdf, eavesdropper_pdf=eavesdropper_pdf)
+
+    def recording_stack(evaluate, *args, **kwargs):
+        def recording_evaluate(rows, x):
+            record.levels.append((rows.copy(), x.copy()))
+            return evaluate(rows, x)
+
+        return stack(recording_evaluate, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "build_integrand", recording_build_integrand)
+    monkeypatch.setattr(quadrature, "_stacked_integrals", recording_stack)
+    return record
+
+
+def _row_panels(record, n_rows: int) -> list[list[np.ndarray]]:
+    """Per row, the node array of its panels at each level it takes part in."""
+    panels = [[] for _ in range(n_rows)]
+    for rows, x in record.levels:
+        for r in np.unique(rows):
+            panels[r].append(x[rows == r])
+    return panels
+
+
+def _boundary_node(cfg, t):
+    return ((1.0 + cfg.a_e * (t / (1.0 - t))) * cfg.rho - 1.0) / cfg.a_d
+
+
+def _check_laws_see_distinct_points(record, queries):
+    """At each level, an M's CDF sees each distinct (a_d, a_e, rho, node) of its rows once.
+
+    Likewise an N's density sees each distinct node of its rows once; each law
+    is called at most once per level.  Row r of a level is ``queries[r]``.
+    """
+    laws = (
+        (record.cdf, 0, lambda cfg: cfg.M, lambda cfg: (cfg.a_d, cfg.a_e, cfg.rho), _boundary_node),
+        (record.pdf, 1, lambda cfg: cfg.N, lambda cfg: (), lambda cfg, t: t / (1.0 - t)),
+    )
+    for level, (rows, x) in enumerate(record.levels):
+        for calls, at_group, law_of, point_of, node_of in laws:
+            seen = {}
+            for at, group, nodes in calls:
+                if at == level:
+                    assert group[at_group] not in seen, "a law called twice in one level"
+                    seen[group[at_group]] = np.sort(nodes.ravel())
+            expected = {}
+            for r in np.unique(rows):
+                cfg = queries[r].cfg
+                points = expected.setdefault(law_of(cfg), {})
+                for t in x[rows == r].ravel().tolist():
+                    points[point_of(cfg) + (t,)] = node_of(cfg, t)
+            assert seen.keys() == expected.keys()
+            for law, points in expected.items():
+                assert np.array_equal(seen[law], np.sort(list(points.values())))
+
+
 def test_batch_matches_each_query_and_its_panels(monkeypatch):
+    # every row refines exactly the panels of its one-row call, level by level,
+    # and every law sees each distinct law point of a level once
     queries = _mixed_queries()
-    counters = _counting_build_integrand(monkeypatch)
-    expected, panels = [], {}
+    record = _record_levels(monkeypatch)
+    expected, lone_panels = [], []
     for query in queries:
-        counters.clear()
+        record.levels.clear()
         expected.append(quadrature_sop(query))
-        ((group, counter),) = counters.items()
-        panels[group] = panels.get(group, 0) + counter.panels
-    counters.clear()
+        (panels,) = _row_panels(record, 1)
+        lone_panels.append(panels)
+    record.levels.clear()
+    record.cdf.clear()
+    record.pdf.clear()
     values = quadrature_sops(queries)
-    assert values == pytest.approx(expected, abs=1e-14, rel=0.0)
+    assert [value.hex() for value in values] == [value.hex() for value in expected]
     assert all(type(value) is float for value in values)
-    # a group's calls carry exactly the panels of its rows' one-row calls
-    assert {group: counter.panels for group, counter in counters.items()} == panels
+    for panels, lone in zip(_row_panels(record, len(queries)), lone_panels):
+        assert len(panels) == len(lone)
+        assert all(np.array_equal(level, lone_level) for level, lone_level in zip(panels, lone))
+    _check_laws_see_distinct_points(record, queries)
+
+
+def _shared_law_queries(kind: str) -> list[SopQuery]:
+    cfg = SystemConfig(K=3, zeta=0.9, r_th=1.0, snr=10.0, M=6, N=4, a=0.5, b=0.2)
+    if kind == "zeta-ku":
+        return [SopQuery(replace(cfg, zeta=z), Scheme.SS, Scenario.KU) for z in (0.99, 0.9, 0.5)]
+    if kind == "K-os-ku":
+        return [SopQuery(replace(cfg, K=k), Scheme.OS, Scenario.KU) for k in (2, 3, 5)]
+    return [SopQuery(cfg, scheme, scenario) for scheme, scenario in CASES]
+
+
+@pytest.mark.parametrize("kind", ["zeta-ku", "K-os-ku", "scheme"])
+def test_rows_sharing_a_law_point_evaluate_it_once(monkeypatch, kind):
+    # rows at one operating point differ only in zeta under ku, only in K under
+    # os/ku, or only in scheme and scenario: the batch is bit-identical to the
+    # lone calls, and the CDF sees fewer nodes than the rows' panels add up to
+    queries = _shared_law_queries(kind)
+    record = _record_levels(monkeypatch)
+    expected, lone_nodes = [], []
+    for query in queries:
+        record.cdf.clear()
+        expected.append(quadrature_sop(query))
+        lone_nodes.append(sum(nodes.size for _, _, nodes in record.cdf))
+    record.levels.clear()
+    record.cdf.clear()
+    record.pdf.clear()
+    values = quadrature_sops(queries)
+    assert [value.hex() for value in values] == [value.hex() for value in expected]
+    nodes = sum(nodes.size for _, _, nodes in record.cdf)
+    assert nodes < sum(lone_nodes)
+    if kind != "scheme":  # the rows' integrals are the same one: evaluated once
+        assert nodes == lone_nodes[0] == max(lone_nodes)
+    _check_laws_see_distinct_points(record, queries)
 
 
 def test_needle_row_fails_alone():
