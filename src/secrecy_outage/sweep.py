@@ -18,19 +18,14 @@ from enum import Enum
 from operator import itemgetter
 from pathlib import Path
 
-from .analytic import (
-    SopQuery,
-    SopValue,
-    Scenario,
-    Scheme,
-    analytic_sop,
-    analytic_sops,
-    asymptotic_sop,
-    asymptotic_sops,
-)
+from .analytic import SopQuery, SopValue, Scenario, Scheme, analytic_sops, asymptotic_sops
 from .channel import SystemConfig
-from .montecarlo import McSettings, simulate_sop
-from .quadrature import quadrature_sop, quadrature_sops
+from .montecarlo import McSettings, SopEstimate, simulate_sop
+from .quadrature import quadrature_sops
+
+# Bound though unused here: perfbench/child.py's traced_api rebinds these names.
+from .analytic import analytic_sop, asymptotic_sop  # noqa: F401
+from .quadrature import quadrature_sop  # noqa: F401
 
 __all__ = [
     "CSV_HEADER",
@@ -133,6 +128,20 @@ def _closed_form_cell(value: SopValue) -> tuple[float, None, str]:
     return value.value, None, FLAG_SIGNIFICANCE if value.significance_flag else ""
 
 
+def _mc_cell(estimate: SopEstimate) -> tuple[float, float, str]:
+    return estimate.p_hat, estimate.ci_half_width, FLAG_LOW_CONFIDENCE if estimate.low_confidence else ""
+
+
+# Every route's batch entry, as (queries, mc) -> [(sop, ci, flags)] in query order.
+# Monte Carlo runs one simulate_sop per query: it has no batch entry yet.
+_ROUTES = {
+    EvalMethod.ANALYTIC: lambda queries, mc: list(map(_closed_form_cell, analytic_sops(queries))),
+    EvalMethod.ASYMPTOTIC: lambda queries, mc: list(map(_closed_form_cell, asymptotic_sops(queries))),
+    EvalMethod.QUADRATURE: lambda queries, mc: [(sop, None, "") for sop in quadrature_sops(queries)],
+    EvalMethod.MC: lambda queries, mc: [_mc_cell(simulate_sop(query, mc)) for query in queries],
+}
+
+
 def evaluate_cell(
     cfg: SystemConfig,
     scheme: Scheme,
@@ -140,20 +149,8 @@ def evaluate_cell(
     method: EvalMethod,
     mc: McSettings,
 ) -> tuple[float, float | None, str]:
-    """Evaluate one (config, case, method) cell; returns (sop, ci, flags)."""
-    query = SopQuery(cfg=cfg, scheme=scheme, scenario=scenario)
-    method = EvalMethod(method)
-    if method in (EvalMethod.ANALYTIC, EvalMethod.ASYMPTOTIC):
-        closed_form = analytic_sop if method is EvalMethod.ANALYTIC else asymptotic_sop
-        return _closed_form_cell(closed_form(query))
-    if method is EvalMethod.QUADRATURE:
-        return quadrature_sop(query), None, ""
-    estimate = simulate_sop(query, mc)
-    return (
-        estimate.p_hat,
-        estimate.ci_half_width,
-        FLAG_LOW_CONFIDENCE if estimate.low_confidence else "",
-    )
+    """Evaluate one (config, case, method) cell as a batch of one; returns (sop, ci, flags)."""
+    return _ROUTES[EvalMethod(method)]([SopQuery(cfg, scheme, scenario)], mc)[0]
 
 
 @dataclass
@@ -165,28 +162,23 @@ class SweepResult:
 # Every enum member's string, read by the sort key and the CSV writer instead of ``Enum.value``.
 _NAMES = {member: member.value for enum in (Scheme, Scenario, EvalMethod) for member in enum}
 
-# The batch entry of every route whose cells a sweep evaluates together, as (sop, ci, flags) cells.
-_BATCHES = {
-    EvalMethod.ANALYTIC: lambda queries: map(_closed_form_cell, analytic_sops(queries)),
-    EvalMethod.ASYMPTOTIC: lambda queries: map(_closed_form_cell, asymptotic_sops(queries)),
-    EvalMethod.QUADRATURE: lambda queries: ((sop, None, "") for sop in quadrature_sops(queries)),
-}
-
 
 def run_sweeps(specs) -> list[SweepResult]:
     """Evaluate every grid cell of every spec; one result per spec, in input order.
 
-    The closed-form, floor and quadrature cells of all the specs go to each
-    route's batch entry in one call, so every quadrature row refines in one
-    stack; simulation cells run one at a time, spec by spec in row order.
-    The queries of one (configuration, scheme, scenario) are one
-    ``SopQuery``, shared by its methods.  Every result equals its spec's own
-    ``run_sweep``.
+    ``_ROUTES`` maps each method to its route's batch entry.  The cells of
+    all the specs that share a (method, ``spec.mc``) pair go to that entry
+    in one call, so a figure job, whose specs share one ``McSettings``,
+    refines all its quadrature rows in one stack; Monte Carlo's entry runs
+    its cells one at a time, spec by spec in row order.  The queries of one
+    (configuration, scheme, scenario) are one ``SopQuery``, shared by its
+    methods.  Every result equals its spec's own ``run_sweep``.
     """
     specs = list(specs)
     # per spec: its cells in row order, as (snr_db, case and method strings,
-    # query, method), and whether any of them simulates
+    # query, method), and its methods
     tables = []
+    batches: dict[tuple[EvalMethod, McSettings], list[SopQuery]] = {}
     for spec in specs:
         methods = [EvalMethod(method) for method in spec.methods]
         cases = [
@@ -201,22 +193,19 @@ def run_sweeps(specs) -> list[SweepResult]:
                 query = SopQuery(cfg, scheme, scenario)
                 cells += [(snr_db, names, query, method) for method, names in named_methods]
         cells.sort(key=itemgetter(0, 1))
-        tables.append((cells, EvalMethod.MC in methods))
-    batched = {
-        method: evaluate([query for cells, _ in tables for _, _, query, m in cells if m is method])
-        for method, evaluate in _BATCHES.items()
-    }
+        queries = {method: batches.setdefault((method, spec.mc), []) for method in methods}
+        for _, _, query, method in cells:
+            queries[method].append(query)
+        tables.append((cells, methods))
+    evaluated = {(method, mc): iter(_ROUTES[method](queries, mc)) for (method, mc), queries in batches.items()}
     results = []
-    for spec, (cells, used_mc) in zip(specs, tables):
-        rows = []
-        for snr_db, _, query, method in cells:
-            batch = batched.get(method)
-            if batch is None:
-                sop, ci, flags = evaluate_cell(query.cfg, query.scheme, query.scenario, method, spec.mc)
-            else:
-                sop, ci, flags = next(batch)
-            rows.append(SweepRow(snr_db, query.scheme, query.scenario, method, sop, ci, flags))
-        results.append(SweepResult(rows=rows, mc=spec.mc if used_mc else None))
+    for spec, (cells, methods) in zip(specs, tables):
+        batch = {method: evaluated[method, spec.mc] for method in methods}
+        rows = [
+            SweepRow(snr_db, query.scheme, query.scenario, method, *next(batch[method]))
+            for snr_db, _, query, method in cells
+        ]
+        results.append(SweepResult(rows=rows, mc=spec.mc if EvalMethod.MC in methods else None))
     return results
 
 

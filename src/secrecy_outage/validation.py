@@ -14,9 +14,12 @@ strict ordering margin, which several checks share, are module constants.  Every
 reference operating point ``channel.REFERENCE_CONFIG`` with K, zeta and the
 SNR (and, in the effect checks, one more parameter) set per check.
 
-Checks resolve the evaluation functions through this module's globals, so a
-test can swap one out (to confirm the harness actually detects a corrupted
-formula) without touching the underlying modules.
+Every closed form, floor and quadrature value comes from one call per check
+to a batch entry: ``analytic_sops``, ``asymptotic_sops`` or
+``quadrature_sops``.  Checks resolve these, and ``simulate_sop``, through
+this module's globals, so a test can swap one out (to confirm the harness
+actually detects a corrupted formula) without touching the underlying
+modules.
 """
 
 from __future__ import annotations
@@ -28,14 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import (
-    CASES,
-    Scenario,
-    Scheme,
-    SopQuery,
-    analytic_sop,
-    asymptotic_sop,
-)
+from .analytic import CASES, Scenario, Scheme, SopQuery, analytic_sops, asymptotic_sops
 from .channel import REFERENCE_CONFIG, GammaSnr, SystemConfig, snr_cdf, snr_cdf_finite_sum
 from .montecarlo import McSettings, simulate_sop
 from .numerics import enumerate_weak_compositions, log_power_coefficients
@@ -125,15 +121,18 @@ def _report(name: str, summary: str, failures: list[str]) -> CheckResult:
     return CheckResult(name, not failures, "; ".join([summary, *failures[:4]]))
 
 
+def _case_queries(configs) -> list[SopQuery]:
+    """The four (scheme, scenario) queries of each config, config by config."""
+    return [SopQuery(cfg, scheme, scenario) for cfg in configs for scheme, scenario in CASES]
+
+
 def _analytic_grid(configs) -> dict[SystemConfig, dict[tuple, float]]:
-    """Closed-form values of the four (scheme, scenario) cases, per config."""
-    return {
-        cfg: {
-            (scheme, scenario): analytic_sop(SopQuery(cfg, scheme, scenario)).value
-            for scheme, scenario in CASES
-        }
-        for cfg in configs
-    }
+    """Closed-form values of the four (scheme, scenario) cases, per config, from one batch."""
+    grid: dict[SystemConfig, dict[tuple, float]] = {}
+    queries = _case_queries(configs)
+    for query, closed in zip(queries, analytic_sops(queries)):
+        grid.setdefault(query.cfg, {})[(query.scheme, query.scenario)] = closed.value
+    return grid
 
 
 def _where(cfg: SystemConfig) -> str:
@@ -146,13 +145,9 @@ def check_triple_agreement(settings: ValidationSettings) -> CheckResult:
     worst_quad = 0.0
     worst_mc = 0.0
     failures = []
-    closed_forms = [
-        (SopQuery(cfg, scheme, scenario), closed)
-        for cfg, row in _analytic_grid(settings.grid_configs()).items()
-        for (scheme, scenario), closed in row.items()
-    ]
-    quadratures = quadrature_sops(query for query, _ in closed_forms)
-    for (query, closed), quad in zip(closed_forms, quadratures):
+    queries = _case_queries(settings.grid_configs())
+    closed_forms = [value.value for value in analytic_sops(queries)]
+    for query, closed, quad in zip(queries, closed_forms, quadrature_sops(queries)):
         case = f"{_where(query.cfg)} {query.scheme.value}/{query.scenario.value}"
         quad_err = abs(closed - quad)
         worst_quad = max(worst_quad, quad_err)
@@ -174,16 +169,18 @@ def check_triple_agreement(settings: ValidationSettings) -> CheckResult:
 def check_asymptotic_floors(settings: ValidationSettings) -> CheckResult:
     """High-SNR closed form must land on the saturation floor."""
     snr_db, rel_tol = 200.0, 1e-4
-    configs = [_config(K, zeta, snr_db) for K, zeta in itertools.product((1, 2, 3, 5), (0.9, 0.99))]
+    queries = _case_queries(
+        _config(K, zeta, snr_db) for K, zeta in itertools.product((1, 2, 3, 5), (0.9, 0.99))
+    )
     worst = 0.0
     failures = []
-    for cfg, row in _analytic_grid(configs).items():
-        for (scheme, scenario), closed in row.items():
-            floor = asymptotic_sop(SopQuery(cfg, scheme, scenario)).value
-            rel = abs(closed - floor) / floor
-            worst = max(worst, rel)
-            if rel > rel_tol:
-                failures.append(f"rel gap {rel:.3e} at {_where(cfg)} {scheme.value}/{scenario.value}")
+    for query, closed, floor in zip(queries, analytic_sops(queries), asymptotic_sops(queries)):
+        rel = abs(closed.value - floor.value) / floor.value
+        worst = max(worst, rel)
+        if rel > rel_tol:
+            failures.append(
+                f"rel gap {rel:.3e} at {_where(query.cfg)} {query.scheme.value}/{query.scenario.value}"
+            )
     summary = f"worst relative gap {worst:.2e} at {snr_db:.0f} dB"
     return _report("asymptotic_floors", summary, failures)
 
@@ -255,11 +252,14 @@ def _strictly_monotone(base: SystemConfig, field: str, values, rising: bool):
     """
     smallest = math.inf
     failures = []
+    queries = [
+        SopQuery(replace(base, **{field: v}), scheme, scenario)
+        for scheme, scenario in CASES
+        for v in values
+    ]
+    closed = iter(analytic_sops(queries))
     for scheme, scenario in CASES:
-        series = [
-            analytic_sop(SopQuery(replace(base, **{field: v}), scheme, scenario)).value
-            for v in values
-        ]
+        series = [next(closed).value for _ in values]
         step = min(b - a if rising else a - b for a, b in zip(series, series[1:]))
         smallest = min(smallest, step)
         if not step > 0.0:

@@ -5,7 +5,18 @@ from dataclasses import replace
 
 import pytest
 
-from secrecy_outage import McSettings, Scenario, Scheme, SopQuery, SystemConfig, ValidationSettings, analytic_sop
+from secrecy_outage import (
+    McSettings,
+    Scenario,
+    Scheme,
+    SopQuery,
+    SystemConfig,
+    ValidationSettings,
+    analytic_sop,
+    asymptotic_sop,
+    quadrature_sop,
+    simulate_sop,
+)
 from secrecy_outage.cli import build_parser, main
 from secrecy_outage import validation
 
@@ -52,18 +63,23 @@ def test_sop_mc_point_reports_interval(capsys):
                "--samples", "5000", "--seed", "42"])
     assert rc == 0
     pairs = _parse_kv(capsys.readouterr().out)
-    assert 0.0 <= float(pairs["sop"]) <= 1.0
-    assert float(pairs["ci_half_width"]) > 0.0
+    cfg = SystemConfig(K=2, zeta=0.9, r_th=1.0, snr=10.0, M=6, N=4, a=0.5, b=0.2)
+    expected = simulate_sop(SopQuery(cfg, Scheme.SS, Scenario.KU), McSettings(5000, 42))
+    assert float(pairs["sop"]) == expected.p_hat
+    assert float(pairs["ci_half_width"]) == expected.ci_half_width > 0.0
     assert pairs["seed"] == "42"
     assert pairs["samples"] == "5000"
 
 
 def test_sop_quadrature_and_asymptotic_methods(capsys):
-    for method in ("quadrature", "asymptotic"):
+    cfg = SystemConfig(K=2, zeta=0.9, r_th=1.0, snr=100.0, M=6, N=4, a=0.5, b=0.2)
+    query = SopQuery(cfg, Scheme.SS, Scenario.KU)
+    expected = {"quadrature": quadrature_sop(query), "asymptotic": asymptotic_sop(query).value}
+    for method, value in expected.items():
         assert main(["sop", *BASE_ARGS, "--snr-db", "20", "--method", method]) == 0
         pairs = _parse_kv(capsys.readouterr().out)
         assert pairs["method"] == method
-        assert 0.0 <= float(pairs["sop"]) <= 1.0
+        assert float(pairs["sop"]) == value
 
 
 def test_bad_parameter_value_is_usage_error(capsys):
@@ -184,17 +200,18 @@ def test_validate_subset_passes(capsys):
 
 
 def test_validate_detects_a_corrupted_formula(monkeypatch, capsys):
-    # sabotage the best-ratio scheme: inflate its outage so the scheme
-    # ordering inverts; the harness must notice and fail the run
-    real = validation.analytic_sop
+    # sabotage the best-ratio scheme: inflate the outage of a batch's os rows
+    # so the scheme ordering inverts; the harness must notice and fail the run
+    real = validation.analytic_sops
 
-    def corrupted(query):
-        value = real(query)
-        if Scheme(query.scheme) is Scheme.OS:
-            return replace(value, value=min(1.0, value.value + 0.05))
-        return value
+    def corrupted(queries):
+        queries = list(queries)
+        return [
+            replace(value, value=min(1.0, value.value + 0.05)) if Scheme(query.scheme) is Scheme.OS else value
+            for query, value in zip(queries, real(queries))
+        ]
 
-    monkeypatch.setattr(validation, "analytic_sop", corrupted)
+    monkeypatch.setattr(validation, "analytic_sops", corrupted)
     rc = main(["validate", "--smoke", "--check", "orderings"])
     out = capsys.readouterr().out
     assert rc == 1
@@ -206,13 +223,28 @@ def test_validate_detects_a_corrupted_formula(monkeypatch, capsys):
     "floors", "multipath_effect", "gain_ratio_effect",
 ])
 def test_validate_fails_when_the_closed_form_reads_zero(check, monkeypatch, capsys):
-    # every check that reads the closed form must notice when it is zeroed
-    real = validation.analytic_sop
-    monkeypatch.setattr(validation, "analytic_sop", lambda query: replace(real(query), value=0.0))
+    # every check that reads the closed form must notice when every row of
+    # its batch is zeroed
+    real = validation.analytic_sops
+    monkeypatch.setattr(
+        validation, "analytic_sops", lambda queries: [replace(v, value=0.0) for v in real(queries)]
+    )
     rc = main(["validate", "--smoke", "--check", check])
     out = capsys.readouterr().out
     assert rc == 1
     assert f"FAIL {check}" in out
+
+
+def test_validate_fails_when_the_floors_are_doubled(monkeypatch, capsys):
+    # the floor route is checked too: doubling every floor must fail the run
+    real = validation.asymptotic_sops
+    monkeypatch.setattr(
+        validation, "asymptotic_sops", lambda queries: [replace(v, value=2.0 * v.value) for v in real(queries)]
+    )
+    rc = main(["validate", "--smoke", "--check", "asymptotic_floors"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL asymptotic_floors" in out
 
 
 def test_module_entrypoint_runs():

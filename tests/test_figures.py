@@ -232,8 +232,8 @@ def test_figure_job_equals_sweeps_per_variant(name, scenario):
 
 
 def test_mc_figure_cells_run_one_by_one_in_row_order(monkeypatch):
-    # simulation cells still go through evaluate_cell, variant by variant in
-    # row order, and reproduce each variant's own sweep at a fixed seed
+    # simulation cells run one simulate_sop each, variant by variant in row
+    # order, and reproduce each variant's own sweep at a fixed seed
     mc = McSettings(n_samples=1024, seed=5)
     methods = (EvalMethod.ANALYTIC, EvalMethod.MC)
     expected = [
@@ -241,20 +241,20 @@ def test_mc_figure_cells_run_one_by_one_in_row_order(monkeypatch):
         for cfg in FIGURE_PRESETS["fig2"].variants
     ]
     calls = []
-    real = sweep_module.evaluate_cell
+    real = sweep_module.simulate_sop
 
-    def recording(cfg, scheme, scenario, method, settings):
-        calls.append((cfg, scheme, scenario, method, settings))
-        return real(cfg, scheme, scenario, method, settings)
+    def recording(query, settings, *args, **kwargs):
+        calls.append((query, settings))
+        return real(query, settings, *args, **kwargs)
 
-    monkeypatch.setattr(sweep_module, "evaluate_cell", recording)
+    monkeypatch.setattr(sweep_module, "simulate_sop", recording)
     result = run_figure("fig2", mc=mc, methods=methods)
     assert [sweep.rows for _, sweep in result.per_variant] == expected
     assert all(sweep.mc == mc for _, sweep in result.per_variant)
     mc_rows = [
         (cfg, row) for cfg, sweep in result.per_variant for row in sweep.rows if row.method is EvalMethod.MC
     ]
-    assert [(c[0].K, c[0].zeta, c[0].snr, c[1], c[2], c[3], c[4]) for c in calls] == [
-        (cfg.K, cfg.zeta, db_to_linear(row.snr_db), row.scheme, row.scenario, EvalMethod.MC, mc)
+    assert [(q.cfg.K, q.cfg.zeta, q.cfg.snr, q.scheme, q.scenario, settings) for q, settings in calls] == [
+        (cfg.K, cfg.zeta, db_to_linear(row.snr_db), row.scheme, row.scenario, mc)
         for cfg, row in mc_rows
     ]

@@ -1,10 +1,13 @@
+import importlib.util
 import inspect
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 
 import secrecy_outage
-from secrecy_outage import REFERENCE_CONFIG, SopQuery, SystemConfig, ValidationSettings
+from secrecy_outage import REFERENCE_CONFIG, Scenario, SopQuery, SystemConfig, ValidationSettings
 from secrecy_outage import analytic, montecarlo, quadrature, sweep
 from secrecy_outage.analytic import CASES
 from secrecy_outage.figures import FigureResult
@@ -68,3 +71,52 @@ def test_traced_benchmark_seams_exist(monkeypatch):
     monkeypatch.setattr(quadrature, "build_integrand", counting_build_integrand)
     quadrature.quadrature_sops([SopQuery(REFERENCE_CONFIG, scheme, scenario) for scheme, scenario in CASES])
     assert nodes and all(nodes)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_by_path(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_benchmark_runs_and_restores(monkeypatch, tmp_path):
+    # the benchmark's own seam code: perfbench/child.py's traced_api over its
+    # plain_api runs one fig2/ku figure job (closed form, floor, quadrature)
+    # and one small-sample validate cell, each passing the benchmark's own
+    # check; restore() must then put every rebound module attribute back
+    tracing = _load_by_path("tracing", PERFBENCH / "tracing.py")
+    monkeypatch.setitem(sys.modules, "tracing", tracing)  # child.py imports it by this name
+    child = _load_by_path("perfbench_child", PERFBENCH / "child.py")
+    modules = (montecarlo, quadrature, sweep)
+    before = {module: dict(vars(module)) for module in modules}
+    tracer = tracing.Tracer()
+    spec = {"tiny": True, "seconds": 1, "seed": 7, "out_dir": str(tmp_path)}
+    figures = child.FigureSweep(spec)
+    try:
+        api = child.traced_api(tracer, child.plain_api())
+        rebound = {
+            (module.__name__.rsplit(".", 1)[1], name)
+            for module in modules
+            for name, value in before[module].items()
+            if vars(module)[name] is not value
+        }
+        assert {
+            ("sweep", "evaluate_cell"), ("sweep", "analytic_sop"), ("sweep", "asymptotic_sop"),
+            ("sweep", "quadrature_sop"), ("quadrature", "build_integrand"), ("montecarlo", "make_rng"),
+        } <= rebound
+        index, job = next((i, op) for i, op in enumerate(figures.ops) if op[1:] == ("fig2", Scenario.KU))
+        assert figures.check(index, figures.call(api, job)) is None
+        grid = child.ValidateGrid(spec)
+        assert grid.check(0, grid.call(api, grid.ops[0])) is None
+        assert tracer.count("figures.run_figure") == tracer.count("montecarlo.simulate_sop") == 1
+        assert child.layer_totals(tracer)["sums"]["montecarlo.samples"] == grid.mc.n_samples
+    finally:
+        tracer.restore()
+        figures.close()
+    for module in modules:
+        for name, value in before[module].items():
+            assert vars(module)[name] is value, f"{module.__name__}.{name}"

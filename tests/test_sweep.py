@@ -11,6 +11,7 @@ from secrecy_outage import (
     SystemConfig,
     analytic_sop,
 )
+from secrecy_outage import sweep as sweep_module
 from secrecy_outage.sweep import (
     CSV_HEADER,
     MAX_SNR_POINTS,
@@ -240,6 +241,25 @@ def test_edge_sweeps_batched_together_equal_each_alone():
             by_point.setdefault(row.snr_db, set()).add(row.sop)
     assert all(len(values) == 1 for values in by_point.values())
     assert any(row.flags == "significance_loss" for row in flagged.rows)
+
+
+def test_run_sweeps_batches_by_method_and_mc_settings():
+    # two specs over the same cells simulate with their own settings, and a
+    # third simulates nothing; each gets back its own run_sweep rows and mc
+    methods = (EvalMethod.ANALYTIC, EvalMethod.QUADRATURE, EvalMethod.MC)
+    specs = [
+        _spec(schemes=(Scheme.SS, Scheme.OS), methods=methods, mc=McSettings(n_samples=1024, seed=1)),
+        _spec(schemes=(Scheme.SS, Scheme.OS), methods=methods, mc=McSettings(n_samples=2048, seed=9)),
+        _spec(scenarios=(Scenario.KA,), methods=(EvalMethod.ASYMPTOTIC, EvalMethod.QUADRATURE)),
+    ]
+    results = run_sweeps(specs)
+    for spec, result in zip(specs, results):
+        alone = run_sweep(spec)
+        assert result.rows == alone.rows
+        assert result.mc == alone.mc == (spec.mc if EvalMethod.MC in spec.methods else None)
+    first, second, _ = results
+    assert [row.ci_half_width for row in first.rows] != [row.ci_half_width for row in second.rows]
+    assert set(sweep_module._ROUTES) == set(EvalMethod)
 
 
 def test_run_sweeps_of_nothing():
