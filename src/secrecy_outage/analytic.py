@@ -18,7 +18,9 @@ exact series once per group of queries that differ only in snr, as one
 tensor over the group's SNR points, and the snr-free floor once per group.
 One case rule (``case_sop``) composes the four (scheme, scenario) cases
 from either kernel, or from quadrature's integral.
-Every per-term product is assembled in log space and exponentiated once; only the top-level
+Every per-term product is assembled in log space, its factorials read from
+the exact log-factorial table (``numerics.log_factorials``), and
+exponentiated once; only the top-level
 alternating sum over the binomial index runs in linear space, exactly rounded
 (``math.fsum``) and behind a loss-of-significance guard.  Results outside [0, 1] by more than a 1e-9
 round-off band raise ``NumericalIntegrityError`` rather than being clamped,
@@ -33,10 +35,9 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .channel import SystemConfig
-from .numerics import log_power_coefficients, significance_lost
+from .numerics import log_factorials, log_power_coefficients, significance_lost
 
 __all__ = [
     "CASES",
@@ -87,7 +88,8 @@ CASES = tuple((scheme, scenario) for scheme in Scheme for scenario in Scenario)
 class SopQuery:
     """One outage-probability question: operating point plus case selection.
 
-    Scheme and scenario strings become the enums; unknown ones raise ``ValueError``.
+    Scheme and scenario strings become the enums; unknown ones raise
+    ``ValueError``.  Members pass through unparsed.
     """
 
     cfg: SystemConfig
@@ -95,8 +97,10 @@ class SopQuery:
     scenario: Scenario
 
     def __post_init__(self):
-        object.__setattr__(self, "scheme", Scheme(self.scheme))
-        object.__setattr__(self, "scenario", Scenario(self.scenario))
+        if not isinstance(self.scheme, Scheme):
+            object.__setattr__(self, "scheme", Scheme(self.scheme))
+        if not isinstance(self.scenario, Scenario):
+            object.__setattr__(self, "scenario", Scenario(self.scenario))
 
 
 @dataclass(frozen=True)
@@ -223,7 +227,7 @@ def _log_boundary_kernel(size: int, rho: float) -> np.ndarray:
         # survives (0**0 = 1 convention at r_th = 0)
         out = np.where(gap == 0, 0.0, -np.inf)
     else:
-        log_fact = gammaln(j + 1)
+        log_fact = log_factorials(size)
         kept = np.maximum(gap, 0)
         log_terms = (
             log_fact[:, None] - log_fact[None, :] - log_fact[kept] + kept * math.log(rho - 1.0)
@@ -253,7 +257,8 @@ def _selection_series(M: int, N: int, a: float, b: float, rho: float, K: int, we
     """
     j = np.arange(K * (M - 1) + 1)
     boundary = _log_boundary_kernel(j.size, rho)
-    log_eve_unit = j * math.log(rho) + gammaln(N + j) - math.lgamma(N)
+    log_rising = log_factorials(N + j.size - 1)[N - 1 :]  # ln (N + j - 1)!
+    log_eve_unit = j * math.log(rho) + log_rising - log_rising[0]
     step = max(1, _SLAB_FLOATS // j.size**2)
     out = []
     for start in range(0, len(snrs), step):
@@ -282,7 +287,8 @@ def _selection_floor_series(M: int, N: int, a: float, b: float, rho: float, K: i
     """High-SNR limit of ``_selection_series``; depends only on a, b, rho, M, N.  Returns (raw, flag)."""
     rho_b = rho * b
     j = np.arange(K * (M - 1) + 1)
-    log_j = j * math.log(rho_b) + gammaln(N + j) + N * math.log(a) - math.lgamma(N)
+    log_rising = log_factorials(N + j.size - 1)[N - 1 :]  # ln (N + j - 1)!
+    log_j = j * math.log(rho_b) + log_rising + N * math.log(a) - log_rising[0]
 
     def magnitudes(k, log_pref):
         n = k * (M - 1) + 1

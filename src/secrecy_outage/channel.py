@@ -8,15 +8,23 @@ the same structure with N paths and scale b * snr.  Backhaul links are
 independent Bernoulli(zeta): an inactive link silences its transmitter,
 which manifests as a point mass at zero SNR.  Distribution helpers here
 accept scalars or numpy arrays in the evaluation point.
+
+Because every shape is an integer, the CDF is the regularized lower
+incomplete gamma P(M, u) at integer M, evaluated here in numpy alone (DLMF
+8.4, 8.7).  Below u = M it is the all-positive series
+e^-u u^M / M! sum_k u^k / ((M+1)...(M+k)); at and above it, one minus the
+Poisson finite sum e^-u u^(M-1) / (M-1)! sum_j (M-1)! / (M-1-j)! u^-j.
+Both prefactors are formed in log space, and each series is cut per call
+where its remainder at the extreme argument falls below 2^-54.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy import special as _special
 
 __all__ = [
     "GammaSnr",
@@ -132,8 +140,117 @@ def snr_cdf(dist: GammaSnr, x):
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0):
         raise ValueError("snr_cdf requires x >= 0")
-    out = _special.gammainc(dist.shape, x_arr / dist.scale)
+    u = x_arr / dist.scale
+    out = _lower_gamma_regularized(dist.shape, u.ravel()).reshape(u.shape)
     return float(out) if np.ndim(x) == 0 else out
+
+
+# Bernoulli-number coefficients B_2i / (2i (2i - 1)) of Stirling's series for
+# ln m!; seven of them reach double precision from m = 10 on.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+# A remainder below this share of a series' first term is dropped.
+_SERIES_CUT = 2.0**-54
+
+# Powers per block of the series evaluation: z^0 .. z^8 come from one
+# product per doubling, and the blocks combine by Horner's rule in z^8.
+_BLOCK = 8
+
+
+@lru_cache(maxsize=None)
+def _poisson_offset(m: int) -> float:
+    """m ln m - m - ln m!, the log Poisson(m) probability of m, without cancelling m ln m against ln m!."""
+    if m < 10:
+        return math.log(m**m / math.factorial(m)) - m
+    return -0.5 * math.log(2.0 * math.pi * m) - sum(c / m ** (2 * i + 1) for i, c in enumerate(_STIRLING))
+
+
+def _rows(coefficients: list) -> tuple[np.ndarray, tuple]:
+    """A series' coefficients as read-only rows of _BLOCK (the last one zero-padded), and the first two of each row."""
+    count = -(-len(coefficients) // _BLOCK)
+    rows = np.zeros(count * _BLOCK)
+    rows[: len(coefficients)] = coefficients
+    rows = rows.reshape(count, _BLOCK)
+    rows.flags.writeable = False
+    return rows, tuple(map(tuple, rows[:, :2].tolist()))
+
+
+@lru_cache(maxsize=None)
+def _lower_series(shape: int) -> tuple[np.ndarray, tuple]:
+    """prod_(i<=k) shape / (shape + i): the series below u = shape, in z = u / shape, long enough for z = 1."""
+    out = [1.0]
+    while out[-1] * (shape + len(out)) > _SERIES_CUT * len(out):
+        out.append(out[-1] * shape / (shape + len(out)))
+    return _rows(out)
+
+
+@lru_cache(maxsize=None)
+def _upper_series(shape: int) -> tuple[np.ndarray, tuple]:
+    """prod_(i<=j) (shape - i) / (shape - 1), j < shape: the finite sum at and above u = shape, in z = (shape - 1) / u."""
+    out = [1.0]
+    for j in range(1, shape):
+        out.append(out[-1] * (shape - j) / (shape - 1))
+    return _rows(out)
+
+
+def _series(series: tuple[np.ndarray, tuple], z: np.ndarray) -> np.ndarray:
+    """sum_k c_k z^k at every 0 <= z <= 1 of a flat array, cut where the largest z needs it.
+
+    The terms fall at a non-increasing ratio, so the remainder from term k
+    on is at most t_k / (1 - t_(k+1) / t_k); blocks stop where that falls
+    below _SERIES_CUT, or where the coefficients have underflowed to 0 (a
+    NaN keeps every block).  Each block is one
+    product with z^0 .. z^(_BLOCK - 1), and the blocks combine by Horner's
+    rule in z^_BLOCK.
+    """
+    rows, heads = series
+    top = float(z.max())
+    count = 1
+    for first, second in heads[1:]:
+        k = count * _BLOCK
+        if first == 0.0 or first * top**k <= _SERIES_CUT * (1.0 - top * second / first):
+            break
+        count += 1
+    powers = np.empty((_BLOCK + 1, z.size))
+    powers[0] = 1.0
+    powers[1] = z
+    for half in (1, 2, 4):
+        np.multiply(powers[1 : half + 1], powers[half], out=powers[half + 1 : 2 * half + 1])
+    blocks = rows[:count] @ powers[:-1]
+    total = blocks[-1]
+    for block in blocks[-2::-1]:
+        total *= powers[-1]
+        total += block
+    return total
+
+
+def _log_poisson(m: int, t: np.ndarray) -> np.ndarray:
+    """ln(e^-u u^m / m!) at u = m t, for m >= 1.
+
+    Written as m (ln t - (t - 1)) plus its value at t = 1, so that the large
+    terms m ln u, u and ln m! cancel before anything is rounded.
+    """
+    return m * (np.log(t) - (t - 1.0)) + _poisson_offset(m)
+
+
+def _lower_gamma_regularized(shape: int, u: np.ndarray) -> np.ndarray:
+    """P(shape, u) at integer shape >= 1 for a flat float array u >= 0; NaN propagates."""
+    if shape == 1:
+        return -np.expm1(-u)
+    out = np.empty_like(u)
+    below = u < shape
+    t = u[below] / shape
+    if t.size:
+        with np.errstate(divide="ignore"):  # ln 0 = -inf reads as P = 0
+            poisson = np.exp(_log_poisson(shape, t))
+        out[below] = poisson * _series(_lower_series(shape), t)
+    above = ~below
+    # u = inf reads as 1e300, where the tail has long underflowed
+    t = np.minimum(u[above], 1e300) / (shape - 1)
+    if t.size:
+        poisson = np.exp(_log_poisson(shape - 1, t))
+        out[above] = 1.0 - poisson * _series(_upper_series(shape), 1.0 / t)
+    return out
 
 
 def snr_cdf_finite_sum(dist: GammaSnr, x):

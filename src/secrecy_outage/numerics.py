@@ -11,7 +11,8 @@ so that callers detect a loss of significance instead of returning quiet
 noise.
 
 ``log_power_coefficients`` builds the power coefficients one log-space
-convolution per power.  ``enumerate_weak_compositions`` lists the same
+convolution per power, and ``log_factorials`` tabulates ln j! from the exact
+integers j!.  ``enumerate_weak_compositions`` lists the same
 expansion term by term; no closed form calls it, it is the independent
 reference that the identity checks compare the coefficient table against.
 """
@@ -31,6 +32,7 @@ __all__ = [
     "CompositionCapError",
     "WeakComposition",
     "enumerate_weak_compositions",
+    "log_factorials",
     "log_power_coefficients",
     "significance_lost",
 ]
@@ -77,6 +79,21 @@ def log_power_coefficients(k: int, num_terms: int) -> np.ndarray:
         for m in range(num_terms):
             window = out[m : m + prev.size]
             np.logaddexp(window, prev - math.lgamma(m + 1), out=window)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def log_factorials(count: int) -> np.ndarray:
+    """ln j! for j = 0 .. count - 1, each the logarithm of the exact integer j!.
+
+    Cached and read-only.
+    """
+    out = np.empty(count)
+    factorial = 1
+    for j in range(count):
+        factorial *= max(j, 1)
+        out[j] = math.log(factorial)
     out.flags.writeable = False
     return out
 

@@ -32,10 +32,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import CASES, Scenario, Scheme, SopQuery, analytic_sops, asymptotic_sops
-from .channel import REFERENCE_CONFIG, GammaSnr, SystemConfig, snr_cdf, snr_cdf_finite_sum
+from .channel import REFERENCE_CONFIG, GammaSnr, SystemConfig, snr_cdf, snr_cdf_finite_sum, snr_pdf
 from .montecarlo import McSettings, simulate_sop
 from .numerics import enumerate_weak_compositions, log_power_coefficients
-from .quadrature import quadrature_sops
+from .quadrature import adaptive_integral, quadrature_sops
 from .sweep import db_to_linear
 
 __all__ = [
@@ -312,17 +312,24 @@ def check_identities(settings: ValidationSettings) -> CheckResult:
     """Algebraic self-consistency of the building blocks."""
     failures = []
 
-    worst_cdf = 0.0
+    # The CDF against the finite sum the closed forms are built from, and
+    # against its density integrated by quadrature, a reference that shares
+    # no formula with it.
+    worst_cdf = worst_integral = 0.0
     scales = [REFERENCE_CONFIG.a * db_to_linear(db) for db in settings.snr_dbs]
     xs = [0.0, 0.05, 0.5, 1.0, 5.0, 25.0, 200.0]
     for shape in (1, 2, 3, 4, 6, 8):
         for scale in scales:
             dist = GammaSnr(shape=shape, scale=scale)
             for x in xs:
-                gap = abs(snr_cdf_finite_sum(dist, x) - snr_cdf(dist, x))
-                worst_cdf = max(worst_cdf, gap)
+                cdf = snr_cdf(dist, x)
+                worst_cdf = max(worst_cdf, abs(snr_cdf_finite_sum(dist, x) - cdf))
+                integral = adaptive_integral(lambda y: snr_pdf(dist, y), 0.0, x, 1e-15, 1e-14)
+                worst_integral = max(worst_integral, abs(integral - cdf))
     if worst_cdf > ROUNDOFF_SLACK:
         failures.append(f"cdf forms disagree by {worst_cdf:.3e}")
+    if worst_integral > ROUNDOFF_SLACK:
+        failures.append(f"cdf off its integrated density by {worst_integral:.3e}")
 
     worst_power = worst_grouped = 0.0
     for k in range(6):
@@ -357,7 +364,8 @@ def check_identities(settings: ValidationSettings) -> CheckResult:
         failures.append(f"single-transmitter cases spread by {worst_single:.3e}")
 
     summary = (
-        f"cdf gap {worst_cdf:.1e}; power-table gaps {worst_power:.1e}/{worst_grouped:.1e}; "
+        f"cdf gaps {worst_cdf:.1e} (finite sum)/{worst_integral:.1e} (integrated density); "
+        f"power-table gaps {worst_power:.1e}/{worst_grouped:.1e}; "
         f"always-active gap {worst_known:.1e}; single-transmitter spread {worst_single:.1e}"
     )
     return _report("identities", summary, failures)

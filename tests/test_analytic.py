@@ -239,6 +239,7 @@ def test_query_normalises_case_names():
     query = SopQuery(_cfg(), "os", "ka")
     assert query.scheme is Scheme.OS
     assert query.scenario is Scenario.KA
+    assert SopQuery(_cfg(), Scheme.SS, Scenario.KU) == SopQuery(_cfg(), "ss", "ku")
     with pytest.raises(ValueError):
         SopQuery(_cfg(), "xx", "ku")
     with pytest.raises(ValueError):

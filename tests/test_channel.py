@@ -1,12 +1,14 @@
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from secrecy_outage import McSettings, SopQuery, analytic_sop, asymptotic_sop, quadrature_sop, simulate_sop
 from secrecy_outage.analytic import CASES
@@ -169,6 +171,74 @@ def test_cdf_forms_agree(shape, scale, x):
     # regularized incomplete gamma everywhere
     dist = GammaSnr(shape=shape, scale=scale)
     assert snr_cdf_finite_sum(dist, x) == pytest.approx(snr_cdf(dist, x), abs=1e-12)
+
+
+# Integer shapes and arguments for the incomplete-gamma oracles: the edges
+# (zero, subnormals, the u = shape branch point, beyond any float) and a
+# log-spaced sweep between them.
+CDF_SHAPES = [*range(1, 13), 20, 40, 100, 1000]
+
+
+def _cdf_arguments(shape: int) -> np.ndarray:
+    return np.array([
+        0.0, 5e-324, 1e-310, *np.logspace(-12, 4, 161),
+        shape * (1 - 1e-12), float(shape), shape * (1 + 1e-12), 1e5, np.inf,
+    ])
+
+
+def _mpmath_cdf(shape: int, u: float) -> float:
+    with mpmath.workdps(40):
+        return float(mpmath.gammainc(shape, 0, mpmath.mpf(u), regularized=True))
+
+
+@pytest.mark.parametrize("shape", CDF_SHAPES)
+def test_snr_cdf_matches_scipy_gammainc(shape):
+    u = _cdf_arguments(shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = snr_cdf(GammaSnr(shape, 1.0), u)
+    reference = special.gammainc(shape, u)
+    checked = reference > 1e-290
+    gap = np.abs(ours[checked] / reference[checked] - 1.0)
+    # scipy's own prefactor a ln u - u - ln Gamma(a) loses about 1e-12 at
+    # shape 1000 for u between 300 and 600; there 40-digit mpmath decides
+    disputed = gap > 2e-13
+    assert shape == 1000 or not disputed.any()
+    for x, value in zip(u[checked][disputed], ours[checked][disputed]):
+        assert value == pytest.approx(_mpmath_cdf(shape, x), rel=2e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("shape", [6, 12, 40])
+def test_snr_cdf_matches_mpmath(shape):
+    u = _cdf_arguments(shape)[:-1]
+    ours = snr_cdf(GammaSnr(shape, 1.0), u)
+    for x, value in zip(u, ours):
+        exact = _mpmath_cdf(shape, x)
+        if exact > 1e-290:
+            assert value == pytest.approx(exact, rel=2e-13, abs=0.0), x
+
+
+@pytest.mark.parametrize("shape", CDF_SHAPES)
+def test_snr_cdf_edges(shape):
+    dist = GammaSnr(shape, 1.0)
+    assert snr_cdf(dist, 0.0) == 0.0
+    assert snr_cdf(dist, np.inf) == 1.0
+    assert math.isnan(snr_cdf(dist, math.nan))
+    out = snr_cdf(dist, np.array([[math.nan, 0.0], [np.inf, math.nan]]))
+    assert np.isnan(out[0, 0]) and np.isnan(out[1, 1])
+    assert out[0, 1] == 0.0 and out[1, 0] == 1.0
+    for tiny in (5e-324, 1e-310):
+        assert 0.0 <= snr_cdf(dist, tiny) <= tiny
+
+
+@pytest.mark.parametrize("shape", [1, 2, 6, 40])
+def test_snr_cdf_of_a_batch_equals_each_point(shape):
+    # the series are cut per call by their largest argument; a point's value
+    # must not depend on the batch it sits in beyond the 2^-54 cut
+    u = _cdf_arguments(shape)[1:-1]
+    batch = snr_cdf(GammaSnr(shape, 1.0), u)
+    for x, value in zip(u, batch):
+        assert value == pytest.approx(snr_cdf(GammaSnr(shape, 1.0), x), rel=1e-15, abs=0.0)
 
 
 def test_cdf_array_shapes():

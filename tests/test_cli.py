@@ -247,6 +247,20 @@ def test_validate_fails_when_the_floors_are_doubled(monkeypatch, capsys):
     assert "FAIL asymptotic_floors" in out
 
 
+def test_validate_detects_a_cdf_its_finite_sum_repeats(monkeypatch, capsys):
+    # the finite-sum reference reads the CDF's own upper-branch formula, so a
+    # shift shared by both must still fail on the integrated density
+    real_cdf, real_sum = validation.snr_cdf, validation.snr_cdf_finite_sum
+    monkeypatch.setattr(validation, "snr_cdf", lambda dist, x: real_cdf(dist, x) + 1e-9 * (x > 0))
+    monkeypatch.setattr(validation, "snr_cdf_finite_sum", lambda dist, x: real_sum(dist, x) + 1e-9 * (x > 0))
+    rc = main(["validate", "--smoke", "--check", "identities"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL identities" in out
+    assert "cdf off its integrated density" in out
+    assert "cdf forms disagree" not in out
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "secrecy_outage", "sop", "--snr-db", "10"],

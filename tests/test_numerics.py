@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,9 +8,21 @@ from hypothesis import strategies as st
 from secrecy_outage.numerics import (
     CompositionCapError,
     enumerate_weak_compositions,
+    log_factorials,
     log_power_coefficients,
     significance_lost,
 )
+
+
+def test_log_factorials_are_logs_of_exact_factorials():
+    table = log_factorials(2500)
+    assert not table.flags.writeable
+    assert table[0] == table[1] == 0.0
+    for j in (2, 3, 10, 20, 21, 170, 171, 1000, 2499):
+        assert table[j] == math.log(math.factorial(j))
+        with mpmath.workdps(40):
+            assert table[j] == pytest.approx(float(mpmath.loggamma(j + 1)), rel=4e-16, abs=0.0)
+    assert log_factorials(7).tolist() == table[:7].tolist()
 
 
 def test_composition_enumeration_order_and_count():

@@ -1,5 +1,6 @@
 import importlib.util
 import inspect
+import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -120,3 +121,34 @@ def test_traced_benchmark_runs_and_restores(monkeypatch, tmp_path):
     for module in modules:
         for name, value in before[module].items():
             assert vars(module)[name] is value, f"{module.__name__}.{name}"
+
+
+# Run in a fresh interpreter; at exit it prints every loaded scipy module.
+_SCIPY_PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+{body}
+"""
+
+
+def _scipy_modules_after(body: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE.format(body=body)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only oracle; importing it would cost the package's
+    # start-up about 300 ms
+    assert _scipy_modules_after("import secrecy_outage, secrecy_outage.cli") == "scipy modules: []"
+
+
+def test_cli_loads_no_scipy():
+    for argv in (
+        ["sop", "--method", "quadrature"],
+        ["validate", "--smoke", "--check", "identities"],
+    ):
+        body = f"sys.argv = ['secrecy_outage', *{argv!r}]\nrunpy.run_module('secrecy_outage', run_name='__main__')"
+        assert _scipy_modules_after(body) == "scipy modules: []", argv
