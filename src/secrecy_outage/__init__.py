@@ -22,7 +22,7 @@ from .analytic import (
     asymptotic_sop,
     asymptotic_sops,
 )
-from .channel import REFERENCE_CONFIG, GammaSnr, SystemConfig, mixture_cdf, snr_cdf, snr_pdf
+from .channel import REFERENCE_CONFIG, GammaSnr, SystemConfig, snr_cdf, snr_pdf
 from .montecarlo import McSettings, SopEstimate, simulate_sop
 from .numerics import CompositionCapError, enumerate_weak_compositions
 from .quadrature import QuadratureConvergenceError, adaptive_integral, quadrature_sop, quadrature_sops
@@ -68,7 +68,6 @@ __all__ = [
     "asymptotic_sops",
     "db_to_linear",
     "enumerate_weak_compositions",
-    "mixture_cdf",
     "quadrature_sop",
     "quadrature_sops",
     "run_figure",

@@ -103,7 +103,7 @@ class SopQuery:
             object.__setattr__(self, "scenario", Scenario(self.scenario))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SopValue:
     """Evaluated outage probability.
 
@@ -119,17 +119,10 @@ class SopValue:
     raw_value: float
 
 
-def _finalize(raws, flags, method: str) -> list[float]:
-    """Clamp every raw value to [0, 1]; an unflagged one outside it by more than the band raises.
-
-    NaN fails the band check too and is reported rather than clamped.
-    """
-    for raw, flag in zip(raws, flags):
-        if not (flag or -INTEGRITY_BAND <= raw <= 1.0 + INTEGRITY_BAND):
-            raise NumericalIntegrityError(
-                f"{method} outage probability {raw!r} leaves [0, 1] by more than {INTEGRITY_BAND}"
-            )
-    return [min(max(raw, 0.0), 1.0) for raw in raws]
+def _integrity_error(raw: float, method: str) -> NumericalIntegrityError:
+    return NumericalIntegrityError(
+        f"{method} outage probability {raw!r} leaves [0, 1] by more than {INTEGRITY_BAND}"
+    )
 
 
 def inner_args(query: SopQuery) -> tuple[int, float]:
@@ -168,30 +161,36 @@ def case_sop(queries, inner, method: str) -> list[SopValue]:
     link: an outage in every case; such queries are not in ``reading``, and
     a batch of them only never calls ``inner``.
     At K = 1 and zeta = 1 every case returns the single-transmitter outage x
-    itself.  The batch composes element-wise over lists, so a lone query pays
-    no array set-up; an unflagged NaN or out-of-band value anywhere in the
-    batch raises ``NumericalIntegrityError``.
+    itself.  The batch composes, checks and clamps each query in one pass
+    over plain floats, so a lone query pays no array set-up; an unflagged
+    NaN or out-of-band value anywhere in the batch raises
+    ``NumericalIntegrityError``.
     """
     queries = list(queries)
     reading = [query for query in queries if query.cfg.zeta > 0.0]
-    raws, flags = inner(reading, [inner_args(query) for query in reading]) if reading else ([], [])
-    # every unflagged inner value is checked before composing: a blind-selection mix
-    # (1 - zeta) + zeta x can land in band from an x far outside it
-    singles = _finalize(raws, flags, method)
-    raws = [
-        single ** query.cfg.K if query.scheme is Scheme.OS else raw
-        for query, single, raw in zip(reading, singles, raws)
-    ]
-    raws = [
-        (1.0 - query.cfg.zeta) + query.cfg.zeta * raw if query.scenario is Scenario.KU else raw
-        for query, raw in zip(reading, raws)
-    ]
-    values = _finalize(raws, flags, method)
-    composed = [SopValue(value, method, flag, raw) for value, flag, raw in zip(values, flags, raws)]
-    if len(composed) == len(queries):
-        return composed
-    live, dead = iter(composed), SopValue(1.0, method, False, 1.0)
-    return [next(live) if query.cfg.zeta > 0.0 else dead for query in queries]
+    raws, flags = inner(reading, [inner_args(query) for query in reading]) if reading else ((), ())
+    live, dead = zip(raws, flags), SopValue(1.0, method, False, 1.0)
+    low, high = -INTEGRITY_BAND, 1.0 + INTEGRITY_BAND
+    out = []
+    for query in queries:
+        cfg = query.cfg
+        zeta = cfg.zeta
+        if not zeta > 0.0:
+            out.append(dead)
+            continue
+        raw, flag = next(live)
+        # the inner value is checked before composing: a blind-selection mix
+        # (1 - zeta) + zeta x can land in band from an x far outside it
+        if not (flag or low <= raw <= high):
+            raise _integrity_error(raw, method)
+        if query.scheme is Scheme.OS:
+            raw = (0.0 if raw < 0.0 else 1.0 if raw > 1.0 else raw) ** cfg.K
+        if query.scenario is Scenario.KU:
+            raw = (1.0 - zeta) + zeta * raw
+        if not (flag or low <= raw <= high):
+            raise _integrity_error(raw, method)
+        out.append(SopValue(0.0 if raw < 0.0 else 1.0 if raw > 1.0 else raw, method, flag, raw))
+    return out
 
 
 def _alternating_series(K, weight, magnitudes):
@@ -264,13 +263,14 @@ def _selection_series(M: int, N: int, a: float, b: float, rho: float, K: int, we
     for start in range(0, len(snrs), step):
         slab = snrs[start : start + step]
         a_d, a_e = [a * snr for snr in slab], [b * snr for snr in slab]
-        log_d = np.array([[math.log(x)] for x in a_d])
-        log_eve = log_eve_unit - np.array([[N * math.log(y)] for y in a_e])
+        log_d = np.array([math.log(x) for x in a_d])[:, None]
+        log_eve = log_eve_unit - np.array([N * math.log(y) for y in a_e])[:, None]
         # per (k, point): the exponent k (rho - 1) / a_d and ln(k rho / a_d + 1 / a_e)
-        shift = np.array([[[k * (rho - 1.0) / x] for x in a_d] for k in range(1, K + 1)])
+        ks = range(1, K + 1)
+        shift = np.array([k * (rho - 1.0) / x for k in ks for x in a_d]).reshape(K, -1, 1)
         log_denom = np.array(
-            [[[math.log(k * rho / x + 1.0 / y)] for x, y in zip(a_d, a_e)] for k in range(1, K + 1)]
-        )
+            [math.log(k * rho / x + 1.0 / y) for k in ks for x, y in zip(a_d, a_e)]
+        ).reshape(K, -1, 1)
 
         def magnitudes(k, log_pref):
             n = k * (M - 1) + 1

@@ -31,7 +31,6 @@ __all__ = [
     "REFERENCE_CONFIG",
     "SystemConfig",
     "make_rng",
-    "mixture_cdf",
     "sample_channel_block",
     "snr_cdf",
     "snr_cdf_finite_sum",
@@ -78,8 +77,7 @@ class SystemConfig:
             2.0 ** self.r_th
         except OverflowError:
             raise ValueError(f"r_th too large: 2**r_th overflows, got {self.r_th!r}") from None
-        if not (math.isfinite(self.snr) and self.snr > 0.0):
-            raise ValueError(f"snr must be finite and > 0 on the linear scale, got {self.snr!r}")
+        _check_snr(self.snr)
         if not all(math.isfinite(g) and g > 0.0 for g in (self.a, self.b)):
             raise ValueError(
                 f"path gain factors a, b must be finite and > 0, got a={self.a!r} b={self.b!r}"
@@ -99,6 +97,19 @@ class SystemConfig:
     def a_e(self) -> float:
         """Eavesdropper-link SNR scale b * snr."""
         return self.b * self.snr
+
+
+def _check_snr(snr: float) -> None:
+    if not (math.isfinite(snr) and snr > 0.0):
+        raise ValueError(f"snr must be finite and > 0 on the linear scale, got {snr!r}")
+
+
+def _at_snr(cfg: SystemConfig, snr: float) -> SystemConfig:
+    """``replace(cfg, snr=snr)`` for an already validated ``cfg``: only the new snr is checked."""
+    _check_snr(snr)
+    out = object.__new__(type(cfg))
+    vars(out).update(vars(cfg), snr=snr)
+    return out
 
 
 # The reference operating point of the figure presets, the CLI defaults and
@@ -271,16 +282,6 @@ def snr_cdf_finite_sum(dist: GammaSnr, x):
         partial = partial + np.exp(-u + m * log_u - math.lgamma(m + 1))
     out = np.clip(1.0 - partial, 0.0, 1.0)
     return float(out) if np.ndim(x) == 0 else out
-
-
-def mixture_cdf(dist: GammaSnr, zeta: float, x):
-    """CDF of the backhaul-gated SNR: point mass 1 - zeta at zero, Gamma body.
-
-    Equals (1 - zeta) + zeta * snr_cdf(dist, x) for x >= 0.
-    """
-    if not 0.0 <= zeta <= 1.0:
-        raise ValueError(f"zeta must lie in [0, 1], got {zeta!r}")
-    return (1.0 - zeta) + zeta * snr_cdf(dist, x)
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:

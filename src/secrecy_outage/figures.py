@@ -150,16 +150,12 @@ def run_figure(
     return FigureResult(preset=preset, per_variant=per_variant, mc=mc)
 
 
-def _config_columns(cfg: SystemConfig) -> list[str]:
-    return [
-        str(cfg.K),
-        _format_float(cfg.zeta),
-        _format_float(cfg.r_th),
-        str(cfg.M),
-        str(cfg.N),
-        _format_float(cfg.a),
-        _format_float(cfg.b),
-    ]
+def _config_columns(cfg: SystemConfig) -> str:
+    """The configuration columns of a variant's rows, each after its comma."""
+    return (
+        f",{cfg.K},{_format_float(cfg.zeta)},{_format_float(cfg.r_th)},{cfg.M},{cfg.N},"
+        f"{_format_float(cfg.a)},{_format_float(cfg.b)}"
+    )
 
 
 def write_figure_csv(result: FigureResult, target) -> None:
@@ -182,7 +178,8 @@ def _variant_label(cfg: SystemConfig, varied: tuple[str, ...]) -> str:
 def _series_points(rows: list[SweepRow]) -> list[dict]:
     return [
         {"x": row.snr_db, "y": row.sop}
-        | ({"ci": row.ci_half_width} if row.ci_half_width is not None else {})
+        if row.ci_half_width is None
+        else {"x": row.snr_db, "y": row.sop, "ci": row.ci_half_width}
         for row in rows
     ]
 

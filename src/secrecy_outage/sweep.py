@@ -13,13 +13,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 from pathlib import Path
 
 from .analytic import SopQuery, SopValue, Scenario, Scheme, analytic_sops, asymptotic_sops
-from .channel import SystemConfig
+from .channel import SystemConfig, _at_snr
 from .montecarlo import McSettings, SopEstimate, simulate_sop
 from .quadrature import quadrature_sops
 
@@ -68,7 +68,7 @@ def db_to_linear(snr_db: float) -> float:
         raise ValueError(f"{snr_db} dB is too large for a linear power ratio") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     snr_db: float
     scheme: Scheme
@@ -188,7 +188,7 @@ def run_sweeps(specs) -> list[SweepResult]:
         ]
         cells = []
         for snr_db in snr_grid(spec):
-            cfg = replace(spec.base, snr=db_to_linear(snr_db))
+            cfg = _at_snr(spec.base, db_to_linear(snr_db))  # the base is validated; only snr is new
             for scheme, scenario, named_methods in cases:
                 query = SopQuery(cfg, scheme, scenario)
                 cells += [(snr_db, names, query, method) for method, names in named_methods]
@@ -219,29 +219,29 @@ def _format_float(x: float) -> str:
 
 
 def _write_csv(target, header, records, mc: McSettings | None) -> None:
-    """Write (SweepRow, extra cells) records under ``header`` to a path or text file.
+    """Write (SweepRow, suffix) records under ``header`` to a path or text file.
 
-    The extra cells follow the seven sweep columns; ``mc`` goes in the trailing comment.
+    Each row is written as one joined line: the seven sweep columns, then
+    ``suffix``, the extra columns with their leading commas ("" for none);
+    ``mc`` goes in the trailing comment.  No field can hold a comma, a quote
+    or a line break, so none is ever quoted and the bytes are those
+    ``csv.writer`` would write.  Rows of one grid point share their snr
+    float, so its text is formatted once per point.
     """
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8", newline="") as handle:
             _write_csv(handle, header, records, mc)
         return
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(
-        (
-            _format_float(row.snr_db),
-            _NAMES[row.scheme],
-            _NAMES[row.scenario],
-            _NAMES[row.method],
-            _format_float(row.sop),
-            "" if row.ci_half_width is None else _format_float(row.ci_half_width),
-            row.flags,
-            *extra,
+    target.write(",".join(header) + "\n")
+    snr_db = snr_text = None
+    for row, suffix in records:
+        if row.snr_db is not snr_db:
+            snr_db, snr_text = row.snr_db, _format_float(row.snr_db)
+        ci = "" if row.ci_half_width is None else _format_float(row.ci_half_width)
+        target.write(
+            f"{snr_text},{_NAMES[row.scheme]},{_NAMES[row.scenario]},{_NAMES[row.method]},"
+            f"{_format_float(row.sop)},{ci},{row.flags}{suffix}\n"
         )
-        for row, extra in records
-    )
     if mc is not None:
         target.write(
             f"# mc seed={mc.seed} samples={mc.n_samples} "
@@ -251,7 +251,7 @@ def _write_csv(target, header, records, mc: McSettings | None) -> None:
 
 def write_sweep_csv(result: SweepResult, target) -> None:
     """Write the sweep CSV contract to a path or text file object."""
-    _write_csv(target, CSV_HEADER, ((row, ()) for row in result.rows), result.mc)
+    _write_csv(target, CSV_HEADER, ((row, "") for row in result.rows), result.mc)
 
 
 def read_sweep_csv(source) -> list[dict]:

@@ -29,6 +29,7 @@ def settings():
     return ValidationSettings()
 
 
+@pytest.mark.slow
 def test_criterion_1_triple_agreement_on_full_grid(settings):
     # 144 cells: 2 schemes x 2 scenarios x K in {1,2,5} x zeta in
     # {0.9,0.99,1} x SNR in {0,10,20,30} dB; closed form within 1e-8 of
@@ -91,6 +92,7 @@ def test_criterion_8_simulation_determinism(settings):
     assert result.passed, result.detail
 
 
+@pytest.mark.slow
 def test_criterion_9_validate_subcommand_exits_zero(capsys):
     rc = main(["validate"])
     out = capsys.readouterr().out

@@ -22,7 +22,7 @@ from secrecy_outage import (
     simulate_sop,
 )
 from secrecy_outage import analytic
-from secrecy_outage.analytic import METHOD_ANALYTIC, _finalize, case_sop
+from secrecy_outage.analytic import METHOD_ANALYTIC, case_sop
 from secrecy_outage.sweep import db_to_linear
 
 CASES = [(s, c) for s in (Scheme.SS, Scheme.OS) for c in (Scenario.KU, Scenario.KA)]
@@ -221,18 +221,22 @@ def test_asymptote_is_snr_free():
 
 
 def test_integrity_guard_units():
-    # inside the tolerance band: clamped quietly, every row of a batch
-    assert _finalize([1.0 + 1e-10, -1e-10, 0.25], [False] * 3, METHOD_ANALYTIC) == [1.0, 0.0, 0.25]
-    # outside the band without a significance flag: hard error, wherever the row sits
+    # at K = 1 and zeta = 1 the ss/ka rule returns the inner value itself,
+    # so each raw value meets the guard alone
+    query = SopQuery(_cfg(K=1, zeta=1.0), Scheme.SS, Scenario.KA)
+
+    def guarded(raw, flag=False):
+        (result,), _ = _rule_with_fake_inner([query], [raw], flags=[flag])
+        return result.value
+
+    # inside the tolerance band: clamped quietly
+    assert [guarded(raw) for raw in (1.0 + 1e-10, -1e-10, 0.25)] == [1.0, 0.0, 0.25]
+    # outside the band without a significance flag: hard error, naming the route
     for bad in (1.0 + 1e-6, -1e-6, float("nan")):
-        for at in range(3):
-            raws = [0.5, 0.5, 0.5]
-            raws[at] = bad
-            with pytest.raises(NumericalIntegrityError, match=METHOD_ANALYTIC):
-                _finalize(raws, [False] * 3, METHOD_ANALYTIC)
+        with pytest.raises(NumericalIntegrityError, match=METHOD_ANALYTIC):
+            guarded(bad)
     # flagged results are clamped instead of raising
-    assert _finalize([1.5, -0.5], [True, True], METHOD_ANALYTIC) == [1.0, 0.0]
-    assert _finalize([], [], METHOD_ANALYTIC) == []
+    assert [guarded(raw, flag=True) for raw in (1.5, -0.5)] == [1.0, 0.0]
 
 
 def test_query_normalises_case_names():

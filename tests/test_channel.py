@@ -16,7 +16,6 @@ from secrecy_outage.channel import (
     GammaSnr,
     SystemConfig,
     make_rng,
-    mixture_cdf,
     sample_channel_block,
     snr_cdf,
     snr_cdf_finite_sum,
@@ -249,13 +248,24 @@ def test_cdf_array_shapes():
     assert np.all(np.diff(out) >= 0.0)
 
 
+def _mixture_cdf(dist: GammaSnr, zeta: float, x):
+    """CDF of a backhaul-gated SNR: point mass 1 - zeta at zero, Gamma body."""
+    return (1.0 - zeta) + zeta * snr_cdf(dist, x)
+
+
 def test_mixture_cdf_floor_and_body():
-    dist = GammaSnr(shape=2, scale=1.0)
-    assert mixture_cdf(dist, 0.7, 0.0) == pytest.approx(0.3)
-    assert mixture_cdf(dist, 0.7, 1e9) == pytest.approx(1.0, abs=1e-12)
-    assert mixture_cdf(dist, 1.0, 2.0) == pytest.approx(snr_cdf(dist, 2.0))
-    with pytest.raises(ValueError):
-        mixture_cdf(dist, 1.2, 1.0)
+    # a silenced transmitter's SNR is the point mass at zero, so the gated
+    # destination SNR of a block draw follows (1 - zeta) + zeta F(x)
+    cfg = SystemConfig(K=3, zeta=0.7, r_th=1.0, snr=2.0, M=2, N=2, a=0.5, b=0.5)
+    gamma_d, _, active = sample_channel_block(cfg, make_rng(11, 0), 40_000)
+    gated = np.where(active, gamma_d, 0.0).ravel()
+    law = GammaSnr(cfg.M, cfg.a_d)
+    assert _mixture_cdf(law, cfg.zeta, 0.0) == pytest.approx(0.3)
+    assert _mixture_cdf(law, cfg.zeta, 1e9) == pytest.approx(1.0, abs=1e-12)
+    for x in (0.0, 0.5, 1.0, 2.0, 5.0):
+        p = _mixture_cdf(law, cfg.zeta, x)
+        sigma = math.sqrt(p * (1.0 - p) / gated.size)
+        assert abs(np.mean(gated <= x) - p) <= 5.0 * sigma, x
 
 
 def test_make_rng_streams_are_deterministic_and_distinct():

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 from dataclasses import replace
@@ -17,7 +18,9 @@ from secrecy_outage.figures import (
     write_plot_description,
 )
 from secrecy_outage.sweep import (
+    CSV_HEADER,
     EvalMethod,
+    SweepRow,
     SweepSpec,
     db_to_linear,
     evaluate_cell,
@@ -258,3 +261,58 @@ def test_mc_figure_cells_run_one_by_one_in_row_order(monkeypatch):
         (cfg.K, cfg.zeta, db_to_linear(row.snr_db), row.scheme, row.scenario, mc)
         for cfg, row in mc_rows
     ]
+
+
+_QUOTED = set(',"\r\n')  # characters that make csv.writer quote a field
+
+
+def _csv_module_rendering(header, records, mc) -> str:
+    """The same (SweepRow, extra fields) records through ``csv.writer``; no field may need quoting."""
+    fields = [list(header)]
+    for row, extra in records:
+        ci = "" if row.ci_half_width is None else repr(float(row.ci_half_width))
+        fields.append(
+            [repr(float(row.snr_db)), row.scheme.value, row.scenario.value, row.method.value,
+             repr(float(row.sop)), ci, row.flags, *extra]
+        )
+    for line in fields:
+        for field in line:
+            assert not _QUOTED & set(field), f"field {field!r} would be quoted"
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(fields)
+    if mc is not None:
+        buffer.write(f"# mc seed={mc.seed} samples={mc.n_samples} confidence={mc.confidence!r}\n")
+    return buffer.getvalue()
+
+
+def _config_fields(cfg) -> list[str]:
+    return [str(cfg.K), repr(cfg.zeta), repr(cfg.r_th), str(cfg.M), str(cfg.N), repr(cfg.a), repr(cfg.b)]
+
+
+@pytest.mark.parametrize("scenario", [Scenario.KU, Scenario.KA])
+@pytest.mark.parametrize("name", sorted(FIGURE_PRESETS))
+def test_joined_csv_lines_equal_the_csv_module(name, scenario):
+    # every route, Monte Carlo included (its CI, low-confidence flags and the
+    # trailing comment), written as joined lines, reads as csv.writer writes it
+    mc = McSettings(n_samples=1024, seed=9)
+    result = run_figure(name, mc=mc, scenario=scenario, methods=tuple(EvalMethod))
+    rows = [row for _, sweep_result in result.per_variant for row in sweep_result.rows]
+    assert any(row.ci_half_width is not None for row in rows)
+    assert any(row.flags == "low_confidence" for row in rows)
+    buffer = io.StringIO()
+    write_figure_csv(result, buffer)
+    records = [
+        (row, _config_fields(cfg)) for cfg, sweep_result in result.per_variant for row in sweep_result.rows
+    ]
+    assert buffer.getvalue() == _csv_module_rendering(FIGURE_CSV_HEADER, records, mc)
+    for _, sweep_result in result.per_variant:
+        buffer = io.StringIO()
+        write_sweep_csv(sweep_result, buffer)
+        records = [(row, []) for row in sweep_result.rows]
+        assert buffer.getvalue() == _csv_module_rendering(CSV_HEADER, records, mc)
+
+
+def test_csv_comparison_refuses_a_field_that_needs_quoting():
+    row = SweepRow(0.0, Scheme.SS, Scenario.KU, EvalMethod.ANALYTIC, 0.5, None, "a,b")
+    with pytest.raises(AssertionError, match="would be quoted"):
+        _csv_module_rendering(CSV_HEADER, [(row, [])], None)

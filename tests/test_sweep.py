@@ -12,6 +12,7 @@ from secrecy_outage import (
     analytic_sop,
 )
 from secrecy_outage import sweep as sweep_module
+from secrecy_outage.figures import FIGURE_PRESETS, run_figure
 from secrecy_outage.sweep import (
     CSV_HEADER,
     MAX_SNR_POINTS,
@@ -264,3 +265,59 @@ def test_run_sweeps_batches_by_method_and_mc_settings():
 
 def test_run_sweeps_of_nothing():
     assert run_sweeps([]) == []
+
+
+def _recording_routes(monkeypatch) -> list:
+    """Replace every route by one that records its queries and returns each query's index as its sop."""
+    seen = []
+
+    def record(queries, mc):
+        start = len(seen)
+        seen.extend(queries)
+        return [(float(start + i), None, "") for i in range(len(queries))]
+
+    for method in EvalMethod:
+        monkeypatch.setitem(sweep_module._ROUTES, method, record)
+    return seen
+
+
+def _assert_queries_at_grid_points(pairs, seen):
+    """Every row's query holds its spec's base at the row's snr, field for field."""
+    for base, result in pairs:
+        for row in result.rows:
+            query = seen[int(row.sop)]
+            expected = replace(base, snr=db_to_linear(row.snr_db))
+            assert (query.scheme, query.scenario) == (row.scheme, row.scenario)
+            assert type(query.cfg) is SystemConfig and query.cfg == expected
+            assert {k: (type(v), v) for k, v in vars(query.cfg).items()} == {
+                k: (type(v), v) for k, v in vars(expected).items()
+            }
+
+
+@pytest.mark.parametrize("scenario", [Scenario.KU, Scenario.KA])
+@pytest.mark.parametrize("name", sorted(FIGURE_PRESETS))
+def test_grid_point_configs_equal_a_replaced_base_on_every_preset(monkeypatch, name, scenario):
+    # run_sweeps skips re-checking the validated base at each grid point; the
+    # config it builds must still be the one replace() builds
+    seen = _recording_routes(monkeypatch)
+    result = run_figure(name, scenario=scenario, methods=tuple(EvalMethod))
+    assert len(seen) == sum(len(r.rows) for _, r in result.per_variant)
+    _assert_queries_at_grid_points(result.per_variant, seen)
+
+
+def test_grid_point_configs_equal_a_replaced_base_on_edge_bases(monkeypatch):
+    seen = _recording_routes(monkeypatch)
+    specs = [
+        _spec(
+            base=base,
+            snr_db_start=-10.0,
+            snr_db_stop=40.0,
+            snr_db_step=2.5,
+            schemes=(Scheme.SS, Scheme.OS),
+            scenarios=(Scenario.KU, Scenario.KA),
+            methods=tuple(EvalMethod),
+        )
+        for base in EDGE_BASES.values()
+    ]
+    results = run_sweeps(specs)
+    _assert_queries_at_grid_points([(spec.base, result) for spec, result in zip(specs, results)], seen)
