@@ -1,14 +1,19 @@
 """Monte Carlo estimation of the secrecy outage probability.
 
 The sample index space is split into fixed-size chunks; each chunk draws
-from its own substream keyed by (seed, chunk index), and the reduction is
-plain integer counting.  Results are therefore bit-reproducible for a given
-(seed, n_samples) no matter how many workers execute the chunks, and chunk
-results can be computed in any order.
+from its own substream ``make_rng(seed, chunk index)`` (an SFC64 generator),
+and the reduction is plain integer counting.  Results are therefore
+bit-reproducible for a given (seed, n_samples) no matter how many workers
+execute the chunks, and chunk results can be computed in any order.
 
-A chunk draws link by link and only for the samples still in outage (see
-``_chunk_counts``), so the per-seed estimate depends on that draw order;
-changing the order changes per-seed estimates but not their distribution.
+A chunk draws link by link, only for the samples still in outage, and only
+what decides them: one count where the samples it stands for are
+exchangeable (the backhaul states of the ``ku`` picks and of every survivor
+that carries no SNR), a Gamma SNR only for a link that is on, and an ``ss``
+eavesdropper SNR only at a sample's first active link (see
+``_chunk_counts``).  The per-seed estimate depends on that draw order and on
+the generator; changing either changes per-seed estimates but not their
+distribution.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 from .analytic import Scenario, Scheme, SopQuery
 # ``sample_channel_block`` is no longer called here, but the traced benchmark
 # mode rebinds it on this module, so the name stays bound.
-from .channel import _is_int, make_rng, sample_channel_block  # noqa: F401
+from .channel import SystemConfig, _is_int, make_rng, sample_channel_block  # noqa: F401
 
 __all__ = [
     "CHUNK_SIZE",
@@ -87,7 +92,91 @@ def secrecy_outage_indicator(gamma_d, gamma_e, rho):
     return bool(out) if np.ndim(out) == 0 else out
 
 
-def _chunk_counts(query: SopQuery, seed: int, chunk_index: int, n: int) -> tuple[int, int]:
+def _on_count(rng: np.random.Generator, n: int, zeta: float) -> int:
+    """How many of ``n`` exchangeable backhaul links are on: one Binomial(n, zeta), none if n = 0 or zeta = 1."""
+    if n == 0 or zeta == 1.0:
+        return n
+    return int(rng.binomial(n, zeta))
+
+
+def _destination_sides(rng: np.random.Generator, cfg: SystemConfig, out: np.ndarray) -> np.ndarray:
+    """1 + a_d gamma_d for ``out.size`` Gamma(M) draws, in place."""
+    side = rng.standard_gamma(cfg.M, out=out)
+    side *= cfg.a_d
+    side += 1.0
+    return side
+
+
+def _thresholds(rng: np.random.Generator, cfg: SystemConfig, out: np.ndarray) -> np.ndarray:
+    """rho (1 + a_e gamma_e) for ``out.size`` Gamma(N) draws, in place.
+
+    A sample is in outage on a link where its destination side is below its
+    threshold: the float operations of ``secrecy_outage_indicator``.
+    """
+    threshold = rng.standard_gamma(cfg.N, out=out)
+    threshold *= cfg.a_e
+    threshold += 1.0
+    threshold *= cfg.rho
+    return threshold
+
+
+def _os_survivors(
+    rng: np.random.Generator, cfg: SystemConfig, ka: bool, fresh: int, scratch: np.ndarray
+) -> tuple[int, int]:
+    """Held and fresh survivor counts after every link under ``os``.
+
+    An ``os`` survivor carries no state, only whether it has met an active
+    link, so both groups are counts and each link's backhaul is two
+    on-counts.
+    """
+    held = 0
+    for _ in range(cfg.K):
+        if fresh == 0 and held == 0:
+            break
+        on_held = _on_count(rng, held, cfg.zeta) if ka else held
+        on_fresh = _on_count(rng, fresh, cfg.zeta) if ka else fresh
+        on = on_held + on_fresh
+        destination = _destination_sides(rng, cfg, scratch[0, :on])
+        held += int(np.count_nonzero(destination < _thresholds(rng, cfg, scratch[1, :on]))) - on_held
+        fresh -= on_fresh
+    return held, fresh
+
+
+def _ss_survivors(
+    rng: np.random.Generator, cfg: SystemConfig, ka: bool, fresh: int, scratch: np.ndarray
+) -> tuple[int, int]:
+    """Held and fresh survivor counts after every link under ``ss``.
+
+    A held survivor carries its threshold rho (1 + a_e gamma_e), so its
+    backhaul is one uniform per survivor; the fresh ones are a count.  The
+    last link only counts, so no threshold is compressed there.
+    """
+    held = np.empty(0)
+    for link in range(cfg.K):
+        if fresh == 0 and held.size == 0:
+            break
+        on = rng.random(held.size) < cfg.zeta if ka and cfg.zeta != 1.0 and held.size else None
+        tested = held if on is None else held.compress(on)
+        on_fresh = _on_count(rng, fresh, cfg.zeta) if ka else fresh
+        fresh -= on_fresh
+        destination = _destination_sides(rng, cfg, scratch[0, : tested.size + on_fresh])
+        threshold = _thresholds(rng, cfg, scratch[1, :on_fresh])
+        keep = destination[: tested.size] < tested
+        if on is not None:
+            on_fails = keep
+            keep = ~on  # a survivor whose link is off stays held
+            keep[on] = on_fails
+        new = destination[tested.size :] < threshold
+        if link + 1 == cfg.K:
+            return int(np.count_nonzero(keep)) + int(np.count_nonzero(new)), fresh
+        # ``compress`` is about twice as fast as boolean indexing here
+        held = np.concatenate((held.compress(keep), threshold.compress(new)))
+    return held.size, fresh
+
+
+def _chunk_counts(
+    query: SopQuery, seed: int, chunk_index: int, n: int, scratch: np.ndarray | None = None
+) -> tuple[int, int]:
     """Outage and empty-active-set counts for one substream chunk.
 
     Under both rules a sample is in outage exactly when every candidate
@@ -97,50 +186,41 @@ def _chunk_counts(query: SopQuery, seed: int, chunk_index: int, n: int) -> tuple
     does.  One passing link settles a sample, so the chunk tests link k only
     on its survivors, the samples every earlier link left in outage.
 
-    Draw order: under ``ku`` first one uniform per sample for the selected
-    link's backhaul (the rule never reads it, so it is independent of the
-    pick); a silenced pick is an outage at once and leaves the survivors.
-    Then, for each link while survivors remain, one value per survivor of:
-    the backhaul uniform (``ka`` only), the Gamma(M) destination SNR and the
-    Gamma(N) eavesdropper SNR.  ``os`` draws eavesdropper SNRs at every link;
-    ``ss`` draws them at the first link only and keeps them as the shared
-    eavesdropper SNR of the later ones.  A survivor stays while its link is
-    silenced (``ka``) or in outage.  Survivors are exchangeable, so no sample
-    index is kept: only their count, their ``ss`` eavesdropper SNRs and
-    their ``ka`` "no active link yet" flags, compressed at every link, so
-    chunk memory is O(n).  With one link both rules read the same stream.
+    Survivors are exchangeable, so no sample index is kept.  A survivor is
+    fresh until its first active link and held after it, while it stays in
+    outage.  Fresh survivors are a count; held ones are a count under
+    ``os`` and, under ``ss``, an array of their thresholds
+    rho (1 + a_e gamma_e), formed once and compressed at every link.  Chunk
+    memory is O(n).
+
+    Draw order: under ``ku`` first one Binomial(n, zeta) count of picks
+    whose backhaul is on (the rule never reads backhaul, so the pick's state
+    is independent of the pick); the other picks are silenced, in outage at
+    once, and every link of a survivor is on.  Then, for each link while
+    survivors remain: under ``ka`` the held survivors' backhaul (an
+    on-count under ``os``, one uniform per survivor under ``ss``) and the
+    fresh survivors' on-count; the Gamma(M) destination SNRs of the on held
+    survivors, then of the on fresh ones; and the Gamma(N) eavesdropper SNRs
+    of every on survivor under ``os``, of the on fresh ones only under
+    ``ss``, whose eavesdropper SNR is shared by all links.  No Gamma is
+    drawn for a link that is off, and no backhaul variate at zeta = 1.  A
+    survivor stays while its link is off (``ka``) or in outage; fresh
+    survivors left after the last link had an empty active set.  With one
+    link both rules read the same stream and make the same float operations.
+
+    The Gamma draws are written into the two rows of ``scratch`` (at least
+    n columns), which the chunks of one worker share; without one the chunk
+    allocates its own.
     """
     cfg = query.cfg
     ka = query.scenario is Scenario.KA
-    shared_eve = query.scheme is Scheme.SS
     rng = make_rng(seed, chunk_index)
-    silenced = 0 if ka else int(np.count_nonzero(rng.random(n) >= cfg.zeta))
-    survivors = n - silenced
-    gamma_e = never_active = None
-    for link in range(cfg.K):
-        if survivors == 0:
-            break
-        if ka:
-            off = rng.random(survivors) >= cfg.zeta
-        gamma_d = rng.standard_gamma(cfg.M, survivors)
-        gamma_d *= cfg.a_d
-        if gamma_e is None or not shared_eve:
-            gamma_e = rng.standard_gamma(cfg.N, survivors)
-            gamma_e *= cfg.a_e
-        stay = secrecy_outage_indicator(gamma_d, gamma_e, cfg.rho)
-        if ka:
-            # a silenced transmitter is never picked; an empty active set is an outage
-            stay |= off
-            never_active = off if never_active is None else never_active & off
-        survivors = int(np.count_nonzero(stay))
-        if link + 1 < cfg.K:
-            if shared_eve:
-                gamma_e = gamma_e[stay]
-            if ka:
-                never_active = never_active[stay]
-    # at the last link every never-active survivor is silenced, so it stayed
-    empty = int(np.count_nonzero(never_active)) if ka else 0
-    return silenced + survivors, empty
+    fresh = n if ka else _on_count(rng, n, cfg.zeta)
+    survivors = _ss_survivors if query.scheme is Scheme.SS else _os_survivors
+    if scratch is None:
+        scratch = np.empty((2, n))
+    held, never_active = survivors(rng, cfg, ka, fresh, scratch)
+    return n - fresh + held + never_active, never_active
 
 
 def simulate_sop(query: SopQuery, mc: McSettings = McSettings(), workers: int = 1) -> SopEstimate:
@@ -161,15 +241,18 @@ def simulate_sop(query: SopQuery, mc: McSettings = McSettings(), workers: int = 
         for index, start in enumerate(range(0, n, CHUNK_SIZE))
     ]
 
-    def run(chunk):
-        index, size = chunk
-        return _chunk_counts(query, mc.seed, index, size)
+    def run(group):
+        # the Gamma draws of a worker's chunks reuse one scratch: a fresh
+        # large array per draw costs its page faults again
+        scratch = np.empty((2, CHUNK_SIZE))
+        return [_chunk_counts(query, mc.seed, index, size, scratch) for index, size in group]
 
     if workers == 1:
-        counts = [run(c) for c in chunks]
+        counts = run(chunks)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(run, chunks))
+            groups = pool.map(run, [chunks[w::workers] for w in range(workers)])
+            counts = [c for group in groups for c in group]
 
     outage_count = sum(c[0] for c in counts)
     empty_count = sum(c[1] for c in counts)

@@ -9,6 +9,7 @@ from secrecy_outage import (
     McSettings,
     Scenario,
     Scheme,
+    SopEstimate,
     SopQuery,
     SystemConfig,
     ValidationSettings,
@@ -233,6 +234,21 @@ def test_validate_fails_when_the_closed_form_reads_zero(check, monkeypatch, caps
     out = capsys.readouterr().out
     assert rc == 1
     assert f"FAIL {check}" in out
+
+
+def test_triple_agreement_reports_gaps_the_floor_hides(monkeypatch, capsys):
+    # every estimate sits 2 x 3 CI off the closed form, far inside the 1e-3
+    # floor: the check passes, and the summary shows the gap in CI units
+    def offset(query, mc):
+        return SopEstimate(
+            p_hat=analytic_sop(query).value + 6e-5, ci_half_width=1e-5, n_samples=mc.n_samples, seed=mc.seed
+        )
+
+    monkeypatch.setattr(validation, "simulate_sop", offset)
+    rc = main(["validate", "--smoke", "--check", "triple_agreement"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "worst mc gap 0.06x allowance, 2.00x 3 CI without the floor" in out
 
 
 def test_validate_fails_when_the_floors_are_doubled(monkeypatch, capsys):

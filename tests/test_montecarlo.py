@@ -186,48 +186,67 @@ def test_selection_prefers_merit():
 def _loop_counts(query, seed, chunk_index, n):
     """Per-sample reference for _chunk_counts on the same substream.
 
-    It replays the documented draw order (the ku pick's backhaul uniform,
-    then per link one backhaul uniform for ka, one destination and one
-    eavesdropper SNR per sample still in outage, the ss eavesdropper SNR
-    only at the first link), recording every value against its sample.
-    Each sample is then decided on its own: an explicit pick among the
-    links it tested, and an outage test of that pick alone.  A sample that
-    left early did so on a passing link, which the pick among tested links
-    then finds, so this checks the "every candidate in outage" shortcut
-    independently.
+    It replays the documented draw order (the ku on-pick count; then per
+    link the held samples' backhaul under ka, a uniform each under ss and an
+    on-count under os, the fresh samples' on-count under ka, one destination
+    SNR per on sample, held before fresh, and one eavesdropper SNR per on
+    sample under os, per newly active sample under ss), recording every
+    value against its sample.  A count stands for exchangeable samples, so
+    it goes to the first samples of its group in group order; held samples
+    keep the chunk's order, those still held first, then the newly held
+    fresh ones.  Each sample is then decided on its own: an explicit pick
+    among the on links it tested, and an outage test of that pick alone.  A
+    sample that left early did so on a passing link, which the pick among
+    tested links then finds, so this checks the "every candidate in outage"
+    shortcut independently.
     """
     cfg = query.cfg
     ss, ka = query.scheme is Scheme.SS, query.scenario is Scenario.KA
     rng = make_rng(seed, chunk_index)
-    pick_on = [True] * n if ka else (rng.random(n) < cfg.zeta).tolist()
+
+    def first_on(group):
+        count = len(group) if not group or cfg.zeta == 1.0 else int(rng.binomial(len(group), cfg.zeta))
+        return [j < count for j in range(len(group))]
+
+    picked_on = n if ka else sum(first_on(range(n)))
+    # per sample and link: the destination and eavesdropper SNRs, None where the link was off or untested
     d = [[] for _ in range(n)]
     e = [[] for _ in range(n)]
-    on = [[] for _ in range(n)]
-    alive = [i for i in range(n) if pick_on[i]]
+    fresh, held = list(range(picked_on)), []
     for link in range(cfg.K):
-        if not alive:
+        if not fresh and not held:
             break
-        size = len(alive)
-        on_link = (rng.random(size) < cfg.zeta).tolist() if ka else [True] * size
-        d_link = (rng.standard_gamma(cfg.M, size) * cfg.a_d).tolist()
-        if link == 0 or not ss:
-            e_link = (rng.standard_gamma(cfg.N, size) * cfg.a_e).tolist()
+        if not ka or cfg.zeta == 1.0 or not held:
+            held_on = [True] * len(held)
+        elif ss:
+            held_on = (rng.random(len(held)) < cfg.zeta).tolist()
         else:
-            e_link = [e[i][0] for i in alive]
-        for j, i in enumerate(alive):
-            d[i].append(d_link[j])
-            e[i].append(e_link[j])
-            on[i].append(on_link[j])
-        alive = [
-            i for i in alive
-            if not on[i][link] or 1.0 + d[i][link] < cfg.rho * (1.0 + e[i][link])
-        ]
+            held_on = first_on(held)
+        fresh_on = first_on(fresh) if ka else [True] * len(fresh)
+        newly = [i for i, o in zip(fresh, fresh_on) if o]
+        tested = [i for i, o in zip(held, held_on) if o] + newly
+        d_link = (rng.standard_gamma(cfg.M, len(tested)) * cfg.a_d).tolist()
+        drawn = newly if ss else tested
+        eve = dict(zip(drawn, (rng.standard_gamma(cfg.N, len(drawn)) * cfg.a_e).tolist()))
+        for i in held + fresh:
+            d[i].append(None)
+            e[i].append(None)
+        for j, i in enumerate(tested):
+            d[i][link] = d_link[j]
+            # under ss a sample keeps the eavesdropper SNR of its first active link
+            e[i][link] = eve[i] if i in eve else next(x for x in e[i] if x is not None)
+
+        def fails(i):
+            return 1.0 + d[i][link] < cfg.rho * (1.0 + e[i][link])
+
+        held = [i for i, o in zip(held, held_on) if not o or fails(i)] + [i for i in newly if fails(i)]
+        fresh = [i for i, o in zip(fresh, fresh_on) if not o]
     outages = empties = 0
     for i in range(n):
-        if not pick_on[i]:
+        if i >= picked_on:
             outages += 1
             continue
-        candidates = [k for k in range(len(d[i])) if on[i][k]]
+        candidates = [k for k, x in enumerate(d[i]) if x is not None]
         if not candidates:
             empties += 1
             outages += 1
@@ -256,25 +275,38 @@ def test_chunk_counts_match_per_sample_loop(scheme, scenario):
 
 
 class _CountingRng:
-    """Generator wrapper that counts the variates drawn, by kind."""
+    """Generator wrapper that counts the variates drawn, by kind.
+
+    A binomial count is not a variate per sample, so it is recorded apart:
+    ``binomials`` holds (trials, p, result) per call, and ``uniforms`` every
+    uniform row drawn.
+    """
 
     def __init__(self, rng):
         self.rng = rng
         self.counts = {}
+        self.binomials = []
+        self.uniforms = []
 
     def _add(self, kind, size):
         self.counts[kind] = self.counts.get(kind, 0) + int(np.prod(size))
 
     def random(self, size):
         self._add("uniform", size)
-        return self.rng.random(size)
+        self.uniforms.append(self.rng.random(size))
+        return self.uniforms[-1]
 
-    def standard_gamma(self, shape, size):
-        self._add(("gamma", shape), size)
-        return self.rng.standard_gamma(shape, size)
+    def standard_gamma(self, shape, size=None, out=None):
+        self._add(("gamma", shape), size if out is None else out.shape)
+        return self.rng.standard_gamma(shape, size, out=out)
+
+    def binomial(self, n, p):
+        out = self.rng.binomial(n, p)
+        self.binomials.append((n, p, int(out)))
+        return out
 
 
-def _counted_draws(monkeypatch, query, n):
+def _counting_generator(monkeypatch, query, n):
     generators = []
 
     def counting_make_rng(seed, stream=0):
@@ -284,7 +316,11 @@ def _counted_draws(monkeypatch, query, n):
     monkeypatch.setattr(montecarlo, "make_rng", counting_make_rng)
     _chunk_counts(query, 5, 0, n)
     assert len(generators) == 1
-    return generators[0].counts
+    return generators[0]
+
+
+def _counted_draws(monkeypatch, query, n):
+    return _counting_generator(monkeypatch, query, n).counts
 
 
 def test_survivor_draws_stop_at_the_first_passing_link(monkeypatch):
@@ -312,6 +348,50 @@ def test_survivor_draws_never_exceed_the_full_block(monkeypatch, K, scheme, scen
     assert set(counts) <= set(full)
     for kind, drawn in counts.items():
         assert drawn <= full[kind], kind
+
+
+@pytest.mark.parametrize("scheme,scenario", CASES)
+def test_reliable_backhaul_draws_no_backhaul_variate(monkeypatch, scheme, scenario):
+    query = SopQuery(cfg=_cfg(K=3, zeta=1.0), scheme=scheme, scenario=scenario)
+    generator = _counting_generator(monkeypatch, query, 20_000)
+    assert "uniform" not in generator.counts
+    assert generator.binomials == []
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SS, Scheme.OS])
+def test_blind_pick_is_one_binomial(monkeypatch, scheme):
+    # ku draws one on-count for the picks and no backhaul variate per sample
+    cfg, n = _cfg(K=3, zeta=0.6), 20_000
+    generator = _counting_generator(monkeypatch, SopQuery(cfg=cfg, scheme=scheme, scenario=Scenario.KU), n)
+    assert "uniform" not in generator.counts
+    assert [call[:2] for call in generator.binomials] == [(n, cfg.zeta)]
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.6])
+@pytest.mark.parametrize("scheme", [Scheme.SS, Scheme.OS])
+def test_active_set_draws_no_gamma_for_an_off_link(monkeypatch, scheme, zeta):
+    # every destination SNR belongs to an on link: an on-count's share, or a
+    # held ss survivor whose uniform fell below zeta
+    cfg = _cfg(K=3, zeta=zeta)
+    generator = _counting_generator(monkeypatch, SopQuery(cfg=cfg, scheme=scheme, scenario=Scenario.KA), 20_000)
+    counted_on = sum(result for _, _, result in generator.binomials)
+    uniform_on = sum(int(np.count_nonzero(row < zeta)) for row in generator.uniforms)
+    assert generator.counts.get(("gamma", cfg.M), 0) == counted_on + uniform_on
+    # eavesdropper SNRs: every on link under os, a sample's first on link under ss
+    eve_on = counted_on + uniform_on if scheme is Scheme.OS else counted_on
+    assert generator.counts.get(("gamma", cfg.N), 0) == eve_on
+    if zeta == 0.0:
+        assert counted_on + uniform_on == 0
+
+
+@pytest.mark.parametrize("zeta", [0.99, 1.0])
+@pytest.mark.parametrize("scheme,scenario", CASES)
+def test_count_paths_agree_with_closed_form(scheme, scenario, zeta):
+    # the on-counts, the lazy ss eavesdropper draw and the no-draw path at zeta = 1
+    query = SopQuery(cfg=_cfg(K=3, zeta=zeta), scheme=scheme, scenario=scenario)
+    estimate = simulate_sop(query, McSettings(n_samples=400_000, seed=25))
+    closed = analytic_sop(query).value
+    assert abs(estimate.p_hat - closed) <= 3.0 * estimate.ci_half_width
 
 
 @pytest.mark.parametrize("scheme,scenario", CASES)
