@@ -295,14 +295,7 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence([int(seed), int(stream)])))
 
 
-def sample_channel_block(
-    cfg: SystemConfig,
-    rng: np.random.Generator,
-    n: int,
-    *,
-    eve_per_link: bool = True,
-    backhaul_per_link: bool = True,
-):
+def sample_channel_block(cfg: SystemConfig, rng: np.random.Generator, n: int):
     """Draw ``n`` independent channel states as (gamma_d, gamma_e, backhaul) arrays.
 
     This is the full-block draw: every link for every sample.  The Monte
@@ -310,14 +303,8 @@ def sample_channel_block(
     samples still in outage; see ``montecarlo._chunk_counts``); the tests
     of the channel laws and the benchmark's channel-draw seam do.
 
-    Arrays are laid out (rows, n) so that a reduction over transmitters runs
-    over contiguous rows.  ``gamma_d`` always has K rows, one per link.
-    ``gamma_e`` has K per-link rows, or with ``eve_per_link=False`` a single
-    row that stands for the selected link's eavesdropper SNR; likewise
-    ``backhaul`` with ``backhaul_per_link``.  One row has the same law as the
-    selected link's entry whenever the selection rule never reads that
-    quantity: the selected link's value is then independent of the pick and
-    distributed like any one link's.
+    Each array has shape (K, n), one row per link, so that a reduction over
+    transmitters runs over contiguous rows.
 
     The draw order is a contract (destination Gamma(M) SNRs, then
     eavesdropper Gamma(N) SNRs, then backhaul uniforms) so that a stream
@@ -327,7 +314,7 @@ def sample_channel_block(
     """
     gamma_d = rng.standard_gamma(cfg.M, (cfg.K, n))
     gamma_d *= cfg.a_d
-    gamma_e = rng.standard_gamma(cfg.N, (cfg.K if eve_per_link else 1, n))
+    gamma_e = rng.standard_gamma(cfg.N, (cfg.K, n))
     gamma_e *= cfg.a_e
-    backhaul = rng.random((cfg.K if backhaul_per_link else 1, n)) < cfg.zeta
+    backhaul = rng.random((cfg.K, n)) < cfg.zeta
     return gamma_d, gamma_e, backhaul

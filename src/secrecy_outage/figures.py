@@ -185,14 +185,13 @@ def _series_points(rows: list[SweepRow]) -> list[dict]:
 
 
 def _grouped_series(cfg: SystemConfig, rows: list[SweepRow], prefix: str) -> list[dict]:
+    """One series per (scheme, scenario, method) in order of first appearance: rows in
+    the sweep contract's order give the series sorted and their points by ascending SNR."""
     keyed: dict[tuple, list[SweepRow]] = {}
     for row in rows:
         keyed.setdefault((row.scheme, row.scenario, row.method), []).append(row)
     series = []
-    for (scheme, scenario, method), group in sorted(
-        keyed.items(), key=lambda kv: tuple(v.value for v in kv[0])
-    ):
-        group.sort(key=lambda r: r.snr_db)
+    for (scheme, scenario, method), group in keyed.items():
         label = f"{scheme.value}/{scenario.value} [{method.value}]"
         series.append(
             {

@@ -175,7 +175,7 @@ def _ss_survivors(
 
 
 def _chunk_counts(
-    query: SopQuery, seed: int, chunk_index: int, n: int, scratch: np.ndarray | None = None
+    query: SopQuery, seed: int, chunk_index: int, n: int, scratch: np.ndarray
 ) -> tuple[int, int]:
     """Outage and empty-active-set counts for one substream chunk.
 
@@ -209,16 +209,15 @@ def _chunk_counts(
     link both rules read the same stream and make the same float operations.
 
     The Gamma draws are written into the two rows of ``scratch`` (at least
-    n columns), which the chunks of one worker share; without one the chunk
-    allocates its own.
+    n columns), which the chunks of one worker share: a chunk reads only
+    what it has written there, so the counts do not depend on what the
+    scratch held before.
     """
     cfg = query.cfg
     ka = query.scenario is Scenario.KA
     rng = make_rng(seed, chunk_index)
     fresh = n if ka else _on_count(rng, n, cfg.zeta)
     survivors = _ss_survivors if query.scheme is Scheme.SS else _os_survivors
-    if scratch is None:
-        scratch = np.empty((2, n))
     held, never_active = survivors(rng, cfg, ka, fresh, scratch)
     return n - fresh + held + never_active, never_active
 
@@ -226,10 +225,11 @@ def _chunk_counts(
 def simulate_sop(query: SopQuery, mc: McSettings = McSettings(), workers: int = 1) -> SopEstimate:
     """Estimate the outage probability of one case by simulation.
 
-    ``workers`` only schedules chunks; it cannot change the estimate.
+    ``workers`` only schedules chunks, at most one group per chunk; it
+    cannot change the estimate.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    if not _is_int(workers) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     if mc.n_samples < 1000:
         warnings.warn(
             "normal-approximation confidence intervals are unreliable below 1000 samples",
@@ -240,6 +240,7 @@ def simulate_sop(query: SopQuery, mc: McSettings = McSettings(), workers: int = 
         (index, min(CHUNK_SIZE, n - start))
         for index, start in enumerate(range(0, n, CHUNK_SIZE))
     ]
+    workers = min(workers, len(chunks))
 
     def run(group):
         # the Gamma draws of a worker's chunks reuse one scratch: a fresh

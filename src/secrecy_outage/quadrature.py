@@ -135,30 +135,33 @@ def _stacked_integrals(
     ``evaluate(rows, x)`` returns the integrand values at the (P, 15) node
     array ``x``, whose panel i belongs to row ``rows[i]``; it is called once
     per level for every row still refining.  Each row follows
-    ``adaptive_integral``'s rule with its own tolerance and budget, keeps its
-    panels in the same order, and leaves when it converges or runs out of
-    budget, so its value and panel count are those of its one-row call.
+    ``adaptive_integral``'s rule with its own tolerance and budget, and
+    leaves when it converges or runs out of budget.  Panels stay in
+    evaluation order, tagged with their row, and per-row sums come from
+    ``np.bincount``; it adds a row's panels in the order of its one-row call
+    (kept panels, then left halves, then right halves), so the row's value
+    and panel count are those of that call.
     Returns one float or one ``QuadratureConvergenceError`` per row.
     """
     if initial_subdivisions < 1:
         raise ValueError("initial_subdivisions must be >= 1")
     edges = _edges(lo, hi, initial_subdivisions)
-    # the rows still refining, ascending, and their panels as the columns
-    # (lo, hi, value, error estimate) of one array; each row's are contiguous.
-    # Array methods stand in for their numpy functions: a lone row's level is
-    # a few dozen calls on tiny arrays, so per-call overhead is its cost.
+    # the rows still refining, ascending; their panels as the columns
+    # (lo, hi, value, error estimate) of one array, and each panel's row's
+    # position in ``ids`` as ``seg``.  Array methods stand in for their numpy
+    # functions: a lone row's level is a few dozen calls on tiny arrays.
     ids = np.arange(n_rows)
-    sizes = evaluated = np.full(n_rows, initial_subdivisions)
+    seg = ids.repeat(initial_subdivisions)
+    evaluated = np.full(n_rows, initial_subdivisions)
     panels = np.empty((4, n_rows, initial_subdivisions))
     panels[0], panels[1] = edges[:-1], edges[1:]
     panels = panels.reshape(4, -1)
-    panels[2:] = _panels(evaluate, ids.repeat(sizes), panels[0], panels[1])
+    panels[2:] = _panels(evaluate, seg, panels[0], panels[1])
     results: list = [None] * n_rows
     while True:
         p_lo, p_hi, values, errs = panels
-        starts = sizes.cumsum() - sizes
-        totals = np.add.reduceat(values, starts)
-        total_errs = np.add.reduceat(errs, starts)
+        totals = np.bincount(seg, values, ids.size)
+        total_errs = np.bincount(seg, errs, ids.size)
         tols = np.fmax(abs_tol, rel_tol * abs(totals))
         rooms = (max_panels - evaluated) // 2
         done = total_errs <= tols
@@ -171,29 +174,27 @@ def _stacked_integrals(
         next_ids = ids[refine]
         if not next_ids.size:
             return results
-        seg = np.arange(ids.size).repeat(sizes)
         live = refine[seg]
         split = live & (errs > tols[seg] * (p_hi - p_lo) / (hi - lo))
         counts = np.bincount(seg[split], minlength=ids.size)
         for i in (refine & ((counts > rooms) | (counts == 0))).nonzero()[0]:
-            own = slice(starts[i], starts[i] + sizes[i])
-            own_split, own_errs = split[own], errs[own]
+            own = (seg == i).nonzero()[0]
             if counts[i]:  # the budget fits the `room` worst of them
-                own_split[np.where(own_split, own_errs, -1.0).argsort()[: -rooms[i]]] = False
+                split[own[np.where(split[own], errs[own], -1.0).argsort()[: -rooms[i]]]] = False
                 counts[i] = rooms[i]
             else:
-                own_split[own_errs.argmax()] = True
+                split[own[errs[own].argmax()]] = True
                 counts[i] = 1
         keep = live & ~split
-        s_seg, s_lo, s_hi = seg[split], p_lo[split], p_hi[split]
+        renumber = refine.cumsum() - 1  # a refining row's position in ``next_ids``
+        s_seg, s_lo, s_hi = renumber[seg[split]], p_lo[split], p_hi[split]
         mid = 0.5 * (s_lo + s_hi)
         c_seg = np.concatenate((s_seg, s_seg))
         c_lo, c_hi = np.concatenate((s_lo, mid)), np.concatenate((mid, s_hi))
-        c_val, c_err = _panels(evaluate, ids[c_seg], c_lo, c_hi)
-        # a stable sort by row keeps each row's kept panels, then its left halves, then its right halves
-        order = np.concatenate((seg[keep], c_seg)).argsort(kind="stable")
-        panels = np.concatenate((panels[:, keep], (c_lo, c_hi, c_val, c_err)), axis=1)[:, order]
-        ids, sizes, evaluated = next_ids, (sizes + counts)[refine], (evaluated + 2 * counts)[refine]
+        c_val, c_err = _panels(evaluate, next_ids[c_seg], c_lo, c_hi)
+        panels = np.concatenate((panels[:, keep], (c_lo, c_hi, c_val, c_err)), axis=1)
+        seg = np.concatenate((renumber[seg[keep]], c_seg))
+        ids, evaluated = next_ids, (evaluated + 2 * counts)[refine]
 
 
 def adaptive_integral(

@@ -1,4 +1,3 @@
-import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -278,51 +277,41 @@ def test_make_rng_streams_are_deterministic_and_distinct():
 
 def test_sample_block_shapes_and_order(base_cfg):
     K, n = base_cfg.K, 5
-    for eve_per_link, backhaul_per_link in itertools.product((True, False), repeat=2):
-        eve_rows = K if eve_per_link else 1
-        backhaul_rows = K if backhaul_per_link else 1
-        rng = make_rng(0, 0)
-        gamma_d, gamma_e, active = sample_channel_block(
-            base_cfg, rng, n, eve_per_link=eve_per_link, backhaul_per_link=backhaul_per_link
-        )
-        assert gamma_d.shape == (K, n)
-        assert gamma_e.shape == (eve_rows, n)
-        assert active.shape == (backhaul_rows, n)
-        assert active.dtype == np.bool_
-        assert np.all(gamma_d > 0.0) and np.all(gamma_e > 0.0)
-        # contract: draw order is destination Gamma(M), eavesdropper Gamma(N),
-        # backhaul uniforms, so a fresh generator in the same state
-        # reproduces the block piecewise
-        rng2 = make_rng(0, 0)
-        d2 = base_cfg.a_d * rng2.standard_gamma(base_cfg.M, (K, n))
-        e2 = base_cfg.a_e * rng2.standard_gamma(base_cfg.N, (eve_rows, n))
-        act2 = rng2.random((backhaul_rows, n)) < base_cfg.zeta
-        assert np.array_equal(gamma_d, d2)
-        assert np.array_equal(gamma_e, e2)
-        assert np.array_equal(active, act2)
-        # and the block consumed exactly those draws
-        assert rng.random() == rng2.random()
+    rng = make_rng(0, 0)
+    gamma_d, gamma_e, active = sample_channel_block(base_cfg, rng, n)
+    assert gamma_d.shape == gamma_e.shape == active.shape == (K, n)
+    assert active.dtype == np.bool_
+    assert np.all(gamma_d > 0.0) and np.all(gamma_e > 0.0)
+    # contract: draw order is destination Gamma(M), eavesdropper Gamma(N),
+    # backhaul uniforms, so a fresh generator in the same state
+    # reproduces the block piecewise
+    rng2 = make_rng(0, 0)
+    d2 = base_cfg.a_d * rng2.standard_gamma(base_cfg.M, (K, n))
+    e2 = base_cfg.a_e * rng2.standard_gamma(base_cfg.N, (K, n))
+    act2 = rng2.random((K, n)) < base_cfg.zeta
+    assert np.array_equal(gamma_d, d2)
+    assert np.array_equal(gamma_e, e2)
+    assert np.array_equal(active, act2)
+    # and the block consumed exactly those draws
+    assert rng.random() == rng2.random()
 
 
 def test_sample_block_moments(base_cfg):
     n = 200_000
     mean_d = base_cfg.M * base_cfg.a_d
     mean_e = base_cfg.N * base_cfg.a_e
-    for per_link in (True, False):
-        gamma_d, gamma_e, active = sample_channel_block(
-            base_cfg, make_rng(3, 0), n, eve_per_link=per_link, backhaul_per_link=per_link
-        )
-        assert gamma_d.mean() == pytest.approx(mean_d, rel=0.01)
-        assert gamma_e.mean() == pytest.approx(mean_e, rel=0.01)
-        assert gamma_d.var() == pytest.approx(base_cfg.M * base_cfg.a_d**2, rel=0.03)
-        assert active.mean() == pytest.approx(base_cfg.zeta, abs=0.005)
-        # each row is one link's (or the selected link's) law on its own
-        for row in gamma_d:
-            assert row.mean() == pytest.approx(mean_d, rel=0.02)
-        for row in gamma_e:
-            assert row.mean() == pytest.approx(mean_e, rel=0.02)
-        for row in active:
-            assert row.mean() == pytest.approx(base_cfg.zeta, abs=0.005)
+    gamma_d, gamma_e, active = sample_channel_block(base_cfg, make_rng(3, 0), n)
+    assert gamma_d.mean() == pytest.approx(mean_d, rel=0.01)
+    assert gamma_e.mean() == pytest.approx(mean_e, rel=0.01)
+    assert gamma_d.var() == pytest.approx(base_cfg.M * base_cfg.a_d**2, rel=0.03)
+    assert active.mean() == pytest.approx(base_cfg.zeta, abs=0.005)
+    # each row is one link's law on its own
+    for row in gamma_d:
+        assert row.mean() == pytest.approx(mean_d, rel=0.02)
+    for row in gamma_e:
+        assert row.mean() == pytest.approx(mean_e, rel=0.02)
+    for row in active:
+        assert row.mean() == pytest.approx(base_cfg.zeta, abs=0.005)
 
 
 # A Kolmogorov-Smirnov p-value below this floor rejects the Gamma law.  The
@@ -335,25 +324,20 @@ KS_P_FLOOR = 1e-3
 @pytest.mark.parametrize("M,N", [(1, 10), (6, 1), (10, 6)])
 def test_sample_block_follows_gamma_law(M, N):
     # every shape in {1, 6, 10} appears on both links, with distinct shapes
-    # and scales per block so a swapped link cannot pass; the single
-    # eavesdropper row must follow the same law as the per-link rows
+    # and scales per block so a swapped link cannot pass; every row must
+    # follow its link's law on its own
     cfg = SystemConfig(K=2, zeta=0.9, r_th=1.0, snr=10.0, M=M, N=N, a=0.5, b=0.2)
-    for eve_per_link in (True, False):
-        gamma_d, gamma_e, _ = sample_channel_block(
-            cfg, make_rng(11, 0), 10_000, eve_per_link=eve_per_link
-        )
-        assert gamma_e.shape == (cfg.K if eve_per_link else 1, 10_000)
-        for draws, law in ((gamma_d, GammaSnr(M, cfg.a_d)), (gamma_e, GammaSnr(N, cfg.a_e))):
-            result = stats.kstest(draws.ravel(), lambda x: snr_cdf(law, x))
-            assert result.pvalue > KS_P_FLOOR, (law, eve_per_link, result)
+    gamma_d, gamma_e, _ = sample_channel_block(cfg, make_rng(11, 0), 10_000)
+    assert gamma_e.shape == (cfg.K, 10_000)
+    for draws, law in ((gamma_d, GammaSnr(M, cfg.a_d)), (gamma_e, GammaSnr(N, cfg.a_e))):
+        for row in (draws.ravel(), *draws):
+            result = stats.kstest(row, lambda x: snr_cdf(law, x))
+            assert result.pvalue > KS_P_FLOOR, (law, result)
 
 
 def test_zeta_edge_sampling():
     for zeta, expect_on in ((0.0, False), (1.0, True)):
         cfg = SystemConfig(K=3, zeta=zeta, r_th=1.0, snr=10.0, M=2, N=2, a=0.5, b=0.5)
-        for backhaul_per_link in (True, False):
-            _, _, active = sample_channel_block(
-                cfg, make_rng(0, 0), 100, backhaul_per_link=backhaul_per_link
-            )
-            assert active.shape == (cfg.K if backhaul_per_link else 1, 100)
-            assert np.all(active == expect_on)
+        _, _, active = sample_channel_block(cfg, make_rng(0, 0), 100)
+        assert active.shape == (cfg.K, 100)
+        assert np.all(active == expect_on)

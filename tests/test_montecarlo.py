@@ -56,8 +56,55 @@ def test_settings_validation():
 
 def test_workers_validation(base_cfg):
     query = SopQuery(cfg=base_cfg, scheme=Scheme.SS, scenario=Scenario.KU)
-    with pytest.raises(ValueError):
-        simulate_sop(query, McSettings(n_samples=1000), workers=0)
+    for bad in (0, 2.5, True, "2"):
+        with pytest.raises(ValueError):
+            simulate_sop(query, McSettings(n_samples=1000), workers=bad)
+    # the count is checked before the sample-count warning is given
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            simulate_sop(query, McSettings(n_samples=10), workers=2.5)
+
+
+def test_workers_schedule_no_empty_group(monkeypatch, base_cfg):
+    # a stand-in pool runs each group in the calling thread and records the
+    # schedule: 70 000 samples are 2 chunks, so more workers than chunks
+    # get one chunk each
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers, self.group_sizes = max_workers, None
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, groups):
+            groups = list(groups)
+            self.group_sizes = [len(group) for group in groups]
+            return map(fn, groups)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    query = SopQuery(cfg=base_cfg, scheme=Scheme.OS, scenario=Scenario.KA)
+    for workers in (2, 3, 4, 5):
+        simulate_sop(query, McSettings(n_samples=70_000, seed=4), workers=workers)
+    assert [(pool.max_workers, pool.group_sizes) for pool in pools] == [(2, [1, 1])] * 4
+    # one chunk needs no pool at all
+    simulate_sop(query, McSettings(n_samples=CHUNK_SIZE, seed=4), workers=4)
+    assert len(pools) == 4
+
+
+def test_more_workers_than_chunks_cannot_change_the_estimate(base_cfg):
+    mc = McSettings(n_samples=70_000, seed=9)
+    for scheme, scenario in CASES:
+        query = SopQuery(cfg=base_cfg, scheme=scheme, scenario=scenario)
+        estimates = [simulate_sop(query, mc, workers=w) for w in (1, 2, 3, 5)]
+        assert len({repr(e.p_hat) for e in estimates}) == 1
+        assert all(e == estimates[0] for e in estimates)
 
 
 def test_dead_backhaul_is_certain_outage():
@@ -267,11 +314,21 @@ def test_chunk_counts_match_per_sample_loop(scheme, scenario):
     query = SopQuery(cfg=_cfg(K=3, zeta=0.6), scheme=scheme, scenario=scenario)
     seed, chunk_index, n = 12, 3, 4000
     expected = _loop_counts(query, seed, chunk_index, n)
-    assert _chunk_counts(query, seed, chunk_index, n) == expected
+    assert _chunk_counts(query, seed, chunk_index, n, np.empty((2, n))) == expected
     if scenario is Scenario.KA:
         assert expected[1] > 100
     else:
         assert expected[1] == 0
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("scheme,scenario", CASES)
+def test_chunk_counts_ignore_what_the_scratch_held(K, scheme, scenario):
+    # the chunks of one worker share a scratch: a chunk reads only what it wrote
+    query = SopQuery(cfg=_cfg(K=K, zeta=0.6), scheme=scheme, scenario=scenario)
+    n = 4000
+    clean = _chunk_counts(query, 12, 3, n, np.zeros((2, n)))
+    assert _chunk_counts(query, 12, 3, n, np.full((2, CHUNK_SIZE), np.nan)) == clean
 
 
 class _CountingRng:
@@ -314,7 +371,7 @@ def _counting_generator(monkeypatch, query, n):
         return generators[-1]
 
     monkeypatch.setattr(montecarlo, "make_rng", counting_make_rng)
-    _chunk_counts(query, 5, 0, n)
+    _chunk_counts(query, 5, 0, n, np.empty((2, n)))
     assert len(generators) == 1
     return generators[0]
 
