@@ -138,7 +138,9 @@ def snr_pdf(dist: GammaSnr, x):
     if np.any(x_arr < 0.0):
         raise ValueError("snr_pdf requires x >= 0")
     k, theta = dist.shape, dist.scale
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # x = inf reads as 1e300, where the density has long underflowed
+    x_arr = np.minimum(x_arr, 1e300)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_pdf = (k - 1) * np.log(x_arr) - x_arr / theta - math.lgamma(k) - k * math.log(theta)
         out = np.exp(log_pdf)
     at_zero = 1.0 / theta if k == 1 else 0.0
@@ -274,7 +276,7 @@ def snr_cdf_finite_sum(dist: GammaSnr, x):
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0):
         raise ValueError("snr_cdf_finite_sum requires x >= 0")
-    u = x_arr / dist.scale
+    u = np.minimum(x_arr / dist.scale, 1e300)  # u = inf reads as 1e300, where every term has underflowed
     with np.errstate(divide="ignore"):
         log_u = np.log(u)
     partial = np.exp(-u)

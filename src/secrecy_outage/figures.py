@@ -115,7 +115,6 @@ def available_presets() -> list[str]:
 class FigureResult:
     preset: FigurePreset
     per_variant: list[tuple[SystemConfig, SweepResult]]
-    mc: McSettings
 
 
 def run_figure(
@@ -147,7 +146,7 @@ def run_figure(
         for cfg in preset.variants
     ]
     per_variant = list(zip(preset.variants, run_sweeps(specs)))
-    return FigureResult(preset=preset, per_variant=per_variant, mc=mc)
+    return FigureResult(preset=preset, per_variant=per_variant)
 
 
 def _config_columns(cfg: SystemConfig) -> str:
@@ -159,15 +158,15 @@ def _config_columns(cfg: SystemConfig) -> str:
 
 
 def write_figure_csv(result: FigureResult, target) -> None:
-    """Extended sweep CSV with the per-variant configuration columns."""
-    used_mc = any(sweep_result.mc is not None for _, sweep_result in result.per_variant)
+    """Extended sweep CSV with the per-variant configuration columns, ended by the simulation settings if any."""
+    mc = next((sweep_result.mc for _, sweep_result in result.per_variant if sweep_result.mc is not None), None)
     records = (
         (row, columns)
         for cfg, sweep_result in result.per_variant
         for columns in (_config_columns(cfg),)  # once per variant, shared by its rows
         for row in sweep_result.rows
     )
-    _write_csv(target, FIGURE_CSV_HEADER, records, result.mc if used_mc else None)
+    _write_csv(target, FIGURE_CSV_HEADER, records, mc)
 
 
 def _variant_label(cfg: SystemConfig, varied: tuple[str, ...]) -> str:

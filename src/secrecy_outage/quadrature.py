@@ -17,18 +17,18 @@ integrator is adaptive interval halving with an embedded higher-order rule
 every panel above its share of the tolerance is halved, all in one
 vectorised call, until the global estimate meets tolerance.  Many integrals
 refine as rows of one stack (``quadrature_sops``): each row keeps its own
-tolerance, budget and panels, leaves when it converges, and every level
-evaluates the panels of all remaining rows together.  A level calls the
-destination CDF once per M, on the distinct (a_d, a_e, rho, node) points of
-its rows, and the eavesdropper density once per N, on its rows' distinct
-panels; rows that differ only in the case rule's (L, w) share those values,
-and each row applies its own law to them.
+budget and panels, leaves when it converges, and every level evaluates the
+panels of all remaining rows together.  A level calls the destination CDF
+once per M, on the distinct (a_d, a_e, rho, node) points of its rows, and
+the eavesdropper density once per N, on its rows' distinct panels; rows
+that differ only in the case rule's (L, w) share those values, and each row
+applies its own law to them.  The first level's panel count and the panel
+budget are the module constants ``INITIAL_SUBDIVISIONS`` and ``MAX_PANELS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -83,6 +83,10 @@ _WEIGHTS_K = np.array(list(_WEIGHTS_K_POS[:-1]) + list(_WEIGHTS_K_POS[::-1]))
 _WEIGHTS_G = np.array(list(_WEIGHTS_G_POS[:-1]) + list(_WEIGHTS_G_POS[::-1]))
 _WEIGHTS = np.stack((_WEIGHTS_K, _WEIGHTS_G))
 
+# Panels of the first level, and the most panels one integral may evaluate.
+INITIAL_SUBDIVISIONS = 8
+MAX_PANELS = 4096
+
 
 class QuadratureConvergenceError(RuntimeError):
     """Panel budget exhausted before the error estimate met tolerance."""
@@ -112,23 +116,13 @@ def _panels(evaluate: Callable, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray
     return value_k, np.where(diff > 0.0, (200.0 * diff) ** 1.5, 0.0)
 
 
-@lru_cache(maxsize=8)
-def _edges(lo: float, hi: float, subdivisions: int) -> np.ndarray:
-    """The first level's panel edges, cached read-only: ``linspace`` costs like a level's bookkeeping."""
-    edges = np.linspace(lo, hi, subdivisions + 1)
-    edges.flags.writeable = False
-    return edges
-
-
 def _stacked_integrals(
     evaluate: Callable,
     n_rows: int,
     lo: float,
     hi: float,
-    abs_tol: float = 1e-10,
-    rel_tol: float = 1e-10,
-    initial_subdivisions: int = 8,
-    max_panels: int = 4096,
+    abs_tol: float,
+    rel_tol: float,
 ) -> list:
     """Adaptive integrals of ``n_rows`` integrands over [lo, hi], refined level by level together.
 
@@ -143,17 +137,15 @@ def _stacked_integrals(
     and panel count are those of that call.
     Returns one float or one ``QuadratureConvergenceError`` per row.
     """
-    if initial_subdivisions < 1:
-        raise ValueError("initial_subdivisions must be >= 1")
-    edges = _edges(lo, hi, initial_subdivisions)
+    edges = np.linspace(lo, hi, INITIAL_SUBDIVISIONS + 1)
     # the rows still refining, ascending; their panels as the columns
     # (lo, hi, value, error estimate) of one array, and each panel's row's
     # position in ``ids`` as ``seg``.  Array methods stand in for their numpy
     # functions: a lone row's level is a few dozen calls on tiny arrays.
     ids = np.arange(n_rows)
-    seg = ids.repeat(initial_subdivisions)
-    evaluated = np.full(n_rows, initial_subdivisions)
-    panels = np.empty((4, n_rows, initial_subdivisions))
+    seg = ids.repeat(INITIAL_SUBDIVISIONS)
+    evaluated = np.full(n_rows, INITIAL_SUBDIVISIONS)
+    panels = np.empty((4, n_rows, INITIAL_SUBDIVISIONS))
     panels[0], panels[1] = edges[:-1], edges[1:]
     panels = panels.reshape(4, -1)
     panels[2:] = _panels(evaluate, seg, panels[0], panels[1])
@@ -163,7 +155,7 @@ def _stacked_integrals(
         totals = np.bincount(seg, values, ids.size)
         total_errs = np.bincount(seg, errs, ids.size)
         tols = np.fmax(abs_tol, rel_tol * abs(totals))
-        rooms = (max_panels - evaluated) // 2
+        rooms = (MAX_PANELS - evaluated) // 2
         done = total_errs <= tols
         refine = ~done & (rooms >= 1)
         for i in (~refine).nonzero()[0]:
@@ -203,8 +195,6 @@ def adaptive_integral(
     hi: float = 1.0,
     abs_tol: float = 1e-10,
     rel_tol: float = 1e-10,
-    initial_subdivisions: int = 8,
-    max_panels: int = 4096,
 ) -> float:
     """Adaptive Gauss-Kronrod integral of a vectorized integrand over [lo, hi].
 
@@ -213,13 +203,11 @@ def adaptive_integral(
     halved (the worst one if none does), and only the halves are evaluated
     anew.  The effective tolerance is the looser of ``abs_tol`` and
     ``rel_tol * |integral|``.  Refinement never takes the evaluated panels,
-    the first level's included, past ``max_panels``; if that budget is spent
+    the first level's included, past ``MAX_PANELS``; if that budget is spent
     first, ``QuadratureConvergenceError`` carries the achieved estimate.
     This is the one-row case of the row-stacked integrator.
     """
-    (result,) = _stacked_integrals(
-        lambda rows, x: f(x), 1, lo, hi, abs_tol, rel_tol, initial_subdivisions, max_panels
-    )
+    (result,) = _stacked_integrals(lambda rows, x: f(x), 1, lo, hi, abs_tol, rel_tol)
     if isinstance(result, QuadratureConvergenceError):
         raise result
     return result
@@ -268,7 +256,7 @@ def _members(of: np.ndarray, rows: np.ndarray, value: int, count: int):
     return (of[rows] == value).nonzero()[0] if count > 1 else slice(None)
 
 
-def _boundary_expectations(keys: list, **quad_kwargs) -> list[float]:
+def _boundary_expectations(keys: list, abs_tol: float, rel_tol: float) -> list[float]:
     """E_y[((1 - w) + w P(M, lambda(y) / a_d))^L] of every (query, L, w) key, as one row-stacked integral.
 
     Row r substitutes y = a_e t / (1 - t) with its own a_e, and reads the
@@ -297,8 +285,6 @@ def _boundary_expectations(keys: list, **quad_kwargs) -> list[float]:
         of.append((cfg.M, cfg.N, point, laws.setdefault((power, weight), len(laws))))
     m_of, n_of, point_of, law_of = np.array(of, dtype=np.intp).T
     a_d, a_e, rho = np.array(list(points)).T.copy()
-    # a lone row's panels are all distinct; in a batch, rows share law points and panels
-    distinct = (lambda *_: (slice(None), slice(None))) if len(keys) == 1 else _distinct
 
     def evaluate(rows, t):
         # a panel is known by its first and last node, which fix its ends
@@ -308,7 +294,7 @@ def _boundary_expectations(keys: list, **quad_kwargs) -> list[float]:
             at = _members(m_of, rows, M, len(cdfs))
             point = point_of[rows[at]]
             if point.size:
-                pick, where = distinct(last[at], first[at], point)
+                pick, where = _distinct(last[at], first[at], point)
                 p, t_p = point[pick, None], t[at][pick]
                 odds = t_p / (1.0 - t_p)  # y / a_e
                 fx[at] = cdf(((1.0 + a_e[p] * odds) * rho[p] - 1.0) / a_d[p])[where]
@@ -317,7 +303,7 @@ def _boundary_expectations(keys: list, **quad_kwargs) -> list[float]:
             at = _members(n_of, rows, N, len(pdfs))
             t_n = t[at]
             if t_n.size:
-                pick, where = distinct(last[at], first[at])
+                pick, where = _distinct(last[at], first[at])
                 t_p = t_n[pick]
                 density[at] = (pdf(t_p / (1.0 - t_p)) / (1.0 - t_p) ** 2)[where]
         for l, (power, weight) in enumerate(laws):
@@ -331,33 +317,34 @@ def _boundary_expectations(keys: list, **quad_kwargs) -> list[float]:
                 fx[at] = single * density[at]
         return fx
 
-    results = _stacked_integrals(evaluate, len(keys), 0.0, 1.0, **quad_kwargs)
+    results = _stacked_integrals(evaluate, len(keys), 0.0, 1.0, abs_tol, rel_tol)
     for result in results:
         if isinstance(result, QuadratureConvergenceError):
             raise result
     return results
 
 
-def quadrature_sops(queries, **quad_kwargs) -> list[float]:
+def quadrature_sops(queries, abs_tol: float = 1e-10, rel_tol: float = 1e-10) -> list[float]:
     """Outage probabilities of many queries by one row-stacked quadrature.
 
     Each query's inner quantity is one row, keyed by (query, L, w); a query
-    over dead backhaul reads none.  All rows refine together, and every
-    value equals that query's ``quadrature_sop``.
+    over dead backhaul reads none.  All rows refine together, to the
+    tolerances of ``adaptive_integral``, and every value equals that query's
+    ``quadrature_sop``.
     """
 
     def inner(reading, args):
         keys = [(query, power, weight) for query, (power, weight) in zip(reading, args)]
-        return _boundary_expectations(keys, **quad_kwargs), [False] * len(keys)
+        return _boundary_expectations(keys, abs_tol=abs_tol, rel_tol=rel_tol), [False] * len(keys)
 
     return [value.value for value in case_sop(queries, inner, "quadrature")]
 
 
-def quadrature_sop(query: SopQuery, **quad_kwargs) -> float:
+def quadrature_sop(query: SopQuery, abs_tol: float = 1e-10, rel_tol: float = 1e-10) -> float:
     """Outage probability by direct quadrature of the defining integral.
 
     The value passes the closed forms' integrity check: NaN, or a value
     outside [0, 1] by more than ``INTEGRITY_BAND``, raises
     ``NumericalIntegrityError``; otherwise it is clamped to [0, 1].
     """
-    return quadrature_sops([query], **quad_kwargs)[0]
+    return quadrature_sops([query], abs_tol, rel_tol)[0]

@@ -6,8 +6,9 @@ model must satisfy: scheme and scenario orderings, outage floors, multipath
 and gain monotonicity, algebraic identities, and bit-level simulation
 determinism.  The CLI ``validate`` subcommand runs all of them.
 
-``ValidationSettings`` holds only what callers vary or read: the grid, the
-simulation budgets, seed and worker counts, and the triple-agreement
+``ValidationSettings`` holds only what callers vary: the grid, the
+simulation budgets, seed and worker counts.  Its class constants, readable
+on every instance, are the simulation confidence and the triple-agreement
 tolerances.  Every other acceptance tolerance and operating point is a
 literal in the one check that uses it; the round-off allowance and the
 strict ordering margin, which several checks share, are module constants.  Every configuration is the
@@ -28,6 +29,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -66,7 +68,11 @@ _MC_DEFAULTS = McSettings()
 
 @dataclass(frozen=True)
 class ValidationSettings:
-    """Grid, simulation budgets and worker counts, and the triple-agreement tolerances."""
+    """Grid, simulation budgets and worker counts; the confidence and triple-agreement tolerances are fixed."""
+
+    confidence: ClassVar[float] = _MC_DEFAULTS.confidence
+    analytic_quadrature_tol: ClassVar[float] = 1e-8
+    mc_tolerance_floor: ClassVar[float] = 1e-3
 
     ks: tuple[int, ...] = (1, 2, 5)
     zetas: tuple[float, ...] = (0.9, 0.99, 1.0)
@@ -74,10 +80,6 @@ class ValidationSettings:
 
     mc_samples: int = _MC_DEFAULTS.n_samples
     seed: int = _MC_DEFAULTS.seed
-    confidence: float = _MC_DEFAULTS.confidence
-
-    analytic_quadrature_tol: float = 1e-8
-    mc_tolerance_floor: float = 1e-3
     determinism_samples: int = 200_001
     determinism_workers: tuple[int, ...] = (1, 2, 4)
 

@@ -2,11 +2,14 @@
 
 Each test drives the corresponding validation check at its acceptance-grade
 settings (full grid, one million simulation samples, fixed seed zero) so the
-pytest report carries one pass/fail line per guarantee.  The final test runs
-the public ``validate`` subcommand end to end.
+pytest report carries one pass/fail line per guarantee.  The first and last
+tests read one run of the public ``validate`` subcommand end to end, whose
+triple agreement is the full-grid check.
 """
 
-import time
+import contextlib
+import io
+import re
 
 import pytest
 
@@ -20,7 +23,6 @@ from secrecy_outage.validation import (
     check_identities,
     check_multipath_effect,
     check_orderings,
-    check_triple_agreement,
 )
 
 
@@ -29,17 +31,25 @@ def settings():
     return ValidationSettings()
 
 
+@pytest.fixture(scope="module")
+def validate_run():
+    """The return code and printed report of one ``sop validate`` run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["validate"])
+    return rc, out.getvalue()
+
+
 @pytest.mark.slow
-def test_criterion_1_triple_agreement_on_full_grid(settings):
+def test_criterion_1_triple_agreement_on_full_grid(validate_run):
     # 144 cells: 2 schemes x 2 scenarios x K in {1,2,5} x zeta in
     # {0.9,0.99,1} x SNR in {0,10,20,30} dB; closed form within 1e-8 of
     # quadrature and within max(3 CI, 1e-3) of a 1e6-sample simulation,
     # all inside the five-minute budget
-    start = time.perf_counter()
-    result = check_triple_agreement(settings)
-    elapsed = time.perf_counter() - start
-    assert result.passed, result.detail
-    assert elapsed < 300.0, f"triple agreement took {elapsed:.0f}s"
+    _, out = validate_run
+    line = re.search(r"^PASS triple_agreement: .* \(([0-9.]+)s\)$", out, re.MULTILINE)
+    assert line, out
+    assert float(line[1]) < 300.0, f"triple agreement took {line[1]}s"
 
 
 def test_criterion_2_asymptotic_floors(settings):
@@ -93,9 +103,8 @@ def test_criterion_8_simulation_determinism(settings):
 
 
 @pytest.mark.slow
-def test_criterion_9_validate_subcommand_exits_zero(capsys):
-    rc = main(["validate"])
-    out = capsys.readouterr().out
+def test_criterion_9_validate_subcommand_exits_zero(validate_run):
+    rc, out = validate_run
     assert rc == 0, out
     assert out.count("PASS") == 8
     assert "8/8 checks passed" in out

@@ -229,6 +229,22 @@ def test_snr_cdf_edges(shape):
         assert 0.0 <= snr_cdf(dist, tiny) <= tiny
 
 
+@pytest.mark.parametrize("shape", [1, 2, 4])
+@pytest.mark.parametrize("scale", [0.5, 1.0])
+def test_laws_at_infinity(shape, scale):
+    # the density reads 0 and both CDF forms read 1 at x = inf, with no warning
+    dist = GammaSnr(shape, scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert snr_pdf(dist, math.inf) == 0.0
+        assert snr_cdf_finite_sum(dist, math.inf) == 1.0
+        assert snr_cdf(dist, math.inf) == 1.0
+        x = np.array([0.0, 1.0, np.inf])
+        pdf, finite_sum = snr_pdf(dist, x), snr_cdf_finite_sum(dist, x)
+    assert pdf[2] == 0.0 and finite_sum[2] == 1.0
+    assert np.all(np.isfinite(pdf)) and finite_sum[0] == 0.0
+
+
 @pytest.mark.parametrize("shape", [1, 2, 6, 40])
 def test_snr_cdf_of_a_batch_equals_each_point(shape):
     # the series are cut per call by their largest argument; a point's value

@@ -74,6 +74,27 @@ def test_traced_benchmark_seams_exist(monkeypatch):
     assert nodes and all(nodes)
 
 
+def test_settable_values_are_pinned():
+    # the quadrature budget and first level, the simulation confidence and the
+    # triple-agreement tolerances are constants; a new setting must be added here
+    assert [f.name for f in fields(ValidationSettings)] == [
+        "ks", "zetas", "snr_dbs", "mc_samples", "seed", "determinism_samples", "determinism_workers",
+    ]
+    assert [f.name for f in fields(FigureResult)] == ["preset", "per_variant"]
+    entries = {
+        quadrature.adaptive_integral: ["f", "lo", "hi", "abs_tol", "rel_tol"],
+        quadrature.quadrature_sop: ["query", "abs_tol", "rel_tol"],
+        quadrature.quadrature_sops: ["queries", "abs_tol", "rel_tol"],
+    }
+    for entry, parameters in entries.items():
+        assert list(inspect.signature(entry).parameters) == parameters, entry.__name__
+    assert (quadrature.INITIAL_SUBDIVISIONS, quadrature.MAX_PANELS) == (8, 4096)
+    settings = ValidationSettings()
+    assert (settings.confidence, settings.analytic_quadrature_tol, settings.mc_tolerance_floor) == (
+        0.99, 1e-8, 1e-3
+    )
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 

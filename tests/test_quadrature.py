@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -114,20 +115,21 @@ def test_adaptive_integral_matches_quadpack(f, points, kwargs, tol):
 
 
 @pytest.mark.parametrize(
-    "f,kwargs",
+    "f,kwargs,max_panels",
     [
-        (np.sin, {}),
-        (np.sqrt, {}),
-        (lambda x: np.abs(x - 0.3), {}),
-        (_spike, dict(abs_tol=1e-14, rel_tol=1e-12)),
-        (_needle, dict(abs_tol=1e-300, rel_tol=1e-15, max_panels=100)),
+        (np.sin, {}, 4096),
+        (np.sqrt, {}, 4096),
+        (lambda x: np.abs(x - 0.3), {}, 4096),
+        (_spike, dict(abs_tol=1e-14, rel_tol=1e-12), 4096),
+        (_needle, dict(abs_tol=1e-300, rel_tol=1e-15), 100),
     ],
     ids=["sin", "sqrt", "kink", "spike", "needle-budget"],
 )
-def test_stacked_rule_matches_the_one_integral_loop(f, kwargs):
+def test_stacked_rule_matches_the_one_integral_loop(monkeypatch, f, kwargs, max_panels):
     # the same node arrays, call by call, and the same value up to summation order
+    monkeypatch.setattr(quadrature, "MAX_PANELS", max_panels)
     results = []
-    for integrate_ in (adaptive_integral_loop, adaptive_integral):
+    for integrate_ in (partial(adaptive_integral_loop, max_panels=max_panels), adaptive_integral):
         counting = CountingIntegrand(f)
         try:
             value, raised = integrate_(counting, 0.0, 1.0, **kwargs), False
@@ -143,22 +145,18 @@ def test_adaptive_integral_zero_width():
     assert adaptive_integral(lambda x: np.ones_like(x), 0.5, 0.5) == 0.0
 
 
-def test_adaptive_integral_rejects_bad_subdivisions():
-    with pytest.raises(ValueError):
-        adaptive_integral(lambda x: x, 0.0, 1.0, initial_subdivisions=0)
-
-
-def test_nonconvergence_reports_partial_value():
+def test_nonconvergence_reports_partial_value(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 16)
     f = CountingIntegrand(_needle)
     with pytest.raises(QuadratureConvergenceError) as err:
-        adaptive_integral(f, 0.0, 1.0, abs_tol=1e-300, rel_tol=1e-15, max_panels=16)
+        adaptive_integral(f, 0.0, 1.0, abs_tol=1e-300, rel_tol=1e-15)
     assert err.value.achieved > err.value.tol
     assert math.isfinite(err.value.value)
     assert "tolerance" in str(err.value)
     assert f.panels <= 16
 
 
-def test_panel_budget_spent_mid_level():
+def test_panel_budget_spent_mid_level(monkeypatch):
     # a budget that ends halfway through a level splits only the panels
     # that fit, evaluates the same levels up to there, then raises
     free = CountingIntegrand(_needle)
@@ -166,9 +164,10 @@ def test_panel_budget_spent_mid_level():
     sizes = [shape[0] for shape in free.shapes]
     level = next(i for i, size in enumerate(sizes) if i > 1 and size >= 4)
     budget = sum(sizes[:level]) + sizes[level] // 2 + 1
+    monkeypatch.setattr(quadrature, "MAX_PANELS", budget)
     f = CountingIntegrand(_needle)
     with pytest.raises(QuadratureConvergenceError):
-        adaptive_integral(f, 0.0, 1.0, abs_tol=1e-300, rel_tol=1e-15, max_panels=budget)
+        adaptive_integral(f, 0.0, 1.0, abs_tol=1e-300, rel_tol=1e-15)
     assert budget - 1 <= f.panels <= budget
     assert f.shapes[:level] == free.shapes[:level]
     assert 0 < f.shapes[level][0] < sizes[level]
@@ -188,12 +187,14 @@ def test_quadrature_matches_quadpack(scheme, scenario, base_cfg):
     )
 
 
-def test_initial_subdivision_doubling_is_stable(base_cfg):
-    # halving the starting panel width must not move the answer
+def test_initial_subdivision_doubling_is_stable(monkeypatch, base_cfg):
+    # halving the starting panel width (8 panels) must not move the answer
     for scheme, scenario in CASES:
         query = SopQuery(cfg=base_cfg, scheme=scheme, scenario=scenario)
-        eight = quadrature_sop(query, initial_subdivisions=8)
-        sixteen = quadrature_sop(query, initial_subdivisions=16)
+        eight = quadrature_sop(query)
+        with monkeypatch.context() as patch:
+            patch.setattr(quadrature, "INITIAL_SUBDIVISIONS", 16)
+            sixteen = quadrature_sop(query)
         assert abs(eight - sixteen) <= 1e-10
 
 
@@ -399,10 +400,11 @@ def test_rows_sharing_a_law_point_evaluate_it_once(monkeypatch, kind):
     _check_laws_see_distinct_points(record, queries)
 
 
-def test_needle_row_fails_alone():
+def test_needle_row_fails_alone(monkeypatch):
     # the needle exhausts its budget; the other rows keep their one-row panels and values
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 64)
     fs = [_spike, _needle, np.sin, lambda x: x**2]
-    kwargs = dict(abs_tol=1e-14, rel_tol=1e-12, max_panels=64)
+    kwargs = dict(abs_tol=1e-14, rel_tol=1e-12)
     alone = []
     for f in fs:
         counting = CountingIntegrand(f)
@@ -428,8 +430,9 @@ def test_needle_row_fails_alone():
         assert results[r] == alone[r][0]
     assert [f.panels for f in stacked] == [panels for _, panels in alone]
     # a batch with a row that cannot converge raises
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 8)
     with pytest.raises(QuadratureConvergenceError):
-        quadrature_sops(_mixed_queries()[:4], max_panels=8)
+        quadrature_sops(_mixed_queries()[:4])
 
 
 def test_sweep_calls_each_group_once_per_level(monkeypatch):
