@@ -290,9 +290,11 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Reproducible substream generator: (seed, stream) fully determines output.
 
     The bit generator is SFC64, seeded through ``SeedSequence([seed,
-    stream])``, so distinct pairs get independent streams.  On a 2-core
-    Xeon with numpy 2.4 it draws a 65536-sample Gamma row about 10% faster
-    than numpy's default PCG64, and costs the same to create.
+    stream])``, so distinct pairs get independent streams.  The Monte Carlo
+    chunks draw mostly uniform rows (their Gamma SNRs are products of
+    uniforms).  On a 2-core Xeon with numpy 2.4, SFC64 fills a 65536-sample
+    uniform row in 0.19–0.23 ms, against 0.27–0.28 ms for numpy's default
+    PCG64, and costs the same to create.
     """
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence([int(seed), int(stream)])))
 

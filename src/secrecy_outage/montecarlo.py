@@ -11,8 +11,11 @@ what decides them: one count where the samples it stands for are
 exchangeable (the backhaul states of the ``ku`` picks and of every survivor
 that carries no SNR), a Gamma SNR only for a link that is on, and an ``ss``
 eavesdropper SNR only at a sample's first active link (see
-``_chunk_counts``).  The per-seed estimate depends on that draw order and on
-the generator; changing either changes per-seed estimates but not their
+``_chunk_counts``).  Each Gamma SNR is the total energy of its unit
+exponential path energies, drawn as exactly that: -ln of a product of one
+(0, 1] uniform per path, one log per draw (see ``_unit_gamma``).  The
+per-seed estimate depends on that draw order, on the sampler and on the
+generator; changing any of them changes per-seed estimates but not their
 distribution.
 """
 
@@ -45,6 +48,10 @@ CHUNK_SIZE = 1 << 16
 
 # Normal-approximation CIs need both outcome counts at least this large.
 _MIN_EVENTS = 10
+
+# Each uniform factor 1 - u is at least 2**-53, so a product of this many is
+# at least 2**-1007, a normal double whose log keeps full precision.
+_PRODUCT_FACTORS = 19
 
 
 @dataclass(frozen=True)
@@ -99,21 +106,50 @@ def _on_count(rng: np.random.Generator, n: int, zeta: float) -> int:
     return int(rng.binomial(n, zeta))
 
 
-def _destination_sides(rng: np.random.Generator, cfg: SystemConfig, out: np.ndarray) -> np.ndarray:
+def _unit_gamma(rng: np.random.Generator, shape: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with unit-scale Gamma(shape) draws; ``tmp``, at least as long, is scratch.
+
+    A draw is the sum of ``shape`` unit exponential path energies, -ln of
+    the product of ``shape`` uniform rows.  Each uniform u in [0, 1) enters
+    as 1 - u, in (0, 1], so no draw is infinite.  Past ``_PRODUCT_FACTORS``
+    paths, where a product could leave the normal range, each further path
+    energy is added as its own -ln(1 - u).
+    """
+    factor = tmp[: out.size]
+    rng.random(out=out)
+    np.subtract(1.0, out, out=out)
+    for _ in range(min(shape, _PRODUCT_FACTORS) - 1):
+        rng.random(out=factor)
+        np.subtract(1.0, factor, out=factor)
+        out *= factor
+    np.log(out, out=out)
+    for _ in range(shape - _PRODUCT_FACTORS):
+        rng.random(out=factor)
+        np.subtract(1.0, factor, out=factor)
+        out += np.log(factor, out=factor)
+    np.negative(out, out=out)
+    return out
+
+
+def _destination_sides(
+    rng: np.random.Generator, cfg: SystemConfig, out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
     """1 + a_d gamma_d for ``out.size`` Gamma(M) draws, in place."""
-    side = rng.standard_gamma(cfg.M, out=out)
+    side = _unit_gamma(rng, cfg.M, out, tmp)
     side *= cfg.a_d
     side += 1.0
     return side
 
 
-def _thresholds(rng: np.random.Generator, cfg: SystemConfig, out: np.ndarray) -> np.ndarray:
+def _thresholds(
+    rng: np.random.Generator, cfg: SystemConfig, out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
     """rho (1 + a_e gamma_e) for ``out.size`` Gamma(N) draws, in place.
 
     A sample is in outage on a link where its destination side is below its
     threshold: the float operations of ``secrecy_outage_indicator``.
     """
-    threshold = rng.standard_gamma(cfg.N, out=out)
+    threshold = _unit_gamma(rng, cfg.N, out, tmp)
     threshold *= cfg.a_e
     threshold += 1.0
     threshold *= cfg.rho
@@ -136,8 +172,9 @@ def _os_survivors(
         on_held = _on_count(rng, held, cfg.zeta) if ka else held
         on_fresh = _on_count(rng, fresh, cfg.zeta) if ka else fresh
         on = on_held + on_fresh
-        destination = _destination_sides(rng, cfg, scratch[0, :on])
-        held += int(np.count_nonzero(destination < _thresholds(rng, cfg, scratch[1, :on]))) - on_held
+        destination = _destination_sides(rng, cfg, scratch[0, :on], scratch[2])
+        threshold = _thresholds(rng, cfg, scratch[1, :on], scratch[2])
+        held += int(np.count_nonzero(destination < threshold)) - on_held
         fresh -= on_fresh
     return held, fresh
 
@@ -159,8 +196,8 @@ def _ss_survivors(
         tested = held if on is None else held.compress(on)
         on_fresh = _on_count(rng, fresh, cfg.zeta) if ka else fresh
         fresh -= on_fresh
-        destination = _destination_sides(rng, cfg, scratch[0, : tested.size + on_fresh])
-        threshold = _thresholds(rng, cfg, scratch[1, :on_fresh])
+        destination = _destination_sides(rng, cfg, scratch[0, : tested.size + on_fresh], scratch[2])
+        threshold = _thresholds(rng, cfg, scratch[1, :on_fresh], scratch[2])
         keep = destination[: tested.size] < tested
         if on is not None:
             on_fails = keep
@@ -208,10 +245,15 @@ def _chunk_counts(
     survivors left after the last link had an empty active set.  With one
     link both rules read the same stream and make the same float operations.
 
-    The Gamma draws are written into the two rows of ``scratch`` (at least
-    n columns), which the chunks of one worker share: a chunk reads only
-    what it has written there, so the counts do not depend on what the
-    scratch held before.
+    Each row of Gamma(k) SNRs is k rows of uniforms in turn, one per path
+    energy, which ``_unit_gamma`` turns into -ln of their product of 1 - u
+    (past ``_PRODUCT_FACTORS`` paths, one log per further path).
+
+    The destination SNRs are written into the first row of ``scratch`` (3
+    rows of at least n columns), the eavesdropper SNRs into the second, and
+    the uniform factors after the first into the third.  The chunks of one
+    worker share the scratch: a chunk reads only what it has written there,
+    so the counts do not depend on what the scratch held before.
     """
     cfg = query.cfg
     ka = query.scenario is Scenario.KA
@@ -245,7 +287,7 @@ def simulate_sop(query: SopQuery, mc: McSettings = McSettings(), workers: int = 
     def run(group):
         # the Gamma draws of a worker's chunks reuse one scratch: a fresh
         # large array per draw costs its page faults again
-        scratch = np.empty((2, CHUNK_SIZE))
+        scratch = np.empty((3, CHUNK_SIZE))
         return [_chunk_counts(query, mc.seed, index, size, scratch) for index, size in group]
 
     if workers == 1:

@@ -4,6 +4,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from secrecy_outage import (
     McSettings,
@@ -16,9 +17,25 @@ from secrecy_outage import (
     simulate_sop,
 )
 from secrecy_outage.channel import make_rng
-from secrecy_outage.montecarlo import CHUNK_SIZE, _chunk_counts, secrecy_outage_indicator
+from secrecy_outage.montecarlo import (
+    CHUNK_SIZE,
+    _PRODUCT_FACTORS,
+    _chunk_counts,
+    _destination_sides,
+    _unit_gamma,
+    secrecy_outage_indicator,
+)
 
 CASES = [(s, c) for s in (Scheme.SS, Scheme.OS) for c in (Scenario.KU, Scenario.KA)]
+
+
+def _with_paths(paths):
+    """CASES x (M, N) pairs; the default (6, 4) keeps the plain case id."""
+    return [
+        pytest.param(s, c, m, n, id=f"{s.value}-{c.value}" + ("" if (m, n) == (6, 4) else f"-{m}-{n}"))
+        for m, n in paths
+        for s, c in CASES
+    ]
 
 
 def _cfg(**overrides):
@@ -163,9 +180,10 @@ def test_seed_actually_matters(base_cfg):
     assert a.p_hat != b.p_hat
 
 
-@pytest.mark.parametrize("scheme,scenario", CASES)
-def test_agreement_with_closed_form(scheme, scenario):
-    cfg = _cfg(K=3, zeta=0.95)
+# (24, 21) paths go past the product's _PRODUCT_FACTORS uniform factors
+@pytest.mark.parametrize("scheme,scenario,M,N", _with_paths([(6, 4), (1, 1), (24, 21)]))
+def test_agreement_with_closed_form(scheme, scenario, M, N):
+    cfg = _cfg(K=3, zeta=0.95, M=M, N=N)
     query = SopQuery(cfg=cfg, scheme=scheme, scenario=scenario)
     estimate = simulate_sop(query, McSettings(n_samples=400_000, seed=2))
     closed = analytic_sop(query).value
@@ -230,6 +248,15 @@ def test_selection_prefers_merit():
     assert os_.p_hat < ss.p_hat
 
 
+def _gamma_row(rng, shape, size):
+    """The documented Gamma row, up to ``_PRODUCT_FACTORS`` paths: ``shape`` uniform rows, -ln of the product of 1 - u."""
+    assert shape <= _PRODUCT_FACTORS
+    product = 1.0 - rng.random(size)
+    for _ in range(shape - 1):
+        product = product * (1.0 - rng.random(size))
+    return -np.log(product)
+
+
 def _loop_counts(query, seed, chunk_index, n):
     """Per-sample reference for _chunk_counts on the same substream.
 
@@ -238,7 +265,8 @@ def _loop_counts(query, seed, chunk_index, n):
     on-count under os, the fresh samples' on-count under ka, one destination
     SNR per on sample, held before fresh, and one eavesdropper SNR per on
     sample under os, per newly active sample under ss), recording every
-    value against its sample.  A count stands for exchangeable samples, so
+    value against its sample.  Each Gamma SNR row is replayed by
+    ``_gamma_row``.  A count stands for exchangeable samples, so
     it goes to the first samples of its group in group order; held samples
     keep the chunk's order, those still held first, then the newly held
     fresh ones.  Each sample is then decided on its own: an explicit pick
@@ -272,9 +300,9 @@ def _loop_counts(query, seed, chunk_index, n):
         fresh_on = first_on(fresh) if ka else [True] * len(fresh)
         newly = [i for i, o in zip(fresh, fresh_on) if o]
         tested = [i for i, o in zip(held, held_on) if o] + newly
-        d_link = (rng.standard_gamma(cfg.M, len(tested)) * cfg.a_d).tolist()
+        d_link = (_gamma_row(rng, cfg.M, len(tested)) * cfg.a_d).tolist()
         drawn = newly if ss else tested
-        eve = dict(zip(drawn, (rng.standard_gamma(cfg.N, len(drawn)) * cfg.a_e).tolist()))
+        eve = dict(zip(drawn, (_gamma_row(rng, cfg.N, len(drawn)) * cfg.a_e).tolist()))
         for i in held + fresh:
             d[i].append(None)
             e[i].append(None)
@@ -314,7 +342,7 @@ def test_chunk_counts_match_per_sample_loop(scheme, scenario):
     query = SopQuery(cfg=_cfg(K=3, zeta=0.6), scheme=scheme, scenario=scenario)
     seed, chunk_index, n = 12, 3, 4000
     expected = _loop_counts(query, seed, chunk_index, n)
-    assert _chunk_counts(query, seed, chunk_index, n, np.empty((2, n))) == expected
+    assert _chunk_counts(query, seed, chunk_index, n, np.empty((3, n))) == expected
     if scenario is Scenario.KA:
         assert expected[1] > 100
     else:
@@ -327,8 +355,8 @@ def test_chunk_counts_ignore_what_the_scratch_held(K, scheme, scenario):
     # the chunks of one worker share a scratch: a chunk reads only what it wrote
     query = SopQuery(cfg=_cfg(K=K, zeta=0.6), scheme=scheme, scenario=scenario)
     n = 4000
-    clean = _chunk_counts(query, 12, 3, n, np.zeros((2, n)))
-    assert _chunk_counts(query, 12, 3, n, np.full((2, CHUNK_SIZE), np.nan)) == clean
+    clean = _chunk_counts(query, 12, 3, n, np.zeros((3, n)))
+    assert _chunk_counts(query, 12, 3, n, np.full((3, CHUNK_SIZE), np.nan)) == clean
 
 
 class _CountingRng:
@@ -336,7 +364,10 @@ class _CountingRng:
 
     A binomial count is not a variate per sample, so it is recorded apart:
     ``binomials`` holds (trials, p, result) per call, and ``uniforms`` every
-    uniform row drawn.
+    backhaul uniform row drawn.  Gamma SNRs are counted by
+    ``_counting_generator`` at the ``_unit_gamma`` seam, keyed
+    ("gamma", shape), and drawn from the wrapped generator, so the uniforms
+    behind them are not counted as backhaul uniforms.
     """
 
     def __init__(self, rng):
@@ -353,10 +384,6 @@ class _CountingRng:
         self.uniforms.append(self.rng.random(size))
         return self.uniforms[-1]
 
-    def standard_gamma(self, shape, size=None, out=None):
-        self._add(("gamma", shape), size if out is None else out.shape)
-        return self.rng.standard_gamma(shape, size, out=out)
-
     def binomial(self, n, p):
         out = self.rng.binomial(n, p)
         self.binomials.append((n, p, int(out)))
@@ -370,8 +397,14 @@ def _counting_generator(monkeypatch, query, n):
         generators.append(_CountingRng(make_rng(seed, stream)))
         return generators[-1]
 
+    def counting_unit_gamma(rng, shape, out, tmp):
+        rng._add(("gamma", shape), out.shape)
+        return unit_gamma(rng.rng, shape, out, tmp)
+
+    unit_gamma = montecarlo._unit_gamma
     monkeypatch.setattr(montecarlo, "make_rng", counting_make_rng)
-    _chunk_counts(query, 5, 0, n, np.empty((2, n)))
+    monkeypatch.setattr(montecarlo, "_unit_gamma", counting_unit_gamma)
+    _chunk_counts(query, 5, 0, n, np.empty((3, n)))
     assert len(generators) == 1
     return generators[0]
 
@@ -469,3 +502,52 @@ def test_empty_active_set_rate_with_frequent_silencing(scheme):
     expected = (1.0 - cfg.zeta) ** cfg.K
     sigma = math.sqrt(expected * (1.0 - expected) / mc.n_samples)
     assert abs(estimate.empty_active_set_rate - expected) <= 3.0 * sigma
+
+
+# a product of every factor up to _PRODUCT_FACTORS, one log per factor past it
+_SHAPES = [*range(1, 9), 19, 20, 25]
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_unit_gamma_law(shape):
+    n = 200_000
+    draws = _unit_gamma(make_rng(31, shape), shape, np.empty(n), np.empty(n))
+    assert stats.kstest(draws, stats.gamma(shape).cdf).pvalue > 1e-3
+    # the mean and variance of Gamma(k) are both k; the standard error of
+    # the sample variance is sqrt((2 k^2 + 6 k) / n)
+    assert abs(draws.mean() - shape) <= 5.0 * math.sqrt(shape / n)
+    assert abs(draws.var() - shape) <= 5.0 * math.sqrt((2 * shape**2 + 6 * shape) / n)
+
+
+class _ConstantUniforms:
+    """A generator stub whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None, out=None):
+        out[...] = self.u
+        return out
+
+
+@pytest.mark.parametrize("shape", [1, 2, 6, 19, 20, 40])
+def test_unit_gamma_extreme_uniforms_stay_finite(shape):
+    # u = 0 enters as a factor of 1, the largest u below 1 as 2**-53: no
+    # factor is 0 and no product leaves the normal range, so no SNR is
+    # infinite and every destination side is positive
+    n = 5
+    for u, expected in ((0.0, 0.0), (1.0 - 2.0**-53, shape * 53 * math.log(2.0))):
+        draws = _unit_gamma(_ConstantUniforms(u), shape, np.empty(n), np.full(n, np.nan))
+        assert np.all(np.isfinite(draws)) and np.all(draws >= 0.0)
+        np.testing.assert_allclose(draws, expected, rtol=1e-14)
+        cfg = _cfg(M=shape)
+        sides = _destination_sides(_ConstantUniforms(u), cfg, np.empty(n), np.empty(n))
+        assert np.all(np.isfinite(sides)) and np.all(sides >= 1.0)
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_unit_gamma_of_nothing_draws_nothing(shape):
+    rng = make_rng(7)
+    assert _unit_gamma(rng, shape, np.empty(0), np.empty(0)).size == 0
+    # the stream is where a fresh one starts
+    assert np.array_equal(rng.random(4), make_rng(7).random(4))
