@@ -51,7 +51,6 @@ __all__ = [
     "asymptotic_sop",
     "asymptotic_sops",
     "case_sop",
-    "inner_args",
 ]
 
 # Round-off tolerance band for the integrity check; values further outside
@@ -125,22 +124,13 @@ def _integrity_error(raw: float, method: str) -> NumericalIntegrityError:
     )
 
 
-def inner_args(query: SopQuery) -> tuple[int, float]:
-    """(L, w) of the inner quantity ``case_sop`` asks for."""
-    cfg = query.cfg
-    return (
-        cfg.K if query.scheme is Scheme.SS else 1,
-        cfg.zeta if query.scenario is Scenario.KA else 1.0,
-    )
-
-
 def case_sop(queries, inner, method: str) -> list[SopValue]:
     """The case rule: every query's (scheme, scenario) outage from its inner quantity, in input order.
 
-    ``inner(reading, args) -> (raws, flags)`` evaluates, for each query of
-    ``reading`` and its (L, w) in ``args`` (from ``inner_args``),
-    x = E_y[((1 - w) + w F_d(lambda(y)))^L] with lambda(y) = (1 + y) rho - 1,
-    and whether its series lost significance.  Per case:
+    ``inner(keys)`` takes the (query, L, w) keys that this rule builds and
+    returns one (raw, flag) per key: x = E_y[((1 - w) + w F_d(lambda(y)))^L]
+    with lambda(y) = (1 + y) rho - 1, and whether its series lost
+    significance.  Per case:
 
         case   (L, w)     outage                 because
         ss/ku  (K, 1)     (1 - zeta) + zeta x    the strongest link may turn out silenced
@@ -158,8 +148,8 @@ def case_sop(queries, inner, method: str) -> list[SopValue]:
     from the unclamped x; best-ratio selection powers the clamped single-link
     value outside it, with Python's float power (``np.power`` can differ
     from it by an ulp).  Dead backhaul (zeta = 0) silences every
-    link: an outage in every case; such queries are not in ``reading``, and
-    a batch of them only never calls ``inner``.
+    link: an outage in every case; such queries get no key, and a batch of
+    them only never calls ``inner``.
     At K = 1 and zeta = 1 every case returns the single-transmitter outage x
     itself.  The batch composes, checks and clamps each query in one pass
     over plain floats, so a lone query pays no array set-up; an unflagged
@@ -167,9 +157,13 @@ def case_sop(queries, inner, method: str) -> list[SopValue]:
     ``NumericalIntegrityError``.
     """
     queries = list(queries)
-    reading = [query for query in queries if query.cfg.zeta > 0.0]
-    raws, flags = inner(reading, [inner_args(query) for query in reading]) if reading else ((), ())
-    live, dead = zip(raws, flags), SopValue(1.0, method, False, 1.0)
+    keys = [
+        (query, query.cfg.K if query.scheme is Scheme.SS else 1,
+         query.cfg.zeta if query.scenario is Scenario.KA else 1.0)
+        for query in queries
+        if query.cfg.zeta > 0.0
+    ]
+    live, dead = iter(inner(keys) if keys else ()), SopValue(1.0, method, False, 1.0)
     low, high = -INTEGRITY_BAND, 1.0 + INTEGRITY_BAND
     out = []
     for query in queries:
@@ -317,17 +311,16 @@ def _closed_form_sops(queries, group_values, method: str) -> list[SopValue]:
     evaluates nothing.
     """
 
-    def inner(reading, args):
+    def inner(keys):
         groups: dict[tuple, tuple[dict[float, int], list]] = {}
-        slots = []  # per query: its group's values and its snr's position in them
-        for query, (power, weight) in zip(reading, args):
+        slots = []  # per key: its group's values and its snr's position in them
+        for query, power, weight in keys:
             cfg = query.cfg
             snrs, values = groups.setdefault((cfg.M, cfg.N, cfg.a, cfg.b, cfg.rho, power, weight), ({}, []))
             slots.append((values, snrs.setdefault(cfg.snr, len(snrs))))
         for key, (snrs, values) in groups.items():
             values += group_values(*key, list(snrs))
-        raws, flags = zip(*[values[at] for values, at in slots])
-        return raws, flags
+        return [values[at] for values, at in slots]
 
     return case_sop(queries, inner, method)
 

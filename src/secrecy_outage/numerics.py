@@ -12,15 +12,15 @@ noise.
 
 ``log_power_coefficients`` builds the power coefficients one log-space
 convolution per power, and ``log_factorials`` tabulates ln j! from the exact
-integers j!.  ``enumerate_weak_compositions`` lists the same
-expansion term by term; no closed form calls it, it is the independent
-reference that the identity checks compare the coefficient table against.
+integers j!.  The identity check compares the coefficient table with the
+exact rational power (``validation``).  ``enumerate_weak_compositions``
+lists the weak compositions of k as tuples behind an eager size cap; no
+closed form or check reads it, and the benchmark times it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -30,7 +30,6 @@ __all__ = [
     "DEFAULT_COMPOSITION_CAP",
     "SIGNIFICANCE_LOSS_RATIO",
     "CompositionCapError",
-    "WeakComposition",
     "enumerate_weak_compositions",
     "log_factorials",
     "log_power_coefficients",
@@ -98,65 +97,29 @@ def log_factorials(count: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class WeakComposition:
-    """One term of the multinomial expansion of (sum_{m<M} x^m / m!)^k.
-
-    ``parts[m]`` counts how many of the k factors contributed the x^m / m!
-    monomial.  ``beta1`` is the resulting power of x and ``beta2`` the number
-    of factors (always k).
-    """
-
-    parts: tuple[int, ...]
-    multinomial_coeff: int
-    inv_factorial_product: float
-    beta1: int
-    beta2: int
-
-
-def enumerate_weak_compositions(
-    k: int, num_parts: int, cap: int = DEFAULT_COMPOSITION_CAP
-) -> Iterator[WeakComposition]:
+def enumerate_weak_compositions(k: int, num_parts: int) -> Iterator[tuple[int, ...]]:
     """Yield all weak compositions of ``k`` into ``num_parts`` ordered parts.
-
-    Reference enumeration for the identity checks; the closed forms read
-    the aggregated ``log_power_coefficients`` instead.
 
     The order is deterministic: lexicographically decreasing, starting at
     (k, 0, ..., 0) and ending at (0, ..., 0, k).  The expected number of
     compositions C(k + num_parts - 1, num_parts - 1) is checked against
-    ``cap`` before any term is produced.
+    ``DEFAULT_COMPOSITION_CAP``, read at call time, before any is produced.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     if num_parts < 1:
         raise ValueError(f"num_parts must be >= 1, got {num_parts}")
     count = math.comb(k + num_parts - 1, num_parts - 1)
-    if count > cap:
-        raise CompositionCapError(k, num_parts, count, cap)
+    if count > DEFAULT_COMPOSITION_CAP:
+        raise CompositionCapError(k, num_parts, count, DEFAULT_COMPOSITION_CAP)
     return _generate_compositions(k, num_parts)
 
 
-def _generate_compositions(k: int, num_parts: int) -> Iterator[WeakComposition]:
-    k_factorial = math.factorial(k)
+def _generate_compositions(k: int, num_parts: int) -> Iterator[tuple[int, ...]]:
     parts = [0] * num_parts
     parts[0] = k
     while True:
-        coeff = k_factorial
-        inv_fact = 1.0
-        beta1 = 0
-        for m, p in enumerate(parts):
-            if p:
-                coeff //= math.factorial(p)
-                inv_fact *= (1.0 / math.factorial(m)) ** p
-                beta1 += m * p
-        yield WeakComposition(
-            parts=tuple(parts),
-            multinomial_coeff=coeff,
-            inv_factorial_product=inv_fact,
-            beta1=beta1,
-            beta2=k,
-        )
+        yield tuple(parts)
         if parts[-1] == k:
             return
         # Move one unit right of the rightmost positive entry before the last

@@ -333,9 +333,8 @@ def quadrature_sops(queries, abs_tol: float = 1e-10, rel_tol: float = 1e-10) -> 
     ``quadrature_sop``.
     """
 
-    def inner(reading, args):
-        keys = [(query, power, weight) for query, (power, weight) in zip(reading, args)]
-        return _boundary_expectations(keys, abs_tol=abs_tol, rel_tol=rel_tol), [False] * len(keys)
+    def inner(keys):
+        return [(value, False) for value in _boundary_expectations(keys, abs_tol=abs_tol, rel_tol=rel_tol)]
 
     return [value.value for value in case_sop(queries, inner, "quadrature")]
 

@@ -8,9 +8,14 @@ sprinkled through the test modules were produced by this helper and
 spot-checked at 50-digit precision with mpmath before being committed.
 ``adaptive_integral_loop`` is the plain one-integral refinement loop that the
 row-stacked integrator generalises; tests compare the two call by call.
+``exact_power_coefficients`` is the truncated-exponential power in exact
+rational arithmetic, by integer square-and-multiply.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, stats
@@ -105,3 +110,27 @@ def adaptive_integral_loop(f, lo, hi, abs_tol=1e-10, rel_tol=1e-10, initial_subd
         p_lo, p_hi = np.concatenate((p_lo[keep], c_lo)), np.concatenate((p_hi[keep], c_hi))
         values, errs = np.concatenate((values[keep], c_val)), np.concatenate((errs[keep], c_err))
         evaluated += c_lo.size
+
+
+def exact_power_coefficients(k: int, num_terms: int) -> list[Fraction]:
+    """[x^j] (sum_{m<num_terms} x^m / m!)^k for j = 0 .. k (num_terms - 1), exactly.
+
+    The base polynomial is scaled by (num_terms - 1)! to integer
+    coefficients, raised to the k-th power by repeated squaring in integer
+    arithmetic, and divided by (num_terms - 1)!^k at the end.
+    """
+    scale = math.factorial(num_terms - 1)
+
+    def times(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+        return out
+
+    base, power, left = [scale // math.factorial(m) for m in range(num_terms)], [1], k
+    while left:
+        if left & 1:
+            power = times(power, base)
+        base, left = times(base, base), left >> 1
+    return [Fraction(c, scale**k) for c in power]

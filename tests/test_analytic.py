@@ -253,15 +253,15 @@ def test_query_normalises_case_names():
 def _rule_with_fake_inner(queries, xs, flags=None, method=METHOD_ANALYTIC):
     """case_sop over ``queries`` with an inner quantity that records its calls.
 
-    The inner quantity returns ``xs`` (and ``flags``, default unflagged),
-    one per query it is asked for; each call is recorded as the queries and
-    the (L, w) it was passed.
+    The inner quantity returns ``xs`` (and ``flags``, default unflagged) as
+    one (raw, flag) per key it is asked for; each call is recorded as the
+    list of (query, L, w) keys it was passed.
     """
     calls = []
 
-    def inner(reading, args):
-        calls.append((list(reading), list(args)))
-        return list(xs), list(flags if flags is not None else [False] * len(xs))
+    def inner(keys):
+        calls.append(list(keys))
+        return list(zip(xs, flags if flags is not None else [False] * len(xs), strict=True))
 
     return case_sop(queries, inner, method), calls
 
@@ -279,12 +279,12 @@ def test_case_rule_table():
     for (scheme, scenario), (args, outage) in table.items():
         query = SopQuery(cfg, scheme, scenario)
         (result,), calls = _rule_with_fake_inner([query], [x])
-        assert calls == [([query], [args])]
+        assert calls == [[(query, *args)]]
         assert (result.value, result.raw_value) == (outage, outage)
         assert not result.significance_flag and result.method == METHOD_ANALYTIC
     queries = [SopQuery(cfg, scheme, scenario) for scheme, scenario in table]
     results, calls = _rule_with_fake_inner(queries, [x] * 4)
-    assert calls == [(queries, [args for args, _ in table.values()])]
+    assert calls == [[(query, *args) for query, (args, _) in zip(queries, table.values())]]
     assert [r.value for r in results] == [outage for _, outage in table.values()]
     assert not any(r.significance_flag for r in results)
 
@@ -370,7 +370,7 @@ def test_batch_case_rule_skips_dead_backhaul():
     dead = [SopQuery(_cfg(K=k, zeta=0.0), scheme, scenario) for k in (1, 4) for scheme, scenario in CASES]
     queries = [q for pair in zip(live, dead + dead[:4]) for q in pair]
     values, calls = _rule_with_fake_inner(queries, [0.3] * len(live))
-    assert len(calls) == 1 and calls[0][0] == live
+    assert len(calls) == 1 and [key[0] for key in calls[0]] == live
     for query, value in zip(queries, values):
         if query.cfg.zeta == 0.0:
             assert (value.value, value.raw_value, value.significance_flag) == (1.0, 1.0, False)

@@ -277,6 +277,29 @@ def test_validate_detects_a_cdf_its_finite_sum_repeats(monkeypatch, capsys):
     assert "cdf forms disagree" not in out
 
 
+def test_validate_detects_a_corrupted_power_table(monkeypatch, capsys):
+    # the x^25 coefficient of (sum_{m<6} x^m / m!)^5 shifted by 1e-9 in log
+    # space: it carries about 4e-6 of the power at x = 2.7, so the direct
+    # power cannot see the shift and the exact rational power must (rows are
+    # cached read-only, so the shift works on a copy)
+    real = validation.log_power_coefficients
+
+    def corrupted(k, num_parts):
+        row = real(k, num_parts)
+        if (k, num_parts) == (5, 6):
+            row = row.copy()
+            row[-1] += 1e-9
+        return row
+
+    monkeypatch.setattr(validation, "log_power_coefficients", corrupted)
+    rc = main(["validate", "--smoke", "--check", "identities"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL identities" in out
+    assert "power-series table off the exact power by 1.000e-09" in out
+    assert "off the direct power" not in out
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "secrecy_outage", "sop", "--snr-db", "10"],

@@ -1,10 +1,13 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import exact_power_coefficients
 
+from secrecy_outage import numerics
 from secrecy_outage.numerics import (
     CompositionCapError,
     enumerate_weak_compositions,
@@ -26,8 +29,7 @@ def test_log_factorials_are_logs_of_exact_factorials():
 
 
 def test_composition_enumeration_order_and_count():
-    comps = list(enumerate_weak_compositions(3, 3))
-    parts = [c.parts for c in comps]
+    parts = list(enumerate_weak_compositions(3, 3))
     assert parts[0] == (3, 0, 0)
     assert parts[-1] == (0, 0, 3)
     assert parts == sorted(parts, reverse=True)
@@ -37,29 +39,22 @@ def test_composition_enumeration_order_and_count():
 
 
 def test_composition_k_zero():
-    comps = list(enumerate_weak_compositions(0, 4))
-    assert len(comps) == 1
-    assert comps[0].parts == (0, 0, 0, 0)
-    assert comps[0].multinomial_coeff == 1
-    assert comps[0].beta1 == 0
+    assert list(enumerate_weak_compositions(0, 4)) == [(0, 0, 0, 0)]
 
 
 def test_composition_single_part():
-    comps = list(enumerate_weak_compositions(5, 1))
-    assert [c.parts for c in comps] == [(5,)]
+    assert list(enumerate_weak_compositions(5, 1)) == [(5,)]
 
 
-def test_composition_multinomial_total():
-    # summing the bare multinomial coefficients over all weak compositions
-    # of k into M parts gives M**k
-    for k, m in [(2, 3), (4, 2), (5, 4)]:
-        total = sum(c.multinomial_coeff for c in enumerate_weak_compositions(k, m))
-        assert total == m**k
-
-
-def test_composition_cap_is_eager_and_named():
+def test_composition_cap_is_eager_and_named(monkeypatch):
+    # C(29, 9) = 10 015 005 compositions at k = 20, M = 10: above the default
+    # cap, refused before the first is listed
+    with pytest.raises(CompositionCapError):
+        enumerate_weak_compositions(20, 10)
+    monkeypatch.setattr(numerics, "DEFAULT_COMPOSITION_CAP", 1000)
     with pytest.raises(CompositionCapError) as err:
-        enumerate_weak_compositions(40, 10, cap=1000)
+        enumerate_weak_compositions(40, 10)
+    assert err.value.cap == 1000
     assert err.value.k == 40
     assert err.value.num_parts == 10
     assert err.value.count == math.comb(49, 9)
@@ -85,19 +80,26 @@ def test_composition_invalid_arguments():
     x=st.floats(min_value=0.05, max_value=3.0),
 )
 def test_composition_expansion_identity(k, num_parts, x):
-    # the whole point of the enumeration: it expands a truncated-exponential
-    # power term by term, and the coefficient table is that expansion
-    # grouped by the power beta1
-    comps = list(enumerate_weak_compositions(k, num_parts))
-    total = sum(c.multinomial_coeff * c.inv_factorial_product * x**c.beta1 for c in comps)
-    direct = sum(x**m / math.factorial(m) for m in range(num_parts)) ** k
-    assert total == pytest.approx(direct, rel=1e-10)
+    # the coefficient table is the truncated-exponential power: coefficient
+    # by coefficient against the exact rational power, and summed at x
+    # against the direct power
+    exact = exact_power_coefficients(k, num_parts)
     coeffs = [math.exp(c) for c in log_power_coefficients(k, num_parts)]
+    assert coeffs == pytest.approx([float(c) for c in exact], rel=1e-10)
+    assert sum(exact) == sum(Fraction(1, math.factorial(m)) for m in range(num_parts)) ** k
+    direct = sum(x**m / math.factorial(m) for m in range(num_parts)) ** k
     assert sum(c * x**j for j, c in enumerate(coeffs)) == pytest.approx(direct, rel=1e-10)
-    grouped = [0.0] * len(coeffs)
-    for c in comps:
-        grouped[c.beta1] += c.multinomial_coeff * c.inv_factorial_product
-    assert coeffs == pytest.approx(grouped, rel=1e-10)
+
+
+@pytest.mark.parametrize("k, num_parts", [(20, 6), (20, 10), (20, 12)])
+def test_power_table_matches_exact_power_at_large_k(k, num_parts):
+    # the closed forms read these rows at K = 20; their coefficients span
+    # hundreds of decades, so the comparison is in log space
+    exact = exact_power_coefficients(k, num_parts)
+    logs = [math.log(c.numerator) - math.log(c.denominator) for c in exact]
+    table = log_power_coefficients(k, num_parts).tolist()
+    assert len(table) == len(logs) == k * (num_parts - 1) + 1
+    assert max(abs(t - e) for t, e in zip(table, logs)) <= 1e-12
 
 
 def test_significance_lost_threshold():
