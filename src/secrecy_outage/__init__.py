@@ -12,6 +12,7 @@ Monte Carlo simulation.
 """
 
 from .analytic import (
+    EvalMethod,
     NumericalIntegrityError,
     Scenario,
     Scheme,
@@ -27,7 +28,6 @@ from .montecarlo import McSettings, SopEstimate, simulate_sop
 from .numerics import CompositionCapError, enumerate_weak_compositions
 from .quadrature import QuadratureConvergenceError, adaptive_integral, quadrature_sop, quadrature_sops
 from .sweep import (
-    EvalMethod,
     SweepResult,
     SweepRow,
     SweepSpec,

@@ -41,6 +41,7 @@ from .numerics import log_factorials, log_power_coefficients, significance_lost
 
 __all__ = [
     "CASES",
+    "EvalMethod",
     "NumericalIntegrityError",
     "Scenario",
     "Scheme",
@@ -57,9 +58,6 @@ __all__ = [
 # [0, 1] than this indicate a formula or assembly bug, not round-off.
 INTEGRITY_BAND = 1e-9
 
-METHOD_ANALYTIC = "analytic"
-METHOD_ASYMPTOTIC = "asymptotic"
-
 
 class Scheme(str, Enum):
     """Transmitter selection rule."""
@@ -73,6 +71,15 @@ class Scenario(str, Enum):
 
     KU = "ku"  # backhaul states unknown, selection over all K
     KA = "ka"  # selection restricted to the active set
+
+
+class EvalMethod(str, Enum):
+    """Evaluation route: closed form, high-SNR floor, Monte Carlo or quadrature."""
+
+    ANALYTIC = "analytic"
+    ASYMPTOTIC = "asymptotic"
+    MC = "mc"
+    QUADRATURE = "quadrature"
 
 
 class NumericalIntegrityError(ArithmeticError):
@@ -106,25 +113,26 @@ class SopQuery:
 class SopValue:
     """Evaluated outage probability.
 
-    ``value`` is clamped to [0, 1]; ``raw_value`` keeps the pre-clamp number
-    for diagnostics.  ``significance_flag`` is set when the alternating-sum
-    cancellation guard fired, in which case ``value`` is bounded but not
-    trustworthy to full precision.
+    ``method`` is the route that produced it.  ``value`` is clamped to
+    [0, 1]; ``raw_value`` keeps the pre-clamp number for diagnostics.
+    ``significance_flag`` is set when the alternating-sum cancellation
+    guard fired, in which case ``value`` is bounded but not trustworthy to
+    full precision.
     """
 
     value: float
-    method: str
+    method: EvalMethod
     significance_flag: bool
     raw_value: float
 
 
-def _integrity_error(raw: float, method: str) -> NumericalIntegrityError:
+def _integrity_error(raw: float, method: EvalMethod) -> NumericalIntegrityError:
     return NumericalIntegrityError(
-        f"{method} outage probability {raw!r} leaves [0, 1] by more than {INTEGRITY_BAND}"
+        f"{method.value} outage probability {raw!r} leaves [0, 1] by more than {INTEGRITY_BAND}"
     )
 
 
-def case_sop(queries, inner, method: str) -> list[SopValue]:
+def case_sop(queries, inner, method: EvalMethod) -> list[SopValue]:
     """The case rule: every query's (scheme, scenario) outage from its inner quantity, in input order.
 
     ``inner(keys)`` takes the (query, L, w) keys that this rule builds and
@@ -154,9 +162,9 @@ def case_sop(queries, inner, method: str) -> list[SopValue]:
     itself.  The batch composes, checks and clamps each query in one pass
     over plain floats, so a lone query pays no array set-up; an unflagged
     NaN or out-of-band value anywhere in the batch raises
-    ``NumericalIntegrityError``.
+    ``NumericalIntegrityError``, named by ``method``, a route or its string.
     """
-    queries = list(queries)
+    queries, method = list(queries), EvalMethod(method)
     keys = [
         (query, query.cfg.K if query.scheme is Scheme.SS else 1,
          query.cfg.zeta if query.scenario is Scenario.KA else 1.0)
@@ -302,7 +310,7 @@ def _selection_floor_series(M: int, N: int, a: float, b: float, rho: float, K: i
 # public closed forms and high-SNR floors
 # ---------------------------------------------------------------------------
 
-def _closed_form_sops(queries, group_values, method: str) -> list[SopValue]:
+def _closed_form_sops(queries, group_values, method: EvalMethod) -> list[SopValue]:
     """Compose every query from inner values evaluated one group at a time.
 
     Queries whose inner quantities share everything but snr, (M, N, a, b,
@@ -337,12 +345,12 @@ def analytic_sops(queries) -> list[SopValue]:
     evaluation over their SNR points; every value equals that query's
     ``analytic_sop``.
     """
-    return _closed_form_sops(queries, _selection_series, METHOD_ANALYTIC)
+    return _closed_form_sops(queries, _selection_series, EvalMethod.ANALYTIC)
 
 
 def asymptotic_sops(queries) -> list[SopValue]:
     """High-SNR outage floors of many queries, in input order; one floor series per group."""
-    return _closed_form_sops(queries, _floor_values, METHOD_ASYMPTOTIC)
+    return _closed_form_sops(queries, _floor_values, EvalMethod.ASYMPTOTIC)
 
 
 def analytic_sop(query: SopQuery) -> SopValue:

@@ -7,7 +7,9 @@ a Gamma law with integer shape M and scale a * snr; the eavesdropper sees
 the same structure with N paths and scale b * snr.  Backhaul links are
 independent Bernoulli(zeta): an inactive link silences its transmitter,
 which manifests as a point mass at zero SNR.  Distribution helpers here
-accept scalars or numpy arrays in the evaluation point.
+accept scalars or numpy arrays in the evaluation point.  Gamma SNRs have one
+sampler, ``_unit_gamma``, shared by ``sample_channel_block`` and the Monte
+Carlo: -ln of a product of one (0, 1] uniform per path.
 
 Because every shape is an integer, the CDF is the regularized lower
 incomplete gamma P(M, u) at integer M, evaluated here in numpy alone (DLMF
@@ -299,26 +301,55 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence([int(seed), int(stream)])))
 
 
+# Each uniform factor 1 - u is at least 2**-53, so a product of this many is
+# at least 2**-1007, a normal double whose log keeps full precision.
+_PRODUCT_FACTORS = 19
+
+
+def _unit_gamma(rng: np.random.Generator, shape: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Fill the flat ``out`` with unit-scale Gamma(shape) draws; ``tmp``, at least as long, is scratch.
+
+    A draw is the sum of ``shape`` unit exponential path energies, -ln of
+    the product of ``shape`` uniform rows.  Each uniform u in [0, 1) enters
+    as 1 - u, in (0, 1], so no draw is infinite.  Past ``_PRODUCT_FACTORS``
+    paths, where a product could leave the normal range, each further path
+    energy is added as its own -ln(1 - u).
+    """
+    factor = tmp[: out.size]
+    rng.random(out=out)
+    np.subtract(1.0, out, out=out)
+    for _ in range(min(shape, _PRODUCT_FACTORS) - 1):
+        rng.random(out=factor)
+        np.subtract(1.0, factor, out=factor)
+        out *= factor
+    np.log(out, out=out)
+    for _ in range(shape - _PRODUCT_FACTORS):
+        rng.random(out=factor)
+        np.subtract(1.0, factor, out=factor)
+        out += np.log(factor, out=factor)
+    np.negative(out, out=out)
+    return out
+
+
 def sample_channel_block(cfg: SystemConfig, rng: np.random.Generator, n: int):
     """Draw ``n`` independent channel states as (gamma_d, gamma_e, backhaul) arrays.
 
     This is the full-block draw: every link for every sample.  The Monte
     Carlo estimator does not use it (it draws link by link, only for the
     samples still in outage; see ``montecarlo._chunk_counts``); the tests
-    of the channel laws and the benchmark's channel-draw seam do.
-
-    Each array has shape (K, n), one row per link, so that a reduction over
+    of the channel laws and the benchmark's channel-draw seam do.  Each
+    array has shape (K, n), one row per link, so that a reduction over
     transmitters runs over contiguous rows.
 
     The draw order is a contract (destination Gamma(M) SNRs, then
     eavesdropper Gamma(N) SNRs, then backhaul uniforms) so that a stream
-    position identifies a sample.  A Gamma draw with integer shape has
-    exactly the law of that many summed unit exponential path energies, so
-    no per-path array is materialised.
+    position identifies a sample.  Each Gamma block is one ``_unit_gamma``
+    draw of K n values, the Monte Carlo's sampler.
     """
-    gamma_d = rng.standard_gamma(cfg.M, (cfg.K, n))
+    gamma_d, gamma_e, uniforms = np.empty((cfg.K, n)), np.empty((cfg.K, n)), np.empty((cfg.K, n))
+    _unit_gamma(rng, cfg.M, gamma_d.ravel(), uniforms.ravel())
     gamma_d *= cfg.a_d
-    gamma_e = rng.standard_gamma(cfg.N, (cfg.K, n))
+    _unit_gamma(rng, cfg.N, gamma_e.ravel(), uniforms.ravel())
     gamma_e *= cfg.a_e
-    backhaul = rng.random((cfg.K, n)) < cfg.zeta
+    backhaul = rng.random(out=uniforms) < cfg.zeta
     return gamma_d, gamma_e, backhaul

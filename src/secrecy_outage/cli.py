@@ -106,13 +106,6 @@ def _mc_settings(args: argparse.Namespace) -> McSettings:
     )
 
 
-def _as_tuple(value, enum_cls, default):
-    """Repeated ``append`` flag values as enums; ``default`` alone when none was given."""
-    if value is None:
-        return (default,)
-    return tuple(enum_cls(v) for v in value)
-
-
 def _cmd_sop(args: argparse.Namespace) -> int:
     cfg = _system_config(args, args.snr_db)
     scheme = Scheme(args.scheme or "ss")
@@ -140,9 +133,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         snr_db_start=args.snr_start,
         snr_db_stop=args.snr_stop,
         snr_db_step=args.snr_step,
-        schemes=_as_tuple(args.scheme, Scheme, Scheme.SS),
-        scenarios=_as_tuple(args.scenario, Scenario, Scenario.KU),
-        methods=_as_tuple(args.method, EvalMethod, EvalMethod.ANALYTIC),
+        schemes=tuple(args.scheme or (Scheme.SS,)),
+        scenarios=tuple(args.scenario or (Scenario.KU,)),
+        methods=tuple(args.method or (EvalMethod.ANALYTIC,)),
         mc=_mc_settings(args),
     )
     result = run_sweep(spec)
@@ -160,7 +153,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if args.preset is None:
         print("error: a preset name (or --list) is required", file=sys.stderr)
         return 2
-    override = {"methods": tuple(EvalMethod(m) for m in args.method)} if args.method else {}
+    override = {"methods": tuple(args.method)} if args.method else {}
     scenario = Scenario(args.scenario) if args.scenario else None
     result = run_figure(args.preset, mc=_mc_settings(args), scenario=scenario, **override)
     write_figure_csv(result, args.out or sys.stdout)

@@ -13,7 +13,7 @@ that carries no SNR), a Gamma SNR only for a link that is on, and an ``ss``
 eavesdropper SNR only at a sample's first active link (see
 ``_chunk_counts``).  Each Gamma SNR is the total energy of its unit
 exponential path energies, drawn as exactly that: -ln of a product of one
-(0, 1] uniform per path, one log per draw (see ``_unit_gamma``).  The
+(0, 1] uniform per path, one log per draw (``channel._unit_gamma``).  The
 per-seed estimate depends on that draw order, on the sampler and on the
 generator; changing any of them changes per-seed estimates but not their
 distribution.
@@ -30,9 +30,9 @@ from statistics import NormalDist
 import numpy as np
 
 from .analytic import Scenario, Scheme, SopQuery
-# ``sample_channel_block`` is no longer called here, but the traced benchmark
-# mode rebinds it on this module, so the name stays bound.
-from .channel import SystemConfig, _is_int, make_rng, sample_channel_block  # noqa: F401
+# ``sample_channel_block`` is unused here, but the traced benchmark rebinds it
+# on this module; the chunks look ``_unit_gamma`` up here, the seam tests wrap.
+from .channel import SystemConfig, _is_int, _unit_gamma, make_rng, sample_channel_block  # noqa: F401
 
 __all__ = [
     "CHUNK_SIZE",
@@ -48,10 +48,6 @@ CHUNK_SIZE = 1 << 16
 
 # Normal-approximation CIs need both outcome counts at least this large.
 _MIN_EVENTS = 10
-
-# Each uniform factor 1 - u is at least 2**-53, so a product of this many is
-# at least 2**-1007, a normal double whose log keeps full precision.
-_PRODUCT_FACTORS = 19
 
 
 @dataclass(frozen=True)
@@ -104,31 +100,6 @@ def _on_count(rng: np.random.Generator, n: int, zeta: float) -> int:
     if n == 0 or zeta == 1.0:
         return n
     return int(rng.binomial(n, zeta))
-
-
-def _unit_gamma(rng: np.random.Generator, shape: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with unit-scale Gamma(shape) draws; ``tmp``, at least as long, is scratch.
-
-    A draw is the sum of ``shape`` unit exponential path energies, -ln of
-    the product of ``shape`` uniform rows.  Each uniform u in [0, 1) enters
-    as 1 - u, in (0, 1], so no draw is infinite.  Past ``_PRODUCT_FACTORS``
-    paths, where a product could leave the normal range, each further path
-    energy is added as its own -ln(1 - u).
-    """
-    factor = tmp[: out.size]
-    rng.random(out=out)
-    np.subtract(1.0, out, out=out)
-    for _ in range(min(shape, _PRODUCT_FACTORS) - 1):
-        rng.random(out=factor)
-        np.subtract(1.0, factor, out=factor)
-        out *= factor
-    np.log(out, out=out)
-    for _ in range(shape - _PRODUCT_FACTORS):
-        rng.random(out=factor)
-        np.subtract(1.0, factor, out=factor)
-        out += np.log(factor, out=factor)
-    np.negative(out, out=out)
-    return out
 
 
 def _destination_sides(
@@ -247,7 +218,7 @@ def _chunk_counts(
 
     Each row of Gamma(k) SNRs is k rows of uniforms in turn, one per path
     energy, which ``_unit_gamma`` turns into -ln of their product of 1 - u
-    (past ``_PRODUCT_FACTORS`` paths, one log per further path).
+    (past ``channel._PRODUCT_FACTORS`` paths, one log per further path).
 
     The destination SNRs are written into the first row of ``scratch`` (3
     rows of at least n columns), the eavesdropper SNRs into the second, and

@@ -23,7 +23,8 @@ once per M, on the distinct (a_d, a_e, rho, node) points of its rows, and
 the eavesdropper density once per N, on its rows' distinct panels; rows
 that differ only in the case rule's (L, w) share those values, and each row
 applies its own law to them.  The first level's panel count and the panel
-budget are the module constants ``INITIAL_SUBDIVISIONS`` and ``MAX_PANELS``.
+budget, ``INITIAL_SUBDIVISIONS`` and ``MAX_PANELS``, and the tolerances,
+``ABS_TOL`` and ``REL_TOL``, are module constants.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import SopQuery, case_sop
+from .analytic import EvalMethod, SopQuery, case_sop
 from .channel import GammaSnr, snr_cdf, snr_pdf
 
 __all__ = [
@@ -83,9 +84,11 @@ _WEIGHTS_K = np.array(list(_WEIGHTS_K_POS[:-1]) + list(_WEIGHTS_K_POS[::-1]))
 _WEIGHTS_G = np.array(list(_WEIGHTS_G_POS[:-1]) + list(_WEIGHTS_G_POS[::-1]))
 _WEIGHTS = np.stack((_WEIGHTS_K, _WEIGHTS_G))
 
-# Panels of the first level, and the most panels one integral may evaluate.
+# Panels of the first level, the most panels one integral may evaluate, and the
+# outage integrals' tolerances (``adaptive_integral``'s defaults), read at call time.
 INITIAL_SUBDIVISIONS = 8
 MAX_PANELS = 4096
+ABS_TOL = REL_TOL = 1e-10
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -193,8 +196,8 @@ def adaptive_integral(
     f: Callable,
     lo: float = 0.0,
     hi: float = 1.0,
-    abs_tol: float = 1e-10,
-    rel_tol: float = 1e-10,
+    abs_tol: float = ABS_TOL,
+    rel_tol: float = REL_TOL,
 ) -> float:
     """Adaptive Gauss-Kronrod integral of a vectorized integrand over [lo, hi].
 
@@ -256,7 +259,7 @@ def _members(of: np.ndarray, rows: np.ndarray, value: int, count: int):
     return (of[rows] == value).nonzero()[0] if count > 1 else slice(None)
 
 
-def _boundary_expectations(keys: list, abs_tol: float, rel_tol: float) -> list[float]:
+def _boundary_expectations(keys: list) -> list[float]:
     """E_y[((1 - w) + w P(M, lambda(y) / a_d))^L] of every (query, L, w) key, as one row-stacked integral.
 
     Row r substitutes y = a_e t / (1 - t) with its own a_e, and reads the
@@ -317,33 +320,33 @@ def _boundary_expectations(keys: list, abs_tol: float, rel_tol: float) -> list[f
                 fx[at] = single * density[at]
         return fx
 
-    results = _stacked_integrals(evaluate, len(keys), 0.0, 1.0, abs_tol, rel_tol)
+    results = _stacked_integrals(evaluate, len(keys), 0.0, 1.0, ABS_TOL, REL_TOL)
     for result in results:
         if isinstance(result, QuadratureConvergenceError):
             raise result
     return results
 
 
-def quadrature_sops(queries, abs_tol: float = 1e-10, rel_tol: float = 1e-10) -> list[float]:
+def quadrature_sops(queries) -> list[float]:
     """Outage probabilities of many queries by one row-stacked quadrature.
 
     Each query's inner quantity is one row, keyed by (query, L, w); a query
-    over dead backhaul reads none.  All rows refine together, to the
-    tolerances of ``adaptive_integral``, and every value equals that query's
-    ``quadrature_sop``.
+    over dead backhaul reads none.  All rows refine together, each to
+    ``ABS_TOL`` and ``REL_TOL`` by ``adaptive_integral``'s rule, and every
+    value equals that query's ``quadrature_sop``.
     """
 
     def inner(keys):
-        return [(value, False) for value in _boundary_expectations(keys, abs_tol=abs_tol, rel_tol=rel_tol)]
+        return [(value, False) for value in _boundary_expectations(keys)]
 
-    return [value.value for value in case_sop(queries, inner, "quadrature")]
+    return [value.value for value in case_sop(queries, inner, EvalMethod.QUADRATURE)]
 
 
-def quadrature_sop(query: SopQuery, abs_tol: float = 1e-10, rel_tol: float = 1e-10) -> float:
+def quadrature_sop(query: SopQuery) -> float:
     """Outage probability by direct quadrature of the defining integral.
 
     The value passes the closed forms' integrity check: NaN, or a value
     outside [0, 1] by more than ``INTEGRITY_BAND``, raises
     ``NumericalIntegrityError``; otherwise it is clamped to [0, 1].
     """
-    return quadrature_sops([query], abs_tol, rel_tol)[0]
+    return quadrature_sops([query])[0]

@@ -14,11 +14,10 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from operator import itemgetter
 from pathlib import Path
 
-from .analytic import SopQuery, SopValue, Scenario, Scheme, analytic_sops, asymptotic_sops
+from .analytic import EvalMethod, SopQuery, SopValue, Scenario, Scheme, analytic_sops, asymptotic_sops
 from .channel import SystemConfig, _at_snr
 from .montecarlo import McSettings, SopEstimate, simulate_sop
 from .quadrature import quadrature_sops
@@ -53,13 +52,6 @@ FLAG_SIGNIFICANCE = "significance_loss"
 FLAG_LOW_CONFIDENCE = "low_confidence"
 
 
-class EvalMethod(str, Enum):
-    ANALYTIC = "analytic"
-    ASYMPTOTIC = "asymptotic"
-    MC = "mc"
-    QUADRATURE = "quadrature"
-
-
 def db_to_linear(snr_db: float) -> float:
     """Decibel to linear power ratio; the only place dB enters the library."""
     try:
@@ -84,7 +76,9 @@ class SweepSpec:
     """An SNR grid crossed with scheme/scenario/method sets.
 
     ``base.snr`` is a placeholder; each grid point overrides it with the
-    linear equivalent of its dB value.
+    linear equivalent of its dB value.  Scheme, scenario and method strings
+    become their enums, as in ``SopQuery``; an unknown or repeated one
+    raises ``ValueError``.
     """
 
     base: SystemConfig
@@ -109,8 +103,11 @@ class SweepSpec:
             raise ValueError(f"snr_db_start {self.snr_db_start!r} dB is 0 on the linear scale")
         if _steps(self) >= MAX_SNR_POINTS:  # a float, so a huge or infinite count compares too
             raise ValueError(f"SNR start, stop and step {grid!r} give more than {MAX_SNR_POINTS} points")
-        if not self.schemes or not self.scenarios or not self.methods:
-            raise ValueError("schemes, scenarios and methods must each be non-empty")
+        for name, enum in (("schemes", Scheme), ("scenarios", Scenario), ("methods", EvalMethod)):
+            members = tuple(map(enum, getattr(self, name)))
+            if not members or len(set(members)) < len(members):
+                raise ValueError(f"{name} must be distinct and non-empty, got {[m.value for m in members]}")
+            object.__setattr__(self, name, members)
 
 
 def _steps(spec: SweepSpec) -> float:
@@ -176,15 +173,14 @@ def run_sweeps(specs) -> list[SweepResult]:
     """
     specs = list(specs)
     # per spec: its cells in row order, as (snr_db, case and method strings,
-    # query, method), and its methods
+    # query, method)
     tables = []
     batches: dict[tuple[EvalMethod, McSettings], list[SopQuery]] = {}
     for spec in specs:
-        methods = [EvalMethod(method) for method in spec.methods]
         cases = [
-            (scheme, scenario, [(m, (_NAMES[scheme], _NAMES[scenario], _NAMES[m])) for m in methods])
-            for scheme in map(Scheme, spec.schemes)
-            for scenario in map(Scenario, spec.scenarios)
+            (scheme, scenario, [(m, (_NAMES[scheme], _NAMES[scenario], _NAMES[m])) for m in spec.methods])
+            for scheme in spec.schemes
+            for scenario in spec.scenarios
         ]
         cells = []
         for snr_db in snr_grid(spec):
@@ -193,19 +189,19 @@ def run_sweeps(specs) -> list[SweepResult]:
                 query = SopQuery(cfg, scheme, scenario)
                 cells += [(snr_db, names, query, method) for method, names in named_methods]
         cells.sort(key=itemgetter(0, 1))
-        queries = {method: batches.setdefault((method, spec.mc), []) for method in methods}
+        queries = {method: batches.setdefault((method, spec.mc), []) for method in spec.methods}
         for _, _, query, method in cells:
             queries[method].append(query)
-        tables.append((cells, methods))
+        tables.append(cells)
     evaluated = {(method, mc): iter(_ROUTES[method](queries, mc)) for (method, mc), queries in batches.items()}
     results = []
-    for spec, (cells, methods) in zip(specs, tables):
-        batch = {method: evaluated[method, spec.mc] for method in methods}
+    for spec, cells in zip(specs, tables):
+        batch = {method: evaluated[method, spec.mc] for method in spec.methods}
         rows = [
             SweepRow(snr_db, query.scheme, query.scenario, method, *next(batch[method]))
             for snr_db, _, query, method in cells
         ]
-        results.append(SweepResult(rows=rows, mc=spec.mc if EvalMethod.MC in methods else None))
+        results.append(SweepResult(rows=rows, mc=spec.mc if EvalMethod.MC in spec.methods else None))
     return results
 
 
@@ -262,17 +258,15 @@ def read_sweep_csv(source) -> list[dict]:
         text = source.read()
     lines = [line for line in text.splitlines() if line and not line.startswith("#")]
     reader = csv.DictReader(io.StringIO("\n".join(lines)))
-    rows = []
-    for record in reader:
-        rows.append(
-            {
-                "snr_db": float(record["snr_db"]),
-                "scheme": Scheme(record["scheme"]),
-                "scenario": Scenario(record["scenario"]),
-                "method": EvalMethod(record["method"]),
-                "sop": float(record["sop"]),
-                "ci_half_width": float(record["ci_half_width"]) if record["ci_half_width"] else None,
-                "flags": record["flags"],
-            }
-        )
-    return rows
+    return [
+        {
+            "snr_db": float(record["snr_db"]),
+            "scheme": Scheme(record["scheme"]),
+            "scenario": Scenario(record["scenario"]),
+            "method": EvalMethod(record["method"]),
+            "sop": float(record["sop"]),
+            "ci_half_width": float(record["ci_half_width"]) if record["ci_half_width"] else None,
+            "flags": record["flags"],
+        }
+        for record in reader
+    ]

@@ -17,11 +17,15 @@ Regenerate it only when a change is meant to move values, and say by how
 much:
 
     PYTHONPATH=src python tests/reference.py
+
+Before it rewrites the file, the script prints each route's largest relative
+move against the values stored there.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from secrecy_outage import (
@@ -102,7 +106,35 @@ def route(key: str) -> str:
     return key.split()[1]
 
 
+def _move(value: float, expected: float) -> float:
+    """The relative move of ``value`` from ``expected``; an infinite one off a stored 0."""
+    if value == expected:
+        return 0.0
+    return abs(value - expected) / abs(expected) if expected else math.inf
+
+
+def largest_moves(stored: dict, values: dict) -> dict[str, float]:
+    """Per route, the largest relative move of a value against the stored one.
+
+    A (section, method) list that is new, gone or of another length counts
+    as an infinite move.
+    """
+    moves = dict.fromkeys(TOLERANCES, 0.0)
+    for key in stored.keys() | values.keys():
+        old, new = stored.get(key), values.get(key)
+        if old is None or new is None or len(old) != len(new):
+            move = math.inf
+        else:
+            move = max(map(_move, new, old), default=0.0)
+        moves[route(key)] = max(moves[route(key)], move)
+    return moves
+
+
 if __name__ == "__main__":
     values = {key: [value for _, value in pairs] for key, pairs in reference_values().items()}
+    if PATH.exists():
+        stored = json.loads(PATH.read_text(encoding="utf-8"))["values"]
+        for name, move in largest_moves(stored, values).items():
+            print(f"{name}: largest relative move {move:.3g}")
     PATH.write_text(json.dumps({"tolerances": TOLERANCES, "values": values}) + "\n", encoding="utf-8")
     print(f"wrote {sum(map(len, values.values()))} values to {PATH}")

@@ -22,7 +22,7 @@ from secrecy_outage import (
     simulate_sop,
 )
 from secrecy_outage import analytic
-from secrecy_outage.analytic import METHOD_ANALYTIC, case_sop
+from secrecy_outage.analytic import EvalMethod, case_sop
 from secrecy_outage.sweep import db_to_linear
 
 CASES = [(s, c) for s in (Scheme.SS, Scheme.OS) for c in (Scenario.KU, Scenario.KA)]
@@ -233,7 +233,7 @@ def test_integrity_guard_units():
     assert [guarded(raw) for raw in (1.0 + 1e-10, -1e-10, 0.25)] == [1.0, 0.0, 0.25]
     # outside the band without a significance flag: hard error, naming the route
     for bad in (1.0 + 1e-6, -1e-6, float("nan")):
-        with pytest.raises(NumericalIntegrityError, match=METHOD_ANALYTIC):
+        with pytest.raises(NumericalIntegrityError, match=EvalMethod.ANALYTIC.value):
             guarded(bad)
     # flagged results are clamped instead of raising
     assert [guarded(raw, flag=True) for raw in (1.5, -0.5)] == [1.0, 0.0]
@@ -250,7 +250,7 @@ def test_query_normalises_case_names():
         SopQuery(_cfg(), "ss", "xx")
 
 
-def _rule_with_fake_inner(queries, xs, flags=None, method=METHOD_ANALYTIC):
+def _rule_with_fake_inner(queries, xs, flags=None, method=EvalMethod.ANALYTIC):
     """case_sop over ``queries`` with an inner quantity that records its calls.
 
     The inner quantity returns ``xs`` (and ``flags``, default unflagged) as
@@ -281,7 +281,7 @@ def test_case_rule_table():
         (result,), calls = _rule_with_fake_inner([query], [x])
         assert calls == [[(query, *args)]]
         assert (result.value, result.raw_value) == (outage, outage)
-        assert not result.significance_flag and result.method == METHOD_ANALYTIC
+        assert not result.significance_flag and result.method is EvalMethod.ANALYTIC
     queries = [SopQuery(cfg, scheme, scenario) for scheme, scenario in table]
     results, calls = _rule_with_fake_inner(queries, [x] * 4)
     assert calls == [[(query, *args) for query, (args, _) in zip(queries, table.values())]]

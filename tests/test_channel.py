@@ -14,6 +14,7 @@ from secrecy_outage.analytic import CASES
 from secrecy_outage.channel import (
     GammaSnr,
     SystemConfig,
+    _unit_gamma,
     make_rng,
     sample_channel_block,
     snr_cdf,
@@ -300,10 +301,11 @@ def test_sample_block_shapes_and_order(base_cfg):
     assert np.all(gamma_d > 0.0) and np.all(gamma_e > 0.0)
     # contract: draw order is destination Gamma(M), eavesdropper Gamma(N),
     # backhaul uniforms, so a fresh generator in the same state
-    # reproduces the block piecewise
+    # reproduces the block piecewise, each Gamma block as one flat
+    # ``_unit_gamma`` draw of K n values
     rng2 = make_rng(0, 0)
-    d2 = base_cfg.a_d * rng2.standard_gamma(base_cfg.M, (K, n))
-    e2 = base_cfg.a_e * rng2.standard_gamma(base_cfg.N, (K, n))
+    d2 = base_cfg.a_d * _unit_gamma(rng2, base_cfg.M, np.empty(K * n), np.empty(K * n)).reshape(K, n)
+    e2 = base_cfg.a_e * _unit_gamma(rng2, base_cfg.N, np.empty(K * n), np.empty(K * n)).reshape(K, n)
     act2 = rng2.random((K, n)) < base_cfg.zeta
     assert np.array_equal(gamma_d, d2)
     assert np.array_equal(gamma_e, e2)
@@ -332,7 +334,7 @@ def test_sample_block_moments(base_cfg):
 
 # A Kolmogorov-Smirnov p-value below this floor rejects the Gamma law.  The
 # seed is fixed, so the test is deterministic.  Here the correct draws give
-# p-values of 0.03-0.8, while a shape off by one, swapped links or a missing
+# p-values of 0.10-0.97, while a shape off by one, swapped links or a missing
 # snr factor give p-values below 1e-200.
 KS_P_FLOOR = 1e-3
 

@@ -122,6 +122,15 @@ def test_sweep_too_many_points_is_usage_error(capsys):
     assert err.startswith("error:") and "100000 points" in err
 
 
+def test_sweep_repeated_scheme_is_usage_error(capsys):
+    # a repeated case flag would write every row twice
+    assert main(["sweep", *BASE_ARGS, "--snr-start", "0", "--snr-stop", "10",
+                 "--scheme", "ss", "--scheme", "ss"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "schemes must be distinct" in captured.err
+
+
 def test_sweep_writes_contract_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = main([

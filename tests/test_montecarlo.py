@@ -16,10 +16,9 @@ from secrecy_outage import (
     montecarlo,
     simulate_sop,
 )
-from secrecy_outage.channel import make_rng
+from secrecy_outage.channel import _PRODUCT_FACTORS, make_rng
 from secrecy_outage.montecarlo import (
     CHUNK_SIZE,
-    _PRODUCT_FACTORS,
     _chunk_counts,
     _destination_sides,
     _unit_gamma,

@@ -75,22 +75,23 @@ def test_traced_benchmark_seams_exist(monkeypatch):
 
 
 def test_settable_values_are_pinned():
-    # the quadrature budget and first level, the composition cap, the
-    # simulation confidence and the triple-agreement tolerances are
-    # constants; a new setting must be added here
+    # the quadrature budget, first level and outage-integral tolerances, the
+    # composition cap, the simulation confidence and the triple-agreement
+    # tolerances are constants; a new setting must be added here
     assert [f.name for f in fields(ValidationSettings)] == [
         "ks", "zetas", "snr_dbs", "mc_samples", "seed", "determinism_samples", "determinism_workers",
     ]
     assert [f.name for f in fields(FigureResult)] == ["preset", "per_variant"]
     entries = {
         quadrature.adaptive_integral: ["f", "lo", "hi", "abs_tol", "rel_tol"],
-        quadrature.quadrature_sop: ["query", "abs_tol", "rel_tol"],
-        quadrature.quadrature_sops: ["queries", "abs_tol", "rel_tol"],
+        quadrature.quadrature_sop: ["query"],
+        quadrature.quadrature_sops: ["queries"],
         numerics.enumerate_weak_compositions: ["k", "num_parts"],
     }
     for entry, parameters in entries.items():
         assert list(inspect.signature(entry).parameters) == parameters, entry.__name__
     assert (quadrature.INITIAL_SUBDIVISIONS, quadrature.MAX_PANELS) == (8, 4096)
+    assert (quadrature.ABS_TOL, quadrature.REL_TOL) == (1e-10, 1e-10)
     assert numerics.DEFAULT_COMPOSITION_CAP == 10_000_000
     settings = ValidationSettings()
     assert (settings.confidence, settings.analytic_quadrature_tol, settings.mc_tolerance_floor) == (

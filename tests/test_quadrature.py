@@ -198,6 +198,26 @@ def test_initial_subdivision_doubling_is_stable(monkeypatch, base_cfg):
         assert abs(eight - sixteen) <= 1e-10
 
 
+def test_tightened_tolerances_refine_further(monkeypatch):
+    # at p = 3.5e-20 the inner value is about 1.2e-4, so the 1e-10 absolute
+    # tolerance lets it stop early; the module's tolerances, read at call
+    # time, can be tightened for a tight oracle
+    cfg = SystemConfig(K=5, zeta=1.0, r_th=1.0, snr=1e4, M=6, N=2, a=0.5, b=0.05)
+    query = SopQuery(cfg, Scheme.OS, Scenario.KU)
+    reference = sop_quadpack(cfg, Scheme.OS, Scenario.KU)
+    runs = []
+    for tolerances in ((1e-10, 1e-10), (1e-14, 1e-13)):
+        with monkeypatch.context() as patch:
+            patch.setattr(quadrature, "ABS_TOL", tolerances[0])
+            patch.setattr(quadrature, "REL_TOL", tolerances[1])
+            counters = _counting_build_integrand(patch)
+            value = quadrature_sop(query)
+        runs.append((counters[cfg.M, cfg.N].panels, abs(value - reference)))
+    (default_panels, default_gap), (tight_panels, tight_gap) = runs
+    assert tight_panels > default_panels
+    assert tight_gap <= default_gap
+
+
 def test_dead_backhaul_shortcuts():
     cfg = SystemConfig(K=2, zeta=0.0, r_th=1.0, snr=10.0, M=2, N=2, a=0.5, b=0.5)
     for scheme, scenario in CASES:

@@ -76,6 +76,20 @@ def test_spec_validation():
         _spec(snr_db_stop=-1.0)
     with pytest.raises(ValueError):
         _spec(methods=())
+    # case and method strings become their enums, as in SopQuery; a repeated
+    # scheme, scenario or method would write every row twice
+    parsed = _spec(schemes=("os", Scheme.SS), scenarios=("ka",), methods=("quadrature", "mc"))
+    assert (parsed.schemes, parsed.scenarios, parsed.methods) == (
+        (Scheme.OS, Scheme.SS), (Scenario.KA,), (EvalMethod.QUADRATURE, EvalMethod.MC)
+    )
+    assert all(type(m) is EvalMethod for m in parsed.methods)
+    for field, repeated in (
+        ("schemes", (Scheme.SS, "ss")),
+        ("scenarios", (Scenario.KA, Scenario.KU, Scenario.KA)),
+        ("methods", (EvalMethod.QUADRATURE, EvalMethod.QUADRATURE)),
+    ):
+        with pytest.raises(ValueError, match=f"{field} must be distinct"):
+            _spec(**{field: repeated})
     for bound in ("snr_db_start", "snr_db_stop", "snr_db_step"):
         for bad in (float("inf"), float("-inf"), float("nan")):
             with pytest.raises(ValueError, match="finite"):
