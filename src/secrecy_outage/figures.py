@@ -10,6 +10,7 @@ declarative plot description as JSON; rendering is left to the caller.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from .sweep import (
     CSV_HEADER,
     EvalMethod,
     SweepResult,
-    SweepRow,
     SweepSpec,
     _format_float,
     _write_csv,
@@ -160,13 +160,8 @@ def _config_columns(cfg: SystemConfig) -> str:
 def write_figure_csv(result: FigureResult, target) -> None:
     """Extended sweep CSV with the per-variant configuration columns, ended by the simulation settings if any."""
     mc = next((sweep_result.mc for _, sweep_result in result.per_variant if sweep_result.mc is not None), None)
-    records = (
-        (row, columns)
-        for cfg, sweep_result in result.per_variant
-        for columns in (_config_columns(cfg),)  # once per variant, shared by its rows
-        for row in sweep_result.rows
-    )
-    _write_csv(target, FIGURE_CSV_HEADER, records, mc)
+    parts = [(sweep_result, _config_columns(cfg)) for cfg, sweep_result in result.per_variant]
+    _write_csv(target, FIGURE_CSV_HEADER, parts, mc)
 
 
 def _variant_label(cfg: SystemConfig, varied: tuple[str, ...]) -> str:
@@ -174,23 +169,20 @@ def _variant_label(cfg: SystemConfig, varied: tuple[str, ...]) -> str:
     return ", ".join(parts)
 
 
-def _series_points(rows: list[SweepRow]) -> list[dict]:
+def _series_points(snr_db: list[float], sop: list[float], ci_half_width: list[float]) -> list[dict]:
     return [
-        {"x": row.snr_db, "y": row.sop}
-        if row.ci_half_width is None
-        else {"x": row.snr_db, "y": row.sop, "ci": row.ci_half_width}
-        for row in rows
+        {"x": x, "y": y} if math.isnan(ci) else {"x": x, "y": y, "ci": ci}
+        for x, y, ci in zip(snr_db, sop, ci_half_width)
     ]
 
 
-def _grouped_series(cfg: SystemConfig, rows: list[SweepRow], prefix: str) -> list[dict]:
+def _grouped_series(cfg: SystemConfig, result: SweepResult, prefix: str) -> list[dict]:
     """One series per (scheme, scenario, method) in order of first appearance: rows in
     the sweep contract's order give the series sorted and their points by ascending SNR."""
-    keyed: dict[tuple, list[SweepRow]] = {}
-    for row in rows:
-        keyed.setdefault((row.scheme, row.scenario, row.method), []).append(row)
     series = []
-    for (scheme, scenario, method), group in keyed.items():
+    for code in dict.fromkeys(result.case.tolist()):
+        scheme, scenario, method = result.cases[code]
+        selected = result.case == code
         label = f"{scheme.value}/{scenario.value} [{method.value}]"
         series.append(
             {
@@ -202,7 +194,10 @@ def _grouped_series(cfg: SystemConfig, rows: list[SweepRow], prefix: str) -> lis
                     "K": cfg.K, "zeta": cfg.zeta, "rth": cfg.r_th,
                     "M": cfg.M, "N": cfg.N, "a": cfg.a, "b": cfg.b,
                 },
-                "points": _series_points(group),
+                "points": _series_points(
+                    result.snr_db[selected].tolist(), result.sop[selected].tolist(),
+                    result.ci_half_width[selected].tolist(),
+                ),
             }
         )
     return series
@@ -227,13 +222,13 @@ def plot_description(result: FigureResult) -> dict:
     series = []
     for cfg, sweep_result in result.per_variant:
         prefix = _variant_label(cfg, result.preset.varied)
-        series.extend(_grouped_series(cfg, sweep_result.rows, prefix))
+        series.extend(_grouped_series(cfg, sweep_result, prefix))
     return _plot_skeleton(result.preset.description, series)
 
 
 def sweep_plot_description(base: SystemConfig, result: SweepResult) -> dict:
     """Plot description for a single-configuration sweep."""
-    return _plot_skeleton("outage vs SNR", _grouped_series(base, result.rows, ""))
+    return _plot_skeleton("outage vs SNR", _grouped_series(base, result, ""))
 
 
 def write_plot_description(description: dict, target) -> None:

@@ -14,8 +14,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .analytic import EvalMethod, SopQuery, SopValue, Scenario, Scheme, analytic_sops, asymptotic_sops
 from .channel import SystemConfig, _at_snr
@@ -150,14 +153,55 @@ def evaluate_cell(
     return _ROUTES[EvalMethod(method)]([SopQuery(cfg, scheme, scenario)], mc)[0]
 
 
-@dataclass
+# Every enum member's string, read by the CSV writer instead of ``Enum.value``.
+_NAMES = {member: member.value for enum in (Scheme, Scenario, EvalMethod) for member in enum}
+
+# A row's flag is stored as its index here.
+_FLAGS = ("", FLAG_SIGNIFICANCE, FLAG_LOW_CONFIDENCE)
+_FLAG_CODES = {flag: code for code, flag in enumerate(_FLAGS)}
+
+
+@dataclass(eq=False, slots=True)
 class SweepResult:
-    rows: list[SweepRow]
+    """A sweep's cells as columns, one entry per row in the CSV contract's order.
+
+    ``snr_db``, ``sop`` and ``ci_half_width`` are float64 arrays, the last
+    NaN where a row has no confidence interval.  ``case`` holds each row's
+    index into ``cases``, its (scheme, scenario, method), and ``flag`` its
+    index into the flag strings ("", significance loss, low confidence).
+    ``rows`` is a view: a new ``SweepRow`` list on each access, never kept.
+    Two results are equal when their rows and ``mc`` are.
+    """
+
+    snr_db: np.ndarray
+    sop: np.ndarray
+    ci_half_width: np.ndarray
+    cases: tuple[tuple[Scheme, Scenario, EvalMethod], ...]
+    case: np.ndarray
+    flag: np.ndarray
     mc: McSettings | None = None
 
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.snr_db, self.case, self.sop, self.ci_half_width, self.flag
 
-# Every enum member's string, read by the sort key and the CSV writer instead of ``Enum.value``.
-_NAMES = {member: member.value for enum in (Scheme, Scenario, EvalMethod) for member in enum}
+    def _lists(self) -> list[list]:
+        """The columns as lists of Python numbers: snr_db, case, sop, ci_half_width, flag."""
+        return [column.tolist() for column in self._columns()]
+
+    @property
+    def rows(self) -> list[SweepRow]:
+        """A new ``SweepRow`` list built from the columns; ``None`` where a row has no CI."""
+        return [
+            SweepRow(snr_db, *self.cases[case], sop, None if math.isnan(ci) else ci, _FLAGS[flag])
+            for snr_db, case, sop, ci, flag in zip(*self._lists())
+        ]
+
+    def __eq__(self, other):
+        if not isinstance(other, SweepResult):
+            return NotImplemented
+        return (self.mc, self.cases) == (other.mc, other.cases) and all(
+            np.array_equal(mine, theirs, equal_nan=True) for mine, theirs in zip(self._columns(), other._columns())
+        )
 
 
 def run_sweeps(specs) -> list[SweepResult]:
@@ -169,39 +213,48 @@ def run_sweeps(specs) -> list[SweepResult]:
     refines all its quadrature rows in one stack; Monte Carlo's entry runs
     its cells one at a time, spec by spec in row order.  The queries of one
     (configuration, scheme, scenario) are one ``SopQuery``, shared by its
-    methods.  Every result equals its spec's own ``run_sweep``.
+    methods.  Each spec's values go straight into its result's columns.
+    Every result equals its spec's own ``run_sweep``.
     """
     specs = list(specs)
-    # per spec: its cells in row order, as (snr_db, case and method strings,
-    # query, method)
+    # per spec: its cases sorted by their strings, and its cells in row order
+    # as (snr_db, case code, query, method)
     tables = []
     batches: dict[tuple[EvalMethod, McSettings], list[SopQuery]] = {}
     for spec in specs:
-        cases = [
-            (scheme, scenario, [(m, (_NAMES[scheme], _NAMES[scenario], _NAMES[m])) for m in spec.methods])
+        cases = sorted(
+            product(spec.schemes, spec.scenarios, spec.methods), key=lambda case: [_NAMES[m] for m in case]
+        )
+        coded = [
+            (scheme, scenario, [(method, cases.index((scheme, scenario, method))) for method in spec.methods])
             for scheme in spec.schemes
             for scenario in spec.scenarios
         ]
         cells = []
         for snr_db in snr_grid(spec):
             cfg = _at_snr(spec.base, db_to_linear(snr_db))  # the base is validated; only snr is new
-            for scheme, scenario, named_methods in cases:
+            for scheme, scenario, coded_methods in coded:
                 query = SopQuery(cfg, scheme, scenario)
-                cells += [(snr_db, names, query, method) for method, names in named_methods]
-        cells.sort(key=itemgetter(0, 1))
+                cells += [(snr_db, code, query, method) for method, code in coded_methods]
+        cells.sort(key=itemgetter(0, 1))  # codes follow the strings' order
         queries = {method: batches.setdefault((method, spec.mc), []) for method in spec.methods}
         for _, _, query, method in cells:
             queries[method].append(query)
-        tables.append(cells)
+        tables.append((tuple(cases), cells))
     evaluated = {(method, mc): iter(_ROUTES[method](queries, mc)) for (method, mc), queries in batches.items()}
     results = []
-    for spec, cells in zip(specs, tables):
+    for spec, (cases, cells) in zip(specs, tables):
         batch = {method: evaluated[method, spec.mc] for method in spec.methods}
-        rows = [
-            SweepRow(snr_db, query.scheme, query.scenario, method, *next(batch[method]))
-            for snr_db, _, query, method in cells
-        ]
-        results.append(SweepResult(rows=rows, mc=spec.mc if EvalMethod.MC in spec.methods else None))
+        sops, cis, flags = zip(*(next(batch[method]) for _, _, _, method in cells))
+        results.append(SweepResult(
+            snr_db=np.array([cell[0] for cell in cells], dtype=np.float64),
+            sop=np.array(sops, dtype=np.float64),
+            ci_half_width=np.array([math.nan if ci is None else ci for ci in cis], dtype=np.float64),
+            cases=cases,
+            case=np.array([cell[1] for cell in cells], dtype=np.uint8),
+            flag=np.array([_FLAG_CODES[flag] for flag in flags], dtype=np.uint8),
+            mc=spec.mc if EvalMethod.MC in spec.methods else None,
+        ))
     return results
 
 
@@ -214,30 +267,31 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _write_csv(target, header, records, mc: McSettings | None) -> None:
-    """Write (SweepRow, suffix) records under ``header`` to a path or text file.
+def _write_csv(target, header, parts, mc: McSettings | None) -> None:
+    """Write (SweepResult, suffix) parts under ``header`` to a path or text file.
 
-    Each row is written as one joined line: the seven sweep columns, then
-    ``suffix``, the extra columns with their leading commas ("" for none);
-    ``mc`` goes in the trailing comment.  No field can hold a comma, a quote
-    or a line break, so none is ever quoted and the bytes are those
+    The rows are read from each result's columns, in order.  Each row is
+    written as one joined line: the seven sweep columns, then ``suffix``,
+    the extra columns of its part with their leading commas ("" for none);
+    ``mc`` goes in the trailing comment.  No field can hold a comma, a
+    quote or a line break, so none is ever quoted and the bytes are those
     ``csv.writer`` would write.  Rows of one grid point share their snr
-    float, so its text is formatted once per point.
+    value, so its text is formatted once per point.
     """
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8", newline="") as handle:
-            _write_csv(handle, header, records, mc)
+            _write_csv(handle, header, parts, mc)
         return
     target.write(",".join(header) + "\n")
-    snr_db = snr_text = None
-    for row, suffix in records:
-        if row.snr_db is not snr_db:
-            snr_db, snr_text = row.snr_db, _format_float(row.snr_db)
-        ci = "" if row.ci_half_width is None else _format_float(row.ci_half_width)
-        target.write(
-            f"{snr_text},{_NAMES[row.scheme]},{_NAMES[row.scenario]},{_NAMES[row.method]},"
-            f"{_format_float(row.sop)},{ci},{row.flags}{suffix}\n"
-        )
+    for result, suffix in parts:
+        cases = [",".join(_NAMES[member] for member in case) for case in result.cases]
+        endings = [f"{flag}{suffix}\n" for flag in _FLAGS]
+        snr_db = snr_text = None
+        for snr, case, sop, ci, flag in zip(*result._lists()):
+            if snr != snr_db:
+                snr_db, snr_text = snr, _format_float(snr)
+            ci_text = "" if math.isnan(ci) else _format_float(ci)
+            target.write(f"{snr_text},{cases[case]},{_format_float(sop)},{ci_text},{endings[flag]}")
     if mc is not None:
         target.write(
             f"# mc seed={mc.seed} samples={mc.n_samples} "
@@ -247,7 +301,7 @@ def _write_csv(target, header, records, mc: McSettings | None) -> None:
 
 def write_sweep_csv(result: SweepResult, target) -> None:
     """Write the sweep CSV contract to a path or text file object."""
-    _write_csv(target, CSV_HEADER, ((row, "") for row in result.rows), result.mc)
+    _write_csv(target, CSV_HEADER, [(result, "")], result.mc)
 
 
 def read_sweep_csv(source) -> list[dict]:

@@ -13,19 +13,28 @@ Monte Carlo values are stored as outage counts.  The stored file,
 ``reference_values.json``, was written by an earlier revision of the
 package; ``test_reference.py`` checks the current one against it, each
 route within its own relative tolerance and the counts exactly.
-Regenerate it only when a change is meant to move values, and say by how
-much:
+To see how far the current package moves each route, without touching
+the file:
+
+    PYTHONPATH=src python tests/reference.py --check
+
+It prints each route's largest relative move against the stored values and
+exits non-zero if any move exceeds that route's entry in ``TOLERANCES``.
+A change meant to keep values runs this and leaves the file as it is.
+Regenerate the file only when a change is meant to move values, and say by
+how much:
 
     PYTHONPATH=src python tests/reference.py
 
-Before it rewrites the file, the script prints each route's largest relative
-move against the values stored there.
+That prints the same moves, then rewrites the file.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import sys
 from pathlib import Path
 
 from secrecy_outage import (
@@ -130,11 +139,32 @@ def largest_moves(stored: dict, values: dict) -> dict[str, float]:
     return moves
 
 
-if __name__ == "__main__":
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Print every route's move against the stored reference values.")
+    parser.add_argument(
+        "--check", action="store_true",
+        help="exit non-zero past TOLERANCES and leave the stored file unchanged",
+    )
+    args = parser.parse_args(argv)
     values = {key: [value for _, value in pairs] for key, pairs in reference_values().items()}
+    moves = {}
     if PATH.exists():
         stored = json.loads(PATH.read_text(encoding="utf-8"))["values"]
-        for name, move in largest_moves(stored, values).items():
+        moves = largest_moves(stored, values)
+        for name, move in moves.items():
             print(f"{name}: largest relative move {move:.3g}")
+    elif args.check:
+        print(f"no stored values at {PATH}")
+        return 1
+    if args.check:
+        over = [name for name, move in moves.items() if move > TOLERANCES[name]]
+        for name in over:
+            print(f"{name}: move exceeds its tolerance {TOLERANCES[name]:.3g}")
+        return 1 if over else 0
     PATH.write_text(json.dumps({"tolerances": TOLERANCES, "values": values}) + "\n", encoding="utf-8")
     print(f"wrote {sum(map(len, values.values()))} values to {PATH}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

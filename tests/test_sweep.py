@@ -1,4 +1,6 @@
+import gc
 import io
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -279,6 +281,44 @@ def test_run_sweeps_batches_by_method_and_mc_settings():
 
 def test_run_sweeps_of_nothing():
     assert run_sweeps([]) == []
+
+
+def test_results_compare_by_value():
+    # two runs of one spec are equal, confidence intervals and their absence
+    # (NaN in the column) included; another seed or spec is not
+    mc = McSettings(n_samples=1024, seed=4)
+    spec = _spec(schemes=(Scheme.SS, Scheme.OS), methods=(EvalMethod.ANALYTIC, EvalMethod.MC), mc=mc)
+    assert run_sweep(spec) == run_sweep(spec)
+    assert run_sweep(spec) != run_sweep(replace(spec, mc=McSettings(n_samples=1024, seed=5)))
+    assert run_sweep(spec) != run_sweep(replace(spec, methods=(EvalMethod.QUADRATURE, EvalMethod.MC)))
+    assert run_sweep(_spec()) != run_sweep(_spec(snr_db_stop=5.0))
+    methods = (EvalMethod.ANALYTIC, EvalMethod.ASYMPTOTIC, EvalMethod.QUADRATURE)
+    assert run_figure("fig2", methods=methods) == run_figure("fig2", methods=methods)
+
+
+def test_held_figure_result_keeps_few_bytes_per_row():
+    # a held result keeps its cells as columns: about 26 bytes of values and
+    # codes per row, plus the arrays' headers; rows are rebuilt on each access
+    methods = (EvalMethod.ANALYTIC, EvalMethod.ASYMPTOTIC, EvalMethod.QUADRATURE)
+    run_figure("fig2", methods=methods)  # fill the caches the measured run reads
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run_figure("fig2", methods=methods)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    n_rows = sum(len(sweep.rows) for _, sweep in result.per_variant)
+    assert n_rows == 4 * 26 * 2 * 3
+    assert held <= 48 * n_rows, held / n_rows
+    for _, sweep in result.per_variant:
+        assert sweep.rows is not sweep.rows
+        assert sweep.rows == sweep.rows
 
 
 def _recording_routes(monkeypatch) -> list:
