@@ -177,12 +177,12 @@ def _series_points(snr_db: list[float], sop: list[float], ci_half_width: list[fl
 
 
 def _grouped_series(cfg: SystemConfig, result: SweepResult, prefix: str) -> list[dict]:
-    """One series per (scheme, scenario, method) in order of first appearance: rows in
-    the sweep contract's order give the series sorted and their points by ascending SNR."""
+    """One series per column of the table, in the sweep contract's case order, its points by ascending SNR."""
     series = []
-    for code in dict.fromkeys(result.case.tolist()):
-        scheme, scenario, method = result.cases[code]
-        selected = result.case == code
+    snr_db = result.snr_db.tolist()
+    for (scheme, scenario, method), sop, ci_half_width in zip(
+        result.cases, result.sop.T.tolist(), result.ci_half_width.T.tolist()
+    ):
         label = f"{scheme.value}/{scenario.value} [{method.value}]"
         series.append(
             {
@@ -194,10 +194,7 @@ def _grouped_series(cfg: SystemConfig, result: SweepResult, prefix: str) -> list
                     "K": cfg.K, "zeta": cfg.zeta, "rth": cfg.r_th,
                     "M": cfg.M, "N": cfg.N, "a": cfg.a, "b": cfg.b,
                 },
-                "points": _series_points(
-                    result.snr_db[selected].tolist(), result.sop[selected].tolist(),
-                    result.ci_half_width[selected].tolist(),
-                ),
+                "points": _series_points(snr_db, sop, ci_half_width),
             }
         )
     return series

@@ -15,7 +15,6 @@ import io
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +105,9 @@ class SweepSpec:
             raise ValueError(f"snr_db_start {self.snr_db_start!r} dB is 0 on the linear scale")
         if _steps(self) >= MAX_SNR_POINTS:  # a float, so a huge or infinite count compares too
             raise ValueError(f"SNR start, stop and step {grid!r} give more than {MAX_SNR_POINTS} points")
+        points = snr_grid(self)  # never decreasing, so a repeated point is a neighbour's
+        if len(set(points)) < len(points):
+            raise ValueError(f"SNR step {self.snr_db_step!r} is below the float spacing: the grid repeats points")
         for name, enum in (("schemes", Scheme), ("scenarios", Scenario), ("methods", EvalMethod)):
             members = tuple(map(enum, getattr(self, name)))
             if not members or len(set(members)) < len(members):
@@ -156,51 +158,51 @@ def evaluate_cell(
 # Every enum member's string, read by the CSV writer instead of ``Enum.value``.
 _NAMES = {member: member.value for enum in (Scheme, Scenario, EvalMethod) for member in enum}
 
-# A row's flag is stored as its index here.
+# A cell's flag is stored as its index here.
 _FLAGS = ("", FLAG_SIGNIFICANCE, FLAG_LOW_CONFIDENCE)
 _FLAG_CODES = {flag: code for code, flag in enumerate(_FLAGS)}
 
 
 @dataclass(eq=False, slots=True)
 class SweepResult:
-    """A sweep's cells as columns, one entry per row in the CSV contract's order.
+    """A sweep's cells as a table: one row per SNR grid point, one column per case.
 
-    ``snr_db``, ``sop`` and ``ci_half_width`` are float64 arrays, the last
-    NaN where a row has no confidence interval.  ``case`` holds each row's
-    index into ``cases``, its (scheme, scenario, method), and ``flag`` its
+    ``snr_db`` is the grid and ``cases`` the (scheme, scenario, method)
+    columns, sorted by their strings, so the table read point by point, then
+    column by column, is the CSV contract's row order.  ``sop`` and
+    ``ci_half_width`` are (points, cases) float64 arrays, the latter NaN
+    where a cell has no confidence interval, and ``flag`` holds each cell's
     index into the flag strings ("", significance loss, low confidence).
     ``rows`` is a view: a new ``SweepRow`` list on each access, never kept.
     Two results are equal when their rows and ``mc`` are.
     """
 
     snr_db: np.ndarray
+    cases: tuple[tuple[Scheme, Scenario, EvalMethod], ...]
     sop: np.ndarray
     ci_half_width: np.ndarray
-    cases: tuple[tuple[Scheme, Scenario, EvalMethod], ...]
-    case: np.ndarray
     flag: np.ndarray
     mc: McSettings | None = None
 
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return self.snr_db, self.case, self.sop, self.ci_half_width, self.flag
-
-    def _lists(self) -> list[list]:
-        """The columns as lists of Python numbers: snr_db, case, sop, ci_half_width, flag."""
-        return [column.tolist() for column in self._columns()]
+    def _points(self):
+        """Per grid point, as Python numbers: its snr_db and its lists of sop, ci_half_width and flag."""
+        return zip(self.snr_db.tolist(), self.sop.tolist(), self.ci_half_width.tolist(), self.flag.tolist())
 
     @property
     def rows(self) -> list[SweepRow]:
-        """A new ``SweepRow`` list built from the columns; ``None`` where a row has no CI."""
+        """A new ``SweepRow`` list built from the table; ``None`` where a cell has no CI."""
         return [
-            SweepRow(snr_db, *self.cases[case], sop, None if math.isnan(ci) else ci, _FLAGS[flag])
-            for snr_db, case, sop, ci, flag in zip(*self._lists())
+            SweepRow(snr_db, *case, sop, None if math.isnan(ci) else ci, _FLAGS[flag])
+            for snr_db, sops, cis, flags in self._points()
+            for case, sop, ci, flag in zip(self.cases, sops, cis, flags)
         ]
 
     def __eq__(self, other):
         if not isinstance(other, SweepResult):
             return NotImplemented
         return (self.mc, self.cases) == (other.mc, other.cases) and all(
-            np.array_equal(mine, theirs, equal_nan=True) for mine, theirs in zip(self._columns(), other._columns())
+            np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
+            for name in ("snr_db", "sop", "ci_half_width", "flag")
         )
 
 
@@ -210,49 +212,49 @@ def run_sweeps(specs) -> list[SweepResult]:
     ``_ROUTES`` maps each method to its route's batch entry.  The cells of
     all the specs that share a (method, ``spec.mc``) pair go to that entry
     in one call, so a figure job, whose specs share one ``McSettings``,
-    refines all its quadrature rows in one stack; Monte Carlo's entry runs
-    its cells one at a time, spec by spec in row order.  The queries of one
+    refines all its quadrature cells in one stack.  Each spec adds its
+    cells to the batches in row order, grid point by grid point and column
+    by column, so Monte Carlo's entry, which runs its cells one at a time,
+    runs them spec by spec in row order.  The queries of one
     (configuration, scheme, scenario) are one ``SopQuery``, shared by its
-    methods.  Each spec's values go straight into its result's columns.
-    Every result equals its spec's own ``run_sweep``.
+    methods.  A method's values fill its columns of the table in one
+    assignment.  Every result equals its spec's own ``run_sweep``.
     """
     specs = list(specs)
-    # per spec: its cases sorted by their strings, and its cells in row order
-    # as (snr_db, case code, query, method)
-    tables = []
+    tables = []  # per spec: its grid, its sorted cases and each method's first index in its batch
     batches: dict[tuple[EvalMethod, McSettings], list[SopQuery]] = {}
     for spec in specs:
-        cases = sorted(
+        grid = snr_grid(spec)
+        cases = tuple(sorted(
             product(spec.schemes, spec.scenarios, spec.methods), key=lambda case: [_NAMES[m] for m in case]
-        )
-        coded = [
-            (scheme, scenario, [(method, cases.index((scheme, scenario, method))) for method in spec.methods])
-            for scheme in spec.schemes
-            for scenario in spec.scenarios
-        ]
-        cells = []
-        for snr_db in snr_grid(spec):
-            cfg = _at_snr(spec.base, db_to_linear(snr_db))  # the base is validated; only snr is new
-            for scheme, scenario, coded_methods in coded:
-                query = SopQuery(cfg, scheme, scenario)
-                cells += [(snr_db, code, query, method) for method, code in coded_methods]
-        cells.sort(key=itemgetter(0, 1))  # codes follow the strings' order
+        ))
         queries = {method: batches.setdefault((method, spec.mc), []) for method in spec.methods}
-        for _, _, query, method in cells:
-            queries[method].append(query)
-        tables.append((tuple(cases), cells))
-    evaluated = {(method, mc): iter(_ROUTES[method](queries, mc)) for (method, mc), queries in batches.items()}
+        starts = {method: len(batch) for method, batch in queries.items()}
+        for snr_db in grid:
+            cfg = _at_snr(spec.base, db_to_linear(snr_db))  # the base is validated; only snr is new
+            shared = {pair: SopQuery(cfg, *pair) for pair in product(spec.schemes, spec.scenarios)}
+            for scheme, scenario, method in cases:
+                queries[method].append(shared[scheme, scenario])
+        tables.append((grid, cases, starts))
+    evaluated = {(method, mc): _ROUTES[method](queries, mc) for (method, mc), queries in batches.items()}
     results = []
-    for spec, (cases, cells) in zip(specs, tables):
-        batch = {method: evaluated[method, spec.mc] for method in spec.methods}
-        sops, cis, flags = zip(*(next(batch[method]) for _, _, _, method in cells))
+    for spec, (grid, cases, starts) in zip(specs, tables):
+        shape = (len(grid), len(cases))
+        sop, ci_half_width = np.empty(shape), np.empty(shape)
+        flag = np.empty(shape, dtype=np.uint8)
+        for method, start in starts.items():
+            columns = [j for j, case in enumerate(cases) if case[2] is method]
+            cells = evaluated[method, spec.mc][start:start + len(grid) * len(columns)]
+            sops, cis, flags = zip(*cells)
+            cis = [math.nan if ci is None else ci for ci in cis]
+            for table, values in ((sop, sops), (ci_half_width, cis), (flag, map(_FLAG_CODES.get, flags))):
+                table[:, columns] = np.reshape(list(values), (len(grid), len(columns)))
         results.append(SweepResult(
-            snr_db=np.array([cell[0] for cell in cells], dtype=np.float64),
-            sop=np.array(sops, dtype=np.float64),
-            ci_half_width=np.array([math.nan if ci is None else ci for ci in cis], dtype=np.float64),
+            snr_db=np.array(grid, dtype=np.float64),
             cases=cases,
-            case=np.array([cell[1] for cell in cells], dtype=np.uint8),
-            flag=np.array([_FLAG_CODES[flag] for flag in flags], dtype=np.uint8),
+            sop=sop,
+            ci_half_width=ci_half_width,
+            flag=flag,
             mc=spec.mc if EvalMethod.MC in spec.methods else None,
         ))
     return results
@@ -270,13 +272,13 @@ def _format_float(x: float) -> str:
 def _write_csv(target, header, parts, mc: McSettings | None) -> None:
     """Write (SweepResult, suffix) parts under ``header`` to a path or text file.
 
-    The rows are read from each result's columns, in order.  Each row is
-    written as one joined line: the seven sweep columns, then ``suffix``,
-    the extra columns of its part with their leading commas ("" for none);
-    ``mc`` goes in the trailing comment.  No field can hold a comma, a
-    quote or a line break, so none is ever quoted and the bytes are those
-    ``csv.writer`` would write.  Rows of one grid point share their snr
-    value, so its text is formatted once per point.
+    The rows are read from each result's table, point by point and column
+    by column.  Each row is written as one joined line: the seven sweep
+    columns, then ``suffix``, the extra columns of its part with their
+    leading commas ("" for none); ``mc`` goes in the trailing comment.  No
+    field can hold a comma, a quote or a line break, so none is ever quoted
+    and the bytes are those ``csv.writer`` would write.  A grid point's snr
+    text is formatted once, for all its rows.
     """
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8", newline="") as handle:
@@ -286,12 +288,11 @@ def _write_csv(target, header, parts, mc: McSettings | None) -> None:
     for result, suffix in parts:
         cases = [",".join(_NAMES[member] for member in case) for case in result.cases]
         endings = [f"{flag}{suffix}\n" for flag in _FLAGS]
-        snr_db = snr_text = None
-        for snr, case, sop, ci, flag in zip(*result._lists()):
-            if snr != snr_db:
-                snr_db, snr_text = snr, _format_float(snr)
-            ci_text = "" if math.isnan(ci) else _format_float(ci)
-            target.write(f"{snr_text},{cases[case]},{_format_float(sop)},{ci_text},{endings[flag]}")
+        for snr_db, sops, cis, flags in result._points():
+            snr_text = _format_float(snr_db)
+            for case, sop, ci, flag in zip(cases, sops, cis, flags):
+                ci_text = "" if math.isnan(ci) else _format_float(ci)
+                target.write(f"{snr_text},{case},{_format_float(sop)},{ci_text},{endings[flag]}")
     if mc is not None:
         target.write(
             f"# mc seed={mc.seed} samples={mc.n_samples} "

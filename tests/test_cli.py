@@ -106,6 +106,14 @@ def test_sweep_non_finite_grid_is_usage_error(stop, step, capsys):
     assert err.startswith("error:") and "finite" in err
 
 
+def test_sweep_repeated_grid_point_is_usage_error(capsys):
+    # a step below the float spacing would write repeated rows
+    assert main(["sweep", *BASE_ARGS, "--snr-start", "3000", "--snr-stop", "3000.00000000001",
+                 "--snr-step", "1e-13", "--method", "asymptotic"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "repeats points" in err
+
+
 def test_sweep_huge_grid_is_usage_error(capsys):
     # the stop has no linear ratio, so the spec fails before building 1e10 points
     assert main(["sweep", *BASE_ARGS, "--snr-start", "0", "--snr-stop", "1e10",

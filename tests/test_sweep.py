@@ -111,6 +111,11 @@ def test_spec_validation():
     assert len(snr_grid(_spec(snr_db_stop=99_999.0 / 1024, snr_db_step=1.0 / 1024))) == MAX_SNR_POINTS
     with pytest.raises(ValueError, match="100000 points"):
         _spec(snr_db_stop=100_000.0 / 1024, snr_db_step=1.0 / 1024)
+    # a step below the float spacing of the SNR values repeats grid points:
+    # 101 points, 23 of them distinct
+    with pytest.raises(ValueError, match="repeats points"):
+        _spec(snr_db_start=3000.0, snr_db_stop=3000.0 + 1e-11, snr_db_step=1e-13,
+              methods=(EvalMethod.ASYMPTOTIC,))
 
 
 def test_rows_are_lexicographically_sorted():
@@ -119,9 +124,15 @@ def test_rows_are_lexicographically_sorted():
         scenarios=(Scenario.KU, Scenario.KA),
         methods=(EvalMethod.ANALYTIC, EvalMethod.QUADRATURE),
     )
-    rows = run_sweep(spec).rows
+    result = run_sweep(spec)
+    # a table of grid points by cases, the cases sorted by their strings
+    assert result.sop.shape == result.ci_half_width.shape == result.flag.shape == (len(snr_grid(spec)), 8)
+    assert len(result.cases) == 8
+    names = [[member.value for member in case] for case in result.cases]
+    assert names == sorted(names)
+    rows = result.rows
     keys = [(r.snr_db, r.scheme.value, r.scenario.value, r.method.value) for r in rows]
-    assert keys == sorted(keys)
+    assert all(key < after for key, after in zip(keys, keys[1:]))
     assert len(rows) == 3 * 2 * 2 * 2
 
 
@@ -297,8 +308,9 @@ def test_results_compare_by_value():
 
 
 def test_held_figure_result_keeps_few_bytes_per_row():
-    # a held result keeps its cells as columns: about 26 bytes of values and
-    # codes per row, plus the arrays' headers; rows are rebuilt on each access
+    # a held result keeps its cells as a table: 17 bytes of values and codes
+    # per row, plus the grid and the arrays' headers; rows are rebuilt on
+    # each access
     methods = (EvalMethod.ANALYTIC, EvalMethod.ASYMPTOTIC, EvalMethod.QUADRATURE)
     run_figure("fig2", methods=methods)  # fill the caches the measured run reads
     gc.collect()
@@ -315,7 +327,7 @@ def test_held_figure_result_keeps_few_bytes_per_row():
             tracemalloc.stop()
     n_rows = sum(len(sweep.rows) for _, sweep in result.per_variant)
     assert n_rows == 4 * 26 * 2 * 3
-    assert held <= 48 * n_rows, held / n_rows
+    assert held <= 32 * n_rows, held / n_rows
     for _, sweep in result.per_variant:
         assert sweep.rows is not sweep.rows
         assert sweep.rows == sweep.rows
