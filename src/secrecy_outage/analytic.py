@@ -13,11 +13,12 @@ k off the cached coefficient table of (sum_{m<M} x^m / m!)^k
 the eavesdropper density.  One kernel per route serves every case: the
 exact series and its high-SNR floor, each behind one batch entry
 (``analytic_sops``, ``asymptotic_sops``) whose one-query call is the
-lone entry (``analytic_sop``, ``asymptotic_sop``).  A batch evaluates the
-exact series once per group of queries that differ only in snr, as one
-tensor over the group's SNR points, and the snr-free floor once per group.
-One case rule (``case_sop``) composes the four (scheme, scenario) cases
-from either kernel, or from quadrature's integral.
+lone entry (``analytic_sop``, ``asymptotic_sop``).  A batch is planned
+once (``CasePlan``), so each distinct inner quantity is evaluated once: the
+exact series once per group of keys that differ only in snr, as one tensor
+over the group's SNR points, and the snr-free floor once per group.  One
+case rule (``case_sop``) composes the four (scheme, scenario) cases from
+either kernel, or from quadrature's integral, once per query.
 Every per-term product is assembled in log space, its factorials read from
 the exact log-factorial table (``numerics.log_factorials``), and
 exponentiated once; only the top-level
@@ -41,14 +42,17 @@ from .numerics import log_factorials, log_power_coefficients, significance_lost
 
 __all__ = [
     "CASES",
+    "CasePlan",
     "EvalMethod",
     "NumericalIntegrityError",
     "Scenario",
     "Scheme",
     "SopQuery",
     "SopValue",
+    "analytic_inner",
     "analytic_sop",
     "analytic_sops",
+    "asymptotic_inner",
     "asymptotic_sop",
     "asymptotic_sops",
     "case_sop",
@@ -132,13 +136,55 @@ def _integrity_error(raw: float, method: EvalMethod) -> NumericalIntegrityError:
     )
 
 
-def case_sop(queries, inner, method: EvalMethod) -> list[SopValue]:
-    """The case rule: every query's (scheme, scenario) outage from its inner quantity, in input order.
+class CasePlan:
+    """A batch's case rule, planned once: each cell's distinct inner key and its outer step.
 
-    ``inner(keys)`` takes the (query, L, w) keys that this rule builds and
-    returns one (raw, flag) per key: x = E_y[((1 - w) + w F_d(lambda(y)))^L]
-    with lambda(y) = (1 + y) rho - 1, and whether its series lost
-    significance.  Per case:
+    ``cells`` are (cfg, scheme, scenario) triples with the enums, as in a
+    ``SopQuery``.  ``keys`` lists the distinct inner keys (M, N, a, b, rho,
+    snr, L, w) in order of first use, where (L, w) is the cell's column of
+    ``case_sop``'s table; ``first`` holds, per key, the position of the
+    first cell that reads it.  ``rows`` holds, per cell, (the index of its
+    key, the outer power K under best-ratio selection or 0, zeta under
+    blind selection or None); a cell over dead backhaul (zeta = 0) reads
+    no key and has index -1.  Cells that differ only where the inner
+    quantity does not look (K and scheme under best-ratio selection, zeta
+    under blind selection, the scenario at zeta = 1) share a key.
+    """
+
+    __slots__ = ("cells", "keys", "first", "rows")
+
+    def __init__(self, cells):
+        cells, keys, first, rows = list(cells), [], [], []
+        self.cells, self.keys, self.first, self.rows = cells, keys, first, rows
+        index: dict[tuple, int] = {}
+        ss, ku, dead = Scheme.SS, Scenario.KU, (-1, 0, None)
+        last = None
+        for position, (cfg, scheme, scenario) in enumerate(cells):
+            if cfg is not last:  # a grid point's cells share its config
+                last, K, zeta = cfg, cfg.K, cfg.zeta
+                head = (cfg.M, cfg.N, cfg.a, cfg.b, cfg.rho, cfg.snr)
+            if not zeta > 0.0:
+                rows.append(dead)
+                continue
+            key = (*head, K if scheme is ss else 1, 1.0 if scenario is ku else zeta)
+            at = index.setdefault(key, len(keys))
+            if at == len(keys):
+                keys.append(key)
+                first.append(position)
+            rows.append((at, 0 if scheme is ss else K, zeta if scenario is ku else None))
+
+    @classmethod
+    def of(cls, queries) -> "CasePlan":
+        """The plan of a list of ``SopQuery``."""
+        return cls([(query.cfg, query.scheme, query.scenario) for query in queries])
+
+
+def case_sop(plan: CasePlan, inner, method: EvalMethod) -> tuple[list[float], list[bool], list[float]]:
+    """The case rule: every cell's (scheme, scenario) outage from its inner quantity, in cell order.
+
+    ``inner(plan)`` returns (raws, flags), one per distinct key of the
+    plan: x = E_y[((1 - w) + w F_d(lambda(y)))^L] with lambda(y) = (1 + y)
+    rho - 1, and whether its series lost significance.  Per case:
 
         case   (L, w)     outage                 because
         ss/ku  (K, 1)     (1 - zeta) + zeta x    the strongest link may turn out silenced
@@ -150,49 +196,48 @@ def case_sop(queries, inner, method: EvalMethod) -> list[SopValue]:
         os/ka  (1, zeta)  x^K                    each link is silenced or fails secrecy on
                                                  its own; all-silenced gives (1 - zeta)^K
 
-    Every unflagged inner value passes the integrity check before it is
-    composed, and the composed outage passes it again.  Strongest-destination
-    selection powers the CDF inside the eavesdropper integral and composes
-    from the unclamped x; best-ratio selection powers the clamped single-link
-    value outside it, with Python's float power (``np.power`` can differ
-    from it by an ulp).  Dead backhaul (zeta = 0) silences every
-    link: an outage in every case; such queries get no key, and a batch of
-    them only never calls ``inner``.
-    At K = 1 and zeta = 1 every case returns the single-transmitter outage x
-    itself.  The batch composes, checks and clamps each query in one pass
-    over plain floats, so a lone query pays no array set-up; an unflagged
+    The plan is built once per batch, so each distinct inner quantity is
+    evaluated once however many cells read it, and this composition runs
+    once per cell.  Every unflagged inner value passes the integrity check
+    before it is composed, and every composed outage passes it again.
+    Strongest-destination selection powers the CDF inside the eavesdropper
+    integral and composes from the unclamped x; best-ratio selection powers
+    the clamped single-link value outside it, with Python's float power
+    (``np.power`` can differ from it by an ulp).  Dead backhaul (zeta = 0)
+    silences every link: an outage in every case, with no key, and a plan
+    without keys never calls ``inner``.  At K = 1 and zeta = 1 every case
+    returns the single-transmitter outage x itself.  The composition is one
+    pass over plain floats, so a lone cell pays no array set-up, and a
+    batch's values equal its cells' lone calls bit for bit.  An unflagged
     NaN or out-of-band value anywhere in the batch raises
     ``NumericalIntegrityError``, named by ``method``, a route or its string.
+    Returns the clamped outages, their flags and the unclamped outages, per
+    cell.
     """
-    queries, method = list(queries), EvalMethod(method)
-    keys = [
-        (query, query.cfg.K if query.scheme is Scheme.SS else 1,
-         query.cfg.zeta if query.scenario is Scenario.KA else 1.0)
-        for query in queries
-        if query.cfg.zeta > 0.0
-    ]
-    live, dead = iter(inner(keys) if keys else ()), SopValue(1.0, method, False, 1.0)
+    method = EvalMethod(method)
+    raws, flags = inner(plan) if plan.keys else ((), ())
     low, high = -INTEGRITY_BAND, 1.0 + INTEGRITY_BAND
-    out = []
-    for query in queries:
-        cfg = query.cfg
-        zeta = cfg.zeta
-        if not zeta > 0.0:
-            out.append(dead)
-            continue
-        raw, flag = next(live)
-        # the inner value is checked before composing: a blind-selection mix
-        # (1 - zeta) + zeta x can land in band from an x far outside it
+    # the inner value is checked before composing: a blind-selection mix
+    # (1 - zeta) + zeta x can land in band from an x far outside it
+    for raw, flag in zip(raws, flags):
         if not (flag or low <= raw <= high):
             raise _integrity_error(raw, method)
-        if query.scheme is Scheme.OS:
-            raw = (0.0 if raw < 0.0 else 1.0 if raw > 1.0 else raw) ** cfg.K
-        if query.scenario is Scenario.KU:
-            raw = (1.0 - zeta) + zeta * raw
-        if not (flag or low <= raw <= high):
-            raise _integrity_error(raw, method)
-        out.append(SopValue(0.0 if raw < 0.0 else 1.0 if raw > 1.0 else raw, method, flag, raw))
-    return out
+    values, cell_flags, cell_raws = [], [], []
+    for at, power, zeta in plan.rows:
+        if at < 0:
+            raw, flag = 1.0, False
+        else:
+            raw, flag = raws[at], flags[at]
+            if power:
+                raw = (0.0 if raw < 0.0 else 1.0 if raw > 1.0 else raw) ** power
+            if zeta is not None:
+                raw = (1.0 - zeta) + zeta * raw
+            if not (flag or low <= raw <= high):
+                raise _integrity_error(raw, method)
+        values.append(0.0 if raw < 0.0 else 1.0 if raw > 1.0 else raw)
+        cell_flags.append(flag)
+        cell_raws.append(raw)
+    return values, cell_flags, cell_raws
 
 
 def _alternating_series(K, weight, magnitudes):
@@ -310,27 +355,23 @@ def _selection_floor_series(M: int, N: int, a: float, b: float, rho: float, K: i
 # public closed forms and high-SNR floors
 # ---------------------------------------------------------------------------
 
-def _closed_form_sops(queries, group_values, method: EvalMethod) -> list[SopValue]:
-    """Compose every query from inner values evaluated one group at a time.
+def _grouped_inner(plan: CasePlan, group_values) -> tuple[list[float], list[bool]]:
+    """(raws, flags) of every distinct key of ``plan``, evaluated one group at a time.
 
-    Queries whose inner quantities share everything but snr, (M, N, a, b,
-    rho, L, w), form a group; ``group_values(M, N, a, b, rho, L, w, snrs)``
-    returns one (raw, flag) per distinct snr of the group.  Dead backhaul
-    evaluates nothing.
+    Keys that differ only in snr, sharing (M, N, a, b, rho, L, w), form a
+    group; ``group_values(M, N, a, b, rho, L, w, snrs)`` returns one
+    (raw, flag) per snr of the group, and the snrs of a group are distinct.
     """
-
-    def inner(keys):
-        groups: dict[tuple, tuple[dict[float, int], list]] = {}
-        slots = []  # per key: its group's values and its snr's position in them
-        for query, power, weight in keys:
-            cfg = query.cfg
-            snrs, values = groups.setdefault((cfg.M, cfg.N, cfg.a, cfg.b, cfg.rho, power, weight), ({}, []))
-            slots.append((values, snrs.setdefault(cfg.snr, len(snrs))))
-        for key, (snrs, values) in groups.items():
-            values += group_values(*key, list(snrs))
-        return [values[at] for values, at in slots]
-
-    return case_sop(queries, inner, method)
+    groups: dict[tuple, tuple[list[int], list[float]]] = {}
+    for at, (M, N, a, b, rho, snr, power, weight) in enumerate(plan.keys):
+        ats, snrs = groups.setdefault((M, N, a, b, rho, power, weight), ([], []))
+        ats.append(at)
+        snrs.append(snr)
+    raws, flags = [0.0] * len(plan.keys), [False] * len(plan.keys)
+    for group, (ats, snrs) in groups.items():
+        for at, (raw, flag) in zip(ats, group_values(*group, snrs)):
+            raws[at], flags[at] = raw, flag
+    return raws, flags
 
 
 def _floor_values(M, N, a, b, rho, K, weight, snrs):
@@ -338,19 +379,35 @@ def _floor_values(M, N, a, b, rho, K, weight, snrs):
     return [_selection_floor_series(M, N, a, b, rho, K, weight)] * len(snrs)
 
 
+def analytic_inner(plan: CasePlan) -> tuple[list[float], list[bool]]:
+    """The exact series of every distinct key of ``plan``: one tensor per group over its SNR points."""
+    return _grouped_inner(plan, _selection_series)
+
+
+def asymptotic_inner(plan: CasePlan) -> tuple[list[float], list[bool]]:
+    """The high-SNR floor series of every distinct key of ``plan``: one floor per group."""
+    return _grouped_inner(plan, _floor_values)
+
+
+def _sop_values(queries, inner, method: EvalMethod) -> list[SopValue]:
+    """One ``SopValue`` per query: the case rule over one plan of the batch."""
+    values, flags, raws = case_sop(CasePlan.of(queries), inner, method)
+    return [SopValue(value, method, flag, raw) for value, flag, raw in zip(values, flags, raws)]
+
+
 def analytic_sops(queries) -> list[SopValue]:
     """Exact outage probabilities of many queries, in input order.
 
-    The queries of one (M, N, a, b, rho, L, w) group share one series
-    evaluation over their SNR points; every value equals that query's
-    ``analytic_sop``.
+    Each distinct inner quantity is evaluated once, and the queries of one
+    (M, N, a, b, rho, L, w) group share one series evaluation over their
+    SNR points; every value equals that query's ``analytic_sop``.
     """
-    return _closed_form_sops(queries, _selection_series, EvalMethod.ANALYTIC)
+    return _sop_values(queries, analytic_inner, EvalMethod.ANALYTIC)
 
 
 def asymptotic_sops(queries) -> list[SopValue]:
     """High-SNR outage floors of many queries, in input order; one floor series per group."""
-    return _closed_form_sops(queries, _floor_values, EvalMethod.ASYMPTOTIC)
+    return _sop_values(queries, asymptotic_inner, EvalMethod.ASYMPTOTIC)
 
 
 def analytic_sop(query: SopQuery) -> SopValue:

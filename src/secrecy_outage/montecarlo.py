@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -264,9 +262,17 @@ def simulate_sop(query: SopQuery, mc: McSettings = McSettings(), workers: int = 
     if workers == 1:
         counts = run(chunks)
     else:
+        # imported here: the thread pool (with the logging and queue it
+        # imports) costs start-up time that a single worker never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             groups = pool.map(run, [chunks[w::workers] for w in range(workers)])
             counts = [c for group in groups for c in group]
+
+    # imported here, as statistics imports fractions and decimal: start-up
+    # time that only a simulation needs
+    from statistics import NormalDist
 
     outage_count = sum(c[0] for c in counts)
     empty_count = sum(c[1] for c in counts)

@@ -16,9 +16,10 @@ integrator is adaptive interval halving with an embedded higher-order rule
 (15-point Kronrod extension of 7-point Gauss), refined a level at a time:
 every panel above its share of the tolerance is halved, all in one
 vectorised call, until the global estimate meets tolerance.  Many integrals
-refine as rows of one stack (``quadrature_sops``): each row keeps its own
-budget and panels, leaves when it converges, and every level evaluates the
-panels of all remaining rows together.  A level calls the destination CDF
+refine as rows of one stack (``quadrature_sops``), one row per distinct
+inner quantity of the batch: each row keeps its own budget and panels,
+leaves when it converges, and every level evaluates the panels of all
+remaining rows together.  A level calls the destination CDF
 once per M, on the distinct (a_d, a_e, rho, node) points of its rows, and
 the eavesdropper density once per N, on its rows' distinct panels; rows
 that differ only in the case rule's (L, w) share those values, and each row
@@ -34,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analytic import EvalMethod, SopQuery, case_sop
+from .analytic import CasePlan, EvalMethod, SopQuery, case_sop
 from .channel import GammaSnr, snr_cdf, snr_pdf
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "QuadratureConvergenceError",
     "adaptive_integral",
     "build_integrand",
+    "quadrature_inner",
     "quadrature_sop",
     "quadrature_sops",
 ]
@@ -259,33 +261,34 @@ def _members(of: np.ndarray, rows: np.ndarray, value: int, count: int):
     return (of[rows] == value).nonzero()[0] if count > 1 else slice(None)
 
 
-def _boundary_expectations(keys: list) -> list[float]:
-    """E_y[((1 - w) + w P(M, lambda(y) / a_d))^L] of every (query, L, w) key, as one row-stacked integral.
+def _boundary_expectations(plan: CasePlan) -> list[float]:
+    """E_y[((1 - w) + w P(M, lambda(y) / a_d))^L] of every distinct key of ``plan``, as one row-stacked integral.
 
-    Row r substitutes y = a_e t / (1 - t) with its own a_e, and reads the
-    boundary lambda(y) = (1 + y) rho - 1 with its own rho and a_d.  The rows
-    sharing M share one destination CDF and the rows sharing N one
-    eavesdropper density, each from ``build_integrand``, looked up at call
-    time.  Each level calls an M's CDF once, on the distinct
+    Each distinct inner key (M, N, a, b, rho, snr, L, w) is one row, however
+    many cells read it.  Row r substitutes y = a_e t / (1 - t) with its own
+    a_e = b snr, and reads the boundary lambda(y) = (1 + y) rho - 1 with its
+    own rho and a_d = a snr.  The rows sharing M share one destination CDF
+    and the rows sharing N one eavesdropper density, each from
+    ``build_integrand`` (called with the first cell of a key that brings a
+    new M or N), looked up at call time.  Each level calls an M's CDF once, on the distinct
     (a_d, a_e, rho, panel) nodes of its rows, and an N's density once, on
-    its rows' distinct panels: rows that differ only in (L, w), K or scheme
-    share a panel's law values until their refinements part.  Each row's
-    (L, w) law is applied to its gathered values with the lone call's
-    arithmetic, so every value is that of the row's ``quadrature_sop``.
+    its rows' distinct panels: rows that differ only in (L, w) share a
+    panel's law values until their refinements part.  Each row's (L, w)
+    law is applied to its gathered values with the lone call's arithmetic,
+    so every value is that of the row's ``quadrature_sop``.
     """
     cdfs: dict[int, Callable] = {}  # per M
     pdfs: dict[int, Callable] = {}  # per N
     points: dict[tuple, int] = {}  # per law point (a_d, a_e, rho): its index
     laws: dict[tuple, int] = {}  # per (L, w): its index
     of = []  # per row: its M, its N, its law point's index and its law's index
-    for query, power, weight in keys:
-        cfg = query.cfg
-        if cfg.M not in cdfs or cfg.N not in pdfs:
-            integrand = build_integrand(query)
-            cdfs.setdefault(cfg.M, integrand.destination_cdf)
-            pdfs.setdefault(cfg.N, integrand.eavesdropper_pdf)
-        point = points.setdefault((cfg.a_d, cfg.a_e, cfg.rho), len(points))
-        of.append((cfg.M, cfg.N, point, laws.setdefault((power, weight), len(laws))))
+    for (M, N, a, b, rho, snr, power, weight), first in zip(plan.keys, plan.first):
+        if M not in cdfs or N not in pdfs:
+            integrand = build_integrand(SopQuery(*plan.cells[first]))
+            cdfs.setdefault(M, integrand.destination_cdf)
+            pdfs.setdefault(N, integrand.eavesdropper_pdf)
+        point = points.setdefault((a * snr, b * snr, rho), len(points))
+        of.append((M, N, point, laws.setdefault((power, weight), len(laws))))
     m_of, n_of, point_of, law_of = np.array(of, dtype=np.intp).T
     a_d, a_e, rho = np.array(list(points)).T.copy()
 
@@ -320,26 +323,29 @@ def _boundary_expectations(keys: list) -> list[float]:
                 fx[at] = single * density[at]
         return fx
 
-    results = _stacked_integrals(evaluate, len(keys), 0.0, 1.0, ABS_TOL, REL_TOL)
+    results = _stacked_integrals(evaluate, len(plan.keys), 0.0, 1.0, ABS_TOL, REL_TOL)
     for result in results:
         if isinstance(result, QuadratureConvergenceError):
             raise result
     return results
 
 
+def quadrature_inner(plan: CasePlan) -> tuple[list[float], list[bool]]:
+    """The boundary expectation of every distinct key of ``plan``, one stacked row each; never flagged."""
+    values = _boundary_expectations(plan)
+    return values, [False] * len(values)
+
+
 def quadrature_sops(queries) -> list[float]:
     """Outage probabilities of many queries by one row-stacked quadrature.
 
-    Each query's inner quantity is one row, keyed by (query, L, w); a query
-    over dead backhaul reads none.  All rows refine together, each to
-    ``ABS_TOL`` and ``REL_TOL`` by ``adaptive_integral``'s rule, and every
-    value equals that query's ``quadrature_sop``.
+    Each distinct inner quantity (M, N, a, b, rho, snr, L, w) is one row,
+    however many queries read it; a query over dead backhaul reads none.
+    All rows refine together, each to ``ABS_TOL`` and ``REL_TOL`` by
+    ``adaptive_integral``'s rule, and every value equals that query's
+    ``quadrature_sop``.
     """
-
-    def inner(keys):
-        return [(value, False) for value in _boundary_expectations(keys)]
-
-    return [value.value for value in case_sop(queries, inner, EvalMethod.QUADRATURE)]
+    return case_sop(CasePlan.of(queries), quadrature_inner, EvalMethod.QUADRATURE)[0]
 
 
 def quadrature_sop(query: SopQuery) -> float:

@@ -10,8 +10,6 @@ reproduced exactly.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -19,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import EvalMethod, SopQuery, SopValue, Scenario, Scheme, analytic_sops, asymptotic_sops
+from .analytic import CasePlan, EvalMethod, SopQuery, Scenario, Scheme, analytic_inner, asymptotic_inner, case_sop
 from .channel import SystemConfig, _at_snr
-from .montecarlo import McSettings, SopEstimate, simulate_sop
-from .quadrature import quadrature_sops
+from .montecarlo import McSettings, simulate_sop
+from .quadrature import quadrature_inner
 
 # Bound though unused here: perfbench/child.py's traced_api rebinds these names.
 from .analytic import analytic_sop, asymptotic_sop  # noqa: F401
@@ -126,21 +124,40 @@ def snr_grid(spec: SweepSpec) -> list[float]:
     return [spec.snr_db_start + i * spec.snr_db_step for i in range(count)]
 
 
-def _closed_form_cell(value: SopValue) -> tuple[float, None, str]:
-    return value.value, None, FLAG_SIGNIFICANCE if value.significance_flag else ""
+# Every enum member's string, read by the CSV writer instead of ``Enum.value``.
+_NAMES = {member: member.value for enum in (Scheme, Scenario, EvalMethod) for member in enum}
+
+# A cell's flag is stored as its index here: a closed form's significance
+# flag is its code, and a low-confidence estimate is code 2.
+_FLAGS = ("", FLAG_SIGNIFICANCE, FLAG_LOW_CONFIDENCE)
 
 
-def _mc_cell(estimate: SopEstimate) -> tuple[float, float, str]:
-    return estimate.p_hat, estimate.ci_half_width, FLAG_LOW_CONFIDENCE if estimate.low_confidence else ""
+def _case_route(inner, method: EvalMethod):
+    """A deterministic route's cells: the case rule over ``inner``'s values of the plan's distinct keys; no CI."""
+
+    def route(plan: CasePlan, mc):
+        values, flags, _ = case_sop(plan, inner, method)
+        return values, None, flags
+
+    return route
 
 
-# Every route's batch entry, as (queries, mc) -> [(sop, ci, flags)] in query order.
-# Monte Carlo runs one simulate_sop per query: it has no batch entry yet.
+def _mc_route(plan: CasePlan, mc: McSettings):
+    """One ``simulate_sop`` per cell, in cell order: Monte Carlo has no batch entry yet."""
+    estimates = [simulate_sop(SopQuery(*cell), mc) for cell in plan.cells]
+    return (
+        [estimate.p_hat for estimate in estimates],
+        [estimate.ci_half_width for estimate in estimates],
+        [2 if estimate.low_confidence else 0 for estimate in estimates],
+    )
+
+
+# Every route's cells of one plan, as (plan, mc) -> (sops, cis or None, flag codes), in cell order.
 _ROUTES = {
-    EvalMethod.ANALYTIC: lambda queries, mc: list(map(_closed_form_cell, analytic_sops(queries))),
-    EvalMethod.ASYMPTOTIC: lambda queries, mc: list(map(_closed_form_cell, asymptotic_sops(queries))),
-    EvalMethod.QUADRATURE: lambda queries, mc: [(sop, None, "") for sop in quadrature_sops(queries)],
-    EvalMethod.MC: lambda queries, mc: [_mc_cell(simulate_sop(query, mc)) for query in queries],
+    EvalMethod.ANALYTIC: _case_route(analytic_inner, EvalMethod.ANALYTIC),
+    EvalMethod.ASYMPTOTIC: _case_route(asymptotic_inner, EvalMethod.ASYMPTOTIC),
+    EvalMethod.QUADRATURE: _case_route(quadrature_inner, EvalMethod.QUADRATURE),
+    EvalMethod.MC: _mc_route,
 }
 
 
@@ -151,16 +168,10 @@ def evaluate_cell(
     method: EvalMethod,
     mc: McSettings,
 ) -> tuple[float, float | None, str]:
-    """Evaluate one (config, case, method) cell as a batch of one; returns (sop, ci, flags)."""
-    return _ROUTES[EvalMethod(method)]([SopQuery(cfg, scheme, scenario)], mc)[0]
-
-
-# Every enum member's string, read by the CSV writer instead of ``Enum.value``.
-_NAMES = {member: member.value for enum in (Scheme, Scenario, EvalMethod) for member in enum}
-
-# A cell's flag is stored as its index here.
-_FLAGS = ("", FLAG_SIGNIFICANCE, FLAG_LOW_CONFIDENCE)
-_FLAG_CODES = {flag: code for code, flag in enumerate(_FLAGS)}
+    """Evaluate one (config, case, method) cell as a plan of one; returns (sop, ci, flags)."""
+    plan = CasePlan.of([SopQuery(cfg, scheme, scenario)])
+    (sop,), cis, (flag,) = _ROUTES[EvalMethod(method)](plan, mc)
+    return sop, None if cis is None else cis[0], _FLAGS[flag]
 
 
 @dataclass(eq=False, slots=True)
@@ -209,55 +220,64 @@ class SweepResult:
 def run_sweeps(specs) -> list[SweepResult]:
     """Evaluate every grid cell of every spec; one result per spec, in input order.
 
-    ``_ROUTES`` maps each method to its route's batch entry.  The cells of
-    all the specs that share a (method, ``spec.mc``) pair go to that entry
-    in one call, so a figure job, whose specs share one ``McSettings``,
-    refines all its quadrature cells in one stack.  Each spec adds its
-    cells to the batches in row order, grid point by grid point and column
-    by column, so Monte Carlo's entry, which runs its cells one at a time,
-    runs them spec by spec in row order.  The queries of one
-    (configuration, scheme, scenario) are one ``SopQuery``, shared by its
-    methods.  A method's values fill its columns of the table in one
-    assignment.  Every result equals its spec's own ``run_sweep``.
+    A spec's cells are its grid points crossed with its (scheme, scenario)
+    pairs, point by point, the pairs in the order of its table's columns.
+    The specs that share a method (and, for Monte Carlo, their
+    ``McSettings``) form one batch for it, and one ``CasePlan`` serves
+    every batch over the same specs: a figure job, whose specs share their
+    methods, plans its cells once, so each distinct inner quantity is
+    evaluated once per deterministic route and the case rule is applied
+    once per cell and route.  ``_ROUTES`` maps each method to its route's
+    cells; their values fill the method's columns of each spec's table in
+    one assignment.  Monte Carlo runs its cells one at a time, spec by spec
+    in row order.  Every result equals its spec's own ``run_sweep``, and
+    every value its cell's lone call, bit for bit.
     """
     specs = list(specs)
-    tables = []  # per spec: its grid, its sorted cases and each method's first index in its batch
-    batches: dict[tuple[EvalMethod, McSettings], list[SopQuery]] = {}
-    for spec in specs:
+    tables = []  # per spec: its grid, its sorted cases and its cells
+    batches: dict[tuple[EvalMethod, McSettings | None], list[int]] = {}
+    for i, spec in enumerate(specs):
         grid = snr_grid(spec)
         cases = tuple(sorted(
             product(spec.schemes, spec.scenarios, spec.methods), key=lambda case: [_NAMES[m] for m in case]
         ))
-        queries = {method: batches.setdefault((method, spec.mc), []) for method in spec.methods}
-        starts = {method: len(batch) for method, batch in queries.items()}
-        for snr_db in grid:
-            cfg = _at_snr(spec.base, db_to_linear(snr_db))  # the base is validated; only snr is new
-            shared = {pair: SopQuery(cfg, *pair) for pair in product(spec.schemes, spec.scenarios)}
-            for scheme, scenario, method in cases:
-                queries[method].append(shared[scheme, scenario])
-        tables.append((grid, cases, starts))
-    evaluated = {(method, mc): _ROUTES[method](queries, mc) for (method, mc), queries in batches.items()}
-    results = []
-    for spec, (grid, cases, starts) in zip(specs, tables):
-        shape = (len(grid), len(cases))
-        sop, ci_half_width = np.empty(shape), np.empty(shape)
-        flag = np.empty(shape, dtype=np.uint8)
-        for method, start in starts.items():
+        pairs = list(dict.fromkeys(case[:2] for case in cases))
+        # the base is validated; only snr is new
+        configs = [_at_snr(spec.base, db_to_linear(snr_db)) for snr_db in grid]
+        tables.append((grid, cases, [(cfg, *pair) for cfg in configs for pair in pairs]))
+        for method in spec.methods:
+            batches.setdefault((method, spec.mc if method is EvalMethod.MC else None), []).append(i)
+    shapes = [(len(grid), len(cases)) for grid, cases, _ in tables]
+    sops = [np.empty(shape) for shape in shapes]
+    cis = [np.full(shape, math.nan) for shape in shapes]
+    flags = [np.empty(shape, dtype=np.uint8) for shape in shapes]
+    plans: dict[tuple[int, ...], CasePlan] = {}
+    for (method, mc), members in batches.items():
+        members = tuple(members)
+        if members not in plans:
+            plans[members] = CasePlan([cell for i in members for cell in tables[i][2]])
+        values, intervals, codes = _ROUTES[method](plans[members], mc)
+        start = 0
+        for i in members:
+            grid, cases, cells = tables[i]
             columns = [j for j, case in enumerate(cases) if case[2] is method]
-            cells = evaluated[method, spec.mc][start:start + len(grid) * len(columns)]
-            sops, cis, flags = zip(*cells)
-            cis = [math.nan if ci is None else ci for ci in cis]
-            for table, values in ((sop, sops), (ci_half_width, cis), (flag, map(_FLAG_CODES.get, flags))):
-                table[:, columns] = np.reshape(list(values), (len(grid), len(columns)))
-        results.append(SweepResult(
+            shape, stop = (len(grid), len(columns)), start + len(cells)
+            sops[i][:, columns] = np.reshape(values[start:stop], shape)
+            flags[i][:, columns] = np.reshape(codes[start:stop], shape)
+            if intervals is not None:
+                cis[i][:, columns] = np.reshape(intervals[start:stop], shape)
+            start = stop
+    return [
+        SweepResult(
             snr_db=np.array(grid, dtype=np.float64),
             cases=cases,
             sop=sop,
             ci_half_width=ci_half_width,
             flag=flag,
             mc=spec.mc if EvalMethod.MC in spec.methods else None,
-        ))
-    return results
+        )
+        for spec, (grid, cases, _), sop, ci_half_width, flag in zip(specs, tables, sops, cis, flags)
+    ]
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -307,6 +327,9 @@ def write_sweep_csv(result: SweepResult, target) -> None:
 
 def read_sweep_csv(source) -> list[dict]:
     """Parse a sweep CSV back into typed dicts, skipping comment lines."""
+    import csv  # only parsing reads it; the writer joins its own lines
+    import io
+
     if isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="utf-8")
     else:

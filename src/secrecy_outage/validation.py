@@ -29,7 +29,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import ClassVar
 
 import numpy as np
@@ -303,6 +302,8 @@ def _power_table_gaps(k: int, num_parts: int, xs) -> tuple[float, float]:
     coefficient by coefficient against the exact rational power, built by
     k polynomial multiplications with the 1/m! weights as fractions.
     """
+    from fractions import Fraction  # only this check runs exact arithmetic
+
     coeffs = np.exp(log_power_coefficients(k, num_parts))
     worst_power = 0.0
     for x in xs:

@@ -19,10 +19,12 @@ from secrecy_outage import (
     analytic_sops,
     asymptotic_sop,
     asymptotic_sops,
+    quadrature_sop,
+    quadrature_sops,
     simulate_sop,
 )
 from secrecy_outage import analytic
-from secrecy_outage.analytic import EvalMethod, case_sop
+from secrecy_outage.analytic import CasePlan, EvalMethod, SopValue, case_sop
 from secrecy_outage.sweep import db_to_linear
 
 CASES = [(s, c) for s in (Scheme.SS, Scheme.OS) for c in (Scenario.KU, Scenario.KA)]
@@ -251,19 +253,45 @@ def test_query_normalises_case_names():
 
 
 def _rule_with_fake_inner(queries, xs, flags=None, method=EvalMethod.ANALYTIC):
-    """case_sop over ``queries`` with an inner quantity that records its calls.
+    """The case rule over one plan of ``queries``, with an inner quantity that records its calls.
 
     The inner quantity returns ``xs`` (and ``flags``, default unflagged) as
-    one (raw, flag) per key it is asked for; each call is recorded as the
-    list of (query, L, w) keys it was passed.
+    the (raws, flags) of the plan's distinct keys, in key order; each call
+    is recorded as the plan it was passed.  Returns every query's
+    (value, method, flag, raw) as a ``SopValue``, and the calls.
     """
     calls = []
 
-    def inner(keys):
-        calls.append(list(keys))
-        return list(zip(xs, flags if flags is not None else [False] * len(xs), strict=True))
+    def inner(plan):
+        calls.append(plan)
+        assert len(xs) == len(plan.keys)
+        return list(xs), list(flags if flags is not None else [False] * len(xs))
 
-    return case_sop(queries, inner, method), calls
+    values, value_flags, raws = case_sop(CasePlan.of(queries), inner, method)
+    assert len(values) == len(value_flags) == len(raws) == len(queries)
+    method = EvalMethod(method)
+    return [SopValue(*fields) for fields in zip(values, [method] * len(values), value_flags, raws)], calls
+
+
+def _key(query, L, w):
+    """A query's inner key for the case rule's (L, w)."""
+    cfg = query.cfg
+    return (cfg.M, cfg.N, cfg.a, cfg.b, cfg.rho, cfg.snr, L, w)
+
+
+def _case_key(query):
+    """A query's inner key by the case table: (K, 1), (K, zeta), (1, 1) or (1, zeta)."""
+    cfg = query.cfg
+    return _key(
+        query,
+        cfg.K if query.scheme is Scheme.SS else 1,
+        cfg.zeta if query.scenario is Scenario.KA else 1.0,
+    )
+
+
+def _key_index(queries) -> list[int]:
+    """Each query's position among the distinct keys of its batch; -1 over dead backhaul."""
+    return [row[0] for row in CasePlan.of(queries).rows]
 
 
 def test_case_rule_table():
@@ -279,12 +307,14 @@ def test_case_rule_table():
     for (scheme, scenario), (args, outage) in table.items():
         query = SopQuery(cfg, scheme, scenario)
         (result,), calls = _rule_with_fake_inner([query], [x])
-        assert calls == [[(query, *args)]]
+        assert [plan.keys for plan in calls] == [[_key(query, *args)]]
+        assert [row[0] for row in calls[0].rows] == [0]
         assert (result.value, result.raw_value) == (outage, outage)
         assert not result.significance_flag and result.method is EvalMethod.ANALYTIC
     queries = [SopQuery(cfg, scheme, scenario) for scheme, scenario in table]
     results, calls = _rule_with_fake_inner(queries, [x] * 4)
-    assert calls == [[(query, *args) for query, (args, _) in zip(queries, table.values())]]
+    assert [plan.keys for plan in calls] == [[_key(query, *args) for query, (args, _) in zip(queries, table.values())]]
+    assert [row[0] for row in calls[0].rows] == [0, 1, 2, 3]
     assert [r.value for r in results] == [outage for _, outage in table.values()]
     assert not any(r.significance_flag for r in results)
 
@@ -324,12 +354,13 @@ def test_batch_case_rule_rejects_one_bad_row(method, bad):
     # one unflagged NaN or out-of-band inner value anywhere in a batch raises,
     # naming the route; every other row is fine
     queries = _live_batch()
+    index = _key_index(queries)
     for at in range(len(queries)):
-        xs = [0.3] * len(queries)
-        xs[at] = bad
+        xs = [0.3] * (max(index) + 1)
+        xs[index[at]] = bad
         with pytest.raises(NumericalIntegrityError, match=method):
             _rule_with_fake_inner(queries, xs, method=method)
-    values, _ = _rule_with_fake_inner(queries, [0.3] * len(queries), method=method)
+    values, _ = _rule_with_fake_inner(queries, [0.3] * (max(index) + 1), method=method)
     assert all(0.0 <= v.value <= 1.0 and v.method == method for v in values)
 
 
@@ -338,28 +369,38 @@ def test_batch_case_rule_rejects_one_bad_row(method, bad):
 def test_blind_selection_checks_the_inner_value(method, bad):
     # under ku the mix (1 - zeta) + zeta x can land in band (x = -0.5 at
     # zeta = 0.6 gives 0.1), so the inner value itself must be checked
+    # (the first batch's two queries share their inner key; in the second a
+    # good row comes first)
     query = SopQuery(_cfg(K=3, zeta=0.6), Scheme.SS, Scenario.KU)
-    for queries in ([query], _live_batch()[:1] + [query]):
-        xs = [0.3] * (len(queries) - 1) + [bad]
+    for queries in ([query], _live_batch()[:1] + [query], _live_batch()[1:2] + [query]):
+        index = _key_index(queries)
+        xs = [0.3] * (max(index) + 1)
+        xs[index[-1]] = bad
         with pytest.raises(NumericalIntegrityError, match=method):
             _rule_with_fake_inner(queries, xs, method=method)
 
 
 def test_batch_case_rule_clamps_flagged_rows():
+    # flags and values are set per distinct inner key: query 6's key is
+    # also read by queries 2 and 7 (the os links of K=3, zeta=0.6 and of
+    # zeta = 1, where ka is ku)
     queries = _live_batch()
-    xs = [0.3] * len(queries)
-    flags = [False] * len(queries)
+    index = _key_index(queries)
+    assert index[2] == index[6] == index[7]
+    xs = [0.3] * (max(index) + 1)
+    flags = [False] * (max(index) + 1)
     for at, x in ((1, 1.5), (3, -0.5), (6, 1.0 + 1e-3), (11, -2.0)):
-        xs[at], flags[at] = x, True
+        xs[index[at]], flags[index[at]] = x, True
     values, _ = _rule_with_fake_inner(queries, xs, flags)
-    for query, value, x, flag in zip(queries, values, xs, flags):
+    for query, value, at in zip(queries, values, index):
+        x, flag = xs[at], flags[at]
         assert value.significance_flag is flag
         assert 0.0 <= value.value <= 1.0
         if flag and query.scheme is Scheme.SS and query.scenario is Scenario.KA:
             assert value.raw_value == x  # nothing composed on top of it
     # the clamped rows match their lone evaluation
-    for at in (1, 3, 6, 11):
-        (lone,), _ = _rule_with_fake_inner([queries[at]], [xs[at]], [True])
+    for at in (1, 2, 3, 6, 7, 11):
+        (lone,), _ = _rule_with_fake_inner([queries[at]], [xs[index[at]]], [True])
         assert _fields(lone) == _fields(values[at])
 
 
@@ -369,8 +410,10 @@ def test_batch_case_rule_skips_dead_backhaul():
     live = _live_batch()
     dead = [SopQuery(_cfg(K=k, zeta=0.0), scheme, scenario) for k in (1, 4) for scheme, scenario in CASES]
     queries = [q for pair in zip(live, dead + dead[:4]) for q in pair]
-    values, calls = _rule_with_fake_inner(queries, [0.3] * len(live))
-    assert len(calls) == 1 and [key[0] for key in calls[0]] == live
+    keys = list(dict.fromkeys(map(_case_key, live)))
+    values, calls = _rule_with_fake_inner(queries, [0.3] * len(keys))
+    assert len(calls) == 1 and calls[0].keys == keys
+    assert [at < 0 for at in _key_index(queries)] == [query.cfg.zeta == 0.0 for query in queries]
     for query, value in zip(queries, values):
         if query.cfg.zeta == 0.0:
             assert (value.value, value.raw_value, value.significance_flag) == (1.0, 1.0, False)
@@ -384,14 +427,16 @@ def test_best_ratio_power_is_python_float_power():
     # the best-ratio outage x^K is Python's float power bit for bit; on
     # machines whose np.power uses a SIMD pow, np.power differs from it by
     # an ulp on a few percent of these inputs
+    # (each query has its own snr, so each reads its own inner key)
     xs = np.random.default_rng(2).random(4000).tolist()
     for K in (3, 5, 8):
-        queries = [SopQuery(_cfg(K=K, zeta=1.0), Scheme.OS, Scenario.KA)] * len(xs)
+        configs = [_cfg(K=K, zeta=1.0, snr=1.0 + i) for i in range(len(xs))]
+        queries = [SopQuery(cfg, Scheme.OS, Scenario.KA) for cfg in configs]
         values, _ = _rule_with_fake_inner(queries, xs)
         assert [v.value for v in values] == [x ** K for x in xs]
         assert [v.raw_value for v in values] == [x ** K for x in xs]
         # blind selection at zeta = 1 adds an exact 0.0 to the same power
-        queries = [SopQuery(_cfg(K=K, zeta=1.0), Scheme.OS, Scenario.KU)] * len(xs)
+        queries = [SopQuery(cfg, Scheme.OS, Scenario.KU) for cfg in configs]
         values, _ = _rule_with_fake_inner(queries, xs)
         assert [v.value for v in values] == [x ** K for x in xs]
 
@@ -443,6 +488,53 @@ def test_mixed_batch_keeps_input_order(batch, lone):
     assert values[2].value == 1.0
     assert _fields(values[0]) == _fields(values[5])
     assert len({v.value for v in values}) >= 5  # distinct values, so a reordering would show
+
+
+# A mixed batch: one to three links (M, N, a, b, r_th), each query one of
+# them at its own SNR, K, zeta (dead backhaul included) and case, and a
+# second copy of every other query at the end.  Inner keys repeat across K
+# under best-ratio selection, across zeta under blind selection, across the
+# scenario at zeta = 1, and across the copies; keys of one link at several
+# SNRs form one closed-form group.
+_link = st.tuples(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.sampled_from([0.2, 0.5, 1.0]),
+    st.sampled_from([0.2, 0.5]),
+    st.sampled_from([0.0, 1.0, 2.0]),
+)
+
+
+def _mixed_query(link, snr, K, zeta, case):
+    M, N, a, b, r_th = link
+    return SopQuery(SystemConfig(K=K, zeta=zeta, r_th=r_th, snr=snr, M=M, N=N, a=a, b=b), *case)
+
+
+_mixed_batches = st.lists(_link, min_size=1, max_size=3).flatmap(
+    lambda links: st.lists(
+        st.builds(
+            _mixed_query,
+            st.sampled_from(links),
+            st.sampled_from([0.5, 10.0, 1e3]),
+            st.integers(1, 5),
+            st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+            st.sampled_from(CASES),
+        ),
+        min_size=1,
+        max_size=10,
+    ).map(lambda queries: queries + queries[::2])
+)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(queries=_mixed_batches)
+def test_mixed_batches_equal_lone_calls_bit_for_bit(queries):
+    # each route plans the batch once and evaluates each distinct inner key
+    # once; every value, in input order, is still its query's lone call
+    assert len(CasePlan.of(queries).keys) < len(queries)
+    for batch, lone in BATCH_ROUTES:
+        assert [_fields(value) for value in batch(queries)] == [_fields(lone(query)) for query in queries]
+    assert [value.hex() for value in quadrature_sops(queries)] == [quadrature_sop(query).hex() for query in queries]
 
 
 @pytest.mark.parametrize("batch", [analytic_sops, asymptotic_sops])

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import warnings
 from statistics import NormalDist
@@ -104,7 +105,7 @@ def test_workers_schedule_no_empty_group(monkeypatch, base_cfg):
             self.group_sizes = [len(group) for group in groups]
             return map(fn, groups)
 
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)  # simulate_sop imports it from there
     query = SopQuery(cfg=base_cfg, scheme=Scheme.OS, scenario=Scenario.KA)
     for workers in (2, 3, 4, 5):
         simulate_sop(query, McSettings(n_samples=70_000, seed=4), workers=workers)

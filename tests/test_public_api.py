@@ -148,26 +148,43 @@ def test_traced_benchmark_runs_and_restores(monkeypatch, tmp_path):
             assert vars(module)[name] is value, f"{module.__name__}.{name}"
 
 
-# Run in a fresh interpreter; at exit it prints every loaded scipy module.
+# Standard-library modules that only some calls need, imported where they are
+# used: the thread pool (with logging and queue) for more than one Monte Carlo
+# worker, statistics (with fractions and decimal) in simulate_sop, csv for
+# parsing a sweep CSV, and fractions in the identity check.
+LAZY_MODULES = ("concurrent.futures", "logging", "queue", "statistics", "fractions", "decimal", "csv")
+
+# Run in a fresh interpreter; at exit it prints every loaded scipy module,
+# then every loaded module of LAZY_MODULES, as its last two lines (exit
+# handlers run last registered first).
 _SCIPY_PROBE = """
 import atexit, runpy, sys
+atexit.register(lambda: print("lazy modules:", sorted(m for m in {lazy!r} if m in sys.modules)))
 atexit.register(lambda: print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 {body}
 """
 
 
-def _scipy_modules_after(body: str) -> str:
+def _probe(body: str) -> tuple[str, str]:
+    """The scipy line and the lazy-module line of the probe after ``body``."""
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE.format(body=body)], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", _SCIPY_PROBE.format(body=body, lazy=LAZY_MODULES)],
+        capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
+    scipy, lazy = proc.stdout.splitlines()[-2:]
+    return scipy, lazy
+
+
+def _scipy_modules_after(body: str) -> str:
+    return _probe(body)[0]
 
 
 def test_import_loads_no_scipy():
     # scipy is a test-only oracle; importing it would cost the package's
-    # start-up about 300 ms
-    assert _scipy_modules_after("import secrecy_outage, secrecy_outage.cli") == "scipy modules: []"
+    # start-up about 300 ms.  The lazily imported standard-library modules
+    # cost another 8-12 ms and stay unloaded too.
+    assert _probe("import secrecy_outage, secrecy_outage.cli") == ("scipy modules: []", "lazy modules: []")
 
 
 def test_cli_loads_no_scipy():

@@ -16,6 +16,7 @@ from secrecy_outage import (
     Scheme,
     SopQuery,
     SystemConfig,
+    ValidationSettings,
     adaptive_integral,
     analytic_sop,
     asymptotic_sop,
@@ -23,6 +24,7 @@ from secrecy_outage import (
     run_figure,
 )
 from secrecy_outage import quadrature
+from secrecy_outage.analytic import CasePlan
 from secrecy_outage.quadrature import _NODES, _WEIGHTS_G, _WEIGHTS_K, quadrature_sops
 from secrecy_outage.sweep import EvalMethod, SweepSpec, db_to_linear, run_sweep, snr_grid
 
@@ -272,6 +274,41 @@ def test_quadrature_reads_build_integrand_at_call_time(monkeypatch, base_cfg):
     assert len(counters) == 1 and next(iter(counters.values())).shapes
 
 
+def _counting_rows(monkeypatch) -> list[int]:
+    """Record the row count of every row-stacked quadrature."""
+    stack, rows = quadrature._stacked_integrals, []
+
+    def counting_stack(evaluate, n_rows, *args):
+        rows.append(n_rows)
+        return stack(evaluate, n_rows, *args)
+
+    monkeypatch.setattr(quadrature, "_stacked_integrals", counting_stack)
+    return rows
+
+
+def test_one_stacked_row_per_distinct_inner_key(monkeypatch):
+    # fig2/ku's 208 quadrature cells read 78 inner keys: (K, 1) at K = 2 and 5,
+    # and (1, 1), at 26 SNR points each; with ka they read 156.  The 144 cells
+    # of the validate grid read 36.  Each job is one stack, with or without
+    # the other deterministic routes, and the build_integrand installed on
+    # the module after import is the one the stack's laws come from.
+    rows = _counting_rows(monkeypatch)
+    counters = _counting_build_integrand(monkeypatch)
+    deterministic = (EvalMethod.ANALYTIC, EvalMethod.ASYMPTOTIC, EvalMethod.QUADRATURE)
+    for scenario, expected in ((Scenario.KU, 78), (Scenario.KA, 156)):
+        for methods in ((EvalMethod.QUADRATURE,), deterministic):
+            rows.clear()
+            counters.clear()
+            result = run_figure("fig2", scenario=scenario, methods=methods)
+            cells = sum(len(sweep.rows) for _, sweep in result.per_variant) // len(methods)
+            assert (cells, rows) == (208, [expected])
+            assert list(counters) == [(6, 4)] and counters[6, 4].shapes
+    rows.clear()
+    grid = [SopQuery(cfg, *case) for cfg in ValidationSettings().grid_configs() for case in CASES]
+    assert len(quadrature_sops(grid)) == 144
+    assert rows == [36]
+
+
 def _mixed_queries() -> list[SopQuery]:
     # no two configurations share an (M, N, L, w) group except the last two,
     # which share theirs at different SNR and threshold
@@ -381,10 +418,13 @@ def test_batch_matches_each_query_and_its_panels(monkeypatch):
     values = quadrature_sops(queries)
     assert [value.hex() for value in values] == [value.hex() for value in expected]
     assert all(type(value) is float for value in values)
-    for panels, lone in zip(_row_panels(record, len(queries)), lone_panels):
-        assert len(panels) == len(lone)
-        assert all(np.array_equal(level, lone_level) for level, lone_level in zip(panels, lone))
-    _check_laws_see_distinct_points(record, queries)
+    # one row per distinct inner key; each query's row refines its lone panels
+    plan = CasePlan.of(queries)
+    rows = _row_panels(record, len(plan.keys))
+    for (at, _, _), lone in zip(plan.rows, lone_panels, strict=True):
+        assert len(rows[at]) == len(lone)
+        assert all(np.array_equal(level, lone_level) for level, lone_level in zip(rows[at], lone))
+    _check_laws_see_distinct_points(record, [queries[first] for first in plan.first])
 
 
 def _shared_law_queries(kind: str) -> list[SopQuery]:
@@ -417,7 +457,7 @@ def test_rows_sharing_a_law_point_evaluate_it_once(monkeypatch, kind):
     assert nodes < sum(lone_nodes)
     if kind != "scheme":  # the rows' integrals are the same one: evaluated once
         assert nodes == lone_nodes[0] == max(lone_nodes)
-    _check_laws_see_distinct_points(record, queries)
+    _check_laws_see_distinct_points(record, [queries[first] for first in CasePlan.of(queries).first])
 
 
 def test_needle_row_fails_alone(monkeypatch):
@@ -505,7 +545,7 @@ def test_integrity_check_rejects_bad_integral(monkeypatch, bad):
     # every case assembles its value from the boundary expectation, so a NaN
     # or a value far outside [0, 1] must raise instead of being clamped
     monkeypatch.setattr(
-        quadrature, "_boundary_expectations", lambda keys, **kwargs: [bad] * len(keys)
+        quadrature, "_boundary_expectations", lambda plan: [bad] * len(plan.keys)
     )
     cfg = SystemConfig(K=2, zeta=1.0, r_th=1.0, snr=10.0, M=2, N=2, a=0.5, b=0.5)
     for scheme, scenario in CASES:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from secrecy_outage import FIGURE_PRESETS
 from secrecy_outage.sweep import read_sweep_csv
 
@@ -40,3 +42,36 @@ def test_floor_sensitivity_table():
     # header, rule, 4 K rows per zeta and a blank line after each of 2 zetas, closing note
     assert len(done.stdout.splitlines()) == 2 + 2 * (4 + 1) + 1
     assert done.stdout.splitlines()[0].split()[:2] == ["K", "zeta"]
+
+
+def _benefit_rows(stdout: str) -> list[dict[tuple, list[str]]]:
+    """Per table of knowledge_benefit.py, its rows keyed by (K, zeta, M, N), flag marks dropped."""
+    tables = []
+    for line in stdout.splitlines():
+        if line.startswith("knowledge benefit"):
+            tables.append({})
+        elif tables and "|" in line and not line.lstrip().startswith("K"):
+            fields = line.replace("|", " ").replace("*", " ").split()
+            K, zeta, M, N = fields[:4]
+            tables[-1][(int(K), float(zeta), int(M), int(N))] = fields[4:]
+    return tables
+
+
+def test_knowledge_benefit_table():
+    done = _run_script("knowledge_benefit.py")
+    assert done.returncode == 0, done.stderr
+    at_snr, floor = _benefit_rows(done.stdout)
+    # 3 (M, N) pairs x 3 K x 2 zetas, at 10 dB and at the floor
+    assert len(at_snr) == len(floor) == 18
+    assert "*" not in done.stdout.split("\n\n")[0]  # nothing flagged at these points
+    # the drop-form counterexample of the headline claim: K=2, zeta=0.9, 10 dB
+    ss_drop, os_drop, ss_ratio, os_ratio, by_drop, by_ratio = at_snr[(2, 0.9, 6, 4)]
+    assert float(os_drop) == pytest.approx(0.0610, abs=5e-5)
+    assert float(ss_drop) == pytest.approx(0.0646, abs=5e-5)
+    assert float(os_ratio) == pytest.approx(1.91, abs=5e-3)
+    assert float(ss_ratio) == pytest.approx(1.65, abs=5e-3)
+    assert (by_drop, by_ratio) == ("ss", "os")
+    # and the claim in both forms at K = 3 and 5
+    for K in (3, 5):
+        for zeta in (0.9, 0.99):
+            assert at_snr[(K, zeta, 6, 4)][4:] == ["os", "os"], (K, zeta)

@@ -334,28 +334,29 @@ def test_held_figure_result_keeps_few_bytes_per_row():
 
 
 def _recording_routes(monkeypatch) -> list:
-    """Replace every route by one that records its queries and returns each query's index as its sop."""
+    """Replace every route by one that records its plan's (cfg, scheme, scenario) cells and returns each cell's index as its sop."""
     seen = []
 
-    def record(queries, mc):
+    def record(plan, mc):
         start = len(seen)
-        seen.extend(queries)
-        return [(float(start + i), None, "") for i in range(len(queries))]
+        seen.extend(plan.cells)
+        return [float(start + i) for i in range(len(plan.cells))], None, [0] * len(plan.cells)
 
     for method in EvalMethod:
         monkeypatch.setitem(sweep_module._ROUTES, method, record)
     return seen
 
 
-def _assert_queries_at_grid_points(pairs, seen):
-    """Every row's query holds its spec's base at the row's snr, field for field."""
+def _assert_cells_at_grid_points(pairs, seen):
+    """Every row's cell holds its spec's base at the row's snr, field for field, and the row's enums."""
     for base, result in pairs:
         for row in result.rows:
-            query = seen[int(row.sop)]
+            cfg, scheme, scenario = seen[int(row.sop)]
             expected = replace(base, snr=db_to_linear(row.snr_db))
-            assert (query.scheme, query.scenario) == (row.scheme, row.scenario)
-            assert type(query.cfg) is SystemConfig and query.cfg == expected
-            assert {k: (type(v), v) for k, v in vars(query.cfg).items()} == {
+            assert (type(scheme), type(scenario)) == (Scheme, Scenario)
+            assert (scheme, scenario) == (row.scheme, row.scenario)
+            assert type(cfg) is SystemConfig and cfg == expected
+            assert {k: (type(v), v) for k, v in vars(cfg).items()} == {
                 k: (type(v), v) for k, v in vars(expected).items()
             }
 
@@ -368,7 +369,7 @@ def test_grid_point_configs_equal_a_replaced_base_on_every_preset(monkeypatch, n
     seen = _recording_routes(monkeypatch)
     result = run_figure(name, scenario=scenario, methods=tuple(EvalMethod))
     assert len(seen) == sum(len(r.rows) for _, r in result.per_variant)
-    _assert_queries_at_grid_points(result.per_variant, seen)
+    _assert_cells_at_grid_points(result.per_variant, seen)
 
 
 def test_grid_point_configs_equal_a_replaced_base_on_edge_bases(monkeypatch):
@@ -386,4 +387,4 @@ def test_grid_point_configs_equal_a_replaced_base_on_edge_bases(monkeypatch):
         for base in EDGE_BASES.values()
     ]
     results = run_sweeps(specs)
-    _assert_queries_at_grid_points([(spec.base, result) for spec, result in zip(specs, results)], seen)
+    _assert_cells_at_grid_points([(spec.base, result) for spec, result in zip(specs, results)], seen)
