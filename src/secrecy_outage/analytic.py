@@ -7,18 +7,18 @@ from the two selection rules (``ss`` picks the strongest destination SNR,
 knowledge scenarios (``ku`` selects blindly across all K transmitters,
 ``ka`` selects only within the active set).
 
-The expressions expand a K-fold CDF product binomially, read each CDF power
-k off the cached coefficient table of (sum_{m<M} x^m / m!)^k
-(``numerics.log_power_coefficients``), and integrate term by term against
-the eavesdropper density.  One kernel per route serves every case: the
-exact series and its high-SNR floor, each behind one batch entry
-(``analytic_sops``, ``asymptotic_sops``) whose one-query call is the
-lone entry (``analytic_sop``, ``asymptotic_sop``).  A batch is planned
-once (``CasePlan``), so each distinct inner quantity is evaluated once: the
-exact series once per group of keys that differ only in snr, as one tensor
-over the group's SNR points, and the snr-free floor once per group.  One
-case rule (``case_sop``) composes the four (scheme, scenario) cases from
-either kernel, or from quadrature's integral, once per query.
+The expressions expand a K-fold CDF product binomially, write each CDF
+power k through a polynomial power p_alpha^k whose one SNR-dependent number
+is alpha = (rho - 1) / a_d, and integrate term by term against the
+eavesdropper density.  One kernel serves every case and both routes: the
+exact series at one alpha per SNR point, and the high-SNR floor as its
+alpha = 0 case, each behind one batch entry (``analytic_sops``,
+``asymptotic_sops``) whose one-query call is the lone entry
+(``analytic_sop``, ``asymptotic_sop``).  A batch is planned once
+(``CasePlan``), so each distinct inner quantity is evaluated once: the
+series once per group of keys that differ only in snr.  One case rule
+(``case_sop``) composes the four (scheme, scenario) cases from either
+route, or from quadrature's integral, once per query.
 Every per-term product is assembled in log space, its factorials read from
 the exact log-factorial table (``numerics.log_factorials``), and
 exponentiated once; only the top-level
@@ -33,12 +33,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
 from .channel import SystemConfig
-from .numerics import log_factorials, log_power_coefficients, significance_lost
+from .numerics import _log_convolve, log_factorials, log_power_coefficients, significance_lost
 
 __all__ = [
     "CASES",
@@ -149,28 +148,35 @@ class CasePlan:
     no key and has index -1.  Cells that differ only where the inner
     quantity does not look (K and scheme under best-ratio selection, zeta
     under blind selection, the scenario at zeta = 1) share a key.
+    ``groups`` maps each (M, N, a, b, rho, L, w) to (the indices of its
+    keys, their snrs): keys that differ only in snr, whose snrs are
+    distinct, in order of first use.
     """
 
-    __slots__ = ("cells", "keys", "first", "rows")
+    __slots__ = ("cells", "keys", "first", "rows", "groups")
 
     def __init__(self, cells):
-        cells, keys, first, rows = list(cells), [], [], []
-        self.cells, self.keys, self.first, self.rows = cells, keys, first, rows
+        cells, keys, first, rows, groups = list(cells), [], [], [], {}
+        self.cells, self.keys, self.first, self.rows, self.groups = cells, keys, first, rows, groups
         index: dict[tuple, int] = {}
         ss, ku, dead = Scheme.SS, Scenario.KU, (-1, 0, None)
         last = None
         for position, (cfg, scheme, scenario) in enumerate(cells):
             if cfg is not last:  # a grid point's cells share its config
-                last, K, zeta = cfg, cfg.K, cfg.zeta
-                head = (cfg.M, cfg.N, cfg.a, cfg.b, cfg.rho, cfg.snr)
+                last, K, zeta, snr = cfg, cfg.K, cfg.zeta, cfg.snr
+                link = (cfg.M, cfg.N, cfg.a, cfg.b, cfg.rho)
             if not zeta > 0.0:
                 rows.append(dead)
                 continue
-            key = (*head, K if scheme is ss else 1, 1.0 if scenario is ku else zeta)
+            law = (K if scheme is ss else 1, 1.0 if scenario is ku else zeta)
+            key = (*link, snr, *law)
             at = index.setdefault(key, len(keys))
             if at == len(keys):
                 keys.append(key)
                 first.append(position)
+                ats, snrs = groups.setdefault((*link, *law), ([], []))
+                ats.append(at)
+                snrs.append(snr)
             rows.append((at, 0 if scheme is ss else K, zeta if scenario is ku else None))
 
     @classmethod
@@ -259,134 +265,103 @@ def _alternating_series(K, weight, magnitudes):
     return out
 
 
-@lru_cache(maxsize=16)
-def _log_boundary_kernel(size: int, rho: float) -> np.ndarray:
-    """ln[C(j, q) (rho - 1)^(j - q)] for 0 <= j, q < size; -inf where q > j.
+def _log_powers(M: int, K: int, alphas):
+    """ln [x^q] p_alpha(x)^k at every alpha, for k = 1 .. K in turn: one (points, k (M - 1) + 1) array each.
 
-    Cached (size**2 floats each, at most 16 kept) and read-only, so lone
-    calls at one operating point build it once.
+    p_alpha(x) = sum_{q<M} Pois_cdf(M - 1 - q; alpha) x^q / q!, so e^-x
+    p_alpha(x) is the unit-scale Gamma(M) survival function at alpha + x.
+    Each power is the last convolved with p_alpha; p_0 is the truncated
+    exponential, so when every alpha is 0 the rows are the cached table.
     """
-    j = np.arange(size)
-    gap = j[:, None] - j[None, :]
-    if rho == 1.0:
-        # the outage boundary is lambda = y, so only the q == j power
-        # survives (0**0 = 1 convention at r_th = 0)
-        out = np.where(gap == 0, 0.0, -np.inf)
-    else:
-        log_fact = log_factorials(size)
-        kept = np.maximum(gap, 0)
-        log_terms = (
-            log_fact[:, None] - log_fact[None, :] - log_fact[kept] + kept * math.log(rho - 1.0)
-        )
-        out = np.where(gap >= 0, log_terms, -np.inf)
-    out.flags.writeable = False
-    return out
+    if not any(alphas):
+        for k in range(1, K + 1):
+            yield np.broadcast_to(log_power_coefficients(k, M), (len(alphas), k * (M - 1) + 1))
+        return
+    log_fact = log_factorials(M)
+    # ln alpha^i / i!, accumulated into ln Pois_cdf(n; alpha) for n < M
+    log_alpha = np.array([[math.log(x) if x > 0.0 else -math.inf] for x in alphas])
+    terms = np.zeros((len(alphas), M))
+    terms[:, 1:] = np.arange(1, M) * log_alpha - log_fact[1:]
+    log_cdf = np.logaddexp.accumulate(terms, axis=1) - np.array(alphas)[:, None]
+    base = log_cdf[:, ::-1] - log_fact
+    power = base
+    for k in range(1, K + 1):
+        yield power
+        if k < K:
+            power = _log_convolve(power, base)
 
 
-# Largest number of floats in one exact-series term tensor; points beyond it
-# go to further slabs.  A figure preset's 26 points fit in one.
-_SLAB_FLOATS = 1 << 20
+# Largest points x (K(M - 1) + 1) coefficients in one slab's power arrays
+# (0.5 MiB each); a figure preset's 26 points fit in one even at K=200 M=10.
+_SLAB_FLOATS = 1 << 16
 
 
-def _selection_series(M: int, N: int, a: float, b: float, rho: float, K: int, weight: float, snrs):
-    """Exact CDF-product series of the strongest of K links at the outage boundary, at every snr.
+def _selection_series(M: int, N: int, a: float, b: float, rho: float, K: int, weight: float, alphas):
+    """CDF-product series of the strongest of K links at the outage boundary, at every alpha.
 
-    Point s has destination and eavesdropper scales a snrs[s] and b snrs[s].
-    Term k expands the k-th CDF power through ``log_power_coefficients``
-    (power j of the destination SNR) and the boundary power through the
-    inner index q <= j, then integrates against the eavesdropper density:
-    one (S, n, n) log-space tensor for the S points, on one boundary kernel.
-    The per-point scalars are plain float arithmetic, so every point's
-    numbers are those of its lone call.  It is the inner quantity of
-    ``case_sop`` at (L, w) = (K, weight); with K = 1 and weight 1 it is the
-    single-transmitter outage.  Returns one (raw, flag) per point.
+    With alpha = (rho - 1) / a_d and beta = rho b / a, the destination
+    survival function at the boundary is Q(alpha + beta s) for the unit
+    Gamma(N) eavesdropper SNR s, and Q(alpha + beta s)^k = e^(-k beta s)
+    p_alpha(beta s)^k (``_log_powers``), so term k is the positive sum
+
+        E Q^k = (1 + k beta)^-N sum_j [x^j] p_alpha^k (N)_j (beta / (1 + k beta))^j,
+
+    assembled in log space for a slab of points at once, each point with
+    the numbers of its lone call.  The floor is the alpha = 0 case.  It is
+    the inner quantity of ``case_sop`` at (L, w) = (K, weight); with K = 1
+    and weight 1 it is the single-transmitter outage.  Returns one
+    (raw, flag) per alpha.
     """
+    beta = rho * b / a
     j = np.arange(K * (M - 1) + 1)
-    boundary = _log_boundary_kernel(j.size, rho)
     log_rising = log_factorials(N + j.size - 1)[N - 1 :]  # ln (N + j - 1)!
-    log_eve_unit = j * math.log(rho) + log_rising - log_rising[0]
-    step = max(1, _SLAB_FLOATS // j.size**2)
+    log_eve = log_rising - log_rising[0] + j * math.log(beta)  # ln (N)_j beta^j
+    step = max(1, _SLAB_FLOATS // j.size)
     out = []
-    for start in range(0, len(snrs), step):
-        slab = snrs[start : start + step]
-        a_d, a_e = [a * snr for snr in slab], [b * snr for snr in slab]
-        log_d = np.array([math.log(x) for x in a_d])[:, None]
-        log_eve = log_eve_unit - np.array([N * math.log(y) for y in a_e])[:, None]
-        # per (k, point): the exponent k (rho - 1) / a_d and ln(k rho / a_d + 1 / a_e)
-        ks = range(1, K + 1)
-        shift = np.array([k * (rho - 1.0) / x for k in ks for x in a_d]).reshape(K, -1, 1)
-        log_denom = np.array(
-            [math.log(k * rho / x + 1.0 / y) for k in ks for x, y in zip(a_d, a_e)]
-        ).reshape(K, -1, 1)
+    for start in range(0, len(alphas), step):
+        powers = _log_powers(M, K, alphas[start : start + step])
 
-        def magnitudes(k, log_pref):
+        def magnitudes(k, log_pref):  # called for k = 1 .. K in turn, as the powers come
             n = k * (M - 1) + 1
-            rows = log_pref - shift[k - 1] + log_power_coefficients(k, M) - j[:n] * log_d
-            cols = log_eve[:, :n] - (N + j[:n]) * log_denom[k - 1]
-            terms = np.exp(rows[:, :, None] + boundary[:n, :n] + cols[:, None, :])
-            return terms.sum(axis=(1, 2)).tolist()
+            log_scale = log_pref + log_eve[:n] - (N + j[:n]) * math.log1p(k * beta)
+            return np.exp(next(powers) + log_scale).sum(axis=1).tolist()
 
         out += _alternating_series(K, weight, magnitudes)
     return out
-
-
-def _selection_floor_series(M: int, N: int, a: float, b: float, rho: float, K: int, weight: float):
-    """High-SNR limit of ``_selection_series``; depends only on a, b, rho, M, N.  Returns (raw, flag)."""
-    rho_b = rho * b
-    j = np.arange(K * (M - 1) + 1)
-    log_rising = log_factorials(N + j.size - 1)[N - 1 :]  # ln (N + j - 1)!
-    log_j = j * math.log(rho_b) + log_rising + N * math.log(a) - log_rising[0]
-
-    def magnitudes(k, log_pref):
-        n = k * (M - 1) + 1
-        log_terms = (
-            log_pref
-            + log_power_coefficients(k, M)
-            + log_j[:n]
-            - (N + j[:n]) * math.log(k * rho_b + a)
-        )
-        return [np.exp(log_terms).sum().item()]
-
-    (result,) = _alternating_series(K, weight, magnitudes)
-    return result
 
 
 # ---------------------------------------------------------------------------
 # public closed forms and high-SNR floors
 # ---------------------------------------------------------------------------
 
-def _grouped_inner(plan: CasePlan, group_values) -> tuple[list[float], list[bool]]:
-    """(raws, flags) of every distinct key of ``plan``, evaluated one group at a time.
+def _grouped_inner(plan: CasePlan, alphas_of) -> tuple[list[float], list[bool]]:
+    """(raws, flags) of every distinct key of ``plan``: one series per group of ``plan.groups``.
 
-    Keys that differ only in snr, sharing (M, N, a, b, rho, L, w), form a
-    group; ``group_values(M, N, a, b, rho, L, w, snrs)`` returns one
-    (raw, flag) per snr of the group, and the snrs of a group are distinct.
+    ``alphas_of(a, rho, snrs)`` returns the group's alphas: one per snr, or
+    one that every snr of the group shares.
     """
-    groups: dict[tuple, tuple[list[int], list[float]]] = {}
-    for at, (M, N, a, b, rho, snr, power, weight) in enumerate(plan.keys):
-        ats, snrs = groups.setdefault((M, N, a, b, rho, power, weight), ([], []))
-        ats.append(at)
-        snrs.append(snr)
     raws, flags = [0.0] * len(plan.keys), [False] * len(plan.keys)
-    for group, (ats, snrs) in groups.items():
-        for at, (raw, flag) in zip(ats, group_values(*group, snrs)):
+    for (M, N, a, b, rho, L, w), (ats, snrs) in plan.groups.items():
+        values = _selection_series(M, N, a, b, rho, L, w, alphas_of(a, rho, snrs))
+        for at, (raw, flag) in zip(ats, values * (len(ats) // len(values))):
             raws[at], flags[at] = raw, flag
     return raws, flags
 
 
-def _floor_values(M, N, a, b, rho, K, weight, snrs):
-    """The group's one snr-free floor, at each of its SNR points."""
-    return [_selection_floor_series(M, N, a, b, rho, K, weight)] * len(snrs)
-
-
 def analytic_inner(plan: CasePlan) -> tuple[list[float], list[bool]]:
-    """The exact series of every distinct key of ``plan``: one tensor per group over its SNR points."""
-    return _grouped_inner(plan, _selection_series)
+    """The exact series of every distinct key of ``plan``: one series per group over its SNR points.
+
+    At rho = 1 (r_th = 0) alpha is 0 at every SNR, so the group's one
+    series is its high-SNR floor.
+    """
+    return _grouped_inner(
+        plan, lambda a, rho, snrs: [(rho - 1.0) / (a * snr) for snr in snrs] if rho > 1.0 else [0.0]
+    )
 
 
 def asymptotic_inner(plan: CasePlan) -> tuple[list[float], list[bool]]:
-    """The high-SNR floor series of every distinct key of ``plan``: one floor per group."""
-    return _grouped_inner(plan, _floor_values)
+    """The high-SNR floor of every distinct key of ``plan``: the series at alpha = 0, once per group."""
+    return _grouped_inner(plan, lambda a, rho, snrs: [0.0])
 
 
 def _sop_values(queries, inner, method: EvalMethod) -> list[SopValue]:

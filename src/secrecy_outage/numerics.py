@@ -10,10 +10,11 @@ term, while top-level alternating sums run in linear space through
 so that callers detect a loss of significance instead of returning quiet
 noise.
 
-``log_power_coefficients`` builds the power coefficients one log-space
-convolution per power, and ``log_factorials`` tabulates ln j! from the exact
-integers j!.  The identity check compares the coefficient table with the
-exact rational power (``validation``).  ``enumerate_weak_compositions``
+``_log_convolve`` multiplies positive power series in log space; the closed
+forms' per-point powers and the cached power table (``log_power_coefficients``)
+both call it.  ``log_factorials`` tabulates ln j! from the exact integers j!.
+The identity check compares the table with the exact rational power
+(``validation``).  ``enumerate_weak_compositions``
 lists the weak compositions of k as tuples behind an eager size cap; no
 closed form or check reads it, and the benchmark times it.
 """
@@ -57,14 +58,29 @@ class CompositionCapError(ValueError):
         )
 
 
+def _log_convolve(log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """ln of the coefficients of the product of two positive power series, along the last axis.
+
+    ``log_q``'s leading axes broadcast against ``log_p``'s, so one call
+    serves one row or a row per point, each entry with the same arithmetic.
+    Each shift adds in through ``np.logaddexp``, so nothing cancels.
+    """
+    span = log_p.shape[-1]
+    out = np.full((*log_p.shape[:-1], span + log_q.shape[-1] - 1), -np.inf)
+    for m in range(log_q.shape[-1]):
+        window = out[..., m : m + span]
+        np.logaddexp(window, log_p + log_q[..., m, None], out=window)
+    return out
+
+
 @lru_cache(maxsize=None)
 def log_power_coefficients(k: int, num_terms: int) -> np.ndarray:
     """ln [x^j] (sum_{m<num_terms} x^m / m!)^k for j = 0 .. k (num_terms - 1).
 
-    Row k is row k - 1 convolved with the 1/m! weights, in log space through
-    ``np.logaddexp`` over the ``num_terms`` shifts.  Every coefficient is
-    positive, so nothing cancels.  Rows are cached and read-only; building
-    k in increasing order keeps the recursion one level deep.
+    Row k is row k - 1 convolved (``_log_convolve``) with the 1/m! weights,
+    read from ``log_factorials``.  Every coefficient is positive, so nothing
+    cancels.  Rows are cached and read-only; building k in increasing order
+    keeps the recursion one level deep.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
@@ -73,11 +89,7 @@ def log_power_coefficients(k: int, num_terms: int) -> np.ndarray:
     if k == 0:
         out = np.zeros(1)
     else:
-        prev = log_power_coefficients(k - 1, num_terms)
-        out = np.full(prev.size + num_terms - 1, -np.inf)
-        for m in range(num_terms):
-            window = out[m : m + prev.size]
-            np.logaddexp(window, prev - math.lgamma(m + 1), out=window)
+        out = _log_convolve(log_power_coefficients(k - 1, num_terms), -log_factorials(num_terms))
     out.flags.writeable = False
     return out
 

@@ -9,7 +9,10 @@ spot-checked at 50-digit precision with mpmath before being committed.
 ``adaptive_integral_loop`` is the plain one-integral refinement loop that the
 row-stacked integrator generalises; tests compare the two call by call.
 ``exact_power_coefficients`` is the truncated-exponential power in exact
-rational arithmetic, by integer square-and-multiply.
+rational arithmetic, by integer square-and-multiply.  ``selection_series_mp``
+sums the closed form's alternating series in 60-digit ``mpmath``, in linear
+space and from the defining expansion, so its gap to the double-precision
+series is that series' rounding error alone.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from scipy import integrate, stats
 
@@ -134,3 +138,39 @@ def exact_power_coefficients(k: int, num_terms: int) -> list[Fraction]:
             power = times(power, base)
         base, left = times(base, base), left >> 1
     return [Fraction(c, scale**k) for c in power]
+
+
+def selection_series_mp(M, N, a, b, rho, snr, L, w) -> tuple[float, float]:
+    """The inner quantity E_y[((1 - w) + w F_d(lambda(y)))^L] as its alternating series, at 60 digits.
+
+    The arguments are an inner key of ``analytic.CasePlan``, read as exact
+    binary numbers.  With alpha = (rho - 1) / (a snr), beta = rho b / a and
+    the unit Gamma(N) eavesdropper SNR s, the destination survival function
+    at the boundary is e^(-alpha - beta s) sum_{m<M} (alpha + beta s)^m / m!;
+    its k-th power is expanded binomially in beta s by polynomial
+    multiplication and integrated term by term, E s^j e^(-k beta s) =
+    (N)_j / (1 + k beta)^(N + j).  Returns the sum 1 + sum_k (-1)^k C(L, k)
+    w^k E Q^k and the sum of its terms' sizes, both rounded to floats.
+    """
+    with mpmath.workdps(60):
+        rho, a, b, snr, w = (mpmath.mpf(x) for x in (rho, a, b, snr, w))
+        alpha, beta = (rho - 1) / (a * snr), rho * b / a
+        # [x^q] e^-alpha sum_m (alpha + x)^m / m!
+        base = [
+            mpmath.exp(-alpha) * mpmath.fsum(
+                mpmath.binomial(m, q) * alpha ** (m - q) / mpmath.factorial(m) for m in range(q, M)
+            )
+            for q in range(M)
+        ]
+        power, terms = [mpmath.mpf(1)], [mpmath.mpf(1)]
+        for k in range(1, L + 1):
+            product = [mpmath.mpf(0)] * (len(power) + M - 1)
+            for i, p in enumerate(power):
+                for q, c in enumerate(base):
+                    product[i + q] += p * c
+            power, spread = product, 1 + k * beta
+            expectation = mpmath.fsum(
+                c * mpmath.rf(N, j) * (beta / spread) ** j for j, c in enumerate(power)
+            ) / spread**N
+            terms.append((-1) ** k * mpmath.binomial(L, k) * w**k * expectation)
+        return float(mpmath.fsum(terms)), float(mpmath.fsum(abs(t) for t in terms))

@@ -18,8 +18,9 @@ the file:
 
     PYTHONPATH=src python tests/reference.py --check
 
-It prints each route's largest relative move against the stored values and
-exits non-zero if any move exceeds that route's entry in ``TOLERANCES``.
+It prints each route's largest relative move against the stored values,
+with the (section, cell) it came from, and exits non-zero if any move
+exceeds that route's entry in ``TOLERANCES``.
 A change meant to keep values runs this and leaves the file as it is.
 Regenerate the file only when a change is meant to move values, and say by
 how much:
@@ -122,20 +123,27 @@ def _move(value: float, expected: float) -> float:
     return abs(value - expected) / abs(expected) if expected else math.inf
 
 
-def largest_moves(stored: dict, values: dict) -> dict[str, float]:
-    """Per route, the largest relative move of a value against the stored one.
+def largest_moves(stored: dict, pairs: dict) -> dict[str, tuple[float, str]]:
+    """Per route, the largest relative move of a value against the stored one, and where it is.
 
-    A (section, method) list that is new, gone or of another length counts
-    as an infinite move.
+    ``pairs`` maps each (section, method) key to its (cell label, value)
+    pairs; a move is placed as "key | cell label".  A list that is new, gone
+    or of another length counts as an infinite move, placed at its key.
+    Ties keep the first place in key order.
     """
-    moves = dict.fromkeys(TOLERANCES, 0.0)
-    for key in stored.keys() | values.keys():
-        old, new = stored.get(key), values.get(key)
+    moves = {name: (0.0, "") for name in TOLERANCES}
+    for key in sorted(stored.keys() | pairs.keys()):
+        old, new = stored.get(key), pairs.get(key)
         if old is None or new is None or len(old) != len(new):
-            move = math.inf
+            found = (math.inf, key)
         else:
-            move = max(map(_move, new, old), default=0.0)
-        moves[route(key)] = max(moves[route(key)], move)
+            found = max(
+                ((_move(value, expected), f"{key} | {label}") for (label, value), expected in zip(new, old)),
+                key=lambda move_where: move_where[0],
+                default=(0.0, ""),
+            )
+        if found[0] > moves[route(key)][0]:
+            moves[route(key)] = found
     return moves
 
 
@@ -146,18 +154,19 @@ def main(argv=None) -> int:
         help="exit non-zero past TOLERANCES and leave the stored file unchanged",
     )
     args = parser.parse_args(argv)
-    values = {key: [value for _, value in pairs] for key, pairs in reference_values().items()}
+    pairs = reference_values()
+    values = {key: [value for _, value in entries] for key, entries in pairs.items()}
     moves = {}
     if PATH.exists():
         stored = json.loads(PATH.read_text(encoding="utf-8"))["values"]
-        moves = largest_moves(stored, values)
-        for name, move in moves.items():
-            print(f"{name}: largest relative move {move:.3g}")
+        moves = largest_moves(stored, pairs)
+        for name, (move, where) in moves.items():
+            print(f"{name}: largest relative move {move:.3g}" + (f" at {where}" if move else ""))
     elif args.check:
         print(f"no stored values at {PATH}")
         return 1
     if args.check:
-        over = [name for name, move in moves.items() if move > TOLERANCES[name]]
+        over = [name for name, (move, _) in moves.items() if move > TOLERANCES[name]]
         for name in over:
             print(f"{name}: move exceeds its tolerance {TOLERANCES[name]:.3g}")
         return 1 if over else 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sop_quadpack
+from oracles import selection_series_mp, sop_quadpack
 from secrecy_outage import (
     FIGURE_PRESETS,
     McSettings,
@@ -25,6 +26,7 @@ from secrecy_outage import (
 )
 from secrecy_outage import analytic
 from secrecy_outage.analytic import CasePlan, EvalMethod, SopValue, case_sop
+from secrecy_outage.numerics import log_power_coefficients
 from secrecy_outage.sweep import db_to_linear
 
 CASES = [(s, c) for s in (Scheme.SS, Scheme.OS) for c in (Scenario.KU, Scenario.KA)]
@@ -100,6 +102,67 @@ def test_unit_rate_threshold_edge(scheme, scenario):
     assert _value(cfg, scheme, scenario) == pytest.approx(
         sop_quadpack(cfg, scheme, scenario), abs=1e-10
     )
+    # there the series' one SNR-dependent number, alpha = (rho - 1) / a_d,
+    # is 0 at every SNR, so the exact series is its own high-SNR floor
+    for snr in FIGURE_SNRS:
+        query = SopQuery(replace(cfg, snr=snr), scheme, scenario)
+        exact, floor = analytic_sop(query), asymptotic_sop(query)
+        assert (exact.value.hex(), exact.raw_value.hex(), exact.significance_flag) == (
+            floor.value.hex(), floor.raw_value.hex(), floor.significance_flag
+        ), snr
+
+
+def test_per_point_powers_at_alpha_zero_are_the_cached_table():
+    # p_0 is the truncated exponential; a zero alpha beside a positive one
+    # goes through the per-point convolution, and its rows are the table's
+    for M, K in ((1, 3), (6, 5), (10, 4)):
+        for k, rows in enumerate(analytic._log_powers(M, K, [0.0, 0.5]), 1):
+            assert rows[0].tolist() == log_power_coefficients(k, M).tolist()
+
+
+def test_large_selection_series_memory():
+    # a cold ss/ku closed form at K=200, M=10 builds one power row of
+    # K(M-1)+1 = 1801 coefficients at a time; its value is still flagged,
+    # since the series cancels completely at this K
+    query = SopQuery(_cfg(K=200, M=10), Scheme.SS, Scenario.KU)
+    tracemalloc.start()
+    try:
+        analytic_sop(query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def _series_points(count, seed=5):
+    """Fixed points of the closed form's domain, from a seeded generator.
+
+    Each is (K, M, N, a, b, w, snr_db, r_th): K 1-12, M and N 1-10, a and b
+    log-uniform in 0.05-2, w in (0, 1], -10 to 40 dB and r_th 0-3.
+    """
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(count):
+        K, M, N = (int(n) for n in rng.integers((1, 1, 1), (13, 11, 11)))
+        a, b = np.exp(rng.uniform(math.log(0.05), math.log(2.0), 2)).tolist()
+        w = 1.0 - rng.random()
+        points.append((K, M, N, a, b, w, rng.uniform(-10.0, 40.0), rng.uniform(0.0, 3.0)))
+    return points
+
+
+# The exact series may miss its 60-digit sum by at most this many units of
+# 2^-53 times the sum of its terms' sizes.  The largest measured is 5.4 over
+# the test's 100 points, and 25 over 1200 more (_series_points seeds 1-4).
+SERIES_ROUNDING_C = 32
+
+
+def test_series_rounding_error_against_60_digit_sum():
+    for K, M, N, a, b, w, snr_db, r_th in _series_points(100):
+        cfg = SystemConfig(K=K, zeta=w, r_th=r_th, snr=db_to_linear(snr_db), M=M, N=N, a=a, b=b)
+        # ss/ka returns the inner series at (L, w) = (K, zeta) itself
+        x = analytic_sop(SopQuery(cfg, Scheme.SS, Scenario.KA)).raw_value
+        exact, size = selection_series_mp(M, N, a, b, cfg.rho, cfg.snr, K, w)
+        assert abs(x - exact) <= SERIES_ROUNDING_C * 2.0**-53 * size, (cfg, x, exact, size)
 
 
 def test_dead_backhaul_edge():
@@ -571,11 +634,13 @@ def _counting(monkeypatch, name):
 
 
 def test_floor_runs_once_per_group(monkeypatch):
-    # the four cases of a 26-point sweep form four (L, w) groups
-    calls = _counting(monkeypatch, "_selection_floor_series")
+    # the four cases of a 26-point sweep form four (L, w) groups; each
+    # group's floor is the one series kernel at alpha = 0, run once
+    calls = _counting(monkeypatch, "_selection_series")
     values = asymptotic_sops(_sweep_queries(_cfg(K=3, zeta=0.9)))
     assert len(calls) == 4
-    assert len({args[-2:] for args in calls}) == 4
+    assert len({args[5:7] for args in calls}) == 4
+    assert all(args[-1] == [0.0] for args in calls)
     assert len({v.value for v in values[0::4]}) == 1  # one ss/ku floor at every SNR
 
 
@@ -587,8 +652,9 @@ def test_series_runs_once_per_group_over_all_snr_points(monkeypatch):
 
 
 def test_slabs_split_points_without_changing_values(monkeypatch):
-    # a series tensor over more floats than the cap is evaluated a slab of
-    # SNR points at a time; with a cap below one point every point is its own slab
+    # a group whose power rows hold more coefficients than the cap is
+    # evaluated a slab of SNR points at a time; with a cap below one row
+    # every point is its own slab
     queries = _sweep_queries(_cfg(K=3, zeta=0.9), FIGURE_SNRS[::5])
     whole = analytic_sops(queries)
     monkeypatch.setattr(analytic, "_SLAB_FLOATS", 1)
