@@ -15,10 +15,12 @@ exact series at one alpha per SNR point, and the high-SNR floor as its
 alpha = 0 case, each behind one batch entry (``analytic_sops``,
 ``asymptotic_sops``) whose one-query call is the lone entry
 (``analytic_sop``, ``asymptotic_sop``).  A batch is planned once
-(``CasePlan``), so each distinct inner quantity is evaluated once: the
-series once per group of keys that differ only in snr.  One case rule
-(``case_sop``) composes the four (scheme, scenario) cases from either
-route, or from quadrature's integral, once per query.
+(``CasePlan``), the one place that computes alpha and beta = rho b / a, so
+each distinct inner quantity is evaluated once: the series once per group
+of keys that differ only in alpha.  At r_th = 0 alpha is 0 at every SNR, so
+a sweep's points share one key per case.  One case rule (``case_sop``)
+composes the four (scheme, scenario) cases from either route, or from
+quadrature's integral, once per query.
 Every per-term product is assembled in log space, its factorials read from
 the exact log-factorial table (``numerics.log_factorials``), and
 exponentiated once; only the top-level
@@ -139,44 +141,47 @@ class CasePlan:
     """A batch's case rule, planned once: each cell's distinct inner key and its outer step.
 
     ``cells`` are (cfg, scheme, scenario) triples with the enums, as in a
-    ``SopQuery``.  ``keys`` lists the distinct inner keys (M, N, a, b, rho,
-    snr, L, w) in order of first use, where (L, w) is the cell's column of
-    ``case_sop``'s table; ``first`` holds, per key, the position of the
-    first cell that reads it.  ``rows`` holds, per cell, (the index of its
-    key, the outer power K under best-ratio selection or 0, zeta under
-    blind selection or None); a cell over dead backhaul (zeta = 0) reads
-    no key and has index -1.  Cells that differ only where the inner
-    quantity does not look (K and scheme under best-ratio selection, zeta
-    under blind selection, the scenario at zeta = 1) share a key.
-    ``groups`` maps each (M, N, a, b, rho, L, w) to (the indices of its
-    keys, their snrs): keys that differ only in snr, whose snrs are
-    distinct, in order of first use.
+    ``SopQuery``.  A cell's link enters its inner quantity only through the
+    unit-scale outage boundary alpha + beta s, with alpha = (rho - 1) / a_d
+    and beta = rho b / a, computed here and nowhere else.  Its key is
+    (M, N, beta, alpha, L, w), with (L, w) its column of ``case_sop``'s
+    table.  ``groups``, the only store of keys, maps each (M, N, beta, L, w)
+    to (the indices of its keys, their alphas); keys are numbered in order
+    of first use, and ``first`` holds, per key, its first cell's position.
+    ``rows`` holds, per cell, (the index of its key, the outer power K under
+    best-ratio selection or 0, zeta under blind selection or None); a cell
+    over dead backhaul (zeta = 0) reads no key and has index -1.  Cells that
+    differ only where the inner quantity does not look (K and scheme under
+    best-ratio selection, zeta under blind selection, the scenario at
+    zeta = 1, snr at r_th = 0, where alpha is 0) share a key.  A config
+    whose beta underflows to 0 or overflows, or whose alpha overflows,
+    raises ``ValueError``, as a link scale out of the float range does.
     """
 
-    __slots__ = ("cells", "keys", "first", "rows", "groups")
+    __slots__ = ("cells", "first", "rows", "groups")
 
     def __init__(self, cells):
-        cells, keys, first, rows, groups = list(cells), [], [], [], {}
-        self.cells, self.keys, self.first, self.rows, self.groups = cells, keys, first, rows, groups
+        cells, first, rows, groups = list(cells), [], [], {}
+        self.cells, self.first, self.rows, self.groups = cells, first, rows, groups
         index: dict[tuple, int] = {}
         ss, ku, dead = Scheme.SS, Scenario.KU, (-1, 0, None)
         last = None
         for position, (cfg, scheme, scenario) in enumerate(cells):
             if cfg is not last:  # a grid point's cells share its config
-                last, K, zeta, snr = cfg, cfg.K, cfg.zeta, cfg.snr
-                link = (cfg.M, cfg.N, cfg.a, cfg.b, cfg.rho)
+                last, K, zeta, rho = cfg, cfg.K, cfg.zeta, cfg.rho
+                link, alpha = (cfg.M, cfg.N, rho * cfg.b / cfg.a), (rho - 1.0) / (cfg.a * cfg.snr)
+                if not (0.0 < link[2] < math.inf and alpha < math.inf):
+                    raise ValueError(f"outage boundary alpha={alpha!r}, beta={link[2]!r} must be finite, beta > 0")
             if not zeta > 0.0:
                 rows.append(dead)
                 continue
             law = (K if scheme is ss else 1, 1.0 if scenario is ku else zeta)
-            key = (*link, snr, *law)
-            at = index.setdefault(key, len(keys))
-            if at == len(keys):
-                keys.append(key)
+            at = index.setdefault((*link, alpha, *law), len(first))
+            if at == len(first):
                 first.append(position)
-                ats, snrs = groups.setdefault((*link, *law), ([], []))
+                ats, alphas = groups.setdefault((*link, *law), ([], []))
                 ats.append(at)
-                snrs.append(snr)
+                alphas.append(alpha)
             rows.append((at, 0 if scheme is ss else K, zeta if scenario is ku else None))
 
     @classmethod
@@ -221,7 +226,7 @@ def case_sop(plan: CasePlan, inner, method: EvalMethod) -> tuple[list[float], li
     cell.
     """
     method = EvalMethod(method)
-    raws, flags = inner(plan) if plan.keys else ((), ())
+    raws, flags = inner(plan) if plan.first else ((), ())
     low, high = -INTEGRITY_BAND, 1.0 + INTEGRITY_BAND
     # the inner value is checked before composing: a blind-selection mix
     # (1 - zeta) + zeta x can land in band from an x far outside it
@@ -244,25 +249,6 @@ def case_sop(plan: CasePlan, inner, method: EvalMethod) -> tuple[list[float], li
         cell_flags.append(flag)
         cell_raws.append(raw)
     return values, cell_flags, cell_raws
-
-
-def _alternating_series(K, weight, magnitudes):
-    """1 + sum_{k=1..K} (-1)^k magnitude(k, ln(C(K,k) weight^k)): the K-fold product, per point.
-
-    ``weight`` is 1 for the blind-selection series and zeta > 0 when the
-    backhaul mixture sits inside each factor.  ``magnitudes`` returns the
-    positive size of term k at every point, as a list, with the given log
-    prefactor folded in before exponentiation.  Each point sums on its own,
-    exactly rounded, behind its own guard.  Returns one (raw, flag) per point.
-    """
-    log_weight = math.log(weight)
-    table = [magnitudes(k, math.log(math.comb(K, k)) + k * log_weight) for k in range(1, K + 1)]
-    out = []
-    for sizes in zip(*table):
-        terms = [1.0, *(-size if k % 2 else size for k, size in enumerate(sizes, 1))]
-        total = math.fsum(terms)
-        out.append((total, significance_lost(total, max(map(abs, terms)))))
-    return out
 
 
 def _log_powers(M: int, K: int, alphas):
@@ -296,37 +282,39 @@ def _log_powers(M: int, K: int, alphas):
 _SLAB_FLOATS = 1 << 16
 
 
-def _selection_series(M: int, N: int, a: float, b: float, rho: float, K: int, weight: float, alphas):
+def _selection_series(M: int, N: int, beta: float, K: int, weight: float, alphas):
     """CDF-product series of the strongest of K links at the outage boundary, at every alpha.
 
-    With alpha = (rho - 1) / a_d and beta = rho b / a, the destination
-    survival function at the boundary is Q(alpha + beta s) for the unit
-    Gamma(N) eavesdropper SNR s, and Q(alpha + beta s)^k = e^(-k beta s)
-    p_alpha(beta s)^k (``_log_powers``), so term k is the positive sum
+    The destination survival function at the boundary is Q(alpha + beta s)
+    for the unit Gamma(N) eavesdropper SNR s, and Q(alpha + beta s)^k =
+    e^(-k beta s) p_alpha(beta s)^k (``_log_powers``), so term k is the
+    positive sum
 
         E Q^k = (1 + k beta)^-N sum_j [x^j] p_alpha^k (N)_j (beta / (1 + k beta))^j,
 
-    assembled in log space for a slab of points at once, each point with
-    the numbers of its lone call.  The floor is the alpha = 0 case.  It is
-    the inner quantity of ``case_sop`` at (L, w) = (K, weight); with K = 1
-    and weight 1 it is the single-transmitter outage.  Returns one
-    (raw, flag) per alpha.
+    assembled in log space with ln(C(K, k) weight^k) for a slab of points at
+    once, each point with the numbers of its lone call, and each point's
+    1 + sum_k (-1)^k E Q^k is summed exactly rounded behind its own guard.
+    The floor is the alpha = 0 case.  It is the inner quantity of
+    ``case_sop`` at (L, w) = (K, weight); with K = 1 and weight 1 it is the
+    single-transmitter outage.  Returns one (raw, flag) per alpha.
     """
-    beta = rho * b / a
     j = np.arange(K * (M - 1) + 1)
     log_rising = log_factorials(N + j.size - 1)[N - 1 :]  # ln (N + j - 1)!
     log_eve = log_rising - log_rising[0] + j * math.log(beta)  # ln (N)_j beta^j
+    log_weight = math.log(weight)
     step = max(1, _SLAB_FLOATS // j.size)
     out = []
     for start in range(0, len(alphas), step):
-        powers = _log_powers(M, K, alphas[start : start + step])
-
-        def magnitudes(k, log_pref):  # called for k = 1 .. K in turn, as the powers come
+        slab = alphas[start : start + step]
+        table = [[1.0] * len(slab)]  # per k, term k at every point of the slab
+        for k, power in enumerate(_log_powers(M, K, slab), 1):
             n = k * (M - 1) + 1
-            log_scale = log_pref + log_eve[:n] - (N + j[:n]) * math.log1p(k * beta)
-            return np.exp(next(powers) + log_scale).sum(axis=1).tolist()
-
-        out += _alternating_series(K, weight, magnitudes)
+            log_scale = math.log(math.comb(K, k)) + k * log_weight + log_eve[:n] - (N + j[:n]) * math.log1p(k * beta)
+            table.append((np.exp(power + log_scale).sum(axis=1) * (-1.0 if k % 2 else 1.0)).tolist())
+        for terms in zip(*table):
+            total = math.fsum(terms)
+            out.append((total, significance_lost(total, max(map(abs, terms)))))
     return out
 
 
@@ -334,34 +322,24 @@ def _selection_series(M: int, N: int, a: float, b: float, rho: float, K: int, we
 # public closed forms and high-SNR floors
 # ---------------------------------------------------------------------------
 
-def _grouped_inner(plan: CasePlan, alphas_of) -> tuple[list[float], list[bool]]:
-    """(raws, flags) of every distinct key of ``plan``: one series per group of ``plan.groups``.
-
-    ``alphas_of(a, rho, snrs)`` returns the group's alphas: one per snr, or
-    one that every snr of the group shares.
-    """
-    raws, flags = [0.0] * len(plan.keys), [False] * len(plan.keys)
-    for (M, N, a, b, rho, L, w), (ats, snrs) in plan.groups.items():
-        values = _selection_series(M, N, a, b, rho, L, w, alphas_of(a, rho, snrs))
+def _grouped_inner(plan: CasePlan, floor: bool) -> tuple[list[float], list[bool]]:
+    """(raws, flags) of every distinct key of ``plan``: one series per group, at its alphas or the ``floor``'s 0."""
+    raws, flags = [0.0] * len(plan.first), [False] * len(plan.first)
+    for (M, N, beta, L, w), (ats, alphas) in plan.groups.items():
+        values = _selection_series(M, N, beta, L, w, [0.0] if floor else alphas)
         for at, (raw, flag) in zip(ats, values * (len(ats) // len(values))):
             raws[at], flags[at] = raw, flag
     return raws, flags
 
 
 def analytic_inner(plan: CasePlan) -> tuple[list[float], list[bool]]:
-    """The exact series of every distinct key of ``plan``: one series per group over its SNR points.
-
-    At rho = 1 (r_th = 0) alpha is 0 at every SNR, so the group's one
-    series is its high-SNR floor.
-    """
-    return _grouped_inner(
-        plan, lambda a, rho, snrs: [(rho - 1.0) / (a * snr) for snr in snrs] if rho > 1.0 else [0.0]
-    )
+    """The exact series of every distinct key of ``plan``: one series per group over its alphas."""
+    return _grouped_inner(plan, floor=False)
 
 
 def asymptotic_inner(plan: CasePlan) -> tuple[list[float], list[bool]]:
     """The high-SNR floor of every distinct key of ``plan``: the series at alpha = 0, once per group."""
-    return _grouped_inner(plan, lambda a, rho, snrs: [0.0])
+    return _grouped_inner(plan, floor=True)
 
 
 def _sop_values(queries, inner, method: EvalMethod) -> list[SopValue]:
@@ -374,8 +352,8 @@ def analytic_sops(queries) -> list[SopValue]:
     """Exact outage probabilities of many queries, in input order.
 
     Each distinct inner quantity is evaluated once, and the queries of one
-    (M, N, a, b, rho, L, w) group share one series evaluation over their
-    SNR points; every value equals that query's ``analytic_sop``.
+    (M, N, beta, L, w) group share one series evaluation over their alphas;
+    every value equals that query's ``analytic_sop``.
     """
     return _sop_values(queries, analytic_inner, EvalMethod.ANALYTIC)
 

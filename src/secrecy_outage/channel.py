@@ -79,11 +79,11 @@ class SystemConfig:
             2.0 ** self.r_th
         except OverflowError:
             raise ValueError(f"r_th too large: 2**r_th overflows, got {self.r_th!r}") from None
-        _check_snr(self.snr)
         if not all(math.isfinite(g) and g > 0.0 for g in (self.a, self.b)):
             raise ValueError(
                 f"path gain factors a, b must be finite and > 0, got a={self.a!r} b={self.b!r}"
             )
+        _check_snr(self.snr, self.a, self.b)
 
     @property
     def rho(self) -> float:
@@ -101,14 +101,17 @@ class SystemConfig:
         return self.b * self.snr
 
 
-def _check_snr(snr: float) -> None:
+def _check_snr(snr: float, a: float, b: float) -> None:
+    """snr, and the link scales a * snr and b * snr as a ``GammaSnr`` scale, must be finite and > 0."""
     if not (math.isfinite(snr) and snr > 0.0):
         raise ValueError(f"snr must be finite and > 0 on the linear scale, got {snr!r}")
+    if not (0.0 < a * snr < math.inf and 0.0 < b * snr < math.inf):
+        raise ValueError(f"link SNR scales a*snr={a * snr!r}, b*snr={b * snr!r} must be finite and > 0")
 
 
 def _at_snr(cfg: SystemConfig, snr: float) -> SystemConfig:
     """``replace(cfg, snr=snr)`` for an already validated ``cfg``: only the new snr is checked."""
-    _check_snr(snr)
+    _check_snr(snr, cfg.a, cfg.b)
     out = object.__new__(type(cfg))
     vars(out).update(vars(cfg), snr=snr)
     return out

@@ -1,31 +1,33 @@
 """Direct numerical evaluation of the defining outage integral.
 
 Every outage probability in this package is, underneath, the expectation of
-a destination CDF evaluated at the outage boundary lambda(y) = (1 + y) * rho
-- 1 over the eavesdropper SNR density.  This module computes that integral
-from the distribution functions themselves, with none of the series algebra
-used by the closed forms, so the two routes can cross-validate each other.
-It does share the closed forms' case rule (``analytic.case_sop``): quadrature
-supplies only the inner quantity E_y[((1 - w) + w F_d(lambda(y)))^L], so the
-Monte Carlo route and the test oracles are the independent checks of how the
-four (scheme, scenario) cases are composed.
+a destination CDF evaluated at the outage boundary over the eavesdropper
+SNR density; at unit scale the boundary is u = alpha + beta s for the unit
+eavesdropper SNR s, with the batch plan's alpha and beta.  This module
+computes that integral from the distribution functions themselves, with
+none of the series algebra used by the closed forms, so the two routes can
+cross-validate each other.  It does share the closed forms' case rule
+(``analytic.case_sop``): quadrature supplies only the inner quantity
+E_s[((1 - w) + w P(M, u))^L], so the Monte Carlo route and the test oracles
+are the independent checks of how the four (scheme, scenario) cases are
+composed.
 
-The half line is mapped to (0, 1) through y = scale_e * t / (1 - t), which
-puts the bulk of the eavesdropper mass at moderate t for any SNR.  The
-integrator is adaptive interval halving with an embedded higher-order rule
-(15-point Kronrod extension of 7-point Gauss), refined a level at a time:
-every panel above its share of the tolerance is halved, all in one
-vectorised call, until the global estimate meets tolerance.  Many integrals
-refine as rows of one stack (``quadrature_sops``), one row per distinct
-inner quantity of the batch: each row keeps its own budget and panels,
-leaves when it converges, and every level evaluates the panels of all
-remaining rows together.  A level calls the destination CDF
-once per M, on the distinct (a_d, a_e, rho, node) points of its rows, and
-the eavesdropper density once per N, on its rows' distinct panels; rows
-that differ only in the case rule's (L, w) share those values, and each row
-applies its own law to them.  The first level's panel count and the panel
-budget, ``INITIAL_SUBDIVISIONS`` and ``MAX_PANELS``, and the tolerances,
-``ABS_TOL`` and ``REL_TOL``, are module constants.
+The half line is mapped to (0, 1) through s = t / (1 - t).  The integrator
+is adaptive interval halving with an embedded higher-order rule (15-point
+Kronrod extension of 7-point Gauss), refined a level at a time: every panel
+above its share of the tolerance is halved, all in one vectorised call,
+until the global estimate meets tolerance.  Many integrals refine as rows
+of one stack (``quadrature_sops``), one row per distinct inner quantity of
+the batch: each row keeps its own budget and panels, leaves when it
+converges, and every level evaluates the panels of all remaining rows
+together.  A level calls the destination CDF once per M, on the distinct
+(alpha, beta, node) points of its rows, and the eavesdropper density once
+per N, on its rows' distinct panels; rows that differ only in the case
+rule's (L, w) share those values, and each row applies its own law to them.
+A row whose destination law bends inside the first uniform panel gets an
+extra first-level edge at the bend.  The first level's panel count and the
+panel budget, ``INITIAL_SUBDIVISIONS`` and ``MAX_PANELS``, and the
+tolerances, ``ABS_TOL`` and ``REL_TOL``, are module constants.
 """
 
 from __future__ import annotations
@@ -128,18 +130,20 @@ def _stacked_integrals(
     hi: float,
     abs_tol: float,
     rel_tol: float,
+    breaks: np.ndarray,
 ) -> list:
     """Adaptive integrals of ``n_rows`` integrands over [lo, hi], refined level by level together.
 
     ``evaluate(rows, x)`` returns the integrand values at the (P, 15) node
     array ``x``, whose panel i belongs to row ``rows[i]``; it is called once
-    per level for every row still refining.  Each row follows
-    ``adaptive_integral``'s rule with its own tolerance and budget, and
-    leaves when it converges or runs out of budget.  Panels stay in
-    evaluation order, tagged with their row, and per-row sums come from
-    ``np.bincount``; it adds a row's panels in the order of its one-row call
-    (kept panels, then left halves, then right halves), so the row's value
-    and panel count are those of that call.
+    per level for every row still refining.  ``breaks`` holds each row's
+    extra first-level edges inside (lo, hi), padded with NaN; it may have
+    no columns.  Each row follows ``adaptive_integral``'s rule with its own
+    first level, tolerance and budget, extra panels included, and leaves
+    when it converges or runs out of budget.  Panels stay in evaluation order, tagged with their row,
+    and per-row sums come from ``np.bincount``; it adds a row's panels in
+    the order of its one-row call (kept panels, then left halves, then right
+    halves), so the row's value and panel count are those of that call.
     Returns one float or one ``QuadratureConvergenceError`` per row.
     """
     edges = np.linspace(lo, hi, INITIAL_SUBDIVISIONS + 1)
@@ -148,11 +152,13 @@ def _stacked_integrals(
     # position in ``ids`` as ``seg``.  Array methods stand in for their numpy
     # functions: a lone row's level is a few dozen calls on tiny arrays.
     ids = np.arange(n_rows)
-    seg = ids.repeat(INITIAL_SUBDIVISIONS)
-    evaluated = np.full(n_rows, INITIAL_SUBDIVISIONS)
-    panels = np.empty((4, n_rows, INITIAL_SUBDIVISIONS))
-    panels[0], panels[1] = edges[:-1], edges[1:]
-    panels = panels.reshape(4, -1)
+    # NaN pads sort last, so each row's edges run in order, then its pads
+    bounds = np.sort(np.hstack((np.broadcast_to(edges, (n_rows, edges.size)), breaks)), axis=1)
+    real = ~np.isnan(bounds[:, 1:])
+    evaluated = real.sum(axis=1)
+    panels = np.empty((4, evaluated.sum()))
+    panels[0], panels[1] = bounds[:, :-1][real], bounds[:, 1:][real]
+    seg = ids.repeat(evaluated)
     panels[2:] = _panels(evaluate, seg, panels[0], panels[1])
     results: list = [None] * n_rows
     while True:
@@ -212,7 +218,7 @@ def adaptive_integral(
     first, ``QuadratureConvergenceError`` carries the achieved estimate.
     This is the one-row case of the row-stacked integrator.
     """
-    (result,) = _stacked_integrals(lambda rows, x: f(x), 1, lo, hi, abs_tol, rel_tol)
+    (result,) = _stacked_integrals(lambda rows, x: f(x), 1, lo, hi, abs_tol, rel_tol, np.empty((1, 0)))
     if isinstance(result, QuadratureConvergenceError):
         raise result
     return result
@@ -262,35 +268,43 @@ def _members(of: np.ndarray, rows: np.ndarray, value: int, count: int):
 
 
 def _boundary_expectations(plan: CasePlan) -> list[float]:
-    """E_y[((1 - w) + w P(M, lambda(y) / a_d))^L] of every distinct key of ``plan``, as one row-stacked integral.
+    """E_s[((1 - w) + w P(M, alpha + beta s))^L] of every distinct key of ``plan``, as one row-stacked integral.
 
-    Each distinct inner key (M, N, a, b, rho, snr, L, w) is one row, however
-    many cells read it.  Row r substitutes y = a_e t / (1 - t) with its own
-    a_e = b snr, and reads the boundary lambda(y) = (1 + y) rho - 1 with its
-    own rho and a_d = a snr.  The rows sharing M share one destination CDF
-    and the rows sharing N one eavesdropper density, each from
-    ``build_integrand`` (called with the first cell of a key that brings a
-    new M or N), looked up at call time.  Each level calls an M's CDF once, on the distinct
-    (a_d, a_e, rho, panel) nodes of its rows, and an N's density once, on
-    its rows' distinct panels: rows that differ only in (L, w) share a
-    panel's law values until their refinements part.  Each row's (L, w)
-    law is applied to its gathered values with the lone call's arithmetic,
-    so every value is that of the row's ``quadrature_sop``.
+    Each distinct inner key (M, N, beta, alpha, L, w) of ``plan.groups`` is
+    one row, however many cells read it, at its law point (alpha, beta).
+    The rows sharing M share one destination CDF and the rows sharing N one
+    eavesdropper density, each from ``build_integrand`` (called with the
+    first cell of a group that brings a new M or N), looked up at call time.
+    Each level calls an M's CDF once, on the distinct (alpha, beta, node)
+    points of its rows, and an N's density once, on its rows' distinct
+    panels: rows that differ only in (L, w) share a panel's law values until
+    their refinements part.  Each row's (L, w) law is applied to its
+    gathered values with the lone call's arithmetic, so every value is that
+    of the row's ``quadrature_sop``.  P(M, u) bends at u_b in {M/10, M,
+    10 M + 10}, so at t_b = s_b / (1 + s_b), s_b = (u_b - alpha) / beta; a
+    t_b inside the first uniform panel, where a narrow bend can fall between
+    the first level's nodes, is an extra edge of the row's first level.
     """
     cdfs: dict[int, Callable] = {}  # per M
     pdfs: dict[int, Callable] = {}  # per N
-    points: dict[tuple, int] = {}  # per law point (a_d, a_e, rho): its index
+    points: dict[tuple, int] = {}  # per law point (alpha, beta): its index
     laws: dict[tuple, int] = {}  # per (L, w): its index
-    of = []  # per row: its M, its N, its law point's index and its law's index
-    for (M, N, a, b, rho, snr, power, weight), first in zip(plan.keys, plan.first):
+    of = [None] * len(plan.first)  # per row: its M, its N, its law point's index and its law's index
+    for (M, N, beta, power, weight), (ats, alphas) in plan.groups.items():
         if M not in cdfs or N not in pdfs:
-            integrand = build_integrand(SopQuery(*plan.cells[first]))
+            integrand = build_integrand(SopQuery(*plan.cells[plan.first[ats[0]]]))
             cdfs.setdefault(M, integrand.destination_cdf)
             pdfs.setdefault(N, integrand.eavesdropper_pdf)
-        point = points.setdefault((a * snr, b * snr, rho), len(points))
-        of.append((M, N, point, laws.setdefault((power, weight), len(laws))))
+        law = laws.setdefault((power, weight), len(laws))
+        for at, alpha in zip(ats, alphas):
+            of[at] = (M, N, points.setdefault((alpha, beta), len(points)), law)
     m_of, n_of, point_of, law_of = np.array(of, dtype=np.intp).T
-    a_d, a_e, rho = np.array(list(points)).T.copy()
+    alpha, beta = np.array(list(points)).T.copy()
+
+    s_b = (np.array((m_of / 10, m_of, 10 * m_of + 10)) - alpha[point_of]) / beta[point_of]
+    t_b = s_b / (1.0 + np.abs(s_b))  # s_b / (1 + s_b) where s_b > 0, and not positive elsewhere
+    inside = (t_b > 0.0) & (t_b < 1.0 / INITIAL_SUBDIVISIONS)
+    breaks = np.where(inside, t_b, np.nan).T
 
     def evaluate(rows, t):
         # a panel is known by its first and last node, which fix its ends
@@ -302,8 +316,7 @@ def _boundary_expectations(plan: CasePlan) -> list[float]:
             if point.size:
                 pick, where = _distinct(last[at], first[at], point)
                 p, t_p = point[pick, None], t[at][pick]
-                odds = t_p / (1.0 - t_p)  # y / a_e
-                fx[at] = cdf(((1.0 + a_e[p] * odds) * rho[p] - 1.0) / a_d[p])[where]
+                fx[at] = cdf(alpha[p] + beta[p] * (t_p / (1.0 - t_p)))[where]
         density = np.empty_like(t)
         for N, pdf in pdfs.items():
             at = _members(n_of, rows, N, len(pdfs))
@@ -323,7 +336,7 @@ def _boundary_expectations(plan: CasePlan) -> list[float]:
                 fx[at] = single * density[at]
         return fx
 
-    results = _stacked_integrals(evaluate, len(plan.keys), 0.0, 1.0, ABS_TOL, REL_TOL)
+    results = _stacked_integrals(evaluate, len(plan.first), 0.0, 1.0, ABS_TOL, REL_TOL, breaks)
     for result in results:
         if isinstance(result, QuadratureConvergenceError):
             raise result
@@ -339,7 +352,7 @@ def quadrature_inner(plan: CasePlan) -> tuple[list[float], list[bool]]:
 def quadrature_sops(queries) -> list[float]:
     """Outage probabilities of many queries by one row-stacked quadrature.
 
-    Each distinct inner quantity (M, N, a, b, rho, snr, L, w) is one row,
+    Each distinct inner quantity (M, N, beta, alpha, L, w) is one row,
     however many queries read it; a query over dead backhaul reads none.
     All rows refine together, each to ``ABS_TOL`` and ``REL_TOL`` by
     ``adaptive_integral``'s rule, and every value equals that query's

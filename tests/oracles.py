@@ -33,7 +33,12 @@ def sop_quadpack(cfg: SystemConfig, scheme: Scheme, scenario: Scenario) -> float
     Uses the same rational substitution y = scale * t / (1 - t) the library
     uses, because QUADPACK misses the eavesdropper tail mass on a raw
     semi-infinite range at high SNR; everything else (CDF, PDF, the adaptive
-    integrator itself) is scipy's.
+    integrator itself) is scipy's.  Wherever the destination law bends, at
+    y with (1 + y) rho - 1 = u_b a_d for u_b in {M/10, M, 10 M + 10},
+    QUADPACK gets that t in (0, 1) as a break point: an adaptive rule cannot
+    see a bend narrower than the spacing of its first nodes.  The library
+    takes only the bends of its first uniform panel, so the oracle's rule is
+    the stricter one.
     """
     scheme, scenario = Scheme(scheme), Scenario(scenario)
     rho = cfg.rho
@@ -60,7 +65,12 @@ def sop_quadpack(cfg: SystemConfig, scheme: Scheme, scenario: Scenario) -> float
         y = scale * t / (1.0 - t)
         return inner(y) * eave.pdf(y) * scale / (1.0 - t) ** 2
 
-    value, _ = integrate.quad(integrand, 0.0, 1.0, limit=200, epsabs=1e-13, epsrel=1e-13)
+    alpha, beta = (rho - 1.0) / cfg.a_d, rho * cfg.b / cfg.a
+    bends = [(u - alpha) / beta for u in (cfg.M / 10, cfg.M, 10 * cfg.M + 10)]
+    points = [t for t in (s / (1.0 + s) for s in bends if s > 0.0) if t < 1.0]
+    value, _ = integrate.quad(
+        integrand, 0.0, 1.0, limit=200, epsabs=1e-13, epsrel=1e-13, points=points or None
+    )
 
     if scheme is Scheme.SS:
         if scenario is Scenario.KU:
@@ -143,13 +153,13 @@ def exact_power_coefficients(k: int, num_terms: int) -> list[Fraction]:
 def selection_series_mp(M, N, a, b, rho, snr, L, w) -> tuple[float, float]:
     """The inner quantity E_y[((1 - w) + w F_d(lambda(y)))^L] as its alternating series, at 60 digits.
 
-    The arguments are an inner key of ``analytic.CasePlan``, read as exact
-    binary numbers.  With alpha = (rho - 1) / (a snr), beta = rho b / a and
-    the unit Gamma(N) eavesdropper SNR s, the destination survival function
-    at the boundary is e^(-alpha - beta s) sum_{m<M} (alpha + beta s)^m / m!;
-    its k-th power is expanded binomially in beta s by polynomial
-    multiplication and integrated term by term, E s^j e^(-k beta s) =
-    (N)_j / (1 + k beta)^(N + j).  Returns the sum 1 + sum_k (-1)^k C(L, k)
+    The arguments are a cell's link (M, N, a, b, rho, snr) and its case
+    rule's (L, w), read as exact binary numbers.  With alpha = (rho - 1) /
+    (a snr), beta = rho b / a and the unit Gamma(N) eavesdropper SNR s, the
+    destination survival function at the boundary is e^(-alpha - beta s)
+    sum_{m<M} (alpha + beta s)^m / m!; its k-th power is expanded
+    binomially in beta s by polynomial multiplication and integrated term by
+    term, E s^j e^(-k beta s) = (N)_j / (1 + k beta)^(N + j).  Returns the sum 1 + sum_k (-1)^k C(L, k)
     w^k E Q^k and the sum of its terms' sizes, both rounded to floats.
     """
     with mpmath.workdps(60):

@@ -1,0 +1,138 @@
+"""The extreme-domain probe: where the closed form and quadrature disagree, and which of them is wrong.
+
+It draws seeded queries far outside the validation grid: K in {1, 2, 3, 5,
+8, 13, 20, 30}, M and N in {1, 2, 4, 8, 16, 24}, a and b log-uniform on
+[1e-4, 1e4], zeta in {1e-6, 0.3, 0.9, 1}, r_th in {0, 0.01, 1, 5, 12, 30},
+the SNR uniform on [-80, 120] dB and the case uniform over the four.  The
+queries are planned once (``analytic.CasePlan``), and each distinct inner
+key is evaluated by the closed form (one batch) and by tight quadrature
+(abs 0, rel 1e-12), one lone row per key so that a row which does not
+converge is counted, not fatal.  Where the two differ by more than 1e-9
+relative, the 60-digit series (``oracles.selection_series_mp``) settles
+which route is wrong, the one farther from it, unless its own rounding
+(``ORACLE_DIGITS`` times the sum of its terms' sizes) could decide it.
+The probe prints how many keys the closed form flags and how many do not
+converge, how many keys disagree, and per route how many of those it got
+wrong, with the worst and the worst unflagged.  It takes about 5 s and is
+run by hand, outside the tier-1 suite:
+
+    PYTHONPATH=src python tests/probe.py [--queries 400] [--seed 12]
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import sys
+import time
+
+import numpy as np
+
+from oracles import selection_series_mp
+from secrecy_outage import SystemConfig
+from secrecy_outage import quadrature
+from secrecy_outage.analytic import CASES, CasePlan, Scenario, Scheme, SopQuery, analytic_inner
+from secrecy_outage.sweep import db_to_linear
+
+KS = (1, 2, 3, 5, 8, 13, 20, 30)
+PATHS = (1, 2, 4, 8, 16, 24)
+ZETAS = (1e-6, 0.3, 0.9, 1.0)
+THRESHOLDS = (0.0, 0.01, 1.0, 5.0, 12.0, 30.0)
+DISAGREE = 1e-9  # relative gap between the two routes that calls for the oracle
+ORACLE_DIGITS = 1e-57  # the 60-digit sum's rounding, relative to the sum of its terms' sizes
+
+
+def draw_queries(n: int, seed: int) -> list[SopQuery]:
+    """``n`` seeded queries over the extreme domain."""
+    rng = np.random.default_rng(seed)
+    queries = []
+    for _ in range(n):
+        a, b = 10.0 ** rng.uniform(-4.0, 4.0, size=2)
+        cfg = SystemConfig(
+            K=int(rng.choice(KS)),
+            zeta=float(rng.choice(ZETAS)),
+            r_th=float(rng.choice(THRESHOLDS)),
+            snr=db_to_linear(float(rng.uniform(-80.0, 120.0))),
+            M=int(rng.choice(PATHS)),
+            N=int(rng.choice(PATHS)),
+            a=float(a),
+            b=float(b),
+        )
+        queries.append(SopQuery(cfg, *CASES[rng.integers(len(CASES))]))
+    return queries
+
+
+def _law(cell) -> tuple[int, float]:
+    """A cell's (L, w) by the case table: L = K under ss, else 1; w = zeta under ka, else 1."""
+    cfg, scheme, scenario = cell
+    return (cfg.K if scheme is Scheme.SS else 1, cfg.zeta if scenario is Scenario.KA else 1.0)
+
+
+def _describe(cfg: SystemConfig, L: int, w: float) -> str:
+    return (
+        f"M={cfg.M} N={cfg.N} a={cfg.a:.5g} b={cfg.b:.5g} r_th={cfg.r_th:g} "
+        f"{10.0 * math.log10(cfg.snr):.2f} dB (L, w)=({L}, {w:g})"
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Probe the closed form against quadrature on an extreme domain.")
+    parser.add_argument("--queries", type=int, default=400, help="number of seeded queries (default 400)")
+    parser.add_argument("--seed", type=int, default=12, help="seed of the query draw (default 12)")
+    args = parser.parse_args(argv)
+    plan = CasePlan.of(draw_queries(args.queries, args.seed))
+    cells = [plan.cells[first] for first in plan.first]
+    start = time.perf_counter()
+    closed, flags = analytic_inner(plan)
+    closed_s = time.perf_counter() - start
+    quad, failed = [], 0
+    quadrature.ABS_TOL, quadrature.REL_TOL = 0.0, 1e-12
+    start = time.perf_counter()
+    for cell in cells:
+        try:
+            (value,), _ = quadrature.quadrature_inner(CasePlan([cell]))
+        except quadrature.QuadratureConvergenceError as exc:
+            value, failed = exc.value, failed + 1
+        quad.append(value)
+    quad_s = time.perf_counter() - start
+    print(
+        f"{args.queries} queries (seed {args.seed}), {len(cells)} distinct keys: "
+        f"closed form {closed_s:.1f} s, quadrature (abs 0, rel 1e-12) {quad_s:.1f} s"
+    )
+    print(f"closed form flagged: {sum(flags)} keys; quadrature did not converge: {failed} keys")
+    wrong, unsettled = {"closed form": [], "quadrature": []}, 0
+    disagree = [
+        at for at, (c, q) in enumerate(zip(closed, quad)) if not abs(c - q) <= DISAGREE * max(abs(c), abs(q))
+    ]
+    start = time.perf_counter()
+    for at in disagree:
+        cfg = cells[at][0]
+        exact, size = selection_series_mp(cfg.M, cfg.N, cfg.a, cfg.b, cfg.rho, cfg.snr, *_law(cells[at]))
+        if ORACLE_DIGITS * size > abs(closed[at] - quad[at]) / 10.0:
+            unsettled += 1  # the 60-digit sum's own rounding could decide it
+            continue
+        errors = {"closed form": abs(closed[at] - exact), "quadrature": abs(quad[at] - exact)}
+        route = max(errors, key=errors.get)
+        wrong[route].append((errors[route], at, exact))
+    print(
+        f"closed form and quadrature disagree by more than {DISAGREE:g} relative: {len(disagree)} keys; "
+        f"the 60-digit series ({time.perf_counter() - start:.1f} s) is short of digits on {unsettled}"
+    )
+    for route, errors in wrong.items():
+        line = f"  wrong on the {route}: {len(errors)} keys"
+        if route == "closed form":
+            line += f" ({sum(flags[at] for _, at, _ in errors)} flagged)"
+        for label, pool in (("worst", errors), ("worst unflagged", [e for e in errors if not flags[e[1]]])):
+            if pool:
+                err, at, exact = max(pool)
+                cfg = cells[at][0]
+                line += (
+                    f"\n    {label} error {err:.2g} (relative {err / abs(exact):.2g}, exact {exact:.11g}) at "
+                    f"K={cfg.K} {_describe(cfg, *_law(cells[at]))}"
+                )
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

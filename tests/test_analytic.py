@@ -327,7 +327,7 @@ def _rule_with_fake_inner(queries, xs, flags=None, method=EvalMethod.ANALYTIC):
 
     def inner(plan):
         calls.append(plan)
-        assert len(xs) == len(plan.keys)
+        assert len(xs) == len(plan.first)
         return list(xs), list(flags if flags is not None else [False] * len(xs))
 
     values, value_flags, raws = case_sop(CasePlan.of(queries), inner, method)
@@ -337,9 +337,18 @@ def _rule_with_fake_inner(queries, xs, flags=None, method=EvalMethod.ANALYTIC):
 
 
 def _key(query, L, w):
-    """A query's inner key for the case rule's (L, w)."""
+    """A query's inner key (M, N, beta, alpha, L, w) for the case rule's (L, w)."""
     cfg = query.cfg
-    return (cfg.M, cfg.N, cfg.a, cfg.b, cfg.rho, cfg.snr, L, w)
+    return (cfg.M, cfg.N, cfg.rho * cfg.b / cfg.a, (cfg.rho - 1.0) / cfg.a_d, L, w)
+
+
+def _keys(plan):
+    """A plan's distinct keys, in key order, read from its groups."""
+    keys = [None] * len(plan.first)
+    for (M, N, beta, L, w), (ats, alphas) in plan.groups.items():
+        for at, alpha in zip(ats, alphas):
+            keys[at] = (M, N, beta, alpha, L, w)
+    return keys
 
 
 def _case_key(query):
@@ -370,13 +379,13 @@ def test_case_rule_table():
     for (scheme, scenario), (args, outage) in table.items():
         query = SopQuery(cfg, scheme, scenario)
         (result,), calls = _rule_with_fake_inner([query], [x])
-        assert [plan.keys for plan in calls] == [[_key(query, *args)]]
+        assert [_keys(plan) for plan in calls] == [[_key(query, *args)]]
         assert [row[0] for row in calls[0].rows] == [0]
         assert (result.value, result.raw_value) == (outage, outage)
         assert not result.significance_flag and result.method is EvalMethod.ANALYTIC
     queries = [SopQuery(cfg, scheme, scenario) for scheme, scenario in table]
     results, calls = _rule_with_fake_inner(queries, [x] * 4)
-    assert [plan.keys for plan in calls] == [[_key(query, *args) for query, (args, _) in zip(queries, table.values())]]
+    assert [_keys(plan) for plan in calls] == [[_key(query, *args) for query, (args, _) in zip(queries, table.values())]]
     assert [row[0] for row in calls[0].rows] == [0, 1, 2, 3]
     assert [r.value for r in results] == [outage for _, outage in table.values()]
     assert not any(r.significance_flag for r in results)
@@ -475,7 +484,7 @@ def test_batch_case_rule_skips_dead_backhaul():
     queries = [q for pair in zip(live, dead + dead[:4]) for q in pair]
     keys = list(dict.fromkeys(map(_case_key, live)))
     values, calls = _rule_with_fake_inner(queries, [0.3] * len(keys))
-    assert len(calls) == 1 and calls[0].keys == keys
+    assert len(calls) == 1 and _keys(calls[0]) == keys
     assert [at < 0 for at in _key_index(queries)] == [query.cfg.zeta == 0.0 for query in queries]
     for query, value in zip(queries, values):
         if query.cfg.zeta == 0.0:
@@ -484,6 +493,19 @@ def test_batch_case_rule_skips_dead_backhaul():
             assert value.value != 1.0
     values, calls = _rule_with_fake_inner(dead, [])
     assert calls == [] and all(v.value == 1.0 for v in values)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(a=1e300, b=1e-300),  # beta = rho b / a underflows to 0
+    dict(a=1e-300, b=1e300),  # beta overflows
+    dict(r_th=1000.0, a=1e-4, snr=1e-8),  # alpha = (rho - 1) / a_d overflows
+])
+def test_plan_rejects_boundary_out_of_float_range(fields):
+    # the config itself is valid; its outage boundary is not, on every route
+    query = SopQuery(_cfg(**fields), Scheme.SS, Scenario.KA)
+    for route in (analytic_sop, asymptotic_sop, quadrature_sop):
+        with pytest.raises(ValueError, match="outage boundary"):
+            route(query)
 
 
 def test_best_ratio_power_is_python_float_power():
@@ -594,7 +616,7 @@ _mixed_batches = st.lists(_link, min_size=1, max_size=3).flatmap(
 def test_mixed_batches_equal_lone_calls_bit_for_bit(queries):
     # each route plans the batch once and evaluates each distinct inner key
     # once; every value, in input order, is still its query's lone call
-    assert len(CasePlan.of(queries).keys) < len(queries)
+    assert len(CasePlan.of(queries).first) < len(queries)
     for batch, lone in BATCH_ROUTES:
         assert [_fields(value) for value in batch(queries)] == [_fields(lone(query)) for query in queries]
     assert [value.hex() for value in quadrature_sops(queries)] == [quadrature_sop(query).hex() for query in queries]
@@ -639,7 +661,7 @@ def test_floor_runs_once_per_group(monkeypatch):
     calls = _counting(monkeypatch, "_selection_series")
     values = asymptotic_sops(_sweep_queries(_cfg(K=3, zeta=0.9)))
     assert len(calls) == 4
-    assert len({args[5:7] for args in calls}) == 4
+    assert len({args[3:5] for args in calls}) == 4
     assert all(args[-1] == [0.0] for args in calls)
     assert len({v.value for v in values[0::4]}) == 1  # one ss/ku floor at every SNR
 

@@ -58,6 +58,9 @@ def test_config_derived_quantities(base_cfg):
         ("b", -0.2),
         ("b", math.nan),
         ("b", math.inf),
+        ("snr", 5e-324),  # a * snr and b * snr underflow to 0
+        ("a", 1e308),  # a * snr overflows
+        ("b", 1e308),  # b * snr overflows
     ],
 )
 def test_config_rejects_bad_values(field, value):

@@ -59,6 +59,19 @@ def test_sop_huge_snr_db_is_usage_error(capsys):
     assert err.startswith("error:") and "4000" in err
 
 
+@pytest.mark.parametrize("command, message", [
+    # a * snr underflows to 0 at a = 1e-200 and -2000 dB
+    (["sop", "--a", "1e-200", "--snr-db", "-2000"], "a*snr"),
+    (["sweep", "--a", "1e-200", "--snr-start", "-2000", "--snr-stop", "-1990", "--snr-step", "10"], "a*snr"),
+    # beta = rho b / a underflows to 0 at a = 1e300, b = 1e-300
+    (["sop", "--a", "1e300", "--b", "1e-300", "--snr-db", "0"], "outage boundary"),
+])
+def test_out_of_float_range_is_usage_error(capsys, command, message):
+    assert main([command[0], *BASE_ARGS, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_sop_mc_point_reports_interval(capsys):
     rc = main(["sop", *BASE_ARGS, "--snr-db", "10", "--method", "mc",
                "--samples", "5000", "--seed", "42"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from oracles import adaptive_integral_loop, sop_quadpack
+from oracles import adaptive_integral_loop, selection_series_mp, sop_quadpack
 from secrecy_outage import (
     FIGURE_PRESETS,
     NumericalIntegrityError,
@@ -369,18 +369,24 @@ def _row_panels(record, n_rows: int) -> list[list[np.ndarray]]:
     return panels
 
 
+def _law_point(cfg):
+    """A config's (alpha, beta): its outage boundary at unit scale is u = alpha + beta s."""
+    return (cfg.rho - 1.0) / cfg.a_d, cfg.rho * cfg.b / cfg.a
+
+
 def _boundary_node(cfg, t):
-    return ((1.0 + cfg.a_e * (t / (1.0 - t))) * cfg.rho - 1.0) / cfg.a_d
+    alpha, beta = _law_point(cfg)
+    return alpha + beta * (t / (1.0 - t))
 
 
 def _check_laws_see_distinct_points(record, queries):
-    """At each level, an M's CDF sees each distinct (a_d, a_e, rho, node) of its rows once.
+    """At each level, an M's CDF sees each distinct (alpha, beta, node) of its rows once.
 
     Likewise an N's density sees each distinct node of its rows once; each law
     is called at most once per level.  Row r of a level is ``queries[r]``.
     """
     laws = (
-        (record.cdf, 0, lambda cfg: cfg.M, lambda cfg: (cfg.a_d, cfg.a_e, cfg.rho), _boundary_node),
+        (record.cdf, 0, lambda cfg: cfg.M, _law_point, _boundary_node),
         (record.pdf, 1, lambda cfg: cfg.N, lambda cfg: (), lambda cfg, t: t / (1.0 - t)),
     )
     for level, (rows, x) in enumerate(record.levels):
@@ -420,7 +426,7 @@ def test_batch_matches_each_query_and_its_panels(monkeypatch):
     assert all(type(value) is float for value in values)
     # one row per distinct inner key; each query's row refines its lone panels
     plan = CasePlan.of(queries)
-    rows = _row_panels(record, len(plan.keys))
+    rows = _row_panels(record, len(plan.first))
     for (at, _, _), lone in zip(plan.rows, lone_panels, strict=True):
         assert len(rows[at]) == len(lone)
         assert all(np.array_equal(level, lone_level) for level, lone_level in zip(rows[at], lone))
@@ -460,6 +466,19 @@ def test_rows_sharing_a_law_point_evaluate_it_once(monkeypatch, kind):
     _check_laws_see_distinct_points(record, [queries[first] for first in CasePlan.of(queries).first])
 
 
+def _rows_of(fs):
+    """A stacked integrand whose row r is ``fs[r]``."""
+
+    def evaluate(rows, x):
+        out = np.empty_like(x)
+        for r, f in enumerate(fs):
+            if np.any(rows == r):
+                out[rows == r] = f(x[rows == r])
+        return out
+
+    return evaluate
+
+
 def test_needle_row_fails_alone(monkeypatch):
     # the needle exhausts its budget; the other rows keep their one-row panels and values
     monkeypatch.setattr(quadrature, "MAX_PANELS", 64)
@@ -475,15 +494,8 @@ def test_needle_row_fails_alone(monkeypatch):
         alone.append((value, counting.panels))
     assert isinstance(alone[1][0], QuadratureConvergenceError)
     stacked = [CountingIntegrand(f) for f in fs]
-
-    def evaluate(rows, x):
-        out = np.empty_like(x)
-        for r, f in enumerate(stacked):
-            if np.any(rows == r):
-                out[rows == r] = f(x[rows == r])
-        return out
-
-    results = quadrature._stacked_integrals(evaluate, len(fs), 0.0, 1.0, **kwargs)
+    no_edges = np.empty((len(fs), 0))
+    results = quadrature._stacked_integrals(_rows_of(stacked), len(fs), 0.0, 1.0, breaks=no_edges, **kwargs)
     assert isinstance(results[1], QuadratureConvergenceError)
     assert results[1].value == alone[1][0].value
     for r in (0, 2, 3):
@@ -545,7 +557,7 @@ def test_integrity_check_rejects_bad_integral(monkeypatch, bad):
     # every case assembles its value from the boundary expectation, so a NaN
     # or a value far outside [0, 1] must raise instead of being clamped
     monkeypatch.setattr(
-        quadrature, "_boundary_expectations", lambda plan: [bad] * len(plan.keys)
+        quadrature, "_boundary_expectations", lambda plan: [bad] * len(plan.first)
     )
     cfg = SystemConfig(K=2, zeta=1.0, r_th=1.0, snr=10.0, M=2, N=2, a=0.5, b=0.5)
     for scheme, scenario in CASES:
@@ -561,3 +573,81 @@ def test_high_snr_tail_not_lost(scheme, scenario):
     query = SopQuery(cfg=cfg, scheme=scheme, scenario=scenario)
     floor = asymptotic_sop(query).value
     assert quadrature_sop(query) == pytest.approx(floor, rel=1e-8)
+
+
+# Keys whose destination law bends inside the first uniform panel, each with
+# the value that quadrature missed without an edge there: K, M, N, a, b, r_th,
+# SNR in dB, zeta and case.  The first two returned 1.0 against 0.99998877844
+# and 0.99999063861; the third 0.9999999999999998 against 0.9999999956429.
+BEND_KEYS = [
+    (30, 24, 1, 0.24468, 186.95, 12.0, 83.97, 1.0, (Scheme.SS, Scenario.KA)),
+    (5, 4, 1, 71.357, 7443.7, 12.0, 61.38, 1.0, (Scheme.OS, Scenario.KA)),
+    (2, 24, 2, 3.1269, 4.1777e-4, 30.0, 98.88, 0.3, (Scheme.OS, Scenario.KA)),
+]
+
+
+def _bend_query(K, M, N, a, b, r_th, snr_db, zeta, case) -> SopQuery:
+    return SopQuery(SystemConfig(K=K, zeta=zeta, r_th=r_th, snr=db_to_linear(snr_db), M=M, N=N, a=a, b=b), *case)
+
+
+@pytest.mark.parametrize("key", BEND_KEYS)
+def test_bend_in_first_panel_is_an_edge(key):
+    # the destination law bends between the first level's nodes, so the rule
+    # saw a flat integrand there; an edge at the bend finds it, and so does
+    # QUADPACK with a break point there
+    query = _bend_query(*key)
+    cfg = query.cfg
+    L = cfg.K if query.scheme is Scheme.SS else 1
+    (value,), _ = quadrature.quadrature_inner(CasePlan.of([query]))
+    exact, _ = selection_series_mp(cfg.M, cfg.N, cfg.a, cfg.b, cfg.rho, cfg.snr, L, cfg.zeta)
+    assert abs(value - exact) <= quadrature.ABS_TOL
+    outage = exact if query.scheme is Scheme.SS else exact**cfg.K  # both cases are ka
+    assert abs(sop_quadpack(cfg, query.scheme, query.scenario) - outage) <= quadrature.ABS_TOL
+
+
+def _recording_stacks(monkeypatch) -> list:
+    """Record each ``_stacked_integrals`` call's row count and first-level extra edges."""
+    calls, stack = [], quadrature._stacked_integrals
+
+    def recording(evaluate, n_rows, *args):
+        calls.append((n_rows, *args[4:]))
+        return stack(evaluate, n_rows, *args)
+
+    monkeypatch.setattr(quadrature, "_stacked_integrals", recording)
+    return calls
+
+
+def test_mixed_batch_with_and_without_edges_equals_lone_calls(monkeypatch):
+    queries = _mixed_queries() + [_bend_query(*key) for key in BEND_KEYS]
+    calls = _recording_stacks(monkeypatch)
+    values = quadrature_sops(queries)
+    ((n_rows, breaks),) = calls
+    assert 0 < (~np.isnan(breaks)).any(axis=1).sum() < n_rows
+    assert [value.hex() for value in values] == [quadrature_sop(query).hex() for query in queries]
+
+
+def test_first_level_edges_count_against_the_budget(monkeypatch):
+    # a row with two extra edges evaluates ten first-level panels; at a budget
+    # of eleven it has no room to refine, while its edgeless twin halves one
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 11)
+    counting = [CountingIntegrand(_spike), CountingIntegrand(_spike)]
+    breaks = np.array([[math.nan, math.nan], [0.05, 0.01]])
+    plain, edged = quadrature._stacked_integrals(_rows_of(counting), 2, 0.0, 1.0, 1e-14, 1e-12, breaks)
+    assert isinstance(plain, QuadratureConvergenceError) and isinstance(edged, QuadratureConvergenceError)
+    assert counting[0].shapes == [(8, 15), (2, 15)]
+    assert counting[1].shapes == [(10, 15)]
+
+
+def test_zero_threshold_sweep_stacks_one_row_per_case(monkeypatch):
+    # at r_th = 0 alpha is 0 at every SNR: a 26-point sweep's cells of one case
+    # share one key, so one row, and read one value
+    cfg = SystemConfig(K=3, zeta=0.9, r_th=0.0, snr=1.0, M=6, N=4, a=0.5, b=0.2)
+    queries = [
+        SopQuery(replace(cfg, snr=db_to_linear(-10.0 + 2.0 * i)), scheme, scenario)
+        for i in range(26)
+        for scheme, scenario in CASES
+    ]
+    calls = _recording_stacks(monkeypatch)
+    values = quadrature_sops(queries)
+    assert [n_rows for n_rows, _ in calls] == [len(CASES)]
+    assert all(len(set(values[case :: len(CASES)])) == 1 for case in range(len(CASES)))
