@@ -12,9 +12,10 @@ power k through a polynomial power p_alpha^k whose one SNR-dependent number
 is alpha = (rho - 1) / a_d, and integrate term by term against the
 eavesdropper density.  One kernel serves every case and both routes: the
 exact series at one alpha per SNR point, and the high-SNR floor as its
-alpha = 0 case, each behind one batch entry (``analytic_sops``,
-``asymptotic_sops``) whose one-query call is the lone entry
-(``analytic_sop``, ``asymptotic_sop``).  A batch is planned once
+alpha = 0 case, both building their powers by one per-point log-space
+convolution (``_log_powers``), each behind one batch entry
+(``analytic_sops``, ``asymptotic_sops``) whose one-query call is the lone
+entry (``analytic_sop``, ``asymptotic_sop``).  A batch is planned once
 (``CasePlan``), the one place that computes alpha and beta = rho b / a, so
 each distinct inner quantity is evaluated once: the series once per group
 of keys that differ only in alpha.  At r_th = 0 alpha is 0 at every SNR, so
@@ -39,7 +40,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import SystemConfig
-from .numerics import _log_convolve, log_factorials, log_power_coefficients, significance_lost
+from .numerics import _log_convolve, log_factorials, significance_lost
 
 __all__ = [
     "CASES",
@@ -256,13 +257,10 @@ def _log_powers(M: int, K: int, alphas):
 
     p_alpha(x) = sum_{q<M} Pois_cdf(M - 1 - q; alpha) x^q / q!, so e^-x
     p_alpha(x) is the unit-scale Gamma(M) survival function at alpha + x.
-    Each power is the last convolved with p_alpha; p_0 is the truncated
-    exponential, so when every alpha is 0 the rows are the cached table.
+    Each power is the last convolved with p_alpha.  At alpha = 0 the base is
+    -ln q!, so p_0 is the truncated exponential sum_{q<M} x^q / q! and the
+    floor's rows are its powers, the same numbers beside any other alpha.
     """
-    if not any(alphas):
-        for k in range(1, K + 1):
-            yield np.broadcast_to(log_power_coefficients(k, M), (len(alphas), k * (M - 1) + 1))
-        return
     log_fact = log_factorials(M)
     # ln alpha^i / i!, accumulated into ln Pois_cdf(n; alpha) for n < M
     log_alpha = np.array([[math.log(x) if x > 0.0 else -math.inf] for x in alphas])

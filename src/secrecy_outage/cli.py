@@ -7,7 +7,8 @@ Subcommands:
 * ``figure``   run a preset parameter study (CSV plus plot description)
 * ``validate`` run the cross-validation checks
 
-Exit codes: 0 on success, 1 when validation checks fail, 2 on usage errors.
+Exit codes: 0 on success, 1 when validation checks fail, 2 on usage errors,
+an output path that cannot be written among them.
 SNR is accepted in dB and converted to linear scale here, at the boundary;
 the library itself works in linear units throughout.
 """
@@ -243,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,12 +11,11 @@ so that callers detect a loss of significance instead of returning quiet
 noise.
 
 ``_log_convolve`` multiplies positive power series in log space; the closed
-forms' per-point powers and the cached power table (``log_power_coefficients``)
-both call it.  ``log_factorials`` tabulates ln j! from the exact integers j!.
-The identity check compares the table with the exact rational power
-(``validation``).  ``enumerate_weak_compositions``
-lists the weak compositions of k as tuples behind an eager size cap; no
-closed form or check reads it, and the benchmark times it.
+forms build their per-point powers with it (``analytic._log_powers``), the
+high-SNR floor's among them.  ``log_factorials`` tabulates ln j! from the
+exact integers j!.  ``enumerate_weak_compositions`` lists the weak
+compositions of k as tuples behind an eager size cap; no closed form or
+check reads it, and the benchmark times it.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "CompositionCapError",
     "enumerate_weak_compositions",
     "log_factorials",
-    "log_power_coefficients",
     "significance_lost",
 ]
 
@@ -70,27 +68,6 @@ def _log_convolve(log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
     for m in range(log_q.shape[-1]):
         window = out[..., m : m + span]
         np.logaddexp(window, log_p + log_q[..., m, None], out=window)
-    return out
-
-
-@lru_cache(maxsize=None)
-def log_power_coefficients(k: int, num_terms: int) -> np.ndarray:
-    """ln [x^j] (sum_{m<num_terms} x^m / m!)^k for j = 0 .. k (num_terms - 1).
-
-    Row k is row k - 1 convolved (``_log_convolve``) with the 1/m! weights,
-    read from ``log_factorials``.  Every coefficient is positive, so nothing
-    cancels.  Rows are cached and read-only; building k in increasing order
-    keeps the recursion one level deep.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if num_terms < 1:
-        raise ValueError(f"num_terms must be >= 1, got {num_terms}")
-    if k == 0:
-        out = np.zeros(1)
-    else:
-        out = _log_convolve(log_power_coefficients(k - 1, num_terms), -log_factorials(num_terms))
-    out.flags.writeable = False
     return out
 
 

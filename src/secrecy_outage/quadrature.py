@@ -279,8 +279,9 @@ def _boundary_expectations(plan: CasePlan) -> list[float]:
     points of its rows, and an N's density once, on its rows' distinct
     panels: rows that differ only in (L, w) share a panel's law values until
     their refinements part.  Each row's (L, w) law is applied to its
-    gathered values with the lone call's arithmetic, so every value is that
-    of the row's ``quadrature_sop``.  P(M, u) bends at u_b in {M/10, M,
+    gathered values with the lone call's arithmetic, and the density
+    multiplies every panel once after, so every value is that of the row's
+    ``quadrature_sop``.  P(M, u) bends at u_b in {M/10, M,
     10 M + 10}, so at t_b = s_b / (1 + s_b), s_b = (u_b - alpha) / beta; a
     t_b inside the first uniform panel, where a narrow bend can fall between
     the first level's nodes, is an extra edge of the row's first level.
@@ -333,7 +334,8 @@ def _boundary_expectations(plan: CasePlan) -> list[float]:
                     single = (1.0 - weight) + weight * single
                 if power != 1:
                     single = single**power
-                fx[at] = single * density[at]
+                fx[at] = single
+        fx *= density
         return fx
 
     results = _stacked_integrals(evaluate, len(plan.first), 0.0, 1.0, ABS_TOL, REL_TOL, breaks)

@@ -33,10 +33,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .analytic import CASES, Scenario, Scheme, SopQuery, analytic_sops, asymptotic_sops
+from .analytic import CASES, Scenario, Scheme, SopQuery, _log_powers, analytic_sops, asymptotic_sops
 from .channel import REFERENCE_CONFIG, GammaSnr, SystemConfig, snr_cdf, snr_cdf_finite_sum, snr_pdf
 from .montecarlo import McSettings, simulate_sop
-from .numerics import log_power_coefficients
 from .quadrature import adaptive_integral, quadrature_sops
 from .sweep import db_to_linear
 
@@ -296,7 +295,7 @@ def check_gain_ratio_effect(settings: ValidationSettings) -> CheckResult:
 
 
 def _power_table_gaps(k: int, num_parts: int, xs) -> tuple[float, float]:
-    """Relative gaps of the power-series coefficient table.
+    """Relative gaps of the closed forms' power p_0^k, the floor's row k of ``_log_powers`` at alpha = 0.
 
     First against the direct power (sum_{m<M} x^m / m!)^k at each x, then
     coefficient by coefficient against the exact rational power, built by
@@ -304,7 +303,10 @@ def _power_table_gaps(k: int, num_parts: int, xs) -> tuple[float, float]:
     """
     from fractions import Fraction  # only this check runs exact arithmetic
 
-    coeffs = np.exp(log_power_coefficients(k, num_parts))
+    row = np.zeros(1)  # p_0^0 = 1
+    for power in _log_powers(num_parts, k, [0.0]):
+        row = power[0]
+    coeffs = np.exp(row)
     worst_power = 0.0
     for x in xs:
         total = sum(c * x**j for j, c in enumerate(coeffs))
@@ -345,6 +347,20 @@ def check_identities(settings: ValidationSettings) -> CheckResult:
     if worst_integral > ROUNDOFF_SLACK:
         failures.append(f"cdf off its integrated density by {worst_integral:.3e}")
 
+    # The exact series' base at the grid's alpha = (rho - 1) / a_d: e^-x
+    # p_alpha(x) is the unit Gamma(M) survival function at alpha + x.
+    worst_base = 0.0
+    alphas = [(REFERENCE_CONFIG.rho - 1.0) / scale for scale in scales]
+    for shape in (1, 2, 3, 4, 6, 8):
+        bases = np.exp(next(_log_powers(shape, 1, alphas)))
+        unit = GammaSnr(shape=shape, scale=1.0)
+        for alpha, coeffs in zip(alphas, bases):
+            for x in xs:
+                series = math.exp(-x) * sum(c * x**q for q, c in enumerate(coeffs))
+                worst_base = max(worst_base, abs(series - (1.0 - snr_cdf(unit, alpha + x))))
+    if worst_base > ROUNDOFF_SLACK:
+        failures.append(f"series base off the survival function by {worst_base:.3e}")
+
     worst_power = worst_exact = 0.0
     for k in range(6):
         for num_parts in (1, 2, 3, 6):
@@ -379,6 +395,7 @@ def check_identities(settings: ValidationSettings) -> CheckResult:
 
     summary = (
         f"cdf gaps {worst_cdf:.1e} (finite sum)/{worst_integral:.1e} (integrated density); "
+        f"series-base gap {worst_base:.1e} (survival function); "
         f"power-table gaps {worst_power:.1e} (direct power)/{worst_exact:.1e} (exact power); "
         f"always-active gap {worst_known:.1e}; single-transmitter spread {worst_single:.1e}"
     )

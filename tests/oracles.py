@@ -150,6 +150,11 @@ def exact_power_coefficients(k: int, num_terms: int) -> list[Fraction]:
     return [Fraction(c, scale**k) for c in power]
 
 
+# The rounding of ``selection_series_mp``'s 60-digit sum, relative to the sum
+# of its terms' sizes; a gap below this times that size decides nothing.
+ORACLE_DIGITS = 1e-57
+
+
 def selection_series_mp(M, N, a, b, rho, snr, L, w) -> tuple[float, float]:
     """The inner quantity E_y[((1 - w) + w F_d(lambda(y)))^L] as its alternating series, at 60 digits.
 
@@ -160,7 +165,11 @@ def selection_series_mp(M, N, a, b, rho, snr, L, w) -> tuple[float, float]:
     sum_{m<M} (alpha + beta s)^m / m!; its k-th power is expanded
     binomially in beta s by polynomial multiplication and integrated term by
     term, E s^j e^(-k beta s) = (N)_j / (1 + k beta)^(N + j).  Returns the sum 1 + sum_k (-1)^k C(L, k)
-    w^k E Q^k and the sum of its terms' sizes, both rounded to floats.
+    w^k E Q^k and the sum of its terms' sizes, both rounded to floats.  The
+    sum is only good to ``ORACLE_DIGITS`` times that size: below it the
+    value, its sign included, is rounding (-3.1e-61 at a size of 2 for
+    M=24 N=8 a=37.597 b=0.051553 r_th=0 at -0.85 dB), so a caller comparing
+    at tiny outages bounds the gap it trusts by it.
     """
     with mpmath.workdps(60):
         rho, a, b, snr, w = (mpmath.mpf(x) for x in (rho, a, b, snr, w))

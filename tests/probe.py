@@ -11,12 +11,15 @@ converge is counted, not fatal.  Where the two differ by more than 1e-9
 relative, the 60-digit series (``oracles.selection_series_mp``) settles
 which route is wrong, the one farther from it, unless its own rounding
 (``ORACLE_DIGITS`` times the sum of its terms' sizes) could decide it.
-The probe prints how many keys the closed form flags and how many do not
-converge, how many keys disagree, and per route how many of those it got
-wrong, with the worst and the worst unflagged.  It takes about 5 s and is
-run by hand, outside the tier-1 suite:
+``probe`` returns the counts: how many keys the closed form flags and how
+many do not converge, how many keys disagree, and per route which of those
+it got wrong; ``main`` prints them, with the worst and the worst unflagged.
+The tight tolerances are set for the quadrature rows only and restored
+after.  At 400 queries it takes about 5 s and is run by hand:
 
     PYTHONPATH=src python tests/probe.py [--queries 400] [--seed 12]
+
+``tests/test_probe.py`` runs 120 queries of seed 12 in the tier-1 suite.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import time
 
 import numpy as np
 
-from oracles import selection_series_mp
+from oracles import ORACLE_DIGITS, selection_series_mp
 from secrecy_outage import SystemConfig
 from secrecy_outage import quadrature
 from secrecy_outage.analytic import CASES, CasePlan, Scenario, Scheme, SopQuery, analytic_inner
@@ -39,7 +42,6 @@ PATHS = (1, 2, 4, 8, 16, 24)
 ZETAS = (1e-6, 0.3, 0.9, 1.0)
 THRESHOLDS = (0.0, 0.01, 1.0, 5.0, 12.0, 30.0)
 DISAGREE = 1e-9  # relative gap between the two routes that calls for the oracle
-ORACLE_DIGITS = 1e-57  # the 60-digit sum's rounding, relative to the sum of its terms' sizes
 
 
 def draw_queries(n: int, seed: int) -> list[SopQuery]:
@@ -75,31 +77,31 @@ def _describe(cfg: SystemConfig, L: int, w: float) -> str:
     )
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Probe the closed form against quadrature on an extreme domain.")
-    parser.add_argument("--queries", type=int, default=400, help="number of seeded queries (default 400)")
-    parser.add_argument("--seed", type=int, default=12, help="seed of the query draw (default 12)")
-    args = parser.parse_args(argv)
-    plan = CasePlan.of(draw_queries(args.queries, args.seed))
+def probe(n: int, seed: int) -> dict:
+    """The probe over ``n`` queries drawn at ``seed``: its distinct keys, flags, failures and wrong keys.
+
+    ``wrong`` maps each route to the (error, key index, 60-digit value) of
+    the settled keys it got wrong; ``seconds`` times the three stages.
+    """
+    plan = CasePlan.of(draw_queries(n, seed))
     cells = [plan.cells[first] for first in plan.first]
     start = time.perf_counter()
     closed, flags = analytic_inner(plan)
     closed_s = time.perf_counter() - start
     quad, failed = [], 0
+    tolerances = quadrature.ABS_TOL, quadrature.REL_TOL
     quadrature.ABS_TOL, quadrature.REL_TOL = 0.0, 1e-12
     start = time.perf_counter()
-    for cell in cells:
-        try:
-            (value,), _ = quadrature.quadrature_inner(CasePlan([cell]))
-        except quadrature.QuadratureConvergenceError as exc:
-            value, failed = exc.value, failed + 1
-        quad.append(value)
+    try:
+        for cell in cells:
+            try:
+                (value,), _ = quadrature.quadrature_inner(CasePlan([cell]))
+            except quadrature.QuadratureConvergenceError as exc:
+                value, failed = exc.value, failed + 1
+            quad.append(value)
+    finally:
+        quadrature.ABS_TOL, quadrature.REL_TOL = tolerances
     quad_s = time.perf_counter() - start
-    print(
-        f"{args.queries} queries (seed {args.seed}), {len(cells)} distinct keys: "
-        f"closed form {closed_s:.1f} s, quadrature (abs 0, rel 1e-12) {quad_s:.1f} s"
-    )
-    print(f"closed form flagged: {sum(flags)} keys; quadrature did not converge: {failed} keys")
     wrong, unsettled = {"closed form": [], "quadrature": []}, 0
     disagree = [
         at for at, (c, q) in enumerate(zip(closed, quad)) if not abs(c - q) <= DISAGREE * max(abs(c), abs(q))
@@ -114,11 +116,31 @@ def main(argv=None) -> int:
         errors = {"closed form": abs(closed[at] - exact), "quadrature": abs(quad[at] - exact)}
         route = max(errors, key=errors.get)
         wrong[route].append((errors[route], at, exact))
+    seconds = (closed_s, quad_s, time.perf_counter() - start)
+    return {
+        "cells": cells, "flags": flags, "failed": failed, "disagree": len(disagree),
+        "unsettled": unsettled, "wrong": wrong, "seconds": seconds,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Probe the closed form against quadrature on an extreme domain.")
+    parser.add_argument("--queries", type=int, default=400, help="number of seeded queries (default 400)")
+    parser.add_argument("--seed", type=int, default=12, help="seed of the query draw (default 12)")
+    args = parser.parse_args(argv)
+    counts = probe(args.queries, args.seed)
+    cells, flags = counts["cells"], counts["flags"]
+    closed_s, quad_s, oracle_s = counts["seconds"]
     print(
-        f"closed form and quadrature disagree by more than {DISAGREE:g} relative: {len(disagree)} keys; "
-        f"the 60-digit series ({time.perf_counter() - start:.1f} s) is short of digits on {unsettled}"
+        f"{args.queries} queries (seed {args.seed}), {len(cells)} distinct keys: "
+        f"closed form {closed_s:.1f} s, quadrature (abs 0, rel 1e-12) {quad_s:.1f} s"
     )
-    for route, errors in wrong.items():
+    print(f"closed form flagged: {sum(flags)} keys; quadrature did not converge: {counts['failed']} keys")
+    print(
+        f"closed form and quadrature disagree by more than {DISAGREE:g} relative: {counts['disagree']} keys; "
+        f"the 60-digit series ({oracle_s:.1f} s) is short of digits on {counts['unsettled']}"
+    )
+    for route, errors in counts["wrong"].items():
         line = f"  wrong on the {route}: {len(errors)} keys"
         if route == "closed form":
             line += f" ({sum(flags[at] for _, at, _ in errors)} flagged)"

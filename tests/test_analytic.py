@@ -26,7 +26,7 @@ from secrecy_outage import (
 )
 from secrecy_outage import analytic
 from secrecy_outage.analytic import CasePlan, EvalMethod, SopValue, case_sop
-from secrecy_outage.numerics import log_power_coefficients
+from secrecy_outage.numerics import _log_convolve, log_factorials
 from secrecy_outage.sweep import db_to_linear
 
 CASES = [(s, c) for s in (Scheme.SS, Scheme.OS) for c in (Scenario.KU, Scenario.KA)]
@@ -112,12 +112,16 @@ def test_unit_rate_threshold_edge(scheme, scenario):
         ), snr
 
 
-def test_per_point_powers_at_alpha_zero_are_the_cached_table():
-    # p_0 is the truncated exponential; a zero alpha beside a positive one
-    # goes through the per-point convolution, and its rows are the table's
+def test_per_point_powers_at_alpha_zero_are_the_truncated_exponential_powers():
+    # p_0 is the truncated exponential: its base is -ln m!, and each power is
+    # the last convolved with it; a zero alpha beside a positive one gives
+    # the lone alpha = 0 rows bit for bit
     for M, K in ((1, 3), (6, 5), (10, 4)):
+        row = np.zeros(1)
+        lone = analytic._log_powers(M, K, [0.0])
         for k, rows in enumerate(analytic._log_powers(M, K, [0.0, 0.5]), 1):
-            assert rows[0].tolist() == log_power_coefficients(k, M).tolist()
+            row = _log_convolve(row, -log_factorials(M))
+            assert rows[0].tolist() == next(lone)[0].tolist() == row.tolist()
 
 
 def test_large_selection_series_memory():

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from secrecy_outage import (
@@ -150,6 +151,19 @@ def test_sweep_repeated_scheme_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "schemes must be distinct" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", *BASE_ARGS, "--snr-start", "0", "--snr-stop", "2", "--out", "{missing}"],
+    ["figure", "fig4", "--method", "analytic", "--out", "{written}", "--plot", "{missing}"],
+])
+def test_unwritable_output_path_is_usage_error(argv, tmp_path, capsys):
+    # the values are computed, then the output path cannot be opened
+    missing, written = tmp_path / "missing" / "out", tmp_path / "out.csv"
+    argv = [arg.format(missing=missing, written=written) for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(missing) in err
 
 
 def test_sweep_writes_contract_csv(tmp_path, capsys):
@@ -308,26 +322,49 @@ def test_validate_detects_a_cdf_its_finite_sum_repeats(monkeypatch, capsys):
 
 
 def test_validate_detects_a_corrupted_power_table(monkeypatch, capsys):
-    # the x^25 coefficient of (sum_{m<6} x^m / m!)^5 shifted by 1e-9 in log
-    # space: it carries about 4e-6 of the power at x = 2.7, so the direct
-    # power cannot see the shift and the exact rational power must (rows are
-    # cached read-only, so the shift works on a copy)
-    real = validation.log_power_coefficients
+    # the x^25 coefficient of (sum_{m<6} x^m / m!)^5, the floor's power p_0^5
+    # at M = 6, shifted by 1e-9 in log space: it carries about 4e-6 of the
+    # power at x = 2.7, so the direct power cannot see the shift and the
+    # exact rational power must
+    real = validation._log_powers
 
-    def corrupted(k, num_parts):
-        row = real(k, num_parts)
-        if (k, num_parts) == (5, 6):
-            row = row.copy()
-            row[-1] += 1e-9
-        return row
+    def corrupted(M, K, alphas):
+        for k, power in enumerate(real(M, K, alphas), 1):
+            if (k, M) == (5, 6):
+                power = power.copy()
+                power[:, -1] += 1e-9
+            yield power
 
-    monkeypatch.setattr(validation, "log_power_coefficients", corrupted)
+    monkeypatch.setattr(validation, "_log_powers", corrupted)
     rc = main(["validate", "--smoke", "--check", "identities"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL identities" in out
     assert "power-series table off the exact power by 1.000e-09" in out
     assert "off the direct power" not in out
+    assert "series base off" not in out
+
+
+def test_validate_detects_a_corrupted_series_base(monkeypatch, capsys):
+    # the constant coefficient of p_alpha at alpha > 0, e^-alpha times a
+    # Poisson CDF, shifted by 1e-9 in log space: the floor's alpha = 0 rows
+    # stay intact, so only the survival-function identity can see it
+    real = validation._log_powers
+
+    def corrupted(M, K, alphas):
+        positive = np.asarray(alphas) > 0.0
+        for power in real(M, K, alphas):
+            power = power.copy()
+            power[positive, 0] += 1e-9
+            yield power
+
+    monkeypatch.setattr(validation, "_log_powers", corrupted)
+    rc = main(["validate", "--smoke", "--check", "identities"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL identities" in out
+    assert "series base off the survival function by" in out
+    assert "power-series table off" not in out
 
 
 def test_module_entrypoint_runs():

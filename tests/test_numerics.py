@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from oracles import exact_power_coefficients
 
 from secrecy_outage import numerics
+from secrecy_outage.analytic import _log_powers
 from secrecy_outage.numerics import (
     CompositionCapError,
     enumerate_weak_compositions,
     log_factorials,
-    log_power_coefficients,
     significance_lost,
 )
 
@@ -67,10 +67,12 @@ def test_composition_invalid_arguments():
         enumerate_weak_compositions(-1, 3)
     with pytest.raises(ValueError):
         enumerate_weak_compositions(2, 0)
-    with pytest.raises(ValueError):
-        log_power_coefficients(-1, 3)
-    with pytest.raises(ValueError):
-        log_power_coefficients(2, 0)
+
+
+def _alpha_zero_row(k: int, num_parts: int) -> list[float]:
+    """Row k of the closed forms' powers at alpha = 0: ln [x^j] (sum_{m<num_parts} x^m / m!)^k."""
+    rows = [[0.0], *(power[0].tolist() for power in _log_powers(num_parts, k, [0.0]))]
+    return rows[k]
 
 
 @settings(max_examples=60, deadline=None)
@@ -80,11 +82,11 @@ def test_composition_invalid_arguments():
     x=st.floats(min_value=0.05, max_value=3.0),
 )
 def test_composition_expansion_identity(k, num_parts, x):
-    # the coefficient table is the truncated-exponential power: coefficient
+    # the floor's power p_0^k is the truncated-exponential power: coefficient
     # by coefficient against the exact rational power, and summed at x
     # against the direct power
     exact = exact_power_coefficients(k, num_parts)
-    coeffs = [math.exp(c) for c in log_power_coefficients(k, num_parts)]
+    coeffs = [math.exp(c) for c in _alpha_zero_row(k, num_parts)]
     assert coeffs == pytest.approx([float(c) for c in exact], rel=1e-10)
     assert sum(exact) == sum(Fraction(1, math.factorial(m)) for m in range(num_parts)) ** k
     direct = sum(x**m / math.factorial(m) for m in range(num_parts)) ** k
@@ -93,11 +95,11 @@ def test_composition_expansion_identity(k, num_parts, x):
 
 @pytest.mark.parametrize("k, num_parts", [(20, 6), (20, 10), (20, 12)])
 def test_power_table_matches_exact_power_at_large_k(k, num_parts):
-    # the closed forms read these rows at K = 20; their coefficients span
+    # the high-SNR floor reads these rows at K = 20; their coefficients span
     # hundreds of decades, so the comparison is in log space
     exact = exact_power_coefficients(k, num_parts)
     logs = [math.log(c.numerator) - math.log(c.denominator) for c in exact]
-    table = log_power_coefficients(k, num_parts).tolist()
+    table = _alpha_zero_row(k, num_parts)
     assert len(table) == len(logs) == k * (num_parts - 1) + 1
     assert max(abs(t - e) for t, e in zip(table, logs)) <= 1e-12
 
