@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from secrecy_outage import REFERENCE_CONFIG, Scenario, Scheme, SopQuery, SystemConfig, asymptotic_sop
+from secrecy_outage import REFERENCE_CONFIG, Scenario, Scheme, SopQuery, SystemConfig, asymptotic_sops
 
 
 def main() -> int:
@@ -37,20 +37,22 @@ def main() -> int:
     ks = args.K or [1, 2, 3, 5]
     zetas = args.zeta or [0.9, 0.99]
 
+    cases = [(scheme, scenario) for scheme in (Scheme.SS, Scheme.OS) for scenario in (Scenario.KU, Scenario.KA)]
+    queries = [
+        SopQuery(SystemConfig(K=K, zeta=zeta, r_th=args.rth, snr=1.0, M=args.M, N=args.N, a=args.a, b=args.b),
+                 scheme, scenario)
+        for zeta in zetas
+        for K in ks
+        for scheme, scenario in cases
+    ]
+    values = iter(asymptotic_sops(queries))  # one batch, read back in the same order
+
     header = f"{'K':>3} {'zeta':>6} | {'ss/ku':>11} {'os/ku':>11} {'ss/ka':>11} {'os/ka':>11} | {'ka gain':>8}"
     print(header)
     print("-" * len(header))
     for zeta in zetas:
         for K in ks:
-            cfg = SystemConfig(K=K, zeta=zeta, r_th=args.rth, snr=1.0,
-                               M=args.M, N=args.N, a=args.a, b=args.b)
-            floors = {
-                (scheme, scenario): asymptotic_sop(
-                    SopQuery(cfg=cfg, scheme=scheme, scenario=scenario)
-                ).value
-                for scheme in (Scheme.SS, Scheme.OS)
-                for scenario in (Scenario.KU, Scenario.KA)
-            }
+            floors = {case: next(values).value for case in cases}
             gain = floors[(Scheme.OS, Scenario.KU)] / floors[(Scheme.OS, Scenario.KA)]
             print(
                 f"{K:>3} {zeta:>6.2f} | "

@@ -6,12 +6,13 @@ with single-carrier cyclic-prefix reception, so their SNRs are Gamma
 distributed with integer shape.  Each transmitter's backhaul succeeds
 independently with a fixed reliability; a transmitter whose backhaul failed
 sends nothing.  The library evaluates the secrecy outage probability of the
-best-transmitter selection schemes by four independent routes: exact closed
-form, high-SNR asymptote, adaptive quadrature on the defining integral, and
-Monte Carlo simulation.
+best-transmitter selection schemes by four routes: exact closed form, its
+high-SNR asymptote (the same kernel), adaptive quadrature on the defining
+integral, and Monte Carlo simulation.
 """
 
 from .analytic import (
+    CompositionCapError,
     EvalMethod,
     NumericalIntegrityError,
     Scenario,
@@ -22,10 +23,10 @@ from .analytic import (
     analytic_sops,
     asymptotic_sop,
     asymptotic_sops,
+    enumerate_weak_compositions,
 )
 from .channel import REFERENCE_CONFIG, GammaSnr, SystemConfig, snr_cdf, snr_pdf
 from .montecarlo import McSettings, SopEstimate, simulate_sop
-from .numerics import CompositionCapError, enumerate_weak_compositions
 from .quadrature import QuadratureConvergenceError, adaptive_integral, quadrature_sop, quadrature_sops
 from .sweep import (
     SweepResult,

@@ -22,13 +22,18 @@ of keys that differ only in alpha.  At r_th = 0 alpha is 0 at every SNR, so
 a sweep's points share one key per case.  One case rule (``case_sop``)
 composes the four (scheme, scenario) cases from either route, or from
 quadrature's integral, once per query.
-Every per-term product is assembled in log space, its factorials read from
-the exact log-factorial table (``numerics.log_factorials``), and
-exponentiated once; only the top-level
-alternating sum over the binomial index runs in linear space, exactly rounded
-(``math.fsum``) and behind a loss-of-significance guard.  Results outside [0, 1] by more than a 1e-9
-round-off band raise ``NumericalIntegrityError`` rather than being clamped,
-so formula bugs cannot hide behind clamping.
+
+Every per-term product is assembled in log space (factorials from
+``log_factorials``, power series multiplied by ``_log_convolve``) and
+exponentiated once per term; only the top-level alternating sum over the
+binomial index runs in linear space, exactly rounded (``math.fsum``), and
+``significance_lost`` flags a sum that cancelled far below its largest term
+instead of returning quiet noise.  Results outside [0, 1] by more than a
+1e-9 round-off band raise ``NumericalIntegrityError`` rather than being
+clamped, so formula bugs cannot hide behind clamping.
+``enumerate_weak_compositions`` lists the multinomial expansion of p_0^k
+that the power rows replaced; no route or check reads it, and the
+benchmark times it.
 """
 
 from __future__ import annotations
@@ -36,15 +41,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 from .channel import SystemConfig
-from .numerics import _log_convolve, log_factorials, significance_lost
 
 __all__ = [
     "CASES",
     "CasePlan",
+    "CompositionCapError",
     "EvalMethod",
     "NumericalIntegrityError",
     "Scenario",
@@ -58,6 +65,7 @@ __all__ = [
     "asymptotic_sop",
     "asymptotic_sops",
     "case_sop",
+    "enumerate_weak_compositions",
 ]
 
 # Round-off tolerance band for the integrity check; values further outside
@@ -252,6 +260,50 @@ def case_sop(plan: CasePlan, inner, method: EvalMethod) -> tuple[list[float], li
     return values, cell_flags, cell_raws
 
 
+# ---------------------------------------------------------------------------
+# series kernels: log-space power series and the cancellation guard
+# ---------------------------------------------------------------------------
+
+# |sum| / max|term| below this ratio means the cancellation ate more than
+# roughly 50 bits of the terms; callers surface that as a significance flag.
+SIGNIFICANCE_LOSS_RATIO = 1e-10
+
+
+def significance_lost(total: float, largest: float) -> bool:
+    """True when an alternating sum cancelled below the trust threshold."""
+    return largest > 0.0 and abs(total) < SIGNIFICANCE_LOSS_RATIO * largest
+
+
+def _log_convolve(log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """ln of the coefficients of the product of two positive power series, along the last axis.
+
+    ``log_q``'s leading axes broadcast against ``log_p``'s, so one call
+    serves one row or a row per point, each entry with the same arithmetic.
+    Each shift adds in through ``np.logaddexp``, so nothing cancels.
+    """
+    span = log_p.shape[-1]
+    out = np.full((*log_p.shape[:-1], span + log_q.shape[-1] - 1), -np.inf)
+    for m in range(log_q.shape[-1]):
+        window = out[..., m : m + span]
+        np.logaddexp(window, log_p + log_q[..., m, None], out=window)
+    return out
+
+
+@lru_cache(maxsize=None)
+def log_factorials(count: int) -> np.ndarray:
+    """ln j! for j = 0 .. count - 1, each the logarithm of the exact integer j!.
+
+    Cached and read-only.
+    """
+    out = np.empty(count)
+    factorial = 1
+    for j in range(count):
+        factorial *= max(j, 1)
+        out[j] = math.log(factorial)
+    out.flags.writeable = False
+    return out
+
+
 def _log_powers(M: int, K: int, alphas):
     """ln [x^q] p_alpha(x)^k at every alpha, for k = 1 .. K in turn: one (points, k (M - 1) + 1) array each.
 
@@ -373,3 +425,60 @@ def asymptotic_sop(query: SopQuery) -> SopValue:
     law a/b and the threshold rho in control.
     """
     return asymptotic_sops([query])[0]
+
+
+# ---------------------------------------------------------------------------
+# the multinomial expansion of p_0^k that the power rows replaced
+# ---------------------------------------------------------------------------
+
+DEFAULT_COMPOSITION_CAP = 10_000_000
+
+
+class CompositionCapError(ValueError):
+    """Requested composition enumeration is too large to run."""
+
+    def __init__(self, k: int, num_parts: int, count: int, cap: int):
+        self.k = k
+        self.num_parts = num_parts
+        self.count = count
+        self.cap = cap
+        super().__init__(
+            f"enumerating weak compositions of k={k} into num_parts={num_parts} "
+            f"parts would yield {count} terms, above the cap of {cap}"
+        )
+
+
+def enumerate_weak_compositions(k: int, num_parts: int) -> Iterator[tuple[int, ...]]:
+    """Yield all weak compositions of ``k`` into ``num_parts`` ordered parts.
+
+    The order is deterministic: lexicographically decreasing, starting at
+    (k, 0, ..., 0) and ending at (0, ..., 0, k).  The expected number of
+    compositions C(k + num_parts - 1, num_parts - 1) is checked against
+    ``DEFAULT_COMPOSITION_CAP``, read at call time, before any is produced.
+    """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if num_parts < 1:
+        raise ValueError(f"num_parts must be >= 1, got {num_parts}")
+    count = math.comb(k + num_parts - 1, num_parts - 1)
+    if count > DEFAULT_COMPOSITION_CAP:
+        raise CompositionCapError(k, num_parts, count, DEFAULT_COMPOSITION_CAP)
+    return _generate_compositions(k, num_parts)
+
+
+def _generate_compositions(k: int, num_parts: int) -> Iterator[tuple[int, ...]]:
+    parts = [0] * num_parts
+    parts[0] = k
+    while True:
+        yield tuple(parts)
+        if parts[-1] == k:
+            return
+        # Move one unit right of the rightmost positive entry before the last
+        # slot, folding whatever sits in the last slot back in with it.
+        j = num_parts - 2
+        while parts[j] == 0:
+            j -= 1
+        tail = parts[-1]
+        parts[-1] = 0
+        parts[j] -= 1
+        parts[j + 1] = tail + 1

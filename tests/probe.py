@@ -13,7 +13,8 @@ which route is wrong, the one farther from it, unless its own rounding
 (``ORACLE_DIGITS`` times the sum of its terms' sizes) could decide it.
 ``probe`` returns the counts: how many keys the closed form flags and how
 many do not converge, how many keys disagree, and per route which of those
-it got wrong; ``main`` prints them, with the worst and the worst unflagged.
+it got wrong; ``main`` prints them, with each route's worst key and every
+key the closed form gets wrong without flagging it, each at full precision.
 The tight tolerances are set for the quadrature rows only and restored
 after.  At 400 queries it takes about 5 s and is run by hand:
 
@@ -70,10 +71,14 @@ def _law(cell) -> tuple[int, float]:
     return (cfg.K if scheme is Scheme.SS else 1, cfg.zeta if scenario is Scenario.KA else 1.0)
 
 
-def _describe(cfg: SystemConfig, L: int, w: float) -> str:
+def _describe(cells, err: float, at: int, exact: float) -> str:
+    """A wrong key: its error against the 60-digit series, and the key, exactly enough to rebuild it."""
+    cfg = cells[at][0]
+    L, w = _law(cells[at])
     return (
-        f"M={cfg.M} N={cfg.N} a={cfg.a:.5g} b={cfg.b:.5g} r_th={cfg.r_th:g} "
-        f"{10.0 * math.log10(cfg.snr):.2f} dB (L, w)=({L}, {w:g})"
+        f"error {err:.2g} (relative {err / abs(exact):.2g}, exact {exact:.11g}) at K={cfg.K} M={cfg.M} "
+        f"N={cfg.N} a={cfg.a!r} b={cfg.b!r} r_th={cfg.r_th:g} snr={cfg.snr!r} "
+        f"({10.0 * math.log10(cfg.snr):.2f} dB) (L, w)=({L}, {w:g})"
     )
 
 
@@ -141,18 +146,14 @@ def main(argv=None) -> int:
         f"the 60-digit series ({oracle_s:.1f} s) is short of digits on {counts['unsettled']}"
     )
     for route, errors in counts["wrong"].items():
-        line = f"  wrong on the {route}: {len(errors)} keys"
+        lines = [f"  wrong on the {route}: {len(errors)} keys"]
+        if errors:
+            lines.append(f"    worst {_describe(cells, *max(errors))}")
         if route == "closed form":
-            line += f" ({sum(flags[at] for _, at, _ in errors)} flagged)"
-        for label, pool in (("worst", errors), ("worst unflagged", [e for e in errors if not flags[e[1]]])):
-            if pool:
-                err, at, exact = max(pool)
-                cfg = cells[at][0]
-                line += (
-                    f"\n    {label} error {err:.2g} (relative {err / abs(exact):.2g}, exact {exact:.11g}) at "
-                    f"K={cfg.K} {_describe(cfg, *_law(cells[at]))}"
-                )
-        print(line)
+            unflagged = sorted((e for e in errors if not flags[e[1]]), reverse=True)
+            lines[0] += f" ({len(errors) - len(unflagged)} flagged)"
+            lines += [f"    unflagged {_describe(cells, *miss)}" for miss in unflagged]
+        print("\n".join(lines))
     return 0
 
 

@@ -25,8 +25,7 @@ from secrecy_outage import (
     simulate_sop,
 )
 from secrecy_outage import analytic
-from secrecy_outage.analytic import CasePlan, EvalMethod, SopValue, case_sop
-from secrecy_outage.numerics import _log_convolve, log_factorials
+from secrecy_outage.analytic import CasePlan, EvalMethod, SopValue, _log_convolve, case_sop, log_factorials
 from secrecy_outage.sweep import db_to_linear
 
 CASES = [(s, c) for s in (Scheme.SS, Scheme.OS) for c in (Scenario.KU, Scenario.KA)]

@@ -20,7 +20,7 @@ from secrecy_outage import (
     simulate_sop,
 )
 from secrecy_outage.cli import build_parser, main
-from secrecy_outage import validation
+from secrecy_outage import analytic, validation
 
 BASE_ARGS = [
     "--K", "2", "--zeta", "0.9", "--rth", "1", "--M", "6", "--N", "4",
@@ -365,6 +365,35 @@ def test_validate_detects_a_corrupted_series_base(monkeypatch, capsys):
     assert "FAIL identities" in out
     assert "series base off the survival function by" in out
     assert "power-series table off" not in out
+
+
+def test_validate_detects_a_floor_shared_with_the_closed_form(monkeypatch, capsys):
+    # a 1e-3 relative defect in the series wherever every alpha is below
+    # 1e-10: the floor and the closed form at 200 dB both carry it, so only
+    # quadrature, which shares no kernel with them, can see it
+    real = analytic._selection_series
+
+    def corrupted(M, N, beta, K, weight, alphas):
+        values = real(M, N, beta, K, weight, alphas)
+        if max(alphas) < 1e-10:
+            return [(raw * (1.0 + 1e-3), flag) for raw, flag in values]
+        return values
+
+    monkeypatch.setattr(analytic, "_selection_series", corrupted)
+    rc = main(["validate", "--smoke", "--check", "asymptotic_floors"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL asymptotic_floors" in out
+    assert "quadrature rel gap" in out
+    assert "closed form rel gap" not in out
+
+
+def test_validate_runs_a_repeated_check_once(capsys):
+    rc = main(["validate", "--smoke", "--check", "orderings", "--check", "orderings"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.count("PASS orderings") == 1
+    assert "1/1 checks passed" in out
 
 
 def test_module_entrypoint_runs():

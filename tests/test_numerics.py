@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import exact_power_coefficients
 
-from secrecy_outage import numerics
-from secrecy_outage.analytic import _log_powers
-from secrecy_outage.numerics import (
+from secrecy_outage import analytic
+from secrecy_outage.analytic import (
     CompositionCapError,
+    _log_powers,
     enumerate_weak_compositions,
     log_factorials,
     significance_lost,
@@ -51,7 +51,7 @@ def test_composition_cap_is_eager_and_named(monkeypatch):
     # cap, refused before the first is listed
     with pytest.raises(CompositionCapError):
         enumerate_weak_compositions(20, 10)
-    monkeypatch.setattr(numerics, "DEFAULT_COMPOSITION_CAP", 1000)
+    monkeypatch.setattr(analytic, "DEFAULT_COMPOSITION_CAP", 1000)
     with pytest.raises(CompositionCapError) as err:
         enumerate_weak_compositions(40, 10)
     assert err.value.cap == 1000

@@ -9,7 +9,7 @@ import numpy as np
 
 import secrecy_outage
 from secrecy_outage import REFERENCE_CONFIG, Scenario, SopQuery, SystemConfig, ValidationSettings
-from secrecy_outage import analytic, montecarlo, numerics, quadrature, sweep
+from secrecy_outage import analytic, montecarlo, quadrature, sweep
 from secrecy_outage.analytic import CASES
 from secrecy_outage.figures import FigureResult
 
@@ -86,13 +86,13 @@ def test_settable_values_are_pinned():
         quadrature.adaptive_integral: ["f", "lo", "hi", "abs_tol", "rel_tol"],
         quadrature.quadrature_sop: ["query"],
         quadrature.quadrature_sops: ["queries"],
-        numerics.enumerate_weak_compositions: ["k", "num_parts"],
+        analytic.enumerate_weak_compositions: ["k", "num_parts"],
     }
     for entry, parameters in entries.items():
         assert list(inspect.signature(entry).parameters) == parameters, entry.__name__
     assert (quadrature.INITIAL_SUBDIVISIONS, quadrature.MAX_PANELS) == (8, 4096)
     assert (quadrature.ABS_TOL, quadrature.REL_TOL) == (1e-10, 1e-10)
-    assert numerics.DEFAULT_COMPOSITION_CAP == 10_000_000
+    assert analytic.DEFAULT_COMPOSITION_CAP == 10_000_000
     settings = ValidationSettings()
     assert (settings.confidence, settings.analytic_quadrature_tol, settings.mc_tolerance_floor) == (
         0.99, 1e-8, 1e-3
