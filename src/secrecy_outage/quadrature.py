@@ -26,8 +26,9 @@ per N, on its rows' distinct panels; rows that differ only in the case
 rule's (L, w) share those values, and each row applies its own law to them.
 A row whose destination law bends inside the first uniform panel gets an
 extra first-level edge at the bend.  The first level's panel count and the
-panel budget, ``INITIAL_SUBDIVISIONS`` and ``MAX_PANELS``, and the
-tolerances, ``ABS_TOL`` and ``REL_TOL``, are module constants.
+panel budget, ``INITIAL_SUBDIVISIONS`` and ``MAX_PANELS``, and the one
+tolerance, ``REL_TOL``, are module constants.  It is relative alone: a row
+converges at ``REL_TOL`` times its own magnitude, however small.
 """
 
 from __future__ import annotations
@@ -89,10 +90,10 @@ _WEIGHTS_G = np.array(list(_WEIGHTS_G_POS[:-1]) + list(_WEIGHTS_G_POS[::-1]))
 _WEIGHTS = np.stack((_WEIGHTS_K, _WEIGHTS_G))
 
 # Panels of the first level, the most panels one integral may evaluate, and the
-# outage integrals' tolerances (``adaptive_integral``'s defaults), read at call time.
+# outage integrals' relative tolerance (``adaptive_integral``'s default), read at call time.
 INITIAL_SUBDIVISIONS = 8
 MAX_PANELS = 4096
-ABS_TOL = REL_TOL = 1e-10
+REL_TOL = 1e-10
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -128,7 +129,6 @@ def _stacked_integrals(
     n_rows: int,
     lo: float,
     hi: float,
-    abs_tol: float,
     rel_tol: float,
     breaks: np.ndarray,
 ) -> list:
@@ -165,7 +165,7 @@ def _stacked_integrals(
         p_lo, p_hi, values, errs = panels
         totals = np.bincount(seg, values, ids.size)
         total_errs = np.bincount(seg, errs, ids.size)
-        tols = np.fmax(abs_tol, rel_tol * abs(totals))
+        tols = rel_tol * abs(totals)
         rooms = (MAX_PANELS - evaluated) // 2
         done = total_errs <= tols
         refine = ~done & (rooms >= 1)
@@ -204,7 +204,6 @@ def adaptive_integral(
     f: Callable,
     lo: float = 0.0,
     hi: float = 1.0,
-    abs_tol: float = ABS_TOL,
     rel_tol: float = REL_TOL,
 ) -> float:
     """Adaptive Gauss-Kronrod integral of a vectorized integrand over [lo, hi].
@@ -212,13 +211,14 @@ def adaptive_integral(
     ``f`` receives one array of nodes per refinement level.  Every panel
     whose error estimate exceeds its width's share of the tolerance is
     halved (the worst one if none does), and only the halves are evaluated
-    anew.  The effective tolerance is the looser of ``abs_tol`` and
-    ``rel_tol * |integral|``.  Refinement never takes the evaluated panels,
+    anew.  The tolerance is ``rel_tol * |integral|``, with no absolute
+    part: an integral that is exactly 0 converges only once every panel's
+    two rules agree exactly.  Refinement never takes the evaluated panels,
     the first level's included, past ``MAX_PANELS``; if that budget is spent
     first, ``QuadratureConvergenceError`` carries the achieved estimate.
     This is the one-row case of the row-stacked integrator.
     """
-    (result,) = _stacked_integrals(lambda rows, x: f(x), 1, lo, hi, abs_tol, rel_tol, np.empty((1, 0)))
+    (result,) = _stacked_integrals(lambda rows, x: f(x), 1, lo, hi, rel_tol, np.empty((1, 0)))
     if isinstance(result, QuadratureConvergenceError):
         raise result
     return result
@@ -338,7 +338,7 @@ def _boundary_expectations(plan: CasePlan) -> list[float]:
         fx *= density
         return fx
 
-    results = _stacked_integrals(evaluate, len(plan.first), 0.0, 1.0, ABS_TOL, REL_TOL, breaks)
+    results = _stacked_integrals(evaluate, len(plan.first), 0.0, 1.0, REL_TOL, breaks)
     for result in results:
         if isinstance(result, QuadratureConvergenceError):
             raise result
@@ -356,9 +356,9 @@ def quadrature_sops(queries) -> list[float]:
 
     Each distinct inner quantity (M, N, beta, alpha, L, w) is one row,
     however many queries read it; a query over dead backhaul reads none.
-    All rows refine together, each to ``ABS_TOL`` and ``REL_TOL`` by
-    ``adaptive_integral``'s rule, and every value equals that query's
-    ``quadrature_sop``.
+    All rows refine together, each to ``REL_TOL`` of its own magnitude by
+    ``adaptive_integral``'s rule, so a small outage keeps its relative
+    accuracy, and every value equals that query's ``quadrature_sop``.
     """
     return case_sop(CasePlan.of(queries), quadrature_inner, EvalMethod.QUADRATURE)[0]
 

@@ -143,7 +143,7 @@ def _where(cfg: SystemConfig) -> str:
 def check_triple_agreement(settings: ValidationSettings) -> CheckResult:
     """Closed form vs quadrature vs simulation on the full grid."""
     mc = settings.mc_settings()
-    worst_quad = 0.0
+    worst_quad = worst_quad_rel = 0.0
     worst_mc = worst_mc_ci = 0.0
     failures = []
     queries = _case_queries(settings.grid_configs())
@@ -152,6 +152,8 @@ def check_triple_agreement(settings: ValidationSettings) -> CheckResult:
         case = f"{_where(query.cfg)} {query.scheme.value}/{query.scenario.value}"
         quad_err = abs(closed - quad)
         worst_quad = max(worst_quad, quad_err)
+        if quad_err > 0.0:  # the same gap relative to the larger value; reported, never failed
+            worst_quad_rel = max(worst_quad_rel, quad_err / max(abs(closed), abs(quad)))
         if quad_err > settings.analytic_quadrature_tol:
             failures.append(f"quad gap {quad_err:.3e} at {case}")
         estimate = simulate_sop(query, mc)
@@ -165,7 +167,7 @@ def check_triple_agreement(settings: ValidationSettings) -> CheckResult:
         if mc_err > allowed:
             failures.append(f"mc gap {mc_err:.3e} (allowed {allowed:.3e}) at {case}")
     summary = (
-        f"{len(closed_forms)} cells; max |closed-quad| {worst_quad:.2e}; "
+        f"{len(closed_forms)} cells; max |closed-quad| {worst_quad:.2e} ({worst_quad_rel:.2e} relative); "
         f"worst mc gap {worst_mc:.2f}x allowance, {worst_mc_ci:.2f}x 3 CI without the floor"
     )
     return _report("triple_agreement", summary, failures)
@@ -351,7 +353,7 @@ def check_identities(settings: ValidationSettings) -> CheckResult:
             for x in xs:
                 cdf = snr_cdf(dist, x)
                 worst_cdf = max(worst_cdf, abs(snr_cdf_finite_sum(dist, x) - cdf))
-                integral = adaptive_integral(lambda y: snr_pdf(dist, y), 0.0, x, 1e-15, 1e-14)
+                integral = adaptive_integral(lambda y: snr_pdf(dist, y), 0.0, x, rel_tol=1e-14)
                 worst_integral = max(worst_integral, abs(integral - cdf))
     if worst_cdf > ROUNDOFF_SLACK:
         failures.append(f"cdf forms disagree by {worst_cdf:.3e}")

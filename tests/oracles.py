@@ -81,7 +81,7 @@ def sop_quadpack(cfg: SystemConfig, scheme: Scheme, scenario: Scenario) -> float
     return value**cfg.K
 
 
-def adaptive_integral_loop(f, lo, hi, abs_tol=1e-10, rel_tol=1e-10, initial_subdivisions=8, max_panels=4096):
+def adaptive_integral_loop(f, lo, hi, rel_tol=1e-10, initial_subdivisions=8, max_panels=4096):
     """One integral refined level by level: the rule each row of the stacked integrator follows.
 
     Every panel whose error estimate exceeds its width's share of the
@@ -106,7 +106,7 @@ def adaptive_integral_loop(f, lo, hi, abs_tol=1e-10, rel_tol=1e-10, initial_subd
     evaluated = initial_subdivisions
     while True:
         total, total_err = float(values.sum()), float(errs.sum())
-        tol = max(abs_tol, rel_tol * abs(total))
+        tol = rel_tol * abs(total)
         if total_err <= tol:
             return total
         room = (max_panels - evaluated) // 2

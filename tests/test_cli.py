@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -282,7 +283,9 @@ def test_validate_fails_when_the_closed_form_reads_zero(check, monkeypatch, caps
 
 def test_triple_agreement_reports_gaps_the_floor_hides(monkeypatch, capsys):
     # every estimate sits 2 x 3 CI off the closed form, far inside the 1e-3
-    # floor: the check passes, and the summary shows the gap in CI units
+    # floor: the check passes, and the summary shows the gap in CI units; it
+    # also gives the closed-quadrature gap relative to the larger value, which
+    # on outages at most 1 is no smaller than the absolute gap
     def offset(query, mc):
         return SopEstimate(
             p_hat=analytic_sop(query).value + 6e-5, ci_half_width=1e-5, n_samples=mc.n_samples, seed=mc.seed
@@ -293,6 +296,8 @@ def test_triple_agreement_reports_gaps_the_floor_hides(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "worst mc gap 0.06x allowance, 2.00x 3 CI without the floor" in out
+    gap, relative = map(float, re.search(r"max \|closed-quad\| (\S+) \((\S+) relative\)", out).groups())
+    assert gap <= relative <= 1e-12
 
 
 def test_validate_fails_when_the_floors_are_doubled(monkeypatch, capsys):

@@ -83,7 +83,7 @@ def test_settable_values_are_pinned():
     ]
     assert [f.name for f in fields(FigureResult)] == ["preset", "per_variant"]
     entries = {
-        quadrature.adaptive_integral: ["f", "lo", "hi", "abs_tol", "rel_tol"],
+        quadrature.adaptive_integral: ["f", "lo", "hi", "rel_tol"],
         quadrature.quadrature_sop: ["query"],
         quadrature.quadrature_sops: ["queries"],
         analytic.enumerate_weak_compositions: ["k", "num_parts"],
@@ -91,7 +91,7 @@ def test_settable_values_are_pinned():
     for entry, parameters in entries.items():
         assert list(inspect.signature(entry).parameters) == parameters, entry.__name__
     assert (quadrature.INITIAL_SUBDIVISIONS, quadrature.MAX_PANELS) == (8, 4096)
-    assert (quadrature.ABS_TOL, quadrature.REL_TOL) == (1e-10, 1e-10)
+    assert quadrature.REL_TOL == 1e-10
     assert analytic.DEFAULT_COMPOSITION_CAP == 10_000_000
     settings = ValidationSettings()
     assert (settings.confidence, settings.analytic_quadrature_tol, settings.mc_tolerance_floor) == (

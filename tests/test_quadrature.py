@@ -80,7 +80,7 @@ def test_adaptive_integral_transcendental():
 
 def test_adaptive_integral_narrow_peak():
     expected = 1e-3 * math.sqrt(math.pi)
-    assert adaptive_integral(_spike, 0.0, 1.0, abs_tol=1e-14, rel_tol=1e-12) == pytest.approx(
+    assert adaptive_integral(_spike, 0.0, 1.0, rel_tol=1e-12) == pytest.approx(
         expected, rel=1e-10
     )
 
@@ -89,7 +89,7 @@ def test_integrand_called_once_per_level():
     # every call receives a (panels, 15) node array: the first level's 8
     # panels, then only the halves of the panels that were split
     f = CountingIntegrand(_spike)
-    adaptive_integral(f, 0.0, 1.0, abs_tol=1e-14, rel_tol=1e-12)
+    adaptive_integral(f, 0.0, 1.0, rel_tol=1e-12)
     assert f.shapes[0] == (8, 15)
     assert all(len(shape) == 2 and shape[1] == 15 and shape[0] % 2 == 0 for shape in f.shapes[1:])
     assert 3 * len(f.shapes) < f.panels
@@ -107,7 +107,7 @@ def test_results_are_plain_floats(base_cfg):
     [
         (lambda x: np.abs(x - 0.3), [0.3], {}, dict(abs=1e-10)),
         (np.sqrt, None, {}, dict(abs=1e-10)),
-        (_spike, [0.37], dict(abs_tol=1e-14, rel_tol=1e-12), dict(rel=1e-10)),
+        (_spike, [0.37], dict(rel_tol=1e-12), dict(rel=1e-10)),
     ],
     ids=["kink", "sqrt", "spike"],
 )
@@ -122,8 +122,8 @@ def test_adaptive_integral_matches_quadpack(f, points, kwargs, tol):
         (np.sin, {}, 4096),
         (np.sqrt, {}, 4096),
         (lambda x: np.abs(x - 0.3), {}, 4096),
-        (_spike, dict(abs_tol=1e-14, rel_tol=1e-12), 4096),
-        (_needle, dict(abs_tol=1e-300, rel_tol=1e-15), 100),
+        (_spike, dict(rel_tol=1e-12), 4096),
+        (_needle, dict(rel_tol=1e-15), 100),
     ],
     ids=["sin", "sqrt", "kink", "spike", "needle-budget"],
 )
@@ -151,7 +151,7 @@ def test_nonconvergence_reports_partial_value(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_PANELS", 16)
     f = CountingIntegrand(_needle)
     with pytest.raises(QuadratureConvergenceError) as err:
-        adaptive_integral(f, 0.0, 1.0, abs_tol=1e-300, rel_tol=1e-15)
+        adaptive_integral(f, 0.0, 1.0, rel_tol=1e-15)
     assert err.value.achieved > err.value.tol
     assert math.isfinite(err.value.value)
     assert "tolerance" in str(err.value)
@@ -162,14 +162,14 @@ def test_panel_budget_spent_mid_level(monkeypatch):
     # a budget that ends halfway through a level splits only the panels
     # that fit, evaluates the same levels up to there, then raises
     free = CountingIntegrand(_needle)
-    adaptive_integral(free, 0.0, 1.0, abs_tol=1e-300, rel_tol=1e-15)
+    adaptive_integral(free, 0.0, 1.0, rel_tol=1e-15)
     sizes = [shape[0] for shape in free.shapes]
     level = next(i for i, size in enumerate(sizes) if i > 1 and size >= 4)
     budget = sum(sizes[:level]) + sizes[level] // 2 + 1
     monkeypatch.setattr(quadrature, "MAX_PANELS", budget)
     f = CountingIntegrand(_needle)
     with pytest.raises(QuadratureConvergenceError):
-        adaptive_integral(f, 0.0, 1.0, abs_tol=1e-300, rel_tol=1e-15)
+        adaptive_integral(f, 0.0, 1.0, rel_tol=1e-15)
     assert budget - 1 <= f.panels <= budget
     assert f.shapes[:level] == free.shapes[:level]
     assert 0 < f.shapes[level][0] < sizes[level]
@@ -201,23 +201,53 @@ def test_initial_subdivision_doubling_is_stable(monkeypatch, base_cfg):
 
 
 def test_tightened_tolerances_refine_further(monkeypatch):
-    # at p = 3.5e-20 the inner value is about 1.2e-4, so the 1e-10 absolute
-    # tolerance lets it stop early; the module's tolerances, read at call
-    # time, can be tightened for a tight oracle
-    cfg = SystemConfig(K=5, zeta=1.0, r_th=1.0, snr=1e4, M=6, N=2, a=0.5, b=0.05)
+    # the module's relative tolerance, read at call time, can be tightened
+    # for a tight oracle: at this key the default 1e-10 stops 2.7e-10
+    # relative off the inner value, while 1e-13 refines past the default
+    # panels and lands no farther from the 60-digit series
+    cfg = SystemConfig(
+        K=5, zeta=1.0, r_th=5.0, snr=128951634.40117931, M=8, N=1, a=194.06368844579728, b=0.1650078612653586
+    )
     query = SopQuery(cfg, Scheme.OS, Scenario.KU)
-    reference = sop_quadpack(cfg, Scheme.OS, Scenario.KU)
+    inner, _ = selection_series_mp(cfg.M, cfg.N, cfg.a, cfg.b, cfg.rho, cfg.snr, 1, 1.0)
+    reference = inner**cfg.K
     runs = []
-    for tolerances in ((1e-10, 1e-10), (1e-14, 1e-13)):
+    for rel_tol in (1e-10, 1e-13):
         with monkeypatch.context() as patch:
-            patch.setattr(quadrature, "ABS_TOL", tolerances[0])
-            patch.setattr(quadrature, "REL_TOL", tolerances[1])
+            patch.setattr(quadrature, "REL_TOL", rel_tol)
             counters = _counting_build_integrand(patch)
             value = quadrature_sop(query)
         runs.append((counters[cfg.M, cfg.N].panels, abs(value - reference)))
     (default_panels, default_gap), (tight_panels, tight_gap) = runs
     assert tight_panels > default_panels
     assert tight_gap <= default_gap
+
+
+# Keys whose outage is far below the old 1e-10 absolute tolerance, all at
+# zeta = 1 under ku: K, M, N, a, b, r_th, SNR and scheme.  With that absolute
+# floor quadrature stopped 1.2e-4 and 3.5e-9 relative off the first two.
+SMALL_OUTAGE_KEYS = [
+    (8, 4, 24, 479.23958058064534, 12.376458807276078, 1.0, 57.43342216004695, Scheme.SS),  # p = 6.0e-9
+    (13, 4, 2, 33.58036660293227, 0.03497419538370087, 0.01, 0.041063326791760044, Scheme.OS),  # p = 9.7e-129
+    (5, 6, 2, 0.5, 0.05, 1.0, 1e4, Scheme.OS),  # p = 3.5e-20
+]
+
+
+@pytest.mark.parametrize("K, M, N, a, b, r_th, snr, scheme", SMALL_OUTAGE_KEYS, ids=["K8-ss", "K13-os", "K5-os"])
+def test_small_outage_is_accurate_in_relative_terms(K, M, N, a, b, r_th, snr, scheme):
+    cfg = SystemConfig(K=K, zeta=1.0, r_th=r_th, snr=snr, M=M, N=N, a=a, b=b)
+    inner, _ = selection_series_mp(M, N, a, b, cfg.rho, snr, K if scheme is Scheme.SS else 1, 1.0)
+    exact = inner if scheme is Scheme.SS else inner**K
+    assert abs(quadrature_sop(SopQuery(cfg, scheme, Scenario.KU)) - exact) <= 1e-10 * exact
+
+
+@pytest.mark.parametrize("snr, expected", [(1e10, 6.0e-316), (3e10, 0.0)])
+def test_underflowing_rows_converge(snr, expected):
+    # the integrand underflows to subnormals, then to 0: a tolerance relative
+    # to a total that small, or to 0, must still be met, not raise
+    cfg = SystemConfig(K=1, zeta=1.0, r_th=0.01, snr=snr, M=24, N=2, a=1.0, b=1e-14)
+    value = quadrature_sop(SopQuery(cfg, Scheme.OS, Scenario.KU))
+    assert value == pytest.approx(expected, rel=1e-2, abs=0.0)
 
 
 def test_dead_backhaul_shortcuts():
@@ -483,7 +513,7 @@ def test_needle_row_fails_alone(monkeypatch):
     # the needle exhausts its budget; the other rows keep their one-row panels and values
     monkeypatch.setattr(quadrature, "MAX_PANELS", 64)
     fs = [_spike, _needle, np.sin, lambda x: x**2]
-    kwargs = dict(abs_tol=1e-14, rel_tol=1e-12)
+    kwargs = dict(rel_tol=1e-12)
     alone = []
     for f in fs:
         counting = CountingIntegrand(f)
@@ -600,9 +630,9 @@ def test_bend_in_first_panel_is_an_edge(key):
     L = cfg.K if query.scheme is Scheme.SS else 1
     (value,), _ = quadrature.quadrature_inner(CasePlan.of([query]))
     exact, _ = selection_series_mp(cfg.M, cfg.N, cfg.a, cfg.b, cfg.rho, cfg.snr, L, cfg.zeta)
-    assert abs(value - exact) <= quadrature.ABS_TOL
+    assert abs(value - exact) <= 1e-10
     outage = exact if query.scheme is Scheme.SS else exact**cfg.K  # both cases are ka
-    assert abs(sop_quadpack(cfg, query.scheme, query.scenario) - outage) <= quadrature.ABS_TOL
+    assert abs(sop_quadpack(cfg, query.scheme, query.scenario) - outage) <= 1e-10
 
 
 def _recording_stacks(monkeypatch) -> list:
@@ -610,7 +640,7 @@ def _recording_stacks(monkeypatch) -> list:
     calls, stack = [], quadrature._stacked_integrals
 
     def recording(evaluate, n_rows, *args):
-        calls.append((n_rows, *args[4:]))
+        calls.append((n_rows, *args[3:]))
         return stack(evaluate, n_rows, *args)
 
     monkeypatch.setattr(quadrature, "_stacked_integrals", recording)
@@ -632,7 +662,7 @@ def test_first_level_edges_count_against_the_budget(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_PANELS", 11)
     counting = [CountingIntegrand(_spike), CountingIntegrand(_spike)]
     breaks = np.array([[math.nan, math.nan], [0.05, 0.01]])
-    plain, edged = quadrature._stacked_integrals(_rows_of(counting), 2, 0.0, 1.0, 1e-14, 1e-12, breaks)
+    plain, edged = quadrature._stacked_integrals(_rows_of(counting), 2, 0.0, 1.0, 1e-12, breaks)
     assert isinstance(plain, QuadratureConvergenceError) and isinstance(edged, QuadratureConvergenceError)
     assert counting[0].shapes == [(8, 15), (2, 15)]
     assert counting[1].shapes == [(10, 15)]
