@@ -9,7 +9,9 @@ independent Bernoulli(zeta): an inactive link silences its transmitter,
 which manifests as a point mass at zero SNR.  Distribution helpers here
 accept scalars or numpy arrays in the evaluation point.  Gamma SNRs have one
 sampler, ``_unit_gamma``, shared by ``sample_channel_block`` and the Monte
-Carlo: -ln of a product of one (0, 1] uniform per path.
+Carlo: -ln of a product of one (0, 1] uniform per path.  Its paired mode,
+which only the Monte Carlo's first link uses, draws two values from each
+uniform row, one rising and one falling with it, each with the same law.
 
 Because every shape is an integer, the CDF is the regularized lower
 incomplete gamma P(M, u) at integer M, evaluated here in numpy alone (DLMF
@@ -308,8 +310,14 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 # at least 2**-1007, a normal double whose log keeps full precision.
 _PRODUCT_FACTORS = 19
 
+# numpy's uniforms are the multiples of 2**-53 in [0, 1): both 1 - u and
+# u + 2**-53 map them exactly onto the multiples in (0, 1], in opposite order.
+_ULP = 2.0**-53
 
-def _unit_gamma(rng: np.random.Generator, shape: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+
+def _unit_gamma(
+    rng: np.random.Generator, shape: int, out: np.ndarray, tmp: np.ndarray, paired: bool = False
+) -> np.ndarray:
     """Fill the flat ``out`` with unit-scale Gamma(shape) draws; ``tmp``, at least as long, is scratch.
 
     A draw is the sum of ``shape`` unit exponential path energies, -ln of
@@ -317,19 +325,33 @@ def _unit_gamma(rng: np.random.Generator, shape: int, out: np.ndarray, tmp: np.n
     as 1 - u, in (0, 1], so no draw is infinite.  Past ``_PRODUCT_FACTORS``
     paths, where a product could leave the normal range, each further path
     energy is added as its own -ln(1 - u).
+
+    ``paired`` draws m values in reflected (antithetic) pairs from one
+    uniform row of h = ceil(m / 2) per path: the first h draws take the
+    factors 1 - u, and the last m - h take u + 2**-53 of the first m - h
+    uniforms.  Both maps are exact and send numpy's uniform lattice onto
+    the same (0, 1] lattice, so every draw keeps the unpaired law; draw i
+    rises with its uniforms and draw h + i falls with them.  With m odd,
+    draw h - 1 has no partner.
     """
-    factor = tmp[: out.size]
-    rng.random(out=out)
-    np.subtract(1.0, out, out=out)
+    size = out.size
+    drawn = -(-size // 2) if paired else size
+
+    def factors(row: np.ndarray) -> np.ndarray:
+        """One path's factors into ``row``: the partners first, read before 1 - u overwrites their uniforms."""
+        rng.random(out=row[:drawn])
+        if paired:
+            np.add(row[: size - drawn], _ULP, out=row[drawn:])
+        np.subtract(1.0, row[:drawn], out=row[:drawn])
+        return row
+
+    factor = tmp[:size]
+    factors(out)
     for _ in range(min(shape, _PRODUCT_FACTORS) - 1):
-        rng.random(out=factor)
-        np.subtract(1.0, factor, out=factor)
-        out *= factor
+        out *= factors(factor)
     np.log(out, out=out)
     for _ in range(shape - _PRODUCT_FACTORS):
-        rng.random(out=factor)
-        np.subtract(1.0, factor, out=factor)
-        out += np.log(factor, out=factor)
+        out += np.log(factors(factor), out=factor)
     np.negative(out, out=out)
     return out
 
@@ -346,8 +368,8 @@ def sample_channel_block(cfg: SystemConfig, rng: np.random.Generator, n: int):
 
     The draw order is a contract (destination Gamma(M) SNRs, then
     eavesdropper Gamma(N) SNRs, then backhaul uniforms) so that a stream
-    position identifies a sample.  Each Gamma block is one ``_unit_gamma``
-    draw of K n values, the Monte Carlo's sampler.
+    position identifies a sample.  Each Gamma block is one unpaired
+    ``_unit_gamma`` draw of K n values, the Monte Carlo's sampler.
     """
     gamma_d, gamma_e, uniforms = np.empty((cfg.K, n)), np.empty((cfg.K, n)), np.empty((cfg.K, n))
     _unit_gamma(rng, cfg.M, gamma_d.ravel(), uniforms.ravel())

@@ -13,10 +13,23 @@ that carries no SNR), a Gamma SNR only for a link that is on, and an ``ss``
 eavesdropper SNR only at a sample's first active link (see
 ``_chunk_counts``).  Each Gamma SNR is the total energy of its unit
 exponential path energies, drawn as exactly that: -ln of a product of one
-(0, 1] uniform per path, one log per draw (``channel._unit_gamma``).  The
-per-seed estimate depends on that draw order, on the sampler and on the
-generator; changing any of them changes per-seed estimates but not their
-distribution.
+(0, 1] uniform per path, one log per draw (``channel._unit_gamma``).
+
+A chunk first draws its fresh on-counts, how many samples meet their first
+active link at each link, so its all-silenced count depends on (seed,
+chunk) alone.  Its first link's Gamma rows, where most uniforms go, are
+drawn in reflected pairs: one uniform u serves a sample as the factor 1 - u
+and its partner as u + 2**-53.  A sample's outage is monotone in each of
+those uniforms, the partners move in opposite directions, and later draws
+are independent of the pair given its first link, so the pair's outages
+have covariance at most 0 (Harris's inequality).  The estimate stays
+unbiased, its variance is at most that of independent samples, and the Wald
+interval, whose stated coverage assumes independent samples, can only be
+conservative.  A shared-draw batch, one draw serving many queries, must pair
+its first-link rows the same way to match a lone call in law.  The per-seed
+estimate depends on the draw order, on the sampler and on the generator;
+changing any of them changes per-seed estimates, and pairing changes their
+spread but not their mean.
 """
 
 from __future__ import annotations
@@ -100,25 +113,41 @@ def _on_count(rng: np.random.Generator, n: int, zeta: float) -> int:
     return int(rng.binomial(n, zeta))
 
 
+def _fresh_on_counts(rng: np.random.Generator, cfg: SystemConfig, ka: bool, n: int) -> list[int]:
+    """How many of the chunk's ``n`` samples meet their first active link at each of the K links.
+
+    Under ``ku`` one Binomial(n, zeta) count of picks whose backhaul is on,
+    all at the first link.  Under ``ka`` the chain of K on-counts, each a
+    Binomial of the samples every earlier link left silenced.  They are the
+    chunk's first draws, so the samples never met, the all-silenced count
+    under ``ka``, depend on (seed, chunk) alone.
+    """
+    counts = [_on_count(rng, n, cfg.zeta)]
+    for _ in range(cfg.K - 1):
+        n -= counts[-1]
+        counts.append(_on_count(rng, n, cfg.zeta) if ka else 0)
+    return counts
+
+
 def _destination_sides(
-    rng: np.random.Generator, cfg: SystemConfig, out: np.ndarray, tmp: np.ndarray
+    rng: np.random.Generator, cfg: SystemConfig, out: np.ndarray, tmp: np.ndarray, paired: bool = False
 ) -> np.ndarray:
-    """1 + a_d gamma_d for ``out.size`` Gamma(M) draws, in place."""
-    side = _unit_gamma(rng, cfg.M, out, tmp)
+    """1 + a_d gamma_d for ``out.size`` Gamma(M) draws, in place; ``paired`` as in ``_unit_gamma``."""
+    side = _unit_gamma(rng, cfg.M, out, tmp, paired)
     side *= cfg.a_d
     side += 1.0
     return side
 
 
 def _thresholds(
-    rng: np.random.Generator, cfg: SystemConfig, out: np.ndarray, tmp: np.ndarray
+    rng: np.random.Generator, cfg: SystemConfig, out: np.ndarray, tmp: np.ndarray, paired: bool = False
 ) -> np.ndarray:
-    """rho (1 + a_e gamma_e) for ``out.size`` Gamma(N) draws, in place.
+    """rho (1 + a_e gamma_e) for ``out.size`` Gamma(N) draws, in place; ``paired`` as in ``_unit_gamma``.
 
     A sample is in outage on a link where its destination side is below its
     threshold: the float operations of ``secrecy_outage_indicator``.
     """
-    threshold = _unit_gamma(rng, cfg.N, out, tmp)
+    threshold = _unit_gamma(rng, cfg.N, out, tmp, paired)
     threshold *= cfg.a_e
     threshold += 1.0
     threshold *= cfg.rho
@@ -126,47 +155,44 @@ def _thresholds(
 
 
 def _os_survivors(
-    rng: np.random.Generator, cfg: SystemConfig, ka: bool, fresh: int, scratch: np.ndarray
-) -> tuple[int, int]:
-    """Held and fresh survivor counts after every link under ``os``.
+    rng: np.random.Generator, cfg: SystemConfig, ka: bool, on_fresh: list[int], scratch: np.ndarray
+) -> int:
+    """Held survivors after every link under ``os``, given each link's newly active count.
 
     An ``os`` survivor carries no state, only whether it has met an active
-    link, so both groups are counts and each link's backhaul is two
-    on-counts.
+    link, so the held ones are a count and their backhaul is an on-count.
     """
-    held = 0
-    for _ in range(cfg.K):
+    held, fresh = 0, sum(on_fresh)
+    for link, on_new in enumerate(on_fresh):
         if fresh == 0 and held == 0:
             break
         on_held = _on_count(rng, held, cfg.zeta) if ka else held
-        on_fresh = _on_count(rng, fresh, cfg.zeta) if ka else fresh
-        on = on_held + on_fresh
-        destination = _destination_sides(rng, cfg, scratch[0, :on], scratch[2])
-        threshold = _thresholds(rng, cfg, scratch[1, :on], scratch[2])
+        on = on_held + on_new
+        destination = _destination_sides(rng, cfg, scratch[0, :on], scratch[2], link == 0)
+        threshold = _thresholds(rng, cfg, scratch[1, :on], scratch[2], link == 0)
         held += int(np.count_nonzero(destination < threshold)) - on_held
-        fresh -= on_fresh
-    return held, fresh
+        fresh -= on_new
+    return held
 
 
 def _ss_survivors(
-    rng: np.random.Generator, cfg: SystemConfig, ka: bool, fresh: int, scratch: np.ndarray
-) -> tuple[int, int]:
-    """Held and fresh survivor counts after every link under ``ss``.
+    rng: np.random.Generator, cfg: SystemConfig, ka: bool, on_fresh: list[int], scratch: np.ndarray
+) -> int:
+    """Held survivors after every link under ``ss``, given each link's newly active count.
 
     A held survivor carries its threshold rho (1 + a_e gamma_e), so its
-    backhaul is one uniform per survivor; the fresh ones are a count.  The
-    last link only counts, so no threshold is compressed there.
+    backhaul is one uniform per survivor.  The last link only counts, so no
+    threshold is compressed there.
     """
-    held = np.empty(0)
-    for link in range(cfg.K):
+    held, fresh = np.empty(0), sum(on_fresh)
+    for link, on_new in enumerate(on_fresh):
         if fresh == 0 and held.size == 0:
             break
         on = rng.random(held.size) < cfg.zeta if ka and cfg.zeta != 1.0 and held.size else None
         tested = held if on is None else held.compress(on)
-        on_fresh = _on_count(rng, fresh, cfg.zeta) if ka else fresh
-        fresh -= on_fresh
-        destination = _destination_sides(rng, cfg, scratch[0, : tested.size + on_fresh], scratch[2])
-        threshold = _thresholds(rng, cfg, scratch[1, :on_fresh], scratch[2])
+        fresh -= on_new
+        destination = _destination_sides(rng, cfg, scratch[0, : tested.size + on_new], scratch[2], link == 0)
+        threshold = _thresholds(rng, cfg, scratch[1, :on_new], scratch[2], link == 0)
         keep = destination[: tested.size] < tested
         if on is not None:
             on_fails = keep
@@ -174,10 +200,10 @@ def _ss_survivors(
             keep[on] = on_fails
         new = destination[tested.size :] < threshold
         if link + 1 == cfg.K:
-            return int(np.count_nonzero(keep)) + int(np.count_nonzero(new)), fresh
+            return int(np.count_nonzero(keep)) + int(np.count_nonzero(new))
         # ``compress`` is about twice as fast as boolean indexing here
         held = np.concatenate((held.compress(keep), threshold.compress(new)))
-    return held.size, fresh
+    return held.size
 
 
 def _chunk_counts(
@@ -199,24 +225,30 @@ def _chunk_counts(
     rho (1 + a_e gamma_e), formed once and compressed at every link.  Chunk
     memory is O(n).
 
-    Draw order: under ``ku`` first one Binomial(n, zeta) count of picks
-    whose backhaul is on (the rule never reads backhaul, so the pick's state
-    is independent of the pick); the other picks are silenced, in outage at
-    once, and every link of a survivor is on.  Then, for each link while
-    survivors remain: under ``ka`` the held survivors' backhaul (an
-    on-count under ``os``, one uniform per survivor under ``ss``) and the
-    fresh survivors' on-count; the Gamma(M) destination SNRs of the on held
-    survivors, then of the on fresh ones; and the Gamma(N) eavesdropper SNRs
-    of every on survivor under ``os``, of the on fresh ones only under
-    ``ss``, whose eavesdropper SNR is shared by all links.  No Gamma is
-    drawn for a link that is off, and no backhaul variate at zeta = 1.  A
-    survivor stays while its link is off (``ka``) or in outage; fresh
-    survivors left after the last link had an empty active set.  With one
-    link both rules read the same stream and make the same float operations.
+    Draw order: first the fresh on-counts of ``_fresh_on_counts`` (under
+    ``ku`` one count of picks whose backhaul is on, since the rule never
+    reads backhaul and the pick's state is independent of the pick; the
+    other picks are silenced, in outage at once, and every link of a
+    survivor is on; under ``ka`` one count per link).  Then, for each link
+    while survivors remain: under ``ka`` the held survivors' backhaul (an
+    on-count under ``os``, one uniform per survivor under ``ss``); the
+    Gamma(M) destination SNRs of the on held survivors, then of the newly
+    active ones; and the Gamma(N) eavesdropper SNRs of every on survivor
+    under ``os``, of the newly active ones only under ``ss``, whose
+    eavesdropper SNR is shared by all links.  No Gamma is drawn for a link
+    that is off, and no backhaul variate at zeta = 1.  A survivor stays
+    while its link is off (``ka``) or in outage; samples that never met an
+    active link had an empty active set.  With one link both rules read the
+    same stream and make the same float operations.
 
     Each row of Gamma(k) SNRs is k rows of uniforms in turn, one per path
     energy, which ``_unit_gamma`` turns into -ln of their product of 1 - u
     (past ``channel._PRODUCT_FACTORS`` paths, one log per further path).
+    The first link's two rows, where no sample is held yet, are drawn
+    ``paired``: sample h + i of a row of m (h = ceil(m / 2)) reflects the
+    uniforms of sample i in both its destination and its eavesdropper SNR,
+    so its outage moves against its partner's (see the module docstring).
+    Pairs never cross a chunk.
 
     The destination SNRs are written into the first row of ``scratch`` (3
     rows of at least n columns), the eavesdropper SNRs into the second, and
@@ -227,10 +259,11 @@ def _chunk_counts(
     cfg = query.cfg
     ka = query.scenario is Scenario.KA
     rng = make_rng(seed, chunk_index)
-    fresh = n if ka else _on_count(rng, n, cfg.zeta)
+    on_fresh = _fresh_on_counts(rng, cfg, ka, n)
+    never_active = n - sum(on_fresh)  # the silenced picks under ku
     survivors = _ss_survivors if query.scheme is Scheme.SS else _os_survivors
-    held, never_active = survivors(rng, cfg, ka, fresh, scratch)
-    return n - fresh + held + never_active, never_active
+    held = survivors(rng, cfg, ka, on_fresh, scratch)
+    return never_active + held, never_active if ka else 0
 
 
 def simulate_sop(query: SopQuery, mc: McSettings = McSettings(), workers: int = 1) -> SopEstimate:

@@ -110,18 +110,27 @@ class QuadratureConvergenceError(RuntimeError):
 
 
 def _panels(evaluate: Callable, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Kronrod values and error estimates (200 |K - G|)^1.5 of panels [lo_i, hi_i], one call.
+    """Kronrod values and QUADPACK's error estimates of panels [lo_i, hi_i], one call.
 
-    ``einsum`` sums each panel's 15 products on their own, for both rules
-    in one call, so a panel's numbers do not depend on which other panels
-    share the call (a BLAS product's can, by an ulp).
+    A panel's estimate is resasc min(1, (200 |K - G| / resasc)^1.5), where
+    resasc is the Kronrod rule's integral of |f - mean f| over the panel
+    (Piessens et al., 1983, QK15), so it scales with the integrand: a panel
+    of size 1e-28 is judged as one of size 1.  A panel whose integrand the
+    rule sees as constant (resasc = 0) keeps |K - G|.  ``einsum`` sums each
+    panel's 15 products on their own, for both rules in one call, so a
+    panel's numbers do not depend on which other panels share the call (a
+    BLAS product's can, by an ulp).
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     fx = evaluate(rows, mid[:, None] + half[:, None] * _NODES)
-    value_k, value_g = half * np.einsum("ij,kj->ki", fx, _WEIGHTS)
-    diff = np.abs(value_k - value_g)
-    return value_k, np.where(diff > 0.0, (200.0 * diff) ** 1.5, 0.0)
+    sum_k, sum_g = np.einsum("ij,kj->ki", fx, _WEIGHTS)
+    resasc = half * np.einsum("ij,j->i", np.abs(fx - 0.5 * sum_k[:, None]), _WEIGHTS_K)
+    value_k = half * sum_k
+    diff = np.abs(value_k - half * sum_g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5)
+    return value_k, np.where(resasc > 0.0, scaled, diff)
 
 
 def _stacked_integrals(

@@ -98,7 +98,11 @@ def adaptive_integral_loop(f, lo, hi, rel_tol=1e-10, initial_subdivisions=8, max
         fx = f(mid[:, None] + half[:, None] * _NODES)
         value_k = half * (fx @ _WEIGHTS_K)
         diff = np.abs(value_k - half * (fx @ _WEIGHTS_G))
-        return value_k, np.where(diff > 0.0, (200.0 * diff) ** 1.5, 0.0)
+        # QUADPACK's QK15 estimate, resasc * min(1, (200 |K - G| / resasc)^1.5)
+        resasc = half * (np.abs(fx - (fx @ _WEIGHTS_K)[:, None] / 2.0) @ _WEIGHTS_K)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scaled = resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5)
+        return value_k, np.where(resasc > 0.0, scaled, diff)
 
     edges = np.linspace(lo, hi, initial_subdivisions + 1)
     p_lo, p_hi = edges[:-1], edges[1:]

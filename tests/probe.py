@@ -9,8 +9,11 @@ key is evaluated by the closed form (one batch) and by tight quadrature
 (rel 1e-12), one lone row per key so that a row which does not
 converge is counted, not fatal.  Where the two differ by more than 1e-9
 relative, the 60-digit series (``oracles.selection_series_mp``) settles
-which route is wrong, the one farther from it, unless its own rounding
-(``ORACLE_DIGITS`` times the sum of its terms' sizes) could decide it.
+which route is wrong, unless its own rounding (``ORACLE_DIGITS`` times the
+sum of its terms' sizes) could decide it: the one farther from it, and the
+nearer one too where that is off by more than 1e-9 relative and more than
+ten times the rounding, so a quadrature miss beside a worse closed form
+still counts.
 ``probe`` returns the counts: how many keys the closed form flags and how
 many do not converge, how many keys disagree, and per route which of those
 it got wrong; ``main`` prints them, with each route's worst key, the
@@ -120,8 +123,10 @@ def probe(n: int, seed: int) -> dict:
             unsettled += 1  # the 60-digit sum's own rounding could decide it
             continue
         errors = {"closed form": abs(closed[at] - exact), "quadrature": abs(quad[at] - exact)}
-        route = max(errors, key=errors.get)
-        wrong[route].append((errors[route], at, exact))
+        farther = max(errors, key=errors.get)
+        for route, error in errors.items():
+            if route == farther or error > max(DISAGREE * abs(exact), 10.0 * ORACLE_DIGITS * size):
+                wrong[route].append((error, at, exact))
     seconds = (closed_s, quad_s, time.perf_counter() - start)
     return {
         "cells": cells, "flags": flags, "failed": failed, "disagree": len(disagree),

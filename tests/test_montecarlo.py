@@ -248,42 +248,62 @@ def test_selection_prefers_merit():
     assert os_.p_hat < ss.p_hat
 
 
-def _gamma_row(rng, shape, size):
-    """The documented Gamma row, up to ``_PRODUCT_FACTORS`` paths: ``shape`` uniform rows, -ln of the product of 1 - u."""
-    assert shape <= _PRODUCT_FACTORS
-    product = 1.0 - rng.random(size)
-    for _ in range(shape - 1):
-        product = product * (1.0 - rng.random(size))
-    return -np.log(product)
+def _gamma_row(rng, shape, size, paired=False):
+    """The documented Gamma row: ``shape`` uniform rows, -ln of the product of 1 - u.
+
+    Past ``_PRODUCT_FACTORS`` paths each further factor's log is added in
+    turn.  ``paired`` draws ceil(size / 2) uniforms a path: the first half
+    of the row takes 1 - u, the rest u + 2**-53 of the first uniforms.
+    """
+    drawn = -(-size // 2) if paired else size
+    factors = []
+    for _ in range(shape):
+        u = rng.random(drawn)
+        factors.append(np.concatenate((1.0 - u, u[: size - drawn] + 2.0**-53)))
+    product = factors[0]
+    for factor in factors[1:_PRODUCT_FACTORS]:
+        product = product * factor
+    total = np.log(product)
+    for factor in factors[_PRODUCT_FACTORS:]:
+        total = total + np.log(factor)
+    return -total
 
 
 def _loop_counts(query, seed, chunk_index, n):
     """Per-sample reference for _chunk_counts on the same substream.
 
-    It replays the documented draw order (the ku on-pick count; then per
-    link the held samples' backhaul under ka, a uniform each under ss and an
-    on-count under os, the fresh samples' on-count under ka, one destination
-    SNR per on sample, held before fresh, and one eavesdropper SNR per on
-    sample under os, per newly active sample under ss), recording every
-    value against its sample.  Each Gamma SNR row is replayed by
-    ``_gamma_row``.  A count stands for exchangeable samples, so
-    it goes to the first samples of its group in group order; held samples
-    keep the chunk's order, those still held first, then the newly held
-    fresh ones.  Each sample is then decided on its own: an explicit pick
-    among the on links it tested, and an outage test of that pick alone.  A
-    sample that left early did so on a passing link, which the pick among
-    tested links then finds, so this checks the "every candidate in outage"
-    shortcut independently.
+    It replays the documented draw order (first the on-counts of the
+    samples meeting their first active link: the ku on-pick count, or under
+    ka one count per link; then per link the held samples' backhaul under
+    ka, a uniform each under ss and an on-count under os, one destination
+    SNR per on sample, held before newly active, and one eavesdropper SNR
+    per on sample under os, per newly active sample under ss), recording
+    every value against its sample.  Each Gamma SNR row is replayed by
+    ``_gamma_row``, paired on the first link.  A count stands for
+    exchangeable samples, so it goes to the first samples of its group in
+    group order; held samples keep the chunk's order, those still held
+    first, then the newly held fresh ones.  Each sample is then decided on
+    its own: an explicit pick among the on links it tested, and an outage
+    test of that pick alone.  A sample that left early did so on a passing
+    link, which the pick among tested links then finds, so this checks the
+    "every candidate in outage" shortcut independently.
     """
     cfg = query.cfg
     ss, ka = query.scheme is Scheme.SS, query.scenario is Scenario.KA
     rng = make_rng(seed, chunk_index)
 
-    def first_on(group):
-        count = len(group) if not group or cfg.zeta == 1.0 else int(rng.binomial(len(group), cfg.zeta))
+    def on_count(size):
+        return size if not size or cfg.zeta == 1.0 else int(rng.binomial(size, cfg.zeta))
+
+    def first_on(group, count):
         return [j < count for j in range(len(group))]
 
-    picked_on = n if ka else sum(first_on(range(n)))
+    # the samples meeting their first active link at each link, before any Gamma
+    on_fresh, unmet = [], n
+    for link in range(cfg.K if ka else 1):
+        on_fresh.append(on_count(unmet))
+        unmet -= on_fresh[-1]
+    picked_on = n if ka else on_fresh[0]
     # per sample and link: the destination and eavesdropper SNRs, None where the link was off or untested
     d = [[] for _ in range(n)]
     e = [[] for _ in range(n)]
@@ -296,13 +316,13 @@ def _loop_counts(query, seed, chunk_index, n):
         elif ss:
             held_on = (rng.random(len(held)) < cfg.zeta).tolist()
         else:
-            held_on = first_on(held)
-        fresh_on = first_on(fresh) if ka else [True] * len(fresh)
+            held_on = first_on(held, on_count(len(held)))
+        fresh_on = first_on(fresh, on_fresh[link]) if ka else [True] * len(fresh)
         newly = [i for i, o in zip(fresh, fresh_on) if o]
         tested = [i for i, o in zip(held, held_on) if o] + newly
-        d_link = (_gamma_row(rng, cfg.M, len(tested)) * cfg.a_d).tolist()
+        d_link = (_gamma_row(rng, cfg.M, len(tested), link == 0) * cfg.a_d).tolist()
         drawn = newly if ss else tested
-        eve = dict(zip(drawn, (_gamma_row(rng, cfg.N, len(drawn)) * cfg.a_e).tolist()))
+        eve = dict(zip(drawn, (_gamma_row(rng, cfg.N, len(drawn), link == 0) * cfg.a_e).tolist()))
         for i in held + fresh:
             d[i].append(None)
             e[i].append(None)
@@ -366,8 +386,9 @@ class _CountingRng:
     ``binomials`` holds (trials, p, result) per call, and ``uniforms`` every
     backhaul uniform row drawn.  Gamma SNRs are counted by
     ``_counting_generator`` at the ``_unit_gamma`` seam, keyed
-    ("gamma", shape), and drawn from the wrapped generator, so the uniforms
-    behind them are not counted as backhaul uniforms.
+    ("gamma", shape), and ``gammas`` holds (shape, draws, paired, uniforms
+    filled) per call.  The uniforms behind a Gamma row are filled from the
+    wrapped generator, so they are not counted as backhaul uniforms.
     """
 
     def __init__(self, rng):
@@ -375,6 +396,7 @@ class _CountingRng:
         self.counts = {}
         self.binomials = []
         self.uniforms = []
+        self.gammas = []
 
     def _add(self, kind, size):
         self.counts[kind] = self.counts.get(kind, 0) + int(np.prod(size))
@@ -390,6 +412,17 @@ class _CountingRng:
         return out
 
 
+class _FillCounter:
+    """The uniform fills of one ``_unit_gamma`` call, drawn from the wrapped generator."""
+
+    def __init__(self, rng):
+        self.rng, self.filled = rng, 0
+
+    def random(self, out):
+        self.filled += out.size
+        return self.rng.random(out=out)
+
+
 def _counting_generator(monkeypatch, query, n):
     generators = []
 
@@ -397,9 +430,12 @@ def _counting_generator(monkeypatch, query, n):
         generators.append(_CountingRng(make_rng(seed, stream)))
         return generators[-1]
 
-    def counting_unit_gamma(rng, shape, out, tmp):
+    def counting_unit_gamma(rng, shape, out, tmp, paired=False):
         rng._add(("gamma", shape), out.shape)
-        return unit_gamma(rng.rng, shape, out, tmp)
+        fills = _FillCounter(rng.rng)
+        unit_gamma(fills, shape, out, tmp, paired)
+        rng.gammas.append((shape, out.size, paired, fills.filled))
+        return out
 
     unit_gamma = montecarlo._unit_gamma
     monkeypatch.setattr(montecarlo, "make_rng", counting_make_rng)
@@ -415,11 +451,34 @@ def _counted_draws(monkeypatch, query, n):
 
 def test_survivor_draws_stop_at_the_first_passing_link(monkeypatch):
     # at 30 dB nearly every sample passes on its first link, so the
-    # destination draws stay close to n instead of K * n
+    # destination draws stay close to n instead of K * n, and their paired
+    # first link fills about n / 2 uniforms a path
     cfg = _cfg(K=5, snr=1000.0)
     n = 20_000
-    counts = _counted_draws(monkeypatch, SopQuery(cfg=cfg, scheme=Scheme.OS, scenario=Scenario.KU), n)
-    assert counts[("gamma", cfg.M)] < 2 * n
+    generator = _counting_generator(monkeypatch, SopQuery(cfg=cfg, scheme=Scheme.OS, scenario=Scenario.KU), n)
+    assert generator.counts[("gamma", cfg.M)] < 2 * n
+    filled = sum(fill for shape, _, _, fill in generator.gammas if shape == cfg.M)
+    assert filled < cfg.M * n
+
+
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("scheme,scenario", CASES)
+def test_first_link_rows_are_paired(monkeypatch, K, scheme, scenario):
+    # the first link's destination and eavesdropper rows are paired, over the
+    # same newly active samples, and fill ceil(m / 2) uniforms a path; every
+    # later row is unpaired and fills m
+    cfg = _cfg(K=K, zeta=0.6)
+    n = 20_001
+    generator = _counting_generator(monkeypatch, SopQuery(cfg=cfg, scheme=scheme, scenario=scenario), n)
+    (d_shape, d_size, d_paired, _), (e_shape, e_size, e_paired, _), *later = generator.gammas
+    assert (d_shape, e_shape, d_paired, e_paired) == (cfg.M, cfg.N, True, True)
+    first_on = generator.binomials[0][2]
+    assert d_size == e_size == first_on
+    assert not any(paired for _, _, paired, _ in later)
+    if K > 1:
+        assert later
+    for shape, size, paired, filled in generator.gammas:
+        assert filled == shape * (-(-size // 2) if paired else size)
 
 
 @pytest.mark.parametrize("K", [1, 3])
@@ -504,19 +563,68 @@ def test_empty_active_set_rate_with_frequent_silencing(scheme):
     assert abs(estimate.empty_active_set_rate - expected) <= 3.0 * sigma
 
 
+@pytest.mark.parametrize("scheme", [Scheme.SS, Scheme.OS])
+def test_empty_active_set_rate_ignores_the_gamma_draws(monkeypatch, scheme):
+    # the all-silenced count reads only a chunk's first draws, its fresh
+    # on-counts: a Gamma sampler that draws more uniforms moves the outage
+    # estimate but not one bit of the rate
+    query = SopQuery(cfg=_cfg(K=3, zeta=0.6), scheme=scheme, scenario=Scenario.KA)
+    mc = McSettings(n_samples=2 * CHUNK_SIZE + 777, seed=9)
+    before = simulate_sop(query, mc)
+    unit_gamma = montecarlo._unit_gamma
+
+    def greedy_unit_gamma(rng, shape, out, tmp, paired=False):
+        rng.random(3)
+        return unit_gamma(rng, shape, out, tmp, paired)
+
+    monkeypatch.setattr(montecarlo, "_unit_gamma", greedy_unit_gamma)
+    after = simulate_sop(query, mc)
+    assert after.p_hat != before.p_hat
+    assert repr(after.empty_active_set_rate) == repr(before.empty_active_set_rate)
+
+
+# Two grid cells, K, zeta, linear snr, scheme and scenario, with the sampling
+# errors of the sd its spread may exceed the binomial sd by.  At the first the
+# first link decides every sample and the pairs' outages are strongly
+# anticorrelated (sd about 0.8 of the binomial one); at the second the ka
+# on-counts and later links dilute them (about 0.95), so its sample sd, itself
+# off by about 1 / sqrt(2 (seeds - 1)) relative, gets three of those.
+_SWEEP_CELLS = [
+    pytest.param(1, 0.9, 1.0, Scheme.SS, Scenario.KU, 0.0, id="K1-ss-ku"),
+    pytest.param(2, 0.9, 10.0, Scheme.OS, Scenario.KA, 3.0, id="K2-os-ka"),
+]
+
+
+@pytest.mark.parametrize("K, zeta, snr, scheme, scenario, slack", _SWEEP_CELLS)
+def test_paired_estimates_over_seeds(K, zeta, snr, scheme, scenario, slack):
+    # the estimate stays unbiased and its spread over seeds is no wider than
+    # the binomial spread of independent samples
+    query = SopQuery(cfg=_cfg(K=K, zeta=zeta, snr=snr), scheme=scheme, scenario=scenario)
+    n, seeds = 8192, range(1000, 1200)
+    estimates = np.array([simulate_sop(query, McSettings(n_samples=n, seed=seed)).p_hat for seed in seeds])
+    closed = analytic_sop(query).value
+    spread = estimates.std(ddof=1)
+    assert abs(estimates.mean() - closed) <= 3.0 * spread / math.sqrt(len(seeds))
+    sd_error = 1.0 / math.sqrt(2 * (len(seeds) - 1))
+    assert spread <= (1.0 + slack * sd_error) * math.sqrt(closed * (1.0 - closed) / n)
+
+
 # a product of every factor up to _PRODUCT_FACTORS, one log per factor past it
 _SHAPES = [*range(1, 9), 19, 20, 25]
 
 
 @pytest.mark.parametrize("shape", _SHAPES)
 def test_unit_gamma_law(shape):
+    # unpaired, and paired: each half of a paired row keeps the law, so the
+    # row does, though its two halves are dependent
     n = 200_000
-    draws = _unit_gamma(make_rng(31, shape), shape, np.empty(n), np.empty(n))
-    assert stats.kstest(draws, stats.gamma(shape).cdf).pvalue > 1e-3
-    # the mean and variance of Gamma(k) are both k; the standard error of
-    # the sample variance is sqrt((2 k^2 + 6 k) / n)
-    assert abs(draws.mean() - shape) <= 5.0 * math.sqrt(shape / n)
-    assert abs(draws.var() - shape) <= 5.0 * math.sqrt((2 * shape**2 + 6 * shape) / n)
+    for paired in (False, True):
+        draws = _unit_gamma(make_rng(31, shape), shape, np.empty(n), np.empty(n), paired)
+        assert stats.kstest(draws, stats.gamma(shape).cdf).pvalue > 1e-3
+        # the mean and variance of Gamma(k) are both k; the standard error
+        # of the sample variance is sqrt((2 k^2 + 6 k) / n)
+        assert abs(draws.mean() - shape) <= 5.0 * math.sqrt(shape / n)
+        assert abs(draws.var() - shape) <= 5.0 * math.sqrt((2 * shape**2 + 6 * shape) / n)
 
 
 class _ConstantUniforms:
@@ -532,17 +640,44 @@ class _ConstantUniforms:
 
 @pytest.mark.parametrize("shape", [1, 2, 6, 19, 20, 40])
 def test_unit_gamma_extreme_uniforms_stay_finite(shape):
-    # u = 0 enters as a factor of 1, the largest u below 1 as 2**-53: no
-    # factor is 0 and no product leaves the normal range, so no SNR is
-    # infinite and every destination side is positive
-    n = 5
-    for u, expected in ((0.0, 0.0), (1.0 - 2.0**-53, shape * 53 * math.log(2.0))):
-        draws = _unit_gamma(_ConstantUniforms(u), shape, np.empty(n), np.full(n, np.nan))
-        assert np.all(np.isfinite(draws)) and np.all(draws >= 0.0)
-        np.testing.assert_allclose(draws, expected, rtol=1e-14)
-        cfg = _cfg(M=shape)
-        sides = _destination_sides(_ConstantUniforms(u), cfg, np.empty(n), np.empty(n))
-        assert np.all(np.isfinite(sides)) and np.all(sides >= 1.0)
+    # u = 0 enters as a factor of 1, the largest u below 1 as 2**-53, and
+    # in a paired row's second half their reflections u + 2**-53 as 2**-53
+    # and 1: no factor is 0 and no product leaves the normal range, so no
+    # SNR is infinite and every destination side is positive
+    n, half = 5, 3
+    largest = shape * 53 * math.log(2.0)
+    for paired in (False, True):
+        for u, expected in ((0.0, 0.0), (1.0 - 2.0**-53, largest)):
+            reflected = largest - expected if paired else expected
+            draws = _unit_gamma(_ConstantUniforms(u), shape, np.empty(n), np.full(n, np.nan), paired)
+            assert np.all(np.isfinite(draws)) and np.all(draws >= 0.0)
+            np.testing.assert_allclose(draws[:half], expected, rtol=1e-14)
+            np.testing.assert_allclose(draws[half:], reflected, rtol=1e-14)
+            cfg = _cfg(M=shape)
+            sides = _destination_sides(_ConstantUniforms(u), cfg, np.empty(n), np.empty(n), paired)
+            assert np.all(np.isfinite(sides)) and np.all(sides >= 1.0)
+
+
+@pytest.mark.parametrize("size", [1, 7, 8])
+@pytest.mark.parametrize("shape", [1, 6, 19, 25])
+def test_paired_rows_reflect_one_set_of_uniforms(shape, size):
+    # a paired row of m draws reads ceil(m / 2) uniforms a path: the first
+    # half takes 1 - u, the second u + 2**-53 of the same uniforms, through
+    # the product and past it through the per-path logs
+    rng = make_rng(17, shape)
+    draws = _unit_gamma(rng, shape, np.empty(size), np.empty(size), paired=True)
+    replay = make_rng(17, shape)
+    np.testing.assert_array_equal(draws, _gamma_row(replay, shape, size, paired=True))
+    assert rng.random() == replay.random()  # both streams stop at shape * ceil(m / 2) uniforms
+    if shape == 1:
+        u = make_rng(17, shape).random(-(-size // 2))
+        np.testing.assert_array_equal(draws[: u.size], -np.log(1.0 - u))
+        np.testing.assert_array_equal(draws[u.size :], -np.log(u[: size - u.size] + 2.0**-53))
+    # the two members of a pair move in opposite directions with their uniforms
+    lo = _unit_gamma(_ConstantUniforms(0.25), shape, np.empty(size), np.empty(size), paired=True)
+    hi = _unit_gamma(_ConstantUniforms(0.75), shape, np.empty(size), np.empty(size), paired=True)
+    half = -(-size // 2)
+    assert np.all(lo[:half] < hi[:half]) and np.all(lo[half:] > hi[half:])
 
 
 @pytest.mark.parametrize("shape", _SHAPES)
