@@ -10,8 +10,8 @@ which manifests as a point mass at zero SNR.  Distribution helpers here
 accept scalars or numpy arrays in the evaluation point.  Gamma SNRs have one
 sampler, ``_unit_gamma``, shared by ``sample_channel_block`` and the Monte
 Carlo: -ln of a product of one (0, 1] uniform per path.  Its paired mode,
-which only the Monte Carlo's first link uses, draws two values from each
-uniform row, one rising and one falling with it, each with the same law.
+which every Monte Carlo row uses, draws two values from each uniform row,
+one rising and one falling with it, each with the same law.
 
 Because every shape is an integer, the CDF is the regularized lower
 incomplete gamma P(M, u) at integer M, evaluated here in numpy alone (DLMF
@@ -368,8 +368,9 @@ def sample_channel_block(cfg: SystemConfig, rng: np.random.Generator, n: int):
 
     The draw order is a contract (destination Gamma(M) SNRs, then
     eavesdropper Gamma(N) SNRs, then backhaul uniforms) so that a stream
-    position identifies a sample.  Each Gamma block is one unpaired
-    ``_unit_gamma`` draw of K n values, the Monte Carlo's sampler.
+    position identifies a sample.  Each Gamma block is one ``_unit_gamma``
+    draw of K n values, the Monte Carlo's sampler, unpaired: the states are
+    independent.
     """
     gamma_d, gamma_e, uniforms = np.empty((cfg.K, n)), np.empty((cfg.K, n)), np.empty((cfg.K, n))
     _unit_gamma(rng, cfg.M, gamma_d.ravel(), uniforms.ravel())

@@ -17,19 +17,20 @@ exponential path energies, drawn as exactly that: -ln of a product of one
 
 A chunk first draws its fresh on-counts, how many samples meet their first
 active link at each link, so its all-silenced count depends on (seed,
-chunk) alone.  Its first link's Gamma rows, where most uniforms go, are
-drawn in reflected pairs: one uniform u serves a sample as the factor 1 - u
-and its partner as u + 2**-53.  A sample's outage is monotone in each of
-those uniforms, the partners move in opposite directions, and later draws
-are independent of the pair given its first link, so the pair's outages
-have covariance at most 0 (Harris's inequality).  The estimate stays
-unbiased, its variance is at most that of independent samples, and the Wald
-interval, whose stated coverage assumes independent samples, can only be
-conservative.  A shared-draw batch, one draw serving many queries, must pair
-its first-link rows the same way to match a lone call in law.  The per-seed
-estimate depends on the draw order, on the sampler and on the generator;
-changing any of them changes per-seed estimates, and pairing changes their
-spread but not their mean.
+chunk) alone.  Every Gamma row is drawn in reflected pairs: one uniform u
+serves a sample as the factor 1 - u and its partner as u + 2**-53.  Given
+everything drawn before a row, that link's backhaul included, each
+sample's expected final outage is monotone in its own uniforms of that
+row, and the partners move in opposite directions, so by Harris's
+inequality the row's conditional variance is at most the independent one.
+Each sample keeps its marginal law, so by the martingale variance
+decomposition the estimate stays unbiased, its variance is at most
+binomial, and the Wald interval, whose stated coverage assumes independent
+samples, can only be conservative.  A shared-draw batch, one draw serving
+many queries, must pair every row the same way to match a lone call in
+law.  The per-seed estimate depends on the draw order, on the sampler and
+on the generator; changing any of them changes per-seed estimates, and
+pairing changes their spread but not their mean.
 """
 
 from __future__ import annotations
@@ -129,25 +130,21 @@ def _fresh_on_counts(rng: np.random.Generator, cfg: SystemConfig, ka: bool, n: i
     return counts
 
 
-def _destination_sides(
-    rng: np.random.Generator, cfg: SystemConfig, out: np.ndarray, tmp: np.ndarray, paired: bool = False
-) -> np.ndarray:
-    """1 + a_d gamma_d for ``out.size`` Gamma(M) draws, in place; ``paired`` as in ``_unit_gamma``."""
-    side = _unit_gamma(rng, cfg.M, out, tmp, paired)
+def _destination_sides(rng: np.random.Generator, cfg: SystemConfig, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """1 + a_d gamma_d for ``out.size`` Gamma(M) draws in reflected pairs, in place."""
+    side = _unit_gamma(rng, cfg.M, out, tmp, paired=True)
     side *= cfg.a_d
     side += 1.0
     return side
 
 
-def _thresholds(
-    rng: np.random.Generator, cfg: SystemConfig, out: np.ndarray, tmp: np.ndarray, paired: bool = False
-) -> np.ndarray:
-    """rho (1 + a_e gamma_e) for ``out.size`` Gamma(N) draws, in place; ``paired`` as in ``_unit_gamma``.
+def _thresholds(rng: np.random.Generator, cfg: SystemConfig, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """rho (1 + a_e gamma_e) for ``out.size`` Gamma(N) draws in reflected pairs, in place.
 
     A sample is in outage on a link where its destination side is below its
     threshold: the float operations of ``secrecy_outage_indicator``.
     """
-    threshold = _unit_gamma(rng, cfg.N, out, tmp, paired)
+    threshold = _unit_gamma(rng, cfg.N, out, tmp, paired=True)
     threshold *= cfg.a_e
     threshold += 1.0
     threshold *= cfg.rho
@@ -163,13 +160,13 @@ def _os_survivors(
     link, so the held ones are a count and their backhaul is an on-count.
     """
     held, fresh = 0, sum(on_fresh)
-    for link, on_new in enumerate(on_fresh):
+    for on_new in on_fresh:
         if fresh == 0 and held == 0:
             break
         on_held = _on_count(rng, held, cfg.zeta) if ka else held
         on = on_held + on_new
-        destination = _destination_sides(rng, cfg, scratch[0, :on], scratch[2], link == 0)
-        threshold = _thresholds(rng, cfg, scratch[1, :on], scratch[2], link == 0)
+        destination = _destination_sides(rng, cfg, scratch[0, :on], scratch[2])
+        threshold = _thresholds(rng, cfg, scratch[1, :on], scratch[2])
         held += int(np.count_nonzero(destination < threshold)) - on_held
         fresh -= on_new
     return held
@@ -191,8 +188,8 @@ def _ss_survivors(
         on = rng.random(held.size) < cfg.zeta if ka and cfg.zeta != 1.0 and held.size else None
         tested = held if on is None else held.compress(on)
         fresh -= on_new
-        destination = _destination_sides(rng, cfg, scratch[0, : tested.size + on_new], scratch[2], link == 0)
-        threshold = _thresholds(rng, cfg, scratch[1, :on_new], scratch[2], link == 0)
+        destination = _destination_sides(rng, cfg, scratch[0, : tested.size + on_new], scratch[2])
+        threshold = _thresholds(rng, cfg, scratch[1, :on_new], scratch[2])
         keep = destination[: tested.size] < tested
         if on is not None:
             on_fails = keep
@@ -244,11 +241,10 @@ def _chunk_counts(
     Each row of Gamma(k) SNRs is k rows of uniforms in turn, one per path
     energy, which ``_unit_gamma`` turns into -ln of their product of 1 - u
     (past ``channel._PRODUCT_FACTORS`` paths, one log per further path).
-    The first link's two rows, where no sample is held yet, are drawn
-    ``paired``: sample h + i of a row of m (h = ceil(m / 2)) reflects the
-    uniforms of sample i in both its destination and its eavesdropper SNR,
-    so its outage moves against its partner's (see the module docstring).
-    Pairs never cross a chunk.
+    Every row is drawn ``paired``: sample h + i of a row of m
+    (h = ceil(m / 2)) reflects the uniforms of sample i, so its outage
+    moves against its partner's (see the module docstring).  Pairs never
+    cross a chunk.
 
     The destination SNRs are written into the first row of ``scratch`` (3
     rows of at least n columns), the eavesdropper SNRs into the second, and

@@ -248,14 +248,15 @@ def test_selection_prefers_merit():
     assert os_.p_hat < ss.p_hat
 
 
-def _gamma_row(rng, shape, size, paired=False):
-    """The documented Gamma row: ``shape`` uniform rows, -ln of the product of 1 - u.
+def _gamma_row(rng, shape, size):
+    """The documented paired Gamma row: ``shape`` uniform rows, -ln of the product of the factors.
 
+    Each path draws ceil(size / 2) uniforms: the first half of the row
+    takes the factors 1 - u, the rest u + 2**-53 of the first uniforms.
     Past ``_PRODUCT_FACTORS`` paths each further factor's log is added in
-    turn.  ``paired`` draws ceil(size / 2) uniforms a path: the first half
-    of the row takes 1 - u, the rest u + 2**-53 of the first uniforms.
+    turn.
     """
-    drawn = -(-size // 2) if paired else size
+    drawn = -(-size // 2)
     factors = []
     for _ in range(shape):
         u = rng.random(drawn)
@@ -279,7 +280,7 @@ def _loop_counts(query, seed, chunk_index, n):
     SNR per on sample, held before newly active, and one eavesdropper SNR
     per on sample under os, per newly active sample under ss), recording
     every value against its sample.  Each Gamma SNR row is replayed by
-    ``_gamma_row``, paired on the first link.  A count stands for
+    ``_gamma_row``, in reflected pairs.  A count stands for
     exchangeable samples, so it goes to the first samples of its group in
     group order; held samples keep the chunk's order, those still held
     first, then the newly held fresh ones.  Each sample is then decided on
@@ -320,9 +321,9 @@ def _loop_counts(query, seed, chunk_index, n):
         fresh_on = first_on(fresh, on_fresh[link]) if ka else [True] * len(fresh)
         newly = [i for i, o in zip(fresh, fresh_on) if o]
         tested = [i for i, o in zip(held, held_on) if o] + newly
-        d_link = (_gamma_row(rng, cfg.M, len(tested), link == 0) * cfg.a_d).tolist()
+        d_link = (_gamma_row(rng, cfg.M, len(tested)) * cfg.a_d).tolist()
         drawn = newly if ss else tested
-        eve = dict(zip(drawn, (_gamma_row(rng, cfg.N, len(drawn), link == 0) * cfg.a_e).tolist()))
+        eve = dict(zip(drawn, (_gamma_row(rng, cfg.N, len(drawn)) * cfg.a_e).tolist()))
         for i in held + fresh:
             d[i].append(None)
             e[i].append(None)
@@ -452,7 +453,7 @@ def _counted_draws(monkeypatch, query, n):
 def test_survivor_draws_stop_at_the_first_passing_link(monkeypatch):
     # at 30 dB nearly every sample passes on its first link, so the
     # destination draws stay close to n instead of K * n, and their paired
-    # first link fills about n / 2 uniforms a path
+    # rows fill about n / 2 uniforms a path
     cfg = _cfg(K=5, snr=1000.0)
     n = 20_000
     generator = _counting_generator(monkeypatch, SopQuery(cfg=cfg, scheme=Scheme.OS, scenario=Scenario.KU), n)
@@ -465,20 +466,27 @@ def test_survivor_draws_stop_at_the_first_passing_link(monkeypatch):
 @pytest.mark.parametrize("scheme,scenario", CASES)
 def test_first_link_rows_are_paired(monkeypatch, K, scheme, scenario):
     # the first link's destination and eavesdropper rows are paired, over the
-    # same newly active samples, and fill ceil(m / 2) uniforms a path; every
-    # later row is unpaired and fills m
+    # same newly active samples
     cfg = _cfg(K=K, zeta=0.6)
     n = 20_001
     generator = _counting_generator(monkeypatch, SopQuery(cfg=cfg, scheme=scheme, scenario=scenario), n)
-    (d_shape, d_size, d_paired, _), (e_shape, e_size, e_paired, _), *later = generator.gammas
+    (d_shape, d_size, d_paired, _), (e_shape, e_size, e_paired, _), *_ = generator.gammas
     assert (d_shape, e_shape, d_paired, e_paired) == (cfg.M, cfg.N, True, True)
     first_on = generator.binomials[0][2]
     assert d_size == e_size == first_on
-    assert not any(paired for _, _, paired, _ in later)
-    if K > 1:
-        assert later
+
+
+@pytest.mark.parametrize("scheme,scenario", CASES)
+def test_every_row_is_paired(monkeypatch, scheme, scenario):
+    # every destination and eavesdropper row, at every link, for held and
+    # newly active survivors alike, is paired and fills ceil(m / 2) uniforms
+    # a path
+    cfg = _cfg(K=3, zeta=0.6)
+    generator = _counting_generator(monkeypatch, SopQuery(cfg=cfg, scheme=scheme, scenario=scenario), 20_001)
+    assert len(generator.gammas) > 2
     for shape, size, paired, filled in generator.gammas:
-        assert filled == shape * (-(-size // 2) if paired else size)
+        assert paired
+        assert filled == shape * -(-size // 2)
 
 
 @pytest.mark.parametrize("K", [1, 3])
@@ -583,15 +591,17 @@ def test_empty_active_set_rate_ignores_the_gamma_draws(monkeypatch, scheme):
     assert repr(after.empty_active_set_rate) == repr(before.empty_active_set_rate)
 
 
-# Two grid cells, K, zeta, linear snr, scheme and scenario, with the sampling
-# errors of the sd its spread may exceed the binomial sd by.  At the first the
-# first link decides every sample and the pairs' outages are strongly
-# anticorrelated (sd about 0.8 of the binomial one); at the second the ka
-# on-counts and later links dilute them (about 0.95), so its sample sd, itself
-# off by about 1 / sqrt(2 (seeds - 1)) relative, gets three of those.
+# Three grid cells, K, zeta, linear snr, scheme and scenario, with the
+# sampling errors of the sd its spread may exceed the binomial sd by.  At the
+# first the first link decides every sample and the pairs' outages are
+# strongly anticorrelated (sd about 0.75 of the binomial one); at the second
+# the unpaired ka on-counts dilute them (about 0.9-0.95), so its sample sd,
+# itself off by about 1 / sqrt(2 (seeds - 1)) relative, gets three of those.
+# At the third, later links draw 45% of the Gamma rows (about 0.75-0.8).
 _SWEEP_CELLS = [
     pytest.param(1, 0.9, 1.0, Scheme.SS, Scenario.KU, 0.0, id="K1-ss-ku"),
     pytest.param(2, 0.9, 10.0, Scheme.OS, Scenario.KA, 3.0, id="K2-os-ka"),
+    pytest.param(5, 0.9, 1.0, Scheme.OS, Scenario.KA, 0.0, id="K5-os-ka"),
 ]
 
 
@@ -646,16 +656,16 @@ def test_unit_gamma_extreme_uniforms_stay_finite(shape):
     # SNR is infinite and every destination side is positive
     n, half = 5, 3
     largest = shape * 53 * math.log(2.0)
-    for paired in (False, True):
-        for u, expected in ((0.0, 0.0), (1.0 - 2.0**-53, largest)):
+    cfg = _cfg(M=shape)
+    for u, expected in ((0.0, 0.0), (1.0 - 2.0**-53, largest)):
+        for paired in (False, True):
             reflected = largest - expected if paired else expected
             draws = _unit_gamma(_ConstantUniforms(u), shape, np.empty(n), np.full(n, np.nan), paired)
             assert np.all(np.isfinite(draws)) and np.all(draws >= 0.0)
             np.testing.assert_allclose(draws[:half], expected, rtol=1e-14)
             np.testing.assert_allclose(draws[half:], reflected, rtol=1e-14)
-            cfg = _cfg(M=shape)
-            sides = _destination_sides(_ConstantUniforms(u), cfg, np.empty(n), np.empty(n), paired)
-            assert np.all(np.isfinite(sides)) and np.all(sides >= 1.0)
+        sides = _destination_sides(_ConstantUniforms(u), cfg, np.empty(n), np.empty(n))
+        assert np.all(np.isfinite(sides)) and np.all(sides >= 1.0)
 
 
 @pytest.mark.parametrize("size", [1, 7, 8])
@@ -667,7 +677,7 @@ def test_paired_rows_reflect_one_set_of_uniforms(shape, size):
     rng = make_rng(17, shape)
     draws = _unit_gamma(rng, shape, np.empty(size), np.empty(size), paired=True)
     replay = make_rng(17, shape)
-    np.testing.assert_array_equal(draws, _gamma_row(replay, shape, size, paired=True))
+    np.testing.assert_array_equal(draws, _gamma_row(replay, shape, size))
     assert rng.random() == replay.random()  # both streams stop at shape * ceil(m / 2) uniforms
     if shape == 1:
         u = make_rng(17, shape).random(-(-size // 2))
