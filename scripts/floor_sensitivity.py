@@ -7,6 +7,10 @@ selection drives the floor down like (1 - zeta)^K.  Adding a transmitter is
 worth another factor of (1 - zeta) only when the selector knows which
 backhaul links are up.
 
+A floor whose alternating series lost significance is marked with ``*``.
+The last column, os ku / ka, reads inf over an os/ka floor that
+underflowed to 0, or nan when os/ku is 0 too.
+
 Usage:
     python3 scripts/floor_sensitivity.py
     python3 scripts/floor_sensitivity.py --zeta 0.8 --zeta 0.95 --K 1 --K 4
@@ -15,9 +19,21 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from secrecy_outage import REFERENCE_CONFIG, Scenario, Scheme, SopQuery, SystemConfig, asymptotic_sops
+
+
+def _ratio(ku: float, ka: float) -> float:
+    """ku / ka, reading inf over a ka floor that underflowed to 0, or nan when both did."""
+    if ka:
+        return ku / ka
+    return math.copysign(math.inf, ku) if ku else math.nan
+
+
+def _number(value: float, flagged: bool, spec: str) -> str:
+    return f"{value:{spec}}{'*' if flagged else ' '}"
 
 
 def main() -> int:
@@ -37,7 +53,8 @@ def main() -> int:
     ks = args.K or [1, 2, 3, 5]
     zetas = args.zeta or [0.9, 0.99]
 
-    cases = [(scheme, scenario) for scheme in (Scheme.SS, Scheme.OS) for scenario in (Scenario.KU, Scenario.KA)]
+    # in column order: ss/ku, os/ku, ss/ka, os/ka
+    cases = [(scheme, scenario) for scenario in (Scenario.KU, Scenario.KA) for scheme in (Scheme.SS, Scheme.OS)]
     queries = [
         SopQuery(SystemConfig(K=K, zeta=zeta, r_th=args.rth, snr=1.0, M=args.M, N=args.N, a=args.a, b=args.b),
                  scheme, scenario)
@@ -47,24 +64,24 @@ def main() -> int:
     ]
     values = iter(asymptotic_sops(queries))  # one batch, read back in the same order
 
-    header = f"{'K':>3} {'zeta':>6} | {'ss/ku':>11} {'os/ku':>11} {'ss/ka':>11} {'os/ka':>11} | {'ka gain':>8}"
+    header = f"{'K':>3} {'zeta':>6} | {'ss/ku':>12} {'os/ku':>12} {'ss/ka':>12} {'os/ka':>12} | {'os ku/ka':>10}"
     print(header)
     print("-" * len(header))
     for zeta in zetas:
         for K in ks:
-            floors = {case: next(values).value for case in cases}
-            gain = floors[(Scheme.OS, Scenario.KU)] / floors[(Scheme.OS, Scenario.KA)]
+            floors = {case: next(values) for case in cases}
+            os_ku, os_ka = floors[(Scheme.OS, Scenario.KU)], floors[(Scheme.OS, Scenario.KA)]
+            gain = _ratio(os_ku.value, os_ka.value)
             print(
                 f"{K:>3} {zeta:>6.2f} | "
-                f"{floors[(Scheme.SS, Scenario.KU)]:>11.4e} "
-                f"{floors[(Scheme.OS, Scenario.KU)]:>11.4e} "
-                f"{floors[(Scheme.SS, Scenario.KA)]:>11.4e} "
-                f"{floors[(Scheme.OS, Scenario.KA)]:>11.4e} | "
-                f"{gain:>8.1f}x"
+                + " ".join(_number(floors[case].value, floors[case].significance_flag, ">11.4e") for case in cases)
+                + f" | {_number(gain, os_ku.significance_flag or os_ka.significance_flag, '>9.5g')}"
             )
         print()
     print("blind floors are capped by 1 - zeta; active-set floors keep "
           "falling with K")
+    print("* marks a flagged floor; os ku/ka reads inf over an os/ka floor "
+          "that underflowed to 0, or nan if os/ku did too")
     return 0
 
 

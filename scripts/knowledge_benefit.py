@@ -11,7 +11,9 @@ point the drop form fails at K = 2 while the ratio form holds.
 
 All closed forms come from one ``analytic_sops`` batch and all floors from
 one ``asymptotic_sops`` batch.  A value computed from a flagged closed form
-(its alternating series lost significance) is marked with ``*``.
+(its alternating series lost significance) is marked with ``*``.  A ratio
+over a ka outage that underflowed to 0 reads inf, or nan when ku is 0 too;
+such a ratio names no winner where it is nan or both schemes' are inf.
 
 Usage:
     python3 scripts/knowledge_benefit.py
@@ -21,6 +23,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -47,7 +50,17 @@ def _number(value: float, flagged: bool, spec: str) -> str:
     return f"{value:{spec}}{'*' if flagged else ' '}"
 
 
+def _ratio(ku: float, ka: float) -> float:
+    """ku / ka, reading inf over a ka that underflowed to 0, or nan when both did."""
+    if ka:
+        return ku / ka
+    return math.copysign(math.inf, ku) if ku else math.nan
+
+
 def _winner(ss: float, os: float) -> str:
+    """The scheme with the larger gain; a nan gain, or two infinite ones, names none."""
+    if math.isnan(os - ss):
+        return "n/a"
     return "os" if os > ss else "ss" if ss > os else "tie"
 
 
@@ -62,7 +75,7 @@ def _table(title: str, points, values) -> list[str]:
         gains = {}
         for scheme, (ku, ka) in zip(SCHEMES, (cells[0:2], cells[2:4])):
             flagged = ku.significance_flag or ka.significance_flag
-            gains[scheme] = (ku.value - ka.value, ku.value / ka.value, flagged)
+            gains[scheme] = (ku.value - ka.value, _ratio(ku.value, ka.value), flagged)
         (ss_drop, ss_ratio, ss_flag), (os_drop, os_ratio, os_flag) = gains[Scheme.SS], gains[Scheme.OS]
         lines.append(
             f"{K:>3} {zeta:>6.2f} {M:>3} {N:>3} | "
@@ -111,7 +124,8 @@ def main() -> int:
         print("\n".join(_table(f"knowledge benefit ku - ka and ku / ka {title} "
                                f"(r_th={args.rth}, a={args.a}, b={args.b})", points, rows)))
         print()
-    print("drop/ratio: the scheme whose outage falls more from ku to ka; * marks a flagged closed form")
+    print("drop/ratio: the scheme whose outage falls more from ku to ka (n/a where a ratio is nan or both are inf);")
+    print("* marks a flagged closed form; a ratio over an outage that underflowed to 0 reads inf, or nan if ku did too")
     return 0
 
 

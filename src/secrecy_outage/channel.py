@@ -37,7 +37,6 @@ __all__ = [
     "make_rng",
     "sample_channel_block",
     "snr_cdf",
-    "snr_cdf_finite_sum",
     "snr_pdf",
 ]
 
@@ -271,26 +270,6 @@ def _lower_gamma_regularized(shape: int, u: np.ndarray) -> np.ndarray:
         poisson = np.exp(_log_poisson(shape - 1, t))
         out[above] = 1.0 - poisson * _series(_upper_series(shape), 1.0 / t)
     return out
-
-
-def snr_cdf_finite_sum(dist: GammaSnr, x):
-    """Same CDF through the finite sum 1 - e^-u sum_{m<shape} u^m / m!.
-
-    Valid because the shape is a positive integer.  This is the algebraic
-    form the closed-form outage expressions are built from; it must agree
-    with ``snr_cdf`` to within 1e-12 absolute everywhere.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0):
-        raise ValueError("snr_cdf_finite_sum requires x >= 0")
-    u = np.minimum(x_arr / dist.scale, 1e300)  # u = inf reads as 1e300, where every term has underflowed
-    with np.errstate(divide="ignore"):
-        log_u = np.log(u)
-    partial = np.exp(-u)
-    for m in range(1, dist.shape):
-        partial = partial + np.exp(-u + m * log_u - math.lgamma(m + 1))
-    out = np.clip(1.0 - partial, 0.0, 1.0)
-    return float(out) if np.ndim(x) == 0 else out
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:

@@ -88,8 +88,10 @@ def test_criterion_6_gain_ratio_monotonicity(settings):
 
 
 def test_criterion_7_identity_suite(settings):
-    # finite-sum CDF vs regularized gamma to 1e-12; power-series coefficient
-    # table vs the direct power and vs the exact rational power to 1e-10;
+    # finite-sum CDF vs regularized gamma to 1e-12, on the sum the closed
+    # form builds (the series base e^-u p_0(u) at alpha = 0 against the
+    # survival function); power-series coefficient table vs the direct power
+    # and vs the exact rational power to 1e-10;
     # fully reliable backhaul collapses the scenarios to 1e-12; a single
     # transmitter collapses all four cases to 1e-12
     result = check_identities(settings)

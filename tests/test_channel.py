@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from secrecy_outage import McSettings, SopQuery, analytic_sop, asymptotic_sop, quadrature_sop, simulate_sop
-from secrecy_outage.analytic import CASES
+from secrecy_outage.analytic import CASES, _log_powers
 from secrecy_outage.channel import (
     GammaSnr,
     SystemConfig,
@@ -18,7 +18,6 @@ from secrecy_outage.channel import (
     make_rng,
     sample_channel_block,
     snr_cdf,
-    snr_cdf_finite_sum,
     snr_pdf,
 )
 
@@ -169,10 +168,13 @@ def test_cdf_endpoints():
     x=st.floats(min_value=0.0, max_value=1e5),
 )
 def test_cdf_forms_agree(shape, scale, x):
-    # the finite-sum form used by the closed-form expressions must match the
-    # regularized incomplete gamma everywhere
-    dist = GammaSnr(shape=shape, scale=scale)
-    assert snr_cdf_finite_sum(dist, x) == pytest.approx(snr_cdf(dist, x), abs=1e-12)
+    # the closed form's own finite sum, 1 - e^-u p_0(u) with p_0 the alpha = 0
+    # base of its powers, must match the regularized incomplete gamma that
+    # quadrature and the channel read, everywhere
+    u = x / scale
+    coeffs = np.exp(next(_log_powers(shape, 1, [0.0]))[0])
+    finite_sum = 1.0 - math.exp(-u) * sum(c * u**q for q, c in enumerate(coeffs))
+    assert finite_sum == pytest.approx(snr_cdf(GammaSnr(shape=shape, scale=scale), x), abs=1e-12)
 
 
 # Integer shapes and arguments for the incomplete-gamma oracles: the edges
@@ -236,17 +238,16 @@ def test_snr_cdf_edges(shape):
 @pytest.mark.parametrize("shape", [1, 2, 4])
 @pytest.mark.parametrize("scale", [0.5, 1.0])
 def test_laws_at_infinity(shape, scale):
-    # the density reads 0 and both CDF forms read 1 at x = inf, with no warning
+    # the density reads 0 and the CDF reads 1 at x = inf, with no warning
     dist = GammaSnr(shape, scale)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert snr_pdf(dist, math.inf) == 0.0
-        assert snr_cdf_finite_sum(dist, math.inf) == 1.0
         assert snr_cdf(dist, math.inf) == 1.0
         x = np.array([0.0, 1.0, np.inf])
-        pdf, finite_sum = snr_pdf(dist, x), snr_cdf_finite_sum(dist, x)
-    assert pdf[2] == 0.0 and finite_sum[2] == 1.0
-    assert np.all(np.isfinite(pdf)) and finite_sum[0] == 0.0
+        pdf, cdf = snr_pdf(dist, x), snr_cdf(dist, x)
+    assert pdf[2] == 0.0 and cdf[2] == 1.0
+    assert np.all(np.isfinite(pdf)) and cdf[0] == 0.0
 
 
 @pytest.mark.parametrize("shape", [1, 2, 6, 40])

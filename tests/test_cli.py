@@ -312,18 +312,17 @@ def test_validate_fails_when_the_floors_are_doubled(monkeypatch, capsys):
     assert "FAIL asymptotic_floors" in out
 
 
-def test_validate_detects_a_cdf_its_finite_sum_repeats(monkeypatch, capsys):
-    # the finite-sum reference reads the CDF's own upper-branch formula, so a
-    # shift shared by both must still fail on the integrated density
-    real_cdf, real_sum = validation.snr_cdf, validation.snr_cdf_finite_sum
+def test_validate_detects_a_shifted_cdf(monkeypatch, capsys):
+    # a CDF shifted by 1e-9 must fail on its integrated density and on the
+    # series base, whose reference is the survival function 1 - snr_cdf
+    real_cdf = validation.snr_cdf
     monkeypatch.setattr(validation, "snr_cdf", lambda dist, x: real_cdf(dist, x) + 1e-9 * (x > 0))
-    monkeypatch.setattr(validation, "snr_cdf_finite_sum", lambda dist, x: real_sum(dist, x) + 1e-9 * (x > 0))
     rc = main(["validate", "--smoke", "--check", "identities"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL identities" in out
     assert "cdf off its integrated density" in out
-    assert "cdf forms disagree" not in out
+    assert "series base off the survival function" in out
 
 
 def test_validate_detects_a_corrupted_power_table(monkeypatch, capsys):
@@ -370,6 +369,27 @@ def test_validate_detects_a_corrupted_series_base(monkeypatch, capsys):
     assert "FAIL identities" in out
     assert "series base off the survival function by" in out
     assert "power-series table off" not in out
+
+
+def test_validate_detects_a_corrupted_floor_base(monkeypatch, capsys):
+    # the constant coefficient of p_0, the floor's base and the closed form's
+    # finite sum, shifted by 1e-9 in log space at alpha = 0 only: the power
+    # table reads the same rows, but the series base must name the shift too
+    real = validation._log_powers
+
+    def corrupted(M, K, alphas):
+        zero = np.asarray(alphas) == 0.0
+        for power in real(M, K, alphas):
+            power = power.copy()
+            power[zero, 0] += 1e-9
+            yield power
+
+    monkeypatch.setattr(validation, "_log_powers", corrupted)
+    rc = main(["validate", "--smoke", "--check", "identities"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL identities" in out
+    assert "series base off the survival function by" in out
 
 
 def test_validate_detects_a_floor_shared_with_the_closed_form(monkeypatch, capsys):

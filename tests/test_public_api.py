@@ -1,5 +1,6 @@
 import importlib.util
 import inspect
+import pkgutil
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -18,8 +19,17 @@ REMOVED = ("sop_ss_ku", "sop_ss_ka", "sop_os_ku", "sop_os_ka", "sop_single", "as
 
 
 def test_every_exported_name_resolves():
-    for name in secrecy_outage.__all__:
-        assert getattr(secrecy_outage, name) is not None, name
+    # the package and each of its modules: a name left in __all__ after its
+    # definition goes must fail here
+    modules = [secrecy_outage] + [
+        importlib.import_module(f"secrecy_outage.{info.name}")
+        for info in pkgutil.iter_modules(secrecy_outage.__path__)
+        if info.name != "__main__"
+    ]
+    assert len(modules) == 9
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(module, name, None) is not None, f"{module.__name__}.{name}"
 
 
 def test_one_closed_form_entry_per_route():

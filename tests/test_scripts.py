@@ -39,9 +39,29 @@ def test_reproduce_figures_analytic_only(tmp_path):
 def test_floor_sensitivity_table():
     done = _run_script("floor_sensitivity.py")
     assert done.returncode == 0, done.stderr
-    # header, rule, 4 K rows per zeta and a blank line after each of 2 zetas, closing note
-    assert len(done.stdout.splitlines()) == 2 + 2 * (4 + 1) + 1
-    assert done.stdout.splitlines()[0].split()[:2] == ["K", "zeta"]
+    # header, rule, 4 K rows per zeta and a blank line after each of 2 zetas, two closing notes
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2 + 2 * (4 + 1) + 2
+    assert lines[0].split()[:2] == ["K", "zeta"]
+    assert "*" not in "".join(lines[:-2])  # nothing flagged at these points
+
+
+def test_floor_sensitivity_marks_flagged_floors():
+    # at K = 200 with reliable backhaul both ss floors lose significance and
+    # read 0; each is marked, and the os columns are not
+    done = _run_script("floor_sensitivity.py", "--K", "200", "--zeta", "1.0")
+    assert done.returncode == 0, done.stderr
+    K, zeta, ss_ku, os_ku, ss_ka, os_ka, gain = done.stdout.splitlines()[2].replace("|", " ").split()
+    assert (ss_ku, ss_ka) == ("0.0000e+00*", "0.0000e+00*")
+    assert "*" not in os_ku + os_ka + gain
+    assert "* marks a flagged floor" in done.stdout
+
+
+def test_floor_sensitivity_reads_a_ratio_over_zero():
+    # both os floors underflow to 0 at K = 500 with reliable backhaul: their ratio prints nan
+    done = _run_script("floor_sensitivity.py", "--K", "500", "--zeta", "1.0")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[2].split()[-1] == "nan"
 
 
 def _benefit_rows(stdout: str) -> list[dict[tuple, list[str]]]:
@@ -75,3 +95,13 @@ def test_knowledge_benefit_table():
     for K in (3, 5):
         for zeta in (0.9, 0.99):
             assert at_snr[(K, zeta, 6, 4)][4:] == ["os", "os"], (K, zeta)
+
+
+def test_knowledge_benefit_reads_a_ratio_over_zero():
+    # both ss outages underflow to 0 at K = 200 with reliable backhaul: the
+    # ss ratio prints nan, and the ratio names no winner
+    done = _run_script("knowledge_benefit.py", "--K", "200", "--zeta", "1.0", "--MN", "6,4")
+    assert done.returncode == 0, done.stderr
+    for table in _benefit_rows(done.stdout):
+        ss_drop, os_drop, ss_ratio, os_ratio, by_drop, by_ratio = table[(200, 1.0, 6, 4)]
+        assert (ss_ratio, by_ratio) == ("nan", "n/a")
