@@ -11,7 +11,8 @@ point the drop form fails at K = 2 while the ratio form holds.
 
 All closed forms come from one ``analytic_sops`` batch and all floors from
 one ``asymptotic_sops`` batch.  A value computed from a flagged closed form
-(its alternating series lost significance) is marked with ``*``.  A ratio
+(its alternating series lost significance) is marked with ``*``, and so is a
+winner named by comparing two gains of which either is flagged.  A ratio
 over a ka outage that underflowed to 0 reads inf, or nan when ku is 0 too;
 such a ratio names no winner where it is nan or both schemes' are inf.
 
@@ -46,7 +47,7 @@ def _path_counts(text: str) -> tuple[int, int]:
     return int(M), int(N)
 
 
-def _number(value: float, flagged: bool, spec: str) -> str:
+def _marked(value, flagged: bool, spec: str) -> str:
     return f"{value:{spec}}{'*' if flagged else ' '}"
 
 
@@ -68,7 +69,7 @@ def _table(title: str, points, values) -> list[str]:
     """One row per (K, zeta, M, N): each scheme's drop and ratio, and who gains more by each."""
     header = (
         f"{'K':>3} {'zeta':>6} {'M':>3} {'N':>3} | {'ss drop':>12} {'os drop':>12} | "
-        f"{'ss ratio':>11} {'os ratio':>11} | {'drop':>4} {'ratio':>5}"
+        f"{'ss ratio':>11} {'os ratio':>11} | {'drop':>5} {'ratio':>6}"
     )
     lines = [title, header, "-" * len(header)]
     for (K, zeta, M, N), cells in zip(points, values):
@@ -77,12 +78,15 @@ def _table(title: str, points, values) -> list[str]:
             flagged = ku.significance_flag or ka.significance_flag
             gains[scheme] = (ku.value - ka.value, _ratio(ku.value, ka.value), flagged)
         (ss_drop, ss_ratio, ss_flag), (os_drop, os_ratio, os_flag) = gains[Scheme.SS], gains[Scheme.OS]
-        lines.append(
+        either = ss_flag or os_flag
+        row = (
             f"{K:>3} {zeta:>6.2f} {M:>3} {N:>3} | "
-            f"{_number(ss_drop, ss_flag, '>11.4e')} {_number(os_drop, os_flag, '>11.4e')} | "
-            f"{_number(ss_ratio, ss_flag, '>10.5g')} {_number(os_ratio, os_flag, '>10.5g')} | "
-            f"{_winner(ss_drop, os_drop):>4} {_winner(ss_ratio, os_ratio):>5}"
+            f"{_marked(ss_drop, ss_flag, '>11.4e')} {_marked(os_drop, os_flag, '>11.4e')} | "
+            f"{_marked(ss_ratio, ss_flag, '>10.5g')} {_marked(os_ratio, os_flag, '>10.5g')} | "
+            f"{_marked(_winner(ss_drop, os_drop), either, '>4')} "
+            f"{_marked(_winner(ss_ratio, os_ratio), either, '>5')}"
         )
+        lines.append(row.rstrip())
     return lines
 
 
@@ -125,7 +129,8 @@ def main() -> int:
                                f"(r_th={args.rth}, a={args.a}, b={args.b})", points, rows)))
         print()
     print("drop/ratio: the scheme whose outage falls more from ku to ka (n/a where a ratio is nan or both are inf);")
-    print("* marks a flagged closed form; a ratio over an outage that underflowed to 0 reads inf, or nan if ku did too")
+    print("* marks a value from a flagged closed form, and a winner named from one;")
+    print("a ratio over an outage that underflowed to 0 reads inf, or nan if ku did too")
     return 0
 
 

@@ -9,9 +9,9 @@ independent Bernoulli(zeta): an inactive link silences its transmitter,
 which manifests as a point mass at zero SNR.  Distribution helpers here
 accept scalars or numpy arrays in the evaluation point.  Gamma SNRs have one
 sampler, ``_unit_gamma``, shared by ``sample_channel_block`` and the Monte
-Carlo: -ln of a product of one (0, 1] uniform per path.  Its paired mode,
-which every Monte Carlo row uses, draws two values from each uniform row,
-one rising and one falling with it, each with the same law.
+Carlo: -ln of a product of one (0, 1] uniform per path.  It draws every row
+in reflected pairs, two values from each uniform, one rising and one
+falling with it, each with the same law; there is no unpaired mode.
 
 Because every shape is an integer, the CDF is the regularized lower
 incomplete gamma P(M, u) at integer M, evaluated here in numpy alone (DLMF
@@ -294,33 +294,27 @@ _PRODUCT_FACTORS = 19
 _ULP = 2.0**-53
 
 
-def _unit_gamma(
-    rng: np.random.Generator, shape: int, out: np.ndarray, tmp: np.ndarray, paired: bool = False
-) -> np.ndarray:
+def _unit_gamma(rng: np.random.Generator, shape: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Fill the flat ``out`` with unit-scale Gamma(shape) draws; ``tmp``, at least as long, is scratch.
 
     A draw is the sum of ``shape`` unit exponential path energies, -ln of
-    the product of ``shape`` uniform rows.  Each uniform u in [0, 1) enters
-    as 1 - u, in (0, 1], so no draw is infinite.  Past ``_PRODUCT_FACTORS``
-    paths, where a product could leave the normal range, each further path
-    energy is added as its own -ln(1 - u).
-
-    ``paired`` draws m values in reflected (antithetic) pairs from one
+    the product of ``shape`` uniform factors.  A row of m draws reads one
     uniform row of h = ceil(m / 2) per path: the first h draws take the
     factors 1 - u, and the last m - h take u + 2**-53 of the first m - h
-    uniforms.  Both maps are exact and send numpy's uniform lattice onto
-    the same (0, 1] lattice, so every draw keeps the unpaired law; draw i
-    rises with its uniforms and draw h + i falls with them.  With m odd,
-    draw h - 1 has no partner.
+    uniforms.  Both maps are exact and send numpy's uniform lattice on
+    [0, 1) onto the same (0, 1] lattice, so no draw is infinite and every
+    draw has the Gamma(shape) law; draw i rises with its uniforms and draw
+    h + i falls with them.  With m odd, draw h - 1 has no partner.  Past
+    ``_PRODUCT_FACTORS`` paths, where a product could leave the normal
+    range, each further path energy is added as its own -ln of its factor.
     """
     size = out.size
-    drawn = -(-size // 2) if paired else size
+    drawn = -(-size // 2)
 
     def factors(row: np.ndarray) -> np.ndarray:
         """One path's factors into ``row``: the partners first, read before 1 - u overwrites their uniforms."""
         rng.random(out=row[:drawn])
-        if paired:
-            np.add(row[: size - drawn], _ULP, out=row[drawn:])
+        np.add(row[: size - drawn], _ULP, out=row[drawn:])
         np.subtract(1.0, row[:drawn], out=row[:drawn])
         return row
 
@@ -336,7 +330,7 @@ def _unit_gamma(
 
 
 def sample_channel_block(cfg: SystemConfig, rng: np.random.Generator, n: int):
-    """Draw ``n`` independent channel states as (gamma_d, gamma_e, backhaul) arrays.
+    """Draw ``n`` channel states as (gamma_d, gamma_e, backhaul) arrays.
 
     This is the full-block draw: every link for every sample.  The Monte
     Carlo estimator does not use it (it draws link by link, only for the
@@ -345,16 +339,20 @@ def sample_channel_block(cfg: SystemConfig, rng: np.random.Generator, n: int):
     array has shape (K, n), one row per link, so that a reduction over
     transmitters runs over contiguous rows.
 
-    The draw order is a contract (destination Gamma(M) SNRs, then
-    eavesdropper Gamma(N) SNRs, then backhaul uniforms) so that a stream
-    position identifies a sample.  Each Gamma block is one ``_unit_gamma``
-    draw of K n values, the Monte Carlo's sampler, unpaired: the states are
-    independent.
+    The draw order is a contract so that a stream position identifies a
+    sample: the K destination Gamma(M) rows, then the K eavesdropper
+    Gamma(N) rows, each one ``_unit_gamma`` call of n draws, then the
+    backhaul uniforms.  Every Gamma row is drawn in reflected pairs, as in
+    the Monte Carlo: sample h + i of a link (h = ceil(n / 2)) reflects the
+    uniforms of its sample i.  Partners are two samples of one link, never
+    two links of one sample, so each sample has the model's joint law, with
+    its links and backhaul independent; the samples are not independent of
+    each other.
     """
     gamma_d, gamma_e, uniforms = np.empty((cfg.K, n)), np.empty((cfg.K, n)), np.empty((cfg.K, n))
-    _unit_gamma(rng, cfg.M, gamma_d.ravel(), uniforms.ravel())
-    gamma_d *= cfg.a_d
-    _unit_gamma(rng, cfg.N, gamma_e.ravel(), uniforms.ravel())
-    gamma_e *= cfg.a_e
+    for gamma, shape, scale in ((gamma_d, cfg.M, cfg.a_d), (gamma_e, cfg.N, cfg.a_e)):
+        for row in gamma:
+            _unit_gamma(rng, shape, row, uniforms[0])
+        gamma *= scale
     backhaul = rng.random(out=uniforms) < cfg.zeta
     return gamma_d, gamma_e, backhaul

@@ -17,20 +17,21 @@ exponential path energies, drawn as exactly that: -ln of a product of one
 
 A chunk first draws its fresh on-counts, how many samples meet their first
 active link at each link, so its all-silenced count depends on (seed,
-chunk) alone.  Every Gamma row is drawn in reflected pairs: one uniform u
-serves a sample as the factor 1 - u and its partner as u + 2**-53.  Given
-everything drawn before a row, that link's backhaul included, each
-sample's expected final outage is monotone in its own uniforms of that
-row, and the partners move in opposite directions, so by Harris's
-inequality the row's conditional variance is at most the independent one.
-Each sample keeps its marginal law, so by the martingale variance
-decomposition the estimate stays unbiased, its variance is at most
+chunk) alone.  Every Gamma row is drawn in reflected pairs, the sampler's
+one rule: one uniform u serves a sample as the factor 1 - u and its
+partner as u + 2**-53.  Given everything drawn before a row, that link's
+backhaul included, each sample's expected final outage is monotone in its
+own uniforms of that row, and the partners move in opposite directions, so
+by Harris's inequality the row's conditional variance is at most the
+independent one.  Each sample keeps its marginal law, so by the martingale
+variance decomposition the estimate stays unbiased, its variance is at most
 binomial, and the Wald interval, whose stated coverage assumes independent
 samples, can only be conservative.  A shared-draw batch, one draw serving
 many queries, must pair every row the same way to match a lone call in
-law.  The per-seed estimate depends on the draw order, on the sampler and
-on the generator; changing any of them changes per-seed estimates, and
-pairing changes their spread but not their mean.
+law; ``channel.sample_channel_block`` already draws its rows so.  The
+per-seed estimate depends on the draw order, on the sampler and on the
+generator; changing any of them changes per-seed estimates, and pairing
+changes their spread but not their mean.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def _fresh_on_counts(rng: np.random.Generator, cfg: SystemConfig, ka: bool, n: i
 
 def _destination_sides(rng: np.random.Generator, cfg: SystemConfig, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """1 + a_d gamma_d for ``out.size`` Gamma(M) draws in reflected pairs, in place."""
-    side = _unit_gamma(rng, cfg.M, out, tmp, paired=True)
+    side = _unit_gamma(rng, cfg.M, out, tmp)
     side *= cfg.a_d
     side += 1.0
     return side
@@ -144,7 +145,7 @@ def _thresholds(rng: np.random.Generator, cfg: SystemConfig, out: np.ndarray, tm
     A sample is in outage on a link where its destination side is below its
     threshold: the float operations of ``secrecy_outage_indicator``.
     """
-    threshold = _unit_gamma(rng, cfg.N, out, tmp, paired=True)
+    threshold = _unit_gamma(rng, cfg.N, out, tmp)
     threshold *= cfg.a_e
     threshold += 1.0
     threshold *= cfg.rho
@@ -241,7 +242,7 @@ def _chunk_counts(
     Each row of Gamma(k) SNRs is k rows of uniforms in turn, one per path
     energy, which ``_unit_gamma`` turns into -ln of their product of 1 - u
     (past ``channel._PRODUCT_FACTORS`` paths, one log per further path).
-    Every row is drawn ``paired``: sample h + i of a row of m
+    Every row is drawn in reflected pairs: sample h + i of a row of m
     (h = ceil(m / 2)) reflects the uniforms of sample i, so its outage
     moves against its partner's (see the module docstring).  Pairs never
     cross a chunk.

@@ -17,10 +17,11 @@ SNR (and, in the effect checks, one more parameter) set per check.
 
 Every closed form, floor and quadrature value comes from one call per check
 to a batch entry: ``analytic_sops``, ``asymptotic_sops`` or
-``quadrature_sops``.  Checks resolve these, and ``simulate_sop``, through
-this module's globals, so a test can swap one out (to confirm the harness
-actually detects a corrupted formula) without touching the underlying
-modules.
+``quadrature_sops`` (the floor check makes a second ``asymptotic_sops``
+call, for its finite-SNR twins).  Checks resolve these, and
+``simulate_sop``, through this module's globals, so a test can swap one out
+(to confirm the harness actually detects a corrupted formula) without
+touching the underlying modules.
 """
 
 from __future__ import annotations
@@ -144,6 +145,7 @@ def check_triple_agreement(settings: ValidationSettings) -> CheckResult:
     """Closed form vs quadrature vs simulation on the full grid."""
     mc = settings.mc_settings()
     worst_quad = worst_quad_rel = 0.0
+    quad_rel_tol = 1e-10  # quadrature's own REL_TOL
     worst_mc = worst_mc_ci = 0.0
     failures = []
     queries = _case_queries(settings.grid_configs())
@@ -152,10 +154,13 @@ def check_triple_agreement(settings: ValidationSettings) -> CheckResult:
         case = f"{_where(query.cfg)} {query.scheme.value}/{query.scenario.value}"
         quad_err = abs(closed - quad)
         worst_quad = max(worst_quad, quad_err)
-        if quad_err > 0.0:  # the same gap relative to the larger value; reported, never failed
-            worst_quad_rel = max(worst_quad_rel, quad_err / max(abs(closed), abs(quad)))
+        # the same gap relative to the larger value, where a small outage cannot hide it
+        quad_rel = quad_err / max(abs(closed), abs(quad)) if quad_err > 0.0 else 0.0
+        worst_quad_rel = max(worst_quad_rel, quad_rel)
         if quad_err > settings.analytic_quadrature_tol:
             failures.append(f"quad gap {quad_err:.3e} at {case}")
+        if quad_rel > quad_rel_tol:
+            failures.append(f"quad rel gap {quad_rel:.3e} at {case}")
         estimate = simulate_sop(query, mc)
         allowed = max(3.0 * estimate.ci_half_width, settings.mc_tolerance_floor)
         mc_err = abs(closed - estimate.p_hat)
@@ -167,22 +172,26 @@ def check_triple_agreement(settings: ValidationSettings) -> CheckResult:
         if mc_err > allowed:
             failures.append(f"mc gap {mc_err:.3e} (allowed {allowed:.3e}) at {case}")
     summary = (
-        f"{len(closed_forms)} cells; max |closed-quad| {worst_quad:.2e} ({worst_quad_rel:.2e} relative); "
+        f"{len(closed_forms)} cells; max |closed-quad| {worst_quad:.2e} ({worst_quad_rel:.2e} relative) "
+        f"within {settings.analytic_quadrature_tol:.0e} and {quad_rel_tol:.0e} relative; "
         f"worst mc gap {worst_mc:.2f}x allowance, {worst_mc_ci:.2f}x 3 CI without the floor"
     )
     return _report("triple_agreement", summary, failures)
 
 
 def check_asymptotic_floors(settings: ValidationSettings) -> CheckResult:
-    """High-SNR closed form and quadrature must land on the saturation floor.
+    """High-SNR closed form and quadrature must land on the saturation floor, which no SNR moves.
 
     Quadrature shares no kernel with the floor, which is the closed form's
-    own alpha = 0 case.
+    own alpha = 0 case.  Every case is also evaluated at the grid's SNRs,
+    and each of those floors must equal its 200 dB twin.  The twins are a
+    batch of their own: in one batch with the 200 dB cases they would share
+    a series group with them, so a floor taken at any one alpha of its group
+    (the smallest, about 0 at 200 dB) would read the same at every SNR.
     """
     snr_db, rel_tol = 200.0, 1e-4
-    queries = _case_queries(
-        _config(K, zeta, snr_db) for K, zeta in itertools.product((1, 2, 3, 5), (0.9, 0.99))
-    )
+    points = list(itertools.product((1, 2, 3, 5), (0.9, 0.99)))
+    queries = _case_queries(_config(K, zeta, snr_db) for K, zeta in points)
     floors = [floor.value for floor in asymptotic_sops(queries)]
     routes = {
         "closed form": [closed.value for closed in analytic_sops(queries)],
@@ -198,8 +207,21 @@ def check_asymptotic_floors(settings: ValidationSettings) -> CheckResult:
                 failures.append(
                     f"{route} rel gap {rel:.3e} at {_where(query.cfg)} {query.scheme.value}/{query.scenario.value}"
                 )
+    worst_twin = 0.0
+    twins = _case_queries(_config(K, zeta, db) for db in settings.snr_dbs for K, zeta in points)
+    for query, twin, floor in zip(twins, asymptotic_sops(twins), itertools.cycle(floors)):
+        gap = abs(twin.value - floor)
+        worst_twin = max(worst_twin, gap)
+        if gap > ROUNDOFF_SLACK:
+            failures.append(
+                f"floor off its {snr_db:.0f} dB twin by {gap:.3e} at "
+                f"{_where(query.cfg)} {query.scheme.value}/{query.scenario.value}"
+            )
     gaps = "/".join(f"{gap:.2e} ({route})" for route, gap in worst.items())
-    summary = f"worst relative gap {gaps} at {snr_db:.0f} dB"
+    summary = (
+        f"worst relative gap {gaps} at {snr_db:.0f} dB; "
+        f"cross-SNR floor gap {worst_twin:.1e} over {len(twins)} cases at {len(settings.snr_dbs)} grid SNRs"
+    )
     return _report("asymptotic_floors", summary, failures)
 
 

@@ -303,19 +303,59 @@ def test_sample_block_shapes_and_order(base_cfg):
     assert gamma_d.shape == gamma_e.shape == active.shape == (K, n)
     assert active.dtype == np.bool_
     assert np.all(gamma_d > 0.0) and np.all(gamma_e > 0.0)
-    # contract: draw order is destination Gamma(M), eavesdropper Gamma(N),
-    # backhaul uniforms, so a fresh generator in the same state
-    # reproduces the block piecewise, each Gamma block as one flat
-    # ``_unit_gamma`` draw of K n values
+    # contract: draw order is the K destination Gamma(M) rows, the K
+    # eavesdropper Gamma(N) rows, then the backhaul uniforms, so a fresh
+    # generator in the same state reproduces the block piecewise, each
+    # link's row as its own paired ``_unit_gamma`` draw of n values
     rng2 = make_rng(0, 0)
-    d2 = base_cfg.a_d * _unit_gamma(rng2, base_cfg.M, np.empty(K * n), np.empty(K * n)).reshape(K, n)
-    e2 = base_cfg.a_e * _unit_gamma(rng2, base_cfg.N, np.empty(K * n), np.empty(K * n)).reshape(K, n)
+    d2 = np.stack([base_cfg.a_d * _unit_gamma(rng2, base_cfg.M, np.empty(n), np.empty(n)) for _ in range(K)])
+    e2 = np.stack([base_cfg.a_e * _unit_gamma(rng2, base_cfg.N, np.empty(n), np.empty(n)) for _ in range(K)])
     act2 = rng2.random((K, n)) < base_cfg.zeta
     assert np.array_equal(gamma_d, d2)
     assert np.array_equal(gamma_e, e2)
     assert np.array_equal(active, act2)
     # and the block consumed exactly those draws
     assert rng.random() == rng2.random()
+
+
+class _ConstantUniforms:
+    """A generator stub whose j-th fill is the constant ``constants[j]``; it records each fill's size."""
+
+    def __init__(self, constants):
+        self.constants = iter(constants)
+        self.sizes = []
+
+    def random(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        out[...] = next(self.constants)
+        self.sizes.append(out.size)
+        return out
+
+
+def test_sample_block_pairs_within_rows_only():
+    # every Gamma row reads its own fill per path, ceil(n / 2) uniforms
+    # long: its first half takes the factors 1 - u and its second half
+    # their reflections u + 2**-53, so partners are two samples of one
+    # link, and with a distinct constant per fill no two rows share a
+    # uniform; the backhaul uniforms come last
+    cfg = SystemConfig(K=2, zeta=0.9, r_th=1.0, snr=10.0, M=2, N=3, a=0.5, b=0.2)
+    n, half = 5, 3
+    fills = 2 * (cfg.M + cfg.N)
+    constants = [j / 64 for j in range(1, fills + 1)] + [0.5]
+    stub = _ConstantUniforms(constants)
+    gamma_d, gamma_e, active = sample_channel_block(cfg, stub, n)
+    assert stub.sizes == [half] * fills + [cfg.K * n]
+    assert np.all(active)  # the last fill, 0.5 < zeta
+    uniforms = iter(constants)
+    for rows, shape, scale in ((gamma_d, cfg.M, cfg.a_d), (gamma_e, cfg.N, cfg.a_e)):
+        for row in rows:
+            u = np.array([next(uniforms) for _ in range(shape)])
+            np.testing.assert_allclose(row[:half], -scale * np.log(np.prod(1.0 - u)), rtol=1e-15)
+            np.testing.assert_allclose(row[half:], -scale * np.log(np.prod(u + 2.0**-53)), rtol=1e-15)
+    # each row holds two values, both distinct from every other row's
+    rows = np.concatenate((gamma_d / cfg.a_d, gamma_e / cfg.a_e))
+    values = {float(v) for row in rows for v in np.unique(row)}
+    assert all(np.unique(row).size == 2 for row in rows) and len(values) == 2 * len(rows)
 
 
 def test_sample_block_moments(base_cfg):

@@ -300,6 +300,58 @@ def test_triple_agreement_reports_gaps_the_floor_hides(monkeypatch, capsys):
     assert gap <= relative <= 1e-12
 
 
+def test_validate_gates_the_relative_closed_quadrature_gap(monkeypatch, capsys):
+    # the closed form at b (1 + 1e-9): a few 1e-10 absolute off quadrature,
+    # inside the 1e-8 absolute gate, but 1e-9 or more relative, above the
+    # 1e-10 relative one
+    real = validation.analytic_sops
+    monkeypatch.setattr(
+        validation,
+        "analytic_sops",
+        lambda queries: real([replace(q, cfg=replace(q.cfg, b=q.cfg.b * (1.0 + 1e-9))) for q in queries]),
+    )
+    rc = main(["validate", "--smoke", "--check", "triple_agreement"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL triple_agreement" in out
+    assert "quad rel gap" in out
+    assert "quad gap" not in out and "allowed" not in out  # the absolute and Monte Carlo gates pass
+
+
+def test_validate_detects_a_floor_that_moves_with_snr(monkeypatch, capsys):
+    # the closed form in place of the floor: at 200 dB it lands on the
+    # closed form and on quadrature, so only the floors' finite-SNR twins
+    # can see that it moves with the SNR
+    monkeypatch.setattr(validation, "asymptotic_sops", validation.analytic_sops)
+    rc = main(["validate", "--smoke", "--check", "asymptotic_floors"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL asymptotic_floors" in out
+    assert "floor off its 200 dB twin" in out
+    assert "rel gap" not in out
+
+
+def test_validate_detects_a_floor_at_the_groups_smallest_alpha(monkeypatch, capsys):
+    # each series group's floor taken at its smallest alpha instead of 0:
+    # about 0 at 200 dB, so the 200 dB comparisons pass, while the twins'
+    # own batch puts it at the grid's highest SNR
+    def smallest_alpha_inner(plan):
+        raws, flags = [0.0] * len(plan.first), [False] * len(plan.first)
+        for (M, N, beta, L, w), (ats, alphas) in plan.groups.items():
+            ((raw, flag),) = analytic._selection_series(M, N, beta, L, w, [min(alphas)])
+            for at in ats:
+                raws[at], flags[at] = raw, flag
+        return raws, flags
+
+    monkeypatch.setattr(analytic, "asymptotic_inner", smallest_alpha_inner)
+    rc = main(["validate", "--smoke", "--check", "asymptotic_floors"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL asymptotic_floors" in out
+    assert "floor off its 200 dB twin" in out
+    assert "rel gap" not in out
+
+
 def test_validate_fails_when_the_floors_are_doubled(monkeypatch, capsys):
     # the floor route is checked too: doubling every floor must fail the run
     real = validation.asymptotic_sops

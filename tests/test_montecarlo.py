@@ -387,8 +387,8 @@ class _CountingRng:
     ``binomials`` holds (trials, p, result) per call, and ``uniforms`` every
     backhaul uniform row drawn.  Gamma SNRs are counted by
     ``_counting_generator`` at the ``_unit_gamma`` seam, keyed
-    ("gamma", shape), and ``gammas`` holds (shape, draws, paired, uniforms
-    filled) per call.  The uniforms behind a Gamma row are filled from the
+    ("gamma", shape), and ``gammas`` holds (shape, draws, uniforms filled)
+    per call.  The uniforms behind a Gamma row are filled from the
     wrapped generator, so they are not counted as backhaul uniforms.
     """
 
@@ -431,11 +431,11 @@ def _counting_generator(monkeypatch, query, n):
         generators.append(_CountingRng(make_rng(seed, stream)))
         return generators[-1]
 
-    def counting_unit_gamma(rng, shape, out, tmp, paired=False):
+    def counting_unit_gamma(rng, shape, out, tmp):
         rng._add(("gamma", shape), out.shape)
         fills = _FillCounter(rng.rng)
-        unit_gamma(fills, shape, out, tmp, paired)
-        rng.gammas.append((shape, out.size, paired, fills.filled))
+        unit_gamma(fills, shape, out, tmp)
+        rng.gammas.append((shape, out.size, fills.filled))
         return out
 
     unit_gamma = montecarlo._unit_gamma
@@ -458,7 +458,7 @@ def test_survivor_draws_stop_at_the_first_passing_link(monkeypatch):
     n = 20_000
     generator = _counting_generator(monkeypatch, SopQuery(cfg=cfg, scheme=Scheme.OS, scenario=Scenario.KU), n)
     assert generator.counts[("gamma", cfg.M)] < 2 * n
-    filled = sum(fill for shape, _, _, fill in generator.gammas if shape == cfg.M)
+    filled = sum(fill for shape, _, fill in generator.gammas if shape == cfg.M)
     assert filled < cfg.M * n
 
 
@@ -466,14 +466,15 @@ def test_survivor_draws_stop_at_the_first_passing_link(monkeypatch):
 @pytest.mark.parametrize("scheme,scenario", CASES)
 def test_first_link_rows_are_paired(monkeypatch, K, scheme, scenario):
     # the first link's destination and eavesdropper rows are paired, over the
-    # same newly active samples
+    # same newly active samples: ceil(m / 2) uniforms a path
     cfg = _cfg(K=K, zeta=0.6)
     n = 20_001
     generator = _counting_generator(monkeypatch, SopQuery(cfg=cfg, scheme=scheme, scenario=scenario), n)
-    (d_shape, d_size, d_paired, _), (e_shape, e_size, e_paired, _), *_ = generator.gammas
-    assert (d_shape, e_shape, d_paired, e_paired) == (cfg.M, cfg.N, True, True)
+    (d_shape, d_size, d_filled), (e_shape, e_size, e_filled), *_ = generator.gammas
+    assert (d_shape, e_shape) == (cfg.M, cfg.N)
     first_on = generator.binomials[0][2]
     assert d_size == e_size == first_on
+    assert (d_filled, e_filled) == (cfg.M * -(-first_on // 2), cfg.N * -(-first_on // 2))
 
 
 @pytest.mark.parametrize("scheme,scenario", CASES)
@@ -484,8 +485,7 @@ def test_every_row_is_paired(monkeypatch, scheme, scenario):
     cfg = _cfg(K=3, zeta=0.6)
     generator = _counting_generator(monkeypatch, SopQuery(cfg=cfg, scheme=scheme, scenario=scenario), 20_001)
     assert len(generator.gammas) > 2
-    for shape, size, paired, filled in generator.gammas:
-        assert paired
+    for shape, size, filled in generator.gammas:
         assert filled == shape * -(-size // 2)
 
 
@@ -581,9 +581,9 @@ def test_empty_active_set_rate_ignores_the_gamma_draws(monkeypatch, scheme):
     before = simulate_sop(query, mc)
     unit_gamma = montecarlo._unit_gamma
 
-    def greedy_unit_gamma(rng, shape, out, tmp, paired=False):
+    def greedy_unit_gamma(rng, shape, out, tmp):
         rng.random(3)
-        return unit_gamma(rng, shape, out, tmp, paired)
+        return unit_gamma(rng, shape, out, tmp)
 
     monkeypatch.setattr(montecarlo, "_unit_gamma", greedy_unit_gamma)
     after = simulate_sop(query, mc)
@@ -625,16 +625,15 @@ _SHAPES = [*range(1, 9), 19, 20, 25]
 
 @pytest.mark.parametrize("shape", _SHAPES)
 def test_unit_gamma_law(shape):
-    # unpaired, and paired: each half of a paired row keeps the law, so the
-    # row does, though its two halves are dependent
+    # each half of a paired row keeps the law, so the row does, though its
+    # two halves are dependent
     n = 200_000
-    for paired in (False, True):
-        draws = _unit_gamma(make_rng(31, shape), shape, np.empty(n), np.empty(n), paired)
-        assert stats.kstest(draws, stats.gamma(shape).cdf).pvalue > 1e-3
-        # the mean and variance of Gamma(k) are both k; the standard error
-        # of the sample variance is sqrt((2 k^2 + 6 k) / n)
-        assert abs(draws.mean() - shape) <= 5.0 * math.sqrt(shape / n)
-        assert abs(draws.var() - shape) <= 5.0 * math.sqrt((2 * shape**2 + 6 * shape) / n)
+    draws = _unit_gamma(make_rng(31, shape), shape, np.empty(n), np.empty(n))
+    assert stats.kstest(draws, stats.gamma(shape).cdf).pvalue > 1e-3
+    # the mean and variance of Gamma(k) are both k; the standard error
+    # of the sample variance is sqrt((2 k^2 + 6 k) / n)
+    assert abs(draws.mean() - shape) <= 5.0 * math.sqrt(shape / n)
+    assert abs(draws.var() - shape) <= 5.0 * math.sqrt((2 * shape**2 + 6 * shape) / n)
 
 
 class _ConstantUniforms:
@@ -651,19 +650,17 @@ class _ConstantUniforms:
 @pytest.mark.parametrize("shape", [1, 2, 6, 19, 20, 40])
 def test_unit_gamma_extreme_uniforms_stay_finite(shape):
     # u = 0 enters as a factor of 1, the largest u below 1 as 2**-53, and
-    # in a paired row's second half their reflections u + 2**-53 as 2**-53
-    # and 1: no factor is 0 and no product leaves the normal range, so no
-    # SNR is infinite and every destination side is positive
+    # in a row's second half their reflections u + 2**-53 as 2**-53 and 1:
+    # no factor is 0 and no product leaves the normal range, so no SNR is
+    # infinite and every destination side is positive
     n, half = 5, 3
     largest = shape * 53 * math.log(2.0)
     cfg = _cfg(M=shape)
     for u, expected in ((0.0, 0.0), (1.0 - 2.0**-53, largest)):
-        for paired in (False, True):
-            reflected = largest - expected if paired else expected
-            draws = _unit_gamma(_ConstantUniforms(u), shape, np.empty(n), np.full(n, np.nan), paired)
-            assert np.all(np.isfinite(draws)) and np.all(draws >= 0.0)
-            np.testing.assert_allclose(draws[:half], expected, rtol=1e-14)
-            np.testing.assert_allclose(draws[half:], reflected, rtol=1e-14)
+        draws = _unit_gamma(_ConstantUniforms(u), shape, np.empty(n), np.full(n, np.nan))
+        assert np.all(np.isfinite(draws)) and np.all(draws >= 0.0)
+        np.testing.assert_allclose(draws[:half], expected, rtol=1e-14)
+        np.testing.assert_allclose(draws[half:], largest - expected, rtol=1e-14)
         sides = _destination_sides(_ConstantUniforms(u), cfg, np.empty(n), np.empty(n))
         assert np.all(np.isfinite(sides)) and np.all(sides >= 1.0)
 
@@ -675,7 +672,7 @@ def test_paired_rows_reflect_one_set_of_uniforms(shape, size):
     # half takes 1 - u, the second u + 2**-53 of the same uniforms, through
     # the product and past it through the per-path logs
     rng = make_rng(17, shape)
-    draws = _unit_gamma(rng, shape, np.empty(size), np.empty(size), paired=True)
+    draws = _unit_gamma(rng, shape, np.empty(size), np.empty(size))
     replay = make_rng(17, shape)
     np.testing.assert_array_equal(draws, _gamma_row(replay, shape, size))
     assert rng.random() == replay.random()  # both streams stop at shape * ceil(m / 2) uniforms
@@ -684,8 +681,8 @@ def test_paired_rows_reflect_one_set_of_uniforms(shape, size):
         np.testing.assert_array_equal(draws[: u.size], -np.log(1.0 - u))
         np.testing.assert_array_equal(draws[u.size :], -np.log(u[: size - u.size] + 2.0**-53))
     # the two members of a pair move in opposite directions with their uniforms
-    lo = _unit_gamma(_ConstantUniforms(0.25), shape, np.empty(size), np.empty(size), paired=True)
-    hi = _unit_gamma(_ConstantUniforms(0.75), shape, np.empty(size), np.empty(size), paired=True)
+    lo = _unit_gamma(_ConstantUniforms(0.25), shape, np.empty(size), np.empty(size))
+    hi = _unit_gamma(_ConstantUniforms(0.75), shape, np.empty(size), np.empty(size))
     half = -(-size // 2)
     assert np.all(lo[:half] < hi[:half]) and np.all(lo[half:] > hi[half:])
 

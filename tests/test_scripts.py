@@ -83,7 +83,8 @@ def test_knowledge_benefit_table():
     at_snr, floor = _benefit_rows(done.stdout)
     # 3 (M, N) pairs x 3 K x 2 zetas, at 10 dB and at the floor
     assert len(at_snr) == len(floor) == 18
-    assert "*" not in done.stdout.split("\n\n")[0]  # nothing flagged at these points
+    tables = done.stdout.split("\n\n")[:2]
+    assert "*" not in "".join(tables)  # nothing flagged at these points, no value or winner marked
     # the drop-form counterexample of the headline claim: K=2, zeta=0.9, 10 dB
     ss_drop, os_drop, ss_ratio, os_ratio, by_drop, by_ratio = at_snr[(2, 0.9, 6, 4)]
     assert float(os_drop) == pytest.approx(0.0610, abs=5e-5)
@@ -95,6 +96,20 @@ def test_knowledge_benefit_table():
     for K in (3, 5):
         for zeta in (0.9, 0.99):
             assert at_snr[(K, zeta, 6, 4)][4:] == ["os", "os"], (K, zeta)
+
+
+def test_knowledge_benefit_marks_a_winner_named_from_flagged_values():
+    # at K = 500 the ss gains come from flagged closed forms (the ss ratio
+    # reads inf*), so both winner cells carry the mark, in both tables
+    done = _run_script("knowledge_benefit.py", "--K", "500", "--zeta", "0.9", "--MN", "6,4")
+    assert done.returncode == 0, done.stderr
+    rows = [line for line in done.stdout.splitlines() if line.startswith("500")]
+    assert len(rows) == 2
+    for row in rows:
+        ss_drop, os_drop, ss_ratio, os_ratio, by_drop, by_ratio = row.replace("|", " ").split()[4:]
+        assert ss_ratio == "inf*" and not os_ratio.endswith("*")
+        assert (by_drop, by_ratio) == ("ss*", "ss*")
+    assert "a winner named from one" in done.stdout
 
 
 def test_knowledge_benefit_reads_a_ratio_over_zero():
