@@ -128,8 +128,7 @@ class SopValue:
     """Evaluated outage probability.
 
     ``method`` is the route that produced it.  ``value`` is clamped to
-    [0, 1]; ``raw_value`` keeps the pre-clamp number for diagnostics.
-    ``significance_flag`` is set when the alternating-sum cancellation
+    [0, 1].  ``significance_flag`` is set when the alternating-sum cancellation
     guard fired, in which case ``value`` is bounded but not trustworthy to
     full precision.
     """
@@ -137,7 +136,6 @@ class SopValue:
     value: float
     method: EvalMethod
     significance_flag: bool
-    raw_value: float
 
 
 def _integrity_error(raw: float, method: EvalMethod) -> NumericalIntegrityError:
@@ -199,7 +197,7 @@ class CasePlan:
         return cls([(query.cfg, query.scheme, query.scenario) for query in queries])
 
 
-def case_sop(plan: CasePlan, inner, method: EvalMethod) -> tuple[list[float], list[bool], list[float]]:
+def case_sop(plan: CasePlan, inner, method: EvalMethod) -> tuple[list[float], list[bool]]:
     """The case rule: every cell's (scheme, scenario) outage from its inner quantity, in cell order.
 
     ``inner(plan)`` returns (raws, flags), one per distinct key of the
@@ -231,8 +229,7 @@ def case_sop(plan: CasePlan, inner, method: EvalMethod) -> tuple[list[float], li
     batch's values equal its cells' lone calls bit for bit.  An unflagged
     NaN or out-of-band value anywhere in the batch raises
     ``NumericalIntegrityError``, named by ``method``, a route or its string.
-    Returns the clamped outages, their flags and the unclamped outages, per
-    cell.
+    Returns the clamped outages and their flags, per cell.
     """
     method = EvalMethod(method)
     raws, flags = inner(plan) if plan.first else ((), ())
@@ -242,7 +239,7 @@ def case_sop(plan: CasePlan, inner, method: EvalMethod) -> tuple[list[float], li
     for raw, flag in zip(raws, flags):
         if not (flag or low <= raw <= high):
             raise _integrity_error(raw, method)
-    values, cell_flags, cell_raws = [], [], []
+    values, cell_flags = [], []
     for at, power, zeta in plan.rows:
         if at < 0:
             raw, flag = 1.0, False
@@ -256,8 +253,7 @@ def case_sop(plan: CasePlan, inner, method: EvalMethod) -> tuple[list[float], li
                 raise _integrity_error(raw, method)
         values.append(0.0 if raw < 0.0 else 1.0 if raw > 1.0 else raw)
         cell_flags.append(flag)
-        cell_raws.append(raw)
-    return values, cell_flags, cell_raws
+    return values, cell_flags
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +390,8 @@ def asymptotic_inner(plan: CasePlan) -> tuple[list[float], list[bool]]:
 
 def _sop_values(queries, inner, method: EvalMethod) -> list[SopValue]:
     """One ``SopValue`` per query: the case rule over one plan of the batch."""
-    values, flags, raws = case_sop(CasePlan.of(queries), inner, method)
-    return [SopValue(value, method, flag, raw) for value, flag, raw in zip(values, flags, raws)]
+    values, flags = case_sop(CasePlan.of(queries), inner, method)
+    return [SopValue(value, method, flag) for value, flag in zip(values, flags)]
 
 
 def analytic_sops(queries) -> list[SopValue]:

@@ -111,7 +111,7 @@ def available_presets() -> list[str]:
     return sorted(FIGURE_PRESETS)
 
 
-@dataclass
+@dataclass(eq=False)
 class FigureResult:
     preset: FigurePreset
     per_variant: list[tuple[SystemConfig, SweepResult]]
@@ -228,15 +228,10 @@ def sweep_plot_description(base: SystemConfig, result: SweepResult) -> dict:
     return _plot_skeleton("outage vs SNR", _grouped_series(base, result, ""))
 
 
-def write_plot_description(description: dict, target) -> None:
-    """Serialize a plot description (see plot_description) as one line of compact JSON.
+def write_plot_description(description: dict, path) -> None:
+    """Write a plot description (see plot_description) to ``path`` as one line of compact JSON.
 
     ``json.dumps`` with default separators runs the C encoder; ``indent``
-    or ``json.dump`` would run the pure-Python one.  ``target`` is a path or
-    a text file, and both get the same text.
+    or ``json.dump`` would run the pure-Python one.
     """
-    text = json.dumps(description) + "\n"
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text, encoding="utf-8")
-    else:
-        target.write(text)
+    Path(path).write_text(json.dumps(description) + "\n", encoding="utf-8")

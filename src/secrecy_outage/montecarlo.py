@@ -94,7 +94,6 @@ class SopEstimate:
     p_hat: float
     ci_half_width: float
     n_samples: int
-    seed: int
     low_confidence: bool = False
     empty_active_set_rate: float | None = None
 
@@ -314,7 +313,6 @@ def simulate_sop(query: SopQuery, mc: McSettings = McSettings(), workers: int = 
         p_hat=p_hat,
         ci_half_width=ci_half_width,
         n_samples=n,
-        seed=mc.seed,
         low_confidence=low_confidence,
         empty_active_set_rate=(empty_count / n) if query.scenario is Scenario.KA else None,
     )

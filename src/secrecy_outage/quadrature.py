@@ -136,17 +136,16 @@ def _panels(evaluate: Callable, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray
 def _stacked_integrals(
     evaluate: Callable,
     n_rows: int,
-    lo: float,
     hi: float,
     rel_tol: float,
     breaks: np.ndarray,
 ) -> list:
-    """Adaptive integrals of ``n_rows`` integrands over [lo, hi], refined level by level together.
+    """Adaptive integrals of ``n_rows`` integrands over [0, hi], refined level by level together.
 
     ``evaluate(rows, x)`` returns the integrand values at the (P, 15) node
     array ``x``, whose panel i belongs to row ``rows[i]``; it is called once
     per level for every row still refining.  ``breaks`` holds each row's
-    extra first-level edges inside (lo, hi), padded with NaN; it may have
+    extra first-level edges inside (0, hi), padded with NaN; it may have
     no columns.  Each row follows ``adaptive_integral``'s rule with its own
     first level, tolerance and budget, extra panels included, and leaves
     when it converges or runs out of budget.  Panels stay in evaluation order, tagged with their row,
@@ -155,7 +154,7 @@ def _stacked_integrals(
     halves), so the row's value and panel count are those of that call.
     Returns one float or one ``QuadratureConvergenceError`` per row.
     """
-    edges = np.linspace(lo, hi, INITIAL_SUBDIVISIONS + 1)
+    edges = np.linspace(0.0, hi, INITIAL_SUBDIVISIONS + 1)
     # the rows still refining, ascending; their panels as the columns
     # (lo, hi, value, error estimate) of one array, and each panel's row's
     # position in ``ids`` as ``seg``.  Array methods stand in for their numpy
@@ -187,7 +186,7 @@ def _stacked_integrals(
         if not next_ids.size:
             return results
         live = refine[seg]
-        split = live & (errs > tols[seg] * (p_hi - p_lo) / (hi - lo))
+        split = live & (errs > tols[seg] * (p_hi - p_lo) / hi)
         counts = np.bincount(seg[split], minlength=ids.size)
         for i in (refine & ((counts > rooms) | (counts == 0))).nonzero()[0]:
             own = (seg == i).nonzero()[0]
@@ -209,13 +208,8 @@ def _stacked_integrals(
         ids, evaluated = next_ids, (evaluated + 2 * counts)[refine]
 
 
-def adaptive_integral(
-    f: Callable,
-    lo: float = 0.0,
-    hi: float = 1.0,
-    rel_tol: float = REL_TOL,
-) -> float:
-    """Adaptive Gauss-Kronrod integral of a vectorized integrand over [lo, hi].
+def adaptive_integral(f: Callable, hi: float = 1.0, rel_tol: float = REL_TOL) -> float:
+    """Adaptive Gauss-Kronrod integral of a vectorized integrand over [0, hi].
 
     ``f`` receives one array of nodes per refinement level.  Every panel
     whose error estimate exceeds its width's share of the tolerance is
@@ -227,7 +221,7 @@ def adaptive_integral(
     first, ``QuadratureConvergenceError`` carries the achieved estimate.
     This is the one-row case of the row-stacked integrator.
     """
-    (result,) = _stacked_integrals(lambda rows, x: f(x), 1, lo, hi, rel_tol, np.empty((1, 0)))
+    (result,) = _stacked_integrals(lambda rows, x: f(x), 1, hi, rel_tol, np.empty((1, 0)))
     if isinstance(result, QuadratureConvergenceError):
         raise result
     return result
@@ -347,7 +341,7 @@ def _boundary_expectations(plan: CasePlan) -> list[float]:
         fx *= density
         return fx
 
-    results = _stacked_integrals(evaluate, len(plan.first), 0.0, 1.0, REL_TOL, breaks)
+    results = _stacked_integrals(evaluate, len(plan.first), 1.0, REL_TOL, breaks)
     for result in results:
         if isinstance(result, QuadratureConvergenceError):
             raise result

@@ -136,15 +136,15 @@ def _case_route(inner, method: EvalMethod):
     """A deterministic route's cells: the case rule over ``inner``'s values of the plan's distinct keys; no CI."""
 
     def route(plan: CasePlan, mc):
-        values, flags, _ = case_sop(plan, inner, method)
+        values, flags = case_sop(plan, inner, method)
         return values, None, flags
 
     return route
 
 
-def _mc_route(plan: CasePlan, mc: McSettings):
-    """One ``simulate_sop`` per cell, in cell order: Monte Carlo has no batch entry yet."""
-    estimates = [simulate_sop(SopQuery(*cell), mc) for cell in plan.cells]
+def _mc_route(cells, mc: McSettings):
+    """One ``simulate_sop`` per cell, in cell order: Monte Carlo has no batch entry yet, and reads no plan."""
+    estimates = [simulate_sop(SopQuery(*cell), mc) for cell in cells]
     return (
         [estimate.p_hat for estimate in estimates],
         [estimate.ci_half_width for estimate in estimates],
@@ -152,7 +152,8 @@ def _mc_route(plan: CasePlan, mc: McSettings):
     )
 
 
-# Every route's cells of one plan, as (plan, mc) -> (sops, cis or None, flag codes), in cell order.
+# Every route's values of a batch's cells, as (batch, mc) -> (sops, cis or None, flag codes), in cell
+# order; a batch is its cells' ``CasePlan`` for the planned routes and the cell list for Monte Carlo.
 _ROUTES = {
     EvalMethod.ANALYTIC: _case_route(analytic_inner, EvalMethod.ANALYTIC),
     EvalMethod.ASYMPTOTIC: _case_route(asymptotic_inner, EvalMethod.ASYMPTOTIC),
@@ -168,9 +169,9 @@ def evaluate_cell(
     method: EvalMethod,
     mc: McSettings,
 ) -> tuple[float, float | None, str]:
-    """Evaluate one (config, case, method) cell as a plan of one; returns (sop, ci, flags)."""
-    plan = CasePlan.of([SopQuery(cfg, scheme, scenario)])
-    (sop,), cis, (flag,) = _ROUTES[EvalMethod(method)](plan, mc)
+    """Evaluate one (config, case, method) cell as a batch of one; returns (sop, ci, flags)."""
+    method, cells = EvalMethod(method), [(cfg, Scheme(scheme), Scenario(scenario))]
+    (sop,), cis, (flag,) = _ROUTES[method](cells if method is EvalMethod.MC else CasePlan(cells), mc)
     return sop, None if cis is None else cis[0], _FLAGS[flag]
 
 
@@ -185,7 +186,6 @@ class SweepResult:
     where a cell has no confidence interval, and ``flag`` holds each cell's
     index into the flag strings ("", significance loss, low confidence).
     ``rows`` is a view: a new ``SweepRow`` list on each access, never kept.
-    Two results are equal when their rows and ``mc`` are.
     """
 
     snr_db: np.ndarray
@@ -208,14 +208,6 @@ class SweepResult:
             for case, sop, ci, flag in zip(self.cases, sops, cis, flags)
         ]
 
-    def __eq__(self, other):
-        if not isinstance(other, SweepResult):
-            return NotImplemented
-        return (self.mc, self.cases) == (other.mc, other.cases) and all(
-            np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
-            for name in ("snr_db", "sop", "ci_half_width", "flag")
-        )
-
 
 def run_sweeps(specs) -> list[SweepResult]:
     """Evaluate every grid cell of every spec; one result per spec, in input order.
@@ -224,14 +216,15 @@ def run_sweeps(specs) -> list[SweepResult]:
     pairs, point by point, the pairs in the order of its table's columns.
     The specs that share a method (and, for Monte Carlo, their
     ``McSettings``) form one batch for it, and one ``CasePlan`` serves
-    every batch over the same specs: a figure job, whose specs share their
-    methods, plans its cells once, so each distinct inner quantity is
-    evaluated once per deterministic route and the case rule is applied
-    once per cell and route.  ``_ROUTES`` maps each method to its route's
-    cells; their values fill the method's columns of each spec's table in
-    one assignment.  Monte Carlo runs its cells one at a time, spec by spec
-    in row order.  Every result equals its spec's own ``run_sweep``, and
-    every value its cell's lone call, bit for bit.
+    every deterministic batch over the same specs: a figure job, whose
+    specs share their methods, plans its cells once, so each distinct inner
+    quantity is evaluated once per deterministic route and the case rule is
+    applied once per cell and route.  ``_ROUTES`` maps each method to its
+    route's values; they fill the method's columns of each spec's table in
+    one assignment.  Monte Carlo reads no plan, so a config that no plan
+    accepts can still be simulated; it runs last, its cells one at a time,
+    spec by spec in row order.  Every result equals its spec's own
+    ``run_sweep``, and every value its cell's lone call, bit for bit.
     """
     specs = list(specs)
     tables = []  # per spec: its grid, its sorted cases and its cells
@@ -252,11 +245,15 @@ def run_sweeps(specs) -> list[SweepResult]:
     cis = [np.full(shape, math.nan) for shape in shapes]
     flags = [np.empty(shape, dtype=np.uint8) for shape in shapes]
     plans: dict[tuple[int, ...], CasePlan] = {}
-    for (method, mc), members in batches.items():
+    # Monte Carlo last: a config that no plan accepts is refused before any simulation
+    for (method, mc), members in sorted(batches.items(), key=lambda item: item[0][0] is EvalMethod.MC):
         members = tuple(members)
-        if members not in plans:
-            plans[members] = CasePlan([cell for i in members for cell in tables[i][2]])
-        values, intervals, codes = _ROUTES[method](plans[members], mc)
+        batch = [cell for i in members for cell in tables[i][2]]
+        if method is not EvalMethod.MC:  # Monte Carlo reads the cells; the planned routes share one plan
+            if members not in plans:
+                plans[members] = CasePlan(batch)
+            batch = plans[members]
+        values, intervals, codes = _ROUTES[method](batch, mc)
         start = 0
         for i in members:
             grid, cases, cells = tables[i]
@@ -325,15 +322,12 @@ def write_sweep_csv(result: SweepResult, target) -> None:
     _write_csv(target, CSV_HEADER, [(result, "")], result.mc)
 
 
-def read_sweep_csv(source) -> list[dict]:
-    """Parse a sweep CSV back into typed dicts, skipping comment lines."""
+def read_sweep_csv(path) -> list[dict]:
+    """Parse the sweep CSV at ``path`` back into typed dicts, skipping comment lines."""
     import csv  # only parsing reads it; the writer joins its own lines
     import io
 
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
+    text = Path(path).read_text(encoding="utf-8")
     lines = [line for line in text.splitlines() if line and not line.startswith("#")]
     reader = csv.DictReader(io.StringIO("\n".join(lines)))
     return [

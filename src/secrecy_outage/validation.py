@@ -373,7 +373,7 @@ def check_identities(settings: ValidationSettings) -> CheckResult:
         for scale in scales:
             dist = GammaSnr(shape=shape, scale=scale)
             for x in xs:
-                integral = adaptive_integral(lambda y: snr_pdf(dist, y), 0.0, x, rel_tol=1e-14)
+                integral = adaptive_integral(lambda y: snr_pdf(dist, y), x, rel_tol=1e-14)
                 worst_integral = max(worst_integral, abs(integral - snr_cdf(dist, x)))
     if worst_integral > ROUNDOFF_SLACK:
         failures.append(f"cdf off its integrated density by {worst_integral:.3e}")

@@ -25,7 +25,7 @@ from secrecy_outage import (
     simulate_sop,
 )
 from secrecy_outage import analytic
-from secrecy_outage.analytic import CasePlan, EvalMethod, SopValue, _log_convolve, case_sop, log_factorials
+from secrecy_outage.analytic import CasePlan, EvalMethod, SopValue, _log_convolve, analytic_inner, case_sop, log_factorials
 from secrecy_outage.sweep import db_to_linear
 
 CASES = [(s, c) for s in (Scheme.SS, Scheme.OS) for c in (Scenario.KU, Scenario.KA)]
@@ -106,9 +106,7 @@ def test_unit_rate_threshold_edge(scheme, scenario):
     for snr in FIGURE_SNRS:
         query = SopQuery(replace(cfg, snr=snr), scheme, scenario)
         exact, floor = analytic_sop(query), asymptotic_sop(query)
-        assert (exact.value.hex(), exact.raw_value.hex(), exact.significance_flag) == (
-            floor.value.hex(), floor.raw_value.hex(), floor.significance_flag
-        ), snr
+        assert (exact.value.hex(), exact.significance_flag) == (floor.value.hex(), floor.significance_flag), snr
 
 
 def test_per_point_powers_at_alpha_zero_are_the_truncated_exponential_powers():
@@ -162,8 +160,8 @@ SERIES_ROUNDING_C = 32
 def test_series_rounding_error_against_60_digit_sum():
     for K, M, N, a, b, w, snr_db, r_th in _series_points(100):
         cfg = SystemConfig(K=K, zeta=w, r_th=r_th, snr=db_to_linear(snr_db), M=M, N=N, a=a, b=b)
-        # ss/ka returns the inner series at (L, w) = (K, zeta) itself
-        x = analytic_sop(SopQuery(cfg, Scheme.SS, Scenario.KA)).raw_value
+        # ss/ka reads the inner series at (L, w) = (K, zeta), unclamped here
+        (x,), _ = analytic_inner(CasePlan.of([SopQuery(cfg, Scheme.SS, Scenario.KA)]))
         exact, size = selection_series_mp(M, N, a, b, cfg.rho, cfg.snr, K, w)
         assert abs(x - exact) <= SERIES_ROUNDING_C * 2.0**-53 * size, (cfg, x, exact, size)
 
@@ -324,7 +322,7 @@ def _rule_with_fake_inner(queries, xs, flags=None, method=EvalMethod.ANALYTIC):
     The inner quantity returns ``xs`` (and ``flags``, default unflagged) as
     the (raws, flags) of the plan's distinct keys, in key order; each call
     is recorded as the plan it was passed.  Returns every query's
-    (value, method, flag, raw) as a ``SopValue``, and the calls.
+    (value, method, flag) as a ``SopValue``, and the calls.
     """
     calls = []
 
@@ -333,10 +331,10 @@ def _rule_with_fake_inner(queries, xs, flags=None, method=EvalMethod.ANALYTIC):
         assert len(xs) == len(plan.first)
         return list(xs), list(flags if flags is not None else [False] * len(xs))
 
-    values, value_flags, raws = case_sop(CasePlan.of(queries), inner, method)
-    assert len(values) == len(value_flags) == len(raws) == len(queries)
+    values, value_flags = case_sop(CasePlan.of(queries), inner, method)
+    assert len(values) == len(value_flags) == len(queries)
     method = EvalMethod(method)
-    return [SopValue(*fields) for fields in zip(values, [method] * len(values), value_flags, raws)], calls
+    return [SopValue(value, method, flag) for value, flag in zip(values, value_flags)], calls
 
 
 def _key(query, L, w):
@@ -384,7 +382,7 @@ def test_case_rule_table():
         (result,), calls = _rule_with_fake_inner([query], [x])
         assert [_keys(plan) for plan in calls] == [[_key(query, *args)]]
         assert [row[0] for row in calls[0].rows] == [0]
-        assert (result.value, result.raw_value) == (outage, outage)
+        assert result.value == outage
         assert not result.significance_flag and result.method is EvalMethod.ANALYTIC
     queries = [SopQuery(cfg, scheme, scenario) for scheme, scenario in table]
     results, calls = _rule_with_fake_inner(queries, [x] * 4)
@@ -398,7 +396,7 @@ def test_case_rule_edges():
     # a pick over dead backhaul never evaluates the inner quantity
     for scheme, scenario in CASES:
         (result,), calls = _rule_with_fake_inner([SopQuery(_cfg(zeta=0.0), scheme, scenario)], [])
-        assert calls == [] and result.value == 1.0 and result.raw_value == 1.0
+        assert calls == [] and result.value == 1.0
         assert not result.significance_flag
     # the best-ratio single-link value is checked before it is raised to the K
     for scenario in (Scenario.KU, Scenario.KA):
@@ -410,11 +408,11 @@ def test_case_rule_edges():
         [SopQuery(_cfg(K=2), Scheme.OS, Scenario.KA)], [1.2], flags=[True]
     )
     assert result.value == 1.0 and result.significance_flag
-    # a flagged out-of-band value keeps its raw number
+    # so is a flagged out-of-band value read without a power
     (result,), _ = _rule_with_fake_inner(
         [SopQuery(_cfg(K=2), Scheme.SS, Scenario.KA)], [1.5], flags=[True]
     )
-    assert (result.value, result.raw_value, result.significance_flag) == (1.0, 1.5, True)
+    assert (result.value, result.significance_flag) == (1.0, True)
 
 
 def _live_batch():
@@ -472,7 +470,7 @@ def test_batch_case_rule_clamps_flagged_rows():
         assert value.significance_flag is flag
         assert 0.0 <= value.value <= 1.0
         if flag and query.scheme is Scheme.SS and query.scenario is Scenario.KA:
-            assert value.raw_value == x  # nothing composed on top of it
+            assert value.value == min(max(x, 0.0), 1.0)  # nothing composed on top of it
     # the clamped rows match their lone evaluation
     for at in (1, 2, 3, 6, 7, 11):
         (lone,), _ = _rule_with_fake_inner([queries[at]], [xs[index[at]]], [True])
@@ -491,7 +489,7 @@ def test_batch_case_rule_skips_dead_backhaul():
     assert [at < 0 for at in _key_index(queries)] == [query.cfg.zeta == 0.0 for query in queries]
     for query, value in zip(queries, values):
         if query.cfg.zeta == 0.0:
-            assert (value.value, value.raw_value, value.significance_flag) == (1.0, 1.0, False)
+            assert (value.value, value.significance_flag) == (1.0, False)
         else:
             assert value.value != 1.0
     values, calls = _rule_with_fake_inner(dead, [])
@@ -505,6 +503,7 @@ def test_batch_case_rule_skips_dead_backhaul():
 ])
 def test_plan_rejects_boundary_out_of_float_range(fields):
     # the config itself is valid; its outage boundary is not, on every route
+    # that plans (Monte Carlo reads no plan and evaluates it)
     query = SopQuery(_cfg(**fields), Scheme.SS, Scenario.KA)
     for route in (analytic_sop, asymptotic_sop, quadrature_sop):
         with pytest.raises(ValueError, match="outage boundary"):
@@ -522,7 +521,6 @@ def test_best_ratio_power_is_python_float_power():
         queries = [SopQuery(cfg, Scheme.OS, Scenario.KA) for cfg in configs]
         values, _ = _rule_with_fake_inner(queries, xs)
         assert [v.value for v in values] == [x ** K for x in xs]
-        assert [v.raw_value for v in values] == [x ** K for x in xs]
         # blind selection at zeta = 1 adds an exact 0.0 to the same power
         queries = [SopQuery(cfg, Scheme.OS, Scenario.KU) for cfg in configs]
         values, _ = _rule_with_fake_inner(queries, xs)
@@ -539,7 +537,7 @@ BATCH_ROUTES = [(analytic_sops, analytic_sop), (asymptotic_sops, asymptotic_sop)
 
 
 def _fields(value):
-    return value.value, value.raw_value, value.significance_flag, value.method
+    return value.value, value.significance_flag, value.method
 
 
 def _sweep_queries(cfg, snrs=FIGURE_SNRS):

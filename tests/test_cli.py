@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from secrecy_outage import (
+    REFERENCE_CONFIG,
     McSettings,
     Scenario,
     Scheme,
@@ -21,7 +22,7 @@ from secrecy_outage import (
     simulate_sop,
 )
 from secrecy_outage.cli import build_parser, main
-from secrecy_outage import analytic, validation
+from secrecy_outage import analytic, sweep, validation
 
 BASE_ARGS = [
     "--K", "2", "--zeta", "0.9", "--rth", "1", "--M", "6", "--N", "4",
@@ -72,6 +73,34 @@ def test_out_of_float_range_is_usage_error(capsys, command, message):
     assert main([command[0], *BASE_ARGS, *command[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+def test_mc_evaluates_a_config_the_planned_routes_refuse(capsys):
+    # beta = rho b / a underflows to 0 at a = 1e300, b = 1e-300: the routes
+    # that plan refuse the config, and Monte Carlo, which reads no plan,
+    # evaluates it
+    args = ["--a", "1e300", "--b", "1e-300", "--samples", "2000"]
+    assert main(["sop", *args, "--method", "mc"]) == 0
+    pairs = _parse_kv(capsys.readouterr().out)
+    cfg = replace(REFERENCE_CONFIG, snr=10.0, a=1e300, b=1e-300)
+    assert float(pairs["sop"]) == simulate_sop(SopQuery(cfg, Scheme.SS, Scenario.KU), McSettings(2000)).p_hat
+    assert main(["sweep", *args, "--snr-start", "0", "--snr-stop", "4", "--method", "mc"]) == 0
+    capsys.readouterr()
+    for method in ("analytic", "asymptotic", "quadrature"):
+        assert main(["sop", *args, "--method", method]) == 2
+        assert "outage boundary" in capsys.readouterr().err
+
+
+def test_sweep_refuses_before_it_simulates(monkeypatch, capsys):
+    # a sweep that also asks a planned route of a config no plan accepts is
+    # refused before its Monte Carlo cells run, whatever the method order
+    def simulate(query, mc):
+        raise AssertionError("simulated before the refusal")
+
+    monkeypatch.setattr(sweep, "simulate_sop", simulate)
+    args = ["--a", "1e300", "--b", "1e-300", "--snr-start", "0", "--snr-stop", "4", "--samples", "2000"]
+    assert main(["sweep", *args, "--method", "mc", "--method", "analytic"]) == 2
+    assert "outage boundary" in capsys.readouterr().err
 
 
 def test_sop_mc_point_reports_interval(capsys):
@@ -288,7 +317,7 @@ def test_triple_agreement_reports_gaps_the_floor_hides(monkeypatch, capsys):
     # on outages at most 1 is no smaller than the absolute gap
     def offset(query, mc):
         return SopEstimate(
-            p_hat=analytic_sop(query).value + 6e-5, ci_half_width=1e-5, n_samples=mc.n_samples, seed=mc.seed
+            p_hat=analytic_sop(query).value + 6e-5, ci_half_width=1e-5, n_samples=mc.n_samples
         )
 
     monkeypatch.setattr(validation, "simulate_sop", offset)

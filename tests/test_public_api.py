@@ -87,13 +87,17 @@ def test_traced_benchmark_seams_exist(monkeypatch):
 def test_settable_values_are_pinned():
     # the quadrature budget, first level and outage-integral tolerances, the
     # composition cap, the simulation confidence and the triple-agreement
-    # tolerances are constants; a new setting must be added here
+    # tolerances are constants; a new setting or result field must be added here
     assert [f.name for f in fields(ValidationSettings)] == [
         "ks", "zetas", "snr_dbs", "mc_samples", "seed", "determinism_samples", "determinism_workers",
     ]
     assert [f.name for f in fields(FigureResult)] == ["preset", "per_variant"]
+    assert [f.name for f in fields(analytic.SopValue)] == ["value", "method", "significance_flag"]
+    assert [f.name for f in fields(montecarlo.SopEstimate)] == [
+        "p_hat", "ci_half_width", "n_samples", "low_confidence", "empty_active_set_rate",
+    ]
     entries = {
-        quadrature.adaptive_integral: ["f", "lo", "hi", "rel_tol"],
+        quadrature.adaptive_integral: ["f", "hi", "rel_tol"],
         quadrature.quadrature_sop: ["query"],
         quadrature.quadrature_sops: ["queries"],
         analytic.enumerate_weak_compositions: ["k", "num_parts"],

@@ -71,16 +71,16 @@ def test_rule_constants_are_a_quadrature_rule():
 
 
 def test_adaptive_integral_polynomial():
-    assert adaptive_integral(lambda x: x**2, 0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-13)
+    assert adaptive_integral(lambda x: x**2, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-13)
 
 
 def test_adaptive_integral_transcendental():
-    assert adaptive_integral(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-12)
+    assert adaptive_integral(np.sin, math.pi) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_adaptive_integral_narrow_peak():
     expected = 1e-3 * math.sqrt(math.pi)
-    assert adaptive_integral(_spike, 0.0, 1.0, rel_tol=1e-12) == pytest.approx(
+    assert adaptive_integral(_spike, 1.0, rel_tol=1e-12) == pytest.approx(
         expected, rel=1e-10
     )
 
@@ -89,14 +89,14 @@ def test_integrand_called_once_per_level():
     # every call receives a (panels, 15) node array: the first level's 8
     # panels, then only the halves of the panels that were split
     f = CountingIntegrand(_spike)
-    adaptive_integral(f, 0.0, 1.0, rel_tol=1e-12)
+    adaptive_integral(f, 1.0, rel_tol=1e-12)
     assert f.shapes[0] == (8, 15)
     assert all(len(shape) == 2 and shape[1] == 15 and shape[0] % 2 == 0 for shape in f.shapes[1:])
     assert 3 * len(f.shapes) < f.panels
 
 
 def test_results_are_plain_floats(base_cfg):
-    assert type(adaptive_integral(np.sin, 0.0, math.pi)) is float
+    assert type(adaptive_integral(np.sin, math.pi)) is float
     for scheme, scenario in CASES:
         query = SopQuery(cfg=base_cfg, scheme=scheme, scenario=scenario)
         assert type(quadrature_sop(query)) is float
@@ -113,7 +113,7 @@ def test_results_are_plain_floats(base_cfg):
 )
 def test_adaptive_integral_matches_quadpack(f, points, kwargs, tol):
     reference, _ = integrate.quad(f, 0.0, 1.0, points=points, epsabs=1e-14, epsrel=1e-13, limit=200)
-    assert adaptive_integral(f, 0.0, 1.0, **kwargs) == pytest.approx(reference, **tol)
+    assert adaptive_integral(f, 1.0, **kwargs) == pytest.approx(reference, **tol)
 
 
 @pytest.mark.parametrize(
@@ -131,10 +131,10 @@ def test_stacked_rule_matches_the_one_integral_loop(monkeypatch, f, kwargs, max_
     # the same node arrays, call by call, and the same value up to summation order
     monkeypatch.setattr(quadrature, "MAX_PANELS", max_panels)
     results = []
-    for integrate_ in (partial(adaptive_integral_loop, max_panels=max_panels), adaptive_integral):
+    for integrate_ in (partial(adaptive_integral_loop, lo=0.0, max_panels=max_panels), adaptive_integral):
         counting = CountingIntegrand(f)
         try:
-            value, raised = integrate_(counting, 0.0, 1.0, **kwargs), False
+            value, raised = integrate_(counting, hi=1.0, **kwargs), False
         except QuadratureConvergenceError as exc:
             value, raised = exc.value, True
         results.append((counting.shapes, raised, value))
@@ -144,14 +144,14 @@ def test_stacked_rule_matches_the_one_integral_loop(monkeypatch, f, kwargs, max_
 
 
 def test_adaptive_integral_zero_width():
-    assert adaptive_integral(lambda x: np.ones_like(x), 0.5, 0.5) == 0.0
+    assert adaptive_integral(lambda x: np.ones_like(x), 0.0) == 0.0
 
 
 def test_nonconvergence_reports_partial_value(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_PANELS", 16)
     f = CountingIntegrand(_needle)
     with pytest.raises(QuadratureConvergenceError) as err:
-        adaptive_integral(f, 0.0, 1.0, rel_tol=1e-15)
+        adaptive_integral(f, 1.0, rel_tol=1e-15)
     assert err.value.achieved > err.value.tol
     assert math.isfinite(err.value.value)
     assert "tolerance" in str(err.value)
@@ -162,14 +162,14 @@ def test_panel_budget_spent_mid_level(monkeypatch):
     # a budget that ends halfway through a level splits only the panels
     # that fit, evaluates the same levels up to there, then raises
     free = CountingIntegrand(_needle)
-    adaptive_integral(free, 0.0, 1.0, rel_tol=1e-15)
+    adaptive_integral(free, 1.0, rel_tol=1e-15)
     sizes = [shape[0] for shape in free.shapes]
     level = next(i for i, size in enumerate(sizes) if i > 1 and size >= 4)
     budget = sum(sizes[:level]) + sizes[level] // 2 + 1
     monkeypatch.setattr(quadrature, "MAX_PANELS", budget)
     f = CountingIntegrand(_needle)
     with pytest.raises(QuadratureConvergenceError):
-        adaptive_integral(f, 0.0, 1.0, rel_tol=1e-15)
+        adaptive_integral(f, 1.0, rel_tol=1e-15)
     assert budget - 1 <= f.panels <= budget
     assert f.shapes[:level] == free.shapes[:level]
     assert 0 < f.shapes[level][0] < sizes[level]
@@ -536,14 +536,14 @@ def test_needle_row_fails_alone(monkeypatch):
     for f in fs:
         counting = CountingIntegrand(f)
         try:
-            value = adaptive_integral(counting, 0.0, 1.0, **kwargs)
+            value = adaptive_integral(counting, 1.0, **kwargs)
         except QuadratureConvergenceError as exc:
             value = exc
         alone.append((value, counting.panels))
     assert isinstance(alone[1][0], QuadratureConvergenceError)
     stacked = [CountingIntegrand(f) for f in fs]
     no_edges = np.empty((len(fs), 0))
-    results = quadrature._stacked_integrals(_rows_of(stacked), len(fs), 0.0, 1.0, breaks=no_edges, **kwargs)
+    results = quadrature._stacked_integrals(_rows_of(stacked), len(fs), 1.0, breaks=no_edges, **kwargs)
     assert isinstance(results[1], QuadratureConvergenceError)
     assert results[1].value == alone[1][0].value
     for r in (0, 2, 3):
@@ -658,7 +658,7 @@ def _recording_stacks(monkeypatch) -> list:
     calls, stack = [], quadrature._stacked_integrals
 
     def recording(evaluate, n_rows, *args):
-        calls.append((n_rows, *args[3:]))
+        calls.append((n_rows, *args[2:]))
         return stack(evaluate, n_rows, *args)
 
     monkeypatch.setattr(quadrature, "_stacked_integrals", recording)
@@ -680,7 +680,7 @@ def test_first_level_edges_count_against_the_budget(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_PANELS", 11)
     counting = [CountingIntegrand(_spike), CountingIntegrand(_spike)]
     breaks = np.array([[math.nan, math.nan], [0.05, 0.01]])
-    plain, edged = quadrature._stacked_integrals(_rows_of(counting), 2, 0.0, 1.0, 1e-12, breaks)
+    plain, edged = quadrature._stacked_integrals(_rows_of(counting), 2, 1.0, 1e-12, breaks)
     assert isinstance(plain, QuadratureConvergenceError) and isinstance(edged, QuadratureConvergenceError)
     assert counting[0].shapes == [(8, 15), (2, 15)]
     assert counting[1].shapes == [(10, 15)]

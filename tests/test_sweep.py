@@ -294,19 +294,6 @@ def test_run_sweeps_of_nothing():
     assert run_sweeps([]) == []
 
 
-def test_results_compare_by_value():
-    # two runs of one spec are equal, confidence intervals and their absence
-    # (NaN in the column) included; another seed or spec is not
-    mc = McSettings(n_samples=1024, seed=4)
-    spec = _spec(schemes=(Scheme.SS, Scheme.OS), methods=(EvalMethod.ANALYTIC, EvalMethod.MC), mc=mc)
-    assert run_sweep(spec) == run_sweep(spec)
-    assert run_sweep(spec) != run_sweep(replace(spec, mc=McSettings(n_samples=1024, seed=5)))
-    assert run_sweep(spec) != run_sweep(replace(spec, methods=(EvalMethod.QUADRATURE, EvalMethod.MC)))
-    assert run_sweep(_spec()) != run_sweep(_spec(snr_db_stop=5.0))
-    methods = (EvalMethod.ANALYTIC, EvalMethod.ASYMPTOTIC, EvalMethod.QUADRATURE)
-    assert run_figure("fig2", methods=methods) == run_figure("fig2", methods=methods)
-
-
 def test_held_figure_result_keeps_few_bytes_per_row():
     # a held result keeps its cells as a table: 17 bytes of values and codes
     # per row, plus the grid and the arrays' headers; rows are rebuilt on
@@ -334,16 +321,23 @@ def test_held_figure_result_keeps_few_bytes_per_row():
 
 
 def _recording_routes(monkeypatch) -> list:
-    """Replace every route by one that records its plan's (cfg, scheme, scenario) cells and returns each cell's index as its sop."""
+    """Replace every route by one that records its batch's (cfg, scheme, scenario) cells and returns each cell's index as its sop.
+
+    Monte Carlo's batch is its cell list, every other route's a ``CasePlan`` of it.
+    """
     seen = []
 
-    def record(plan, mc):
-        start = len(seen)
-        seen.extend(plan.cells)
-        return [float(start + i) for i in range(len(plan.cells))], None, [0] * len(plan.cells)
+    def recorder(method):
+        def record(batch, mc):
+            cells = batch if method is EvalMethod.MC else batch.cells
+            start = len(seen)
+            seen.extend(cells)
+            return [float(start + i) for i in range(len(cells))], None, [0] * len(cells)
+
+        return record
 
     for method in EvalMethod:
-        monkeypatch.setitem(sweep_module._ROUTES, method, record)
+        monkeypatch.setitem(sweep_module._ROUTES, method, recorder(method))
     return seen
 
 
