@@ -158,10 +158,9 @@ def _config_columns(cfg: SystemConfig) -> str:
 
 
 def write_figure_csv(result: FigureResult, target) -> None:
-    """Extended sweep CSV with the per-variant configuration columns, ended by the simulation settings if any."""
-    mc = next((sweep_result.mc for _, sweep_result in result.per_variant if sweep_result.mc is not None), None)
+    """Extended sweep CSV with the per-variant configuration columns, ended by the job's simulation settings if any."""
     parts = [(sweep_result, _config_columns(cfg)) for cfg, sweep_result in result.per_variant]
-    _write_csv(target, FIGURE_CSV_HEADER, parts, mc)
+    _write_csv(target, FIGURE_CSV_HEADER, parts, result.per_variant[0][1].mc)
 
 
 def _variant_label(cfg: SystemConfig, varied: tuple[str, ...]) -> str:

@@ -155,40 +155,40 @@ def _stacked_integrals(
     Returns one float or one ``QuadratureConvergenceError`` per row.
     """
     edges = np.linspace(0.0, hi, INITIAL_SUBDIVISIONS + 1)
-    # the rows still refining, ascending; their panels as the columns
-    # (lo, hi, value, error estimate) of one array, and each panel's row's
-    # position in ``ids`` as ``seg``.  Array methods stand in for their numpy
-    # functions: a lone row's level is a few dozen calls on tiny arrays.
-    ids = np.arange(n_rows)
+    # the panels as the columns (lo, hi, value, error estimate) of one array,
+    # each tagged with its row in ``seg``; ``active`` marks the rows still
+    # refining.  Array methods stand in for their numpy functions: a lone
+    # row's level is a few dozen calls on tiny arrays.
     # NaN pads sort last, so each row's edges run in order, then its pads
     bounds = np.sort(np.hstack((np.broadcast_to(edges, (n_rows, edges.size)), breaks)), axis=1)
     real = ~np.isnan(bounds[:, 1:])
     evaluated = real.sum(axis=1)
     panels = np.empty((4, evaluated.sum()))
     panels[0], panels[1] = bounds[:, :-1][real], bounds[:, 1:][real]
-    seg = ids.repeat(evaluated)
+    seg = np.arange(n_rows).repeat(evaluated)
     panels[2:] = _panels(evaluate, seg, panels[0], panels[1])
     results: list = [None] * n_rows
+    active = np.ones(n_rows, dtype=bool)
     while True:
         p_lo, p_hi, values, errs = panels
-        totals = np.bincount(seg, values, ids.size)
-        total_errs = np.bincount(seg, errs, ids.size)
+        totals = np.bincount(seg, values, n_rows)
+        total_errs = np.bincount(seg, errs, n_rows)
         tols = rel_tol * abs(totals)
         rooms = (MAX_PANELS - evaluated) // 2
         done = total_errs <= tols
-        refine = ~done & (rooms >= 1)
-        for i in (~refine).nonzero()[0]:
+        leaving = active & (done | (rooms < 1))
+        for i in leaving.nonzero()[0]:
             total = float(totals[i])
-            results[ids[i]] = total if done[i] else QuadratureConvergenceError(
+            results[i] = total if done[i] else QuadratureConvergenceError(
                 total, float(total_errs[i]), float(tols[i])
             )
-        next_ids = ids[refine]
-        if not next_ids.size:
+        active &= ~leaving
+        if not active.any():
             return results
-        live = refine[seg]
+        live = active[seg]
         split = live & (errs > tols[seg] * (p_hi - p_lo) / hi)
-        counts = np.bincount(seg[split], minlength=ids.size)
-        for i in (refine & ((counts > rooms) | (counts == 0))).nonzero()[0]:
+        counts = np.bincount(seg[split], minlength=n_rows)
+        for i in (active & ((counts > rooms) | (counts == 0))).nonzero()[0]:
             own = (seg == i).nonzero()[0]
             if counts[i]:  # the budget fits the `room` worst of them
                 split[own[np.where(split[own], errs[own], -1.0).argsort()[: -rooms[i]]]] = False
@@ -197,15 +197,14 @@ def _stacked_integrals(
                 split[own[errs[own].argmax()]] = True
                 counts[i] = 1
         keep = live & ~split
-        renumber = refine.cumsum() - 1  # a refining row's position in ``next_ids``
-        s_seg, s_lo, s_hi = renumber[seg[split]], p_lo[split], p_hi[split]
+        s_seg, s_lo, s_hi = seg[split], p_lo[split], p_hi[split]
         mid = 0.5 * (s_lo + s_hi)
         c_seg = np.concatenate((s_seg, s_seg))
         c_lo, c_hi = np.concatenate((s_lo, mid)), np.concatenate((mid, s_hi))
-        c_val, c_err = _panels(evaluate, next_ids[c_seg], c_lo, c_hi)
+        c_val, c_err = _panels(evaluate, c_seg, c_lo, c_hi)
         panels = np.concatenate((panels[:, keep], (c_lo, c_hi, c_val, c_err)), axis=1)
-        seg = np.concatenate((renumber[seg[keep]], c_seg))
-        ids, evaluated = next_ids, (evaluated + 2 * counts)[refine]
+        seg = np.concatenate((seg[keep], c_seg))
+        evaluated += 2 * counts
 
 
 def adaptive_integral(f: Callable, hi: float = 1.0, rel_tol: float = REL_TOL) -> float:

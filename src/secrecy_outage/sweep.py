@@ -11,7 +11,7 @@ reproduced exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 from pathlib import Path
 
@@ -210,70 +210,53 @@ class SweepResult:
 
 
 def run_sweeps(specs) -> list[SweepResult]:
-    """Evaluate every grid cell of every spec; one result per spec, in input order.
+    """Evaluate every grid cell of sweeps that differ only in their base; one result per spec, in input order.
 
-    A spec's cells are its grid points crossed with its (scheme, scenario)
-    pairs, point by point, the pairs in the order of its table's columns.
-    The specs that share a method (and, for Monte Carlo, their
-    ``McSettings``) form one batch for it, and one ``CasePlan`` serves
-    every deterministic batch over the same specs: a figure job, whose
-    specs share their methods, plans its cells once, so each distinct inner
-    quantity is evaluated once per deterministic route and the case rule is
-    applied once per cell and route.  ``_ROUTES`` maps each method to its
-    route's values; they fill the method's columns of each spec's table in
-    one assignment.  Monte Carlo reads no plan, so a config that no plan
-    accepts can still be simulated; it runs last, its cells one at a time,
-    spec by spec in row order.  Every result equals its spec's own
-    ``run_sweep``, and every value its cell's lone call, bit for bit.
+    Every spec must equal the first in all but ``base`` (its grid, cases,
+    methods and ``McSettings``); any other raises ``ValueError`` before any
+    route runs.  The cells are the specs' grid points crossed with their
+    (scheme, scenario) pairs, spec by spec, point by point, the pairs in
+    column order.  One ``CasePlan`` of them serves every deterministic
+    method, so each distinct inner quantity is evaluated once per route.
+    ``_ROUTES`` maps each method to its route's values, which fill the
+    method's columns of one (specs, points, cases) table; each result is
+    its spec's slice.  Monte Carlo reads no plan, so a config that no plan
+    accepts can still be simulated; it runs last, its cells one at a time.
+    Every value equals its cell's lone call, bit for bit.
     """
     specs = list(specs)
-    tables = []  # per spec: its grid, its sorted cases and its cells
-    batches: dict[tuple[EvalMethod, McSettings | None], list[int]] = {}
+    if not specs:
+        return []
+    first = specs[0]
     for i, spec in enumerate(specs):
-        grid = snr_grid(spec)
-        cases = tuple(sorted(
-            product(spec.schemes, spec.scenarios, spec.methods), key=lambda case: [_NAMES[m] for m in case]
-        ))
-        pairs = list(dict.fromkeys(case[:2] for case in cases))
-        # the base is validated; only snr is new
-        configs = [_at_snr(spec.base, db_to_linear(snr_db)) for snr_db in grid]
-        tables.append((grid, cases, [(cfg, *pair) for cfg in configs for pair in pairs]))
-        for method in spec.methods:
-            batches.setdefault((method, spec.mc if method is EvalMethod.MC else None), []).append(i)
-    shapes = [(len(grid), len(cases)) for grid, cases, _ in tables]
-    sops = [np.empty(shape) for shape in shapes]
-    cis = [np.full(shape, math.nan) for shape in shapes]
-    flags = [np.empty(shape, dtype=np.uint8) for shape in shapes]
-    plans: dict[tuple[int, ...], CasePlan] = {}
+        differ = [f.name for f in fields(spec) if f.name != "base" and getattr(spec, f.name) != getattr(first, f.name)]
+        if differ:
+            raise ValueError(f"spec {i} differs from the first in {', '.join(differ)}: run_sweeps varies only the base")
+    grid = snr_grid(first)
+    cases = tuple(sorted(
+        product(first.schemes, first.scenarios, first.methods), key=lambda case: [_NAMES[m] for m in case]
+    ))
+    pairs = list(dict.fromkeys(case[:2] for case in cases))
+    snrs = [db_to_linear(snr_db) for snr_db in grid]
+    # the bases are validated; only snr is new
+    configs = [_at_snr(spec.base, snr) for spec in specs for snr in snrs]
+    cells = [(cfg, *pair) for cfg in configs for pair in pairs]
+    shape = (len(specs), len(grid), len(cases))
+    sops, cis, flags = np.empty(shape), np.full(shape, math.nan), np.empty(shape, dtype=np.uint8)
+    plan = CasePlan(cells) if set(first.methods) - {EvalMethod.MC} else None
     # Monte Carlo last: a config that no plan accepts is refused before any simulation
-    for (method, mc), members in sorted(batches.items(), key=lambda item: item[0][0] is EvalMethod.MC):
-        members = tuple(members)
-        batch = [cell for i in members for cell in tables[i][2]]
-        if method is not EvalMethod.MC:  # Monte Carlo reads the cells; the planned routes share one plan
-            if members not in plans:
-                plans[members] = CasePlan(batch)
-            batch = plans[members]
-        values, intervals, codes = _ROUTES[method](batch, mc)
-        start = 0
-        for i in members:
-            grid, cases, cells = tables[i]
-            columns = [j for j, case in enumerate(cases) if case[2] is method]
-            shape, stop = (len(grid), len(columns)), start + len(cells)
-            sops[i][:, columns] = np.reshape(values[start:stop], shape)
-            flags[i][:, columns] = np.reshape(codes[start:stop], shape)
-            if intervals is not None:
-                cis[i][:, columns] = np.reshape(intervals[start:stop], shape)
-            start = stop
+    for method in sorted(first.methods, key=lambda method: method is EvalMethod.MC):
+        values, intervals, codes = _ROUTES[method](cells if method is EvalMethod.MC else plan, first.mc)
+        columns = [j for j, case in enumerate(cases) if case[2] is method]
+        block = (len(specs), len(grid), len(columns))
+        sops[..., columns] = np.reshape(values, block)
+        flags[..., columns] = np.reshape(codes, block)
+        if intervals is not None:
+            cis[..., columns] = np.reshape(intervals, block)
+    mc = first.mc if EvalMethod.MC in first.methods else None
     return [
-        SweepResult(
-            snr_db=np.array(grid, dtype=np.float64),
-            cases=cases,
-            sop=sop,
-            ci_half_width=ci_half_width,
-            flag=flag,
-            mc=spec.mc if EvalMethod.MC in spec.methods else None,
-        )
-        for spec, (grid, cases, _), sop, ci_half_width, flag in zip(specs, tables, sops, cis, flags)
+        SweepResult(np.array(grid, dtype=np.float64), cases, sop, ci_half_width, flag, mc)
+        for sop, ci_half_width, flag in zip(sops, cis, flags)
     ]
 
 

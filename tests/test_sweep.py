@@ -271,23 +271,30 @@ def test_edge_sweeps_batched_together_equal_each_alone():
     assert any(row.flags == "significance_loss" for row in flagged.rows)
 
 
-def test_run_sweeps_batches_by_method_and_mc_settings():
-    # two specs over the same cells simulate with their own settings, and a
-    # third simulates nothing; each gets back its own run_sweep rows and mc
-    methods = (EvalMethod.ANALYTIC, EvalMethod.QUADRATURE, EvalMethod.MC)
-    specs = [
-        _spec(schemes=(Scheme.SS, Scheme.OS), methods=methods, mc=McSettings(n_samples=1024, seed=1)),
-        _spec(schemes=(Scheme.SS, Scheme.OS), methods=methods, mc=McSettings(n_samples=2048, seed=9)),
-        _spec(scenarios=(Scenario.KA,), methods=(EvalMethod.ASYMPTOTIC, EvalMethod.QUADRATURE)),
-    ]
-    results = run_sweeps(specs)
-    for spec, result in zip(specs, results):
-        alone = run_sweep(spec)
-        assert result.rows == alone.rows
-        assert result.mc == alone.mc == (spec.mc if EvalMethod.MC in spec.methods else None)
-    first, second, _ = results
-    assert [row.ci_half_width for row in first.rows] != [row.ci_half_width for row in second.rows]
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(snr_db_start=-5.0),
+        dict(snr_db_stop=15.0),
+        dict(snr_db_step=2.5),
+        dict(schemes=(Scheme.SS, Scheme.OS)),
+        dict(scenarios=(Scenario.KA,)),
+        dict(methods=(EvalMethod.ANALYTIC,)),
+        dict(mc=McSettings(n_samples=2048, seed=1)),
+    ],
+    ids=["start", "stop", "step", "schemes", "scenarios", "methods", "mc"],
+)
+def test_run_sweeps_refuses_specs_that_differ_beyond_base(monkeypatch, change):
+    # the specs of one call share all but their base: a spec that differs
+    # from the first in its grid, cases, methods or simulation settings is
+    # refused before any route runs
     assert set(sweep_module._ROUTES) == set(EvalMethod)
+    seen = _recording_routes(monkeypatch)
+    first = _spec(methods=(EvalMethod.ANALYTIC, EvalMethod.MC), mc=McSettings(n_samples=1024, seed=1))
+    other_base = replace(first, base=replace(first.base, K=3))
+    with pytest.raises(ValueError, match=f"spec 2 differs from the first in {next(iter(change))}:"):
+        run_sweeps([first, other_base, replace(other_base, **change)])
+    assert seen == []
 
 
 def test_run_sweeps_of_nothing():
