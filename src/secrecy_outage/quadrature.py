@@ -280,8 +280,8 @@ def _boundary_expectations(plan: CasePlan) -> list[float]:
     Each level calls an M's CDF once, on the distinct (alpha, beta, node)
     points of its rows, and an N's density once, on its rows' distinct
     panels: rows that differ only in (L, w) share a panel's law values until
-    their refinements part.  Each row's (L, w) law is applied to its
-    gathered values with the lone call's arithmetic, and the density
+    their refinements part.  One elementwise expression then applies each
+    panel's ((1 - w) + w P)^L, with its row's w and L, and the density
     multiplies every panel once after, so every value is that of the row's
     ``quadrature_sop``.  P(M, u) bends at u_b in {M/10, M,
     10 M + 10}, so at t_b = s_b / (1 + s_b), s_b = (u_b - alpha) / beta; a
@@ -291,17 +291,17 @@ def _boundary_expectations(plan: CasePlan) -> list[float]:
     cdfs: dict[int, Callable] = {}  # per M
     pdfs: dict[int, Callable] = {}  # per N
     points: dict[tuple, int] = {}  # per law point (alpha, beta): its index
-    laws: dict[tuple, int] = {}  # per (L, w): its index
-    of = [None] * len(plan.first)  # per row: its M, its N, its law point's index and its law's index
+    of = [None] * len(plan.first)  # per row: its M, its N, its law point's index and its L
+    weight_of = np.empty(len(plan.first))  # per row: its w
     for (M, N, beta, power, weight), (ats, alphas) in plan.groups.items():
         if M not in cdfs or N not in pdfs:
             integrand = build_integrand(SopQuery(*plan.cells[plan.first[ats[0]]]))
             cdfs.setdefault(M, integrand.destination_cdf)
             pdfs.setdefault(N, integrand.eavesdropper_pdf)
-        law = laws.setdefault((power, weight), len(laws))
+        weight_of[ats] = weight
         for at, alpha in zip(ats, alphas):
-            of[at] = (M, N, points.setdefault((alpha, beta), len(points)), law)
-    m_of, n_of, point_of, law_of = np.array(of, dtype=np.intp).T
+            of[at] = (M, N, points.setdefault((alpha, beta), len(points)), power)
+    m_of, n_of, point_of, power_of = np.array(of, dtype=np.intp).T
     alpha, beta = np.array(list(points)).T.copy()
 
     s_b = (np.array((m_of / 10, m_of, 10 * m_of + 10)) - alpha[point_of]) / beta[point_of]
@@ -328,15 +328,8 @@ def _boundary_expectations(plan: CasePlan) -> list[float]:
                 pick, where = _distinct(last[at], first[at])
                 t_p = t_n[pick]
                 density[at] = (pdf(t_p / (1.0 - t_p)) / (1.0 - t_p) ** 2)[where]
-        for l, (power, weight) in enumerate(laws):
-            at = _members(law_of, rows, l, len(laws))
-            single = fx[at]
-            if single.size:
-                if weight != 1.0:
-                    single = (1.0 - weight) + weight * single
-                if power != 1:
-                    single = single**power
-                fx[at] = single
+        weight = weight_of[rows, None]
+        fx = ((1.0 - weight) + weight * fx) ** power_of[rows, None]
         fx *= density
         return fx
 

@@ -11,7 +11,7 @@ program that every check passes.
 The suite runs without ``tests/test_reference.py``, whose stored values
 catch any mutant that moves a value, and without ``tests/test_mutants.py``,
 which fails on every copy since the old text is gone from it.  A mutant
-takes about half a minute on a 2-core machine, the catalogue six or seven
+takes about half a minute on a 2-core machine, the catalogue about eight
 minutes.  It is run by hand, with no argument for every mutant or with the
 names of some:
 
@@ -138,6 +138,20 @@ MUTANTS = (
         "density[at] = (pdf(t_p / (1.0 - t_p)) / (1.0 - t_p) ** 2)[where]",
         "density[at] = (pdf(t_p / (1.0 - t_p)) / (1.0 - t_p) ** 2 * (1 + 1e-7))[where]",
         "the quadrature's eavesdropper density scaled by 1 + 1e-7",
+    ),
+    Mutant(
+        "quad-backhaul-off-mass",
+        "quadrature.py",
+        "((1.0 - weight) + weight * fx)",
+        "(weight * fx)",
+        "the quadrature's law without the backhaul-off mass 1 - w",
+    ),
+    Mutant(
+        "quad-power-before-mix",
+        "quadrature.py",
+        "fx = ((1.0 - weight) + weight * fx) ** power_of[rows, None]",
+        "fx = (1.0 - weight) + weight * fx ** power_of[rows, None]",
+        "the quadrature's power L taken before the backhaul mix: (1 - w) + w P^L",
     ),
 )
 
