@@ -8,6 +8,9 @@ worth another factor of (1 - zeta) only when the selector knows which
 backhaul links are up.
 
 A floor whose alternating series lost significance is marked with ``*``.
+Only floors can still carry the mark: a closed form whose series loses
+significance falls back to quadrature, but the floor's alpha = 0 is no key
+that quadrature could take.
 The last column, os ku / ka, reads inf over an os/ka floor that
 underflowed to 0, or nan when os/ku is 0 too.
 
@@ -80,8 +83,8 @@ def main() -> int:
         print()
     print("blind floors are capped by 1 - zeta; active-set floors keep "
           "falling with K")
-    print("* marks a flagged floor; os ku/ka reads inf over an os/ka floor "
-          "that underflowed to 0, or nan if os/ku did too")
+    print("* marks a flagged floor (only floors can still be flagged; a closed form falls back to quadrature); "
+          "os ku/ka reads inf over an os/ka floor that underflowed to 0, or nan if os/ku did too")
     return 0
 
 

@@ -10,9 +10,11 @@ names the scheme that gains more under each reading.  At the reference
 point the drop form fails at K = 2 while the ratio form holds.
 
 All closed forms come from one ``analytic_sops`` batch and all floors from
-one ``asymptotic_sops`` batch.  A value computed from a flagged closed form
-(its alternating series lost significance) is marked with ``*``, and so is a
-winner named by comparing two gains of which either is flagged.  A ratio
+one ``asymptotic_sops`` batch.  A value computed from a flagged floor (its
+alternating series lost significance) is marked with ``*``, and so is a
+winner named by comparing two gains of which either is flagged.  Only the
+floor table can carry the mark: a closed form whose series loses
+significance falls back to quadrature, and is not flagged.  A ratio
 over a ka outage that underflowed to 0 reads inf, or nan when ku is 0 too;
 such a ratio names no winner where it is nan or both schemes' are inf.
 
@@ -129,7 +131,8 @@ def main() -> int:
                                f"(r_th={args.rth}, a={args.a}, b={args.b})", points, rows)))
         print()
     print("drop/ratio: the scheme whose outage falls more from ku to ka (n/a where a ratio is nan or both are inf);")
-    print("* marks a value from a flagged closed form, and a winner named from one;")
+    print("* marks a value from a flagged floor, and a winner named from one (only floors are flagged: "
+          "a closed form that loses significance falls back to quadrature);")
     print("a ratio over an outage that underflowed to 0 reads inf, or nan if ku did too")
     return 0
 

@@ -34,7 +34,6 @@ from .sweep import (
     SweepSpec,
     db_to_linear,
     run_sweep,
-    run_sweeps,
     write_sweep_csv,
 )
 from .figures import FIGURE_PRESETS, run_figure
@@ -73,7 +72,6 @@ __all__ = [
     "quadrature_sops",
     "run_figure",
     "run_sweep",
-    "run_sweeps",
     "run_validation",
     "simulate_sop",
     "snr_cdf",

@@ -28,7 +28,9 @@ Every per-term product is assembled in log space (factorials from
 exponentiated once per term; only the top-level alternating sum over the
 binomial index runs in linear space, exactly rounded (``math.fsum``), and
 ``significance_lost`` flags a sum that cancelled far below its largest term
-instead of returning quiet noise.  Results outside [0, 1] by more than a
+instead of returning quiet noise.  The closed form hands such keys to
+quadrature (``analytic_inner``); the floor keeps the flag, since its alpha =
+0 is no key that quadrature could take.  Results outside [0, 1] by more than a
 1e-9 round-off band raise ``NumericalIntegrityError`` rather than being
 clamped, so formula bugs cannot hide behind clamping.
 ``enumerate_weak_compositions`` lists the multinomial expansion of p_0^k
@@ -71,6 +73,11 @@ __all__ = [
 # Round-off tolerance band for the integrity check; values further outside
 # [0, 1] than this indicate a formula or assembly bug, not round-off.
 INTEGRITY_BAND = 1e-9
+
+# A key's or cell's flag code, 0 for none: the cancellation guard fired, so
+# the value is bounded but not trustworthy, or the closed form's key took
+# quadrature's value instead (``analytic_inner``).
+SIGNIFICANCE_LOSS, QUADRATURE_FALLBACK = 1, 2
 
 
 class Scheme(str, Enum):
@@ -127,10 +134,11 @@ class SopQuery:
 class SopValue:
     """Evaluated outage probability.
 
-    ``method`` is the route that produced it.  ``value`` is clamped to
-    [0, 1].  ``significance_flag`` is set when the alternating-sum cancellation
-    guard fired, in which case ``value`` is bounded but not trustworthy to
-    full precision.
+    ``method`` is the route that produced it: ``quadrature`` for a closed
+    form whose key fell back to it.  ``value`` is clamped to [0, 1].
+    ``significance_flag`` is set when the alternating-sum cancellation guard
+    fired and nothing took over, in which case ``value`` is bounded but not
+    trustworthy to full precision.
     """
 
     value: float
@@ -197,12 +205,12 @@ class CasePlan:
         return cls([(query.cfg, query.scheme, query.scenario) for query in queries])
 
 
-def case_sop(plan: CasePlan, inner, method: EvalMethod) -> tuple[list[float], list[bool]]:
+def case_sop(plan: CasePlan, inner, method: EvalMethod) -> tuple[list[float], list[int]]:
     """The case rule: every cell's (scheme, scenario) outage from its inner quantity, in cell order.
 
     ``inner(plan)`` returns (raws, flags), one per distinct key of the
     plan: x = E_y[((1 - w) + w F_d(lambda(y)))^L] with lambda(y) = (1 + y)
-    rho - 1, and whether its series lost significance.  Per case:
+    rho - 1, and its flag code.  Per case:
 
         case   (L, w)     outage                 because
         ss/ku  (K, 1)     (1 - zeta) + zeta x    the strongest link may turn out silenced
@@ -216,8 +224,9 @@ def case_sop(plan: CasePlan, inner, method: EvalMethod) -> tuple[list[float], li
 
     The plan is built once per batch, so each distinct inner quantity is
     evaluated once however many cells read it, and this composition runs
-    once per cell.  Every unflagged inner value passes the integrity check
-    before it is composed, and every composed outage passes it again.
+    once per cell.  Every inner value that did not lose significance passes
+    the integrity check before it is composed, and every composed outage
+    passes it again.
     Strongest-destination selection powers the CDF inside the eavesdropper
     integral and composes from the unclamped x; best-ratio selection powers
     the clamped single-link value outside it, with Python's float power
@@ -226,10 +235,10 @@ def case_sop(plan: CasePlan, inner, method: EvalMethod) -> tuple[list[float], li
     without keys never calls ``inner``.  At K = 1 and zeta = 1 every case
     returns the single-transmitter outage x itself.  The composition is one
     pass over plain floats, so a lone cell pays no array set-up, and a
-    batch's values equal its cells' lone calls bit for bit.  An unflagged
-    NaN or out-of-band value anywhere in the batch raises
-    ``NumericalIntegrityError``, named by ``method``, a route or its string.
-    Returns the clamped outages and their flags, per cell.
+    batch's values equal its cells' lone calls bit for bit.  A NaN or
+    out-of-band value anywhere in the batch that did not lose significance
+    raises ``NumericalIntegrityError``, named by ``method``, a route or its
+    string.  Returns the clamped outages and their flag codes, per cell.
     """
     method = EvalMethod(method)
     raws, flags = inner(plan) if plan.first else ((), ())
@@ -237,7 +246,7 @@ def case_sop(plan: CasePlan, inner, method: EvalMethod) -> tuple[list[float], li
     # the inner value is checked before composing: a blind-selection mix
     # (1 - zeta) + zeta x can land in band from an x far outside it
     for raw, flag in zip(raws, flags):
-        if not (flag or low <= raw <= high):
+        if not (low <= raw <= high or flag == SIGNIFICANCE_LOSS):
             raise _integrity_error(raw, method)
     values, cell_flags = [], []
     for at, power, zeta in plan.rows:
@@ -249,7 +258,7 @@ def case_sop(plan: CasePlan, inner, method: EvalMethod) -> tuple[list[float], li
                 raw = (0.0 if raw < 0.0 else 1.0 if raw > 1.0 else raw) ** power
             if zeta is not None:
                 raw = (1.0 - zeta) + zeta * raw
-            if not (flag or low <= raw <= high):
+            if not (low <= raw <= high or flag == SIGNIFICANCE_LOSS):
                 raise _integrity_error(raw, method)
         values.append(0.0 if raw < 0.0 else 1.0 if raw > 1.0 else raw)
         cell_flags.append(flag)
@@ -369,7 +378,10 @@ def _selection_series(M: int, N: int, beta: float, K: int, weight: float, alphas
 # ---------------------------------------------------------------------------
 
 def _grouped_inner(plan: CasePlan, floor: bool) -> tuple[list[float], list[bool]]:
-    """(raws, flags) of every distinct key of ``plan``: one series per group, at its alphas or the ``floor``'s 0."""
+    """(raws, flags) of every distinct key of ``plan``: one series per group, at its alphas or the ``floor``'s 0.
+
+    A flag is True, which equals ``SIGNIFICANCE_LOSS``, where the key's guard fired.
+    """
     raws, flags = [0.0] * len(plan.first), [False] * len(plan.first)
     for (M, N, beta, L, w), (ats, alphas) in plan.groups.items():
         values = _selection_series(M, N, beta, L, w, [0.0] if floor else alphas)
@@ -378,9 +390,22 @@ def _grouped_inner(plan: CasePlan, floor: bool) -> tuple[list[float], list[bool]
     return raws, flags
 
 
-def analytic_inner(plan: CasePlan) -> tuple[list[float], list[bool]]:
-    """The exact series of every distinct key of ``plan``: one series per group over its alphas."""
-    return _grouped_inner(plan, floor=False)
+def analytic_inner(plan: CasePlan) -> tuple[list[float], list[int]]:
+    """The exact series of every distinct key of ``plan``: one series per group over its alphas.
+
+    The keys whose cancellation guard fires take quadrature's value instead,
+    flagged ``QUADRATURE_FALLBACK``: their first cells go to
+    ``quadrature_inner`` as one stacked plan, each key its own row.
+    """
+    raws, flags = _grouped_inner(plan, floor=False)
+    lost = [at for at, flag in enumerate(flags) if flag]
+    if lost:
+        from .quadrature import quadrature_inner  # imported here: quadrature imports this module
+
+        values, _ = quadrature_inner(CasePlan([plan.cells[plan.first[at]] for at in lost]))
+        for at, value in zip(lost, values):
+            raws[at], flags[at] = value, QUADRATURE_FALLBACK
+    return raws, flags
 
 
 def asymptotic_inner(plan: CasePlan) -> tuple[list[float], list[bool]]:
@@ -391,7 +416,10 @@ def asymptotic_inner(plan: CasePlan) -> tuple[list[float], list[bool]]:
 def _sop_values(queries, inner, method: EvalMethod) -> list[SopValue]:
     """One ``SopValue`` per query: the case rule over one plan of the batch."""
     values, flags = case_sop(CasePlan.of(queries), inner, method)
-    return [SopValue(value, method, flag) for value, flag in zip(values, flags)]
+    return [
+        SopValue(value, EvalMethod.QUADRATURE if flag == QUADRATURE_FALLBACK else method, flag == SIGNIFICANCE_LOSS)
+        for value, flag in zip(values, flags)
+    ]
 
 
 def analytic_sops(queries) -> list[SopValue]:
@@ -399,7 +427,8 @@ def analytic_sops(queries) -> list[SopValue]:
 
     Each distinct inner quantity is evaluated once, and the queries of one
     (M, N, beta, L, w) group share one series evaluation over their alphas;
-    every value equals that query's ``analytic_sop``.
+    a query whose series lost significance holds quadrature's value, with
+    ``method`` quadrature.  Every value equals that query's ``analytic_sop``.
     """
     return _sop_values(queries, analytic_inner, EvalMethod.ANALYTIC)
 

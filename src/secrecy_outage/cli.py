@@ -130,7 +130,7 @@ def _cmd_sop(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     base = _system_config(args, args.snr_start)
     spec = SweepSpec(
-        base=base,
+        bases=(base,),
         snr_db_start=args.snr_start,
         snr_db_stop=args.snr_stop,
         snr_db_step=args.snr_step,
@@ -139,7 +139,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         methods=tuple(args.method or (EvalMethod.ANALYTIC,)),
         mc=_mc_settings(args),
     )
-    result = run_sweep(spec)
+    (result,) = run_sweep(spec)
     write_sweep_csv(result, args.out or sys.stdout)
     if args.plot:
         write_plot_description(sweep_plot_description(base, result), args.plot)

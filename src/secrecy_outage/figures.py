@@ -24,7 +24,7 @@ from .sweep import (
     SweepSpec,
     _format_float,
     _write_csv,
-    run_sweeps,
+    run_sweep,
 )
 
 __all__ = [
@@ -123,29 +123,24 @@ def run_figure(
     scenario: Scenario | None = None,
     methods: tuple[EvalMethod, ...] = _METHODS,
 ) -> FigureResult:
-    """Run one preset study: the cells of all its variants go to one ``run_sweeps`` call."""
+    """Run one preset study: one sweep over all its variants."""
     try:
         preset = FIGURE_PRESETS[name]
     except KeyError:
         raise KeyError(
             f"unknown preset {name!r}; available: {', '.join(available_presets())}"
         ) from None
-    mc = mc if mc is not None else McSettings()
-    scenarios = _SCENARIOS if scenario is None else (scenario,)
-    specs = [
-        SweepSpec(
-            base=cfg,
-            snr_db_start=_SNR_START,
-            snr_db_stop=_SNR_STOP,
-            snr_db_step=_SNR_STEP,
-            schemes=_SCHEMES,
-            scenarios=scenarios,
-            methods=methods,
-            mc=mc,
-        )
-        for cfg in preset.variants
-    ]
-    per_variant = list(zip(preset.variants, run_sweeps(specs)))
+    spec = SweepSpec(
+        bases=preset.variants,
+        snr_db_start=_SNR_START,
+        snr_db_stop=_SNR_STOP,
+        snr_db_step=_SNR_STEP,
+        schemes=_SCHEMES,
+        scenarios=_SCENARIOS if scenario is None else (scenario,),
+        methods=methods,
+        mc=mc if mc is not None else McSettings(),
+    )
+    per_variant = list(zip(preset.variants, run_sweep(spec)))
     return FigureResult(preset=preset, per_variant=per_variant)
 
 

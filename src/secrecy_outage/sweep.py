@@ -11,7 +11,7 @@ reproduced exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
 
@@ -37,7 +37,6 @@ __all__ = [
     "evaluate_cell",
     "read_sweep_csv",
     "run_sweep",
-    "run_sweeps",
     "snr_grid",
     "write_sweep_csv",
 ]
@@ -49,6 +48,7 @@ CSV_HEADER = ("snr_db", "scheme", "scenario", "method", "sop", "ci_half_width", 
 MAX_SNR_POINTS = 100_000
 
 FLAG_SIGNIFICANCE = "significance_loss"
+FLAG_FALLBACK = "quadrature_fallback"
 FLAG_LOW_CONFIDENCE = "low_confidence"
 
 
@@ -73,15 +73,16 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """An SNR grid crossed with scheme/scenario/method sets.
+    """An SNR grid crossed with scheme/scenario/method sets, over one or more base configurations.
 
-    ``base.snr`` is a placeholder; each grid point overrides it with the
-    linear equivalent of its dB value.  Scheme, scenario and method strings
-    become their enums, as in ``SopQuery``; an unknown or repeated one
-    raises ``ValueError``.
+    ``bases`` is a non-empty tuple of configurations, each swept over the
+    same grid and cases; a base's ``snr`` is a placeholder, which each grid
+    point overrides with the linear equivalent of its dB value.  Scheme,
+    scenario and method strings become their enums, as in ``SopQuery``; an
+    unknown or repeated one, or no base, raises ``ValueError``.
     """
 
-    base: SystemConfig
+    bases: tuple[SystemConfig, ...]
     snr_db_start: float
     snr_db_stop: float
     snr_db_step: float
@@ -91,6 +92,8 @@ class SweepSpec:
     mc: McSettings = field(default_factory=McSettings)
 
     def __post_init__(self):
+        if not self.bases:
+            raise ValueError("bases must be non-empty")
         grid = (self.snr_db_start, self.snr_db_stop, self.snr_db_step)
         if not all(map(math.isfinite, grid)):
             raise ValueError(f"SNR start, stop and step must be finite, got {grid!r}")
@@ -127,9 +130,10 @@ def snr_grid(spec: SweepSpec) -> list[float]:
 # Every enum member's string, read by the CSV writer instead of ``Enum.value``.
 _NAMES = {member: member.value for enum in (Scheme, Scenario, EvalMethod) for member in enum}
 
-# A cell's flag is stored as its index here: a closed form's significance
-# flag is its code, and a low-confidence estimate is code 2.
-_FLAGS = ("", FLAG_SIGNIFICANCE, FLAG_LOW_CONFIDENCE)
+# A cell's flag is stored as its index here: a closed form's or floor's flag
+# is its code (``analytic.SIGNIFICANCE_LOSS`` or ``QUADRATURE_FALLBACK``),
+# and a low-confidence estimate is code 3.
+_FLAGS = ("", FLAG_SIGNIFICANCE, FLAG_FALLBACK, FLAG_LOW_CONFIDENCE)
 
 
 def _case_route(inner, method: EvalMethod):
@@ -148,7 +152,7 @@ def _mc_route(cells, mc: McSettings):
     return (
         [estimate.p_hat for estimate in estimates],
         [estimate.ci_half_width for estimate in estimates],
-        [2 if estimate.low_confidence else 0 for estimate in estimates],
+        [3 if estimate.low_confidence else 0 for estimate in estimates],
     )
 
 
@@ -184,7 +188,8 @@ class SweepResult:
     column by column, is the CSV contract's row order.  ``sop`` and
     ``ci_half_width`` are (points, cases) float64 arrays, the latter NaN
     where a cell has no confidence interval, and ``flag`` holds each cell's
-    index into the flag strings ("", significance loss, low confidence).
+    index into the flag strings ("", significance loss, quadrature
+    fallback, low confidence).
     ``rows`` is a view: a new ``SweepRow`` list on each access, never kept.
     """
 
@@ -209,60 +214,45 @@ class SweepResult:
         ]
 
 
-def run_sweeps(specs) -> list[SweepResult]:
-    """Evaluate every grid cell of sweeps that differ only in their base; one result per spec, in input order.
+def run_sweep(spec: SweepSpec) -> list[SweepResult]:
+    """Evaluate every grid cell of every base; one result per base, in order.
 
-    Every spec must equal the first in all but ``base`` (its grid, cases,
-    methods and ``McSettings``); any other raises ``ValueError`` before any
-    route runs.  The cells are the specs' grid points crossed with their
-    (scheme, scenario) pairs, spec by spec, point by point, the pairs in
-    column order.  One ``CasePlan`` of them serves every deterministic
-    method, so each distinct inner quantity is evaluated once per route.
-    ``_ROUTES`` maps each method to its route's values, which fill the
-    method's columns of one (specs, points, cases) table; each result is
-    its spec's slice.  Monte Carlo reads no plan, so a config that no plan
-    accepts can still be simulated; it runs last, its cells one at a time.
-    Every value equals its cell's lone call, bit for bit.
+    The cells are the bases crossed with the grid points and the (scheme,
+    scenario) pairs, base by base, point by point, the pairs in column
+    order.  One ``CasePlan`` of them serves every deterministic method, so
+    each distinct inner quantity is evaluated once per route.  ``_ROUTES``
+    maps each method to its route's values, which fill the method's columns
+    of one (bases, points, cases) table; each result is its base's slice.
+    Monte Carlo reads no plan, so a config that no plan accepts can still be
+    simulated; it runs last, its cells one at a time.  Every value equals
+    its cell's lone call, bit for bit.
     """
-    specs = list(specs)
-    if not specs:
-        return []
-    first = specs[0]
-    for i, spec in enumerate(specs):
-        differ = [f.name for f in fields(spec) if f.name != "base" and getattr(spec, f.name) != getattr(first, f.name)]
-        if differ:
-            raise ValueError(f"spec {i} differs from the first in {', '.join(differ)}: run_sweeps varies only the base")
-    grid = snr_grid(first)
+    grid = snr_grid(spec)
     cases = tuple(sorted(
-        product(first.schemes, first.scenarios, first.methods), key=lambda case: [_NAMES[m] for m in case]
+        product(spec.schemes, spec.scenarios, spec.methods), key=lambda case: [_NAMES[m] for m in case]
     ))
     pairs = list(dict.fromkeys(case[:2] for case in cases))
     snrs = [db_to_linear(snr_db) for snr_db in grid]
     # the bases are validated; only snr is new
-    configs = [_at_snr(spec.base, snr) for spec in specs for snr in snrs]
+    configs = [_at_snr(base, snr) for base in spec.bases for snr in snrs]
     cells = [(cfg, *pair) for cfg in configs for pair in pairs]
-    shape = (len(specs), len(grid), len(cases))
+    shape = (len(spec.bases), len(grid), len(cases))
     sops, cis, flags = np.empty(shape), np.full(shape, math.nan), np.empty(shape, dtype=np.uint8)
-    plan = CasePlan(cells) if set(first.methods) - {EvalMethod.MC} else None
+    plan = CasePlan(cells) if set(spec.methods) - {EvalMethod.MC} else None
     # Monte Carlo last: a config that no plan accepts is refused before any simulation
-    for method in sorted(first.methods, key=lambda method: method is EvalMethod.MC):
-        values, intervals, codes = _ROUTES[method](cells if method is EvalMethod.MC else plan, first.mc)
+    for method in sorted(spec.methods, key=lambda method: method is EvalMethod.MC):
+        values, intervals, codes = _ROUTES[method](cells if method is EvalMethod.MC else plan, spec.mc)
         columns = [j for j, case in enumerate(cases) if case[2] is method]
-        block = (len(specs), len(grid), len(columns))
+        block = (len(spec.bases), len(grid), len(columns))
         sops[..., columns] = np.reshape(values, block)
         flags[..., columns] = np.reshape(codes, block)
         if intervals is not None:
             cis[..., columns] = np.reshape(intervals, block)
-    mc = first.mc if EvalMethod.MC in first.methods else None
+    mc = spec.mc if EvalMethod.MC in spec.methods else None
     return [
         SweepResult(np.array(grid, dtype=np.float64), cases, sop, ci_half_width, flag, mc)
         for sop, ci_half_width, flag in zip(sops, cis, flags)
     ]
-
-
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every grid cell; the one-spec call of ``run_sweeps``."""
-    return run_sweeps([spec])[0]
 
 
 def _format_float(x: float) -> str:

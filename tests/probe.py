@@ -5,8 +5,9 @@ It draws seeded queries far outside the validation grid: K in {1, 2, 3, 5,
 [1e-4, 1e4], zeta in {1e-6, 0.3, 0.9, 1}, r_th in {0, 0.01, 1, 5, 12, 30},
 the SNR uniform on [-80, 120] dB and the case uniform over the four.  The
 queries are planned once (``analytic.CasePlan``), and each distinct inner
-key is evaluated by the closed form (one batch) and by tight quadrature
-(rel 1e-12), one lone row per key so that a row which does not
+key is evaluated by the closed form's own series (one batch, without the
+quadrature fallback that ``analytic_inner`` gives flagged keys) and by
+tight quadrature (rel 1e-12), one lone row per key so that a row which does not
 converge is counted, not fatal.  Where the two differ by more than 1e-9
 relative, the 60-digit series (``oracles.selection_series_mp``) settles
 which route is wrong, unless its own rounding (``ORACLE_DIGITS`` times the
@@ -40,7 +41,7 @@ import numpy as np
 from oracles import ORACLE_DIGITS, selection_series_mp
 from secrecy_outage import SystemConfig
 from secrecy_outage import quadrature
-from secrecy_outage.analytic import CASES, CasePlan, Scenario, Scheme, SopQuery, analytic_inner
+from secrecy_outage.analytic import CASES, CasePlan, Scenario, Scheme, SopQuery, _grouped_inner
 from secrecy_outage.sweep import db_to_linear
 
 KS = (1, 2, 3, 5, 8, 13, 20, 30)
@@ -96,7 +97,7 @@ def probe(n: int, seed: int) -> dict:
     plan = CasePlan.of(draw_queries(n, seed))
     cells = [plan.cells[first] for first in plan.first]
     start = time.perf_counter()
-    closed, flags = analytic_inner(plan)
+    closed, flags = _grouped_inner(plan, floor=False)
     closed_s = time.perf_counter() - start
     quad, failed = [], 0
     tolerance, quadrature.REL_TOL = quadrature.REL_TOL, 1e-12

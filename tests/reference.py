@@ -48,7 +48,7 @@ from secrecy_outage import (
     quadrature_sop,
     quadrature_sops,
     run_figure,
-    run_sweeps,
+    run_sweep,
 )
 from secrecy_outage.figures import FIGURE_PRESETS
 from secrecy_outage.sweep import EvalMethod, SweepSpec
@@ -88,15 +88,12 @@ def reference_values() -> dict[str, list[tuple[str, float]]]:
     result = run_figure("fig2", mc=mc, methods=(EvalMethod.MC,))
     _rows("fig2", ((f"fig2 {cfg}", row, mc) for cfg, sweep in result.per_variant for row in sweep.rows), out)
     mc = McSettings(n_samples=1024, seed=3)
-    specs = [
-        SweepSpec(
-            base=base, snr_db_start=-10.0, snr_db_stop=40.0, snr_db_step=10.0,
-            schemes=(Scheme.SS, Scheme.OS), scenarios=(Scenario.KU, Scenario.KA),
-            methods=tuple(EvalMethod), mc=mc,
-        )
-        for base in EDGE_BASES.values()
-    ]
-    for name, result in zip(EDGE_BASES, run_sweeps(specs)):
+    spec = SweepSpec(
+        bases=tuple(EDGE_BASES.values()), snr_db_start=-10.0, snr_db_stop=40.0, snr_db_step=10.0,
+        schemes=(Scheme.SS, Scheme.OS), scenarios=(Scenario.KU, Scenario.KA),
+        methods=tuple(EvalMethod), mc=mc,
+    )
+    for name, result in zip(EDGE_BASES, run_sweep(spec)):
         _rows("edges", ((name, row, mc) for row in result.rows), out)
     queries = _case_queries(ValidationSettings().grid_configs())
     labels = [f"{q.cfg} {q.scheme.value}/{q.scenario.value}" for q in queries]

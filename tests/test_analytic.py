@@ -630,8 +630,9 @@ def test_empty_batch(batch):
 
 
 def test_flagged_point_keeps_its_flag_in_a_batch():
-    # ss/ku at K=60 M=12 cancels below the guard (its value is not
-    # trustworthy); batched with unflagged points it stays flagged
+    # ss/ku at K=60 M=12 cancels below the guard (the series read 1.0 there);
+    # batched with unflagged points it still falls back, alone among them,
+    # to its quadrature value, and says so by its method
     flagged = SopQuery(_cfg(K=60, M=12, zeta=0.9), Scheme.SS, Scenario.KU)
     queries = [
         SopQuery(_cfg(K=60, M=12, zeta=0.9, snr=1.0), Scheme.OS, Scenario.KU),
@@ -639,9 +640,13 @@ def test_flagged_point_keeps_its_flag_in_a_batch():
         SopQuery(_cfg(K=2, zeta=0.9), Scheme.SS, Scenario.KU),
     ]
     values = analytic_sops(queries)
-    assert values[1].significance_flag
-    assert not values[0].significance_flag and not values[2].significance_flag
+    assert _fields(values[1]) == (quadrature_sop(flagged), False, EvalMethod.QUADRATURE)
+    assert values[1].value == 0.10000006832914544
+    assert [value.method for value in values[::2]] == [EvalMethod.ANALYTIC] * 2
+    assert not any(value.significance_flag for value in values)
     assert _fields(values[1]) == _fields(analytic_sop(flagged))
+    # the floor has no key for quadrature to take: its flag stays
+    assert _fields(asymptotic_sop(flagged))[1:] == (True, EvalMethod.ASYMPTOTIC)
 
 
 def _counting(monkeypatch, name):

@@ -127,6 +127,22 @@ def test_sop_quadrature_and_asymptotic_methods(capsys):
         assert float(pairs["sop"]) == value
 
 
+def test_sop_falls_back_to_quadrature_where_the_series_loses_significance(capsys):
+    # the ss/ku series at K=60 M=12 cancels below its guard (it read 1.0):
+    # the closed form prints its quadrature value and names the fallback;
+    # the floor, which quadrature cannot take, keeps its significance flag
+    point = "--K 60 --M 12 --N 4 --a 0.5 --b 0.2 --zeta 0.9 --snr-db 10 --rth 1".split()
+    printed = {}
+    for method in ("analytic", "quadrature", "asymptotic"):
+        assert main(["sop", *point, "--method", method]) == 0
+        printed[method] = _parse_kv(capsys.readouterr().out)
+    assert printed["analytic"]["sop"] == printed["quadrature"]["sop"] == "0.10000006832914544"
+    assert printed["analytic"]["method"] == "analytic"
+    assert printed["analytic"]["flags"] == "quadrature_fallback"
+    assert "flags" not in printed["quadrature"]
+    assert printed["asymptotic"]["flags"] == "significance_loss"
+
+
 def test_bad_parameter_value_is_usage_error(capsys):
     assert main(["sop", "--zeta", "1.5"]) == 2
     assert "zeta" in capsys.readouterr().err
@@ -295,7 +311,7 @@ def test_validate_detects_a_corrupted_formula(monkeypatch, capsys):
 
 @pytest.mark.parametrize("check", [
     "triple_agreement", "asymptotic_floors", "orderings",
-    "floors", "multipath_effect", "gain_ratio_effect",
+    "floors", "multipath_effect", "gain_ratio_effect", "determinism",
 ])
 def test_validate_fails_when_the_closed_form_reads_zero(check, monkeypatch, capsys):
     # every check that reads the closed form must notice when every row of
@@ -308,6 +324,40 @@ def test_validate_fails_when_the_closed_form_reads_zero(check, monkeypatch, caps
     out = capsys.readouterr().out
     assert rc == 1
     assert f"FAIL {check}" in out
+
+
+def test_validate_detects_a_monte_carlo_variance_above_binomial(monkeypatch, capsys):
+    # each estimate pushed away from an independent twin: the mean is kept
+    # and the variance multiplied by 2.5, as copying reflected partners
+    # about doubles it; the replicates' dispersion fails the determinism
+    # check, whose worker comparison still agrees
+    real = validation.simulate_sop
+
+    def widened(query, mc, workers=1):
+        estimate = real(query, mc, workers=workers)
+        twin = real(query, replace(mc, seed=mc.seed + 1000), workers=workers)
+        return replace(estimate, p_hat=1.5 * estimate.p_hat - 0.5 * twin.p_hat)
+
+    monkeypatch.setattr(validation, "simulate_sop", widened)
+    rc = main(["validate", "--smoke", "--check", "determinism"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "1 for ss/ku, 1 for os/ka" in out
+    assert len(re.findall(r"mc variance [0-9.]+x binomial, above 1\.50", out)) == 3
+
+
+def test_dispersion_bound_is_the_chi2_quantile():
+    # the determinism check's bound on the replicates' variance ratio is the
+    # chi^2(99) quantile at 1 - 1e-3 over 99, and the paired sampler's
+    # ratios sit well below it
+    from scipy.stats import chi2
+
+    result = validation.check_determinism(ValidationSettings.smoke())
+    assert result.passed, result.detail
+    assert f"within {chi2.ppf(1.0 - 1e-3, 99) / 99:.2f} (chi2(99) at 0.001 false alarm)" in result.detail
+    ratios = [float(r) for r in re.findall(r"([0-9.]+) \(zeta=", result.detail)]
+    assert len(ratios) == 3 and all(0.5 < ratio < 1.0 for ratio in ratios), ratios
+    assert re.search(r"pooled mean gap [-+][0-9.]+/[-+][0-9.]+/[-+][0-9.]+ se", result.detail)
 
 
 def test_triple_agreement_reports_gaps_the_floor_hides(monkeypatch, capsys):

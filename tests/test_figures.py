@@ -202,7 +202,7 @@ DETERMINISTIC = (EvalMethod.ANALYTIC, EvalMethod.ASYMPTOTIC, EvalMethod.QUADRATU
 def _variant_spec(cfg, scenario, methods, mc=None):
     # the grid, schemes and scenarios run_figure gives each variant
     return SweepSpec(
-        base=cfg,
+        bases=(cfg,),
         snr_db_start=-10.0,
         snr_db_stop=40.0,
         snr_db_step=2.0,
@@ -222,7 +222,7 @@ def test_figure_job_equals_sweeps_per_variant(name, scenario):
     variants = FIGURE_PRESETS[name].variants
     assert [cfg for cfg, _ in result.per_variant] == list(variants)
     for cfg, sweep in result.per_variant:
-        alone = run_sweep(_variant_spec(cfg, scenario, DETERMINISTIC))
+        (alone,) = run_sweep(_variant_spec(cfg, scenario, DETERMINISTIC))
         assert sweep.rows == alone.rows and sweep.mc is None is alone.mc
         # and a spread of them against the one-cell evaluation
         for row in sweep.rows[::29]:
@@ -238,7 +238,7 @@ def test_mc_figure_cells_run_one_by_one_in_row_order(monkeypatch):
     mc = McSettings(n_samples=1024, seed=5)
     methods = (EvalMethod.ANALYTIC, EvalMethod.MC)
     expected = [
-        run_sweep(_variant_spec(cfg, Scenario.KU, methods, mc)).rows
+        run_sweep(_variant_spec(cfg, Scenario.KU, methods, mc))[0].rows
         for cfg in FIGURE_PRESETS["fig2"].variants
     ]
     calls = []

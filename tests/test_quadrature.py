@@ -295,7 +295,7 @@ def _counting_build_integrand(monkeypatch) -> dict:
 
 def _figure_like_spec(**overrides) -> SweepSpec:
     kwargs = dict(
-        base=SystemConfig(K=5, zeta=0.9, r_th=1.0, snr=1.0, M=6, N=4, a=0.5, b=0.2),
+        bases=(SystemConfig(K=5, zeta=0.9, r_th=1.0, snr=1.0, M=6, N=4, a=0.5, b=0.2),),
         snr_db_start=-10.0,
         snr_db_stop=40.0,
         snr_db_step=2.0,
@@ -312,12 +312,12 @@ def test_quadrature_reads_build_integrand_at_call_time(monkeypatch, base_cfg):
     query = SopQuery(cfg=base_cfg, scheme=Scheme.SS, scenario=Scenario.KA)
     expected = quadrature_sop(query)
     spec = _figure_like_spec(snr_db_stop=10.0)
-    expected_rows = run_sweep(spec).rows
+    expected_rows = run_sweep(spec)[0].rows
     counters = _counting_build_integrand(monkeypatch)
     assert quadrature_sop(query) == expected
     assert len(counters) == 1 and next(iter(counters.values())).shapes
     counters.clear()
-    assert run_sweep(spec).rows == expected_rows
+    assert run_sweep(spec)[0].rows == expected_rows
     # the four cases of one (M, N) share its laws
     assert len(counters) == 1 and next(iter(counters.values())).shapes
 
@@ -560,7 +560,7 @@ def test_sweep_calls_each_group_once_per_level(monkeypatch):
     counters = _counting_build_integrand(monkeypatch)
     levels = {}  # per group, the levels of each query's one-row call
     for snr_db in snr_grid(spec):
-        cfg = replace(spec.base, snr=db_to_linear(snr_db))
+        cfg = replace(spec.bases[0], snr=db_to_linear(snr_db))
         for scheme, scenario in CASES:
             counters.clear()
             quadrature_sop(SopQuery(cfg, scheme, scenario))
@@ -591,7 +591,7 @@ def test_figure_job_calls_each_group_once_per_level(monkeypatch, name):
                 ((group, counter),) = counters.items()
                 levels.setdefault(group, []).append(len(counter.shapes))
         counters.clear()
-        run_sweep(replace(spec, base=cfg, schemes=(Scheme.SS, Scheme.OS)))
+        run_sweep(replace(spec, bases=(cfg,), schemes=(Scheme.SS, Scheme.OS)))
         per_variant_calls += sum(len(counter.shapes) for counter in counters.values())
     counters.clear()
     run_figure(name, scenario=Scenario.KA, methods=(EvalMethod.QUADRATURE,))

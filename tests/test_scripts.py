@@ -99,24 +99,29 @@ def test_knowledge_benefit_table():
 
 
 def test_knowledge_benefit_marks_a_winner_named_from_flagged_values():
-    # at K = 500 the ss gains come from flagged closed forms (the ss ratio
-    # reads inf*), so both winner cells carry the mark, in both tables
+    # at K = 500 the ss floors are flagged (the ss ratio reads inf*), so both
+    # winner cells of the floor table carry the mark; the ss closed forms
+    # lose significance too, but fall back to quadrature, unmarked
     done = _run_script("knowledge_benefit.py", "--K", "500", "--zeta", "0.9", "--MN", "6,4")
     assert done.returncode == 0, done.stderr
-    rows = [line for line in done.stdout.splitlines() if line.startswith("500")]
-    assert len(rows) == 2
-    for row in rows:
-        ss_drop, os_drop, ss_ratio, os_ratio, by_drop, by_ratio = row.replace("|", " ").split()[4:]
-        assert ss_ratio == "inf*" and not os_ratio.endswith("*")
-        assert (by_drop, by_ratio) == ("ss*", "ss*")
+    at_snr, floor = [line for line in done.stdout.splitlines() if line.startswith("500")]
+    assert "*" not in at_snr
+    ss_drop, os_drop, ss_ratio, os_ratio, by_drop, by_ratio = at_snr.replace("|", " ").split()[4:]
+    assert float(ss_drop) == pytest.approx(0.1, abs=5e-5) and float(ss_ratio) > 1.0
+    ss_drop, os_drop, ss_ratio, os_ratio, by_drop, by_ratio = floor.replace("|", " ").split()[4:]
+    assert ss_ratio == "inf*" and not os_ratio.endswith("*")
+    assert (by_drop, by_ratio) == ("ss*", "ss*")
     assert "a winner named from one" in done.stdout
 
 
 def test_knowledge_benefit_reads_a_ratio_over_zero():
-    # both ss outages underflow to 0 at K = 200 with reliable backhaul: the
-    # ss ratio prints nan, and the ratio names no winner
+    # both ss floors underflow to 0 at K = 200 with reliable backhaul: the
+    # ss ratio prints nan, and the ratio names no winner; at 10 dB the
+    # flagged ss closed forms fall back to quadrature, and ku = ka there
     done = _run_script("knowledge_benefit.py", "--K", "200", "--zeta", "1.0", "--MN", "6,4")
     assert done.returncode == 0, done.stderr
-    for table in _benefit_rows(done.stdout):
-        ss_drop, os_drop, ss_ratio, os_ratio, by_drop, by_ratio = table[(200, 1.0, 6, 4)]
-        assert (ss_ratio, by_ratio) == ("nan", "n/a")
+    at_snr, floor = _benefit_rows(done.stdout)
+    ss_drop, os_drop, ss_ratio, os_ratio, by_drop, by_ratio = floor[(200, 1.0, 6, 4)]
+    assert (ss_ratio, by_ratio) == ("nan", "n/a")
+    ss_drop, os_drop, ss_ratio, os_ratio, by_drop, by_ratio = at_snr[(200, 1.0, 6, 4)]
+    assert (ss_ratio, os_ratio, by_ratio) == ("1", "1", "tie")

@@ -24,7 +24,6 @@ from secrecy_outage.sweep import (
     evaluate_cell,
     read_sweep_csv,
     run_sweep,
-    run_sweeps,
     snr_grid,
     write_sweep_csv,
 )
@@ -33,7 +32,7 @@ from secrecy_outage.sweep import (
 def _spec(**overrides):
     base = SystemConfig(K=2, zeta=0.9, r_th=1.0, snr=1.0, M=6, N=4, a=0.5, b=0.2)
     kwargs = dict(
-        base=base,
+        bases=(base,),
         snr_db_start=0.0,
         snr_db_stop=10.0,
         snr_db_step=5.0,
@@ -78,6 +77,8 @@ def test_spec_validation():
         _spec(snr_db_stop=-1.0)
     with pytest.raises(ValueError):
         _spec(methods=())
+    with pytest.raises(ValueError, match="bases must be non-empty"):
+        _spec(bases=())
     # case and method strings become their enums, as in SopQuery; a repeated
     # scheme, scenario or method would write every row twice
     parsed = _spec(schemes=("os", Scheme.SS), scenarios=("ka",), methods=("quadrature", "mc"))
@@ -124,7 +125,7 @@ def test_rows_are_lexicographically_sorted():
         scenarios=(Scenario.KU, Scenario.KA),
         methods=(EvalMethod.ANALYTIC, EvalMethod.QUADRATURE),
     )
-    result = run_sweep(spec)
+    (result,) = run_sweep(spec)
     # a table of grid points by cases, the cases sorted by their strings
     assert result.sop.shape == result.ci_half_width.shape == result.flag.shape == (len(snr_grid(spec)), 8)
     assert len(result.cases) == 8
@@ -137,7 +138,7 @@ def test_rows_are_lexicographically_sorted():
 
 
 def test_csv_format_contract():
-    result = run_sweep(_spec())
+    (result,) = run_sweep(_spec())
     buffer = io.StringIO()
     write_sweep_csv(result, buffer)
     text = buffer.getvalue()
@@ -164,7 +165,7 @@ def test_csv_format_contract():
 def test_csv_mc_provenance_comment():
     spec = _spec(methods=(EvalMethod.MC,), mc=McSettings(n_samples=4096, seed=7, confidence=0.9))
     buffer = io.StringIO()
-    write_sweep_csv(run_sweep(spec), buffer)
+    write_sweep_csv(*run_sweep(spec), buffer)
     last_line = buffer.getvalue().rstrip("\n").split("\n")[-1]
     assert last_line == "# mc seed=7 samples=4096 confidence=0.9"
 
@@ -174,7 +175,7 @@ def test_csv_round_trip(tmp_path):
         methods=(EvalMethod.ANALYTIC, EvalMethod.MC),
         mc=McSettings(n_samples=4096, seed=3),
     )
-    result = run_sweep(spec)
+    (result,) = run_sweep(spec)
     path = tmp_path / "sweep.csv"
     write_sweep_csv(result, path)
 
@@ -197,14 +198,15 @@ def test_rerun_reproduces_csv_bytes(tmp_path):
         mc=McSettings(n_samples=8192, seed=12),
     )
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_sweep_csv(run_sweep(spec), first)
-    write_sweep_csv(run_sweep(spec), second)
+    write_sweep_csv(*run_sweep(spec), first)
+    write_sweep_csv(*run_sweep(spec), second)
     assert first.read_bytes() == second.read_bytes()
 
 
 def test_asymptotic_rows_are_snr_free():
     spec = _spec(methods=(EvalMethod.ASYMPTOTIC,))
-    rows = run_sweep(spec).rows
+    (result,) = run_sweep(spec)
+    rows = result.rows
     assert len({r.sop for r in rows}) == 1
 
 
@@ -212,7 +214,7 @@ def test_batched_sweep_equals_cell_by_cell_evaluation():
     # run_sweep sends its closed-form, floor and quadrature cells to the batch
     # entries; every row must be that cell's own evaluate_cell result
     spec = _spec(
-        base=SystemConfig(K=3, zeta=0.9, r_th=1.0, snr=1.0, M=4, N=3, a=0.5, b=0.2),
+        bases=(SystemConfig(K=3, zeta=0.9, r_th=1.0, snr=1.0, M=4, N=3, a=0.5, b=0.2),),
         snr_db_start=-10.0,
         snr_db_stop=40.0,
         snr_db_step=10.0,
@@ -220,7 +222,8 @@ def test_batched_sweep_equals_cell_by_cell_evaluation():
         scenarios=(Scenario.KU, Scenario.KA),
         methods=(EvalMethod.ANALYTIC, EvalMethod.ASYMPTOTIC, EvalMethod.QUADRATURE),
     )
-    rows = run_sweep(spec).rows
+    (result,) = run_sweep(spec)
+    rows = result.rows
     assert len(rows) == 6 * 2 * 2 * 3
     for row in rows:
         cfg = SystemConfig(K=3, zeta=0.9, r_th=1.0, snr=db_to_linear(row.snr_db), M=4, N=3, a=0.5, b=0.2)
@@ -237,28 +240,27 @@ EDGE_BASES = {
 
 def test_edge_sweeps_batched_together_equal_each_alone():
     # zeta = 0 reads no inner value, K = 1 at zeta = 1 collapses the four
-    # cases, and K = 20 M = 10 raises the significance flag; batched into
-    # one run_sweeps call, each spec keeps its own rows, and each row is its
-    # cell's own evaluation (the simulation cells too, at a fixed seed)
-    specs = [
-        _spec(
-            base=base,
-            snr_db_start=-10.0,
-            snr_db_stop=40.0,
-            snr_db_step=10.0,
-            schemes=(Scheme.SS, Scheme.OS),
-            scenarios=(Scenario.KU, Scenario.KA),
-            methods=tuple(EvalMethod),
-            mc=McSettings(n_samples=1024, seed=3),
-        )
-        for base in EDGE_BASES.values()
-    ]
-    results = run_sweeps(specs)
-    assert [r.rows for r in results] == [run_sweep(spec).rows for spec in specs]
-    for spec, result in zip(specs, results):
+    # cases, and K = 20 M = 10 fires the cancellation guard, whose keys the
+    # closed form hands to quadrature; swept as the bases of one spec, each
+    # base keeps its own rows, and each row is its cell's own evaluation
+    # (the simulation cells too, at a fixed seed)
+    spec = _spec(
+        bases=tuple(EDGE_BASES.values()),
+        snr_db_start=-10.0,
+        snr_db_stop=40.0,
+        snr_db_step=10.0,
+        schemes=(Scheme.SS, Scheme.OS),
+        scenarios=(Scenario.KU, Scenario.KA),
+        methods=tuple(EvalMethod),
+        mc=McSettings(n_samples=1024, seed=3),
+    )
+    results = run_sweep(spec)
+    assert len(results) == len(spec.bases)
+    assert [r.rows for r in results] == [run_sweep(replace(spec, bases=(base,)))[0].rows for base in spec.bases]
+    for base, result in zip(spec.bases, results):
         assert result.mc == spec.mc
         for row in result.rows:
-            cfg = replace(spec.base, snr=db_to_linear(row.snr_db))
+            cfg = replace(base, snr=db_to_linear(row.snr_db))
             cell = evaluate_cell(cfg, row.scheme, row.scenario, row.method, spec.mc)
             assert (row.sop, row.ci_half_width, row.flags) == cell, row
     dead, single, flagged = results
@@ -268,37 +270,15 @@ def test_edge_sweeps_batched_together_equal_each_alone():
         if row.method is EvalMethod.ANALYTIC:
             by_point.setdefault(row.snr_db, set()).add(row.sop)
     assert all(len(values) == 1 for values in by_point.values())
-    assert any(row.flags == "significance_loss" for row in flagged.rows)
-
-
-@pytest.mark.parametrize(
-    "change",
-    [
-        dict(snr_db_start=-5.0),
-        dict(snr_db_stop=15.0),
-        dict(snr_db_step=2.5),
-        dict(schemes=(Scheme.SS, Scheme.OS)),
-        dict(scenarios=(Scenario.KA,)),
-        dict(methods=(EvalMethod.ANALYTIC,)),
-        dict(mc=McSettings(n_samples=2048, seed=1)),
-    ],
-    ids=["start", "stop", "step", "schemes", "scenarios", "methods", "mc"],
-)
-def test_run_sweeps_refuses_specs_that_differ_beyond_base(monkeypatch, change):
-    # the specs of one call share all but their base: a spec that differs
-    # from the first in its grid, cases, methods or simulation settings is
-    # refused before any route runs
-    assert set(sweep_module._ROUTES) == set(EvalMethod)
-    seen = _recording_routes(monkeypatch)
-    first = _spec(methods=(EvalMethod.ANALYTIC, EvalMethod.MC), mc=McSettings(n_samples=1024, seed=1))
-    other_base = replace(first, base=replace(first.base, K=3))
-    with pytest.raises(ValueError, match=f"spec 2 differs from the first in {next(iter(change))}:"):
-        run_sweeps([first, other_base, replace(other_base, **change)])
-    assert seen == []
-
-
-def test_run_sweeps_of_nothing():
-    assert run_sweeps([]) == []
+    # a fallback cell holds its quadrature row's value and names the fallback;
+    # the floor, which has no key for quadrature to take, keeps its flag
+    quadrature = {
+        (row.snr_db, row.scheme, row.scenario): row.sop for row in flagged.rows if row.method is EvalMethod.QUADRATURE
+    }
+    fallback = [row for row in flagged.rows if row.flags == "quadrature_fallback"]
+    assert fallback and all(row.method is EvalMethod.ANALYTIC for row in fallback)
+    assert all(row.sop == quadrature[(row.snr_db, row.scheme, row.scenario)] for row in fallback)
+    assert all(row.method is EvalMethod.ASYMPTOTIC for row in flagged.rows if row.flags == "significance_loss")
 
 
 def test_held_figure_result_keeps_few_bytes_per_row():
@@ -365,7 +345,7 @@ def _assert_cells_at_grid_points(pairs, seen):
 @pytest.mark.parametrize("scenario", [Scenario.KU, Scenario.KA])
 @pytest.mark.parametrize("name", sorted(FIGURE_PRESETS))
 def test_grid_point_configs_equal_a_replaced_base_on_every_preset(monkeypatch, name, scenario):
-    # run_sweeps skips re-checking the validated base at each grid point; the
+    # run_sweep skips re-checking the validated bases at each grid point; the
     # config it builds must still be the one replace() builds
     seen = _recording_routes(monkeypatch)
     result = run_figure(name, scenario=scenario, methods=tuple(EvalMethod))
@@ -375,17 +355,13 @@ def test_grid_point_configs_equal_a_replaced_base_on_every_preset(monkeypatch, n
 
 def test_grid_point_configs_equal_a_replaced_base_on_edge_bases(monkeypatch):
     seen = _recording_routes(monkeypatch)
-    specs = [
-        _spec(
-            base=base,
-            snr_db_start=-10.0,
-            snr_db_stop=40.0,
-            snr_db_step=2.5,
-            schemes=(Scheme.SS, Scheme.OS),
-            scenarios=(Scenario.KU, Scenario.KA),
-            methods=tuple(EvalMethod),
-        )
-        for base in EDGE_BASES.values()
-    ]
-    results = run_sweeps(specs)
-    _assert_cells_at_grid_points([(spec.base, result) for spec, result in zip(specs, results)], seen)
+    spec = _spec(
+        bases=tuple(EDGE_BASES.values()),
+        snr_db_start=-10.0,
+        snr_db_stop=40.0,
+        snr_db_step=2.5,
+        schemes=(Scheme.SS, Scheme.OS),
+        scenarios=(Scenario.KU, Scenario.KA),
+        methods=tuple(EvalMethod),
+    )
+    _assert_cells_at_grid_points(zip(spec.bases, run_sweep(spec)), seen)
