@@ -7,11 +7,8 @@ selection drives the floor down like (1 - zeta)^K.  Adding a transmitter is
 worth another factor of (1 - zeta) only when the selector knows which
 backhaul links are up.
 
-A floor whose alternating series lost significance is marked with ``*``.
-Only floors can still carry the mark: a closed form whose series loses
-significance falls back to quadrature, but the floor's alpha = 0 is no key
-that quadrature could take.
-The last column, os ku / ka, reads inf over an os/ka floor that
+A floor whose alternating series loses significance holds quadrature's
+value at alpha = 0.  The last column, os ku / ka, reads inf over an os/ka floor that
 underflowed to 0, or nan when os/ku is 0 too.
 
 Usage:
@@ -33,10 +30,6 @@ def _ratio(ku: float, ka: float) -> float:
     if ka:
         return ku / ka
     return math.copysign(math.inf, ku) if ku else math.nan
-
-
-def _number(value: float, flagged: bool, spec: str) -> str:
-    return f"{value:{spec}}{'*' if flagged else ' '}"
 
 
 def main() -> int:
@@ -77,14 +70,13 @@ def main() -> int:
             gain = _ratio(os_ku.value, os_ka.value)
             print(
                 f"{K:>3} {zeta:>6.2f} | "
-                + " ".join(_number(floors[case].value, floors[case].significance_flag, ">11.4e") for case in cases)
-                + f" | {_number(gain, os_ku.significance_flag or os_ka.significance_flag, '>9.5g')}"
+                + " ".join(f"{floors[case].value:>12.4e}" for case in cases)
+                + f" | {gain:>10.5g}"
             )
         print()
     print("blind floors are capped by 1 - zeta; active-set floors keep "
           "falling with K")
-    print("* marks a flagged floor (only floors can still be flagged; a closed form falls back to quadrature); "
-          "os ku/ka reads inf over an os/ka floor that underflowed to 0, or nan if os/ku did too")
+    print("os ku/ka reads inf over an os/ka floor that underflowed to 0, or nan if os/ku did too")
     return 0
 
 

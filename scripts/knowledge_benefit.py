@@ -10,12 +10,7 @@ names the scheme that gains more under each reading.  At the reference
 point the drop form fails at K = 2 while the ratio form holds.
 
 All closed forms come from one ``analytic_sops`` batch and all floors from
-one ``asymptotic_sops`` batch.  A value computed from a flagged floor (its
-alternating series lost significance) is marked with ``*``, and so is a
-winner named by comparing two gains of which either is flagged.  Only the
-floor table can carry the mark: a closed form whose series loses
-significance falls back to quadrature, and is not flagged.  A ratio
-over a ka outage that underflowed to 0 reads inf, or nan when ku is 0 too;
+one ``asymptotic_sops`` batch.  A ratio over a ka outage that underflowed to 0 reads inf, or nan when ku is 0 too;
 such a ratio names no winner where it is nan or both schemes' are inf.
 
 Usage:
@@ -49,10 +44,6 @@ def _path_counts(text: str) -> tuple[int, int]:
     return int(M), int(N)
 
 
-def _marked(value, flagged: bool, spec: str) -> str:
-    return f"{value:{spec}}{'*' if flagged else ' '}"
-
-
 def _ratio(ku: float, ka: float) -> float:
     """ku / ka, reading inf over a ka that underflowed to 0, or nan when both did."""
     if ka:
@@ -75,20 +66,13 @@ def _table(title: str, points, values) -> list[str]:
     )
     lines = [title, header, "-" * len(header)]
     for (K, zeta, M, N), cells in zip(points, values):
-        gains = {}
-        for scheme, (ku, ka) in zip(SCHEMES, (cells[0:2], cells[2:4])):
-            flagged = ku.significance_flag or ka.significance_flag
-            gains[scheme] = (ku.value - ka.value, _ratio(ku.value, ka.value), flagged)
-        (ss_drop, ss_ratio, ss_flag), (os_drop, os_ratio, os_flag) = gains[Scheme.SS], gains[Scheme.OS]
-        either = ss_flag or os_flag
-        row = (
-            f"{K:>3} {zeta:>6.2f} {M:>3} {N:>3} | "
-            f"{_marked(ss_drop, ss_flag, '>11.4e')} {_marked(os_drop, os_flag, '>11.4e')} | "
-            f"{_marked(ss_ratio, ss_flag, '>10.5g')} {_marked(os_ratio, os_flag, '>10.5g')} | "
-            f"{_marked(_winner(ss_drop, os_drop), either, '>4')} "
-            f"{_marked(_winner(ss_ratio, os_ratio), either, '>5')}"
+        (ss_ku, ss_ka, os_ku, os_ka) = (cell.value for cell in cells)
+        ss_drop, os_drop = ss_ku - ss_ka, os_ku - os_ka
+        ss_ratio, os_ratio = _ratio(ss_ku, ss_ka), _ratio(os_ku, os_ka)
+        lines.append(
+            f"{K:>3} {zeta:>6.2f} {M:>3} {N:>3} | {ss_drop:>12.4e} {os_drop:>12.4e} | "
+            f"{ss_ratio:>11.5g} {os_ratio:>11.5g} | {_winner(ss_drop, os_drop):>5} {_winner(ss_ratio, os_ratio):>6}"
         )
-        lines.append(row.rstrip())
     return lines
 
 
@@ -131,8 +115,6 @@ def main() -> int:
                                f"(r_th={args.rth}, a={args.a}, b={args.b})", points, rows)))
         print()
     print("drop/ratio: the scheme whose outage falls more from ku to ka (n/a where a ratio is nan or both are inf);")
-    print("* marks a value from a flagged floor, and a winner named from one (only floors are flagged: "
-          "a closed form that loses significance falls back to quadrature);")
     print("a ratio over an outage that underflowed to 0 reads inf, or nan if ku did too")
     return 0
 

@@ -28,11 +28,10 @@ Every per-term product is assembled in log space (factorials from
 exponentiated once per term; only the top-level alternating sum over the
 binomial index runs in linear space, exactly rounded (``math.fsum``), and
 ``significance_lost`` flags a sum that cancelled far below its largest term
-instead of returning quiet noise.  The closed form hands such keys to
-quadrature (``analytic_inner``); the floor keeps the flag, since its alpha =
-0 is no key that quadrature could take.  Results outside [0, 1] by more than a
-1e-9 round-off band raise ``NumericalIntegrityError`` rather than being
-clamped, so formula bugs cannot hide behind clamping.
+instead of returning quiet noise.  Both routes hand such keys to quadrature
+(``analytic_inner``), the floor's at alpha = 0.  Results outside [0, 1] by
+more than a 1e-9 round-off band raise ``NumericalIntegrityError`` rather than
+being clamped, so formula bugs cannot hide behind clamping.
 ``enumerate_weak_compositions`` lists the multinomial expansion of p_0^k
 that the power rows replaced; no route or check reads it, and the
 benchmark times it.
@@ -74,10 +73,10 @@ __all__ = [
 # [0, 1] than this indicate a formula or assembly bug, not round-off.
 INTEGRITY_BAND = 1e-9
 
-# A key's or cell's flag code, 0 for none: the cancellation guard fired, so
-# the value is bounded but not trustworthy, or the closed form's key took
-# quadrature's value instead (``analytic_inner``).
-SIGNIFICANCE_LOSS, QUADRATURE_FALLBACK = 1, 2
+# A cell's flag strings, indexed by its flag code: none, a series key that took
+# quadrature's value (``analytic_inner``), or a Monte Carlo low-confidence estimate.
+FLAGS = ("", "quadrature_fallback", "low_confidence")
+QUADRATURE_FALLBACK, LOW_CONFIDENCE = 1, 2
 
 
 class Scheme(str, Enum):
@@ -135,10 +134,9 @@ class SopValue:
     """Evaluated outage probability.
 
     ``method`` is the route that produced it: ``quadrature`` for a closed
-    form whose key fell back to it.  ``value`` is clamped to [0, 1].
-    ``significance_flag`` is set when the alternating-sum cancellation guard
-    fired and nothing took over, in which case ``value`` is bounded but not
-    trustworthy to full precision.
+    form or floor whose key fell back to it.  ``value`` is clamped to [0, 1].
+    ``significance_flag`` is set exactly where the alternating-sum
+    cancellation guard fired and quadrature's value stands in.
     """
 
     value: float
@@ -171,11 +169,12 @@ class CasePlan:
     zeta = 1, snr at r_th = 0, where alpha is 0) share a key.  A config
     whose beta underflows to 0 or overflows, or whose alpha overflows,
     raises ``ValueError``, as a link scale out of the float range does.
+    A ``floor`` plan sets every alpha to 0, the high-SNR limit.
     """
 
     __slots__ = ("cells", "first", "rows", "groups")
 
-    def __init__(self, cells):
+    def __init__(self, cells, floor: bool = False):
         cells, first, rows, groups = list(cells), [], [], {}
         self.cells, self.first, self.rows, self.groups = cells, first, rows, groups
         index: dict[tuple, int] = {}
@@ -184,7 +183,7 @@ class CasePlan:
         for position, (cfg, scheme, scenario) in enumerate(cells):
             if cfg is not last:  # a grid point's cells share its config
                 last, K, zeta, rho = cfg, cfg.K, cfg.zeta, cfg.rho
-                link, alpha = (cfg.M, cfg.N, rho * cfg.b / cfg.a), (rho - 1.0) / (cfg.a * cfg.snr)
+                link, alpha = (cfg.M, cfg.N, rho * cfg.b / cfg.a), 0.0 if floor else (rho - 1.0) / (cfg.a * cfg.snr)
                 if not (0.0 < link[2] < math.inf and alpha < math.inf):
                     raise ValueError(f"outage boundary alpha={alpha!r}, beta={link[2]!r} must be finite, beta > 0")
             if not zeta > 0.0:
@@ -210,7 +209,7 @@ def case_sop(plan: CasePlan, inner, method: EvalMethod) -> tuple[list[float], li
 
     ``inner(plan)`` returns (raws, flags), one per distinct key of the
     plan: x = E_y[((1 - w) + w F_d(lambda(y)))^L] with lambda(y) = (1 + y)
-    rho - 1, and its flag code.  Per case:
+    rho - 1, and its flag code (0 or ``QUADRATURE_FALLBACK``).  Per case:
 
         case   (L, w)     outage                 because
         ss/ku  (K, 1)     (1 - zeta) + zeta x    the strongest link may turn out silenced
@@ -224,9 +223,8 @@ def case_sop(plan: CasePlan, inner, method: EvalMethod) -> tuple[list[float], li
 
     The plan is built once per batch, so each distinct inner quantity is
     evaluated once however many cells read it, and this composition runs
-    once per cell.  Every inner value that did not lose significance passes
-    the integrity check before it is composed, and every composed outage
-    passes it again.
+    once per cell.  Every inner value passes the integrity check before it
+    is composed, and every composed outage passes it again.
     Strongest-destination selection powers the CDF inside the eavesdropper
     integral and composes from the unclamped x; best-ratio selection powers
     the clamped single-link value outside it, with Python's float power
@@ -236,8 +234,8 @@ def case_sop(plan: CasePlan, inner, method: EvalMethod) -> tuple[list[float], li
     returns the single-transmitter outage x itself.  The composition is one
     pass over plain floats, so a lone cell pays no array set-up, and a
     batch's values equal its cells' lone calls bit for bit.  A NaN or
-    out-of-band value anywhere in the batch that did not lose significance
-    raises ``NumericalIntegrityError``, named by ``method``, a route or its
+    out-of-band value anywhere in the batch raises
+    ``NumericalIntegrityError``, named by ``method``, a route or its
     string.  Returns the clamped outages and their flag codes, per cell.
     """
     method = EvalMethod(method)
@@ -245,20 +243,20 @@ def case_sop(plan: CasePlan, inner, method: EvalMethod) -> tuple[list[float], li
     low, high = -INTEGRITY_BAND, 1.0 + INTEGRITY_BAND
     # the inner value is checked before composing: a blind-selection mix
     # (1 - zeta) + zeta x can land in band from an x far outside it
-    for raw, flag in zip(raws, flags):
-        if not (low <= raw <= high or flag == SIGNIFICANCE_LOSS):
+    for raw in raws:
+        if not low <= raw <= high:
             raise _integrity_error(raw, method)
     values, cell_flags = [], []
     for at, power, zeta in plan.rows:
         if at < 0:
-            raw, flag = 1.0, False
+            raw, flag = 1.0, 0
         else:
             raw, flag = raws[at], flags[at]
             if power:
                 raw = (0.0 if raw < 0.0 else 1.0 if raw > 1.0 else raw) ** power
             if zeta is not None:
                 raw = (1.0 - zeta) + zeta * raw
-            if not (low <= raw <= high or flag == SIGNIFICANCE_LOSS):
+            if not low <= raw <= high:
                 raise _integrity_error(raw, method)
         values.append(0.0 if raw < 0.0 else 1.0 if raw > 1.0 else raw)
         cell_flags.append(flag)
@@ -270,7 +268,7 @@ def case_sop(plan: CasePlan, inner, method: EvalMethod) -> tuple[list[float], li
 # ---------------------------------------------------------------------------
 
 # |sum| / max|term| below this ratio means the cancellation ate more than
-# roughly 50 bits of the terms; callers surface that as a significance flag.
+# roughly 50 bits of the terms; such keys take quadrature's value instead.
 SIGNIFICANCE_LOSS_RATIO = 1e-10
 
 
@@ -378,10 +376,7 @@ def _selection_series(M: int, N: int, beta: float, K: int, weight: float, alphas
 # ---------------------------------------------------------------------------
 
 def _grouped_inner(plan: CasePlan, floor: bool) -> tuple[list[float], list[bool]]:
-    """(raws, flags) of every distinct key of ``plan``: one series per group, at its alphas or the ``floor``'s 0.
-
-    A flag is True, which equals ``SIGNIFICANCE_LOSS``, where the key's guard fired.
-    """
+    """(raws, guard flags) of every distinct key of ``plan``: a series per group, at its alphas or the floor's 0."""
     raws, flags = [0.0] * len(plan.first), [False] * len(plan.first)
     for (M, N, beta, L, w), (ats, alphas) in plan.groups.items():
         values = _selection_series(M, N, beta, L, w, [0.0] if floor else alphas)
@@ -390,34 +385,37 @@ def _grouped_inner(plan: CasePlan, floor: bool) -> tuple[list[float], list[bool]
     return raws, flags
 
 
-def analytic_inner(plan: CasePlan) -> tuple[list[float], list[int]]:
-    """The exact series of every distinct key of ``plan``: one series per group over its alphas.
+def analytic_inner(plan: CasePlan, floor: bool = False) -> tuple[list[float], list[int]]:
+    """The series of every distinct key of ``plan``: one per group, over its alphas or at the ``floor``'s 0.
 
     The keys whose cancellation guard fires take quadrature's value instead,
     flagged ``QUADRATURE_FALLBACK``: their first cells go to
-    ``quadrature_inner`` as one stacked plan, each key its own row.
+    ``quadrature_inner`` as one stacked plan, a floor's at alpha = 0, so a
+    floor group's lost keys share one row.  Every other key's code is 0.
     """
-    raws, flags = _grouped_inner(plan, floor=False)
+    raws, flags = _grouped_inner(plan, floor)
+    codes = [0] * len(raws)
     lost = [at for at, flag in enumerate(flags) if flag]
     if lost:
         from .quadrature import quadrature_inner  # imported here: quadrature imports this module
 
-        values, _ = quadrature_inner(CasePlan([plan.cells[plan.first[at]] for at in lost]))
-        for at, value in zip(lost, values):
-            raws[at], flags[at] = value, QUADRATURE_FALLBACK
-    return raws, flags
+        sub = CasePlan([plan.cells[plan.first[at]] for at in lost], floor)
+        values, _ = quadrature_inner(sub)
+        for at, (row, _, _) in zip(lost, sub.rows):
+            raws[at], codes[at] = values[row], QUADRATURE_FALLBACK
+    return raws, codes
 
 
-def asymptotic_inner(plan: CasePlan) -> tuple[list[float], list[bool]]:
+def asymptotic_inner(plan: CasePlan) -> tuple[list[float], list[int]]:
     """The high-SNR floor of every distinct key of ``plan``: the series at alpha = 0, once per group."""
-    return _grouped_inner(plan, floor=True)
+    return analytic_inner(plan, floor=True)
 
 
 def _sop_values(queries, inner, method: EvalMethod) -> list[SopValue]:
     """One ``SopValue`` per query: the case rule over one plan of the batch."""
     values, flags = case_sop(CasePlan.of(queries), inner, method)
     return [
-        SopValue(value, EvalMethod.QUADRATURE if flag == QUADRATURE_FALLBACK else method, flag == SIGNIFICANCE_LOSS)
+        SopValue(value, EvalMethod.QUADRATURE, True) if flag else SopValue(value, method, False)
         for value, flag in zip(values, flags)
     ]
 
@@ -434,7 +432,7 @@ def analytic_sops(queries) -> list[SopValue]:
 
 
 def asymptotic_sops(queries) -> list[SopValue]:
-    """High-SNR outage floors of many queries, in input order; one floor series per group."""
+    """High-SNR outage floors of many queries, in input order: ``analytic_sops`` at alpha = 0, fallback included."""
     return _sop_values(queries, asymptotic_inner, EvalMethod.ASYMPTOTIC)
 
 

@@ -7,8 +7,8 @@ Subcommands:
 * ``figure``   run a preset parameter study (CSV plus plot description)
 * ``validate`` run the cross-validation checks
 
-Exit codes: 0 on success, 1 when validation checks fail, 2 on usage errors,
-an output path that cannot be written among them.
+Exit codes: 0 on success, 1 when validation checks fail, 2 on usage errors
+(an unwritable output path among them) and on typed numerical errors.
 SNR is accepted in dB and converted to linear scale here, at the boundary;
 the library itself works in linear units throughout.
 """
@@ -19,7 +19,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .analytic import Scenario, Scheme
+from .analytic import NumericalIntegrityError, Scenario, Scheme
 from .channel import REFERENCE_CONFIG, SystemConfig
 from .figures import (
     FIGURE_PRESETS,
@@ -31,6 +31,7 @@ from .figures import (
     write_plot_description,
 )
 from .montecarlo import McSettings
+from .quadrature import QuadratureConvergenceError
 from .sweep import (
     EvalMethod,
     SweepSpec,
@@ -244,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, NumericalIntegrityError, QuadratureConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -340,10 +340,10 @@ def _boundary_expectations(plan: CasePlan) -> list[float]:
     return results
 
 
-def quadrature_inner(plan: CasePlan) -> tuple[list[float], list[bool]]:
+def quadrature_inner(plan: CasePlan) -> tuple[list[float], list[int]]:
     """The boundary expectation of every distinct key of ``plan``, one stacked row each; never flagged."""
     values = _boundary_expectations(plan)
-    return values, [False] * len(values)
+    return values, [0] * len(values)
 
 
 def quadrature_sops(queries) -> list[float]:

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import CasePlan, EvalMethod, SopQuery, Scenario, Scheme, analytic_inner, asymptotic_inner, case_sop
+from .analytic import FLAGS, LOW_CONFIDENCE, CasePlan, EvalMethod, SopQuery, Scenario, Scheme, case_sop
+from .analytic import analytic_inner, asymptotic_inner
 from .channel import SystemConfig, _at_snr
 from .montecarlo import McSettings, simulate_sop
 from .quadrature import quadrature_inner
@@ -46,10 +47,6 @@ CSV_HEADER = ("snr_db", "scheme", "scenario", "method", "sop", "ci_half_width", 
 # A sweep longer than this is a mistyped step, not a study; it is refused
 # before any grid list is built.
 MAX_SNR_POINTS = 100_000
-
-FLAG_SIGNIFICANCE = "significance_loss"
-FLAG_FALLBACK = "quadrature_fallback"
-FLAG_LOW_CONFIDENCE = "low_confidence"
 
 
 def db_to_linear(snr_db: float) -> float:
@@ -130,11 +127,6 @@ def snr_grid(spec: SweepSpec) -> list[float]:
 # Every enum member's string, read by the CSV writer instead of ``Enum.value``.
 _NAMES = {member: member.value for enum in (Scheme, Scenario, EvalMethod) for member in enum}
 
-# A cell's flag is stored as its index here: a closed form's or floor's flag
-# is its code (``analytic.SIGNIFICANCE_LOSS`` or ``QUADRATURE_FALLBACK``),
-# and a low-confidence estimate is code 3.
-_FLAGS = ("", FLAG_SIGNIFICANCE, FLAG_FALLBACK, FLAG_LOW_CONFIDENCE)
-
 
 def _case_route(inner, method: EvalMethod):
     """A deterministic route's cells: the case rule over ``inner``'s values of the plan's distinct keys; no CI."""
@@ -152,7 +144,7 @@ def _mc_route(cells, mc: McSettings):
     return (
         [estimate.p_hat for estimate in estimates],
         [estimate.ci_half_width for estimate in estimates],
-        [3 if estimate.low_confidence else 0 for estimate in estimates],
+        [LOW_CONFIDENCE if estimate.low_confidence else 0 for estimate in estimates],
     )
 
 
@@ -176,7 +168,7 @@ def evaluate_cell(
     """Evaluate one (config, case, method) cell as a batch of one; returns (sop, ci, flags)."""
     method, cells = EvalMethod(method), [(cfg, Scheme(scheme), Scenario(scenario))]
     (sop,), cis, (flag,) = _ROUTES[method](cells if method is EvalMethod.MC else CasePlan(cells), mc)
-    return sop, None if cis is None else cis[0], _FLAGS[flag]
+    return sop, None if cis is None else cis[0], FLAGS[flag]
 
 
 @dataclass(eq=False, slots=True)
@@ -188,8 +180,7 @@ class SweepResult:
     column by column, is the CSV contract's row order.  ``sop`` and
     ``ci_half_width`` are (points, cases) float64 arrays, the latter NaN
     where a cell has no confidence interval, and ``flag`` holds each cell's
-    index into the flag strings ("", significance loss, quadrature
-    fallback, low confidence).
+    flag code, its index into ``analytic.FLAGS``.
     ``rows`` is a view: a new ``SweepRow`` list on each access, never kept.
     """
 
@@ -208,7 +199,7 @@ class SweepResult:
     def rows(self) -> list[SweepRow]:
         """A new ``SweepRow`` list built from the table; ``None`` where a cell has no CI."""
         return [
-            SweepRow(snr_db, *case, sop, None if math.isnan(ci) else ci, _FLAGS[flag])
+            SweepRow(snr_db, *case, sop, None if math.isnan(ci) else ci, FLAGS[flag])
             for snr_db, sops, cis, flags in self._points()
             for case, sop, ci, flag in zip(self.cases, sops, cis, flags)
         ]
@@ -277,7 +268,7 @@ def _write_csv(target, header, parts, mc: McSettings | None) -> None:
     target.write(",".join(header) + "\n")
     for result, suffix in parts:
         cases = [",".join(_NAMES[member] for member in case) for case in result.cases]
-        endings = [f"{flag}{suffix}\n" for flag in _FLAGS]
+        endings = [f"{flag}{suffix}\n" for flag in FLAGS]
         for snr_db, sops, cis, flags in result._points():
             snr_text = _format_float(snr_db)
             for case, sop, ci, flag in zip(cases, sops, cis, flags):

@@ -35,7 +35,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .analytic import CASES, Scenario, Scheme, SopQuery, _log_powers, analytic_sops, asymptotic_sops
+from .analytic import CASES, EvalMethod, Scenario, Scheme, SopQuery, _log_powers, analytic_sops, asymptotic_sops
 from .channel import REFERENCE_CONFIG, GammaSnr, SystemConfig, snr_cdf, snr_pdf
 from .montecarlo import McSettings, simulate_sop
 from .quadrature import adaptive_integral, quadrature_sops
@@ -142,17 +142,29 @@ def _where(cfg: SystemConfig) -> str:
     return f"K={cfg.K} zeta={cfg.zeta} snr={cfg.snr:.4g}"
 
 
+def _case(query: SopQuery) -> str:
+    return f"{_where(query.cfg)} {query.scheme.value}/{query.scenario.value}"
+
+
+def _fallbacks(route: str, queries, values) -> list[str]:
+    """A failure per value that holds quadrature's value, since quadrature cannot check itself."""
+    fell = [query for query, value in zip(queries, values) if value.method is EvalMethod.QUADRATURE]
+    return [f"{route} fell back to quadrature at {_case(query)}" for query in fell]
+
+
 def check_triple_agreement(settings: ValidationSettings) -> CheckResult:
     """Closed form vs quadrature vs simulation on the full grid."""
     mc = settings.mc_settings()
     worst_quad = worst_quad_rel = 0.0
     quad_rel_tol = 1e-10  # quadrature's own REL_TOL
     worst_mc = worst_mc_ci = 0.0
-    failures = []
     queries = _case_queries(settings.grid_configs())
-    closed_forms = [value.value for value in analytic_sops(queries)]
+    closed_values = analytic_sops(queries)
+    failures = _fallbacks("closed form", queries, closed_values)
+    fallbacks = len(failures)
+    closed_forms = [value.value for value in closed_values]
     for query, closed, quad in zip(queries, closed_forms, quadrature_sops(queries)):
-        case = f"{_where(query.cfg)} {query.scheme.value}/{query.scenario.value}"
+        case = _case(query)
         quad_err = abs(closed - quad)
         worst_quad = max(worst_quad, quad_err)
         # the same gap relative to the larger value, where a small outage cannot hide it
@@ -173,7 +185,8 @@ def check_triple_agreement(settings: ValidationSettings) -> CheckResult:
         if mc_err > allowed:
             failures.append(f"mc gap {mc_err:.3e} (allowed {allowed:.3e}) at {case}")
     summary = (
-        f"{len(closed_forms)} cells; max |closed-quad| {worst_quad:.2e} ({worst_quad_rel:.2e} relative) "
+        f"{len(closed_forms)} cells, {fallbacks} fallen back to quadrature; "
+        f"max |closed-quad| {worst_quad:.2e} ({worst_quad_rel:.2e} relative) "
         f"within {settings.analytic_quadrature_tol:.0e} and {quad_rel_tol:.0e} relative; "
         f"worst mc gap {worst_mc:.2f}x allowance, {worst_mc_ci:.2f}x 3 CI without the floor"
     )
@@ -184,8 +197,9 @@ def check_asymptotic_floors(settings: ValidationSettings) -> CheckResult:
     """High-SNR closed form and quadrature must land on the saturation floor, which no SNR moves.
 
     Quadrature shares no kernel with the floor, which is the closed form's
-    own alpha = 0 case.  Every case is also evaluated at the grid's SNRs,
-    and each of those floors must equal its 200 dB twin.  The twins are a
+    own alpha = 0 case, so a closed form or floor that fell back to it
+    fails.  Every case is also evaluated at the grid's SNRs, and each of
+    those floors must equal its 200 dB twin.  The twins are a
     batch of their own: in one batch with the 200 dB cases they would share
     a series group with them, so a floor taken at any one alpha of its group
     (the smallest, about 0 at 200 dB) would read the same at every SNR.
@@ -193,34 +207,31 @@ def check_asymptotic_floors(settings: ValidationSettings) -> CheckResult:
     snr_db, rel_tol = 200.0, 1e-4
     points = list(itertools.product((1, 2, 3, 5), (0.9, 0.99)))
     queries = _case_queries(_config(K, zeta, snr_db) for K, zeta in points)
-    floors = [floor.value for floor in asymptotic_sops(queries)]
+    floor_values, closed_values = asymptotic_sops(queries), analytic_sops(queries)
+    failures = _fallbacks("floor", queries, floor_values) + _fallbacks("closed form", queries, closed_values)
+    fallbacks = len(failures)
+    floors = [floor.value for floor in floor_values]
     routes = {
-        "closed form": [closed.value for closed in analytic_sops(queries)],
+        "closed form": [closed.value for closed in closed_values],
         "quadrature": quadrature_sops(queries),
     }
     worst = dict.fromkeys(routes, 0.0)
-    failures = []
     for route, values in routes.items():
         for query, value, floor in zip(queries, values, floors):
             rel = abs(value - floor) / floor
             worst[route] = max(worst[route], rel)
             if rel > rel_tol:
-                failures.append(
-                    f"{route} rel gap {rel:.3e} at {_where(query.cfg)} {query.scheme.value}/{query.scenario.value}"
-                )
+                failures.append(f"{route} rel gap {rel:.3e} at {_case(query)}")
     worst_twin = 0.0
     twins = _case_queries(_config(K, zeta, db) for db in settings.snr_dbs for K, zeta in points)
     for query, twin, floor in zip(twins, asymptotic_sops(twins), itertools.cycle(floors)):
         gap = abs(twin.value - floor)
         worst_twin = max(worst_twin, gap)
         if gap > ROUNDOFF_SLACK:
-            failures.append(
-                f"floor off its {snr_db:.0f} dB twin by {gap:.3e} at "
-                f"{_where(query.cfg)} {query.scheme.value}/{query.scenario.value}"
-            )
+            failures.append(f"floor off its {snr_db:.0f} dB twin by {gap:.3e} at {_case(query)}")
     gaps = "/".join(f"{gap:.2e} ({route})" for route, gap in worst.items())
     summary = (
-        f"worst relative gap {gaps} at {snr_db:.0f} dB; "
+        f"worst relative gap {gaps} at {snr_db:.0f} dB, {fallbacks} fallen back to quadrature; "
         f"cross-SNR floor gap {worst_twin:.1e} over {len(twins)} cases at {len(settings.snr_dbs)} grid SNRs"
     )
     return _report("asymptotic_floors", summary, failures)
@@ -261,9 +272,7 @@ def check_floors(settings: ValidationSettings) -> CheckResult:
             margin = row[(scheme, scenario)] - bound
             min_margin = min(min_margin, margin)
             if margin < -ROUNDOFF_SLACK:
-                failures.append(
-                    f"{scenario.value} floor breach at {_where(cfg)} {scheme.value}"
-                )
+                failures.append(f"{scenario.value} floor breach at {_where(cfg)} {scheme.value}")
     mc = settings.mc_settings()
     worst_sigma = 0.0
     for K, zeta in ((2, 0.9), (5, 0.9)):

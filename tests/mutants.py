@@ -63,11 +63,25 @@ MUTANTS = (
         "a cancellation guard 4 digits too lenient",
     ),
     Mutant(
+        "guard-always",
+        "analytic.py",
+        "SIGNIFICANCE_LOSS_RATIO = 1e-10",
+        "SIGNIFICANCE_LOSS_RATIO = 1e10",
+        "a cancellation guard that fires on every key: every series value is quadrature's",
+    ),
+    Mutant(
         "fallback-off",
         "analytic.py",
         "lost = [at for at, flag in enumerate(flags) if flag]",
         "lost = []",
-        "the closed form's quadrature fallback turned off: flagged keys keep the series value",
+        "the series' quadrature fallback turned off: the closed form's and floor's lost keys keep the series value",
+    ),
+    Mutant(
+        "floor-fallback-at-alpha",
+        "analytic.py",
+        "sub = CasePlan([plan.cells[plan.first[at]] for at in lost], floor)",
+        "sub = CasePlan([plan.cells[plan.first[at]] for at in lost])",
+        "the floor's lost keys integrated at their own alpha instead of 0",
     ),
     Mutant(
         "floor-alpha",
@@ -209,23 +223,23 @@ def kills(mutant: Mutant) -> tuple[list[str], list[str]]:
 def main(names: list[str]) -> int:
     unknown = set(names) - {mutant.name for mutant in MUTANTS}
     if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}; known: {', '.join(m.name for m in MUTANTS)}")
+        print(f"unknown mutants: {', '.join(sorted(unknown))}; known: {', '.join(m.name for m in MUTANTS)}", flush=True)
         return 2
     chosen = [mutant for mutant in MUTANTS if not names or mutant.name in names]
     passes = {"sop validate": [], "tier-1": []}
     for mutant in chosen:
         start = time.perf_counter()
         checks, tests = kills(mutant)
-        print(f"{mutant.name} ({mutant.file}): {mutant.models}  [{time.perf_counter() - start:.0f} s]")
-        print(f"  sop validate: {'killed by ' + ', '.join(checks) if checks else 'passes'}")
-        print(f"  tier-1: {f'killed by {len(tests)}' if tests else 'passes'}")
+        print(f"{mutant.name} ({mutant.file}): {mutant.models}  [{time.perf_counter() - start:.0f} s]", flush=True)
+        print(f"  sop validate: {'killed by ' + ', '.join(checks) if checks else 'passes'}", flush=True)
+        print(f"  tier-1: {f'killed by {len(tests)}' if tests else 'passes'}", flush=True)
         for test in tests:
-            print(f"    {test}")
+            print(f"    {test}", flush=True)
         for kind, killers in (("sop validate", checks), ("tier-1", tests)):
             if not killers:
                 passes[kind].append(mutant.name)
     for kind, passed in passes.items():
-        print(f"{kind} passes {len(passed)} of {len(chosen)} mutants: {', '.join(passed) or 'none'}")
+        print(f"{kind} passes {len(passed)} of {len(chosen)} mutants: {', '.join(passed) or 'none'}", flush=True)
     return 0
 
 

@@ -24,8 +24,17 @@ from secrecy_outage import (
     quadrature_sops,
     simulate_sop,
 )
-from secrecy_outage import analytic
-from secrecy_outage.analytic import CasePlan, EvalMethod, SopValue, _log_convolve, analytic_inner, case_sop, log_factorials
+from secrecy_outage import analytic, quadrature
+from secrecy_outage.analytic import (
+    QUADRATURE_FALLBACK,
+    CasePlan,
+    EvalMethod,
+    SopValue,
+    _log_convolve,
+    analytic_inner,
+    case_sop,
+    log_factorials,
+)
 from secrecy_outage.sweep import db_to_linear
 
 CASES = [(s, c) for s in (Scheme.SS, Scheme.OS) for c in (Scenario.KU, Scenario.KA)]
@@ -291,18 +300,18 @@ def test_integrity_guard_units():
     # so each raw value meets the guard alone
     query = SopQuery(_cfg(K=1, zeta=1.0), Scheme.SS, Scenario.KA)
 
-    def guarded(raw, flag=False):
+    def guarded(raw, flag=0):
         (result,), _ = _rule_with_fake_inner([query], [raw], flags=[flag])
         return result.value
 
-    # inside the tolerance band: clamped quietly
-    assert [guarded(raw) for raw in (1.0 + 1e-10, -1e-10, 0.25)] == [1.0, 0.0, 0.25]
-    # outside the band without a significance flag: hard error, naming the route
-    for bad in (1.0 + 1e-6, -1e-6, float("nan")):
-        with pytest.raises(NumericalIntegrityError, match=EvalMethod.ANALYTIC.value):
-            guarded(bad)
-    # flagged results are clamped instead of raising
-    assert [guarded(raw, flag=True) for raw in (1.5, -0.5)] == [1.0, 0.0]
+    # inside the tolerance band: clamped quietly, fallback or not
+    for flag in (0, QUADRATURE_FALLBACK):
+        assert [guarded(raw, flag) for raw in (1.0 + 1e-10, -1e-10, 0.25)] == [1.0, 0.0, 0.25]
+    # outside the band: hard error, naming the route; a fallback code exempts nothing
+    for flag in (0, QUADRATURE_FALLBACK):
+        for bad in (1.0 + 1e-6, -1e-6, float("nan"), 1.5, -0.5):
+            with pytest.raises(NumericalIntegrityError, match=EvalMethod.ANALYTIC.value):
+                guarded(bad, flag)
 
 
 def test_query_normalises_case_names():
@@ -319,22 +328,28 @@ def test_query_normalises_case_names():
 def _rule_with_fake_inner(queries, xs, flags=None, method=EvalMethod.ANALYTIC):
     """The case rule over one plan of ``queries``, with an inner quantity that records its calls.
 
-    The inner quantity returns ``xs`` (and ``flags``, default unflagged) as
-    the (raws, flags) of the plan's distinct keys, in key order; each call
-    is recorded as the plan it was passed.  Returns every query's
-    (value, method, flag) as a ``SopValue``, and the calls.
+    The inner quantity returns ``xs`` (and ``flags``, default all 0) as the
+    (raws, flag codes) of the plan's distinct keys, in key order; each call
+    is recorded as the plan it was passed.  Returns every query's value as
+    a ``SopValue``, as the batch entries report it (a cell with the
+    fallback code reads method quadrature and ``significance_flag``), and
+    the calls.
     """
     calls = []
 
     def inner(plan):
         calls.append(plan)
         assert len(xs) == len(plan.first)
-        return list(xs), list(flags if flags is not None else [False] * len(xs))
+        return list(xs), list(flags if flags is not None else [0] * len(xs))
 
-    values, value_flags = case_sop(CasePlan.of(queries), inner, method)
-    assert len(values) == len(value_flags) == len(queries)
+    values, codes = case_sop(CasePlan.of(queries), inner, method)
+    assert len(values) == len(codes) == len(queries)
+    assert set(codes) <= {0, QUADRATURE_FALLBACK}
     method = EvalMethod(method)
-    return [SopValue(value, method, flag) for value, flag in zip(values, value_flags)], calls
+    return [
+        SopValue(value, EvalMethod.QUADRATURE, True) if code else SopValue(value, method, False)
+        for value, code in zip(values, codes)
+    ], calls
 
 
 def _key(query, L, w):
@@ -403,16 +418,15 @@ def test_case_rule_edges():
         for bad in (math.nan, -0.5):
             with pytest.raises(NumericalIntegrityError):
                 _rule_with_fake_inner([SopQuery(_cfg(K=2, zeta=1.0), Scheme.OS, scenario)], [bad])
-    # a flagged single-link value is clamped first and keeps its flag
+    # a fallback single-link value in band is clamped first and keeps its code
     (result,), _ = _rule_with_fake_inner(
-        [SopQuery(_cfg(K=2), Scheme.OS, Scenario.KA)], [1.2], flags=[True]
+        [SopQuery(_cfg(K=2), Scheme.OS, Scenario.KA)], [1.0 + 1e-10], flags=[QUADRATURE_FALLBACK]
     )
-    assert result.value == 1.0 and result.significance_flag
-    # so is a flagged out-of-band value read without a power
-    (result,), _ = _rule_with_fake_inner(
-        [SopQuery(_cfg(K=2), Scheme.SS, Scenario.KA)], [1.5], flags=[True]
-    )
-    assert (result.value, result.significance_flag) == (1.0, True)
+    assert (result.value, result.significance_flag, result.method) == (1.0, True, EvalMethod.QUADRATURE)
+    # and out of band it raises, with a power or without one
+    for scheme in Scheme:
+        with pytest.raises(NumericalIntegrityError):
+            _rule_with_fake_inner([SopQuery(_cfg(K=2), scheme, Scenario.KA)], [1.2], flags=[QUADRATURE_FALLBACK])
 
 
 def _live_batch():
@@ -454,27 +468,32 @@ def test_blind_selection_checks_the_inner_value(method, bad):
 
 
 def test_batch_case_rule_clamps_flagged_rows():
-    # flags and values are set per distinct inner key: query 6's key is
+    # codes and values are set per distinct inner key: query 6's key is
     # also read by queries 2 and 7 (the os links of K=3, zeta=0.6 and of
     # zeta = 1, where ka is ku)
     queries = _live_batch()
     index = _key_index(queries)
     assert index[2] == index[6] == index[7]
     xs = [0.3] * (max(index) + 1)
-    flags = [False] * (max(index) + 1)
-    for at, x in ((1, 1.5), (3, -0.5), (6, 1.0 + 1e-3), (11, -2.0)):
-        xs[index[at]], flags[index[at]] = x, True
+    flags = [0] * (max(index) + 1)
+    for at, x in ((1, 1.0 + 5e-10), (3, -5e-10), (6, 1.0 + 1e-10), (11, 0.7)):
+        xs[index[at]], flags[index[at]] = x, QUADRATURE_FALLBACK
     values, _ = _rule_with_fake_inner(queries, xs, flags)
     for query, value, at in zip(queries, values, index):
-        x, flag = xs[at], flags[at]
-        assert value.significance_flag is flag
+        x, fell = xs[at], flags[at] == QUADRATURE_FALLBACK
+        assert value.significance_flag is fell
+        assert value.method is (EvalMethod.QUADRATURE if fell else EvalMethod.ANALYTIC)
         assert 0.0 <= value.value <= 1.0
-        if flag and query.scheme is Scheme.SS and query.scenario is Scenario.KA:
+        if fell and query.scheme is Scheme.SS and query.scenario is Scenario.KA:
             assert value.value == min(max(x, 0.0), 1.0)  # nothing composed on top of it
     # the clamped rows match their lone evaluation
     for at in (1, 2, 3, 6, 7, 11):
-        (lone,), _ = _rule_with_fake_inner([queries[at]], [xs[index[at]]], [True])
+        (lone,), _ = _rule_with_fake_inner([queries[at]], [xs[index[at]]], [QUADRATURE_FALLBACK])
         assert _fields(lone) == _fields(values[at])
+    # one fallback key out of band fails the whole batch
+    xs[index[6]] = 1.0 + 1e-3
+    with pytest.raises(NumericalIntegrityError):
+        _rule_with_fake_inner(queries, xs, flags)
 
 
 def test_batch_case_rule_skips_dead_backhaul():
@@ -632,7 +651,7 @@ def test_empty_batch(batch):
 def test_flagged_point_keeps_its_flag_in_a_batch():
     # ss/ku at K=60 M=12 cancels below the guard (the series read 1.0 there);
     # batched with unflagged points it still falls back, alone among them,
-    # to its quadrature value, and says so by its method
+    # to its quadrature value, and says so by its method and flag
     flagged = SopQuery(_cfg(K=60, M=12, zeta=0.9), Scheme.SS, Scenario.KU)
     queries = [
         SopQuery(_cfg(K=60, M=12, zeta=0.9, snr=1.0), Scheme.OS, Scenario.KU),
@@ -640,13 +659,37 @@ def test_flagged_point_keeps_its_flag_in_a_batch():
         SopQuery(_cfg(K=2, zeta=0.9), Scheme.SS, Scenario.KU),
     ]
     values = analytic_sops(queries)
-    assert _fields(values[1]) == (quadrature_sop(flagged), False, EvalMethod.QUADRATURE)
+    assert _fields(values[1]) == (quadrature_sop(flagged), True, EvalMethod.QUADRATURE)
     assert values[1].value == 0.10000006832914544
-    assert [value.method for value in values[::2]] == [EvalMethod.ANALYTIC] * 2
-    assert not any(value.significance_flag for value in values)
+    assert [_fields(value)[1:] for value in values[::2]] == [(False, EvalMethod.ANALYTIC)] * 2
     assert _fields(values[1]) == _fields(analytic_sop(flagged))
-    # the floor has no key for quadrature to take: its flag stays
-    assert _fields(asymptotic_sop(flagged))[1:] == (True, EvalMethod.ASYMPTOTIC)
+    # its floor falls back too, to quadrature at alpha = 0: the config at
+    # r_th = 0 with b scaled by rho has the same beta and alpha = 0
+    cfg = flagged.cfg
+    at_alpha_zero = SopQuery(replace(cfg, r_th=0.0, b=cfg.rho * cfg.b), Scheme.SS, Scenario.KU)
+    floors = asymptotic_sops(queries)
+    assert _fields(floors[1]) == (quadrature_sop(at_alpha_zero), True, EvalMethod.QUADRATURE)
+    assert [_fields(value)[1:] for value in floors[::2]] == [(False, EvalMethod.ASYMPTOTIC)] * 2
+    assert _fields(floors[1]) == _fields(asymptotic_sop(flagged))
+
+
+def test_floor_fallback_rows_collapse_to_one_per_group(monkeypatch):
+    # the floor's lost keys of one group differ only in alpha: the fallback
+    # plan sets alpha to 0, so quadrature integrates one row for all of them
+    # (here both ss groups lose significance, 26 SNR points each)
+    plans = []
+    real = quadrature.quadrature_inner
+
+    def counted(plan):
+        plans.append(plan)
+        return real(plan)
+
+    monkeypatch.setattr(quadrature, "quadrature_inner", counted)
+    floors = asymptotic_sops(_sweep_queries(_cfg(K=60, M=12, zeta=0.9)))
+    assert [(len(plan.cells), len(plan.first)) for plan in plans] == [(52, 2)]
+    for ss in (floors[0::4], floors[1::4]):
+        assert {_fields(value) for value in ss} == {(ss[0].value, True, EvalMethod.QUADRATURE)}
+    assert not any(value.significance_flag for value in floors[2::4] + floors[3::4])
 
 
 def _counting(monkeypatch, name):

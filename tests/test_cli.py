@@ -22,7 +22,7 @@ from secrecy_outage import (
     simulate_sop,
 )
 from secrecy_outage.cli import build_parser, main
-from secrecy_outage import analytic, sweep, validation
+from secrecy_outage import analytic, quadrature, sweep, validation
 
 BASE_ARGS = [
     "--K", "2", "--zeta", "0.9", "--rth", "1", "--M", "6", "--N", "4",
@@ -130,17 +130,38 @@ def test_sop_quadrature_and_asymptotic_methods(capsys):
 def test_sop_falls_back_to_quadrature_where_the_series_loses_significance(capsys):
     # the ss/ku series at K=60 M=12 cancels below its guard (it read 1.0):
     # the closed form prints its quadrature value and names the fallback;
-    # the floor, which quadrature cannot take, keeps its significance flag
-    point = "--K 60 --M 12 --N 4 --a 0.5 --b 0.2 --zeta 0.9 --snr-db 10 --rth 1".split()
+    # so does the floor, whose value is quadrature's at alpha = 0, the
+    # point at r_th = 0 with b scaled by rho = 2 (the same beta)
+    link = "--K 60 --M 12 --N 4 --a 0.5 --zeta 0.9 --snr-db 10".split()
     printed = {}
     for method in ("analytic", "quadrature", "asymptotic"):
-        assert main(["sop", *point, "--method", method]) == 0
+        assert main(["sop", *link, "--b", "0.2", "--rth", "1", "--method", method]) == 0
         printed[method] = _parse_kv(capsys.readouterr().out)
+    assert main(["sop", *link, "--b", "0.4", "--rth", "0", "--method", "quadrature"]) == 0
+    at_alpha_zero = _parse_kv(capsys.readouterr().out)
     assert printed["analytic"]["sop"] == printed["quadrature"]["sop"] == "0.10000006832914544"
-    assert printed["analytic"]["method"] == "analytic"
-    assert printed["analytic"]["flags"] == "quadrature_fallback"
-    assert "flags" not in printed["quadrature"]
-    assert printed["asymptotic"]["flags"] == "significance_loss"
+    assert printed["asymptotic"]["sop"] == at_alpha_zero["sop"] == "0.10000005491889039"
+    for method in ("analytic", "asymptotic"):
+        assert printed[method]["method"] == method
+        assert printed[method]["flags"] == "quadrature_fallback"
+    assert "flags" not in printed["quadrature"] and "flags" not in at_alpha_zero
+
+
+def test_numerical_errors_are_reported_with_exit_code_2(monkeypatch, capsys):
+    # at K=200 M=24 N=24 the ss/ku series and floor cancel past the band
+    # without firing the guard (1.0000333 and 1.00035): each is a typed
+    # error, printed as one line, not a traceback
+    point = "--K 200 --M 24 --N 24 --a 0.001 --b 0.1 --zeta 1 --snr-db 30".split()
+    for method in ("analytic", "asymptotic"):
+        assert main(["sop", *point, "--method", method]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {method} outage probability 1.000") and "leaves [0, 1]" in err
+    assert main(["sop", *point, "--method", "quadrature"]) == 0
+    assert _parse_kv(capsys.readouterr().out)["sop"] == "0.9999999999999978"
+    # a quadrature out of panels before it meets its tolerance
+    monkeypatch.setattr(quadrature, "MAX_PANELS", quadrature.INITIAL_SUBDIVISIONS)
+    assert main(["sop", "--method", "quadrature"]) == 2
+    assert capsys.readouterr().err.startswith("error: quadrature failed to converge")
 
 
 def test_bad_parameter_value_is_usage_error(capsys):
@@ -395,6 +416,19 @@ def test_validate_gates_the_relative_closed_quadrature_gap(monkeypatch, capsys):
     assert "FAIL triple_agreement" in out
     assert "quad rel gap" in out
     assert "quad gap" not in out and "allowed" not in out  # the absolute and Monte Carlo gates pass
+
+
+def test_validate_fails_where_a_closed_form_or_floor_falls_back(monkeypatch, capsys):
+    # a guard that fires on every key hands every series value to
+    # quadrature, which then agrees with itself: each fallen-back cell fails
+    monkeypatch.setattr(analytic, "SIGNIFICANCE_LOSS_RATIO", 1e10)
+    rc = main(["validate", "--smoke", "--check", "triple_agreement", "--check", "asymptotic_floors"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL triple_agreement: 32 cells, 32 fallen back to quadrature" in out
+    assert "closed form fell back to quadrature at K=1" in out
+    assert "FAIL asymptotic_floors" in out and "64 fallen back to quadrature" in out
+    assert "floor fell back to quadrature at K=1" in out
 
 
 def test_validate_detects_a_floor_that_moves_with_snr(monkeypatch, capsys):

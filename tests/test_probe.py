@@ -5,7 +5,16 @@ import pytest
 from oracles import selection_series_mp
 from probe import DISAGREE, probe
 from secrecy_outage import SystemConfig, quadrature
-from secrecy_outage.analytic import CasePlan, Scenario, Scheme, analytic_inner
+from secrecy_outage.analytic import (
+    CasePlan,
+    NumericalIntegrityError,
+    Scenario,
+    Scheme,
+    SopQuery,
+    analytic_inner,
+    analytic_sop,
+    asymptotic_sop,
+)
 
 
 def test_quadrature_is_right_on_every_settled_key_of_the_extreme_domain():
@@ -41,3 +50,18 @@ def test_closed_form_flags_or_meets_the_60_digit_series(K, M, N, a, b, r_th, snr
     (raw,), (flag,) = analytic_inner(CasePlan([(cfg, scheme, Scenario.KU)]))
     exact, _ = selection_series_mp(M, N, a, b, cfg.rho, snr, K if scheme is Scheme.SS else 1, 1.0)
     assert flag or abs(raw - exact) <= DISAGREE * abs(exact)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NumericalIntegrityError,
+    reason="the ss series and floor cancel past the integrity band (1.0000333 and 1.00035) without firing "
+    "the significance guard; an error bound that catches them (ROADMAP item 3) must remove this marker",
+)
+def test_series_and_floor_meet_quadrature_at_K200_M24_N24():
+    cfg = SystemConfig(K=200, zeta=1.0, r_th=1.0, snr=1000.0, M=24, N=24, a=0.001, b=0.1)
+    query = SopQuery(cfg, Scheme.SS, Scenario.KU)
+    exact = quadrature.quadrature_sop(query)
+    assert exact == 0.9999999999999978
+    for route in (analytic_sop, asymptotic_sop):
+        assert abs(route(query).value - exact) <= 1e-9, route.__name__

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from secrecy_outage import FIGURE_PRESETS
+from secrecy_outage import FIGURE_PRESETS, REFERENCE_CONFIG, Scenario, Scheme, SopQuery, SystemConfig, asymptotic_sops
+from secrecy_outage import EvalMethod, quadrature_sops
 from secrecy_outage.sweep import read_sweep_csv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,18 +45,29 @@ def test_floor_sensitivity_table():
     lines = done.stdout.splitlines()
     assert len(lines) == 2 + 2 * (4 + 1) + 2
     assert lines[0].split()[:2] == ["K", "zeta"]
-    assert "*" not in "".join(lines[:-2])  # nothing flagged at these points
+    assert "*" not in done.stdout  # no value is marked
 
 
-def test_floor_sensitivity_marks_flagged_floors():
-    # at K = 200 with reliable backhaul both ss floors lose significance and
-    # read 0; each is marked, and the os columns are not
-    done = _run_script("floor_sensitivity.py", "--K", "200", "--zeta", "1.0")
+def test_floor_sensitivity_floors_fall_back_to_quadrature_at_alpha_zero():
+    # at K = 200 and 60 every ss floor series loses significance (it read 0
+    # or 1): each holds quadrature's value at alpha = 0, the point at
+    # r_th = 0 with b scaled by rho (the same beta), bit for bit, and the
+    # table prints it with no mark
+    ks, zetas = (200, 60), (1.0, 0.9)
+    done = _run_script("floor_sensitivity.py", "--K", "200", "--K", "60", "--zeta", "1", "--zeta", "0.9")
     assert done.returncode == 0, done.stderr
-    K, zeta, ss_ku, os_ku, ss_ka, os_ka, gain = done.stdout.splitlines()[2].replace("|", " ").split()
-    assert (ss_ku, ss_ka) == ("0.0000e+00*", "0.0000e+00*")
-    assert "*" not in os_ku + os_ka + gain
-    assert "* marks a flagged floor" in done.stdout
+    assert "*" not in done.stdout
+    ref = REFERENCE_CONFIG
+    configs = [SystemConfig(K=K, zeta=zeta, r_th=ref.r_th, snr=1.0, M=ref.M, N=ref.N, a=ref.a, b=ref.b)
+               for zeta in zetas for K in ks]
+    queries = [SopQuery(cfg, Scheme.SS, scenario) for cfg in configs for scenario in Scenario]
+    twins = [SopQuery(replace(q.cfg, r_th=0.0, b=q.cfg.rho * q.cfg.b), q.scheme, q.scenario) for q in queries]
+    floors, expected = asymptotic_sops(queries), quadrature_sops(twins)
+    assert [(floor.value, floor.method) for floor in floors] == [(x, EvalMethod.QUADRATURE) for x in expected]
+    rows = [line.replace("|", " ").split() for line in done.stdout.splitlines()[2:] if line.strip()][: len(configs)]
+    # per row: ss/ku is column 2 and ss/ka column 4; the queries alternate ku, ka
+    printed = [(f"{ku:.4e}", f"{ka:.4e}") for ku, ka in zip(expected[0::2], expected[1::2])]
+    assert [(row[2], row[4]) for row in rows] == printed
 
 
 def test_floor_sensitivity_reads_a_ratio_over_zero():
@@ -65,13 +78,13 @@ def test_floor_sensitivity_reads_a_ratio_over_zero():
 
 
 def _benefit_rows(stdout: str) -> list[dict[tuple, list[str]]]:
-    """Per table of knowledge_benefit.py, its rows keyed by (K, zeta, M, N), flag marks dropped."""
+    """Per table of knowledge_benefit.py, its rows keyed by (K, zeta, M, N)."""
     tables = []
     for line in stdout.splitlines():
         if line.startswith("knowledge benefit"):
             tables.append({})
         elif tables and "|" in line and not line.lstrip().startswith("K"):
-            fields = line.replace("|", " ").replace("*", " ").split()
+            fields = line.replace("|", " ").split()
             K, zeta, M, N = fields[:4]
             tables[-1][(int(K), float(zeta), int(M), int(N))] = fields[4:]
     return tables
@@ -83,8 +96,7 @@ def test_knowledge_benefit_table():
     at_snr, floor = _benefit_rows(done.stdout)
     # 3 (M, N) pairs x 3 K x 2 zetas, at 10 dB and at the floor
     assert len(at_snr) == len(floor) == 18
-    tables = done.stdout.split("\n\n")[:2]
-    assert "*" not in "".join(tables)  # nothing flagged at these points, no value or winner marked
+    assert "*" not in done.stdout  # no value or winner is marked
     # the drop-form counterexample of the headline claim: K=2, zeta=0.9, 10 dB
     ss_drop, os_drop, ss_ratio, os_ratio, by_drop, by_ratio = at_snr[(2, 0.9, 6, 4)]
     assert float(os_drop) == pytest.approx(0.0610, abs=5e-5)
@@ -98,30 +110,25 @@ def test_knowledge_benefit_table():
             assert at_snr[(K, zeta, 6, 4)][4:] == ["os", "os"], (K, zeta)
 
 
-def test_knowledge_benefit_marks_a_winner_named_from_flagged_values():
-    # at K = 500 the ss floors are flagged (the ss ratio reads inf*), so both
-    # winner cells of the floor table carry the mark; the ss closed forms
-    # lose significance too, but fall back to quadrature, unmarked
+def test_knowledge_benefit_floors_fall_back_where_the_series_cancels():
+    # at K = 500 the ss series cancels at 10 dB and at the floor; both fall
+    # back to quadrature, so the ss ratios are finite (the floor's read inf
+    # when it kept its series) and os gains more by either reading
     done = _run_script("knowledge_benefit.py", "--K", "500", "--zeta", "0.9", "--MN", "6,4")
     assert done.returncode == 0, done.stderr
-    at_snr, floor = [line for line in done.stdout.splitlines() if line.startswith("500")]
-    assert "*" not in at_snr
-    ss_drop, os_drop, ss_ratio, os_ratio, by_drop, by_ratio = at_snr.replace("|", " ").split()[4:]
-    assert float(ss_drop) == pytest.approx(0.1, abs=5e-5) and float(ss_ratio) > 1.0
-    ss_drop, os_drop, ss_ratio, os_ratio, by_drop, by_ratio = floor.replace("|", " ").split()[4:]
-    assert ss_ratio == "inf*" and not os_ratio.endswith("*")
-    assert (by_drop, by_ratio) == ("ss*", "ss*")
-    assert "a winner named from one" in done.stdout
+    assert "*" not in done.stdout
+    for table in _benefit_rows(done.stdout):
+        ss_drop, os_drop, ss_ratio, os_ratio, by_drop, by_ratio = table[(500, 0.9, 6, 4)]
+        assert float(ss_drop) == pytest.approx(0.1, abs=5e-5) and 1.0 < float(ss_ratio) < 1e5
+        assert (by_drop, by_ratio) == ("os", "os")
 
 
 def test_knowledge_benefit_reads_a_ratio_over_zero():
-    # both ss floors underflow to 0 at K = 200 with reliable backhaul: the
-    # ss ratio prints nan, and the ratio names no winner; at 10 dB the
-    # flagged ss closed forms fall back to quadrature, and ku = ka there
-    done = _run_script("knowledge_benefit.py", "--K", "200", "--zeta", "1.0", "--MN", "6,4")
+    # both os outages underflow to 0 at K = 500 with reliable backhaul, at
+    # 10 dB and at the floor: the os ratio prints nan and the ratio names
+    # no winner; ku = ka for ss there, a tie by the drop
+    done = _run_script("knowledge_benefit.py", "--K", "500", "--zeta", "1.0", "--MN", "6,4")
     assert done.returncode == 0, done.stderr
-    at_snr, floor = _benefit_rows(done.stdout)
-    ss_drop, os_drop, ss_ratio, os_ratio, by_drop, by_ratio = floor[(200, 1.0, 6, 4)]
-    assert (ss_ratio, by_ratio) == ("nan", "n/a")
-    ss_drop, os_drop, ss_ratio, os_ratio, by_drop, by_ratio = at_snr[(200, 1.0, 6, 4)]
-    assert (ss_ratio, os_ratio, by_ratio) == ("1", "1", "tie")
+    for table in _benefit_rows(done.stdout):
+        ss_drop, os_drop, ss_ratio, os_ratio, by_drop, by_ratio = table[(500, 1.0, 6, 4)]
+        assert (ss_ratio, os_ratio, by_drop, by_ratio) == ("1", "nan", "tie", "n/a")

@@ -12,6 +12,7 @@ from secrecy_outage import (
     SopQuery,
     SystemConfig,
     analytic_sop,
+    quadrature_sop,
 )
 from secrecy_outage import sweep as sweep_module
 from secrecy_outage.figures import FIGURE_PRESETS, run_figure
@@ -241,7 +242,7 @@ EDGE_BASES = {
 def test_edge_sweeps_batched_together_equal_each_alone():
     # zeta = 0 reads no inner value, K = 1 at zeta = 1 collapses the four
     # cases, and K = 20 M = 10 fires the cancellation guard, whose keys the
-    # closed form hands to quadrature; swept as the bases of one spec, each
+    # closed form and the floor hand to quadrature; swept as the bases of one spec, each
     # base keeps its own rows, and each row is its cell's own evaluation
     # (the simulation cells too, at a fixed seed)
     spec = _spec(
@@ -270,15 +271,22 @@ def test_edge_sweeps_batched_together_equal_each_alone():
         if row.method is EvalMethod.ANALYTIC:
             by_point.setdefault(row.snr_db, set()).add(row.sop)
     assert all(len(values) == 1 for values in by_point.values())
-    # a fallback cell holds its quadrature row's value and names the fallback;
-    # the floor, which has no key for quadrature to take, keeps its flag
+    # a closed-form fallback cell holds its quadrature row's value and names
+    # the fallback; a floor fallback cell holds quadrature's value at
+    # alpha = 0, the base at r_th = 0 with b scaled by rho (the same beta)
     quadrature = {
         (row.snr_db, row.scheme, row.scenario): row.sop for row in flagged.rows if row.method is EvalMethod.QUADRATURE
     }
-    fallback = [row for row in flagged.rows if row.flags == "quadrature_fallback"]
-    assert fallback and all(row.method is EvalMethod.ANALYTIC for row in fallback)
-    assert all(row.sop == quadrature[(row.snr_db, row.scheme, row.scenario)] for row in fallback)
-    assert all(row.method is EvalMethod.ASYMPTOTIC for row in flagged.rows if row.flags == "significance_loss")
+    deterministic = (EvalMethod.ANALYTIC, EvalMethod.ASYMPTOTIC, EvalMethod.QUADRATURE)
+    fallback = {method: [row for row in flagged.rows if row.flags and row.method is method] for method in deterministic}
+    assert fallback[EvalMethod.ANALYTIC] and fallback[EvalMethod.ASYMPTOTIC]
+    assert not fallback[EvalMethod.QUADRATURE]
+    assert all(row.flags == "quadrature_fallback" for rows in fallback.values() for row in rows)
+    assert all(row.sop == quadrature[(row.snr_db, row.scheme, row.scenario)] for row in fallback[EvalMethod.ANALYTIC])
+    base = EDGE_BASES["flagged series"]
+    at_alpha_zero = replace(base, r_th=0.0, b=base.rho * base.b)
+    for row in fallback[EvalMethod.ASYMPTOTIC]:
+        assert row.sop == quadrature_sop(SopQuery(at_alpha_zero, row.scheme, row.scenario)), row
 
 
 def test_held_figure_result_keeps_few_bytes_per_row():
