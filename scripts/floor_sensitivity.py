@@ -11,6 +11,9 @@ A floor whose alternating series loses significance holds quadrature's
 value at alpha = 0.  The last column, os ku / ka, reads inf over an os/ka floor that
 underflowed to 0, or nan when os/ku is 0 too.
 
+Exit codes: 0 on success, 2 on a usage error, an invalid parameter or a
+typed numerical error, the last two printed as one ``error: ...`` line.
+
 Usage:
     python3 scripts/floor_sensitivity.py
     python3 scripts/floor_sensitivity.py --zeta 0.8 --zeta 0.95 --K 1 --K 4
@@ -22,7 +25,16 @@ import argparse
 import math
 import sys
 
-from secrecy_outage import REFERENCE_CONFIG, Scenario, Scheme, SopQuery, SystemConfig, asymptotic_sops
+from secrecy_outage import (
+    REFERENCE_CONFIG,
+    NumericalIntegrityError,
+    QuadratureConvergenceError,
+    Scenario,
+    Scheme,
+    SopQuery,
+    SystemConfig,
+    asymptotic_sops,
+)
 
 
 def _ratio(ku: float, ka: float) -> float:
@@ -81,4 +93,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except (ValueError, NumericalIntegrityError, QuadratureConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -13,6 +13,9 @@ All closed forms come from one ``analytic_sops`` batch and all floors from
 one ``asymptotic_sops`` batch.  A ratio over a ka outage that underflowed to 0 reads inf, or nan when ku is 0 too;
 such a ratio names no winner where it is nan or both schemes' are inf.
 
+Exit codes: 0 on success, 2 on a usage error, an invalid parameter or a
+typed numerical error, the last two printed as one ``error: ...`` line.
+
 Usage:
     python3 scripts/knowledge_benefit.py
     python3 scripts/knowledge_benefit.py --snr-db 30 --K 2 --K 8 --zeta 0.7 --MN 6,4 --MN 2,6
@@ -27,6 +30,8 @@ from dataclasses import replace
 
 from secrecy_outage import (
     REFERENCE_CONFIG,
+    NumericalIntegrityError,
+    QuadratureConvergenceError,
     Scenario,
     Scheme,
     SopQuery,
@@ -120,4 +125,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except (ValueError, NumericalIntegrityError, QuadratureConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .analytic import NumericalIntegrityError, Scenario, Scheme
 from .channel import REFERENCE_CONFIG, SystemConfig
@@ -55,7 +55,7 @@ def _add_system_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--K", type=int, default=ref.K, help="number of transmitters")
     group.add_argument("--zeta", type=float, default=ref.zeta,
                        help="per-link backhaul reliability in [0, 1]")
-    group.add_argument("--rth", type=float, default=ref.r_th,
+    group.add_argument("--rth", dest="r_th", metavar="RTH", type=float, default=ref.r_th,
                        help="secrecy rate threshold in bits/s/Hz")
     group.add_argument("--M", type=int, default=ref.M,
                        help="destination channel path count")
@@ -82,38 +82,25 @@ def _add_case_flags(parser: argparse.ArgumentParser, multi: bool) -> None:
 def _add_mc_flags(parser: argparse.ArgumentParser) -> None:
     defaults = McSettings()
     group = parser.add_argument_group("simulation")
-    group.add_argument("--samples", type=int, default=defaults.n_samples,
-                       help="simulation sample count")
+    group.add_argument("--samples", dest="n_samples", metavar="SAMPLES", type=int,
+                       default=defaults.n_samples, help="simulation sample count")
     group.add_argument("--seed", type=int, default=defaults.seed, help="simulation seed")
     group.add_argument("--confidence", type=float, default=defaults.confidence,
                        help="confidence level for the reported interval")
 
 
-def _system_config(args: argparse.Namespace, snr_db: float) -> SystemConfig:
-    return SystemConfig(
-        K=args.K,
-        zeta=args.zeta,
-        r_th=args.rth,
-        snr=db_to_linear(snr_db),
-        M=args.M,
-        N=args.N,
-        a=args.a,
-        b=args.b,
-    )
-
-
-def _mc_settings(args: argparse.Namespace) -> McSettings:
-    return McSettings(
-        n_samples=args.samples, seed=args.seed, confidence=args.confidence
-    )
+def _from_flags(cls, args: argparse.Namespace, **given):
+    """A ``cls`` from ``given`` and, for each of its other fields, the parsed flag of that name."""
+    names = [f.name for f in fields(cls) if f.name not in given]
+    return cls(**given, **{name: getattr(args, name) for name in names})
 
 
 def _cmd_sop(args: argparse.Namespace) -> int:
-    cfg = _system_config(args, args.snr_db)
+    cfg = _from_flags(SystemConfig, args, snr=db_to_linear(args.snr_db))
     scheme = Scheme(args.scheme or "ss")
     scenario = Scenario(args.scenario or "ku")
     method = EvalMethod(args.method or "analytic")
-    sop, ci, flags = evaluate_cell(cfg, scheme, scenario, method, _mc_settings(args))
+    sop, ci, flags = evaluate_cell(cfg, scheme, scenario, method, _from_flags(McSettings, args))
     print(f"snr_db={args.snr_db!r}")
     print(f"scheme={scheme.value}")
     print(f"scenario={scenario.value}")
@@ -121,7 +108,7 @@ def _cmd_sop(args: argparse.Namespace) -> int:
     print(f"sop={sop!r}")
     if ci is not None:
         print(f"ci_half_width={ci!r}")
-        print(f"samples={args.samples}")
+        print(f"samples={args.n_samples}")
         print(f"seed={args.seed}")
     if flags:
         print(f"flags={flags}")
@@ -129,7 +116,7 @@ def _cmd_sop(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    base = _system_config(args, args.snr_start)
+    base = _from_flags(SystemConfig, args, snr=db_to_linear(args.snr_start))
     spec = SweepSpec(
         bases=(base,),
         snr_db_start=args.snr_start,
@@ -138,7 +125,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         schemes=tuple(args.scheme or (Scheme.SS,)),
         scenarios=tuple(args.scenario or (Scenario.KU,)),
         methods=tuple(args.method or (EvalMethod.ANALYTIC,)),
-        mc=_mc_settings(args),
+        mc=_from_flags(McSettings, args),
     )
     (result,) = run_sweep(spec)
     write_sweep_csv(result, args.out or sys.stdout)
@@ -157,7 +144,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         return 2
     override = {"methods": tuple(args.method)} if args.method else {}
     scenario = Scenario(args.scenario) if args.scenario else None
-    result = run_figure(args.preset, mc=_mc_settings(args), scenario=scenario, **override)
+    result = run_figure(args.preset, mc=_from_flags(McSettings, args), scenario=scenario, **override)
     write_figure_csv(result, args.out or sys.stdout)
     if args.plot:
         write_plot_description(plot_description(result), args.plot)

@@ -3,12 +3,14 @@
 Each preset fixes a base configuration and varies one quantity: transmitter
 count and backhaul reliability, destination path count, eavesdropper path
 count, or the destination power-gain coefficient.  Presets produce an
-extended CSV (the sweep columns plus the varied parameters) and a
-declarative plot description as JSON; rendering is left to the caller.
+extended CSV (the sweep columns plus all seven configuration columns
+``K,zeta,rth,M,N,a,b`` of each variant) and a declarative plot description
+as JSON; rendering is left to the caller.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -39,7 +41,11 @@ __all__ = [
     "write_plot_description",
 ]
 
-FIGURE_CSV_HEADER = CSV_HEADER + ("K", "zeta", "rth", "M", "N", "a", "b")
+# (CSV column and plot config key, SystemConfig field) of every variant, in column order
+_CONFIG_COLUMNS = (
+    ("K", "K"), ("zeta", "zeta"), ("rth", "r_th"), ("M", "M"), ("N", "N"), ("a", "a"), ("b", "b"),
+)
+FIGURE_CSV_HEADER = CSV_HEADER + tuple(column for column, _ in _CONFIG_COLUMNS)
 
 _SNR_START, _SNR_STOP, _SNR_STEP = -10.0, 40.0, 2.0
 
@@ -58,51 +64,36 @@ class FigurePreset:
     varied: tuple[str, ...]
 
 
-def _fig2_variants() -> tuple[SystemConfig, ...]:
-    return tuple(
-        replace(REFERENCE_CONFIG, K=k, zeta=z) for k in (2, 5) for z in (0.99, 0.9)
-    )
+def _preset(description: str, base: SystemConfig, **values) -> FigurePreset:
+    """The variants of ``base`` over every combination of the named fields' values, the first field outermost."""
+    combos = itertools.product(*values.values())
+    variants = tuple(replace(base, **dict(zip(values, combo))) for combo in combos)
+    return FigurePreset(description, variants, tuple(values))
 
 
-def _fig3_variants() -> tuple[SystemConfig, ...]:
-    base = replace(REFERENCE_CONFIG, K=5, zeta=0.9)
-    return tuple(replace(base, M=m) for m in (2, 4, 6))
-
-
-def _fig4_variants() -> tuple[SystemConfig, ...]:
-    base = replace(REFERENCE_CONFIG, K=5, zeta=0.9, M=4)
-    return tuple(replace(base, N=n) for n in (2, 4, 6))
-
-
-def _fig5_variants() -> tuple[SystemConfig, ...]:
-    base = replace(REFERENCE_CONFIG, K=5, zeta=0.9)
-    return tuple(replace(base, a=a) for a in (0.2, 0.5, 1.0))
-
+# five transmitters at backhaul reliability 0.9: the base of fig3 to fig5
+_FIVE_AT_0_9 = replace(REFERENCE_CONFIG, K=5, zeta=0.9)
 
 FIGURE_PRESETS: dict[str, FigurePreset] = {
-    "fig2": FigurePreset(
-        description="Outage vs SNR for transmitter counts 2 and 5 at backhaul "
-                    "reliability 0.99 and 0.9, both selection schemes",
-        variants=_fig2_variants(),
-        varied=("K", "zeta"),
+    "fig2": _preset(
+        "Outage vs SNR for transmitter counts 2 and 5 at backhaul "
+        "reliability 0.99 and 0.9, both selection schemes",
+        REFERENCE_CONFIG, K=(2, 5), zeta=(0.99, 0.9),
     ),
-    "fig3": FigurePreset(
-        description="Outage vs SNR as the destination path count grows "
-                    "(2, 4, 6) with 4 eavesdropper paths",
-        variants=_fig3_variants(),
-        varied=("M",),
+    "fig3": _preset(
+        "Outage vs SNR as the destination path count grows "
+        "(2, 4, 6) with 4 eavesdropper paths",
+        _FIVE_AT_0_9, M=(2, 4, 6),
     ),
-    "fig4": FigurePreset(
-        description="Outage vs SNR as the eavesdropper path count grows "
-                    "(2, 4, 6) with 4 destination paths",
-        variants=_fig4_variants(),
-        varied=("N",),
+    "fig4": _preset(
+        "Outage vs SNR as the eavesdropper path count grows "
+        "(2, 4, 6) with 4 destination paths",
+        replace(_FIVE_AT_0_9, M=4), N=(2, 4, 6),
     ),
-    "fig5": FigurePreset(
-        description="Outage vs SNR for destination gain coefficients 0.2, "
-                    "0.5, 1.0 against a 0.2 eavesdropper coefficient",
-        variants=_fig5_variants(),
-        varied=("a",),
+    "fig5": _preset(
+        "Outage vs SNR for destination gain coefficients 0.2, "
+        "0.5, 1.0 against a 0.2 eavesdropper coefficient",
+        _FIVE_AT_0_9, a=(0.2, 0.5, 1.0),
     ),
 }
 
@@ -145,11 +136,9 @@ def run_figure(
 
 
 def _config_columns(cfg: SystemConfig) -> str:
-    """The configuration columns of a variant's rows, each after its comma."""
-    return (
-        f",{cfg.K},{_format_float(cfg.zeta)},{_format_float(cfg.r_th)},{cfg.M},{cfg.N},"
-        f"{_format_float(cfg.a)},{_format_float(cfg.b)}"
-    )
+    """The configuration columns of a variant's rows, each after its comma: counts as integers, the rest as floats."""
+    values = (getattr(cfg, field) for _, field in _CONFIG_COLUMNS)
+    return "".join(f",{v}" if isinstance(v, int) else f",{_format_float(v)}" for v in values)
 
 
 def write_figure_csv(result: FigureResult, target) -> None:
@@ -184,10 +173,7 @@ def _grouped_series(cfg: SystemConfig, result: SweepResult, prefix: str) -> list
                 "scheme": scheme.value,
                 "scenario": scenario.value,
                 "method": method.value,
-                "config": {
-                    "K": cfg.K, "zeta": cfg.zeta, "rth": cfg.r_th,
-                    "M": cfg.M, "N": cfg.N, "a": cfg.a, "b": cfg.b,
-                },
+                "config": {column: getattr(cfg, field) for column, field in _CONFIG_COLUMNS},
                 "points": _series_points(snr_db, sop, ci_half_width),
             }
         )

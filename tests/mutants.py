@@ -181,6 +181,20 @@ MUTANTS = (
         "fx = (1.0 - weight) + weight * fx ** power_of[rows, None]",
         "the quadrature's power L taken before the backhaul mix: (1 - w) + w P^L",
     ),
+    Mutant(
+        "preset-order-reversed",
+        "figures.py",
+        "combos = itertools.product(*values.values())",
+        "combos = reversed(list(itertools.product(*values.values())))",
+        "every preset's variants in reverse order: the last field's last value first",
+    ),
+    Mutant(
+        "config-column-neighbour",
+        "figures.py",
+        '("N", "N")',
+        '("N", "M")',
+        "the N column of figure CSVs and plot configs read from the destination path count M",
+    ),
 )
 
 

@@ -2,7 +2,7 @@ import json
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from secrecy_outage import (
     ValidationSettings,
     analytic_sop,
     asymptotic_sop,
+    db_to_linear,
     quadrature_sop,
     simulate_sop,
 )
@@ -599,12 +600,17 @@ def test_module_entrypoint_runs():
 
 def test_simulation_defaults_are_mc_settings_defaults():
     # the CLI flags and the validation grid read McSettings' budget, seed
-    # and confidence rather than repeating them
+    # and confidence rather than repeating them, and the flags parse under
+    # the field names of McSettings and SystemConfig
     defaults = McSettings()
     parser = build_parser()
     for argv in (["sop"], ["sweep", "--snr-start", "0", "--snr-stop", "10"], ["figure", "fig2"]):
-        args = parser.parse_args(argv)
-        assert (args.samples, args.seed, args.confidence) == (
-            defaults.n_samples, defaults.seed, defaults.confidence
-        ), argv
+        args = vars(parser.parse_args(argv))
+        for field in fields(McSettings):
+            assert args[field.name] == getattr(defaults, field.name), (argv, field.name)
+        if argv[0] != "figure":
+            # no system flag given: the reference configuration at the first SNR
+            snr = db_to_linear(args.get("snr_db", args.get("snr_start")))
+            flags = {field.name: args[field.name] for field in fields(SystemConfig) if field.name != "snr"}
+            assert SystemConfig(**flags, snr=snr) == replace(REFERENCE_CONFIG, snr=snr), argv
     assert ValidationSettings().mc_settings() == defaults

@@ -132,3 +132,23 @@ def test_knowledge_benefit_reads_a_ratio_over_zero():
     for table in _benefit_rows(done.stdout):
         ss_drop, os_drop, ss_ratio, os_ratio, by_drop, by_ratio = table[(500, 1.0, 6, 4)]
         assert (ss_ratio, os_ratio, by_drop, by_ratio) == ("1", "nan", "tie", "n/a")
+
+
+# at K = 200 with 24 paths each, one value leaves [0, 1] past the integrity
+# band: a floor in the first table, a closed form at 30 dB in the second;
+# K = 0 is an invalid parameter
+@pytest.mark.parametrize("script, args, message", [
+    ("floor_sensitivity.py", ("--K", "200", "--M", "24", "--N", "24", "--a", "0.001", "--b", "0.1", "--zeta", "1"),
+     "asymptotic outage probability 1.0003546512356276 leaves [0, 1]"),
+    ("knowledge_benefit.py", ("--K", "200", "--MN", "24,24", "--a", "0.001", "--b", "0.1", "--zeta", "1",
+                              "--snr-db", "30"),
+     "analytic outage probability 1.0000332977472277 leaves [0, 1]"),
+    ("floor_sensitivity.py", ("--K", "0"), "K must be a positive integer, got 0"),
+    ("knowledge_benefit.py", ("--K", "0"), "K must be a positive integer, got 0"),
+])
+def test_table_scripts_report_errors_as_sop_does(script, args, message):
+    # one error line on stderr, no table and exit 2, not a traceback with exit 1
+    done = _run_script(script, *args)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith(f"error: {message}") and done.stderr.count("\n") == 1
