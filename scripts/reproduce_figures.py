@@ -7,6 +7,10 @@ four studies); pass --samples to trade time for tighter intervals, or
 installed, also draws PNGs from the declarative plot descriptions to show
 one way of consuming them.
 
+Exit codes: 0 on success, 2 on a usage error, an invalid parameter or a
+typed numerical error, the last two printed as one ``error: ...`` line.
+An invalid parameter is found before the output directory is made.
+
 Usage:
     python3 scripts/reproduce_figures.py --outdir out/figures
     python3 scripts/reproduce_figures.py --analytic-only --render
@@ -19,7 +23,7 @@ import sys
 import time
 from pathlib import Path
 
-from secrecy_outage import McSettings
+from secrecy_outage import McSettings, NumericalIntegrityError, QuadratureConvergenceError
 from secrecy_outage.figures import (
     available_presets,
     plot_description,
@@ -76,13 +80,13 @@ def main() -> int:
                         help="limit to specific presets; repeatable")
     args = parser.parse_args()
 
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    mc = McSettings(n_samples=args.samples, seed=args.seed)
     if args.analytic_only:
         methods = (EvalMethod.ANALYTIC, EvalMethod.ASYMPTOTIC)
     else:
         methods = (EvalMethod.ANALYTIC, EvalMethod.ASYMPTOTIC, EvalMethod.MC)
-    mc = McSettings(n_samples=args.samples, seed=args.seed)
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     for name in args.preset or available_presets():
         start = time.perf_counter()
@@ -102,4 +106,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except (ValueError, NumericalIntegrityError, QuadratureConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

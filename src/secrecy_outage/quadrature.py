@@ -12,7 +12,9 @@ E_s[((1 - w) + w P(M, u))^L], so the Monte Carlo route and the test oracles
 are the independent checks of how the four (scheme, scenario) cases are
 composed.
 
-The half line is mapped to (0, 1) through s = t / (1 - t).  The integrator
+Each row maps the half line to (0, 1) through s = N t / (1 - t), N its
+eavesdropper path count, so the mean N of the unit Gamma(N) law sits at
+t = 1/2 and the first level's uniform panels cover its bulk.  The integrator
 is adaptive interval halving with an embedded higher-order rule (15-point
 Kronrod extension of 7-point Gauss), refined a level at a time: every panel
 above its share of the tolerance is halved, all in one vectorised call,
@@ -269,6 +271,16 @@ def _members(of: np.ndarray, rows: np.ndarray, value: int, count: int):
     return (of[rows] == value).nonzero()[0] if count > 1 else slice(None)
 
 
+def _half_line(t, N):
+    """The unit eavesdropper SNR s = N t / (1 - t) at nodes t of (0, 1), and dt/ds = (1 - t)^2 / N.
+
+    The map puts the Gamma(N) law's mean N at t = 1/2; its inverse is
+    t = s / (N + s).  At N = 1 it is s = t / (1 - t) to the bit.
+    """
+    gap = 1.0 - t
+    return N * t / gap, gap**2 / N
+
+
 def _boundary_expectations(plan: CasePlan) -> list[float]:
     """E_s[((1 - w) + w P(M, alpha + beta s))^L] of every distinct key of ``plan``, as one row-stacked integral.
 
@@ -283,10 +295,13 @@ def _boundary_expectations(plan: CasePlan) -> list[float]:
     their refinements part.  One elementwise expression then applies each
     panel's ((1 - w) + w P)^L, with its row's w and L, and the density
     multiplies every panel once after, so every value is that of the row's
-    ``quadrature_sop``.  P(M, u) bends at u_b in {M/10, M,
-    10 M + 10}, so at t_b = s_b / (1 + s_b), s_b = (u_b - alpha) / beta; a
-    t_b inside the first uniform panel, where a narrow bend can fall between
-    the first level's nodes, is an extra edge of the row's first level.
+    ``quadrature_sop``.  Every node t reads s = N t / (1 - t) and the
+    Jacobian N / (1 - t)^2 (``_half_line``), so the CDF's points are
+    distinct in (alpha, beta, N, node).  P(M, u) bends at u_b in {M/10, M,
+    10 M + 10}, so at t_b = s_b / (N + s_b), s_b = (u_b - alpha) / beta; a
+    t_b inside the first uniform panel (s_b < N / 7), where a narrow bend
+    can fall between the first level's nodes, is an extra edge of the row's
+    first level.
     """
     cdfs: dict[int, Callable] = {}  # per M
     pdfs: dict[int, Callable] = {}  # per N
@@ -305,7 +320,7 @@ def _boundary_expectations(plan: CasePlan) -> list[float]:
     alpha, beta = np.array(list(points)).T.copy()
 
     s_b = (np.array((m_of / 10, m_of, 10 * m_of + 10)) - alpha[point_of]) / beta[point_of]
-    t_b = s_b / (1.0 + np.abs(s_b))  # s_b / (1 + s_b) where s_b > 0, and not positive elsewhere
+    t_b = s_b / (n_of + np.abs(s_b))  # _half_line's inverse where s_b > 0, and not positive elsewhere
     inside = (t_b > 0.0) & (t_b < 1.0 / INITIAL_SUBDIVISIONS)
     breaks = np.where(inside, t_b, np.nan).T
 
@@ -315,19 +330,19 @@ def _boundary_expectations(plan: CasePlan) -> list[float]:
         fx = np.empty_like(t)
         for M, cdf in cdfs.items():
             at = _members(m_of, rows, M, len(cdfs))
-            point = point_of[rows[at]]
+            point, n = point_of[rows[at]], n_of[rows[at]]
             if point.size:
-                pick, where = _distinct(last[at], first[at], point)
-                p, t_p = point[pick, None], t[at][pick]
-                fx[at] = cdf(alpha[p] + beta[p] * (t_p / (1.0 - t_p)))[where]
+                pick, where = _distinct(last[at], first[at], n, point)
+                p, (s, _) = point[pick, None], _half_line(t[at][pick], n[pick, None])
+                fx[at] = cdf(alpha[p] + beta[p] * s)[where]
         density = np.empty_like(t)
         for N, pdf in pdfs.items():
             at = _members(n_of, rows, N, len(pdfs))
             t_n = t[at]
             if t_n.size:
                 pick, where = _distinct(last[at], first[at])
-                t_p = t_n[pick]
-                density[at] = (pdf(t_p / (1.0 - t_p)) / (1.0 - t_p) ** 2)[where]
+                s, dt_ds = _half_line(t_n[pick], N)
+                density[at] = (pdf(s) / dt_ds)[where]
         weight = weight_of[rows, None]
         fx = ((1.0 - weight) + weight * fx) ** power_of[rows, None]
         fx *= density

@@ -163,8 +163,8 @@ MUTANTS = (
     Mutant(
         "quad-density-scale",
         "quadrature.py",
-        "density[at] = (pdf(t_p / (1.0 - t_p)) / (1.0 - t_p) ** 2)[where]",
-        "density[at] = (pdf(t_p / (1.0 - t_p)) / (1.0 - t_p) ** 2 * (1 + 1e-7))[where]",
+        "density[at] = (pdf(s) / dt_ds)[where]",
+        "density[at] = (pdf(s) / dt_ds * (1 + 1e-7))[where]",
         "the quadrature's eavesdropper density scaled by 1 + 1e-7",
     ),
     Mutant(

@@ -30,9 +30,11 @@ from secrecy_outage import Scenario, Scheme, SystemConfig
 def sop_quadpack(cfg: SystemConfig, scheme: Scheme, scenario: Scenario) -> float:
     """Outage probability via scipy.integrate.quad on the boundary integral.
 
-    Uses the same rational substitution y = scale * t / (1 - t) the library
-    uses, because QUADPACK misses the eavesdropper tail mass on a raw
-    semi-infinite range at high SNR; everything else (CDF, PDF, the adaptive
+    Maps the half line through y = a_e t / (1 - t) in SNR units, at the
+    eavesdropper's mean SNR per path, because QUADPACK misses the tail mass
+    on a raw semi-infinite range at high SNR; the library maps the unit SNR
+    s = y / a_e through s = N t / (1 - t), at the unit law's mean N, so the
+    two rules see different nodes.  Everything else (CDF, PDF, the adaptive
     integrator itself) is scipy's.  Wherever the destination law bends, at
     y with (1 + y) rho - 1 = u_b a_d for u_b in {M/10, M, 10 M + 10},
     QUADPACK gets that t in (0, 1) as a break point: an adaptive rule cannot

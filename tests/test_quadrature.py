@@ -25,7 +25,7 @@ from secrecy_outage import (
 )
 from secrecy_outage import quadrature
 from secrecy_outage.analytic import CasePlan
-from secrecy_outage.quadrature import _NODES, _WEIGHTS_G, _WEIGHTS_K, quadrature_sops
+from secrecy_outage.quadrature import _NODES, _WEIGHTS_G, _WEIGHTS_K, _half_line, quadrature_sops
 from secrecy_outage.sweep import EvalMethod, SweepSpec, db_to_linear, run_sweep, snr_grid
 
 CASES = [(s, c) for s in (Scheme.SS, Scheme.OS) for c in (Scenario.KU, Scenario.KA)]
@@ -221,6 +221,30 @@ def test_tightened_tolerances_refine_further(monkeypatch):
     assert tight_panels > default_panels
     assert default_gap > 1e-12 * reference
     assert tight_gap <= default_gap / 100
+
+
+def test_tightened_tolerances_refine_further_where_the_map_scales(monkeypatch):
+    # the half-line map scales with N, which the N = 1 key above does not
+    # see; at this probe-domain key (seed 3's, at zeta = 1 under ss/ku) it is
+    # s = 8 t / (1 - t): the default 1e-10 stops 6.1e-14 relative off the
+    # 60-digit series at p = 1.1e-27, while 1e-13 refines past the default
+    # panels and meets it to 1.5e-15
+    cfg = SystemConfig(
+        K=30, zeta=1.0, r_th=0.01, snr=241075406826.4175, M=24, N=8, a=0.5830213999046375, b=0.20201488989064387
+    )
+    query = SopQuery(cfg, Scheme.SS, Scenario.KU)
+    reference, _ = selection_series_mp(cfg.M, cfg.N, cfg.a, cfg.b, cfg.rho, cfg.snr, cfg.K, 1.0)
+    runs = []
+    for rel_tol in (1e-10, 1e-13):
+        with monkeypatch.context() as patch:
+            patch.setattr(quadrature, "REL_TOL", rel_tol)
+            counters = _counting_build_integrand(patch)
+            value = quadrature_sop(query)
+        runs.append((counters[cfg.M, cfg.N].panels, abs(value - reference)))
+    (default_panels, default_gap), (tight_panels, tight_gap) = runs
+    assert tight_panels > default_panels
+    assert default_gap > 1e-14 * reference
+    assert tight_gap <= default_gap / 10
 
 
 # Keys whose outage is far below the old 1e-10 absolute tolerance, all at
@@ -424,18 +448,18 @@ def _law_point(cfg):
 
 def _boundary_node(cfg, t):
     alpha, beta = _law_point(cfg)
-    return alpha + beta * (t / (1.0 - t))
+    return alpha + beta * _half_line(t, cfg.N)[0]
 
 
 def _check_laws_see_distinct_points(record, queries):
-    """At each level, an M's CDF sees each distinct (alpha, beta, node) of its rows once.
+    """At each level, an M's CDF sees each distinct (alpha, beta, N, node) of its rows once.
 
     Likewise an N's density sees each distinct node of its rows once; each law
     is called at most once per level.  Row r of a level is ``queries[r]``.
     """
     laws = (
-        (record.cdf, 0, lambda cfg: cfg.M, _law_point, _boundary_node),
-        (record.pdf, 1, lambda cfg: cfg.N, lambda cfg: (), lambda cfg, t: t / (1.0 - t)),
+        (record.cdf, 0, lambda cfg: cfg.M, lambda cfg: _law_point(cfg) + (cfg.N,), _boundary_node),
+        (record.pdf, 1, lambda cfg: cfg.N, lambda cfg: (), lambda cfg, t: _half_line(t, cfg.N)[0]),
     )
     for level, (rows, x) in enumerate(record.levels):
         for calls, at_group, law_of, point_of, node_of in laws:
@@ -598,6 +622,18 @@ def test_figure_job_calls_each_group_once_per_level(monkeypatch, name):
     calls = {group: len(counter.shapes) for group, counter in counters.items()}
     assert calls == {group: max(counts) for group, counts in levels.items()}
     assert sum(calls.values()) < per_variant_calls
+
+
+def test_figure_pass_stays_within_its_panel_count(monkeypatch):
+    # the 8 figure jobs (4 presets x {ku, ka}) evaluate 11,863 quadrature
+    # panels in 18 stacked levels; with the half line mapped at s = t / (1 - t)
+    # for every N they took 20,379 in 32.  The count repeats exactly.
+    record = _record_levels(monkeypatch)
+    for name in FIGURE_PRESETS:
+        for scenario in Scenario:
+            run_figure(name, scenario=scenario, methods=(EvalMethod.QUADRATURE,))
+    assert len(record.levels) <= 18
+    assert sum(x.shape[0] for _, x in record.levels) <= 12_000
 
 
 @pytest.mark.parametrize("bad", [math.nan, 1.5])

@@ -38,6 +38,16 @@ def test_reproduce_figures_analytic_only(tmp_path):
     )
 
 
+def test_reproduce_figures_rejects_an_invalid_value_before_writing(tmp_path):
+    # one error line on stderr and exit 2, not a traceback with exit 1, and no output directory
+    outdir = tmp_path / "figures"
+    done = _run_script("reproduce_figures.py", "--samples", "0", "--outdir", str(outdir))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: n_samples must be an integer >= 1, got 0") and done.stderr.count("\n") == 1
+    assert not outdir.exists()
+
+
 def test_floor_sensitivity_table():
     done = _run_script("floor_sensitivity.py")
     assert done.returncode == 0, done.stderr
