@@ -135,13 +135,15 @@ class SopValue:
 
     ``method`` is the route that produced it: ``quadrature`` for a closed
     form or floor whose key fell back to it.  ``value`` is clamped to [0, 1].
-    ``significance_flag`` is set exactly where the alternating-sum
-    cancellation guard fired and quadrature's value stands in.
     """
 
     value: float
     method: EvalMethod
-    significance_flag: bool
+
+    @property
+    def significance_flag(self) -> bool:
+        """Whether the alternating-sum cancellation guard fired and quadrature's value stands in."""
+        return self.method is EvalMethod.QUADRATURE
 
 
 def _integrity_error(raw: float, method: EvalMethod) -> NumericalIntegrityError:
@@ -414,10 +416,7 @@ def asymptotic_inner(plan: CasePlan) -> tuple[list[float], list[int]]:
 def _sop_values(queries, inner, method: EvalMethod) -> list[SopValue]:
     """One ``SopValue`` per query: the case rule over one plan of the batch."""
     values, flags = case_sop(CasePlan.of(queries), inner, method)
-    return [
-        SopValue(value, EvalMethod.QUADRATURE, True) if flag else SopValue(value, method, False)
-        for value, flag in zip(values, flags)
-    ]
+    return [SopValue(value, EvalMethod.QUADRATURE if flag else method) for value, flag in zip(values, flags)]
 
 
 def analytic_sops(queries) -> list[SopValue]:

@@ -8,10 +8,11 @@ the same structure with N paths and scale b * snr.  Backhaul links are
 independent Bernoulli(zeta): an inactive link silences its transmitter,
 which manifests as a point mass at zero SNR.  Distribution helpers here
 accept scalars or numpy arrays in the evaluation point.  Gamma SNRs have one
-sampler, ``_unit_gamma``, shared by ``sample_channel_block`` and the Monte
-Carlo: -ln of a product of one (0, 1] uniform per path.  It draws every row
-in reflected pairs, two values from each uniform, one rising and one
-falling with it, each with the same law; there is no unpaired mode.
+sampler, ``_gamma``, shared by ``sample_channel_block`` and the Monte
+Carlo: -scale times the log of a product of one (0, 1] uniform per path.
+It draws every row in reflected pairs, two values from each uniform, one
+rising and one falling with it, each with the same law; there is no
+unpaired mode.
 
 Because every shape is an integer, the CDF is the regularized lower
 incomplete gamma P(M, u) at integer M, evaluated here in numpy alone (DLMF
@@ -294,8 +295,8 @@ _PRODUCT_FACTORS = 19
 _ULP = 2.0**-53
 
 
-def _unit_gamma(rng: np.random.Generator, shape: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Fill the flat ``out`` with unit-scale Gamma(shape) draws; ``tmp``, at least as long, is scratch.
+def _gamma(rng: np.random.Generator, shape: int, scale: float, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Fill the flat ``out`` with Gamma(shape) draws of scale ``scale``; ``tmp``, at least as long, is scratch.
 
     A draw is the sum of ``shape`` unit exponential path energies, -ln of
     the product of ``shape`` uniform factors.  A row of m draws reads one
@@ -307,6 +308,8 @@ def _unit_gamma(rng: np.random.Generator, shape: int, out: np.ndarray, tmp: np.n
     h + i falls with them.  With m odd, draw h - 1 has no partner.  Past
     ``_PRODUCT_FACTORS`` paths, where a product could leave the normal
     range, each further path energy is added as its own -ln of its factor.
+    The log is multiplied by -scale in one pass: negation is exact, so a
+    draw is bit for bit ``scale`` times the unit-scale one.
     """
     size = out.size
     drawn = -(-size // 2)
@@ -325,7 +328,7 @@ def _unit_gamma(rng: np.random.Generator, shape: int, out: np.ndarray, tmp: np.n
     np.log(out, out=out)
     for _ in range(shape - _PRODUCT_FACTORS):
         out += np.log(factors(factor), out=factor)
-    np.negative(out, out=out)
+    np.multiply(out, -scale, out=out)
     return out
 
 
@@ -341,7 +344,7 @@ def sample_channel_block(cfg: SystemConfig, rng: np.random.Generator, n: int):
 
     The draw order is a contract so that a stream position identifies a
     sample: the K destination Gamma(M) rows, then the K eavesdropper
-    Gamma(N) rows, each one ``_unit_gamma`` call of n draws, then the
+    Gamma(N) rows, each one ``_gamma`` call of n draws, then the
     backhaul uniforms.  Every Gamma row is drawn in reflected pairs, as in
     the Monte Carlo: sample h + i of a link (h = ceil(n / 2)) reflects the
     uniforms of its sample i.  Partners are two samples of one link, never
@@ -352,7 +355,6 @@ def sample_channel_block(cfg: SystemConfig, rng: np.random.Generator, n: int):
     gamma_d, gamma_e, uniforms = np.empty((cfg.K, n)), np.empty((cfg.K, n)), np.empty((cfg.K, n))
     for gamma, shape, scale in ((gamma_d, cfg.M, cfg.a_d), (gamma_e, cfg.N, cfg.a_e)):
         for row in gamma:
-            _unit_gamma(rng, shape, row, uniforms[0])
-        gamma *= scale
+            _gamma(rng, shape, scale, row, uniforms[0])
     backhaul = rng.random(out=uniforms) < cfg.zeta
     return gamma_d, gamma_e, backhaul

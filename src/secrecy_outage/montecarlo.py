@@ -11,9 +11,10 @@ what decides them: one count where the samples it stands for are
 exchangeable (the backhaul states of the ``ku`` picks and of every survivor
 that carries no SNR), a Gamma SNR only for a link that is on, and an ``ss``
 eavesdropper SNR only at a sample's first active link (see
-``_chunk_counts``).  Each Gamma SNR is the total energy of its unit
-exponential path energies, drawn as exactly that: -ln of a product of one
-(0, 1] uniform per path, one log per draw (``channel._unit_gamma``).
+``_chunk_counts``).  Each Gamma SNR is its link scale times the total of
+its unit exponential path energies, drawn as exactly that: -scale times the
+log of a product of one (0, 1] uniform per path, one log per draw
+(``channel._gamma``).
 
 A chunk first draws its fresh on-counts, how many samples meet their first
 active link at each link, so its all-silenced count depends on (seed,
@@ -44,8 +45,8 @@ import numpy as np
 
 from .analytic import Scenario, Scheme, SopQuery
 # ``sample_channel_block`` is unused here, but the traced benchmark rebinds it
-# on this module; the chunks look ``_unit_gamma`` up here, the seam tests wrap.
-from .channel import SystemConfig, _is_int, _unit_gamma, make_rng, sample_channel_block  # noqa: F401
+# on this module; the chunks look ``_gamma`` up here, the seam tests wrap.
+from .channel import SystemConfig, _gamma, _is_int, make_rng, sample_channel_block  # noqa: F401
 
 __all__ = [
     "CHUNK_SIZE",
@@ -130,25 +131,15 @@ def _fresh_on_counts(rng: np.random.Generator, cfg: SystemConfig, ka: bool, n: i
     return counts
 
 
-def _destination_sides(rng: np.random.Generator, cfg: SystemConfig, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """1 + a_d gamma_d for ``out.size`` Gamma(M) draws in reflected pairs, in place."""
-    side = _unit_gamma(rng, cfg.M, out, tmp)
-    side *= cfg.a_d
-    side += 1.0
-    return side
-
-
-def _thresholds(rng: np.random.Generator, cfg: SystemConfig, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """rho (1 + a_e gamma_e) for ``out.size`` Gamma(N) draws in reflected pairs, in place.
+def _side(rng: np.random.Generator, shape: int, scale: float, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """1 + scale gamma for ``out.size`` Gamma(shape) draws in reflected pairs, in place.
 
     A sample is in outage on a link where its destination side is below its
     threshold: the float operations of ``secrecy_outage_indicator``.
     """
-    threshold = _unit_gamma(rng, cfg.N, out, tmp)
-    threshold *= cfg.a_e
-    threshold += 1.0
-    threshold *= cfg.rho
-    return threshold
+    side = _gamma(rng, shape, scale, out, tmp)
+    side += 1.0
+    return side
 
 
 def _os_survivors(
@@ -165,8 +156,9 @@ def _os_survivors(
             break
         on_held = _on_count(rng, held, cfg.zeta) if ka else held
         on = on_held + on_new
-        destination = _destination_sides(rng, cfg, scratch[0, :on], scratch[2])
-        threshold = _thresholds(rng, cfg, scratch[1, :on], scratch[2])
+        destination = _side(rng, cfg.M, cfg.a_d, scratch[0, :on], scratch[2])
+        threshold = _side(rng, cfg.N, cfg.a_e, scratch[1, :on], scratch[2])
+        threshold *= cfg.rho
         held += int(np.count_nonzero(destination < threshold)) - on_held
         fresh -= on_new
     return held
@@ -178,26 +170,24 @@ def _ss_survivors(
     """Held survivors after every link under ``ss``, given each link's newly active count.
 
     A held survivor carries its threshold rho (1 + a_e gamma_e), so its
-    backhaul is one uniform per survivor.  The last link only counts, so no
-    threshold is compressed there.
+    backhaul is one uniform per survivor.
     """
     held, fresh = np.empty(0), sum(on_fresh)
-    for link, on_new in enumerate(on_fresh):
+    for on_new in on_fresh:
         if fresh == 0 and held.size == 0:
             break
         on = rng.random(held.size) < cfg.zeta if ka and cfg.zeta != 1.0 and held.size else None
         tested = held if on is None else held.compress(on)
         fresh -= on_new
-        destination = _destination_sides(rng, cfg, scratch[0, : tested.size + on_new], scratch[2])
-        threshold = _thresholds(rng, cfg, scratch[1, :on_new], scratch[2])
+        destination = _side(rng, cfg.M, cfg.a_d, scratch[0, : tested.size + on_new], scratch[2])
+        threshold = _side(rng, cfg.N, cfg.a_e, scratch[1, :on_new], scratch[2])
+        threshold *= cfg.rho
         keep = destination[: tested.size] < tested
         if on is not None:
             on_fails = keep
             keep = ~on  # a survivor whose link is off stays held
             keep[on] = on_fails
         new = destination[tested.size :] < threshold
-        if link + 1 == cfg.K:
-            return int(np.count_nonzero(keep)) + int(np.count_nonzero(new))
         # ``compress`` is about twice as fast as boolean indexing here
         held = np.concatenate((held.compress(keep), threshold.compress(new)))
     return held.size
@@ -239,8 +229,9 @@ def _chunk_counts(
     same stream and make the same float operations.
 
     Each row of Gamma(k) SNRs is k rows of uniforms in turn, one per path
-    energy, which ``_unit_gamma`` turns into -ln of their product of 1 - u
-    (past ``channel._PRODUCT_FACTORS`` paths, one log per further path).
+    energy, which ``_gamma`` turns into minus the link scale times the log
+    of their product of 1 - u (past ``channel._PRODUCT_FACTORS`` paths, one
+    log per further path).
     Every row is drawn in reflected pairs: sample h + i of a row of m
     (h = ceil(m / 2)) reflects the uniforms of sample i, so its outage
     moves against its partner's (see the module docstring).  Pairs never
@@ -260,6 +251,17 @@ def _chunk_counts(
     survivors = _ss_survivors if query.scheme is Scheme.SS else _os_survivors
     held = survivors(rng, cfg, ka, on_fresh, scratch)
     return never_active + held, never_active if ka else 0
+
+
+def _wald_interval(count: int, n: int, confidence: float) -> tuple[float, bool]:
+    """Wald half-width of ``count`` outages in ``n`` samples, and whether an outcome is rarer than ``_MIN_EVENTS``."""
+    # imported here, as statistics imports fractions and decimal: start-up
+    # time that only a simulation needs
+    from statistics import NormalDist
+
+    p_hat = count / n
+    z = NormalDist().inv_cdf(0.5 * (1.0 + confidence))
+    return z * math.sqrt(p_hat * (1.0 - p_hat) / n), min(count, n - count) < _MIN_EVENTS
 
 
 def simulate_sop(query: SopQuery, mc: McSettings = McSettings(), workers: int = 1) -> SopEstimate:
@@ -299,18 +301,11 @@ def simulate_sop(query: SopQuery, mc: McSettings = McSettings(), workers: int = 
             groups = pool.map(run, [chunks[w::workers] for w in range(workers)])
             counts = [c for group in groups for c in group]
 
-    # imported here, as statistics imports fractions and decimal: start-up
-    # time that only a simulation needs
-    from statistics import NormalDist
-
     outage_count = sum(c[0] for c in counts)
     empty_count = sum(c[1] for c in counts)
-    p_hat = outage_count / n
-    z = NormalDist().inv_cdf(0.5 * (1.0 + mc.confidence))
-    ci_half_width = z * math.sqrt(p_hat * (1.0 - p_hat) / n)
-    low_confidence = min(outage_count, n - outage_count) < _MIN_EVENTS
+    ci_half_width, low_confidence = _wald_interval(outage_count, n, mc.confidence)
     return SopEstimate(
-        p_hat=p_hat,
+        p_hat=outage_count / n,
         ci_half_width=ci_half_width,
         n_samples=n,
         low_confidence=low_confidence,

@@ -15,22 +15,24 @@ parent first and runs half the rounds, rounded up, and the second loads
 the change first and runs the rest.  Their pairs are pooled, and each
 order's ratio is printed too; with one round only the first child runs.
 
-Workloads (both unless ``--workload`` names one):
+Workloads (all three unless ``--workload`` names one):
 
 - ``figure``: the benchmark's figure op, one per figure job (4 presets x
   {ku, ka}), each with closed form, floor and quadrature, its CSV and plot
   JSON written to a temporary directory;
 - ``lone``: ``analytic_sop`` plus ``quadrature_sop`` on each cell of the
-  144-cell validation grid, a validate_grid op without its Monte Carlo.
+  144-cell validation grid, a validate_grid op without its Monte Carlo;
+- ``mc``: a lone ``simulate_sop`` on each grid cell at the validation
+  settings (10^6 samples, their seed), the Monte Carlo of a validate_grid op.
 
 A round runs every op of the workload once as a pair.  Per workload it
 prints each side's median op time, the median of the per-pair ratios with
 a 95% bootstrap interval (fixed seed), the pair count, each load order's
 pair count and ratio interval, and the largest absolute difference between
-the values the two sides return.  It is run by hand, with numpy and the
-standard library only:
+the values the two sides return (for ``mc``, the largest p-hat
+difference).  It is run by hand, with numpy and the standard library only:
 
-    python tests/ab.py PARENT [CHANGE] [--rounds N] [--workload figure|lone] [--cells N]
+    python tests/ab.py PARENT [CHANGE] [--rounds N] [--workload figure|lone|mc] [--cells N]
 
 where PARENT and CHANGE are the roots of two checkouts.
 """
@@ -79,15 +81,25 @@ def figure_ops(so, out: Path) -> list:
     return [lambda i=i, name=name, s=s: op(i, name, s) for i, (name, s) in enumerate(jobs)]
 
 
-def lone_ops(so, cells: int | None) -> list:
-    """One op per grid cell: its closed form and its quadrature, each a lone call."""
-    queries = [
+def _grid_queries(so, cells: int | None) -> list:
+    """The validation grid's cells, or the first ``cells`` of them."""
+    return [
         so.SopQuery(cfg, scheme, scenario)
         for cfg in so.ValidationSettings().grid_configs()
         for scheme in (so.Scheme.SS, so.Scheme.OS)
         for scenario in (so.Scenario.KU, so.Scenario.KA)
     ][:cells]
-    return [lambda q=q: [so.analytic_sop(q).value, so.quadrature_sop(q)] for q in queries]
+
+
+def lone_ops(so, cells: int | None) -> list:
+    """One op per grid cell: its closed form and its quadrature, each a lone call."""
+    return [lambda q=q: [so.analytic_sop(q).value, so.quadrature_sop(q)] for q in _grid_queries(so, cells)]
+
+
+def mc_ops(so, cells: int | None) -> list:
+    """One op per grid cell: its lone ``simulate_sop`` at the validation settings."""
+    mc = so.ValidationSettings().mc_settings()
+    return [lambda q=q: [so.simulate_sop(q, mc).p_hat] for q in _grid_queries(so, cells)]
 
 
 def _timed(op):
@@ -120,6 +132,7 @@ def ratio_interval(ratios: np.ndarray) -> tuple[float, float, float]:
 
 
 ORDERS = ("parent", "change")  # the side each child loads first
+WORKLOADS = ("figure", "lone", "mc")
 
 
 def report(workload: str, times: dict[str, np.ndarray], gap: float) -> None:
@@ -146,11 +159,13 @@ def run_order(args, change: Path) -> dict:
     parent_pkg, change_pkg = loaded["parent"], loaded["change"]
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in [args.workload] if args.workload else ["figure", "lone"]:
+        for workload in [args.workload] if args.workload else WORKLOADS:
             if workload == "figure":
                 sides = [figure_ops(parent_pkg, Path(tmp) / "parent"), figure_ops(change_pkg, Path(tmp) / "change")]
-            else:
+            elif workload == "lone":
                 sides = [lone_ops(so, args.cells) for so in (parent_pkg, change_pkg)]
+            else:
+                sides = [mc_ops(so, args.cells) for so in (parent_pkg, change_pkg)]
             times, gap = pairs(*sides, args.rounds)
             out[workload] = {"times": times.tolist(), "gap": gap}
     return out
@@ -162,8 +177,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("change", type=Path, nargs="?", help="root of the changed tree (default: the parent, A/A)")
     parser.add_argument("--rounds", type=int, default=10,
                         help="passes over each workload's ops, split between the two load orders (default 10)")
-    parser.add_argument("--workload", choices=("figure", "lone"), help="run only this workload")
-    parser.add_argument("--cells", type=int, help="lone: only the first this many grid cells (default all 144)")
+    parser.add_argument("--workload", choices=WORKLOADS, help="run only this workload")
+    parser.add_argument("--cells", type=int, help="lone and mc: only the first this many grid cells (default all 144)")
     parser.add_argument("--first", choices=ORDERS, help=argparse.SUPPRESS)  # a child: run one load order
     args = parser.parse_args(argv)
     change = args.change or args.parent

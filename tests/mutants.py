@@ -126,11 +126,18 @@ MUTANTS = (
         "the Monte Carlo dispersion bound loosened tenfold",
     ),
     Mutant(
-        "eve-scale",
+        "eve-scale-os",
         "montecarlo.py",
-        "threshold *= cfg.a_e",
-        "threshold *= cfg.a_e * 1.01",
-        "a 1% eavesdropper scale in the simulation",
+        "threshold = _side(rng, cfg.N, cfg.a_e, scratch[1, :on], scratch[2])",
+        "threshold = _side(rng, cfg.N, cfg.a_e * 1.01, scratch[1, :on], scratch[2])",
+        "a 1% eavesdropper scale in the os simulation",
+    ),
+    Mutant(
+        "eve-scale-ss",
+        "montecarlo.py",
+        "threshold = _side(rng, cfg.N, cfg.a_e, scratch[1, :on_new], scratch[2])",
+        "threshold = _side(rng, cfg.N, cfg.a_e * 1.01, scratch[1, :on_new], scratch[2])",
+        "a 1% eavesdropper scale in the ss simulation",
     ),
     Mutant(
         "os-held-always-on",

@@ -22,3 +22,16 @@ def test_ab_runs_a_over_a_on_a_few_lone_cells():
     assert re.search(r"^  change/parent ratio: median [0-9.]+, 95% interval \[[0-9.]+, [0-9.]+\]", out, re.MULTILINE)
     assert re.search(r"^  largest value difference: 0$", out, re.MULTILINE)
     assert "figure:" not in out
+
+
+def test_ab_runs_a_over_a_on_two_monte_carlo_cells():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "ab.py"), str(ROOT),
+         *"--rounds 1 --workload mc --cells 2".split()],
+        cwd=ROOT, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    out = done.stdout
+    assert re.search(r"^mc: 2 pairs$", out, re.MULTILINE)
+    assert re.search(r"^  largest value difference: 0$", out, re.MULTILINE)
+    assert "lone:" not in out and "figure:" not in out

@@ -346,10 +346,7 @@ def _rule_with_fake_inner(queries, xs, flags=None, method=EvalMethod.ANALYTIC):
     assert len(values) == len(codes) == len(queries)
     assert set(codes) <= {0, QUADRATURE_FALLBACK}
     method = EvalMethod(method)
-    return [
-        SopValue(value, EvalMethod.QUADRATURE, True) if code else SopValue(value, method, False)
-        for value, code in zip(values, codes)
-    ], calls
+    return [SopValue(value, EvalMethod.QUADRATURE if code else method) for value, code in zip(values, codes)], calls
 
 
 def _key(query, L, w):

@@ -14,7 +14,7 @@ from secrecy_outage.analytic import CASES, _log_powers
 from secrecy_outage.channel import (
     GammaSnr,
     SystemConfig,
-    _unit_gamma,
+    _gamma,
     make_rng,
     sample_channel_block,
     snr_cdf,
@@ -306,10 +306,10 @@ def test_sample_block_shapes_and_order(base_cfg):
     # contract: draw order is the K destination Gamma(M) rows, the K
     # eavesdropper Gamma(N) rows, then the backhaul uniforms, so a fresh
     # generator in the same state reproduces the block piecewise, each
-    # link's row as its own paired ``_unit_gamma`` draw of n values
+    # link's row as its own paired ``_gamma`` draw of n values
     rng2 = make_rng(0, 0)
-    d2 = np.stack([base_cfg.a_d * _unit_gamma(rng2, base_cfg.M, np.empty(n), np.empty(n)) for _ in range(K)])
-    e2 = np.stack([base_cfg.a_e * _unit_gamma(rng2, base_cfg.N, np.empty(n), np.empty(n)) for _ in range(K)])
+    d2 = np.stack([base_cfg.a_d * _gamma(rng2, base_cfg.M, 1.0, np.empty(n), np.empty(n)) for _ in range(K)])
+    e2 = np.stack([base_cfg.a_e * _gamma(rng2, base_cfg.N, 1.0, np.empty(n), np.empty(n)) for _ in range(K)])
     act2 = rng2.random((K, n)) < base_cfg.zeta
     assert np.array_equal(gamma_d, d2)
     assert np.array_equal(gamma_e, e2)

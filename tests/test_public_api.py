@@ -92,7 +92,7 @@ def test_settable_values_are_pinned():
         "ks", "zetas", "snr_dbs", "mc_samples", "seed", "determinism_samples", "determinism_workers",
     ]
     assert [f.name for f in fields(FigureResult)] == ["preset", "per_variant"]
-    assert [f.name for f in fields(analytic.SopValue)] == ["value", "method", "significance_flag"]
+    assert [f.name for f in fields(analytic.SopValue)] == ["value", "method"]
     assert [f.name for f in fields(montecarlo.SopEstimate)] == [
         "p_hat", "ci_half_width", "n_samples", "low_confidence", "empty_active_set_rate",
     ]
